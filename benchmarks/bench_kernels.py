@@ -3,11 +3,11 @@
 Measures three things and writes them to the root ``BENCH_kernels.json``
 (the perf-trajectory tracker reads root-level ``BENCH_*.json`` files):
 
-* **events** — simulator-core microbenchmark: events/second through a
-  poll-dominated SMP simulation (reference tuple heap, the deployed
-  queue for irregular schedules) and through a heartbeat-shaped
-  schedule on the bucketed wheel versus the reference heap (the
-  wheel's deployment shape).
+* **events** — simulator-core microbenchmark: wall-clock of one SMP
+  link-contention simulation (irregular link completions on the
+  reference tuple heap, the deployed queue for that shape) and
+  events/second through a heartbeat-shaped schedule on the bucketed
+  wheel versus the reference heap (the wheel's deployment shape).
 * **diff** — big-int XOR diff kernel MB/s versus the reference
   word-at-a-time loop, on sparse (record-sized modification) and dense
   (every word differs) buffer pairs.
@@ -64,7 +64,10 @@ def bench_events() -> dict:
     from repro.perf.smp_sim import simulate_smp
     from repro.sim.events import BucketedEventQueue, EventQueue
 
-    # Poll-dominated irregular schedule: the deployed reference heap.
+    # Irregular schedule (link completions) on the deployed reference
+    # heap. The "poll_sim" names are kept for the trajectory: until the
+    # stalls became event-driven this run was ~90% wait_for poll ticks,
+    # which is why poll_sim_s drops while poll_sim_tps must not move.
     started = time.perf_counter()
     result = simulate_smp(5.0, [[32] * 6], 4, duration_us=10_000.0)
     poll_wall = time.perf_counter() - started

@@ -13,15 +13,11 @@ The plan is advisory, not load-bearing: a cell missing from the plan
 (say, after an experiment module grows a new configuration) is simply
 computed inline by the rendering pass, exactly as without ``--jobs``.
 
-Two task shapes exist:
-
-* *cells* — driven workload runs, keyed exactly like the context
-  cache (``("passive", version, workload, nominal, ship_undo_log,
-  coalescing)`` and friends);
-* *SMP simulation memos* — the discrete-event validations behind the
-  ``smp-validation`` extension, which dominate a full-grid run's
-  wall-clock and are pure functions of an already-measured cell plus
-  the calibrated per-transaction CPU time.
+Cells are driven workload runs, keyed exactly like the context cache
+(``("passive", version, workload, nominal, ship_undo_log,
+coalescing)`` and friends). The ``smp-validation`` extension's
+discrete-event points are not fanned out: all 24 cost about a second,
+so it computes them inline from the preloaded cells.
 """
 
 from __future__ import annotations
@@ -155,11 +151,9 @@ def compute_cell(task: Tuple[ExperimentSettings, CellSpec]):
 
 
 def smp_sim_tasks(ctx: ExperimentContext) -> List[tuple]:
-    """Build the SMP discrete-event simulation tasks.
-
-    Must run *after* the cells are preloaded: each task carries the
-    measured ``RunResult`` and the calibrated per-transaction CPU time
-    its simulation needs, so workers do no redundant measuring."""
+    """The SMP discrete-event points as ``(memo key, RunResult,
+    cpu_us, processors)`` — what ``extension_smp_sim.run`` simulates,
+    enumerated for the performance ledger."""
     estimator = ctx.estimator()
     tasks = []
     for workload in WORKLOADS:
@@ -177,29 +171,6 @@ def smp_sim_tasks(ctx: ExperimentContext) -> List[tuple]:
     return tasks
 
 
-def compute_smp_sim(task: tuple):
-    """Pool worker: one discrete-event SMP simulation point."""
-    from repro.perf.smp_sim import simulate_from_run
-
-    key, result, cpu_us, processors = task
-    simulated = simulate_from_run(
-        result, cpu_us=cpu_us, processors=processors,
-        duration_us=_SMP_DURATION_US,
-    )
-    return key, simulated
-
-
-def _cell_metrics_snapshot():
-    """The worker's default-observer metrics for the cell just
-    computed, or None when observation is off (the common case)."""
-    from repro.obs.observer import get_default_observer
-
-    observer = get_default_observer()
-    if not observer.enabled:
-        return None
-    return observer.registry.snapshot()
-
-
 def compute_cell_observed(task: Tuple[ExperimentSettings, CellSpec]):
     """Pool worker for observed runs: ``compute_cell`` plus the cell's
     own metrics snapshot.
@@ -208,21 +179,12 @@ def compute_cell_observed(task: Tuple[ExperimentSettings, CellSpec]):
     process-global default observer, so each cell starts by resetting
     it — otherwise a cell's snapshot would also contain every earlier
     cell's counts and the runner's merge would double-count them.
-    Returns ``(cache_key, RunResult, snapshot-or-None)``.
+    Returns ``(cache_key, RunResult, snapshot)``; the snapshot is None
+    when observation is off.
     """
-    from repro.obs.observer import reset_default_observer
+    from repro.obs.observer import get_default_observer, reset_default_observer
 
     reset_default_observer()
     key, result = compute_cell(task)
-    return key, result, _cell_metrics_snapshot()
-
-
-def compute_smp_sim_observed(task: tuple):
-    """Pool worker: one observed SMP simulation point, with its
-    metrics snapshot (same reset discipline as
-    :func:`compute_cell_observed`)."""
-    from repro.obs.observer import reset_default_observer
-
-    reset_default_observer()
-    key, simulated = compute_smp_sim(task)
-    return key, simulated, _cell_metrics_snapshot()
+    observer = get_default_observer()
+    return key, result, observer.registry.snapshot() if observer.enabled else None

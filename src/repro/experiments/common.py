@@ -76,24 +76,17 @@ class ExperimentContext:
 
     def memo(self, key: Tuple, thunk):
         """Memoized derived computation (e.g. a discrete-event SMP
-        simulation). Deterministic thunks only: the parallel runner
-        precomputes these in worker processes and installs the values
-        via :meth:`preload`, so a memoized value must equal what the
-        thunk would produce in this process."""
+        simulation), computed inline on first use."""
         if key not in self._memo:
             self._memo[key] = thunk()
         return self._memo[key]
 
-    def preload(self, cells: Optional[Dict] = None,
-                memos: Optional[Dict] = None) -> None:
-        """Seed the run cache and memo table with values computed
-        elsewhere (the ``--jobs`` runner computes cells in worker
-        processes and installs them here before rendering). Any cell
-        missing from the preload is simply computed inline."""
-        if cells:
-            self._cache.update(cells)
-        if memos:
-            self._memo.update(memos)
+    def preload(self, cells: Dict) -> None:
+        """Seed the run cache with values computed elsewhere (the
+        ``--jobs`` runner computes cells in worker processes and
+        installs them here before rendering). Any cell missing from
+        the preload is simply computed inline."""
+        self._cache.update(cells)
 
     # -- workload helpers ---------------------------------------------------
 

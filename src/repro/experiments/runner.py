@@ -144,11 +144,11 @@ ALIASES = {
 
 
 def _precompute(ctx: ExperimentContext, resolved: List[str], jobs: int) -> None:
-    """Fan the selected experiments' measurement cells (and the SMP
-    discrete-event simulations) over ``jobs`` worker processes, then
-    seed the context cache. Rendering afterwards only reads the cache
-    (falling back to inline computation for any cell the plan missed),
-    so the printed tables are byte-identical to a sequential run."""
+    """Fan the selected experiments' measurement cells over ``jobs``
+    worker processes, then seed the context cache. Rendering afterwards
+    only reads the cache (falling back to inline computation for any
+    cell the plan missed, and for the SMP discrete-event points), so
+    the printed tables are byte-identical to a sequential run."""
     from repro.experiments import cells
     from repro.fastpath.parallel import run_tasks
     from repro.obs.observer import get_default_observer
@@ -167,22 +167,11 @@ def _precompute(ctx: ExperimentContext, resolved: List[str], jobs: int) -> None:
         for _key, _result, snapshot in computed:
             if snapshot is not None:
                 observer.registry.merge_snapshot(snapshot)
-        if "smp-validation" in resolved:
-            sims = run_tasks(
-                cells.compute_smp_sim_observed, cells.smp_sim_tasks(ctx), jobs
-            )
-            ctx.preload(memos={key: sim for key, sim, _ in sims})
-            for _key, _sim, snapshot in sims:
-                if snapshot is not None:
-                    observer.registry.merge_snapshot(snapshot)
         return
     computed = run_tasks(
         cells.compute_cell, [(ctx.settings, spec) for spec in plan], jobs
     )
     ctx.preload(cells=dict(computed))
-    if "smp-validation" in resolved:
-        sims = run_tasks(cells.compute_smp_sim, cells.smp_sim_tasks(ctx), jobs)
-        ctx.preload(memos=dict(sims))
 
 
 def _cprofile_cell(args) -> int:

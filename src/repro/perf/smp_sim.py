@@ -8,62 +8,43 @@ contention directly — n transaction streams, each alternating CPU
 work and posted packet bursts, sharing one FIFO link server with
 per-stream write-buffer backpressure — and the tests hold the closed
 form to the simulation within a few percent.
+
+A stalled stream does not poll: the link completion that drains its
+buffers wakes it. It still resumes where the original busy-wait would
+have — on the grid ``t0 = stall instant, t(k+1) = t(k) + POLL_US``
+(repeated float addition), at the first tick that finds the buffers
+drained, through the same zero-delay resume event — because that grid
+decides every equal-timestamp ordering among the lock-step streams, so
+keeping it keeps the committed tables bit-identical
+(``tests/oracles/smp_sim_reference.py`` is the polling original).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+import itertools
+from collections import deque
+from dataclasses import dataclass
+from math import inf
+from typing import List
 
 from repro.hardware.specs import SanSpec, MEMORY_CHANNEL_II
 from repro.san.packets import PacketTrace
 from repro.sim.engine import Simulator
-from repro.sim.process import Process, sleep, wait_for
 
 #: Per-CPU posted-write capacity: six 32-byte write buffers.
 WRITE_BUFFER_BYTES = 6 * 32
 
-
-@dataclass
-class _Stream:
-    """One transaction stream's simulation state."""
-
-    index: int
-    completed: int = 0
-    outstanding_bytes: int = 0
-    stalled_us: float = 0.0
+#: Spacing of the resume grid: the original busy-wait's poll interval.
+POLL_US = 0.05
 
 
-class _LinkServer:
-    """A FIFO link: packets drain one at a time at the SAN's rate."""
-
-    def __init__(self, sim: Simulator, san: SanSpec):
-        self.sim = sim
-        self.san = san
-        self.queue: List[tuple] = []  # (size, stream)
-        self.busy = False
-        self.busy_us = 0.0
-
-    def submit(self, size: int, stream: _Stream) -> None:
-        stream.outstanding_bytes += size
-        self.queue.append((size, stream))
-        if not self.busy:
-            self._start_next()
-
-    def _start_next(self) -> None:
-        if not self.queue:
-            self.busy = False
-            return
-        self.busy = True
-        size, stream = self.queue.pop(0)
-        service = self.san.packet_time_us(size)
-        self.busy_us += service
-
-        def complete():
-            stream.outstanding_bytes -= size
-            self._start_next()
-
-        self.sim.schedule_after(service, complete, name="link")
+def _grid(start: float, step: float, end: float) -> List[float]:
+    """``start, start + step, ...`` by repeated float addition, through
+    the first value at or past ``end``."""
+    times = [start]
+    while times[-1] < end:
+        times.append(times[-1] + step)
+    return times
 
 
 def packet_sequence(trace: PacketTrace, transactions: int) -> List[List[int]]:
@@ -116,36 +97,113 @@ def simulate_smp(
     """
     if processors < 1:
         raise ValueError("need at least one processor")
+    if not txn_cpu_us > 0:
+        raise ValueError(f"txn_cpu_us must be positive, not {txn_cpu_us}")
+    if duration_us < 0:
+        raise ValueError(f"duration_us must not be negative, not {duration_us}")
+    if buffer_bytes < 0:
+        raise ValueError(f"buffer_bytes must not be negative, not {buffer_bytes}")
+    try:
+        service_us = {size: san.packet_time_us(size)
+                      for size in set(itertools.chain.from_iterable(txn_packets))}
+    except ValueError as error:
+        raise ValueError(f"txn_packets: {error}") from None
     sim = Simulator()
-    link = _LinkServer(sim, san)
-    streams = [_Stream(index) for index in range(processors)]
+    clock, schedule_at, schedule_after = sim.clock, sim.schedule_at, sim.schedule_after
+    completed = [0] * processors
+    outstanding = [0] * processors  # posted, undelivered bytes per stream
+    stalled_at = [None] * processors  # stall instant while waiting on the link
+    resumed = [(0.0, index) for index in range(processors)]  # last (instant, order)
+    resume_order = itertools.count(processors)
+    rearms = []  # per stream: count the transaction, then compute and post again
+    fifo = deque()  # (size, stream) posted, undelivered; the head is on the wire
+    due = {}  # grid instant -> [(stream, its stall instant)] resuming then
+    busy_us = started_at = done_at = 0.0  # link total; the head's service span
 
-    def stream_proc(stream: _Stream):
-        cursor = stream.index  # desynchronize the streams slightly
-        while True:
-            yield sleep(txn_cpu_us)
-            packets = txn_packets[cursor % len(txn_packets)] if txn_packets else []
+    def start(now: float) -> None:
+        nonlocal busy_us, started_at, done_at
+        service = service_us[fifo[0][0]]
+        busy_us += service
+        started_at, done_at = now, now + service
+        schedule_at(done_at, complete, "link")
+
+    def complete() -> None:
+        size, index = fifo.popleft()
+        outstanding[index] -= size
+        stalled = stalled_at[index]
+        if stalled is not None and outstanding[index] <= buffer_bytes:
+            stalled_at[index] = None
+            tick = stalled + POLL_US
+            while tick < done_at:
+                tick += POLL_US
+            # A tick at this very instant still saw full buffers if it was
+            # scheduled (one tick earlier) before this completion was (at
+            # service start): it fired first, so the next tick resumes.
+            if tick == done_at and _grid(stalled, POLL_US, tick)[-2] < started_at:
+                tick += POLL_US
+            if tick in due:
+                due[tick].append((index, stalled))
+            else:
+                due[tick] = [(index, stalled)]
+                schedule_at(tick, wake, "wake")
+        if fifo:
+            start(done_at)
+
+    def poll_history(entry) -> list:
+        """The polling run's event instants of a due stream since its
+        last resume, newest first. Events fire in the order of the events
+        that scheduled them, so this sorts same-instant ticks; when one
+        history is a suffix of the other, the longer lineage is older."""
+        index, stalled = entry
+        since, order = resumed[index]
+        times = _grid(since, txn_cpu_us, stalled)[:-1]
+        times += _grid(stalled, POLL_US, clock.now)
+        return times[::-1] + [inf, order]
+
+    def wake() -> None:
+        now = clock.now
+        if fifo and done_at == now:
+            # This instant's completion has yet to run and may add a
+            # stream whose tick precedes those already due: go after it.
+            schedule_at(now, wake, "wake")
+            return
+        batch = due.pop(now)
+        if len(batch) > 1:  # only when packets take less than POLL_US
+            batch.sort(key=poll_history)
+        for index, _ in batch:
+            resumed[index] = (now, next(resume_order))
+            schedule_after(0.0, rearms[index], "stream")
+
+    def launch(index: int) -> None:
+        cursor = index  # desynchronize the streams slightly
+
+        def post() -> None:
+            nonlocal cursor
+            packets = txn_packets[cursor % len(txn_packets)] if txn_packets else ()
             cursor += 1
-            for size in packets:
-                link.submit(size, stream)
-            if stream.outstanding_bytes > buffer_bytes:
-                stall_start = sim.now
-                yield wait_for(
-                    lambda s=stream: s.outstanding_bytes <= buffer_bytes,
-                    poll=0.05,
-                )
-                stream.stalled_us += sim.now - stall_start
-            stream.completed += 1
+            if packets:
+                idle = not fifo
+                fifo.extend([(size, index) for size in packets])
+                outstanding[index] += sum(packets)
+                if idle:
+                    start(clock.now)
+            if outstanding[index] > buffer_bytes:
+                stalled_at[index] = clock.now
+            else:
+                rearm()
 
-    for stream in streams:
-        Process(sim, stream_proc(stream), name=f"stream-{stream.index}")
+        def rearm() -> None:
+            completed[index] += 1
+            schedule_after(txn_cpu_us, post, "stream")
+
+        rearms.append(rearm)
+        schedule_after(txn_cpu_us, post, "stream")
+
+    for index in range(processors):
+        launch(index)
     sim.run(until=duration_us)
-    return SmpSimulationResult(
-        processors=processors,
-        simulated_us=duration_us,
-        per_stream_completed=[stream.completed for stream in streams],
-        link_busy_us=link.busy_us,
-    )
+    return SmpSimulationResult(processors=processors, simulated_us=duration_us,
+                               per_stream_completed=completed, link_busy_us=busy_us)
 
 
 def simulate_from_run(result, cpu_us: float, processors: int,

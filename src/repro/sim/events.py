@@ -13,9 +13,9 @@ Two queue implementations provide the same discipline:
 * :class:`BucketedEventQueue` — the fast-path front-end: a hash wheel
   of exact-time buckets (``dict`` keyed by firing time, FIFO deque per
   bucket) over a heap that holds one bare ``float`` per *distinct*
-  pending time. Poll loops and heartbeats schedule thousands of events
-  onto a handful of shared timestamps; those pushes are O(1) dict
-  appends with no heap traffic at all. Irregular times fall back to
+  pending time. Heartbeat chains schedule thousands of events onto a
+  handful of shared timestamps; those pushes are O(1) dict appends
+  with no heap traffic at all. Irregular times fall back to
   the heap as single-event buckets.
 
 Both pop events in identical ``(time, seq)`` order (FIFO within a
@@ -162,9 +162,9 @@ class BucketedEventQueue:
     Same API and same deterministic ``(time, seq)`` pop order as
     :class:`EventQueue`. Scheduling onto a timestamp that already has a
     pending event is a dict lookup plus a deque append — no heap
-    operation — which is the common case for the poll-dominated event
-    populations (``wait_for`` busy-waiting, heartbeats) where thousands
-    of events share a handful of firing times.
+    operation — which is the common case for the heartbeat-dominated
+    event populations where thousands of events share a handful of
+    firing times.
 
     ``len()`` mirrors the reference queue's semantics: cancelled events
     keep counting until they physically surface at a pop/peek, because
@@ -280,8 +280,8 @@ class BucketedEventQueue:
 #: Schedule-shape hints for :func:`default_event_queue`. "shared"
 #: means the population repeats exact timestamps heavily (heartbeat
 #: chains across cluster members, takeover timers); "irregular" means
-#: timestamps rarely collide (desynchronized ``wait_for`` poll phases,
-#: link service completions).
+#: timestamps rarely collide (link service completions, per-stream
+#: CPU phases — nothing under ``src/`` polls with ``wait_for`` any more).
 SHAPE_IRREGULAR = "irregular"
 SHAPE_SHARED = "shared"
 
@@ -291,7 +291,7 @@ def default_event_queue(shape: str = SHAPE_IRREGULAR):
 
     The bucketed wheel beats the tuple heap only when pushes actually
     collide on timestamps (measured ~1.2x on heartbeat populations; the
-    exact-time dict costs ~1.3x on fully irregular poll schedules), so
+    exact-time dict costs ~1.3x on fully irregular schedules), so
     the fast path selects it per schedule shape: simulators declaring
     ``SHAPE_SHARED`` (cluster/shard heartbeat machinery) get the wheel,
     everything else keeps the reference heap. ``REPRO_FASTPATH=0`` /

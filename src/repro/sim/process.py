@@ -7,9 +7,10 @@ A process is a Python generator that yields *commands*:
   microseconds until it returns True (models busy-waiting, e.g. the
   active backup polling the redo-log producer pointer).
 
-This is intentionally small: the replication layer uses it to model
-the active backup's consumer loop and failure detectors, while the
-performance experiments use plain cost accounting.
+This is intentionally small, and nothing under ``src/`` uses it any
+more: the SMP validation (:mod:`repro.perf.smp_sim`), its last caller,
+is driven by plain callbacks. It is kept as public kernel API and for
+that validation's polling oracle (``tests/oracles``).
 """
 
 from __future__ import annotations
@@ -93,11 +94,8 @@ class Process:
             )
 
     def _poll(self, command: _WaitFor) -> None:
-        # One closure serves every poll tick of this wait (the seed
-        # allocated a fresh lambda and a fresh f-string name per tick;
-        # busy-wait loops tick millions of times per run). Behavior —
-        # predicate checked synchronously, resume at +0.0, retry after
-        # ``poll`` — is unchanged.
+        # One closure serves every poll tick of this wait: predicate
+        # checked synchronously, resume at +0.0, retry after ``poll``.
         predicate = command.predicate
         poll = command.poll
         schedule_after = self.sim.schedule_after

@@ -8,15 +8,23 @@ from repro.experiments.common import ExperimentContext, ExperimentSettings
 MB = 1024 * 1024
 
 
-@pytest.fixture(scope="module")
-def result():
-    ctx = ExperimentContext(
-        ExperimentSettings(transactions=300, warmup=30,
-                           allocated_db_bytes=4 * MB)
-    )
+def _run(ctx):
     return extension_smp_sim.run(
         ctx, configs=("active", "passive-v3"), duration_us=6_000.0
     )
+
+
+@pytest.fixture(scope="module")
+def ctx():
+    return ExperimentContext(
+        ExperimentSettings(transactions=300, warmup=30,
+                           allocated_db_bytes=4 * MB)
+    )
+
+
+@pytest.fixture(scope="module")
+def result(ctx):
+    return _run(ctx)
 
 
 def test_validation_passes(result):
@@ -38,3 +46,13 @@ def test_renders(result):
     text = result.table().render()
     assert "simulated" in text
     assert "passive-v3" in text
+
+
+def test_matches_the_polling_original(ctx, result, monkeypatch):
+    """The experiment's curves are exactly what the polling oracle
+    produces from the same settings."""
+    from tests.oracles import smp_sim_reference
+
+    monkeypatch.setattr(extension_smp_sim, "simulate_from_run",
+                        smp_sim_reference.simulate_from_run)
+    assert _run(ExperimentContext(ctx.settings)).curves == result.curves

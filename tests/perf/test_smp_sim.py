@@ -84,3 +84,65 @@ def test_write_buffer_backpressure_limits_single_stream():
     # Throughput is close to pure link speed, not CPU speed.
     assert result.aggregate_tps < 1.2 * 1e6 / link_per_txn
     assert result.per_stream_completed[0] > 0
+
+
+# Inputs that used to hang, fail halfway through a run, or return
+# nonsense are rejected before the first event, naming the argument.
+
+
+@pytest.mark.parametrize("cpu_us", [0.0, -1.0, float("nan")])
+def test_rejects_non_positive_cpu_time(cpu_us):
+    # simulate_smp(0.0, [[]], 1) re-armed at t=0 forever.
+    with pytest.raises(ValueError, match="txn_cpu_us"):
+        simulate_smp(cpu_us, [[]], 1)
+
+
+@pytest.mark.parametrize("size", [0, -4, MEMORY_CHANNEL_II.max_packet_bytes + 1])
+def test_rejects_packets_the_san_cannot_carry(size):
+    # These raised from inside an event action, mid-run.
+    with pytest.raises(ValueError, match="txn_packets"):
+        simulate_smp(1.0, [[4], [4, size]], 2)
+
+
+def test_rejects_negative_buffer():
+    # Used to yield a stream that stalls forever: per_stream_completed=[0].
+    with pytest.raises(ValueError, match="buffer_bytes"):
+        simulate_smp(1.0, [[4]], 1, buffer_bytes=-1)
+
+
+def test_rejects_negative_duration():
+    # Used to return a result with negative simulated_us.
+    with pytest.raises(ValueError, match="duration_us"):
+        simulate_smp(1.0, [[4]], 1, duration_us=-5.0)
+
+
+def test_zero_buffer_and_empty_schedule_are_still_valid():
+    every_post_stalls = simulate_smp(1.0, [[4]], 2, duration_us=100.0, buffer_bytes=0)
+    assert min(every_post_stalls.per_stream_completed) > 0
+    nothing_posted = simulate_smp(1.0, [], 2, duration_us=100.0)
+    assert nothing_posted.per_stream_completed == [100, 100]
+    assert nothing_posted.link_busy_us == 0.0
+
+
+def test_simulation_runs_on_the_shared_kernel_without_polling(monkeypatch):
+    """One Simulator.run drives it (so ``sim.events`` describes it), and
+    the event count is packets + transaction steps, not poll ticks."""
+    from repro.sim.engine import Simulator
+
+    runs = []
+    original = Simulator.run
+
+    def counting_run(self, *args, **kwargs):
+        try:
+            return original(self, *args, **kwargs)
+        finally:
+            runs.append(self.events_processed)
+
+    monkeypatch.setattr(Simulator, "run", counting_run)
+    result = simulate_smp(1.0, [[32] * 8], 4, duration_us=2_000.0)
+    packets = round(result.link_busy_us / MEMORY_CHANNEL_II.packet_time_us(32))
+    transactions = sum(result.per_stream_completed)
+    assert len(runs) == 1
+    # One completion per packet; per transaction a post and, if it
+    # stalled, a wake and a resume. Polling took ~40,000 events a stream.
+    assert 0 < runs[0] <= packets + 3 * transactions + 16
