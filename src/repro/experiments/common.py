@@ -180,7 +180,7 @@ def _disable_coalescing(interface) -> None:
     from repro.hardware.writebuffer import writebuffer_model
 
     interface.write_buffer = writebuffer_model(
-        num_buffers=1, block_bytes=4, on_packet=interface.record_packet
+        num_buffers=1, block_bytes=4, on_packet=interface.trace.record
     )
 
 

@@ -45,6 +45,7 @@ from repro.experiments.extension_sharding import (
     SeriesDerivations,
     SlotSample,
     failover_timeline,
+    slot_samples,
 )
 from repro.obs import Observer, TraceEvent, analyze_timeline, write_jsonl
 from repro.obs.report import FailoverSpan, TimelineReport
@@ -573,19 +574,7 @@ def quorum_timeline(
         s for s in report.failovers
         if s.scope == f"group.{DOWNED_GROUP}"
     )
-    samples = [
-        SlotSample(
-            start_us=slot * slot_us,
-            offered=num_groups * offered_per_group,
-            completed=report.completions_between(
-                slot * slot_us, (slot + 1) * slot_us
-            ),
-        )
-        for slot in range(slots)
-    ]
-    tail = report.completions_between(slots * slot_us, float("inf"))
-    if tail:
-        samples.append(SlotSample(slots * slot_us, 0, tail))
+    samples = slot_samples(report, slots, num_groups * offered_per_group)
     # The trace must agree with the live objects' own bookkeeping —
     # the observer is a recorder, never a participant.
     assert report.routing["routed"] == router.routed

@@ -68,6 +68,21 @@ class SlotSample:
     completed: int
 
 
+def slot_samples(report, slots: int, offered: int) -> List[SlotSample]:
+    """The trace's completions per slot (one report window each), plus
+    a catch-up slot for whatever completed past the sampled horizon —
+    those completions still belong to the run."""
+    width = report.window_us
+    samples = [
+        SlotSample(slot * width, offered, completed)
+        for slot, completed in enumerate(report.window_counts(slots))
+    ]
+    tail = report.completions_between(slots * width, float("inf"))
+    if tail:
+        samples.append(SlotSample(slots * width, 0, tail))
+    return samples
+
+
 class SeriesDerivations:
     """Windowed derivations shared by the measured timelines.
 
@@ -533,21 +548,7 @@ def failover_timeline(
         service_restored_at_us=span.restored_at_us,
         bytes_restored=span.bytes_restored,
     )
-    samples = [
-        SlotSample(
-            start_us=slot * slot_us,
-            offered=num_shards * offered_per_shard,
-            completed=report.completions_between(
-                slot * slot_us, (slot + 1) * slot_us
-            ),
-        )
-        for slot in range(slots)
-    ]
-    # Completions after the sampled horizon still belong to the run;
-    # fold them into a final catch-up slot so nothing goes missing.
-    tail = report.completions_between(slots * slot_us, float("inf"))
-    if tail:
-        samples.append(SlotSample(slots * slot_us, 0, tail))
+    samples = slot_samples(report, slots, num_shards * offered_per_shard)
     # The trace must agree with the router's own bookkeeping — the
     # observer is a recorder, never a participant.
     assert report.routing["routed"] == outcome.routed

@@ -24,9 +24,9 @@ slow path by construction and by test:
 
 The global switch: fast path is **on** by default and disabled by the
 ``REPRO_FASTPATH=0`` environment variable, the ``--no-fastpath`` CLI
-flag, or :func:`set_enabled`. Components with a live observer attached
-fall back to the slow path automatically so that per-store gauges keep
-their exact slow-path values.
+flag, or :func:`set_enabled` — nothing else. Attaching an observer
+does not select a path: an observed interface runs the same pipeline
+and is handed its totals at ordering points.
 """
 
 from __future__ import annotations

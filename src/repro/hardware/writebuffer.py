@@ -54,9 +54,6 @@ class _OpenBuffer:
         span = (1 << (hi - lo)) - 1
         self.written |= span << lo
 
-    def byte_count(self) -> int:
-        return _popcount(self.written)
-
 
 class WriteBufferModel:
     """Folds a store stream into Memory Channel packets.
@@ -160,10 +157,6 @@ class WriteBufferModel:
             _, buffer = open_.popitem(last=False)
             self._emit(buffer)
 
-    def _drain(self, buffer: _OpenBuffer) -> None:
-        self._open.pop(buffer.block, None)
-        self._emit(buffer)
-
     def _emit(self, buffer: _OpenBuffer) -> None:
         size = _popcount(buffer.written)
         if size == 0:
@@ -196,8 +189,7 @@ class WriteBufferModel:
 
     @property
     def open_buffers(self) -> int:
-        """How many write buffers currently hold undrained stores (the
-        queue-occupancy number the observability layer gauges)."""
+        """How many write buffers currently hold undrained stores."""
         return len(self._open)
 
     @property

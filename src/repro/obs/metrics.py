@@ -158,24 +158,27 @@ class MetricsRegistry:
     # -- creation / lookup ---------------------------------------------------
 
     def counter(self, name: str) -> Counter:
-        self._check_kind(name, "counter", self._counters)
-        if name not in self._counters:
-            self._counters[name] = Counter(name)
-        return self._counters[name]
+        metric = self._counters.get(name)
+        if metric is None:
+            self._check_kind(name, "counter", self._counters)
+            metric = self._counters[name] = Counter(name)
+        return metric
 
     def gauge(self, name: str) -> Gauge:
-        self._check_kind(name, "gauge", self._gauges)
-        if name not in self._gauges:
-            self._gauges[name] = Gauge(name)
-        return self._gauges[name]
+        metric = self._gauges.get(name)
+        if metric is None:
+            self._check_kind(name, "gauge", self._gauges)
+            metric = self._gauges[name] = Gauge(name)
+        return metric
 
     def histogram(
         self, name: str, bounds: Sequence[float] = DEFAULT_BOUNDS
     ) -> Histogram:
-        self._check_kind(name, "histogram", self._histograms)
-        if name not in self._histograms:
-            self._histograms[name] = Histogram(name, bounds)
-        return self._histograms[name]
+        metric = self._histograms.get(name)
+        if metric is None:
+            self._check_kind(name, "histogram", self._histograms)
+            metric = self._histograms[name] = Histogram(name, bounds)
+        return metric
 
     def _check_kind(self, name: str, kind: str, own: Dict) -> None:
         for other_kind, table in (

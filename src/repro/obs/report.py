@@ -26,7 +26,9 @@ Usage::
 from __future__ import annotations
 
 import argparse
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs.export import read_jsonl, write_chrome_trace
@@ -125,8 +127,16 @@ class TimelineReport:
 
     # -- throughput ----------------------------------------------------------
 
+    @cached_property
+    def _ordered(self) -> List[float]:
+        return sorted(self.completions)
+
     def completions_between(self, start_us: float, stop_us: float) -> int:
-        return sum(1 for ts in self.completions if start_us <= ts < stop_us)
+        """Completions in ``[start_us, stop_us)``, by bisection."""
+        ordered = self._ordered
+        return max(
+            0, bisect_left(ordered, stop_us) - bisect_left(ordered, start_us)
+        )
 
     def window_counts(self, windows: int) -> List[int]:
         return [
@@ -138,7 +148,7 @@ class TimelineReport:
         """Windows needed to cover the last completion."""
         if not self.completions:
             return 0
-        return int(max(self.completions) // self.window_us) + 1
+        return int(self._ordered[-1] // self.window_us) + 1
 
     # -- rendering -----------------------------------------------------------
 

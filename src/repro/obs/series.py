@@ -6,7 +6,7 @@ histogram summaries only show end-of-run totals. This module adds the
 instrument that draws the curves:
 
 * :class:`TimeSeriesSampler` registers named probe callbacks (event
-  queue depth, redo-ring lag, per-shard in-flight, link busy time, ...)
+  queue depth, router in-flight, per-scope completions, hint backlog)
   and samples them on a fixed sim-time tick. Ticks are **pre-scheduled
   at attach time**, before the model schedules any work, so at any
   shared timestamp the sampler's events carry the smallest sequence
@@ -468,34 +468,11 @@ def router_probes(
         "router.in_flight": lambda: float(router.in_flight),
         "router.completed": lambda: float(router.completed),
     }
-    if scopes:
-        for scope, shard_id in scopes.items():
-            probes[f"{scope}.completed"] = _scope_completed(router, shard_id)
+    by_shard = router.completed_by_shard  # bumped per completion
+    for scope, shard_id in (scopes or {}).items():
+        probes[f"{scope}.completed"] = (
+            lambda shard_id=shard_id: float(by_shard[shard_id]))
     return probes
-
-
-def _scope_completed(router, shard_id: int) -> Callable[[], float]:
-    def probe() -> float:
-        return float(sum(
-            1 for t in router.transactions
-            if t.shard_id == shard_id and t.completed_at_us is not None
-        ))
-    return probe
-
-
-def redo_ring_probes(applier, prefix: str = "ring") -> Dict[str, Callable[[], float]]:
-    """Redo-ring lag: bytes published but not yet applied."""
-    return {
-        f"{prefix}.lag_bytes": lambda: float(applier.produced - applier.consumed),
-    }
-
-
-def link_probes(link, prefix: str = "link") -> Dict[str, Callable[[], float]]:
-    """Cumulative busy time on a shared link; per-window utilization is
-    the windowed delta divided by the window width."""
-    return {
-        f"{prefix}.busy_us": lambda: float(link.total_link_time_us()),
-    }
 
 
 def quorum_probes(groups) -> Dict[str, Callable[[], float]]:

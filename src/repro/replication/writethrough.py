@@ -15,10 +15,10 @@ mapping time on the real hardware and is not counted as traffic).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro import fastpath as _fastpath
-from repro.memory.region import MemoryRegion, WriteEvent
+from repro.memory.region import MemoryRegion
 from repro.memory.rio import RioMemory
 from repro.san.memory_channel import MemoryChannelInterface, TransmitMapping
 
@@ -50,11 +50,7 @@ class ReplicaBinding:
 
     def _forward(self, offset: int, length: int, category) -> None:
         mapping = self.mapping
-        if (
-            not self.fragmented
-            and _fastpath.enabled()
-            and not mapping.interface.observer.enabled
-        ):
+        if not self.fragmented and _fastpath.enabled():
             # Fast lane: the local write that triggered this callback
             # was bounds-checked against a region the same size as the
             # window, so skip re-validation and the per-store call
@@ -73,11 +69,6 @@ class ReplicaBinding:
             else:
                 mapping.write(offset, data, category)
         self.forwarded_writes += 1
-
-    def _on_write(self, event: WriteEvent) -> None:
-        """Classic observer form, kept for callers that already hold a
-        WriteEvent (tests, manual forwarding)."""
-        self._forward(event.offset, event.length, event.category)
 
     def detach(self) -> None:
         try:

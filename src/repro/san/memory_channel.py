@@ -21,7 +21,7 @@ instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import fastpath as _fastpath
 from repro.errors import CrashedError, NotMappedError
@@ -150,11 +150,10 @@ class MemoryChannelInterface:
         self.san = san
         self._trace = PacketTrace()
         self.observer = resolve_observer(observer)
-        self._metric_prefix = f"san.{node_name}"
         self.write_buffer = writebuffer_model(
             num_buffers=write_buffers,
             block_bytes=write_buffer_bytes,
-            on_packet=self.record_packet,
+            on_packet=self._trace.record,
         )
         self._mappings: List[TransmitMapping] = []
         self._next_io_base = 0x8000_0000
@@ -168,6 +167,13 @@ class MemoryChannelInterface:
         # batch replay-cacheable as a pure function.
         self._pending: List[Tuple[int, int]] = []
         self._pending_start_empty = False
+        # The observer's four counters and the totals they last saw
+        # (see _fold_metrics).
+        self._metric_names = tuple(
+            f"san.{node_name}.{metric}"
+            for metric in ("io_stores", "bytes", "packets", "packet_bytes")
+        )
+        self._folded = (0, 0, 0, 0)
 
     # -- mapping management ------------------------------------------------
 
@@ -194,15 +200,26 @@ class MemoryChannelInterface:
         """The packet trace; reading it settles any deferred stores so
         the histogram is exactly what the slow path would show."""
         self._flush_pending()
+        if self.observer.enabled:
+            self._fold_metrics()
         return self._trace
 
-    def record_packet(self, size: int) -> None:
-        """Sink for write-buffer drains: accounts the packet in the
-        link-time trace and, when observed, in the metrics registry."""
-        self._trace.record(size)
-        if self.observer.enabled:
-            self.observer.count(f"{self._metric_prefix}.packets")
-            self.observer.count(f"{self._metric_prefix}.packet_bytes", size)
+    def _fold_metrics(self) -> None:
+        """Add what the interface's and write buffers' own totals gained
+        since the last fold to the observer's ``san.<node>.*`` counters.
+        Runs where the outside can order itself against the store
+        stream — ``barrier``, ``crash``, ``reset_stats``, ``reboot``, a
+        ``trace`` read — never per store or per packet, so a watched
+        interface stays on the store path it runs unwatched."""
+        buffer = self.write_buffer
+        totals = (
+            self.io_stores, self.bytes_sent,
+            buffer.packets_emitted, buffer.bytes_emitted,
+        )
+        for name, total, seen in zip(self._metric_names, totals, self._folded):
+            if total != seen:
+                self.observer.count(name, total - seen)
+        self._folded = totals
 
     def _flush_pending(self) -> None:
         """Push deferred stores through the write buffers (in original
@@ -239,7 +256,7 @@ class MemoryChannelInterface:
         # mappings* is still per 32-byte block, which the disjoint
         # io_base values prevent from ever merging.
         self.io_stores += 1
-        if _fastpath.enabled() and not self.observer.enabled:
+        if _fastpath.enabled():
             # Batched store pipeline: defer the write-buffer simulation
             # to the next barrier (or statistics read). Data movement
             # and byte accounting stay inline; only the packet-formation
@@ -251,13 +268,6 @@ class MemoryChannelInterface:
             if len(pending) >= _PENDING_LIMIT:
                 self._flush_pending()
         else:
-            if self.observer.enabled:
-                self.observer.count(f"{self._metric_prefix}.io_stores")
-                self.observer.count(f"{self._metric_prefix}.bytes", length)
-                self.observer.gauge(
-                    f"{self._metric_prefix}.wb_open_buffers",
-                    self.write_buffer.open_buffers,
-                )
             self.write_buffer.write(mapping.io_base + offset, length)
         # DMA into the remote physical memory (remote CPU uninvolved).
         mapping.remote.write(offset, data, category)
@@ -321,12 +331,24 @@ class MemoryChannelInterface:
         category: WriteCategory,
         word_bytes: int,
     ) -> None:
-        """Transmit word-by-word, flushing between stores so no
-        coalescing happens (see TransmitMapping.write_uncoalesced)."""
+        """Transmit word-by-word, draining between stores so no
+        coalescing happens (see TransmitMapping.write_uncoalesced).
+        The drain is :meth:`barrier`'s inlined, minus the metrics fold:
+        nothing outside can order itself between two words of a stream
+        (the commit barrier after it is the ordering point)."""
+        buffer = self.write_buffer
         for cursor in range(0, len(data), word_bytes):
             chunk = data[cursor : cursor + word_bytes]
             self._transmit(mapping, offset + cursor, chunk, category)
-            self.barrier()
+            pending = self._pending
+            if pending and self._pending_start_empty:
+                self._pending = []
+                buffer.account_replayed(*GLOBAL_REPLAY_CACHE.drain_sizes(
+                    pending, buffer.num_buffers, buffer.block_bytes
+                ))
+            else:
+                self._flush_pending()
+                buffer.barrier()
 
     def barrier(self) -> None:
         """Drain the write buffers (commit-ordering point)."""
@@ -341,9 +363,11 @@ class MemoryChannelInterface:
                 pending, buffer.num_buffers, buffer.block_bytes
             )
             buffer.account_replayed(sizes, total_bytes)
-            return
-        self._flush_pending()
-        self.write_buffer.barrier()
+        else:
+            self._flush_pending()
+            self.write_buffer.barrier()
+        if self.observer.enabled:
+            self._fold_metrics()
 
     # -- failure ---------------------------------------------------------------
 
@@ -352,12 +376,15 @@ class MemoryChannelInterface:
         # Settle deferred stores first: they hit the wire before the
         # crash, so their displacement packets belong in the trace.
         self._flush_pending()
+        self._fold_metrics()
         self._crashed = True
 
     def reboot(self) -> None:
         self._crashed = False
         self._pending.clear()
+        self._fold_metrics()
         self.write_buffer.reset()
+        self._folded = self._folded[:2] + (0, 0)  # the buffers' half
 
     # -- statistics --------------------------------------------------------------
 
@@ -370,9 +397,13 @@ class MemoryChannelInterface:
         return self.trace.link_time_us(self.san)
 
     def reset_stats(self) -> None:
-        # Deferred stores are simply dropped: the slow path would have
-        # simulated them into state this method clears anyway.
+        # Deferred stores are dropped unsimulated (that would only
+        # build packet state cleared below): the fold still reports
+        # their io_stores and bytes, counted at issue; packets they
+        # had not formed are counted nowhere. Fold before zeroing and
+        # rebase after — an observer's counters cannot decrease.
         self._pending.clear()
+        self._fold_metrics()
         self._trace.clear()
         self.write_buffer.reset()
         self.io_stores = 0
@@ -380,6 +411,7 @@ class MemoryChannelInterface:
         for mapping in self._mappings:
             mapping.bytes_sent = 0
             mapping.bytes_by_category.clear()
+        self._folded = (0, 0, 0, 0)
 
 
 @dataclass

@@ -19,8 +19,10 @@ class Simulator:
     """Deterministic discrete-event simulator.
 
     An attached observer (default: the no-op ``NULL_OBSERVER``) gets
-    this simulator's clock as its time source and sees per-event
-    counters and the queue depth; it never influences execution.
+    this simulator's clock as its time source and, when each ``run``
+    returns, the events it executed (``sim.events``) and the queue
+    depth it left (``sim.queue_depth``) — ``run`` is the same loop
+    observed or not; only ``step`` reports per event.
 
     The event queue defaults to the bucketed wheel when the fast path
     is on and the reference heap under ``REPRO_FASTPATH=0``; both pop
@@ -112,9 +114,8 @@ class Simulator:
         queue = self.queue
         pop_until = queue.pop_until
         advance_to = self.clock.advance_to
-        observer = self.observer
         try:
-            if max_events is None and not observer.enabled and on_event is None:
+            if max_events is None and on_event is None:
                 # Hot loop: one heap traversal per event (pop_until
                 # fuses the old peek_time + pop pair) and no per-event
                 # bookkeeping beyond the counter.
@@ -134,9 +135,6 @@ class Simulator:
                         break
                     advance_to(event.time)
                     executed += 1
-                    if observer.enabled:
-                        observer.count("sim.events")
-                        observer.gauge("sim.queue_depth", len(queue))
                     if on_event is not None:
                         on_event(event)
                     else:
@@ -146,6 +144,9 @@ class Simulator:
         finally:
             self._running = False
             self._events_processed += executed
+            if executed and self.observer.enabled:
+                self.observer.count("sim.events", executed)
+                self.observer.gauge("sim.queue_depth", len(queue))
         return self.now
 
     def __repr__(self) -> str:

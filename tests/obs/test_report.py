@@ -1,7 +1,9 @@
 """Timeline reconstruction and the report CLI."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.obs import TraceEvent, analyze_timeline, write_jsonl
-from repro.obs.report import LatencySummary, main
+from repro.obs.report import LatencySummary, TimelineReport, main
 
 
 def _failover_events():
@@ -49,6 +51,40 @@ def test_analyze_timeline_reconstructs_failover():
     assert report.latency.p50_us == 50.0
     assert report.window_counts(12) == [1] * 12
     assert report.horizon_windows() == 12
+
+
+# Timestamps and window edges drawn from one coarse grid, so edges tie
+# with completions all the time; the trace order is whatever it is.
+_grid = st.integers(min_value=0, max_value=24).map(lambda k: k * 250.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_grid, max_size=60),
+    st.lists(st.tuples(_grid, _grid | st.just(float("inf"))), max_size=12),
+    st.sampled_from([250.0, 500.0, 1_000.0, 750.0]),
+)
+def test_window_counts_match_the_linear_scan(completions, windows, window_us):
+    """``completions_between`` bisects a sorted copy; the definition it
+    must keep is the half-open scan: ``start <= ts < stop``."""
+    report = TimelineReport(
+        window_us=window_us, completions=list(completions), failovers=[],
+        routing={}, latency=LatencySummary(),
+    )
+
+    def scan(start_us, stop_us):
+        return sum(1 for ts in completions if start_us <= ts < stop_us)
+
+    for start_us, stop_us in windows:
+        assert report.completions_between(start_us, stop_us) == scan(
+            start_us, stop_us
+        )
+    horizon = report.horizon_windows()
+    assert report.window_counts(horizon) == [
+        scan(i * window_us, (i + 1) * window_us) for i in range(horizon)
+    ]
+    assert sum(report.window_counts(horizon)) == len(completions)
+    assert report.completions == list(completions)  # trace order kept
 
 
 def test_takeover_without_crash_event_still_reports():

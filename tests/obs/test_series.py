@@ -19,7 +19,9 @@ from repro import fastpath
 from repro.obs.series import (
     DipSummary,
     SeriesFrame,
+    TimeSeriesSampler,
     derive_dip,
+    router_probes,
     series_interval_us,
     snap_tick,
     windowed_goodput,
@@ -162,6 +164,122 @@ def test_goodput_sums_to_total_increase(increments, tick_us):
         frame.append(i * tick_us, {"done": float(total)})
     deltas = windowed_goodput(frame, "done", 1000.0)
     assert sum(deltas) == frame.last("done") - frame.values("done")[0]
+
+
+# -- the router probes ----------------------------------------------
+
+SHARDS = 4
+SCOPES = {f"shard.{i}": i for i in range(SHARDS)}
+
+
+def _routed_cluster(seed, **router_kwargs):
+    from repro.shard import Router, ShardedCluster, ShardedWorkload
+    from repro.vista import EngineConfig
+
+    config = EngineConfig(db_bytes=4 * 1024 * 1024, log_bytes=512 * 1024)
+    # Passive v1 restores the whole mirror on takeover: outages last
+    # milliseconds, long enough to retry through and to drop in.
+    cluster = ShardedCluster(
+        SHARDS, mode="passive", version="v1", config=config,
+        heartbeat_interval_us=100.0, heartbeat_timeout_us=500.0,
+    )
+    workload = ShardedWorkload("debit-credit", SHARDS, config.db_bytes, seed=seed)
+    cluster.setup(workload)
+    return cluster, workload, Router(cluster, workload, **router_kwargs)
+
+
+def _scan_completed(router, shard_id):
+    """The probe as it used to be: walk every routed transaction."""
+    return lambda: float(sum(
+        1 for t in router.transactions
+        if t.shard_id == shard_id and t.completed_at_us is not None
+    ))
+
+
+def test_scope_probes_never_walk_the_transaction_list():
+    """A tick costs O(scopes), not O(scopes x submitted): the probes
+    read counters the router bumps, so iterating ``transactions``
+    while a tick runs is a bug."""
+
+    class Unscannable(list):
+        ticking = False
+
+        def __iter__(self):
+            assert not self.ticking, "a series probe walked router.transactions"
+            return super().__iter__()
+
+    class TickMarkingSampler(TimeSeriesSampler):
+        def _tick(self):
+            router.transactions.ticking = True
+            try:
+                super()._tick()
+            finally:
+                router.transactions.ticking = False
+
+    cluster, _workload, router = _routed_cluster(seed=13)
+    router.transactions = Unscannable()
+    sampler = TickMarkingSampler()
+    sampler.add_probes(router_probes(router, scopes=SCOPES))
+    sampler.attach(cluster.sim, 500.0, 4_000.0)
+    for i in range(64):
+        router.submit(at_us=i * 50.0)
+    cluster.run_until(4_000.0)
+    frame = sampler.frame
+    assert len(frame) == 9
+    assert frame.last("router.completed") == 64.0
+    assert sum(frame.last(f"{scope}.completed") for scope in SCOPES) == 64.0
+    assert len(list(router.transactions)) == 64  # scannable between ticks
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_scope_probes_equal_the_brute_force_scan(seed):
+    """Random offered load over two crashes, with retries and drops:
+    every sample of every per-scope column is what scanning the whole
+    transaction list at that tick would have counted — and the router's
+    window counts are the linear scan's."""
+    import random
+
+    rng = random.Random(seed)
+    cluster, workload, router = _routed_cluster(
+        seed, max_attempts=3, backoff_us=250.0
+    )
+    sampler = TimeSeriesSampler()
+    sampler.add_probes(router_probes(router, scopes=SCOPES))
+    sampler.add_probes({
+        f"scan.{scope}": _scan_completed(router, shard_id)
+        for scope, shard_id in SCOPES.items()
+    })
+    horizon = 60_000.0
+    sampler.attach(cluster.sim, 500.0, horizon)
+    first, second = rng.sample(range(SHARDS), 2)
+    cluster.schedule_primary_crash(first, at_us=1_000.0)
+    cluster.schedule_primary_crash(second, at_us=rng.choice([4_000.0, 9_000.0]))
+    ranges = workload.partitioner.ranges
+    for _ in range(400):
+        shard = rng.randrange(SHARDS)
+        router.submit(
+            key=rng.randrange(ranges[shard].start, ranges[shard].stop),
+            # Quarter-tick grid: submissions tie with sampler ticks.
+            at_us=rng.randrange(0, 160) * 125.0,
+        )
+    cluster.run_until(horizon)
+
+    assert len(cluster.takeovers) == 2
+    assert router.retries > 0 and router.dropped > 0
+    assert router.completed + router.dropped == router.routed == 400
+    frame = sampler.frame
+    for scope in SCOPES:
+        assert frame.values(f"{scope}.completed") == frame.values(f"scan.{scope}")
+    assert sum(router.completed_by_shard) == router.completed
+
+    done = [t.completed_at_us for t in router.transactions
+            if t.completed_at_us is not None]
+    edges = sorted(set(rng.sample(done, 20))) + [0.0, 500.0, float("inf")]
+    for start_us in edges:
+        for stop_us in edges:
+            assert router.completions_between(start_us, stop_us) == sum(
+                1 for ts in done if start_us <= ts < stop_us
+            )
 
 
 # -- the sampler against the real experiment ------------------------

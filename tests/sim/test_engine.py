@@ -107,3 +107,26 @@ def test_cancelled_event_not_executed():
     event.cancel()
     sim.run()
     assert seen == []
+
+
+def test_observed_run_reports_once_at_exit_and_step_per_event():
+    from repro.obs.observer import Observer
+
+    observer = Observer()
+    sim = Simulator(observer=observer)
+    counted_mid_run = []
+    for t in range(5):
+        sim.schedule_at(float(t), lambda: counted_mid_run.append(
+            observer.registry.value("sim.events")))
+    sim.schedule_at(9.0, lambda: None)
+    sim.run(until=5.0)
+    # The observed run is the detached hot loop: nothing is counted
+    # while it spins, everything when it returns.
+    assert counted_mid_run == [0.0] * 5
+    assert observer.registry.value("sim.events") == 5 == sim.events_processed
+    assert observer.registry.value("sim.queue_depth") == 1
+    assert sim.step() is True  # step() still reports each event
+    assert observer.registry.value("sim.events") == 6
+    assert observer.registry.value("sim.queue_depth") == 0
+    sim.run()  # nothing left: an empty run reports nothing
+    assert observer.registry.value("sim.events") == 6
