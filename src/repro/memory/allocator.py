@@ -18,34 +18,28 @@ compares:
   set_range coordinate arrays.
 
 Integers are stored little-endian in 8-byte fields so the structures
-are real bytes a recovery procedure can walk.
+are real bytes a recovery procedure can walk. Every field access is one
+region word operation (:meth:`MemoryRegion.read_u64` /
+:meth:`MemoryRegion.write_u64`, META category): a field store is still
+one instrumented 8-byte region write — observers, hence write doubling,
+see each of them — it just never becomes a ``bytes`` object on the way.
 """
 
 from __future__ import annotations
 
-import struct
 from typing import Optional
 
 from repro.errors import AllocationError
-from repro.memory.region import MemoryRegion, WriteCategory
-
-_U64 = struct.Struct("<Q")
+from repro.memory.region import MemoryRegion
 
 HEADER_BYTES = 16  # size (8) | flags (8)
 FOOTER_BYTES = 16
-FIELD_BYTES = 8
 MIN_BLOCK = 64  # room for header + footer + two list pointers
+_NEXT = 16  # free-list links, inside a free block
+_PREV = 24
 _FREE = 1
 _USED = 0
 NULL = 0  # no block; valid block offsets are always > 0
-
-
-def _read_u64(region: MemoryRegion, offset: int) -> int:
-    return _U64.unpack(region.read(offset, FIELD_BYTES))[0]
-
-
-def _write_u64(region: MemoryRegion, offset: int, value: int) -> None:
-    region.write(offset, _U64.pack(value), WriteCategory.META)
 
 
 class HeapAllocator:
@@ -94,69 +88,57 @@ class HeapAllocator:
 
     # -- low-level field access (block offsets are heap-relative) --------
 
-    def _abs(self, offset: int) -> int:
-        return self.base + offset
-
     def _block_size(self, block: int) -> int:
-        return _read_u64(self.region, self._abs(block))
+        return self.region.read_u64(self.base + block)
 
     def _block_flags(self, block: int) -> int:
-        return _read_u64(self.region, self._abs(block) + 8)
+        return self.region.read_u64(self.base + block + 8)
 
-    def _set_header(self, block: int, size: int, flags: int) -> None:
-        _write_u64(self.region, self._abs(block), size)
-        _write_u64(self.region, self._abs(block) + 8, flags)
-
-    def _set_footer(self, block: int, size: int, flags: int) -> None:
-        end = self._abs(block) + size
-        _write_u64(self.region, end - 16, size)
-        _write_u64(self.region, end - 8, flags)
+    def _set_tags(self, block: int, size: int, flags: int) -> None:
+        """Write the header, then its footer copy."""
+        write = self.region.write_u64
+        start = self.base + block
+        write(start, size)
+        write(start + 8, flags)
+        write(start + size - 16, size)
+        write(start + size - 8, flags)
 
     def _next_free(self, block: int) -> int:
-        return _read_u64(self.region, self._abs(block) + 16)
-
-    def _prev_free(self, block: int) -> int:
-        return _read_u64(self.region, self._abs(block) + 24)
-
-    def _set_next_free(self, block: int, value: int) -> None:
-        _write_u64(self.region, self._abs(block) + 16, value)
-
-    def _set_prev_free(self, block: int, value: int) -> None:
-        _write_u64(self.region, self._abs(block) + 24, value)
+        return self.region.read_u64(self.base + block + _NEXT)
 
     def _head(self) -> int:
-        return _read_u64(self.region, self._abs(self._HEAD_OFFSET))
-
-    def _set_head(self, value: int) -> None:
-        _write_u64(self.region, self._abs(self._HEAD_OFFSET), value)
+        return self.region.read_u64(self.base + self._HEAD_OFFSET)
 
     # -- free-list manipulation -------------------------------------------
 
     def _list_insert(self, block: int) -> None:
+        write = self.region.write_u64
+        base = self.base
         head = self._head()
-        self._set_next_free(block, head)
-        self._set_prev_free(block, NULL)
+        write(base + block + _NEXT, head)
+        write(base + block + _PREV, NULL)
         if head != NULL:
-            self._set_prev_free(head, block)
-        self._set_head(block)
+            write(base + head + _PREV, block)
+        write(base + self._HEAD_OFFSET, block)
 
     def _list_remove(self, block: int) -> None:
-        prev = self._prev_free(block)
+        write = self.region.write_u64
+        base = self.base
+        prev = self.region.read_u64(base + block + _PREV)
         nxt = self._next_free(block)
         if prev != NULL:
-            self._set_next_free(prev, nxt)
+            write(base + prev + _NEXT, nxt)
         else:
-            self._set_head(nxt)
+            write(base + self._HEAD_OFFSET, nxt)
         if nxt != NULL:
-            self._set_prev_free(nxt, prev)
+            write(base + nxt + _PREV, prev)
 
     def _format(self) -> None:
         """Initialize the heap as one big free block."""
         first = self._BLOCKS_START
         block_size = self.size - self._BLOCKS_START
-        self._set_head(NULL)
-        self._set_header(first, block_size, _FREE)
-        self._set_footer(first, block_size, _FREE)
+        self.region.write_u64(self.base + self._HEAD_OFFSET, NULL)
+        self._set_tags(first, block_size, _FREE)
         self._list_insert(first)
 
     # -- public API ---------------------------------------------------------
@@ -180,19 +162,15 @@ class HeapAllocator:
                 f"(heap size {self.size})"
             )
         self._list_remove(block)
-        size = self._block_size(block)
         remainder = size - need
         if remainder >= MIN_BLOCK:
             self.splits += 1
-            self._set_header(block, need, _USED)
-            self._set_footer(block, need, _USED)
+            self._set_tags(block, need, _USED)
             rest = block + need
-            self._set_header(rest, remainder, _FREE)
-            self._set_footer(rest, remainder, _FREE)
+            self._set_tags(rest, remainder, _FREE)
             self._list_insert(rest)
         else:
-            self._set_header(block, size, _USED)
-            self._set_footer(block, size, _USED)
+            self._set_tags(block, size, _USED)
         self.allocs += 1
         return self.base + block + HEADER_BYTES
 
@@ -214,17 +192,16 @@ class HeapAllocator:
 
         # Coalesce with the preceding block if it is free.
         if block > self._BLOCKS_START:
-            prev_flags = _read_u64(self.region, self._abs(block) - 8)
-            if prev_flags == _FREE:
-                prev_size = _read_u64(self.region, self._abs(block) - 16)
+            footer_end = self.base + block
+            if self.region.read_u64(footer_end - 8) == _FREE:
+                prev_size = self.region.read_u64(footer_end - 16)
                 prev = block - prev_size
                 self.coalesces += 1
                 self._list_remove(prev)
                 block = prev
                 size += prev_size
 
-        self._set_header(block, size, _FREE)
-        self._set_footer(block, size, _FREE)
+        self._set_tags(block, size, _FREE)
         self._list_insert(block)
         self.frees += 1
 
@@ -274,11 +251,11 @@ class BumpAllocator:
             self._set_pointer(self.base + self._DATA_START)
 
     def _set_pointer(self, value: int) -> None:
-        _write_u64(self.region, self.base, value)
+        self.region.write_u64(self.base, value)
 
     @property
     def pointer(self) -> int:
-        return _read_u64(self.region, self.base)
+        return self.region.read_u64(self.base)
 
     @property
     def limit(self) -> int:
@@ -345,11 +322,11 @@ class ArrayAllocator:
             self._set_count(0)
 
     def _set_count(self, value: int) -> None:
-        _write_u64(self.region, self.base, value)
+        self.region.write_u64(self.base, value)
 
     @property
     def count(self) -> int:
-        return _read_u64(self.region, self.base)
+        return self.region.read_u64(self.base)
 
     def record_offset(self, index: int) -> int:
         """Region-relative offset of record ``index``."""

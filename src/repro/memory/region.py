@@ -22,15 +22,13 @@ statistics, per the fastpath byte-identity discipline
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro.errors import CrashedError, OutOfBoundsError, ProtectionError
+import numpy as _np
 
-try:  # numpy backs the fast-path region; the reference needs nothing
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
+from repro.errors import CrashedError, OutOfBoundsError, ProtectionError
 
 
 class WriteCategory(enum.Enum):
@@ -80,6 +78,12 @@ FastObserver = Callable[[int, int, WriteCategory], None]
 #: size-of-region temporary per :meth:`MemoryRegion.fill` call.
 _FILL_PAGE_BYTES = 1 << 16
 _ZERO_PAGE = bytes(_FILL_PAGE_BYTES)
+
+#: The machine word of every in-region structure (allocator fields,
+#: list links, control words, ring pointers): little-endian, 8 bytes.
+_U64 = struct.Struct("<Q")
+_unpack_u64 = _U64.unpack_from
+_pack_u64 = _U64.pack_into
 
 
 class MemoryRegion:
@@ -219,6 +223,47 @@ class MemoryRegion:
         """Return ``length`` bytes starting at ``offset``."""
         self._check_bounds(offset, length)
         return bytes(self.data[offset : offset + length])
+
+    def read_u64(self, offset: int) -> int:
+        """The little-endian 8-byte word at ``offset``: :meth:`read`'s
+        checks, decoded straight from the backing buffer."""
+        if self._crashed or offset < 0 or offset + 8 > self.size:
+            self._check_bounds(offset, 8)
+        return _unpack_u64(self.data, offset)[0]
+
+    def write_u64(
+        self,
+        offset: int,
+        value: int,
+        category: WriteCategory = WriteCategory.META,
+    ) -> None:
+        """Store ``value`` as a little-endian 8-byte word at ``offset``.
+
+        Exactly ``write(offset, pack("<Q", value), category)`` — same
+        checks, statistics and observer calls — encoded straight into
+        the backing buffer."""
+        # Negative or too wide. pack_into would notice only after
+        # zeroing the field, where pack() touches nothing.
+        if value >> 64:
+            raise struct.error("argument out of range")
+        if (
+            self._crashed
+            or self._protected
+            or offset < 0
+            or offset + 8 > self.size
+        ):
+            self._check_bounds(offset, 8)
+            self._check_protection(offset, 8)
+        _pack_u64(self.data, offset, value)
+        self.writes_observed += 1
+        self.bytes_written += 8
+        if self._fast_observers:
+            for fast_observer in self._fast_observers:
+                fast_observer(offset, 8, category)
+        if self._observers:
+            event = WriteEvent(self, offset, 8, category)
+            for observer in self._observers:
+                observer(event)
 
     def view(self, offset: int, length: int) -> memoryview:
         """A read-only zero-copy view of ``[offset, offset+length)``.
@@ -436,15 +481,14 @@ def memory_region(name: str, size: int, base: int = 0) -> MemoryRegion:
     """A memory region for a new node or channel endpoint.
 
     Selects the numpy-backed :class:`NumpyMemoryRegion` under the fast
-    path (when numpy is importable) and the reference bytearray
-    :class:`MemoryRegion` under ``REPRO_FASTPATH=0`` /
-    ``--no-fastpath`` — same contents, same observer event stream,
-    same statistics either way, per the fastpath byte-identity
-    discipline. Mirrors
+    path and the reference bytearray :class:`MemoryRegion` under
+    ``REPRO_FASTPATH=0`` / ``--no-fastpath`` — same contents, same
+    observer event stream, same statistics either way, per the
+    fastpath byte-identity discipline. Mirrors
     :func:`repro.hardware.writebuffer.writebuffer_model`.
     """
     import repro.fastpath
 
-    if _np is not None and repro.fastpath.enabled():
+    if repro.fastpath.enabled():
         return NumpyMemoryRegion(name, size, base)
     return MemoryRegion(name, size, base)

@@ -33,7 +33,6 @@ from repro.memory.region import MemoryRegion, WriteCategory
 from repro.obs.observer import resolve_observer
 from repro.san.memory_channel import TransmitMapping
 
-_U64 = struct.Struct("<Q")
 _U32 = struct.Struct("<I")
 _HEADER = struct.Struct("<II")
 
@@ -97,12 +96,13 @@ class RedoLogProducer:
 
     def _publish_pointer(self) -> None:
         self.mapping.write(
-            _PRODUCER_OFFSET, _U64.pack(self.produced), WriteCategory.META
+            _PRODUCER_OFFSET, self.produced.to_bytes(8, "little"),
+            WriteCategory.META,
         )
 
     @property
     def consumed(self) -> int:
-        return _U64.unpack(self.consumer_region.read(0, 8))[0]
+        return self.consumer_region.read_u64(0)
 
     def free_bytes(self) -> int:
         return self.capacity - (self.produced - self.consumed)
@@ -202,7 +202,7 @@ class RedoLogApplier:
 
     @property
     def produced(self) -> int:
-        return _U64.unpack(self.ring.read(_PRODUCER_OFFSET, 8))[0]
+        return self.ring.read_u64(_PRODUCER_OFFSET)
 
     def _ring_read(self, sequence: int, length: int) -> bytes:
         position = _DATA_START + sequence % self.capacity
@@ -218,7 +218,7 @@ class RedoLogApplier:
         a crashed primary simply disappears (the DMA has no target)."""
         try:
             self.consumer_mapping.write(
-                0, _U64.pack(self.consumed), WriteCategory.META
+                0, self.consumed.to_bytes(8, "little"), WriteCategory.META
             )
         except CrashedError:
             pass

@@ -333,18 +333,68 @@ class MemoryChannelInterface:
     ) -> None:
         """Transmit word-by-word, draining between stores so no
         coalescing happens (see TransmitMapping.write_uncoalesced).
-        The drain is :meth:`barrier`'s inlined, minus the metrics fold:
-        nothing outside can order itself between two words of a stream
-        (the commit barrier after it is the ordering point)."""
+
+        A run that starts from drained buffers on a healthy interface
+        into a plain remote is computed whole: drained before and after
+        every word, each word's packets are its own bytes split at
+        block boundaries, in address order. (Address order needs one
+        buffer or ``block_bytes >= word_bytes``: with more buffers a
+        word that fully covers a block emits it ahead of the partial
+        block still open before it.) Anything else — and every error —
+        takes the per-word loop."""
         buffer = self.write_buffer
-        for cursor in range(0, len(data), word_bytes):
+        length = len(data)
+        remote = mapping.remote
+        block_bytes = buffer.block_bytes
+        if (
+            length
+            and word_bytes > 0
+            and not (self._crashed or self._pending or buffer.open_buffers)
+            and (block_bytes >= word_bytes or buffer.num_buffers == 1)
+            and mapping in self._mappings
+            and 0 <= offset
+            and offset + length <= mapping.size
+            and not (
+                remote._observers
+                or remote._fast_observers
+                or remote._protected
+                or remote._crashed
+            )
+        ):
+            sizes: List[int] = []
+            start = mapping.io_base + offset
+            end = start + length
+            for word in range(start, end, word_bytes):
+                stop = min(word + word_bytes, end)
+                edge = (word // block_bytes + 1) * block_bytes
+                while edge < stop:
+                    sizes.append(edge - word)
+                    word = edge
+                    edge += block_bytes
+                sizes.append(stop - word)
+            buffer.account_replayed(sizes, length)
+            words = -(-length // word_bytes)
+            self.io_stores += words
+            remote.data[offset : offset + length] = data
+            remote.writes_observed += words
+            remote.bytes_written += length
+            mapping.bytes_sent += length
+            by_category = mapping.bytes_by_category
+            by_category[category] = by_category.get(category, 0) + length
+            by_category = self.bytes_by_category
+            by_category[category] = by_category.get(category, 0) + length
+            return
+        # The drain is :meth:`barrier`'s inlined, minus the metrics
+        # fold: nothing outside can order itself between two words of a
+        # stream (the commit barrier after it is the ordering point).
+        for cursor in range(0, length, word_bytes):
             chunk = data[cursor : cursor + word_bytes]
             self._transmit(mapping, offset + cursor, chunk, category)
             pending = self._pending
             if pending and self._pending_start_empty:
                 self._pending = []
                 buffer.account_replayed(*GLOBAL_REPLAY_CACHE.drain_sizes(
-                    pending, buffer.num_buffers, buffer.block_bytes
+                    pending, buffer.num_buffers, block_bytes
                 ))
             else:
                 self._flush_pending()

@@ -283,8 +283,12 @@ class TransactionEngine(abc.ABC):
             )
 
     def _covered(self, offset: int, length: int) -> bool:
+        # Newest first: a write almost always hits the last declared range.
         end = offset + length
-        return any(lo <= offset and end <= hi for lo, hi in self._ranges)
+        for lo, hi in reversed(self._ranges):
+            if lo <= offset and end <= hi:
+                return True
+        return False
 
     def __repr__(self) -> str:
         return (

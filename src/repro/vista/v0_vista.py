@@ -14,14 +14,11 @@ the SAN — that is the metadata avalanche of Tables 1 and 2.
 
 from __future__ import annotations
 
-import struct
 from typing import Dict, List, Tuple
 
 from repro.memory.allocator import HeapAllocator, NULL
 from repro.memory.region import WriteCategory
 from repro.vista.api import EngineConfig, TransactionEngine
-
-_U64 = struct.Struct("<Q")
 
 _RECORD_BYTES = 32  # next (8) | db offset (8) | length (8) | buffer (8)
 _HEAD = 0  # control offset of the undo-list head
@@ -45,30 +42,12 @@ class VistaEngine(TransactionEngine):
         self.heap = HeapAllocator(self.heap_region, fresh=fresh)
         self.profile.declare("heap", self.heap_region.size)
         if fresh:
-            self._write_control(_HEAD, NULL)
-            self._write_control(_COMMIT_SEQ, 0)
-
-    # -- control-region fields ---------------------------------------------
-
-    def _write_control(self, offset: int, value: int) -> None:
-        self.control.write(offset, _U64.pack(value), WriteCategory.META)
-
-    def _read_control(self, offset: int) -> int:
-        return _U64.unpack(self.control.read(offset, 8))[0]
+            self.control.write_u64(_HEAD, NULL)
+            self.control.write_u64(_COMMIT_SEQ, 0)
 
     @property
     def commit_sequence(self) -> int:
-        return self._read_control(_COMMIT_SEQ)
-
-    # -- heap record fields ---------------------------------------------------
-
-    def _write_field(self, record: int, index: int, value: int) -> None:
-        self.heap_region.write(
-            record + index * 8, _U64.pack(value), WriteCategory.META
-        )
-
-    def _read_field(self, record: int, index: int) -> int:
-        return _U64.unpack(self.heap_region.read(record + index * 8, 8))[0]
+        return self.control.read_u64(_COMMIT_SEQ)
 
     # -- hooks ---------------------------------------------------------------
 
@@ -77,11 +56,11 @@ class VistaEngine(TransactionEngine):
         buffer = self.heap.malloc(length)
         self.counters.mallocs += 2
 
-        head = self._read_control(_HEAD)
-        self._write_field(record, 0, head)  # next
-        self._write_field(record, 1, offset)
-        self._write_field(record, 2, length)
-        self._write_field(record, 3, buffer)
+        write_field = self.heap_region.write_u64
+        write_field(record, self.control.read_u64(_HEAD))  # next
+        write_field(record + 8, offset)
+        write_field(record + 16, length)
+        write_field(record + 24, buffer)
         self.counters.list_ops += 1
 
         # bcopy the current contents of the range into the pre-image
@@ -92,27 +71,26 @@ class VistaEngine(TransactionEngine):
         self.counters.undo_bytes_copied += length
         self.profile.touch_random("heap", buffer, length)
 
-        self._write_control(_HEAD, record)
+        self.control.write_u64(_HEAD, record)
 
     def _collect(self) -> List[Tuple[int, int, int, int]]:
         """Walk the undo list head-first (most recent range first)."""
         entries = []
-        record = self._read_control(_HEAD)
+        field = self.heap_region.read_u64
+        record = self.control.read_u64(_HEAD)
         while record != NULL:
-            next_record = self._read_field(record, 0)
-            offset = self._read_field(record, 1)
-            length = self._read_field(record, 2)
-            buffer = self._read_field(record, 3)
-            entries.append((record, offset, length, buffer))
-            record = next_record
+            entries.append(
+                (record, field(record + 8), field(record + 16), field(record + 24))
+            )
+            record = field(record)  # next
             self.counters.walk_steps += 1
         return entries
 
     def _on_commit(self) -> None:
         entries = self._collect()
         # The commit point: detaching the list atomically commits.
-        self._write_control(_HEAD, NULL)
-        self._write_control(_COMMIT_SEQ, self.commit_sequence + 1)
+        self.control.write_u64(_HEAD, NULL)
+        self.control.write_u64(_COMMIT_SEQ, self.commit_sequence + 1)
         for record, _offset, _length, buffer in entries:
             self.heap.free(buffer)
             self.heap.free(record)
@@ -130,7 +108,7 @@ class VistaEngine(TransactionEngine):
             pre_image = self.heap_region.read(buffer, length)
             self.db.write(offset, pre_image, WriteCategory.MODIFIED)
             self.counters.rollback_bytes += length
-        self._write_control(_HEAD, NULL)
+        self.control.write_u64(_HEAD, NULL)
         if reformat_heap:
             # After a crash the heap may hold a half-linked allocation;
             # since it only ever holds undo structures — all dead once

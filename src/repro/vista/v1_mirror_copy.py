@@ -15,14 +15,11 @@ mirror over the database, trading longer (rare) recovery for less
 
 from __future__ import annotations
 
-import struct
 from typing import Dict, List, Tuple
 
 from repro.memory.allocator import ArrayAllocator
 from repro.memory.region import MemoryRegion, WriteCategory
 from repro.vista.api import EngineConfig, TransactionEngine
-
-_U64 = struct.Struct("<Q")
 
 _RANGE_RECORD_BYTES = 16  # offset (8) | length (8)
 _COMMIT_SEQ = 8
@@ -52,17 +49,11 @@ class MirrorCopyEngine(TransactionEngine):
         )
         self.profile.declare("mirror", self.config.nominal)
         if fresh:
-            self._write_control(_COMMIT_SEQ, 0)
-
-    def _write_control(self, offset: int, value: int) -> None:
-        self.control.write(offset, _U64.pack(value), WriteCategory.META)
-
-    def _read_control(self, offset: int) -> int:
-        return _U64.unpack(self.control.read(offset, 8))[0]
+            self.control.write_u64(_COMMIT_SEQ, 0)
 
     @property
     def commit_sequence(self) -> int:
-        return self._read_control(_COMMIT_SEQ)
+        return self.control.read_u64(_COMMIT_SEQ)
 
     def _on_initialize(self, offset: int, data: bytes) -> None:
         self.mirror.poke(offset, data)
@@ -72,18 +63,17 @@ class MirrorCopyEngine(TransactionEngine):
     def _record_range(self, offset: int, length: int) -> None:
         record = self.range_array.push()
         self.counters.array_pushes += 1
-        self.ranges_region.write(record, _U64.pack(offset), WriteCategory.META)
-        self.ranges_region.write(
-            record + 8, _U64.pack(length), WriteCategory.META
-        )
+        self.ranges_region.write_u64(record, offset)
+        self.ranges_region.write_u64(record + 8, length)
 
     def _declared_ranges(self) -> List[Tuple[int, int]]:
         entries = []
         for index in range(self.range_array.count):
             record = self.range_array.record_offset(index)
-            offset = _U64.unpack(self.ranges_region.read(record, 8))[0]
-            length = _U64.unpack(self.ranges_region.read(record + 8, 8))[0]
-            entries.append((offset, length))
+            entries.append((
+                self.ranges_region.read_u64(record),
+                self.ranges_region.read_u64(record + 8),
+            ))
         return entries
 
     # -- hooks ---------------------------------------------------------------
@@ -107,7 +97,7 @@ class MirrorCopyEngine(TransactionEngine):
     def _on_commit(self) -> None:
         for offset, length in self._declared_ranges():
             self._update_mirror(offset, length)
-        self._write_control(_COMMIT_SEQ, self.commit_sequence + 1)
+        self.control.write_u64(_COMMIT_SEQ, self.commit_sequence + 1)
         self.range_array.truncate(0)
 
     def _restore_ranges(self) -> None:

@@ -37,7 +37,6 @@ from repro.errors import AllocationError
 from repro.memory.region import WriteCategory
 from repro.vista.api import EngineConfig, TransactionEngine
 
-_U64 = struct.Struct("<Q")
 _HEADER = struct.Struct("<III")  # db offset, length, epoch
 
 HEADER_BYTES = _HEADER.size
@@ -67,17 +66,11 @@ class InlineLogEngine(TransactionEngine):
         # is ever live — that is the locality advantage.
         self.profile.declare("ulog", self.config.log_hot_bytes)
         if fresh:
-            self._write_control(_COMMIT_SEQ, 0)
-
-    def _write_control(self, offset: int, value: int) -> None:
-        self.control.write(offset, _U64.pack(value), WriteCategory.META)
-
-    def _read_control(self, offset: int) -> int:
-        return _U64.unpack(self.control.read(offset, 8))[0]
+            self.control.write_u64(_COMMIT_SEQ, 0)
 
     @property
     def commit_sequence(self) -> int:
-        return self._read_control(_COMMIT_SEQ)
+        return self.control.read_u64(_COMMIT_SEQ)
 
     @property
     def log_pointer(self) -> int:
@@ -112,7 +105,7 @@ class InlineLogEngine(TransactionEngine):
     def _on_commit(self) -> None:
         # One control write both commits the transaction and invalidates
         # every live record (their epoch is now stale).
-        self._write_control(_COMMIT_SEQ, self.commit_sequence + 1)
+        self.control.write_u64(_COMMIT_SEQ, self.commit_sequence + 1)
         self._log_pointer = 0
 
     def _parse_log(self) -> List[Tuple[int, int, int]]:
@@ -146,7 +139,7 @@ class InlineLogEngine(TransactionEngine):
             self.db.write(offset, pre_image, WriteCategory.MODIFIED)
             self.counters.rollback_bytes += length
         # Invalidate the rolled-back records and reset the pointer.
-        self._write_control(_COMMIT_SEQ, self.commit_sequence + 1)
+        self.control.write_u64(_COMMIT_SEQ, self.commit_sequence + 1)
         self._log_pointer = 0
 
     def _on_abort(self) -> None:

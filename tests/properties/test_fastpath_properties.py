@@ -9,15 +9,19 @@ The whole fast path rests on two claims:
   canonicalized shape, so the replay cache may serve it from memory.
 
 These tests drive both claims with randomized store schedules over
-randomized buffer geometries.
+randomized buffer geometries. A third property holds the interface's
+arithmetic fragmented transmit equal to its per-word loop.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from repro import fastpath
 from repro.fastpath.replay import PacketReplayCache
-from repro.hardware.writebuffer import WriteBufferModel
+from repro.hardware.writebuffer import WriteBufferModel, packets_for_stores
+from repro.memory.region import MemoryRegion, WriteCategory
+from repro.san.memory_channel import MemoryChannelInterface
 
 geometries = st.tuples(
     st.integers(1, 8),                      # num_buffers
@@ -130,3 +134,87 @@ def test_account_replayed_matches_write_batch_statistics(ops, geometry):
     assert model.packets_emitted == reference.packets_emitted
     assert model.bytes_emitted == reference.bytes_emitted
     assert model.histogram == reference.histogram
+
+
+# -- the arithmetic fragmented lane vs the per-word loop ----------------
+
+_REMOTE_BYTES = 160
+
+
+def _run_fragmented(geometry, word_bytes, offset, data, category, loop):
+    """One ``write_uncoalesced`` on a fresh interface. ``loop`` hangs a
+    do-nothing observer on the remote, which is enough to send the run
+    down the per-word loop. Returns everything the outside can see,
+    plus how many words went through ``_transmit``."""
+    num_buffers, block_bytes = geometry
+    remote = MemoryRegion("remote", _REMOTE_BYTES)
+    if loop:
+        remote.add_fast_observer(lambda offset, length, category: None)
+    interface = MemoryChannelInterface(
+        "sender", write_buffers=num_buffers, write_buffer_bytes=block_bytes
+    )
+    mapping = interface.map_remote(remote)
+    sizes = []
+    record = interface.write_buffer.on_packet
+
+    def on_packet(size):
+        sizes.append(size)
+        record(size)
+
+    interface.write_buffer.on_packet = on_packet
+    per_word = []
+    transmit = interface._transmit
+    interface._transmit = lambda *args: (per_word.append(1), transmit(*args))
+    mapping.write_uncoalesced(offset, data, category, word_bytes=word_bytes)
+    seen = {
+        "sizes": sizes,
+        "histogram": interface.trace.histogram,
+        "io_stores": interface.io_stores,
+        "bytes_by_category": interface.bytes_by_category,
+        "mapping.bytes_by_category": mapping.bytes_by_category,
+        "mapping.bytes_sent": mapping.bytes_sent,
+        "remote": remote.snapshot(),
+        "writes_observed": remote.writes_observed,
+        "bytes_written": remote.bytes_written,
+        "open_buffers": interface.write_buffer.open_buffers,
+        "pending": list(interface._pending),
+    }
+    return seen, len(per_word)
+
+
+@given(
+    geometry=st.tuples(st.sampled_from((1, 2, 6)), st.sampled_from((4, 8, 32))),
+    word_bytes=st.sampled_from((1, 2, 4, 8)),
+    offset=st.integers(0, 70),
+    data=st.binary(min_size=1, max_size=90),
+    category=st.sampled_from(list(WriteCategory)),
+    fast=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_fragmented_lane_matches_per_word_loop(
+    geometry, word_bytes, offset, data, category, fast
+):
+    """Unaligned offsets, tail words and block-straddling words: the
+    arithmetic lane leaves what the per-word loop leaves — packet
+    sizes *in order* included — under either fastpath setting, and
+    both agree with the reference write-buffer model drained after
+    every word."""
+    with fastpath.forced() if fast else fastpath.disabled():
+        lane, lane_words = _run_fragmented(
+            geometry, word_bytes, offset, data, category, loop=False)
+        loop, loop_words = _run_fragmented(
+            geometry, word_bytes, offset, data, category, loop=True)
+    assert lane == loop
+    words = [
+        (0x8000_0000 + offset + cursor, min(word_bytes, len(data) - cursor))
+        for cursor in range(0, len(data), word_bytes)
+    ]
+    assert lane["sizes"] == packets_for_stores(
+        words, *geometry, barrier_between=True)
+    assert loop_words == len(words)
+    # A word can only cover a whole block (and so overtake the open
+    # partial block before it) when blocks are narrower than words and
+    # a second buffer exists; that geometry keeps the loop.
+    num_buffers, block_bytes = geometry
+    arithmetic = block_bytes >= word_bytes or num_buffers == 1
+    assert lane_words == (0 if arithmetic else len(words))

@@ -17,10 +17,13 @@ either backing underneath it.
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import fastpath
+from repro.errors import CrashedError, OutOfBoundsError, ProtectionError
 from repro.fastpath.kernels import diff_runs_dispatch, diff_runs_fast
 from repro.memory.region import (
     MemoryRegion,
@@ -193,6 +196,133 @@ def test_factory_selects_backend_on_the_fastpath_switch():
     assert isinstance(fast, NumpyMemoryRegion)
     assert isinstance(slow, MemoryRegion)
     assert not isinstance(slow, NumpyMemoryRegion)
+
+
+# -- word accessors vs the byte path ----------------------------------
+
+_U64 = struct.Struct("<Q")
+_offsets = st.integers(-9, SIZE + 8)  # both ends overrun
+
+#: Word and byte accesses interleaved with everything that can make
+#: one fail: protection windows (open, closed, straddled), a crash.
+_word_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("write_u64"), _offsets,
+            st.one_of(st.integers(0, 2**64 - 1), st.sampled_from((-1, 2**64))),
+            _categories,
+        ),
+        st.tuples(st.just("read_u64"), _offsets),
+        st.tuples(
+            st.just("write"), _offsets,
+            st.binary(min_size=0, max_size=24), _categories,
+        ),
+        st.tuples(st.just("read"), _offsets, st.integers(0, 24)),
+        st.tuples(st.just("protect")),
+        st.tuples(st.just("unprotect")),
+        st.tuples(st.just("window"), st.integers(0, SIZE), st.integers(0, 32)),
+        st.tuples(st.just("close")),
+        st.tuples(st.just("crash")),
+        st.tuples(st.just("reboot")),
+    ),
+    min_size=0,
+    max_size=40,
+)
+
+
+def _run_words(region_cls, ops, accessors: bool):
+    """Apply ``ops`` with the word accessors, or with the byte-path
+    oracle (``write(offset, pack(v))`` / ``unpack(read(offset, 8))``).
+    Outcomes keep read results and the raised error with its message."""
+    region = region_cls("target", SIZE)
+    region.poke(0, _SOURCE_IMAGE)
+    events, fast_events = _instrumented(region)
+    outcomes = []
+    for op in ops:
+        try:
+            result = None
+            if op[0] == "write_u64" and accessors:
+                region.write_u64(op[1], op[2], op[3])
+            elif op[0] == "write_u64":
+                region.write(op[1], _U64.pack(op[2]), op[3])
+            elif op[0] == "read_u64" and accessors:
+                result = region.read_u64(op[1])
+            elif op[0] == "read_u64":
+                result = _U64.unpack(region.read(op[1], 8))[0]
+            elif op[0] == "write":
+                region.write(op[1], op[2], op[3])
+            elif op[0] == "read":
+                result = region.read(op[1], op[2])
+            elif op[0] == "protect":
+                region.protect()
+            elif op[0] == "unprotect":
+                region.unprotect()
+            elif op[0] == "window":
+                region.open_window(op[1], op[2])
+            elif op[0] == "close":
+                region.close_window()
+            else:  # what RioMemory.crash()/reboot() do to a region
+                region._crashed = op[0] == "crash"
+            outcomes.append(result)
+        except (CrashedError, OutOfBoundsError, ProtectionError) as error:
+            outcomes.append((type(error), str(error)))
+        except struct.error:  # its wording is the interpreter's
+            outcomes.append(struct.error)
+    region._crashed = False
+    return {
+        "bytes": region.snapshot(),
+        "events": events,
+        "fast_events": fast_events,
+        "writes_observed": region.writes_observed,
+        "bytes_written": region.bytes_written,
+        "outcomes": outcomes,
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_word_ops)
+def test_word_accessors_match_the_byte_path(ops):
+    """``write_u64``/``read_u64`` are the byte path minus the ``bytes``
+    round trip, on both backings: same bytes, counters, observer
+    streams, read values and errors (type and message)."""
+    oracle = _run_words(MemoryRegion, ops, accessors=False)
+    for region_cls in (MemoryRegion, NumpyMemoryRegion):
+        assert _run_words(region_cls, ops, accessors=True) == oracle
+
+
+@pytest.mark.parametrize("region_cls", [MemoryRegion, NumpyMemoryRegion])
+def test_word_store_against_a_protection_window(region_cls):
+    """Open window, straddled edges, closed window: the word store
+    raises exactly the byte path's ``ProtectionError``."""
+    region = region_cls("target", SIZE)
+    region.protect()
+    region.open_window(16, 16)
+    region.write_u64(16, 7)
+    region.write_u64(24, 9, WriteCategory.UNDO)
+    assert (region.read_u64(16), region.read_u64(24)) == (7, 9)
+    for offset in (8, 12, 28, 32):  # below, straddling low/high, above
+        with pytest.raises(ProtectionError) as by_bytes:
+            region.write(offset, _U64.pack(1), WriteCategory.META)
+        with pytest.raises(ProtectionError) as by_word:
+            region.write_u64(offset, 1)
+        assert str(by_word.value) == str(by_bytes.value)
+    region.close_window()
+    with pytest.raises(ProtectionError, match="no open window"):
+        region.write_u64(16, 1)
+    assert (region.writes_observed, region.bytes_written) == (2, 16)
+
+
+@pytest.mark.parametrize("region_cls", [MemoryRegion, NumpyMemoryRegion])
+@pytest.mark.parametrize("value", [-1, 2**64])
+def test_word_store_rejects_values_outside_a_u64(region_cls, value):
+    region = region_cls("target", SIZE)
+    region.poke(0, _SOURCE_IMAGE)
+    events, fast_events = _instrumented(region)
+    with pytest.raises(struct.error):
+        region.write_u64(40, value)
+    assert region.snapshot() == _SOURCE_IMAGE
+    assert (region.writes_observed, region.bytes_written) == (0, 0)
+    assert events == [] and fast_events == []
 
 
 # -- engine-level: AccessProfile snapshots ----------------------------
