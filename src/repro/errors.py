@@ -77,6 +77,18 @@ class RedoLogFullError(ReplicationError):
     """The redo-log circular buffer is full and the producer must wait."""
 
 
+class RedoLogCorruptError(ReplicationError):
+    """A redo frame's record count or a record header claims bytes past
+    the producer pointer: the ring is torn or corrupted."""
+
+    def __init__(self, field: str, consumed: int, produced: int):
+        super().__init__(
+            f"redo ring corrupt at {field} "
+            f"(consumed={consumed}, produced={produced})"
+        )
+        self.field, self.consumed, self.produced = field, consumed, produced
+
+
 class NotMappedError(ReplicationError):
     """A write-through operation targeted an unmapped region."""
 

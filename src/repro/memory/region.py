@@ -265,6 +265,37 @@ class MemoryRegion:
             for observer in self._observers:
                 observer(event)
 
+    def write_run(self, offset: int, parts) -> None:
+        """Store ``parts`` — ``(data, category)`` pairs — end to end
+        from ``offset``: a ``writev``.
+
+        Exactly ``write(part)`` per part in order. A plain region
+        (alive, unprotected, unobserved) with the whole run in bounds
+        takes it as one slice assignment, counted as one write per
+        non-empty part; anything else *is* the per-part loop, so every
+        observer sees store *k* after exactly the bytes before it and
+        every error surfaces at its own store."""
+        if not (
+            self._crashed
+            or self._protected
+            or self._observers
+            or self._fast_observers
+        ):
+            stored = []
+            total = 0
+            for data, _ in parts:
+                if data:
+                    stored.append(data)
+                    total += len(data)
+            if 0 <= offset and offset + total <= self.size:
+                self.data[offset : offset + total] = b"".join(stored)
+                self.writes_observed += len(stored)
+                self.bytes_written += total
+                return
+        for data, category in parts:
+            self.write(offset, data, category)
+            offset += len(data)
+
     def view(self, offset: int, length: int) -> memoryview:
         """A read-only zero-copy view of ``[offset, offset+length)``.
 

@@ -55,21 +55,21 @@ def coalesce_writes(writes: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
 
     The redo log ships each modified byte once per transaction even if
     it was written several times; later values win because the data is
-    read from the database at commit time.
+    read from the database at commit time. A zero-length extent
+    modifies nothing and ships no record.
     """
-    if not writes:
-        return []
-    ordered = sorted(writes)
-    merged = [ordered[0]]
-    for offset, length in ordered[1:]:
-        last_offset, last_length = merged[-1]
-        if offset <= last_offset + last_length:
-            merged[-1] = (
-                last_offset,
-                max(last_length, offset + length - last_offset),
-            )
+    merged: List[Tuple[int, int]] = []
+    start = end = 0
+    for offset, length in sorted(writes):
+        if length <= 0:
+            continue
+        if merged and offset <= end:
+            if offset + length > end:
+                end = offset + length
+                merged[-1] = (start, end - start)
         else:
-            merged.append((offset, length))
+            start, end = offset, offset + length
+            merged.append((start, length))
     return merged
 
 

@@ -20,15 +20,25 @@ Wire format of one transaction::
 
 Record headers and the producer pointer are META traffic; record
 payloads are MODIFIED traffic — giving Table 7's breakdown directly.
+
+A transaction travels as one *frame*: the producer encodes it once,
+one part per field (each field stays its own I/O-space store), and
+publishes the parts as a single run
+(:meth:`~repro.san.memory_channel.TransmitMapping.write_run`). A frame
+that crosses the ring end is the same run split there — a straddling
+field becomes two stores of its category. The applier reads the
+producer pointer once, decodes the frame in place off the ring's buffer
+(from a linearised copy of that one frame if it crosses the ring end),
+and writes no record until every field is known to end before the
+pointer. The per-store original is ``tests/oracles/redo_log_reference``.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from repro.errors import CrashedError, RedoLogFullError
+from repro.errors import CrashedError, RedoLogCorruptError, RedoLogFullError
 from repro.memory.region import MemoryRegion, WriteCategory
 from repro.obs.observer import resolve_observer
 from repro.san.memory_channel import TransmitMapping
@@ -43,8 +53,7 @@ COUNT_BYTES = _U32.size
 HEADER_BYTES = _HEADER.size
 
 
-@dataclass(frozen=True)
-class RedoRecord:
+class RedoRecord(NamedTuple):
     """One modified range: where it goes and the bytes to install."""
 
     db_offset: int
@@ -54,18 +63,32 @@ class RedoRecord:
     def length(self) -> int:
         return len(self.data)
 
-    def wire_bytes(self) -> int:
-        return HEADER_BYTES + self.length
 
-
-@dataclass(frozen=True)
 class RedoTransaction:
     """A committed transaction's redo records, in write order."""
 
-    records: Tuple[RedoRecord, ...]
+    def __init__(self, records: Tuple[RedoRecord, ...]):
+        self.records = records
+        self._wire_bytes = (
+            COUNT_BYTES
+            + HEADER_BYTES * len(records)
+            + sum([len(data) for _, data in records])
+        )
 
     def wire_bytes(self) -> int:
-        return COUNT_BYTES + sum(record.wire_bytes() for record in self.records)
+        return self._wire_bytes
+
+
+def _split_run(parts: List[tuple], edge: int) -> Tuple[List[tuple], List[tuple]]:
+    """``parts`` (longer than ``edge`` bytes) cut ``edge`` bytes in; a
+    part that straddles the cut becomes two of its category (an empty
+    piece issues no store)."""
+    for index, (data, category) in enumerate(parts):
+        if len(data) > edge:
+            break
+        edge -= len(data)
+    head = parts[:index] + [(data[:edge], category)]
+    return head, [(data[edge:], category)] + parts[index + 1 :]
 
 
 class RedoLogProducer:
@@ -109,14 +132,6 @@ class RedoLogProducer:
 
     # -- publishing ---------------------------------------------------------------
 
-    def _ring_write(self, sequence: int, data: bytes, category: WriteCategory) -> None:
-        """Write ``data`` at ring position of ``sequence`` (wrap-aware)."""
-        position = _DATA_START + sequence % self.capacity
-        first = min(len(data), _DATA_START + self.capacity - position)
-        self.mapping.write(position, data[:first], category)
-        if first < len(data):
-            self.mapping.write(_DATA_START, data[first:], category)
-
     def try_publish(self, txn: RedoTransaction) -> bool:
         """Publish one committed transaction; False if the ring lacks
         space (the caller must let the backup drain, then retry)."""
@@ -136,25 +151,28 @@ class RedoLogProducer:
                     capacity=self.capacity,
                 )
             return False
-        cursor = self.produced
-        self._ring_write(cursor, _U32.pack(len(txn.records)), WriteCategory.META)
-        cursor += COUNT_BYTES
-        for record in txn.records:
-            self._ring_write(
-                cursor,
-                _HEADER.pack(record.db_offset, record.length),
-                WriteCategory.META,
-            )
-            cursor += HEADER_BYTES
-            self._ring_write(cursor, record.data, WriteCategory.MODIFIED)
-            cursor += record.length
+        # One store per field, as the primary issues them; the frame
+        # is contiguous, so they go to the wire as one run.
+        meta, modified = WriteCategory.META, WriteCategory.MODIFIED
+        parts = [(_U32.pack(len(txn.records)), meta)]
+        for db_offset, data in txn.records:
+            parts.append((_HEADER.pack(db_offset, len(data)), meta))
+            parts.append((data, modified))
+        position = self.produced % self.capacity
+        edge = self.capacity - position
+        if needed > edge:
+            # The frame crosses the ring end: the same run, split there.
+            head, parts = _split_run(parts, edge)
+            self.mapping.write_run(_DATA_START + position, head)
+            position = 0
+        self.mapping.write_run(_DATA_START + position, parts)
         # All entries written; only now advance the end-of-buffer
         # pointer so the backup never sees a partial transaction. The
         # interface preserves store order (VIA-style), so no barrier is
         # needed; successive pointer stores coalesce in their write
         # buffer, which is why the redo stream's packet count stays at
         # roughly bytes/32 per transaction.
-        self.produced = cursor
+        self.produced += needed
         self._publish_pointer()
         self.transactions_published += 1
         if self.observer.enabled:
@@ -204,14 +222,6 @@ class RedoLogApplier:
     def produced(self) -> int:
         return self.ring.read_u64(_PRODUCER_OFFSET)
 
-    def _ring_read(self, sequence: int, length: int) -> bytes:
-        position = _DATA_START + sequence % self.capacity
-        first = min(length, _DATA_START + self.capacity - position)
-        data = self.ring.read(position, first)
-        if first < length:
-            data += self.ring.read(_DATA_START, length - first)
-        return data
-
     def _ack(self) -> None:
         """Write the consumer pointer back to the primary so it can
         reuse the acknowledged buffer space. An acknowledgment aimed at
@@ -223,30 +233,84 @@ class RedoLogApplier:
         except CrashedError:
             pass
 
+    def _frame_end(self, ring, position: int, available: int) -> int:
+        """Length of the frame at ring ``position``, capped at
+        ``available``: its count and length words read wrap-aware, to
+        tell whether the first frame of a backlog that crosses the
+        ring end crosses it too."""
+
+        wrapped = bytes(ring[_DATA_START : _DATA_START + 4])
+
+        def word(cursor: int) -> int:
+            index = _DATA_START + (position + cursor) % self.capacity
+            return _U32.unpack_from(bytes(ring[index : index + 4]) + wrapped)[0]
+
+        end = COUNT_BYTES
+        for _ in range(word(0) if end <= available else 0):
+            if end + HEADER_BYTES > available:
+                break
+            end += HEADER_BYTES + word(end + 4)
+        return min(end, available)
+
     def apply_one(self) -> bool:
         """Apply one whole transaction if available; returns True if
-        one was applied."""
-        if self.consumed >= self.produced:
+        one was applied. A count, header or payload that would run
+        past the producer pointer raises :class:`RedoLogCorruptError`
+        before any record of the frame reaches the database."""
+        produced = self.produced  # the frame's one crash/bounds test
+        consumed = self.consumed
+        if consumed >= produced:
             return False
-        cursor = self.consumed
-        (count,) = _U32.unpack(self._ring_read(cursor, COUNT_BYTES))
-        cursor += COUNT_BYTES
-        for _ in range(count):
-            offset, length = _HEADER.unpack(self._ring_read(cursor, HEADER_BYTES))
-            cursor += HEADER_BYTES
-            data = self._ring_read(cursor, length)
-            cursor += length
-            self.db.write(offset, data, WriteCategory.MODIFIED)
+        available = produced - consumed
+        capacity = self.capacity
+        if available > capacity:
+            raise RedoLogCorruptError("the producer pointer", consumed, produced)
+        ring = self.ring.data
+        position = consumed % capacity
+        base = _DATA_START + position
+        edge = capacity - position
+        if available > edge:
+            # The backlog crosses the ring end: parse this frame in
+            # place if it ends before the edge, else from a linearised
+            # copy of it alone, never of the whole backlog.
+            available = self._frame_end(ring, position, available)
+            if available > edge:
+                ring = bytes(ring[base : base + edge]) + bytes(
+                    ring[_DATA_START : _DATA_START + available - edge]
+                )
+                base = 0
+        limit = base + available
+        cursor = base + COUNT_BYTES
+        if cursor > limit:
+            raise RedoLogCorruptError("record count", consumed, produced)
+        (count,) = _U32.unpack_from(ring, base)
+        records = []
+        for index in range(count):
+            start = cursor + HEADER_BYTES
+            if start > limit:
+                raise RedoLogCorruptError(
+                    f"header of record {index} of {count}", consumed, produced
+                )
+            offset, length = _HEADER.unpack_from(ring, cursor)
+            cursor = start + length
+            if cursor > limit:
+                raise RedoLogCorruptError(
+                    f"length {length} of record {index} of {count}", consumed, produced
+                )
+            records.append((offset, start, length))
+        write, modified = self.db.write, WriteCategory.MODIFIED
+        for offset, start, length in records:
+            write(offset, ring[start : start + length], modified)
             self.records_applied += 1
             self.bytes_applied += length
-        self.consumed = cursor
+        self.consumed = consumed + cursor - base
         self.transactions_applied += 1
         self._ack()
         if self.observer.enabled:
             self.observer.event(
                 "redo.applier", "ring.apply",
-                consumed=self.consumed, produced=self.produced,
-                capacity=self.capacity, records=count,
+                consumed=self.consumed, produced=produced,
+                capacity=capacity, records=count,
             )
         return True
 

@@ -20,8 +20,9 @@ instead.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro import fastpath as _fastpath
 from repro.errors import CrashedError, NotMappedError
@@ -72,6 +73,12 @@ class TransmitMapping:
         """
         self.interface._transmit(self, offset, data, category)
 
+    def write_run(self, offset: int, parts) -> None:
+        """Store ``parts`` — ``(data, category)`` pairs — end to end
+        from ``offset``: exactly ``write(part)`` per part in order (see
+        :meth:`MemoryChannelInterface._transmit_run`)."""
+        self.interface._transmit_run(self, offset, parts)
+
     def write_uncoalesced(
         self,
         offset: int,
@@ -107,7 +114,7 @@ class LoopbackBuffer:
 
     def __init__(self, local: MemoryRegion):
         self.local = local
-        self._pending: List[Tuple[int, bytes]] = []
+        self._pending: Deque[Tuple[int, bytes]] = deque()
 
     def enqueue(self, offset: int, data: bytes) -> None:
         self._pending.append((offset, data))
@@ -122,7 +129,7 @@ class LoopbackBuffer:
             count = len(self._pending)
         delivered = 0
         while self._pending and delivered < count:
-            offset, data = self._pending.pop(0)
+            offset, data = self._pending.popleft()
             self.local.write(offset, data, WriteCategory.META)
             delivered += 1
         return delivered
@@ -159,6 +166,7 @@ class MemoryChannelInterface:
         self._next_io_base = 0x8000_0000
         self._crashed = False
         self.io_stores = 0  # number of I/O-space store instructions issued
+        self.bytes_sent = 0
         self.bytes_by_category: Dict[WriteCategory, int] = {}
         # Fast path: stores whose write-buffer simulation is deferred
         # to the next barrier / statistics read (same order, same
@@ -275,6 +283,7 @@ class MemoryChannelInterface:
         mapping.bytes_by_category[category] = (
             mapping.bytes_by_category.get(category, 0) + length
         )
+        self.bytes_sent += length
         self.bytes_by_category[category] = (
             self.bytes_by_category.get(category, 0) + length
         )
@@ -320,8 +329,68 @@ class MemoryChannelInterface:
         mapping.bytes_sent += length
         by_category = mapping.bytes_by_category
         by_category[category] = by_category.get(category, 0) + length
+        self.bytes_sent += length
         by_category = self.bytes_by_category
         by_category[category] = by_category.get(category, 0) + length
+
+    def _transmit_run(self, mapping: TransmitMapping, offset: int, parts) -> None:
+        """:meth:`_transmit` for each ``(data, category)`` of ``parts``,
+        laid end to end from ``offset``.
+
+        A healthy interface, an installed mapping, a run inside the
+        window and a plain remote are established once; the bytes land
+        as one slice assignment, and every non-empty part still issues
+        its own store — stores that meet mid-block cannot be merged
+        without changing the packets. Anything else is the per-part
+        loop, which raises at the store that earns it."""
+        run = b"".join([data for data, _ in parts])
+        total = len(run)
+        remote = mapping.remote
+        if (
+            self._crashed
+            or mapping not in self._mappings
+            or offset < 0
+            or offset + total > mapping.size
+            or remote._observers
+            or remote._fast_observers
+            or remote._protected
+            or remote._crashed
+        ):
+            for data, category in parts:
+                self._transmit(mapping, offset, data, category)
+                offset += len(data)
+            return
+        deferred = _fastpath.enabled()  # _transmit's choice, made per run
+        buffer = self.write_buffer
+        pending = self._pending
+        address = mapping.io_base + offset
+        stores = 0
+        sent: Dict[WriteCategory, int] = {}
+        for data, category in parts:
+            length = len(data)
+            if length == 0:
+                continue
+            stores += 1
+            sent[category] = sent.get(category, 0) + length
+            if deferred:
+                if not pending:
+                    self._pending_start_empty = not buffer.open_buffers
+                pending.append((address, length))
+                if len(pending) >= _PENDING_LIMIT:
+                    self._flush_pending()
+                    pending = self._pending
+            else:
+                buffer.write(address, length)
+            address += length
+        remote.data[offset : offset + total] = run
+        remote.writes_observed += stores
+        remote.bytes_written += total
+        self.io_stores += stores
+        self.bytes_sent += total
+        mapping.bytes_sent += total
+        for by_category in (mapping.bytes_by_category, self.bytes_by_category):
+            for category, length in sent.items():
+                by_category[category] = by_category.get(category, 0) + length
 
     def _transmit_uncoalesced(
         self,
@@ -381,6 +450,7 @@ class MemoryChannelInterface:
             mapping.bytes_sent += length
             by_category = mapping.bytes_by_category
             by_category[category] = by_category.get(category, 0) + length
+            self.bytes_sent += length
             by_category = self.bytes_by_category
             by_category[category] = by_category.get(category, 0) + length
             return
@@ -438,10 +508,6 @@ class MemoryChannelInterface:
 
     # -- statistics --------------------------------------------------------------
 
-    @property
-    def bytes_sent(self) -> int:
-        return sum(self.bytes_by_category.values())
-
     def link_time_us(self) -> float:
         """Link occupancy consumed by everything sent so far."""
         return self.trace.link_time_us(self.san)
@@ -457,6 +523,7 @@ class MemoryChannelInterface:
         self._trace.clear()
         self.write_buffer.reset()
         self.io_stores = 0
+        self.bytes_sent = 0
         self.bytes_by_category.clear()
         for mapping in self._mappings:
             mapping.bytes_sent = 0

@@ -90,14 +90,11 @@ class InlineLogEngine(TransactionEngine):
                 f"{record} of {self.log_region.size}"
             )
         self.counters.bump_allocs += 1
-        self.log_region.write(
-            record,
-            _HEADER.pack(offset, length, self._epoch()),
-            WriteCategory.META,
-        )
-        self.log_region.write(
-            record + HEADER_BYTES, self.db.read(offset, length), WriteCategory.UNDO
-        )
+        # Header then pre-image, adjacent: two stores, one run.
+        self.log_region.write_run(record, (
+            (_HEADER.pack(offset, length, self._epoch()), WriteCategory.META),
+            (self.db.read(offset, length), WriteCategory.UNDO),
+        ))
         self._log_pointer = record + HEADER_BYTES + length
         self.counters.undo_bytes_copied += length
         self.profile.touch_random("ulog", record, HEADER_BYTES + length)

@@ -1,0 +1,196 @@
+"""The framed redo stream against its per-store original.
+
+``repro.replication.redo_log`` publishes a transaction as one run of
+stores and applies it by decoding the frame in place;
+``tests/oracles/redo_log_reference.py`` (the original, verbatim) issues
+and reads back every field on its own. Over any stream of transactions
+the two must be indistinguishable from outside: the ring's bytes, the
+backup database, the packets *in the order they left*, every counter
+of both interfaces, of the ring mapping and of the ring and database
+regions, the applier's totals, every observer event and every raised
+exception.
+
+The strategy aims at where a run could part from its stores: rings
+small enough that a frame wraps every few publishes (so counts,
+headers and payloads all get to straddle the ring end), empty
+payloads, rings that fill with and without an applier draining them,
+``auto_apply`` on and off, trace reads and barriers in mid-stream, a
+ring with write observers attached (the per-part lane), a primary that
+crashes mid-stream before the backup drains what reached it — and a
+pending-store limit low enough to be crossed in the middle of a run.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import fastpath
+from repro.errors import ReproError
+from repro.memory.rio import RioMemory
+from repro.obs.observer import Observer
+from repro.replication import redo_log
+from repro.san import memory_channel
+from repro.san.memory_channel import MemoryChannelInterface
+from tests.oracles import redo_log_reference
+
+DB_BYTES = 1024
+
+_record = st.tuples(
+    st.integers(0, DB_BYTES - 200), st.binary(min_size=0, max_size=200)
+)
+_records = st.lists(_record, min_size=0, max_size=12)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("try_publish"), _records),
+        st.tuples(st.just("publish"), _records, st.booleans()),  # drain?
+        st.tuples(st.just("apply_one")),
+        st.tuples(st.just("apply_available")),
+        st.tuples(st.just("trace")),
+        st.tuples(st.just("barrier")),
+        st.tuples(st.just("crash")),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _run(module, ring_bytes, ops, auto_apply, watch_ring):
+    """Drive ``ops`` through ``module``'s producer and applier; returns
+    everything the outside can see."""
+    observer = Observer()
+    backup = RioMemory("backup")
+    ring = backup.create_region("ring", ring_bytes + 8)
+    db = backup.create_region("db", DB_BYTES)
+    primary = RioMemory("primary")
+    consumer = primary.create_region("consumer", 8)
+    primary_if = MemoryChannelInterface("primary", observer=observer)
+    backup_if = MemoryChannelInterface("backup", observer=observer)
+    packets = []
+    for interface in (primary_if, backup_if):
+        def on_packet(size, name=interface.node_name,
+                      record=interface._trace.record):
+            packets.append((name, size))
+            record(size)
+        interface.write_buffer.on_packet = on_packet
+    writes = []
+    watched = [db, consumer] + ([ring] if watch_ring else [])
+    for region in watched:
+        region.add_observer(lambda event: writes.append(
+            ("event", event.region.name, event.offset, event.length,
+             event.category)))
+        region.add_fast_observer(lambda offset, length, category,
+                                 name=region.name: writes.append(
+            ("fast", name, offset, length, category)))
+    mapping = primary_if.map_remote(ring)
+    producer = module.RedoLogProducer(mapping, consumer, observer=observer)
+    applier = module.RedoLogApplier(
+        ring, db, backup_if.map_remote(consumer), observer=observer)
+
+    outcomes = []
+    for op in ops:
+        try:
+            if op[0] in ("try_publish", "publish"):
+                txn = module.RedoTransaction(tuple(
+                    module.RedoRecord(offset, data) for offset, data in op[1]))
+                if op[0] == "try_publish":
+                    result = producer.try_publish(txn)
+                else:
+                    drain = applier.apply_available if op[2] else None
+                    result = producer.publish(txn, drain=drain)
+                if auto_apply and result is not False:
+                    applier.apply_available()
+            elif op[0] == "apply_one":
+                result = applier.apply_one()
+            elif op[0] == "apply_available":
+                result = applier.apply_available()
+            elif op[0] == "trace":
+                result = dict(primary_if.trace.histogram)
+            elif op[0] == "barrier":
+                result = primary_if.barrier()
+            else:  # what ActiveReplicatedSystem.fail_primary does
+                primary.crash()
+                result = primary_if.crash()
+            outcomes.append(result)
+        except ReproError as error:
+            outcomes.append((type(error), str(error)))
+    # failover's first step: the backup drains what reached its ring
+    try:
+        outcomes.append(applier.apply_available())
+    except ReproError as error:
+        outcomes.append((type(error), str(error)))
+    histograms = [dict(i.trace.histogram) for i in (primary_if, backup_if)]
+    primary.reboot()
+    return {
+        "outcomes": outcomes,
+        "ring": ring.snapshot(),
+        "db": db.snapshot(),
+        "consumer": consumer.snapshot(),
+        "packets": packets,
+        "histograms": histograms,
+        "io_stores": [i.io_stores for i in (primary_if, backup_if)],
+        "bytes_sent": [i.bytes_sent for i in (primary_if, backup_if)],
+        "by_category": [
+            list(i.bytes_by_category.items()) for i in (primary_if, backup_if)
+        ],
+        "mapping": (mapping.bytes_sent, list(mapping.bytes_by_category.items())),
+        "regions": [
+            (r.writes_observed, r.bytes_written) for r in (ring, db, consumer)
+        ],
+        "producer": (producer.produced, producer.transactions_published,
+                     producer.blocked_publishes),
+        "applier": (applier.consumed, applier.transactions_applied,
+                    applier.records_applied, applier.bytes_applied),
+        "writes": writes,
+        "events": [event.to_dict() for event in observer.recorder.events],
+        "metrics": observer.registry.snapshot(),
+    }
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fastpath", "reference"])
+@settings(max_examples=120, deadline=None)
+@given(
+    ring_bytes=st.sampled_from([48, 100, 257, 700, 4096]),
+    ops=_ops,
+    auto_apply=st.booleans(),
+    watch_ring=st.booleans(),
+    pending_limit=st.sampled_from([3, 7, 50, 8192]),
+)
+def test_framed_stream_equals_the_per_store_original(
+    fast, ring_bytes, ops, auto_apply, watch_ring, pending_limit
+):
+    real_limit = memory_channel._PENDING_LIMIT
+    memory_channel._PENDING_LIMIT = pending_limit
+    try:
+        with fastpath.forced() if fast else fastpath.disabled():
+            new = _run(redo_log, ring_bytes, ops, auto_apply, watch_ring)
+            old = _run(redo_log_reference, ring_bytes, ops, auto_apply,
+                       watch_ring)
+    finally:
+        memory_channel._PENDING_LIMIT = real_limit
+    assert new == old
+
+
+def test_a_long_stream_crosses_the_real_pending_limit():
+    """Nothing drains the ring stream's deferred stores but the limit:
+    18 stores a publish reach 8192 every ~455 publishes."""
+    records = [(index * 16, bytes([index + 1]) * (index + 5))
+               for index in range(8)]
+    ops = [("publish", records, True)] * 1000
+    at_limit = []
+    flush = MemoryChannelInterface._flush_pending
+
+    def spy(self):
+        at_limit.append(len(self._pending) >= memory_channel._PENDING_LIMIT)
+        flush(self)
+
+    MemoryChannelInterface._flush_pending = spy
+    try:
+        with fastpath.forced():
+            new = _run(redo_log, 4096, ops, True, False)
+            crossings = at_limit.count(True)
+            old = _run(redo_log_reference, 4096, ops, True, False)
+    finally:
+        MemoryChannelInterface._flush_pending = flush
+    assert new == old
+    assert crossings == 2  # 18,001 stores on the primary's interface

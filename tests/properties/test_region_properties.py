@@ -9,7 +9,9 @@ windows, out-of-bounds attempts — must leave :class:`NumpyMemoryRegion`
 and the reference :class:`MemoryRegion` with identical bytes, identical
 observer event streams, identical statistics, and identical error
 behaviour, at every offset alignment (the region size is prime, so
-partial words and boundary tails occur constantly). On top of the
+partial words and boundary tails occur constantly). The word
+accessors and ``write_run`` are held to the byte path the same way:
+each is exactly the ``write`` calls it stands for. On top of the
 region-level properties, a full Vista engine must produce identical
 :class:`~repro.vista.stats.AccessProfile` snapshots and counters with
 either backing underneath it.
@@ -201,6 +203,7 @@ def test_factory_selects_backend_on_the_fastpath_switch():
 # -- word accessors vs the byte path ----------------------------------
 
 _U64 = struct.Struct("<Q")
+_ZERO = bytes(8)
 _offsets = st.integers(-9, SIZE + 8)  # both ends overrun
 
 #: Word and byte accesses interleaved with everything that can make
@@ -323,6 +326,106 @@ def test_word_store_rejects_values_outside_a_u64(region_cls, value):
     assert region.snapshot() == _SOURCE_IMAGE
     assert (region.writes_observed, region.bytes_written) == (0, 0)
     assert events == [] and fast_events == []
+
+
+# -- write_run vs the per-part write loop ------------------------------
+
+_parts = st.lists(
+    st.tuples(st.binary(min_size=0, max_size=24), _categories),
+    min_size=0, max_size=6,
+)
+
+#: Runs interleaved with everything that decides their lane: single
+#: stores, protection windows (open, closed, straddled), a crash.
+_run_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("write_run"), _offsets, _parts),
+        st.tuples(
+            st.just("write"), _offsets,
+            st.binary(min_size=0, max_size=24), _categories,
+        ),
+        st.tuples(st.just("protect")),
+        st.tuples(st.just("unprotect")),
+        st.tuples(st.just("window"), st.integers(0, SIZE), st.integers(0, 48)),
+        st.tuples(st.just("close")),
+        st.tuples(st.just("crash")),
+        st.tuples(st.just("reboot")),
+    ),
+    min_size=0,
+    max_size=30,
+)
+
+
+def _run_runs(region_cls, ops, lane: bool, observed: bool):
+    """Apply ``ops`` with ``write_run``, or with its definition: one
+    ``write`` per part in order, stopping at the first that raises."""
+    region = region_cls("target", SIZE)
+    region.poke(0, _SOURCE_IMAGE)
+    events, fast_events = _instrumented(region) if observed else ([], [])
+    outcomes = []
+    for op in ops:
+        try:
+            if op[0] == "write_run" and lane:
+                region.write_run(op[1], op[2])
+            elif op[0] == "write_run":
+                offset = op[1]
+                for data, category in op[2]:
+                    region.write(offset, data, category)
+                    offset += len(data)
+            elif op[0] == "write":
+                region.write(op[1], op[2], op[3])
+            elif op[0] == "protect":
+                region.protect()
+            elif op[0] == "unprotect":
+                region.unprotect()
+            elif op[0] == "window":
+                region.open_window(op[1], op[2])
+            elif op[0] == "close":
+                region.close_window()
+            else:
+                region._crashed = op[0] == "crash"
+            outcomes.append(None)
+        except (CrashedError, OutOfBoundsError, ProtectionError) as error:
+            outcomes.append((type(error), str(error)))
+    region._crashed = False
+    return {
+        "bytes": region.snapshot(),
+        "events": events,
+        "fast_events": fast_events,
+        "writes_observed": region.writes_observed,
+        "bytes_written": region.bytes_written,
+        "outcomes": outcomes,
+    }
+
+
+@pytest.mark.parametrize("observed", [False, True], ids=["plain", "observed"])
+@settings(max_examples=200, deadline=None)
+@given(ops=_run_ops)
+def test_write_run_matches_the_per_part_loop(observed, ops):
+    """A run is its stores: same bytes, counters, observer streams and
+    the same error (type and message) after the same parts landed —
+    on both backings, with and without observers, zero-length parts
+    and runs that overrun either end included."""
+    oracle = _run_runs(MemoryRegion, ops, lane=False, observed=observed)
+    for region_cls in (MemoryRegion, NumpyMemoryRegion):
+        assert _run_runs(region_cls, ops, lane=True, observed=observed) == oracle
+
+
+@pytest.mark.parametrize("region_cls", [MemoryRegion, NumpyMemoryRegion])
+def test_write_run_counts_one_write_per_non_empty_part(region_cls):
+    region = region_cls("target", SIZE)
+    region.write_run(10, (
+        (b"", WriteCategory.META), (b"head", WriteCategory.META),
+        (b"", WriteCategory.UNDO), (b"pre-image", WriteCategory.UNDO),
+    ))
+    assert region.read(10, 13) == b"headpre-image"
+    assert (region.writes_observed, region.bytes_written) == (2, 13)
+    region.write_run(SIZE + 50, ((b"", WriteCategory.META),))  # no store, no error
+    with pytest.raises(OutOfBoundsError):
+        region.write_run(SIZE - 6, ((b"fits", WriteCategory.META),
+                                    (b"not", WriteCategory.UNDO)))
+    assert region.read(SIZE - 6, 6) == b"fits" + _ZERO[:2]
+    assert (region.writes_observed, region.bytes_written) == (3, 17)
 
 
 # -- engine-level: AccessProfile snapshots ----------------------------

@@ -176,3 +176,25 @@ class TestCoalesceWrites:
 
     def test_unsorted_input(self):
         assert coalesce_writes([(10, 4), (0, 4), (14, 4)]) == [(0, 4), (10, 8)]
+
+    def test_zero_length_extents_dropped(self):
+        assert coalesce_writes([(7, 0)]) == []
+        assert coalesce_writes([(0, 4), (9, 0), (20, 2), (2, 0)]) == [(0, 4), (20, 2)]
+        assert coalesce_writes([(4, 0), (4, 3), (7, 0), (7, 2)]) == [(4, 5)]
+
+
+def test_an_empty_write_ships_no_redo_record():
+    """An isolated ``write(offset, b"")`` used to ship a header-only
+    record: 8 META bytes and a ``redo_records_shipped`` for no data."""
+    system = make()
+    system.sync_initial()
+    system.begin_transaction()
+    system.set_range(0, 8)
+    system.set_range(100, 8)
+    system.write(0, b"\x05" * 8)
+    system.write(104, b"")
+    system.commit_transaction()
+    assert system.redo_records_shipped == 1
+    # count + one header + the producer pointer at construction and now
+    assert system.traffic_bytes_by_category == {"meta": 4 + 8 + 8 + 8, "modified": 8}
+    assert system.applier.records_applied == 1

@@ -1,8 +1,10 @@
 """The redo-log circular buffer: wire format, wraparound, flow control."""
 
+import struct
+
 import pytest
 
-from repro.errors import RedoLogFullError
+from repro.errors import RedoLogCorruptError, RedoLogFullError, ReplicationError
 from repro.memory.region import MemoryRegion, WriteCategory
 from repro.memory.rio import RioMemory
 from repro.san.memory_channel import MemoryChannelInterface
@@ -144,3 +146,100 @@ def test_record_spanning_ring_boundary():
     producer.publish(txn((30, b"WRAPAROUND!!")), drain=applier.apply_available)
     applier.apply_available()
     assert db.read(30, 12) == b"WRAPAROUND!!"
+
+
+# -- a torn or corrupted ring -----------------------------------------------
+
+
+def _poke_ring(applier, sequence, data):
+    """Overwrite ring bytes at ``sequence`` behind the producer's back."""
+    for index, byte in enumerate(data):
+        applier.ring.poke(8 + (sequence + index) % applier.capacity, bytes([byte]))
+
+
+def _assert_refused(applier, db, field):
+    before = (db.snapshot(), db.writes_observed, applier.consumed)
+    with pytest.raises(RedoLogCorruptError) as caught:
+        applier.apply_one()
+    error = caught.value
+    assert isinstance(error, ReplicationError)
+    assert field in error.field
+    assert (error.consumed, error.produced) == (applier.consumed, applier.produced)
+    for fact in (error.field, f"consumed={error.consumed}",
+                 f"produced={error.produced}"):
+        assert fact in str(error)
+    # nothing reached the database, nothing was consumed or acknowledged
+    assert (db.snapshot(), db.writes_observed, applier.consumed) == before
+    assert applier.records_applied == 0
+    assert applier.consumer_mapping.interface.io_stores == 0
+
+
+def test_corrupted_record_count_is_refused():
+    producer, applier, db = make_ring()
+    producer.try_publish(txn((10, b"hello"), (20, b"world")))
+    _poke_ring(applier, 0, struct.pack("<I", 3))  # claims a third record
+    _assert_refused(applier, db, "header of record 2 of 3")
+
+
+def test_oversized_record_length_is_refused_before_earlier_records_land():
+    producer, applier, db = make_ring()
+    producer.try_publish(txn((10, b"hello"), (20, b"world")))
+    second_header = 4 + 8 + 5
+    _poke_ring(applier, second_header, struct.pack("<II", 20, 4000))
+    _assert_refused(applier, db, "length 4000 of record 1 of 2")
+
+
+def test_frame_truncated_by_a_lowered_producer_pointer_is_refused():
+    producer, applier, db = make_ring()
+    producer.try_publish(txn((10, b"hello"), (20, b"world")))
+    full = producer.produced
+    for produced, field in ((full - 1, "length 5 of record 1"),
+                            (4 + 8 + 5 + 3, "header of record 1"),
+                            (3, "record count")):
+        applier.ring.poke(0, produced.to_bytes(8, "little"))
+        _assert_refused(applier, db, field)
+    applier.ring.poke(0, full.to_bytes(8, "little"))
+    assert applier.apply_available() == 1
+    assert db.read(20, 5) == b"world"
+
+
+def test_producer_pointer_beyond_the_ring_is_refused():
+    producer, applier, db = make_ring(ring_bytes=64)
+    producer.try_publish(txn((10, b"hello")))
+    applier.ring.poke(0, (64 + 1).to_bytes(8, "little"))
+    _assert_refused(applier, db, "producer pointer")
+
+
+def test_corrupt_frame_across_the_ring_end_is_refused():
+    producer, applier, db = make_ring(ring_bytes=64)
+    producer.publish(txn((0, b"\x01" * 38)), drain=applier.apply_available)
+    applier.apply_available()
+    db.fill(0)
+    db.writes_observed = applier.records_applied = 0
+    applier.consumer_mapping.interface.reset_stats()
+    # 50 consumed; this frame's second header straddles the ring end
+    producer.try_publish(txn((0, b"ab"), (8, b"cdef")))
+    assert producer.produced == 50 + 26 > 64
+    _poke_ring(applier, 50 + 4 + 8 + 2 + 4, struct.pack("<I", 13))
+    _assert_refused(applier, db, "length 13 of record 1 of 2")
+    _poke_ring(applier, 50 + 4 + 8 + 2 + 4, struct.pack("<I", 4))
+    assert applier.apply_available() == 1
+    assert (db.read(0, 2), db.read(8, 4)) == (b"ab", b"cdef")
+
+
+def test_only_the_frame_that_crosses_the_ring_end_is_copied():
+    """A backlog that wraps: frames before the ring end are decoded in
+    place, the crossing frame from a copy of itself alone."""
+    producer, applier, db = make_ring(ring_bytes=64)
+    producer.publish(txn((0, b"\x01" * 28)), drain=applier.apply_available)
+    applier.apply_available()  # consumed = 40
+    producer.try_publish(txn((0, b"aa")))         # [40, 54)
+    producer.try_publish(txn((8, b"b" * 10)))     # [54, 76): crosses
+    producer.try_publish(txn((24, b"cc")))        # [76, 90)
+    ends = []
+    frame_end = applier._frame_end
+    applier._frame_end = lambda *args: (ends.append(frame_end(*args)), ends[-1])[1]
+    assert applier.apply_available() == 3
+    assert ends == [14, 22]  # asked while the backlog crossed the end
+    assert (db.read(0, 2), db.read(8, 10), db.read(24, 2)) == (
+        b"aa", b"b" * 10, b"cc")

@@ -2,10 +2,13 @@
 packet accounting, crash behaviour."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import fastpath
-from repro.errors import CrashedError, NotMappedError, ProtectionError
-from repro.memory.region import MemoryRegion, WriteCategory
+from repro.errors import CrashedError, NotMappedError, ProtectionError, ReproError
+from repro.hardware.writebuffer import VectorWriteBufferModel, WriteBufferModel
+from repro.memory.region import MemoryRegion, NumpyMemoryRegion, WriteCategory
+from repro.san import memory_channel
 from repro.san.memory_channel import (
     DoubledWrite,
     LoopbackBuffer,
@@ -272,3 +275,288 @@ def test_loopback_partial_delivery():
     assert local.read(0, 2) == b"a\x00"
     assert loopback.deliver() == 1
     assert local.read(0, 2) == b"ab"
+
+
+def test_loopback_delivers_a_long_backlog_in_order():
+    local = MemoryRegion("local", 4)
+    loopback = LoopbackBuffer(local)
+    for value in range(5000):
+        loopback.enqueue(value % 4, bytes([value % 251]))
+    assert loopback.deliver(4996) == 4996
+    assert loopback.pending_writes == 4
+    assert loopback.deliver() == 4
+    assert local.snapshot() == bytes(value % 251 for value in range(4996, 5000))
+
+
+def test_bytes_sent_is_a_running_total_across_every_lane():
+    interface, mapping, _remote = make_pair()
+    mapping.write(0, b"abcd", WriteCategory.META)
+    interface._transmit_trusted(mapping, 4, b"efgh", WriteCategory.UNDO)
+    mapping.write_uncoalesced(8, b"ijklmnop", WriteCategory.UNDO)
+    mapping.write_run(16, ((b"qr", WriteCategory.META), (b"stu", WriteCategory.MODIFIED)))
+    assert interface.bytes_sent == 21 == sum(interface.bytes_by_category.values())
+    interface.reset_stats()
+    assert interface.bytes_sent == 0
+    mapping.write(0, b"ab")
+    assert interface.bytes_sent == 2
+
+
+# -- write_run vs the per-part write loop ------------------------------
+
+#: Small and prime: stores land on each other's blocks all the time
+#: (what the mid-block merge trap needs) and runs end mid-block.
+WINDOW = 29
+_categories = st.sampled_from(list(WriteCategory))
+_parts = st.lists(
+    st.tuples(st.binary(min_size=0, max_size=5), _categories),
+    min_size=0, max_size=5,
+)
+#: Mostly low, so most runs fit the window and take the lane.
+_offsets = st.one_of(st.integers(0, 12), st.integers(-2, WINDOW + 2))
+_lane_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("write_run"), _offsets, _parts),
+        st.tuples(st.just("write"), _offsets, st.binary(min_size=0, max_size=5),
+                  _categories),
+        st.tuples(st.just("foreign_run"), _offsets, _parts),  # not installed here
+        st.tuples(st.just("barrier")),
+        st.tuples(st.just("trace")),
+        st.tuples(st.just("protect")),
+        st.tuples(st.just("unprotect")),
+        st.tuples(st.just("window"), st.integers(0, WINDOW), st.integers(0, 16)),
+        st.tuples(st.just("close")),
+        st.tuples(st.just("crash_remote")),
+        st.tuples(st.just("reboot_remote")),
+        st.tuples(st.just("crash_interface")),
+        st.tuples(st.just("reboot_interface")),
+    ),
+    min_size=1, max_size=30,
+)
+
+
+def _run_lanes(ops, lane, observed, geometry, region_cls):
+    """Apply ``ops`` with ``write_run``, or with its definition: one
+    ``mapping.write`` per part in order, stopping where one raises."""
+    remote = region_cls("remote", WINDOW)
+    buffers, block_bytes = geometry
+    interface = MemoryChannelInterface(
+        "sender", write_buffers=buffers, write_buffer_bytes=block_bytes)
+    mapping = interface.map_remote(remote)
+    foreign = MemoryChannelInterface("other").map_remote(remote)
+    foreign.interface = interface  # a window this interface never installed
+    packets = []
+    record = interface._trace.record
+    interface.write_buffer.on_packet = lambda size: (packets.append(size), record(size))
+    seen = []
+    if observed:
+        remote.add_observer(lambda event: seen.append(
+            ("event", event.offset, event.length, event.category)))
+        remote.add_fast_observer(lambda offset, length, category: seen.append(
+            ("fast", offset, length, category)))
+    outcomes = []
+    for op in ops:
+        try:
+            if op[0] in ("write_run", "foreign_run"):
+                target = mapping if op[0] == "write_run" else foreign
+                if lane:
+                    target.write_run(op[1], op[2])
+                else:
+                    offset = op[1]
+                    for data, category in op[2]:
+                        target.write(offset, data, category)
+                        offset += len(data)
+            elif op[0] == "write":
+                mapping.write(op[1], op[2], op[3])
+            elif op[0] == "barrier":
+                interface.barrier()
+            elif op[0] == "trace":
+                outcomes.append(dict(interface.trace.histogram))
+                continue
+            elif op[0] == "protect":
+                remote.protect()
+            elif op[0] == "unprotect":
+                remote.unprotect()
+            elif op[0] == "window":
+                remote.open_window(op[1], op[2])
+            elif op[0] == "close":
+                remote.close_window()
+            elif op[0] in ("crash_remote", "reboot_remote"):
+                remote._crashed = op[0] == "crash_remote"
+            elif op[0] == "crash_interface":
+                interface.crash()
+            else:
+                interface.reboot()
+            outcomes.append(None)
+        except ReproError as error:
+            outcomes.append((type(error), str(error)))
+    remote._crashed = False
+    interface._crashed = False
+    interface.barrier()
+    return {
+        "outcomes": outcomes,
+        "bytes": remote.snapshot(),
+        "remote": (remote.writes_observed, remote.bytes_written),
+        "seen": seen,
+        "packets": packets,
+        "histogram": dict(interface.trace.histogram),
+        "io_stores": interface.io_stores,
+        "bytes_sent": (interface.bytes_sent, mapping.bytes_sent, foreign.bytes_sent),
+        "by_category": (
+            list(interface.bytes_by_category.items()),
+            list(mapping.bytes_by_category.items()),
+            list(foreign.bytes_by_category.items()),
+        ),
+    }
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fastpath", "reference"])
+@pytest.mark.parametrize("observed", [False, True], ids=["plain", "observed"])
+@settings(max_examples=150, deadline=None)
+@given(
+    ops=_lane_ops,
+    geometry=st.sampled_from([(2, 4), (6, 32), (1, 8)]),
+    pending_limit=st.sampled_from([2, 5, 8192]),
+)
+def test_write_run_through_a_mapping_matches_the_per_part_loop(
+    fast, observed, ops, geometry, pending_limit
+):
+    """A run is its stores on the wire too: same remote bytes and
+    counters, same packets in the same order, same ``io_stores`` and
+    byte accounting, and the same error after the same parts went out
+    — crashed interface or remote, protected or observed remote,
+    uninstalled mapping, runs overrunning either window edge,
+    zero-length parts, and a pending limit crossed mid-run."""
+    real_limit = memory_channel._PENDING_LIMIT
+    memory_channel._PENDING_LIMIT = pending_limit
+    try:
+        with fastpath.forced() if fast else fastpath.disabled():
+            oracle = _run_lanes(ops, False, observed, geometry, MemoryRegion)
+            for region_cls in (MemoryRegion, NumpyMemoryRegion):
+                assert _run_lanes(ops, True, observed, geometry, region_cls) == oracle
+    finally:
+        memory_channel._PENDING_LIMIT = real_limit
+
+
+def _spy_on_transmit(interface):
+    calls = []
+    transmit = interface._transmit
+    interface._transmit = lambda *args: (calls.append(args[2]), transmit(*args))
+    return calls
+
+
+_RUN = ((b"head", WriteCategory.META), (b"", WriteCategory.UNDO),
+        (b"payload", WriteCategory.MODIFIED))
+
+
+def test_run_into_a_plain_remote_is_one_deposit_and_a_store_per_part():
+    interface, mapping, remote = make_pair(64)
+    calls = _spy_on_transmit(interface)
+    mapping.write_run(20, _RUN)
+    assert calls == []  # the run lane, not the per-part loop
+    assert remote.read(20, 11) == b"headpayload"
+    assert (remote.writes_observed, remote.bytes_written) == (2, 11)
+    assert interface.io_stores == 2
+    assert interface.bytes_by_category == mapping.bytes_by_category == {
+        WriteCategory.META: 4, WriteCategory.MODIFIED: 7}
+    assert (interface.bytes_sent, mapping.bytes_sent) == (11, 11)
+    interface.barrier()
+    assert interface.trace.histogram == {11: 1}
+
+
+def test_run_ending_exactly_at_the_window_edge_takes_the_lane():
+    interface, mapping, remote = make_pair(64)
+    calls = _spy_on_transmit(interface)
+    mapping.write_run(53, _RUN)
+    assert calls == []
+    assert remote.read(53, 11) == b"headpayload"
+
+
+def test_run_one_byte_past_the_window_sends_the_parts_that_fit():
+    interface, mapping, remote = make_pair(64)
+    with pytest.raises(NotMappedError, match=r"\[58, 65\)"):
+        mapping.write_run(54, _RUN)
+    assert interface.io_stores == 1
+    assert remote.read(54, 10) == b"head" + bytes(6)
+    assert interface.bytes_by_category == {WriteCategory.META: 4}
+
+
+def test_run_into_a_protected_remote_stops_at_the_window_edge():
+    interface, mapping, remote = make_pair(64)
+    remote.protect()
+    remote.open_window(20, 11)
+    mapping.write_run(20, _RUN)  # inside the open window
+    assert remote.read(20, 11) == b"headpayload"
+    remote.open_window(20, 8)
+    with pytest.raises(ProtectionError):
+        mapping.write_run(20, ((b"HEAD", WriteCategory.META),
+                               (b"PAYLOAD", WriteCategory.MODIFIED)))
+    assert remote.read(20, 11) == b"HEADpayload"
+    assert interface.io_stores == 4  # the refused store was issued
+    assert interface.bytes_sent == 15
+
+
+@pytest.mark.parametrize("down", ["interface", "remote", "uninstalled"])
+def test_run_raises_what_its_first_store_raises(down):
+    interface, mapping, remote = make_pair(64)
+    if down == "interface":
+        interface.crash()
+        expected = CrashedError
+    elif down == "remote":
+        remote._crashed = True
+        expected = CrashedError
+    else:
+        mapping = MemoryChannelInterface("other").map_remote(remote)
+        mapping.interface = interface
+        expected = NotMappedError
+    with pytest.raises(expected):
+        mapping.write_run(0, _RUN)
+    with pytest.raises(expected):  # an empty first part: the second's error
+        mapping.write_run(0, ((b"", WriteCategory.META), (b"x", WriteCategory.META)))
+    remote._crashed = False
+    assert remote.snapshot() == bytes(64)
+    assert interface.bytes_sent == 0
+    # the crashed remote refused stores the interface had already issued
+    assert interface.io_stores == (2 if down == "remote" else 0)
+
+
+def test_an_all_empty_run_issues_nothing_anywhere():
+    interface, mapping, remote = make_pair(64)
+    mapping.write_run(1000, ((b"", WriteCategory.META),) * 3)
+    assert (interface.io_stores, remote.writes_observed) == (0, 0)
+    assert not interface._pending
+
+
+def test_run_keeps_one_store_per_part_where_parts_meet_mid_block():
+    """The counter-example below, through the run lane: the run's two
+    parts stay two stores."""
+    with fastpath.forced():
+        interface = MemoryChannelInterface(
+            "sender", write_buffers=2, write_buffer_bytes=4)
+        mapping = interface.map_remote(MemoryRegion("remote", 16))
+        sizes = []
+        interface.write_buffer.on_packet = sizes.append
+        mapping.write(5, b"abc")
+        mapping.write_run(3, ((b"defg", WriteCategory.META),
+                              (b"hijk", WriteCategory.META)))
+        assert interface._pending == [
+            (mapping.io_base + 5, 3), (mapping.io_base + 3, 4),
+            (mapping.io_base + 7, 4)]
+        interface.barrier()
+        assert sizes == [4, 1, 1, 3]
+
+
+@pytest.mark.parametrize("model", [WriteBufferModel, VectorWriteBufferModel])
+def test_adjacent_stores_meeting_mid_block_are_not_one_store(model):
+    """Why a run keeps one pending entry per store, and ``write_batch``
+    coalesces only at block boundaries: (3,4) and (7,4) are adjacent,
+    but the earlier (5,3) lets (3,4) complete block 1 in the middle of
+    the pair, so (7,4) reopens it — merged, it would not."""
+    def drained(stores):
+        sizes = []
+        buffer = model(num_buffers=2, block_bytes=4, on_packet=sizes.append)
+        buffer.write_batch(stores)
+        buffer.barrier()
+        return sizes
+
+    assert drained([(5, 3), (3, 4), (7, 4)]) == [4, 1, 1, 3]
+    assert drained([(5, 3), (3, 8)]) == [4, 1, 3]
