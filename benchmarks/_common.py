@@ -2,7 +2,7 @@
 
 One place for the path bootstrap, the machine stanza, and the
 ``repro-bench-v1`` report assembly that used to be duplicated across
-``bench_fastpath.py`` / ``bench_kernels.py`` / ``bench_quorum.py``.
+the benchmark scripts (``bench_quorum.py``, ``bench_recovery.py``).
 Scripts keep measuring into plain nested dicts; :func:`finalize`
 flattens them into the canonical schema (see :mod:`repro.obs.bench`),
 writes the report, and runs the regression gate when ``--check`` was

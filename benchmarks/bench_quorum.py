@@ -4,9 +4,8 @@ Measures three things and writes them to the root ``BENCH_quorum.json``
 (the perf-trajectory tracker reads root-level ``BENCH_*.json`` files):
 
 * **repair** — Merkle anti-entropy throughput: MB/s of replica digest
-  state reconciled per second, with the fastpath leaf comparator on
-  versus the pure-python reference, on lightly and heavily diverged
-  replica pairs.
+  state reconciled per second on lightly and heavily diverged replica
+  pairs.
 * **read** — a driven (3, 2, 2) strict group: simulated quorum-read
   latency p50/p99 (deterministic) plus measured Python-side
   operations per second (informational).
@@ -20,9 +19,9 @@ Usage::
 
 Reports are written in the canonical ``repro-bench-v1`` trajectory
 format; ``--check BASELINE`` delegates to
-``python -m repro.obs.bench compare`` and exits non-zero if the repair
-speedup ratio fell below 80% of the committed baseline's — the CI
-guard against quietly losing the kernel path in the repair loop.
+``python -m repro.obs.bench compare`` and exits non-zero if a
+simulated quorum-read latency (deterministic, so any drift is a model
+change) moved past the committed baseline's.
 """
 
 from __future__ import annotations
@@ -76,7 +75,6 @@ def _time_sync(divergence: float, repeats: int) -> float:
 
 
 def bench_repair() -> dict:
-    from repro import fastpath
     from repro.quorum.store import DIGEST_BYTES
 
     report = {}
@@ -84,17 +82,8 @@ def bench_repair() -> dict:
                                        ("dense", 1 / 4, 3)):
         # Digest state walked per sync: both replicas' full key range.
         volume_mb = 2 * REPAIR_KEYS * DIGEST_BYTES * repeats / MB
-        fastpath.set_enabled(False)
-        try:
-            slow_s = _time_sync(divergence, repeats)
-        finally:
-            fastpath.set_enabled(True)
-        fast_s = _time_sync(divergence, repeats)
-        report[label] = {
-            "reference_mb_per_s": round(volume_mb / slow_s, 1),
-            "kernel_mb_per_s": round(volume_mb / fast_s, 1),
-            "speedup": round(slow_s / fast_s, 2),
-        }
+        sync_s = _time_sync(divergence, repeats)
+        report[label] = {"kernel_mb_per_s": round(volume_mb / sync_s, 1)}
     return report
 
 
@@ -151,19 +140,16 @@ def bench_experiment() -> dict:
 
 # -- report / main ----------------------------------------------------------
 
-#: Regression-gated metrics (speedup ratios; higher is better).
+#: Regression-gated metrics: simulated time, so the tolerance is
+#: effectively an equality check (lower is better).
 GATES = {
-    "repair.sparse.speedup": "higher",
-    "repair.dense.speedup": "higher",
+    "read.simulated_p50_us": "lower",
+    "read.simulated_p99_us": "lower",
 }
 
 UNITS = {
-    "repair.sparse.speedup": "x",
-    "repair.dense.speedup": "x",
     "repair.sparse.kernel_mb_per_s": "MB/s",
-    "repair.sparse.reference_mb_per_s": "MB/s",
     "repair.dense.kernel_mb_per_s": "MB/s",
-    "repair.dense.reference_mb_per_s": "MB/s",
     "read.simulated_p50_us": "us",
     "read.simulated_p99_us": "us",
     "read.reads_per_s": "op/s",
@@ -180,8 +166,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--check", metavar="BASELINE", default=None,
-        help="compare the repair speedup against a committed baseline "
-        "JSON; exit 1 on a >20%% regression",
+        help="compare the simulated read latencies against a committed "
+        "baseline JSON; exit 1 on a >20%% regression",
     )
     parser.add_argument(
         "--skip-experiment", action="store_true",
@@ -195,12 +181,7 @@ def main(argv=None) -> int:
     }
     for label in ("sparse", "dense"):
         section = report["repair"][label]
-        print(
-            f"[repair {label}] reference "
-            f"{section['reference_mb_per_s']:.1f} MB/s, kernel "
-            f"{section['kernel_mb_per_s']:.1f} MB/s "
-            f"({section['speedup']}x)"
-        )
+        print(f"[repair {label}] {section['kernel_mb_per_s']:.1f} MB/s")
     read = report["read"]
     print(
         f"[read] simulated p50 {read['simulated_p50_us']:.1f} us, "

@@ -96,7 +96,7 @@ class ReplicatedCluster:
         self.observer = resolve_observer(observer)
 
         # Standalone pairs are heartbeat/timeout driven: shared-shape
-        # timestamps, so the fast path picks the wheel queue.
+        # timestamps, so the wheel queue.
         self.sim = (
             sim
             if sim is not None

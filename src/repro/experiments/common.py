@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
+from repro.hardware.writebuffer import WriteBufferModel
 from repro.memory.rio import RioMemory
 from repro.perf.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.perf.throughput import ThroughputEstimator, calibrate_bases
@@ -48,10 +49,6 @@ class ExperimentSettings:
     allocated_db_bytes: int = 8 * MB
     log_bytes: int = 2 * MB
     nominal_db_bytes: int = PAPER_DB_BYTES
-    #: Worker processes for the per-shard parallel simulation executor
-    #: (:mod:`repro.fastpath.shardpar`); 1 = the sequential reference.
-    #: Outputs are byte-identical at any value.
-    shard_jobs: int = 1
 
     def engine_config(self, nominal: Optional[int] = None) -> EngineConfig:
         return EngineConfig(
@@ -177,9 +174,7 @@ def _disable_coalescing(interface) -> None:
     """Ablation hook: make every I/O-space store its own packet by
     shrinking the write buffers to one 4-byte slot (models a network
     interface with no write-combining)."""
-    from repro.hardware.writebuffer import writebuffer_model
-
-    interface.write_buffer = writebuffer_model(
+    interface.write_buffer = WriteBufferModel(
         num_buffers=1, block_bytes=4, on_packet=interface.trace.record
     )
 

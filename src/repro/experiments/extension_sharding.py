@@ -439,12 +439,12 @@ def failover_plan(
     """The failover timeline as a recorded schedule: a fixed
     round-robin load (``offered_per_shard`` transactions per shard per
     slot, keyed to the first branch each shard owns) plus one primary
-    crash, replayable by either of the shardpar executors.
+    crash.
 
     ``crashes`` — a tuple of ``(shard_id, at_us)`` pairs — overrides
-    the single ``crashed_shard``/``crash_at_us`` crash: the multi-crash
-    schedules the widened decomposition boundary covers (each shard at
-    most once; the pair model has one backup)."""
+    the single ``crashed_shard``/``crash_at_us`` crash with a
+    multi-crash schedule (each shard at most once; the pair model has
+    one backup)."""
     workload = ShardedWorkload(
         "debit-credit", num_shards, db_bytes_per_shard, seed=seed
     )
@@ -496,7 +496,6 @@ def failover_timeline(
     seed: int = 42,
     observer: Optional[Observer] = None,
     trace_path: Optional[Union[str, "object"]] = None,
-    shard_jobs: int = 1,
 ) -> FailoverTimeline:
     """Drive a sharded cluster through one primary crash and derive the
     per-slot timeline *from the recorded trace*.
@@ -508,13 +507,6 @@ def failover_timeline(
     the live objects. Pass ``trace_path`` to additionally dump the
     trace (and metrics snapshot) as JSONL for ``python -m
     repro.obs.report``.
-
-    ``shard_jobs > 1`` executes the plan on the parallel per-shard
-    decomposition (:mod:`repro.fastpath.shardpar`) — the trace, series
-    and every derived number are byte-identical to the sequential run.
-    A ``trace_path`` forces the sequential executor: the JSONL dump
-    snapshots the metrics registry, which only the single-simulator
-    run populates.
     """
     if observer is None:
         observer = Observer()
@@ -528,13 +520,12 @@ def failover_timeline(
         db_bytes_per_shard=db_bytes_per_shard,
         seed=seed,
     )
-    jobs = shard_jobs if trace_path is None else 1
-    outcome = shardpar.execute(plan, jobs=jobs, observer=observer)
+    outcome = shardpar.execute(plan, observer=observer)
 
     # Annotate the trace with the burn-rate alert schedule its own
     # downtime record justifies. Appended post-run (every consumer
     # selects events by name, none by position), computed purely from
-    # the recorded events — deterministic across executors.
+    # the recorded events.
     from repro.obs.alerts import evaluate_alerts
 
     events = outcome.events + evaluate_alerts(outcome.events)
@@ -580,7 +571,5 @@ def run(ctx: Optional[ExperimentContext] = None) -> ShardingResult:
         sharded_aggregate(single, n, per_txn_trace=per_txn_trace)
         for n in SHARD_COUNTS
     ]
-    timeline = failover_timeline(
-        seed=ctx.settings.seed, shard_jobs=ctx.settings.shard_jobs
-    )
+    timeline = failover_timeline(seed=ctx.settings.seed)
     return ShardingResult(scaling=scaling, timeline=timeline)

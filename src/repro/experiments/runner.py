@@ -6,7 +6,6 @@ Installed as the ``repro-experiments`` console script::
     repro-experiments table4 fig2   # a subset
     repro-experiments --transactions 5000   # higher fidelity
     repro-experiments --jobs 4      # fan cells over 4 processes
-    repro-experiments --no-fastpath # reference slow path (golden check)
     repro-experiments --profile out.txt   # wall-clock subsystem profile
     repro-experiments --cprofile out.txt  # cProfile one hot cell
 
@@ -20,13 +19,10 @@ from __future__ import annotations
 import argparse
 import cProfile
 import io
-import os
 import pstats
 import sys
 import time
 from typing import Callable, Dict, List
-
-from repro import fastpath
 
 from repro.experiments import (
     ablations,
@@ -191,8 +187,7 @@ def _cprofile_cell(args) -> int:
     stats.sort_stats("tottime").print_stats(25)
     report = (
         f"# cProfile: passive v3 debit-credit @ 50 MB nominal, "
-        f"{args.transactions} transactions, "
-        f"fastpath={'off' if args.no_fastpath else 'on'}\n"
+        f"{args.transactions} transactions\n"
         + buffer.getvalue()
     )
     if args.cprofile == "-":
@@ -226,17 +221,6 @@ def main(argv=None) -> int:
         "(output stays byte-identical; default 1 = sequential)",
     )
     parser.add_argument(
-        "--shard-jobs", type=int, default=1, metavar="N",
-        help="run the sharded failover simulation as N per-shard "
-        "processes merged deterministically (output stays "
-        "byte-identical; default 1 = one simulator)",
-    )
-    parser.add_argument(
-        "--no-fastpath", action="store_true",
-        help="disable the batched store pipeline and replay cache; "
-        "the reference path for golden-output comparison",
-    )
-    parser.add_argument(
         "--profile", nargs="?", const="-", default=None, metavar="PATH",
         help="run the selected grid under the wall-clock stack sampler "
         "and write the per-subsystem attribution report to PATH "
@@ -258,11 +242,6 @@ def main(argv=None) -> int:
     if args.profile_collapsed and args.profile is None:
         parser.error("--profile-collapsed requires --profile")
 
-    if args.no_fastpath:
-        # The env var covers worker processes too (spawn or fork).
-        os.environ["REPRO_FASTPATH"] = "0"
-        fastpath.set_enabled(False)
-
     if args.cprofile is not None:
         return _cprofile_cell(args)
 
@@ -279,8 +258,7 @@ def main(argv=None) -> int:
             resolved.append(key)
 
     settings = ExperimentSettings(
-        transactions=args.transactions, seed=args.seed,
-        shard_jobs=args.shard_jobs,
+        transactions=args.transactions, seed=args.seed
     )
     ctx = ExperimentContext(settings)
 

@@ -1,16 +1,16 @@
 """Simulator-core kernels: C-speed inner loops for the hot primitives.
 
 The measurement pipeline spends its wall-clock in a handful of tiny
-loops executed millions of times: comparing 4-byte words in
-``diff_runs`` (Version 2's mirror refresh) and pushing/popping
+loops executed millions of times: comparing 4-byte words (Version 2's
+mirror refresh, the Merkle leaf compare) and pushing/popping
 simulation events. This module holds the data kernels; the event-queue
 counterpart (:class:`repro.sim.events.BucketedEventQueue`) lives with
 the simulator.
 
-Discipline is the same as the rest of :mod:`repro.fastpath`: every
-kernel has a pure-Python reference implementation that stays live
-under ``REPRO_FASTPATH=0``, and equivalence tests (Hypothesis plus the
-golden experiment grid) prove the two agree on every input shape.
+Each kernel has a plain-loop original under ``tests/oracles/`` and a
+Hypothesis suite proving the two agree on every input shape (for the
+diff: ``tests/oracles/diff_reference.py`` and
+``tests/properties/test_kernel_properties.py``).
 
 **The diff kernel.** ``diff_runs_fast`` converts both buffers to
 Python ints once (``int.from_bytes`` — one C pass each) and XORs them
@@ -28,8 +28,6 @@ all-equal, all-different, and everything between.
 from __future__ import annotations
 
 from typing import List, Tuple
-
-import repro.fastpath
 
 #: Chunk size, in words, for the big-int diff scan. Chunking bounds
 #: every big-int shift to an 8 KiB integer (at the default 4-byte
@@ -68,12 +66,11 @@ def _run_end(xb: bytes, start: int, chunk_words: int, word: int, zero: bytes) ->
 def diff_runs_fast(
     old: bytes, new: bytes, word: int = _WORD
 ) -> List[Tuple[int, int]]:
-    """Big-int XOR kernel equivalent of
-    :func:`repro.vista.v2_mirror_diff.diff_runs`.
+    """The ``(offset, length)`` runs of words where ``new`` differs
+    from ``old``, by big-int XOR.
 
-    Returns the identical maximal word-aligned ``(offset, length)``
-    runs of differing words (a trailing partial word counts as one
-    word), as a list rather than a generator.
+    Offsets are relative to the start of the buffers; runs are maximal
+    and word-aligned (a trailing partial word counts as one word).
     """
     length = len(old)
     if len(new) != length:
@@ -125,13 +122,3 @@ def diff_runs_fast(
     if run_start is not None:
         runs.append((run_start, length - run_start))
     return runs
-
-
-def diff_runs_dispatch(old: bytes, new: bytes, word: int = _WORD):
-    """The active diff implementation: the big-int kernel when the fast
-    path is enabled, the reference word-at-a-time loop otherwise."""
-    if repro.fastpath.enabled():
-        return diff_runs_fast(old, new, word)
-    from repro.vista.v2_mirror_diff import diff_runs
-
-    return list(diff_runs(old, new, word))

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterable, List, Tuple
 
-from repro.hardware.writebuffer import writebuffer_model
+from repro.hardware.writebuffer import WriteBufferModel
 
 #: One cached drain: (packet sizes in emission order, total bytes).
 CacheEntry = Tuple[Tuple[int, ...], int]
@@ -101,7 +101,7 @@ class PacketReplayCache:
             return entry
         self.misses += 1
         sizes: List[int] = []
-        model = writebuffer_model(num_buffers, block_bytes, on_packet=sizes.append)
+        model = WriteBufferModel(num_buffers, block_bytes, on_packet=sizes.append)
         model.write_batch(ops)
         model.barrier()
         entry = (tuple(sizes), model.bytes_emitted)

@@ -1,69 +1,25 @@
-"""Deterministic parallel execution of the sharded failover timeline.
+"""The sharded failover timeline as a recorded plan and its executor.
 
-The shard cluster's event population decomposes almost perfectly: the
-pairs never talk to each other. Every event in the sequential run —
-heartbeat chains, redo traffic, router attempts, the crash and its
-takeover — belongs to exactly one shard, plus one shared stream of
-pre-scheduled sampler ticks. Cross-shard state exists (the shard map,
-the cluster-wide membership view), but it is only ever *mutated* from
-the owning shard's events: a failover bumps that shard's map entry and
-evicts that shard's primary from the view, and the router consults only
-the routed shard's entry/epoch. Those router-boundary interactions are
-therefore the synchronization rule, not a synchronization *cost*: a
-plan is parallelizable exactly when its boundary mutations stay
-confined to their owning domain. Since the router refreshes shard-map
-entries *per entry* on a redirect (one shard's redirect never
-refreshes another shard's stale entry), every failover schedule with
-distinct crashed shards satisfies the rule — multi-crash plans
-included. The decomposition boundary is the full schedule; see
-:func:`plan_supports_parallel` for the residual (degenerate) cases
-that still fall back to the sequential executor.
+:class:`TimelinePlan` is the recorded schedule — a frozen
+description of the cluster geometry, the submission stream and the
+crash plan — and :func:`execute` runs it on one simulator, performing
+the construction and scheduling steps in a fixed order so the trace,
+the sampled series and every causal-trace id are a pure function of
+the plan.
 
-Execution model:
-
-* :class:`TimelinePlan` is the recorded schedule — a frozen, picklable
-  description of the cluster geometry, the submission stream and the
-  crash plan. Both executors consume the same plan, and the sequential
-  one performs the construction and scheduling steps in exactly the
-  order the original experiment code did.
-* ``_run_domain`` replays the plan restricted to one shard on its own
-  :class:`~repro.sim.engine.Simulator` (usually in its own process):
-  the cluster is built with ``active_shards={k}`` — dormant shards
-  keep their map rows and membership seats so every global data
-  structure is byte-identical — and only shard ``k``'s submissions and
-  crashes are scheduled. A :class:`RecordingQueue` logs every push and
-  an ``on_event`` hook logs, for every fired event, which pushes,
-  trace events and causal-trace ids it produced.
-* ``_merge`` then re-runs the *global* event loop symbolically: it
-  rebuilds the sequential queue's push order (domain setup pushes in
-  shard order, one shared tick stream, submissions and crashes in plan
-  order), pops by ``(time, seq)``, and for each popped event splices in
-  the owning domain's recorded trace slice and pushes its recorded
-  children. Causal-trace ids are renumbered in global firing order —
-  the order the sequential run allocated them in — and the per-tick
-  ``series.sample`` rows are re-derived from the domain samplers'
-  recordings (queue depths sum after removing the ``N-1`` duplicated
-  tick streams; wheel occupancy is the union of the domains' pending
-  firing times; router counters sum exactly).
-
-The result — trace event list, sampled series frame, router totals —
-is **byte-identical** to the sequential run at any ``--shard-jobs N``:
-every consumer downstream (timeline reports, audits, SLO accounting,
-golden grid diffs) sees outputs indistinguishable from one simulator
-having run the whole cluster.
+The module keeps its name, and :func:`execute` its ``jobs`` parameter,
+because the frozen performance ledger imports it so; the per-shard
+parallel executor the name refers to was never faster than this one
+and is gone.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import repro.fastpath as _fastpath
-from repro.fastpath.parallel import run_tasks
 from repro.obs.observer import Observer
 from repro.obs.series import (
-    SAMPLE_EVENT,
     SeriesFrame,
     TimeSeriesSampler,
     router_probes,
@@ -73,24 +29,13 @@ from repro.obs.trace import TraceEvent
 from repro.shard.cluster import ShardedCluster
 from repro.shard.router import Router
 from repro.shard.workload import ShardedWorkload
-from repro.sim.events import SHAPE_SHARED, default_event_queue
 from repro.vista.api import EngineConfig
-
-#: Trace attrs carrying causal-trace ids that the merge renumbers.
-#: ``commit_trace_id`` (the resume instant's link into the first
-#: post-failover commit tree) references an id allocated in the same
-#: domain's fired events, so the per-domain id map always covers it.
-_ID_ATTRS = ("trace_id", "span_id", "parent_id", "commit_trace_id")
-
-_TICK = 0
-_EVENT = 1
 
 
 @dataclass(frozen=True)
 class TimelinePlan:
-    """One recorded shard-cluster schedule, replayable by either
-    executor. All times in simulated microseconds; everything here is
-    plain data, picklable across the process pool."""
+    """One recorded shard-cluster schedule. All times in simulated
+    microseconds; everything here is plain data."""
 
     num_shards: int
     mode: str
@@ -115,7 +60,7 @@ class TimelinePlan:
 @dataclass
 class Outcome:
     """What an execution produced — everything the timeline derivation
-    consumes, identical across executors."""
+    consumes."""
 
     events: List[TraceEvent]
     frame: SeriesFrame
@@ -125,177 +70,9 @@ class Outcome:
     takeover_downtime_us: Dict[int, float]
 
 
-def plan_supports_parallel(plan: TimelinePlan) -> bool:
-    """Whether the plan's router-boundary interactions decompose.
-
-    The per-shard domains are exact when every cross-shard mutation is
-    confined to its owning domain. The router refreshes its shard-map
-    snapshot *per entry* on a redirect, so one shard's epoch bump can
-    never suppress (or trigger) another shard's redirect — each
-    shard's routing behaviour is a function of its own view-change
-    history alone, and the merge replays any number of crash/takeover
-    streams by ``(time, seq)``. Every failover schedule therefore
-    decomposes, with two degenerate exceptions that run sequentially:
-
-    * fewer than two shards — nothing to decompose;
-    * a shard crashed more than once, or a crash names a shard outside
-      the map — the pair model has a single backup, so the cluster
-      (sequential or parallel) cannot replay a second failover of the
-      same shard; reject rather than guess.
-    """
-    if plan.num_shards < 2:
-        return False
-    crashed = [shard_id for shard_id, _ in plan.crashes]
-    if len(set(crashed)) != len(crashed):
-        return False
-    if any(s < 0 or s >= plan.num_shards for s in crashed):
-        return False
-    return True
-
-
-class _MembershipReplay:
-    """Replays the cluster-wide view's evolution in global merge order.
-
-    ``Membership.fail`` is the one cross-shard mutation a failover
-    performs, and it is purely observational: it evicts the crashed
-    primary from the shared view and emits one ``view.change`` trace
-    event (promotion is deterministic — most senior survivor by
-    original join order). Each domain only sees its *own* crashes, so
-    its local ``view_id``/member list lag the global sequence when
-    several shards fail; this replay rewrites each domain's
-    ``view.change`` attrs to what the single sequential view emitted
-    at that point in the global order.
-    """
-
-    def __init__(self, initial: TraceEvent, num_domains: int) -> None:
-        self.all_members: List[str] = list(initial.attrs["members"])
-        self.view_id: int = int(initial.attrs["view_id"])
-        self.primary: str = initial.attrs["primary"]
-        self.failed: set = set()
-        self._domain_members = [
-            set(self.all_members) for _ in range(num_domains)
-        ]
-
-    def rewrite(self, domain: int, event: TraceEvent) -> TraceEvent:
-        local = set(event.attrs["members"])
-        gone = self._domain_members[domain] - local
-        _require(
-            len(gone) == 1 and local < self._domain_members[domain],
-            "unsupported membership transition (not a single failure)",
-        )
-        self._domain_members[domain] = local
-        name = gone.pop()
-        self.failed.add(name)
-        self.view_id += 1
-        survivors = [m for m in self.all_members if m not in self.failed]
-        if self.primary == name:
-            _require(bool(survivors), "no surviving member to promote")
-            self.primary = survivors[0]
-        return replace(event, attrs={
-            "view_id": self.view_id,
-            "members": survivors,
-            "primary": self.primary,
-        })
-
-
-class RecordingQueue:
-    """Event-queue wrapper logging every push's firing time.
-
-    Because the wrapped queue numbers events from zero and every push
-    goes through here, ``event.seq`` *is* the index into ``pushes`` —
-    the invariant the symbolic replay keys on (asserted on every push).
-    """
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-        self.pushes: List[float] = []
-
-    def push(self, time, action, name=""):
-        event = self.inner.push(time, action, name)
-        self.pushes.append(time)
-        assert event.seq == len(self.pushes) - 1
-        return event
-
-    def pop(self):
-        return self.inner.pop()
-
-    def pop_until(self, until=None):
-        return self.inner.pop_until(until)
-
-    def peek_time(self):
-        return self.inner.peek_time()
-
-    def distinct_times(self):
-        return self.inner.distinct_times()
-
-    def pending_times(self):
-        return self.inner.pending_times()
-
-    def clear(self):
-        return self.inner.clear()
-
-    def __len__(self):
-        return len(self.inner)
-
-    def __bool__(self):
-        return bool(self.inner)
-
-
-class _DomainSampler(TimeSeriesSampler):
-    """The experiment sampler, additionally recording the queue's
-    distinct pending firing times at each tick — the raw material the
-    merge needs to rebuild the global wheel-occupancy probe (a union,
-    not a sum)."""
-
-    def __init__(self, observer=None, component: str = "series") -> None:
-        super().__init__(observer=observer, component=component)
-        self.pending_per_tick: List[List[float]] = []
-
-    def _tick(self) -> None:
-        self.pending_per_tick.append(self._sim.queue.pending_times())
-        super()._tick()
-
-
-@dataclass
-class DomainResult:
-    """Everything one shard's domain run recorded, picklable."""
-
-    shard_id: int
-    push_times: List[float]
-    #: phase name -> (pushes, trace events, ids allocated) so far.
-    marks: Dict[str, Tuple[int, int, int]]
-    #: (plan submission index, p0, p1, t0, t1, i0, i1) per own submission.
-    submission_ranges: List[Tuple[int, int, int, int, int, int, int]]
-    #: (plan crash index, p0, p1, t0, t1, i0, i1) per own crash.
-    crash_ranges: List[Tuple[int, int, int, int, int, int, int]]
-    #: (seq, time, p0, p1, t0, t1, i0, i1) per fired event, in firing order.
-    fired: List[Tuple[int, float, int, int, int, int, int, int]]
-    trace: List[TraceEvent]
-    frame_names: List[str]
-    frame_times: List[float]
-    frame_values: Dict[str, List[float]]
-    pending_per_tick: List[List[float]]
-    routed: int
-    completed: int
-    dropped: int
-    takeover_downtime_us: Dict[int, float]
-
-
-# -- construction (shared by both executors) ---------------------------------
-
-
-def _build(
-    plan: TimelinePlan,
-    observer: Observer,
-    queue=None,
-    active_shards=None,
-    sampler_cls=TimeSeriesSampler,
-    checkpoint=None,
-):
-    """Build cluster, workload, router and sampler from the plan — in
-    exactly the order the sequential experiment performs them, so the
-    push/trace/id streams line up between executors."""
-    mark = checkpoint if checkpoint is not None else (lambda name: None)
+def _build(plan: TimelinePlan, observer: Observer):
+    """Build cluster, workload, router and sampler from the plan, in
+    the order that fixes the push, trace and id streams."""
     config = EngineConfig(
         db_bytes=plan.db_bytes_per_shard, log_bytes=plan.log_bytes
     )
@@ -308,36 +85,40 @@ def _build(
         heartbeat_timeout_us=plan.heartbeat_timeout_us,
         restore_bytes_per_us=plan.restore_bytes_per_us,
         observer=observer,
-        active_shards=active_shards,
-        queue=queue,
     )
-    mark("ctor")
     workload = ShardedWorkload(
         plan.workload, plan.num_shards, plan.db_bytes_per_shard, seed=plan.seed
     )
     cluster.setup(workload)
-    mark("setup")
     router = Router(
         cluster, workload, max_attempts=plan.max_attempts, observer=observer
     )
-    mark("router")
-    sampler = sampler_cls(observer=observer)
+    sampler = TimeSeriesSampler(observer=observer)
     sampler.add_probes(sim_probes(cluster.sim))
     sampler.add_probes(router_probes(
         router, scopes={f"shard.{i}": i for i in range(plan.num_shards)}
     ))
     sampler.attach(cluster.sim, plan.sample_interval_us, plan.sample_until_us)
-    mark("attach")
-    return cluster, workload, router, sampler
+    return cluster, router, sampler
 
 
-# -- the sequential reference executor ---------------------------------------
+def execute(
+    plan: TimelinePlan, jobs: int = 1, observer: Optional[Observer] = None
+) -> Outcome:
+    """Run the plan on one simulator, recording into ``observer``.
 
-
-def _execute_sequential(plan: TimelinePlan, observer: Observer) -> Outcome:
-    """Run the plan on one simulator — the reference the parallel
-    merge is byte-compared against."""
-    cluster, workload, router, sampler = _build(plan, observer)
+    ``jobs`` exists for one caller: the performance ledger's frozen
+    ``failover-timeline`` workload passes ``jobs=1``. There is one
+    executor, so anything else is an error.
+    """
+    if jobs != 1:
+        raise ValueError(
+            f"jobs={jobs}: the plan runs on one simulator (the per-shard "
+            f"parallel executor was removed)"
+        )
+    if observer is None:
+        observer = Observer()
+    cluster, router, sampler = _build(plan, observer)
     for at_us, key in plan.submissions:
         router.submit(key=key, at_us=at_us)
     for shard_id, at_us in plan.crashes:
@@ -354,365 +135,3 @@ def _execute_sequential(plan: TimelinePlan, observer: Observer) -> Outcome:
             for shard_id, report in cluster.takeovers.items()
         },
     )
-
-
-# -- one shard's domain ------------------------------------------------------
-
-
-def _run_domain(task) -> DomainResult:
-    """Run the plan restricted to one shard on a private simulator.
-
-    Top-level and pure so the process pool can ship it; the result
-    carries every recording the symbolic merge consumes.
-    """
-    plan, shard_id = task
-    observer = Observer()
-    queue = RecordingQueue(default_event_queue(SHAPE_SHARED))
-    recorder = observer.recorder
-    marks: Dict[str, Tuple[int, int, int]] = {}
-
-    def snapshot() -> Tuple[int, int, int]:
-        return len(queue.pushes), len(recorder.events), observer._next_id
-
-    def checkpoint(name: str) -> None:
-        marks[name] = snapshot()
-
-    cluster, workload, router, sampler = _build(
-        plan,
-        observer,
-        queue=queue,
-        active_shards={shard_id},
-        sampler_cls=_DomainSampler,
-        checkpoint=checkpoint,
-    )
-    shard_of = workload.partitioner.shard_of
-    submission_ranges: List[Tuple[int, int, int, int, int, int, int]] = []
-    for index, (at_us, key) in enumerate(plan.submissions):
-        if shard_of(key) != shard_id:
-            continue
-        p0, t0, i0 = snapshot()
-        router.submit(key=key, at_us=at_us)
-        p1, t1, i1 = snapshot()
-        submission_ranges.append((index, p0, p1, t0, t1, i0, i1))
-    checkpoint("submissions")
-    crash_ranges: List[Tuple[int, int, int, int, int, int, int]] = []
-    for index, (crash_shard, at_us) in enumerate(plan.crashes):
-        if crash_shard != shard_id:
-            continue
-        p0, t0, i0 = snapshot()
-        cluster.schedule_primary_crash(crash_shard, at_us)
-        p1, t1, i1 = snapshot()
-        crash_ranges.append((index, p0, p1, t0, t1, i0, i1))
-    checkpoint("crashes")
-
-    fired: List[Tuple[int, float, int, int, int, int, int, int]] = []
-
-    def on_event(event) -> None:
-        p0, t0, i0 = snapshot()
-        event.action()
-        p1, t1, i1 = snapshot()
-        fired.append((event.seq, event.time, p0, p1, t0, t1, i0, i1))
-
-    cluster.sim.run(until=plan.horizon_us, on_event=on_event)
-
-    frame = sampler.frame
-    return DomainResult(
-        shard_id=shard_id,
-        push_times=queue.pushes,
-        marks=marks,
-        submission_ranges=submission_ranges,
-        crash_ranges=crash_ranges,
-        fired=fired,
-        trace=list(recorder.events),
-        frame_names=frame.names,
-        frame_times=frame.times_us,
-        frame_values={name: frame.values(name) for name in frame.names},
-        pending_per_tick=sampler.pending_per_tick,
-        routed=router.routed,
-        completed=router.completed,
-        dropped=router.dropped,
-        takeover_downtime_us={
-            sid: report.downtime_us
-            for sid, report in cluster.takeovers.items()
-        },
-    )
-
-
-# -- the deterministic merge -------------------------------------------------
-
-
-class _MergeError(AssertionError):
-    pass
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise _MergeError(message)
-
-
-def _merge(plan: TimelinePlan, domains: List[DomainResult]) -> Outcome:
-    """Symbolically replay the global event loop from the domains'
-    recordings; see the module docstring for the argument."""
-    n = plan.num_shards
-    by_shard = {d.shard_id: d for d in domains}
-    domains = [by_shard[shard_id] for shard_id in range(n)]
-
-    # Phase ranges. marks[name] = cumulative (pushes, traces, ids).
-    def phase(d: DomainResult, name: str, prev: str) -> Tuple[int, ...]:
-        p0, t0, i0 = d.marks[prev] if prev else (0, 0, 0)
-        p1, t1, i1 = d.marks[name]
-        return p0, p1, t0, t1, i0, i1
-
-    # The shared tick stream: every domain pre-schedules the identical
-    # tick times; the global queue holds them once.
-    tick_slices = [phase(d, "attach", "router") for d in domains]
-    tick_times = domains[0].push_times[tick_slices[0][0]:tick_slices[0][1]]
-    ticks = len(tick_times)
-    fired_tick_times = [t for t in tick_times if t <= plan.horizon_us]
-    fired_ticks = len(fired_tick_times)
-    for d, s in zip(domains, tick_slices):
-        _require(
-            d.push_times[s[0]:s[1]] == tick_times,
-            "domains disagree on the sampler tick schedule",
-        )
-        _require(s[3] == s[2] and s[5] == s[4], "sampler attach emitted")
-        _require(d.frame_times == fired_tick_times, "domain missed a tick")
-        _require(
-            len(d.pending_per_tick) == fired_ticks, "pending recording gap"
-        )
-    for d in domains:
-        s = phase(d, "router", "setup")
-        _require(
-            s[1] == s[0] and s[3] == s[2] and s[5] == s[4],
-            "router construction emitted events",
-        )
-
-    # Causal-trace ids are renumbered in global allocation order; the
-    # per-domain maps translate each domain's local ids.
-    id_maps: List[Dict[int, int]] = [{} for _ in range(n)]
-    next_id = [0]
-
-    def consume_ids(d: int, i0: int, i1: int) -> None:
-        id_map = id_maps[d]
-        for local in range(i0 + 1, i1 + 1):
-            next_id[0] += 1
-            id_map[local] = next_id[0]
-
-    def remapped(d: int, lo: int, hi: int) -> List[TraceEvent]:
-        out = []
-        id_map = id_maps[d]
-        for event in domains[d].trace[lo:hi]:
-            attrs = event.attrs
-            if attrs and any(key in attrs for key in _ID_ATTRS):
-                new_attrs = dict(attrs)
-                for key in _ID_ATTRS:
-                    if key in new_attrs:
-                        new_attrs[key] = id_map[new_attrs[key]]
-                event = replace(event, attrs=new_attrs)
-            out.append(event)
-        return out
-
-    events: List[TraceEvent] = []
-
-    # Setup-phase trace: per-pair constructor slices in shard order.
-    # Each domain's constructor slice ends with the (identical)
-    # cluster-wide membership view — emitted once globally.
-    ctor_slices = [phase(d, "ctor", "") for d in domains]
-    membership_views = []
-    for d, s in zip(domains, ctor_slices):
-        _require(s[3] > s[2], "constructor recorded no trace events")
-        tail = d.trace[s[3] - 1]
-        _require(
-            tail.component == "membership" and tail.name == "view.change",
-            f"unexpected constructor tail event {tail.component}.{tail.name}",
-        )
-        membership_views.append(tail)
-    _require(
-        all(view == membership_views[0] for view in membership_views),
-        "domains disagree on the cluster-wide membership view",
-    )
-    for d in range(n):
-        s = ctor_slices[d]
-        consume_ids(d, s[4], s[5])
-        events.extend(remapped(d, s[2], s[3] - 1))
-    events.append(membership_views[0])
-    membership = _MembershipReplay(membership_views[0], n)
-    for d in range(n):
-        s = phase(domains[d], "setup", "ctor")
-        consume_ids(d, s[4], s[5])
-        events.extend(remapped(d, s[2], s[3]))
-
-    # The global push template, in the sequential run's push order:
-    # per-domain constructor+setup pushes (shard order), one tick
-    # stream, submissions in plan order, crashes in plan order. gseq
-    # reproduces the sequential queue's sequence numbers symbolically.
-    heap: List[Tuple[float, int, int, int, int]] = []
-    gseq = [0]
-
-    def template_push(time: float, kind: int, d: int, payload: int) -> None:
-        gseq[0] += 1
-        heapq.heappush(heap, (time, gseq[0], kind, d, payload))
-
-    # Sequential push order: every pair's constructor pushes (shard
-    # order), then every shard's setup pushes (shard order) — the two
-    # loops must not interleave per domain.
-    for phase_name, prev in (("ctor", ""), ("setup", "ctor")):
-        for d in range(n):
-            s = phase(domains[d], phase_name, prev)
-            for local in range(s[0], s[1]):
-                template_push(domains[d].push_times[local], _EVENT, d, local)
-    for j, time in enumerate(tick_times):
-        template_push(time, _TICK, -1, j)
-
-    submission_owner: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
-    crash_owner: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
-    for d in range(n):
-        for record in domains[d].submission_ranges:
-            submission_owner[record[0]] = (d, record[1:])
-        for record in domains[d].crash_ranges:
-            crash_owner[record[0]] = (d, record[1:])
-    _require(
-        sorted(submission_owner) == list(range(len(plan.submissions))),
-        "submissions not partitioned exactly across domains",
-    )
-    _require(
-        sorted(crash_owner) == list(range(len(plan.crashes))),
-        "crashes not partitioned exactly across domains",
-    )
-    for index in range(len(plan.submissions)):
-        d, (p0, p1, t0, t1, i0, i1) = submission_owner[index]
-        consume_ids(d, i0, i1)
-        events.extend(remapped(d, t0, t1))
-        for local in range(p0, p1):
-            template_push(domains[d].push_times[local], _EVENT, d, local)
-    for index in range(len(plan.crashes)):
-        d, (p0, p1, t0, t1, i0, i1) = crash_owner[index]
-        _require(t1 == t0 and i1 == i0, "crash scheduling emitted events")
-        for local in range(p0, p1):
-            template_push(domains[d].push_times[local], _EVENT, d, local)
-
-    # Index each domain's firings by local sequence number; the
-    # per-tick local sequences are the attach-phase push indices.
-    fired_by_seq: List[Dict[int, Tuple]] = [
-        {record[0]: record for record in d.fired} for d in domains
-    ]
-    tick_base = [s[0] for s in tick_slices]
-
-    # The probe set, in the sampler's registration order.
-    frame_names = domains[0].frame_names
-    _require(
-        all(d.frame_names == frame_names for d in domains),
-        "domains disagree on probe registration order",
-    )
-
-    def merged_sample(j: int, ts_us: float) -> Dict[str, float]:
-        # Each domain's queue holds its own copy of the not-yet-fired
-        # tick stream; the global queue holds one.
-        duplicated_ticks = (n - 1) * (ticks - 1 - j)
-        sample: Dict[str, float] = {}
-        for name in frame_names:
-            if name.endswith("wheel_occupancy"):
-                union = set()
-                for d in domains:
-                    union.update(d.pending_per_tick[j])
-                value = float(len(union))
-            else:
-                value = float(sum(d.frame_values[name][j] for d in domains))
-                if name.endswith("queue_depth"):
-                    value -= duplicated_ticks
-            sample[name] = value
-        return sample
-
-    frame = SeriesFrame()
-    horizon = plan.horizon_us
-    while heap:
-        time, _, kind, d, payload = heapq.heappop(heap)
-        if time > horizon:
-            break
-        if kind == _TICK:
-            j = payload
-            for dd in range(n):
-                record = fired_by_seq[dd].get(tick_base[dd] + j)
-                _require(record is not None, f"domain {dd} skipped tick {j}")
-                _require(
-                    record[2] == record[3] and record[6] == record[7],
-                    "a sampler tick scheduled work",
-                )
-                _require(
-                    record[5] - record[4] == 1
-                    and domains[dd].trace[record[4]].name == SAMPLE_EVENT,
-                    "a sampler tick emitted non-sample events",
-                )
-            sample = merged_sample(j, time)
-            events.append(TraceEvent(
-                ts_us=time, component="series", name=SAMPLE_EVENT,
-                attrs=sample,
-            ))
-            frame.append(time, sample)
-            continue
-        record = fired_by_seq[d].get(payload)
-        if record is None:
-            continue  # lazily cancelled; the sequential pop skips it too
-        _require(record[1] == time, "recorded firing time drifted")
-        consume_ids(d, record[6], record[7])
-        for event in remapped(d, record[4], record[5]):
-            if event.component == "membership" and event.name == "view.change":
-                event = membership.rewrite(d, event)
-            events.append(event)
-        for child in range(record[2], record[3]):
-            template_push(domains[d].push_times[child], _EVENT, d, child)
-
-    # Conservation: every domain trace event was spliced exactly once —
-    # minus the N-1 duplicated membership views and per-tick samples.
-    expected = sum(len(d.trace) for d in domains) - (n - 1) * (fired_ticks + 1)
-    _require(
-        len(events) == expected,
-        f"merged {len(events)} trace events, expected {expected}",
-    )
-
-    takeovers: Dict[int, float] = {}
-    for d in domains:
-        takeovers.update(d.takeover_downtime_us)
-    return Outcome(
-        events=events,
-        frame=frame,
-        routed=sum(d.routed for d in domains),
-        completed=sum(d.completed for d in domains),
-        dropped=sum(d.dropped for d in domains),
-        takeover_downtime_us=takeovers,
-    )
-
-
-# -- entry points ------------------------------------------------------------
-
-
-def execute_decomposed(plan: TimelinePlan, jobs: int = 1) -> Outcome:
-    """Run the per-shard decomposition and merge, ``jobs`` processes
-    wide (``jobs <= 1`` runs the domains inline — the path the
-    property suite drives, deterministic and pool-free)."""
-    results = run_tasks(
-        _run_domain,
-        [(plan, shard_id) for shard_id in range(plan.num_shards)],
-        jobs,
-    )
-    return _merge(plan, results)
-
-
-def execute(
-    plan: TimelinePlan, jobs: int = 1, observer: Optional[Observer] = None
-) -> Outcome:
-    """Execute the plan, parallel when asked *and* safe.
-
-    ``jobs <= 1``, a disabled fast path, or a plan whose boundary
-    interactions do not decompose all select the sequential reference
-    executor; outputs are byte-identical either way. The caller's
-    observer receives the merged trace in both modes (the sequential
-    executor records into it directly).
-    """
-    if observer is None:
-        observer = Observer()
-    if jobs <= 1 or not _fastpath.enabled() or not plan_supports_parallel(plan):
-        return _execute_sequential(plan, observer)
-    outcome = execute_decomposed(plan, jobs=jobs)
-    observer.recorder.events.extend(outcome.events)
-    return outcome

@@ -23,8 +23,7 @@ scattered 4-byte database writes expensive (~14 MB/s).
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
-from dataclasses import dataclass, field
+from collections import Counter
 from typing import Callable, Iterable, List, Optional, Tuple
 
 BLOCK_BYTES_DEFAULT = 32
@@ -42,19 +41,6 @@ except AttributeError:  # pragma: no cover - exercised on py3.9 CI
         return count
 
 
-@dataclass
-class _OpenBuffer:
-    """One in-flight write buffer covering a 32-byte-aligned block."""
-
-    block: int
-    written: int = 0  # bitmask over bytes in the block
-
-    def add(self, lo: int, hi: int) -> None:
-        """Mark bytes [lo, hi) within the block as written."""
-        span = (1 << (hi - lo)) - 1
-        self.written |= span << lo
-
-
 class WriteBufferModel:
     """Folds a store stream into Memory Channel packets.
 
@@ -63,177 +49,26 @@ class WriteBufferModel:
         block_bytes: buffer width (32 bytes).
         on_packet: optional callback invoked with each emitted packet
             size in bytes; used by the SAN layer to account link time.
-    """
 
-    def __init__(
-        self,
-        num_buffers: int = 6,
-        block_bytes: int = BLOCK_BYTES_DEFAULT,
-        on_packet: Optional[Callable[[int], None]] = None,
-    ):
-        if num_buffers < 1:
-            raise ValueError("need at least one write buffer")
-        if block_bytes < 1 or block_bytes & (block_bytes - 1):
-            raise ValueError("block size must be a positive power of two")
-        self.num_buffers = num_buffers
-        self.block_bytes = block_bytes
-        self.on_packet = on_packet
-        self._open: "OrderedDict[int, _OpenBuffer]" = OrderedDict()
-        self.packets_emitted = 0
-        self.bytes_emitted = 0
-        self._histogram: Counter = Counter()
-        self._full_mask = (1 << block_bytes) - 1
-
-    # -- store stream ---------------------------------------------------
-
-    def write(self, address: int, length: int) -> None:
-        """Record a store of ``length`` bytes at ``address``."""
-        if length <= 0:
-            return
-        block_bytes = self.block_bytes
-        end = address + length
-        while address < end:
-            block = address // block_bytes
-            lo = address - block * block_bytes
-            hi = min(end - block * block_bytes, block_bytes)
-            self._write_block(block, lo, hi)
-            address = (block + 1) * block_bytes
-
-    def _write_block(self, block: int, lo: int, hi: int) -> None:
-        buffer = self._open.get(block)
-        if buffer is None:
-            if len(self._open) >= self.num_buffers:
-                # FIFO displacement: drain the oldest open buffer.
-                _, oldest = self._open.popitem(last=False)
-                self._emit(oldest)
-            buffer = _OpenBuffer(block)
-            self._open[block] = buffer
-        buffer.written |= ((1 << (hi - lo)) - 1) << lo
-        if buffer.written == self._full_mask:
-            del self._open[block]
-            self._emit(buffer)
-
-    def write_batch(self, stores: Iterable[Tuple[int, int]]) -> None:
-        """Record a whole batch of (address, length) stores.
-
-        Semantically identical to calling :meth:`write` once per store
-        in order — same packets, same statistics — but with the block
-        loop inlined and every per-store attribute lookup hoisted out,
-        which is what makes the batched store pipeline cheap.
-        """
-        block_bytes = self.block_bytes
-        num_buffers = self.num_buffers
-        full_mask = self._full_mask
-        open_ = self._open
-        get = open_.get
-        for address, length in stores:
-            if length <= 0:
-                continue
-            end = address + length
-            while address < end:
-                block = address // block_bytes
-                base = block * block_bytes
-                lo = address - base
-                hi = end - base
-                if hi > block_bytes:
-                    hi = block_bytes
-                buffer = get(block)
-                if buffer is None:
-                    if len(open_) >= num_buffers:
-                        _, oldest = open_.popitem(last=False)
-                        self._emit(oldest)
-                    buffer = _OpenBuffer(block)
-                    open_[block] = buffer
-                buffer.written |= ((1 << (hi - lo)) - 1) << lo
-                if buffer.written == full_mask:
-                    del open_[block]
-                    self._emit(buffer)
-                address = base + block_bytes
-
-    def barrier(self) -> None:
-        """Flush all open buffers (a memory barrier / commit point)."""
-        open_ = self._open
-        while open_:
-            _, buffer = open_.popitem(last=False)
-            self._emit(buffer)
-
-    def _emit(self, buffer: _OpenBuffer) -> None:
-        size = _popcount(buffer.written)
-        if size == 0:
-            return
-        self.packets_emitted += 1
-        self.bytes_emitted += size
-        self._histogram[size] += 1
-        if self.on_packet is not None:
-            self.on_packet(size)
-
-    def account_replayed(self, sizes: Iterable[int], total_bytes: int) -> None:
-        """Credit packets produced by a replay-cache hit.
-
-        The fast path computed (or looked up) the packet sequence a
-        store schedule drains into without running :meth:`write`; this
-        folds those packets into the model's own statistics so its
-        counters stay byte-identical with the slow path. The caller is
-        responsible for the schedule having started *and* ended with no
-        open buffers (a barrier-terminated batch).
-        """
-        sizes = tuple(sizes)
-        self.packets_emitted += len(sizes)
-        self.bytes_emitted += total_bytes
-        self._histogram.update(sizes)
-        if self.on_packet is not None:
-            for size in sizes:
-                self.on_packet(size)
-
-    # -- inspection -----------------------------------------------------
-
-    @property
-    def open_buffers(self) -> int:
-        """How many write buffers currently hold undrained stores."""
-        return len(self._open)
-
-    @property
-    def histogram(self) -> dict:
-        """Mapping of packet size (bytes) -> count of packets emitted."""
-        return dict(self._histogram)
-
-    def mean_packet_bytes(self) -> float:
-        if not self.packets_emitted:
-            return 0.0
-        return self.bytes_emitted / self.packets_emitted
-
-    def reset(self) -> None:
-        """Drop open buffers and statistics."""
-        self._open.clear()
-        self.packets_emitted = 0
-        self.bytes_emitted = 0
-        self._histogram.clear()
-
-
-class VectorWriteBufferModel:
-    """Fast-path twin of :class:`WriteBufferModel`.
-
-    Byte-identical packet sequences and statistics on every store
-    schedule — the Hypothesis suite drives both models with random
-    schedules and asserts the emitted packet streams match — but the
-    bookkeeping is flat: open buffers are bare ``int`` bitmasks in a
-    plain insertion-ordered dict (no per-buffer object allocation, no
-    attribute chasing), and multi-block stores drain their interior
-    full blocks with run-length arithmetic instead of a per-block
-    Python loop. Contiguous streams (the Version 3 log discipline that
-    motivates the model) touch the dict at most twice per store — the
-    partial head and tail — no matter how many blocks they span.
-
-    Equivalence notes, mirrored in the fallbacks below:
+    The bookkeeping is flat: open buffers are bare ``int`` bitmasks in
+    a plain insertion-ordered dict (insertion order is the FIFO), and
+    multi-block stores drain their interior full blocks with
+    run-length arithmetic instead of a per-block loop. Contiguous
+    streams (the Version 3 log discipline that motivates the model)
+    touch the dict at most twice per store — the partial head and
+    tail — no matter how many blocks they span. The one-object-per-
+    buffer loop this replaced is ``tests/oracles/
+    writebuffer_reference.py``; ``tests/properties/
+    test_writebuffer_properties.py`` holds the two to the same packet
+    stream on random schedules. What keeps them equal:
 
     * A store is split into head/interior/tail per block in address
-      order, exactly the reference loop's order.
+      order, exactly the per-block loop's order.
     * The interior bulk path only fires when no interior block is
-      already open; then the reference would evict at most one oldest
+      already open; then the loop would evict at most one oldest
       buffer (for the first interior block, if at capacity) and emit
       one full packet per block — pure arithmetic here. Any overlap
-      falls back to the per-block path, which is the reference
-      algorithm on int masks.
+      takes the per-block path.
     * :meth:`write_batch` coalesces adjacent stores only when they
       meet on a block boundary, so the per-block sub-span sequence —
       and therefore every displacement and drain — is preserved
@@ -312,7 +147,8 @@ class VectorWriteBufferModel:
             self._store(last, 0, tail_hi)
 
     def _store(self, block: int, lo: int, hi: int) -> None:
-        """Reference `_write_block` on a bare bitmask."""
+        """Mark bytes [lo, hi) of ``block`` written, draining what
+        that fills or displaces."""
         open_ = self._open
         span = ((1 << (hi - lo)) - 1) << lo
         mask = open_.get(block)
@@ -379,8 +215,11 @@ class VectorWriteBufferModel:
             self.on_packet(size)
 
     def account_replayed(self, sizes: Iterable[int], total_bytes: int) -> None:
-        """Credit packets produced by a replay-cache hit (see
-        :meth:`WriteBufferModel.account_replayed`)."""
+        """Credit packets computed (or looked up) without running
+        :meth:`write` — a replay-cache hit, the arithmetic fragmented
+        lane — to the model's own statistics. The caller is responsible
+        for the schedule having started *and* ended with no open
+        buffers (a barrier-terminated batch)."""
         sizes = tuple(sizes)
         self.packets_emitted += len(sizes)
         self.bytes_emitted += total_bytes
@@ -414,23 +253,9 @@ class VectorWriteBufferModel:
         self._histogram.clear()
 
 
-def writebuffer_model(
-    num_buffers: int = 6,
-    block_bytes: int = BLOCK_BYTES_DEFAULT,
-    on_packet: Optional[Callable[[int], None]] = None,
-):
-    """The write-buffer model for a new interface.
-
-    Selects the flat-bookkeeping :class:`VectorWriteBufferModel` under
-    the fast path and the reference :class:`WriteBufferModel` under
-    ``REPRO_FASTPATH=0`` / ``--no-fastpath`` — same packet stream
-    either way, per the fastpath byte-identity discipline.
-    """
-    import repro.fastpath
-
-    if repro.fastpath.enabled():
-        return VectorWriteBufferModel(num_buffers, block_bytes, on_packet)
-    return WriteBufferModel(num_buffers, block_bytes, on_packet)
+#: The name the frozen ledger probes construct models through
+#: (``benchmarks/ledger/probes.py``); nothing under ``src/`` calls it.
+writebuffer_model = WriteBufferModel
 
 
 def packets_for_stores(

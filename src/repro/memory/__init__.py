@@ -15,21 +15,13 @@
   addresses.
 """
 
-from repro.memory.region import (
-    MemoryRegion,
-    NumpyMemoryRegion,
-    WriteCategory,
-    WriteEvent,
-    memory_region,
-)
+from repro.memory.region import MemoryRegion, WriteCategory, WriteEvent
 from repro.memory.rio import RioMemory
 from repro.memory.allocator import ArrayAllocator, BumpAllocator, HeapAllocator
 from repro.memory.mapping import AddressSpace
 
 __all__ = [
     "MemoryRegion",
-    "NumpyMemoryRegion",
-    "memory_region",
     "WriteCategory",
     "WriteEvent",
     "RioMemory",

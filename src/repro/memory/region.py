@@ -10,13 +10,13 @@ observer that forwards each write into Memory Channel I/O space.
 Every write carries a :class:`WriteCategory` so the traffic tables
 (Tables 2, 5 and 7) can be measured rather than estimated.
 
-Two backings exist behind the :func:`memory_region` factory:
-:class:`MemoryRegion` stores a plain ``bytearray`` (the reference),
-and :class:`NumpyMemoryRegion` stores a numpy ``uint8`` array so
-``fill``/``copy_within``/``copy_from`` run as vectorized slice
-operations — same bounds checks, same observer notifications, same
-statistics, per the fastpath byte-identity discipline
-(``REPRO_FASTPATH=0`` / ``--no-fastpath`` keeps the reference live).
+The backing store is a ``memoryview`` over a numpy-allocated buffer:
+numpy is the allocator (``calloc`` leaves untouched pages unmapped,
+where a ``bytearray``'s memset touches every one) and ``fill``'s
+memset, nothing more; every bulk move is a memoryview slice
+assignment — a C ``memmove``. The read-then-write ``copy_from``,
+page-loop ``fill`` and ``bytearray`` backing this replaced live on as
+``tests/oracles/region_reference.py``.
 """
 
 from __future__ import annotations
@@ -74,11 +74,6 @@ Observer = Callable[[WriteEvent], None]
 FastObserver = Callable[[int, int, WriteCategory], None]
 
 
-#: Shared fill source: one reused zero page instead of a
-#: size-of-region temporary per :meth:`MemoryRegion.fill` call.
-_FILL_PAGE_BYTES = 1 << 16
-_ZERO_PAGE = bytes(_FILL_PAGE_BYTES)
-
 #: The machine word of every in-region structure (allocator fields,
 #: list links, control words, ring pointers): little-endian, 8 bytes.
 _U64 = struct.Struct("<Q")
@@ -109,7 +104,7 @@ class MemoryRegion:
         self.name = name
         self.size = size
         self.base = base
-        self.data = self._allocate(size)
+        self.data = memoryview(_np.zeros(size, dtype=_np.uint8))
         self._observers: List[Observer] = []
         self._fast_observers: List[FastObserver] = []
         self._protected = False
@@ -117,13 +112,6 @@ class MemoryRegion:
         self._window: Optional[tuple] = None
         self.writes_observed = 0
         self.bytes_written = 0
-
-    def _allocate(self, size: int):
-        """Allocate the backing store. Subclasses override to swap the
-        buffer implementation; the returned object must support
-        ``len``, slice reads, slice assignment from bytes-likes, and
-        the buffer protocol (``memoryview``)."""
-        return bytearray(size)
 
     # -- observation ----------------------------------------------------
 
@@ -275,6 +263,7 @@ class MemoryRegion:
         non-empty part; anything else *is* the per-part loop, so every
         observer sees store *k* after exactly the bytes before it and
         every error surfaces at its own store."""
+        parts = tuple(parts)  # read twice below; may be a one-shot iterator
         if not (
             self._crashed
             or self._protected
@@ -311,33 +300,9 @@ class MemoryRegion:
         length: int,
         category: WriteCategory = WriteCategory.UNDO,
     ) -> None:
-        """bcopy inside the region (observers see the destination write).
-
-        Moves the bytes through one ``memoryview`` slice assignment
-        (bytearray slice assignment copies when source and destination
-        share a buffer, so overlap is safe) instead of the seed's
-        read-then-write pair, which materialized an intermediate
-        ``bytes``. Observers and statistics see exactly what a
-        ``write(dst_offset, ...)`` of the same bytes would have shown.
-        """
-        self._check_bounds(src_offset, length)
-        if length == 0:
-            return
-        self._check_bounds(dst_offset, length)
-        self._check_protection(dst_offset, length)
-        data = self.data
-        data[dst_offset : dst_offset + length] = memoryview(data)[
-            src_offset : src_offset + length
-        ]
-        self.writes_observed += 1
-        self.bytes_written += length
-        if self._fast_observers:
-            for fast_observer in self._fast_observers:
-                fast_observer(dst_offset, length, category)
-        if self._observers:
-            event = WriteEvent(self, dst_offset, length, category)
-            for observer in self._observers:
-                observer(event)
+        """bcopy inside the region (observers see the destination
+        write); the ranges may overlap."""
+        self.copy_from(self, src_offset, dst_offset, length, category)
 
     def copy_from(
         self,
@@ -350,16 +315,30 @@ class MemoryRegion:
         """bcopy from another region (observers see the destination
         write).
 
-        The reference implementation is the semantics-defining
-        read-then-write pair the engines used before this method
-        existed — same checks, same observer notifications, same
-        statistics, one intermediate ``bytes``.
-        :class:`NumpyMemoryRegion` overrides it with a vectorized
-        zero-copy slice assignment (that removal of the intermediate
-        copy on the mirror-update hot path is the point of the
-        override). ``src is self`` is allowed and overlap-safe.
+        Exactly ``self.write(dst_offset, src.read(src_offset, length),
+        category)`` — same checks in the same order, same observer
+        notifications, same statistics — with the bytes moved by one
+        memoryview slice assignment (``memmove``: ``src is self`` with
+        overlapping ranges is safe) instead of through an intermediate
+        ``bytes``.
         """
-        self.write(dst_offset, src.read(src_offset, length), category)
+        src._check_bounds(src_offset, length)
+        if length == 0:
+            return
+        self._check_bounds(dst_offset, length)
+        self._check_protection(dst_offset, length)
+        self.data[dst_offset : dst_offset + length] = src.data[
+            src_offset : src_offset + length
+        ]
+        self.writes_observed += 1
+        self.bytes_written += length
+        if self._fast_observers:
+            for fast_observer in self._fast_observers:
+                fast_observer(dst_offset, length, category)
+        if self._observers:
+            event = WriteEvent(self, dst_offset, length, category)
+            for observer in self._observers:
+                observer(event)
 
     def poke(self, offset: int, data: bytes) -> None:
         """Setup-phase write: stores ``data`` without notifying
@@ -374,25 +353,11 @@ class MemoryRegion:
         """Set every byte to ``value`` without notifying observers.
 
         Used for initialization, which the paper does not count as
-        replication traffic. Copies from a fixed-size fill page instead
-        of materializing a size-of-region temporary (the seed built
-        ``bytes([value]) * size`` — a second full-region allocation —
-        on every call).
+        replication traffic.
         """
         if not 0 <= value <= 255:
             raise ValueError(f"fill value {value} is not a byte")
-        size = self.size
-        if value == 0:
-            page = _ZERO_PAGE
-        else:
-            page = bytes((value,)) * min(size, _FILL_PAGE_BYTES)
-        data = self.data
-        step = len(page)
-        whole = size - size % step
-        for start in range(0, whole, step):
-            data[start : start + step] = page
-        if whole < size:
-            data[whole:size] = page[: size - whole]
+        _np.frombuffer(self.data, dtype=_np.uint8).fill(value)
 
     def snapshot(self) -> bytes:
         """An immutable copy of the entire region's contents."""
@@ -417,109 +382,6 @@ class MemoryRegion:
         )
 
 
-class NumpyMemoryRegion(MemoryRegion):
-    """A region backed by a numpy ``uint8`` array.
-
-    The inherited byte-at-a-time interface (``write``/``read``/
-    ``view``/``poke``/``snapshot``) works unchanged through the buffer
-    protocol: ``self.data`` is a writable ``memoryview`` of the array,
-    so every inherited slice operation is already a straight memcpy.
-    What the subclass overrides are the bulk operations where numpy's
-    vectorized slice kernels beat the bytearray reference —
-    :meth:`fill`, :meth:`copy_within` and :meth:`copy_from` — with
-    check order, observer notifications and statistics identical to
-    the reference byte for byte (the equivalence property suite and
-    the engine-level fastpath tests both drive the two backings
-    against each other).
-    """
-
-    __slots__ = ("_array",)
-
-    def _allocate(self, size: int):
-        self._array = _np.zeros(size, dtype=_np.uint8)
-        return memoryview(self._array)
-
-    def fill(self, value: int = 0) -> None:
-        if not 0 <= value <= 255:
-            raise ValueError(f"fill value {value} is not a byte")
-        self._array[:] = value
-
-    def copy_within(
-        self,
-        src_offset: int,
-        dst_offset: int,
-        length: int,
-        category: WriteCategory = WriteCategory.UNDO,
-    ) -> None:
-        self._check_bounds(src_offset, length)
-        if length == 0:
-            return
-        self._check_bounds(dst_offset, length)
-        self._check_protection(dst_offset, length)
-        array = self._array
-        source = array[src_offset : src_offset + length]
-        if abs(dst_offset - src_offset) < length:
-            # numpy's overlap handling buffers element-wise and is
-            # slower than the bytearray reference; one explicit
-            # contiguous copy keeps the vectorized assignment.
-            source = source.copy()
-        array[dst_offset : dst_offset + length] = source
-        self.writes_observed += 1
-        self.bytes_written += length
-        if self._fast_observers:
-            for fast_observer in self._fast_observers:
-                fast_observer(dst_offset, length, category)
-        if self._observers:
-            event = WriteEvent(self, dst_offset, length, category)
-            for observer in self._observers:
-                observer(event)
-
-    def copy_from(
-        self,
-        src: MemoryRegion,
-        src_offset: int,
-        dst_offset: int,
-        length: int,
-        category: WriteCategory = WriteCategory.UNDO,
-    ) -> None:
-        src_array = getattr(src, "_array", None)
-        if src_array is None:
-            # Mixed backings (reference source): the base slice
-            # assignment already moves the bytes without a temporary.
-            super().copy_from(src, src_offset, dst_offset, length, category)
-            return
-        src._check_bounds(src_offset, length)
-        if length == 0:
-            return
-        self._check_bounds(dst_offset, length)
-        self._check_protection(dst_offset, length)
-        source = src_array[src_offset : src_offset + length]
-        if src is self and abs(dst_offset - src_offset) < length:
-            source = source.copy()
-        self._array[dst_offset : dst_offset + length] = source
-        self.writes_observed += 1
-        self.bytes_written += length
-        if self._fast_observers:
-            for fast_observer in self._fast_observers:
-                fast_observer(dst_offset, length, category)
-        if self._observers:
-            event = WriteEvent(self, dst_offset, length, category)
-            for observer in self._observers:
-                observer(event)
-
-
-def memory_region(name: str, size: int, base: int = 0) -> MemoryRegion:
-    """A memory region for a new node or channel endpoint.
-
-    Selects the numpy-backed :class:`NumpyMemoryRegion` under the fast
-    path and the reference bytearray :class:`MemoryRegion` under
-    ``REPRO_FASTPATH=0`` / ``--no-fastpath`` — same contents, same
-    observer event stream, same statistics either way, per the
-    fastpath byte-identity discipline. Mirrors
-    :func:`repro.hardware.writebuffer.writebuffer_model`.
-    """
-    import repro.fastpath
-
-    if repro.fastpath.enabled():
-        return NumpyMemoryRegion(name, size, base)
-    return MemoryRegion(name, size, base)
+#: The name the frozen ledger probes construct regions through
+#: (``benchmarks/ledger/probes.py``); nothing under ``src/`` calls it.
+memory_region = MemoryRegion

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, Optional
 
 from repro.errors import CrashedError
-from repro.memory.region import MemoryRegion, memory_region
+from repro.memory.region import MemoryRegion
 
 
 class RioMemory:
@@ -41,7 +41,7 @@ class RioMemory:
             raise ValueError(
                 f"region {name!r} already exists in Rio of {self.node_name!r}"
             )
-        region = memory_region(f"{self.node_name}/{name}", size, base)
+        region = MemoryRegion(f"{self.node_name}/{name}", size, base)
         if self.protect_regions:
             region.protect()
         self._regions[name] = region

@@ -18,8 +18,8 @@ first appearance, making the comparison purely structural. Then:
   column by column.
 
 A run diffed against itself reports zero divergences — the property
-suite holds that across seeds, job counts and fastpath settings, which
-is what makes a non-empty diff in CI evidence of a real change.
+suite holds that across seeds and job counts, which is what makes a
+non-empty diff in CI evidence of a real change.
 
 Usage::
 

@@ -9,7 +9,7 @@ O(log keys) hashes plus the few differing leaves.
 
 At a differing leaf the comparator drops to bytes: both replicas'
 leaf buffers (fixed 20-byte digest cells per key) are diffed with
-:func:`repro.fastpath.kernels.diff_runs_dispatch` — the same big-int
+:func:`repro.fastpath.kernels.diff_runs_fast` — the same big-int
 XOR kernel the Version 2 mirror refresh uses — and the word-aligned
 runs of difference map back to exactly the divergent key indexes.
 :func:`anti_entropy_sync` then exchanges those keys' sibling sets in
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from repro.errors import ConfigurationError
-from repro.fastpath.kernels import diff_runs_dispatch
+from repro.fastpath.kernels import diff_runs_fast
 from repro.quorum.store import DIGEST_BYTES, ReplicaStore
 
 #: Default keys per Merkle leaf.
@@ -142,7 +142,7 @@ def differing_keys(
         buffer_a = digests_a[start:stop]
         buffer_b = digests_b[start:stop]
         touched = set()
-        for offset, length in diff_runs_dispatch(buffer_a, buffer_b):
+        for offset, length in diff_runs_fast(buffer_a, buffer_b):
             first = offset // DIGEST_BYTES
             last = (offset + length - 1) // DIGEST_BYTES
             touched.update(range(first, last + 1))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.memory.region import memory_region
+from repro.memory.region import MemoryRegion
 from repro.quorum.versions import VersionVector, merge_all
 
 #: Fixed width of one key's digest cell in a Merkle leaf buffer.
@@ -118,7 +118,7 @@ class ReplicaStore:
         # A key's sha1 is thus computed once per modification instead
         # of once per Merkle tree build, and the Merkle machinery
         # reads the cells through a single zero-copy view per pass.
-        self._digests = memory_region(
+        self._digests = MemoryRegion(
             "quorum/digests", num_keys * DIGEST_BYTES
         )
         self._dirty: set = set()

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
-from repro import fastpath as _fastpath
 from repro.memory.region import MemoryRegion
 from repro.memory.rio import RioMemory
 from repro.san.memory_channel import MemoryChannelInterface, TransmitMapping
@@ -50,12 +49,11 @@ class ReplicaBinding:
 
     def _forward(self, offset: int, length: int, category) -> None:
         mapping = self.mapping
-        if not self.fragmented and _fastpath.enabled():
-            # Fast lane: the local write that triggered this callback
-            # was bounds-checked against a region the same size as the
+        if not self.fragmented:
+            # The local write that triggered this callback was
+            # bounds-checked against a region the same size as the
             # window, so skip re-validation and the per-store call
-            # chain (mapping.write -> _transmit). Accounting and data
-            # movement are identical.
+            # chain (mapping.write -> _transmit).
             mapping.interface._transmit_trusted(
                 mapping,
                 offset,
@@ -63,11 +61,9 @@ class ReplicaBinding:
                 category,
             )
         else:
-            data = self.local.read(offset, length)
-            if self.fragmented:
-                mapping.write_uncoalesced(offset, data, category)
-            else:
-                mapping.write(offset, data, category)
+            mapping.write_uncoalesced(
+                offset, self.local.read(offset, length), category
+            )
         self.forwarded_writes += 1
 
     def detach(self) -> None:

@@ -24,11 +24,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro import fastpath as _fastpath
 from repro.errors import CrashedError, NotMappedError
 from repro.fastpath.replay import GLOBAL_REPLAY_CACHE
 from repro.hardware.specs import SanSpec, MEMORY_CHANNEL_II
-from repro.hardware.writebuffer import writebuffer_model
+from repro.hardware.writebuffer import WriteBufferModel
 from repro.memory.region import MemoryRegion, WriteCategory
 from repro.obs.observer import resolve_observer
 from repro.san.packets import PacketTrace
@@ -157,7 +156,7 @@ class MemoryChannelInterface:
         self.san = san
         self._trace = PacketTrace()
         self.observer = resolve_observer(observer)
-        self.write_buffer = writebuffer_model(
+        self.write_buffer = WriteBufferModel(
             num_buffers=write_buffers,
             block_bytes=write_buffer_bytes,
             on_packet=self._trace.record,
@@ -168,11 +167,13 @@ class MemoryChannelInterface:
         self.io_stores = 0  # number of I/O-space store instructions issued
         self.bytes_sent = 0
         self.bytes_by_category: Dict[WriteCategory, int] = {}
-        # Fast path: stores whose write-buffer simulation is deferred
-        # to the next barrier / statistics read (same order, same
-        # packets). _pending_start_empty remembers whether the buffers
-        # were drained when the batch began, which is what makes the
-        # batch replay-cacheable as a pure function.
+        # Stores whose write-buffer simulation is deferred to the next
+        # ordering point — barrier, statistics read, crash — or the
+        # pending limit (same order, same packets; data movement and
+        # byte accounting are never deferred). _pending_start_empty
+        # remembers whether the buffers were drained when the batch
+        # began, which is what makes the batch replay-cacheable as a
+        # pure function.
         self._pending: List[Tuple[int, int]] = []
         self._pending_start_empty = False
         # The observer's four counters and the totals they last saw
@@ -206,7 +207,8 @@ class MemoryChannelInterface:
     @property
     def trace(self) -> PacketTrace:
         """The packet trace; reading it settles any deferred stores so
-        the histogram is exactly what the slow path would show."""
+        the histogram is exactly what simulating each store as it was
+        issued would show."""
         self._flush_pending()
         if self.observer.enabled:
             self._fold_metrics()
@@ -248,45 +250,18 @@ class MemoryChannelInterface:
         data: bytes,
         category: WriteCategory,
     ) -> None:
+        """Validate one store — interface up, window installed, store
+        inside it — and issue it (:meth:`_transmit_trusted`)."""
         self._check_alive()
         if mapping not in self._mappings:
             raise NotMappedError(f"mapping {mapping.name!r} is not installed")
         length = len(data)
-        if length == 0:
-            return
-        if offset < 0 or offset + length > mapping.size:
+        if length and (offset < 0 or offset + length > mapping.size):
             raise NotMappedError(
                 f"I/O-space write [{offset}, {offset + length}) outside "
                 f"window {mapping.name!r} of size {mapping.size}"
             )
-        # Packet formation: the store stream enters the CPU write
-        # buffers at its I/O-space address; coalescing across *distinct
-        # mappings* is still per 32-byte block, which the disjoint
-        # io_base values prevent from ever merging.
-        self.io_stores += 1
-        if _fastpath.enabled():
-            # Batched store pipeline: defer the write-buffer simulation
-            # to the next barrier (or statistics read). Data movement
-            # and byte accounting stay inline; only the packet-formation
-            # loop moves out of the per-store path.
-            pending = self._pending
-            if not pending:
-                self._pending_start_empty = not self.write_buffer.open_buffers
-            pending.append((mapping.io_base + offset, length))
-            if len(pending) >= _PENDING_LIMIT:
-                self._flush_pending()
-        else:
-            self.write_buffer.write(mapping.io_base + offset, length)
-        # DMA into the remote physical memory (remote CPU uninvolved).
-        mapping.remote.write(offset, data, category)
-        mapping.bytes_sent += length
-        mapping.bytes_by_category[category] = (
-            mapping.bytes_by_category.get(category, 0) + length
-        )
-        self.bytes_sent += length
-        self.bytes_by_category[category] = (
-            self.bytes_by_category.get(category, 0) + length
-        )
+        self._transmit_trusted(mapping, offset, data, category)
 
     def _transmit_trusted(
         self,
@@ -295,12 +270,17 @@ class MemoryChannelInterface:
         data,
         category: WriteCategory,
     ) -> None:
-        """Fast-lane transmit for pre-validated senders (the write
-        doubling bindings): the mapping is known installed and the
-        store known in-bounds, because it mirrors a local write that
-        was just bounds-checked against the same-size twin. Identical
-        accounting and data movement to :meth:`_transmit`; only the
-        re-validation and the per-store call chain are skipped.
+        """Issue one validated store: the mapping is known installed
+        and the store known in-bounds — :meth:`_transmit` just checked,
+        or the sender is a write-doubling binding mirroring a local
+        write that was bounds-checked against the same-size twin.
+
+        Packet formation is deferred to the next ordering point: the
+        store enters the CPU write buffers at its I/O-space address;
+        coalescing across *distinct mappings* is still per 32-byte
+        block, which the disjoint io_base values prevent from ever
+        merging. The DMA into the remote physical memory (remote CPU
+        uninvolved) and the byte accounting happen here.
         """
         if self._crashed:
             self._check_alive()
@@ -343,6 +323,7 @@ class MemoryChannelInterface:
         its own store — stores that meet mid-block cannot be merged
         without changing the packets. Anything else is the per-part
         loop, which raises at the store that earns it."""
+        parts = tuple(parts)  # read twice below; may be a one-shot iterator
         run = b"".join([data for data, _ in parts])
         total = len(run)
         remote = mapping.remote
@@ -360,7 +341,6 @@ class MemoryChannelInterface:
                 self._transmit(mapping, offset, data, category)
                 offset += len(data)
             return
-        deferred = _fastpath.enabled()  # _transmit's choice, made per run
         buffer = self.write_buffer
         pending = self._pending
         address = mapping.io_base + offset
@@ -372,15 +352,12 @@ class MemoryChannelInterface:
                 continue
             stores += 1
             sent[category] = sent.get(category, 0) + length
-            if deferred:
-                if not pending:
-                    self._pending_start_empty = not buffer.open_buffers
-                pending.append((address, length))
-                if len(pending) >= _PENDING_LIMIT:
-                    self._flush_pending()
-                    pending = self._pending
-            else:
-                buffer.write(address, length)
+            if not pending:
+                self._pending_start_empty = not buffer.open_buffers
+            pending.append((address, length))
+            if len(pending) >= _PENDING_LIMIT:
+                self._flush_pending()
+                pending = self._pending
             address += length
         remote.data[offset : offset + total] = run
         remote.writes_observed += stores

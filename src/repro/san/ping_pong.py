@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.hardware.specs import SanSpec, MEMORY_CHANNEL_II
-from repro.memory.region import memory_region
+from repro.memory.region import MemoryRegion
 from repro.san.memory_channel import MemoryChannelInterface
 
 _WORD = 4  # the Alpha issues 4-byte stores in the paper's test program
@@ -49,7 +49,7 @@ def measure_effective_bandwidth(
     if packet_bytes % _WORD:
         raise ValueError("packet size must be a multiple of the 4-byte word")
 
-    remote = memory_region("pingpong-remote", region_bytes)
+    remote = MemoryRegion("pingpong-remote", region_bytes)
     interface = MemoryChannelInterface("pingpong-sender", san)
     mapping = interface.map_remote(remote)
 

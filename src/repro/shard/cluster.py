@@ -46,17 +46,6 @@ class ShardedCluster:
         heartbeat_interval_us / heartbeat_timeout_us /
         restore_bytes_per_us: per-pair failure-detection and takeover
             parameters, shared by all pairs.
-        active_shards: which shards actually instantiate their pair.
-            Defaults to all of them. The parallel per-shard executor
-            (:mod:`repro.fastpath.shardpar`) builds one cluster per
-            shard with ``active_shards={k}``: the dormant entries keep
-            their shard-map rows and their membership seats — so the
-            shard map, routing epochs and the cluster-wide view are
-            byte-identical with the full cluster — but allocate no
-            engines, links or heartbeat chains.
-        queue: event-queue override for the shared simulator (the
-            parallel executor injects a recording wrapper); defaults
-            to the shared-shape queue.
     """
 
     def __init__(
@@ -69,32 +58,18 @@ class ShardedCluster:
         heartbeat_timeout_us: float = 5_000.0,
         restore_bytes_per_us: float = 300.0,
         observer=None,
-        active_shards=None,
-        queue=None,
     ):
         if num_shards < 1:
             raise ConfigurationError("need at least one shard")
         self.num_shards = num_shards
-        if active_shards is None:
-            self.active_shards = frozenset(range(num_shards))
-        else:
-            self.active_shards = frozenset(active_shards)
-            if not self.active_shards:
-                raise ConfigurationError("need at least one active shard")
-            if not self.active_shards <= set(range(num_shards)):
-                raise ConfigurationError(
-                    f"active shards {sorted(self.active_shards)} not all in "
-                    f"cluster of {num_shards}"
-                )
         self.observer = resolve_observer(observer)
         # Heartbeat chains across 2N nodes collide on exact
         # timestamps constantly: the shared-shape (wheel) queue.
         self.sim = Simulator(
-            observer=self.observer,
-            queue=default_event_queue(SHAPE_SHARED) if queue is None else queue,
+            observer=self.observer, queue=default_event_queue(SHAPE_SHARED)
         )
         self.shard_map = ShardMap()
-        self.pairs: List[Optional[ReplicatedCluster]] = []
+        self.pairs: List[ReplicatedCluster] = []
         #: Per-shard scoped views of the observer ("shard.N.…" names).
         self.shard_observers = [
             self.observer.scoped(f"shard.{shard_id}")
@@ -104,29 +79,25 @@ class ShardedCluster:
         for shard_id in range(num_shards):
             primary = f"shard{shard_id}/primary"
             backup = f"shard{shard_id}/backup"
-            if shard_id in self.active_shards:
-                pair = ReplicatedCluster(
-                    mode=mode,
-                    version=version,
-                    config=config,
-                    heartbeat_interval_us=heartbeat_interval_us,
-                    heartbeat_timeout_us=heartbeat_timeout_us,
-                    restore_bytes_per_us=restore_bytes_per_us,
-                    sim=self.sim,
-                    primary_name=primary,
-                    backup_name=backup,
-                    on_failover=functools.partial(
-                        self._pair_failed_over, shard_id
-                    ),
-                    observer=self.shard_observers[shard_id],
-                )
-            else:
-                pair = None
-            self.pairs.append(pair)
+            self.pairs.append(ReplicatedCluster(
+                mode=mode,
+                version=version,
+                config=config,
+                heartbeat_interval_us=heartbeat_interval_us,
+                heartbeat_timeout_us=heartbeat_timeout_us,
+                restore_bytes_per_us=restore_bytes_per_us,
+                sim=self.sim,
+                primary_name=primary,
+                backup_name=backup,
+                on_failover=functools.partial(
+                    self._pair_failed_over, shard_id
+                ),
+                observer=self.shard_observers[shard_id],
+            ))
             self.shard_map.add_shard(primary, backup)
             node_names.extend((primary, backup))
         #: The resolved per-shard engine config (identical across pairs).
-        self.config = next(p for p in self.pairs if p is not None).config
+        self.config = self.pairs[0].config
         #: Cluster-wide view of every node; the most senior surviving
         #: node is the (purely administrative) cluster coordinator.
         self.membership = Membership(
@@ -144,8 +115,6 @@ class ShardedCluster:
                 f"cluster has {self.num_shards}"
             )
         for shard_id, pair in enumerate(self.pairs):
-            if pair is None:
-                continue
             workload.shards[shard_id].setup(pair.system)
             pair.system.sync_initial()
 
@@ -205,12 +174,9 @@ class ShardedCluster:
 
         The router calls this after the first served commit following a
         failover, to causally link its ``recovery.resume`` instant back
-        to the recovery span. Direct list access: dormant shards (the
-        parallel executor's inactive entries) simply have no link.
+        to the recovery span.
         """
         pair = self.pairs[shard_id]
-        if pair is None:
-            return None
         link, pair.last_recovery_link = pair.last_recovery_link, None
         return link
 
@@ -225,7 +191,7 @@ class ShardedCluster:
         return {
             shard_id: pair.takeover
             for shard_id, pair in enumerate(self.pairs)
-            if pair is not None and pair.takeover is not None
+            if pair.takeover is not None
         }
 
     def _pair(self, shard_id: int) -> ReplicatedCluster:
@@ -233,18 +199,10 @@ class ShardedCluster:
             raise ConfigurationError(
                 f"shard {shard_id} not in cluster of {self.num_shards}"
             )
-        pair = self.pairs[shard_id]
-        if pair is None:
-            raise ConfigurationError(
-                f"shard {shard_id} is dormant in this domain "
-                f"(active: {sorted(self.active_shards)})"
-            )
-        return pair
+        return self.pairs[shard_id]
 
     def __repr__(self) -> str:
-        failed = sum(
-            1 for p in self.pairs if p is not None and p.takeover is not None
-        )
+        failed = sum(1 for p in self.pairs if p.takeover is not None)
         return (
             f"ShardedCluster({self.num_shards} shards, "
             f"{failed} failed over, map epoch {self.shard_map.epoch})"

@@ -13,11 +13,8 @@ shared simulator instead of an error at the client:
   its latency is far below the simulator's microsecond event scale).
   The refresh is per-entry on purpose: fetching the whole map would
   couple unrelated shards (one shard's redirect silently refreshing
-  another's stale entry), which would make multi-crash schedules
-  non-decomposable for the per-shard parallel executor
-  (:mod:`repro.fastpath.shardpar`). With a single entry refreshed,
-  each shard's redirect behaviour depends only on its own epoch
-  history — exactly what each decomposed domain reproduces.
+  another's stale entry). With a single entry refreshed, each shard's
+  redirect behaviour depends only on its own epoch history.
 * **Shard mid-failover** — the new primary is still restoring
   (:class:`~repro.errors.ShardUnavailableError`). The router *retries*
   with exponential backoff until the shard returns or the attempt

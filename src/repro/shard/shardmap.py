@@ -125,11 +125,9 @@ class ShardMapSnapshot:
         (and the snapshot-level ``epoch``, which is bookkeeping for
         ``__repr__``/diagnostics, never consulted for routing) keeps
         whatever the router last saw. That keeps each shard's routing
-        state a function of *that shard's* view-change history alone,
-        which is what lets the per-shard domain decomposition
-        (:mod:`repro.fastpath.shardpar`) replay multi-crash schedules:
-        shard A failing over can no longer silently refresh the
-        router's entry for shard B.
+        state a function of *that shard's* view-change history alone:
+        shard A failing over cannot silently refresh the router's
+        entry for shard B.
         """
         if entry.shard_id < 0 or entry.shard_id >= len(self.entries):
             raise ConfigurationError(

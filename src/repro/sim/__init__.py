@@ -3,8 +3,8 @@
 The kernel provides a virtual clock measured in microseconds (the
 natural unit for the paper's hardware: Memory Channel latency is
 3.3 us, transactions take 2-20 us), an event queue with stable
-ordering, a process abstraction built on generators, and seeded
-random-number helpers so every simulation is reproducible.
+ordering, and seeded random-number helpers so every simulation is
+reproducible.
 """
 
 from repro.sim.clock import VirtualClock
@@ -17,7 +17,6 @@ from repro.sim.events import (
     default_event_queue,
 )
 from repro.sim.engine import Simulator
-from repro.sim.process import Process, sleep, wait_for
 from repro.sim.rng import SeedSequence, make_rng
 
 __all__ = [
@@ -29,9 +28,6 @@ __all__ = [
     "SHAPE_SHARED",
     "default_event_queue",
     "Simulator",
-    "Process",
-    "sleep",
-    "wait_for",
     "SeedSequence",
     "make_rng",
 ]

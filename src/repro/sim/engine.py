@@ -1,8 +1,7 @@
 """The discrete-event simulator.
 
 A :class:`Simulator` owns the virtual clock and the event queue and
-runs events in timestamp order. Generator-based processes
-(:mod:`repro.sim.process`) are layered on top of this engine.
+runs events in timestamp order.
 """
 
 from __future__ import annotations
@@ -24,10 +23,10 @@ class Simulator:
     depth it left (``sim.queue_depth``) — ``run`` is the same loop
     observed or not; only ``step`` reports per event.
 
-    The event queue defaults to the bucketed wheel when the fast path
-    is on and the reference heap under ``REPRO_FASTPATH=0``; both pop
-    in identical (time, seq) order. Pass ``queue`` to pin either
-    implementation explicitly.
+    The event queue defaults to the heap
+    (:func:`~repro.sim.events.default_event_queue` for an irregular
+    schedule); owners of heartbeat populations pass the wheel as
+    ``queue``. Both pop in identical (time, seq) order.
 
     Example:
         >>> sim = Simulator()

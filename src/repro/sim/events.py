@@ -6,11 +6,11 @@ timestamp.
 
 Two queue implementations provide the same discipline:
 
-* :class:`EventQueue` — the reference: a binary heap of
+* :class:`EventQueue` — a binary heap of
   ``(time, seq, event)`` tuples. Because ``(time, seq)`` is unique,
   every heap comparison resolves at C level on the first two tuple
   slots and the :class:`Event` payload is never compared.
-* :class:`BucketedEventQueue` — the fast-path front-end: a hash wheel
+* :class:`BucketedEventQueue` — a hash wheel
   of exact-time buckets (``dict`` keyed by firing time, FIFO deque per
   bucket) over a heap that holds one bare ``float`` per *distinct*
   pending time. Heartbeat chains schedule thousands of events onto a
@@ -20,8 +20,8 @@ Two queue implementations provide the same discipline:
 
 Both pop events in identical ``(time, seq)`` order (FIFO within a
 timestamp) — a property the Hypothesis suite checks on random
-schedules — so the simulator can pick either without changing any
-measured output.
+schedules — so :func:`default_event_queue` can pick either from the
+schedule's declared shape without changing any measured output.
 """
 
 from __future__ import annotations
@@ -141,16 +141,6 @@ class EventQueue:
         """
         return len({entry[0] for entry in self._heap})
 
-    def pending_times(self) -> List[float]:
-        """Sorted distinct firing times among pending entries.
-
-        Same lazy-cancellation discipline as :meth:`distinct_times`
-        (``len(pending_times()) == distinct_times()`` always); the
-        parallel shard executor unions these across domains to rebuild
-        the sequential run's wheel-occupancy probe exactly.
-        """
-        return sorted({entry[0] for entry in self._heap})
-
     def clear(self) -> None:
         """Drop all pending events."""
         self._heap.clear()
@@ -166,7 +156,7 @@ class BucketedEventQueue:
     event populations where thousands of events share a handful of
     firing times.
 
-    ``len()`` mirrors the reference queue's semantics: cancelled events
+    ``len()`` mirrors the heap queue's semantics: cancelled events
     keep counting until they physically surface at a pop/peek, because
     cancellation is lazy in both implementations.
 
@@ -259,16 +249,10 @@ class BucketedEventQueue:
         """Number of distinct firing times among pending entries.
 
         For the wheel this is exactly the number of live buckets (one
-        heap float per distinct time); matches the reference queue's
+        heap float per distinct time); matches the heap queue's
         figure for identical contents.
         """
         return len(self._heap)
-
-    def pending_times(self) -> List[float]:
-        """Sorted distinct firing times among pending entries (the
-        live bucket keys); matches the reference queue's figure for
-        identical contents."""
-        return sorted(self._heap)
 
     def clear(self) -> None:
         """Drop all pending events."""
@@ -281,7 +265,7 @@ class BucketedEventQueue:
 #: means the population repeats exact timestamps heavily (heartbeat
 #: chains across cluster members, takeover timers); "irregular" means
 #: timestamps rarely collide (link service completions, per-stream
-#: CPU phases — nothing under ``src/`` polls with ``wait_for`` any more).
+#: CPU phases).
 SHAPE_IRREGULAR = "irregular"
 SHAPE_SHARED = "shared"
 
@@ -291,14 +275,10 @@ def default_event_queue(shape: str = SHAPE_IRREGULAR):
 
     The bucketed wheel beats the tuple heap only when pushes actually
     collide on timestamps (measured ~1.2x on heartbeat populations; the
-    exact-time dict costs ~1.3x on fully irregular schedules), so
-    the fast path selects it per schedule shape: simulators declaring
-    ``SHAPE_SHARED`` (cluster/shard heartbeat machinery) get the wheel,
-    everything else keeps the reference heap. ``REPRO_FASTPATH=0`` /
-    ``--no-fastpath`` pins the reference heap everywhere, same
-    discipline as the rest of :mod:`repro.fastpath`."""
-    import repro.fastpath
-
-    if shape == SHAPE_SHARED and repro.fastpath.enabled():
+    exact-time dict costs ~1.3x on fully irregular schedules), so the
+    declared shape alone selects: simulators declaring ``SHAPE_SHARED``
+    (cluster/shard heartbeat machinery) get the wheel, everything else
+    the heap."""
+    if shape == SHAPE_SHARED:
         return BucketedEventQueue()
     return EventQueue()

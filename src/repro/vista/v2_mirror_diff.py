@@ -14,41 +14,9 @@ the counts this class records.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
-
-import repro.fastpath
+from repro.fastpath.kernels import diff_runs_fast
 from repro.memory.region import WriteCategory
 from repro.vista.v1_mirror_copy import MirrorCopyEngine
-
-_WORD = 4  # diff granularity: the Alpha writes in 4-byte words
-
-
-def diff_runs(old: bytes, new: bytes, word: int = _WORD) -> Iterator[Tuple[int, int]]:
-    """Yield (offset, length) runs of words where ``new`` differs from
-    ``old``. Offsets are relative to the start of the buffers; runs are
-    maximal and word-aligned (a trailing partial word is treated as one
-    word).
-
-    This is the reference implementation; the fast path routes the
-    same comparison through the big-int XOR kernel
-    (:func:`repro.fastpath.kernels.diff_runs_fast`), which a Hypothesis
-    suite holds equal to this loop run-for-run."""
-    if len(old) != len(new):
-        raise ValueError("diff buffers must have equal length")
-    length = len(old)
-    run_start = None
-    offset = 0
-    while offset < length:
-        hi = min(offset + word, length)
-        differs = old[offset:hi] != new[offset:hi]
-        if differs and run_start is None:
-            run_start = offset
-        elif not differs and run_start is not None:
-            yield run_start, offset - run_start
-            run_start = None
-        offset = hi
-    if run_start is not None:
-        yield run_start, length - run_start
 
 
 class MirrorDiffEngine(MirrorCopyEngine):
@@ -60,20 +28,12 @@ class MirrorDiffEngine(MirrorCopyEngine):
     def _update_mirror(self, offset: int, length: int) -> None:
         """Refresh the mirror for one committed range by comparing the
         two copies and writing only the differing runs."""
-        if repro.fastpath.enabled():
-            # Kernel path: zero-copy views of both regions, big-int XOR
-            # scan. Identical runs, identical mirror writes and counts.
-            from repro.fastpath.kernels import diff_runs_fast
-
-            with self.db.view(offset, length) as current_view, self.mirror.view(
-                offset, length
-            ) as committed_view:
-                runs = diff_runs_fast(committed_view, current_view)
-            current = self.db.read(offset, length)
-        else:
-            current = self.db.read(offset, length)
-            committed = self.mirror.read(offset, length)
-            runs = diff_runs(committed, current)
+        # Zero-copy views of both regions into the big-int XOR scan.
+        with self.db.view(offset, length) as current_view, self.mirror.view(
+            offset, length
+        ) as committed_view:
+            runs = diff_runs_fast(committed_view, current_view)
+        current = self.db.read(offset, length)
         self.counters.bytes_compared += length
         self.profile.touch_random("mirror", offset, length)
         for run_offset, run_length in runs:

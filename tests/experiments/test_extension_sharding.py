@@ -1,7 +1,11 @@
 """The sharding extension experiment at test fidelity."""
 
+import pytest
+
 from repro.experiments import extension_sharding
 from repro.experiments.common import ExperimentContext, ExperimentSettings
+from repro.fastpath import shardpar
+from repro.obs.audit import audit_events
 
 MB = 1024 * 1024
 
@@ -48,3 +52,26 @@ def test_scaling_is_near_linear_on_dedicated_links():
     by_shards = {r.shards: r for r in result.scaling}
     assert by_shards[4].dedicated_tps >= 3.6 * by_shards[1].dedicated_tps
     assert by_shards[8].shared_san_tps <= by_shards[8].dedicated_tps
+
+
+def test_multi_crash_plan_audits_clean():
+    """Two crashes on distinct shards of an 8-pair cluster, staggered
+    so the second failover lands while the first shard is already
+    serving again: both takeovers complete and the full invariant rule
+    set holds on the trace."""
+    plan = extension_sharding.failover_plan(
+        num_shards=8, crashes=((2, 5_250.0), (5, 13_250.0)))
+    outcome = shardpar.execute(plan)
+    report = audit_events(outcome.events)
+    assert report.ok, report.render()
+    assert sorted(outcome.takeover_downtime_us) == [2, 5]
+    assert outcome.routed == outcome.completed and not outcome.dropped
+    names = [event.name for event in outcome.events]
+    assert names.count("fault.crash") == 2
+    assert names.count("takeover") == 2
+
+
+def test_execute_runs_on_one_simulator_only():
+    plan = extension_sharding.failover_plan()
+    with pytest.raises(ValueError, match="jobs=2"):
+        shardpar.execute(plan, jobs=2)

@@ -1,22 +1,29 @@
 """End-to-end equivalence: every measured number the driver collects
-must be byte-identical with the fast path on and off.
+must be byte-identical as shipped and with every oracle in
+``tests/oracles/`` substituted for its production twin.
 
-This is the integration-level counterpart of the Hypothesis properties
-in ``tests/properties/test_fastpath_properties.py``: real replicated
-systems, real workloads, full measurement surface (counters, access
-profile, categorized traffic, packet histogram, I/O store count, ack
-bytes, redo records).
+This is the integration-level counterpart of the Hypothesis pair
+suites in ``tests/properties/``: real replicated systems, real
+workloads, full measurement surface (counters, access profile,
+categorized traffic, packet histogram, I/O store count, ack bytes,
+redo records).
 """
 
 import pytest
 
-from repro import fastpath
+from repro.fastpath import replay
+from repro.memory import rio
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.replication.active import ActiveReplicatedSystem
 from repro.replication.commit_safety import CommitSafety
 from repro.replication.passive import PassiveReplicatedSystem
 from repro.vista import EngineConfig
+from repro.san import memory_channel
+from repro.vista import v2_mirror_diff
 from repro.workloads import DebitCreditWorkload, OrderEntryWorkload, run_workload
+from tests.oracles.diff_reference import diff_runs
+from tests.oracles.region_reference import ReferenceMemoryRegion
+from tests.oracles.writebuffer_reference import ReferenceWriteBufferModel
 
 MB = 1024 * 1024
 CONFIG = EngineConfig(db_bytes=4 * MB, log_bytes=256 * 1024)
@@ -55,6 +62,7 @@ def _measure_target(target, workload_cls, transactions=120):
 SYSTEMS = [
     ("passive-v0", lambda: PassiveReplicatedSystem("v0", CONFIG), DebitCreditWorkload),
     ("passive-v1", lambda: PassiveReplicatedSystem("v1", CONFIG), DebitCreditWorkload),
+    ("passive-v2", lambda: PassiveReplicatedSystem("v2", CONFIG), DebitCreditWorkload),
     ("passive-v3", lambda: PassiveReplicatedSystem("v3", CONFIG), OrderEntryWorkload),
     (
         "passive-v3-undo",
@@ -70,12 +78,23 @@ SYSTEMS = [
     [(make, wl) for _name, make, wl in SYSTEMS],
     ids=[name for name, _make, _wl in SYSTEMS],
 )
-def test_fastpath_measurements_byte_identical(make_target, workload_cls):
-    with fastpath.disabled():
-        slow = _measure(make_target, workload_cls)
-    with fastpath.forced():
-        fast = _measure(make_target, workload_cls)
-    assert fast == slow
+def test_fastpath_measurements_byte_identical(
+    make_target, workload_cls, monkeypatch
+):
+    shipped = _measure(make_target, workload_cls)
+    # Every node's regions, every interface's write buffers, the replay
+    # cache's simulations (a fresh cache: the shared one holds packets
+    # the shipped model formed) and Version 2's diff.
+    monkeypatch.setattr(rio, "MemoryRegion", ReferenceMemoryRegion)
+    monkeypatch.setattr(
+        memory_channel, "WriteBufferModel", ReferenceWriteBufferModel)
+    monkeypatch.setattr(replay, "WriteBufferModel", ReferenceWriteBufferModel)
+    monkeypatch.setattr(
+        memory_channel, "GLOBAL_REPLAY_CACHE", replay.PacketReplayCache())
+    monkeypatch.setattr(  # a list: the views close before the runs are read
+        v2_mirror_diff, "diff_runs_fast",
+        lambda old, new: list(diff_runs(old, new)))
+    assert _measure(make_target, workload_cls) == shipped
 
 
 # -- observed == detached ------------------------------------------------------
@@ -147,70 +166,67 @@ def test_observed_measurements_equal_detached(make):
         ]
         return measured
 
-    with fastpath.forced():
-        detached = measure(NULL_OBSERVER)
-        attached = measure(Observer())
+    detached = measure(NULL_OBSERVER)
+    attached = measure(Observer())
     assert attached == detached
 
 
 @observable
 def test_registry_totals_are_the_interface_totals(make):
     observer = Observer()
-    with fastpath.forced():
-        target = make(observer)
-        workload = _loaded(target, DebitCreditWorkload)
-        interfaces = _interfaces(target)
-        seen = [_registry_totals(observer, i) for i in interfaces]
+    target = make(observer)
+    workload = _loaded(target, DebitCreditWorkload)
+    interfaces = _interfaces(target)
+    seen = [_registry_totals(observer, i) for i in interfaces]
 
-        def run(transactions):
-            for _ in range(transactions):
-                workload.run_transaction(target)
-                for index, interface in enumerate(interfaces):
-                    now = _registry_totals(observer, interface)
-                    assert all(a >= b for a, b in zip(now, seen[index]))
-                    seen[index] = now
+    def run(transactions):
+        for _ in range(transactions):
+            workload.run_transaction(target)
+            for index, interface in enumerate(interfaces):
+                now = _registry_totals(observer, interface)
+                assert all(a >= b for a, b in zip(now, seen[index]))
+                seen[index] = now
 
-        run(20)
-        warm = [_interface_totals(i) for i in interfaces]
-        assert [_registry_totals(observer, i) for i in interfaces] == warm
-        assert any(total[0] for total in warm)
+    run(20)
+    warm = [_interface_totals(i) for i in interfaces]
+    assert [_registry_totals(observer, i) for i in interfaces] == warm
+    assert any(total[0] for total in warm)
 
-        # reset_stats zeroes the interface's totals; the registry is
-        # cumulative, so it keeps them and counts on from there.
-        for interface in interfaces:
-            interface.reset_stats()
-            assert _interface_totals(interface) == (0, 0, 0, 0)
-        assert [_registry_totals(observer, i) for i in interfaces] == warm
-        run(30)
-        for interface, before in zip(interfaces, warm):
-            # Totals first: the trace read is the ordering point that
-            # folds an interface no barrier drains (the redo ring's).
-            expected = tuple(
-                a + b for a, b in zip(before, _interface_totals(interface))
-            )
-            assert _registry_totals(observer, interface) == expected
+    # reset_stats zeroes the interface's totals; the registry is
+    # cumulative, so it keeps them and counts on from there.
+    for interface in interfaces:
+        interface.reset_stats()
+        assert _interface_totals(interface) == (0, 0, 0, 0)
+    assert [_registry_totals(observer, i) for i in interfaces] == warm
+    run(30)
+    for interface, before in zip(interfaces, warm):
+        # Totals first: the trace read is the ordering point that
+        # folds an interface no barrier drains (the redo ring's).
+        expected = tuple(
+            a + b for a, b in zip(before, _interface_totals(interface))
+        )
+        assert _registry_totals(observer, interface) == expected
 
 
 def test_crash_mid_batch_folds_the_deferred_stores():
     observer = Observer()
-    with fastpath.forced():
-        target = PassiveReplicatedSystem("v3", CONFIG, observer=observer)
-        workload = _loaded(target, DebitCreditWorkload)
-        interface = target.interface
-        for _ in range(5):
-            workload.run_transaction(target)
-        warm = _interface_totals(interface)
-        interface.reset_stats()
-        # An open transaction's doubled writes sit deferred on the
-        # interface until the commit barrier that never comes.
-        target.begin_transaction()
-        target.set_range(0, 64)
-        target.write(0, b"\x5a" * 64)
-        assert interface._pending
-        target.fail_primary()
-        # The crash itself folded: read the registry before anything
-        # (a trace read) could fold again.
-        folded = _registry_totals(observer, interface)
+    target = PassiveReplicatedSystem("v3", CONFIG, observer=observer)
+    workload = _loaded(target, DebitCreditWorkload)
+    interface = target.interface
+    for _ in range(5):
+        workload.run_transaction(target)
+    warm = _interface_totals(interface)
+    interface.reset_stats()
+    # An open transaction's doubled writes sit deferred on the
+    # interface until the commit barrier that never comes.
+    target.begin_transaction()
+    target.set_range(0, 64)
+    target.write(0, b"\x5a" * 64)
+    assert interface._pending
+    target.fail_primary()
+    # The crash itself folded: read the registry before anything
+    # (a trace read) could fold again.
+    folded = _registry_totals(observer, interface)
     assert not interface._pending
     totals = _interface_totals(interface)
     assert all(totals)  # the deferred stores were issued and hit the wire

@@ -1,16 +1,11 @@
-"""Golden-grid check for the simulator-core kernels.
+"""Golden-grid check for the process-parallel runner.
 
 The full experiment grid — every table and figure — must print
-byte-identical output with the kernels on (bucketed event queues,
-big-int diff, slab region ops), with every kernel off
-(``REPRO_FASTPATH=0``: reference heap, reference word-at-a-time diff),
-and with the process-parallel runner (``--jobs 2``). Each
-configuration runs in its own subprocess so the environment switch is
-exercised exactly the way a user would flip it.
-
-This is the kernels-layer counterpart of the store-pipeline
-equivalence tests in ``test_equivalence.py``; CI repeats the same diff
-at the full ``--transactions 1000`` via ``bench_kernels.py``.
+byte-identical output sequentially and with the process-parallel
+runner (``--jobs 2``). Each configuration runs in its own subprocess,
+the way a user would drive it; ``test_parallel_runner.py`` holds the
+same for one table in-process, and CI's ledger step pins the
+sequential grid at ``--transactions 1000`` by golden digest.
 """
 
 import os
@@ -25,13 +20,11 @@ SRC = str(Path(__file__).resolve().parent.parent.parent / "src")
 TRANSACTIONS = "60"
 
 
-def _run_grid(extra_args=(), env_overrides=()):
+def _run_grid(extra_args=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    env.pop("REPRO_FASTPATH", None)
-    env.update(dict(env_overrides))
     result = subprocess.run(
         [
             sys.executable,
@@ -52,11 +45,5 @@ def _run_grid(extra_args=(), env_overrides=()):
     return "\n".join(lines[:-1])
 
 
-def test_grid_byte_identical_kernels_on_off_and_parallel():
-    kernels_on = _run_grid()
-    kernels_off_flag = _run_grid(extra_args=("--no-fastpath",))
-    kernels_off_env = _run_grid(env_overrides=(("REPRO_FASTPATH", "0"),))
-    parallel = _run_grid(extra_args=("--jobs", "2"))
-    assert kernels_on == kernels_off_flag
-    assert kernels_off_env == kernels_off_flag
-    assert parallel == kernels_on
+def test_grid_byte_identical_sequential_and_parallel():
+    assert _run_grid(extra_args=("--jobs", "2")) == _run_grid()

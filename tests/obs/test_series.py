@@ -3,8 +3,8 @@
 The load-bearing properties:
 
 * the sampler is an *observer*, never a participant — the experiment's
-  rendered numbers are byte-identical with and without it, across job
-  counts, fast path on or off, and any sampling interval;
+  rendered numbers are byte-identical with and without it, across
+  processes and any sampling interval;
 * windowed goodput derived from the cumulative completion column
   equals the trace's own per-window completion counts exactly;
 * the canonical JSONL encoding round-trips losslessly and is identical
@@ -15,7 +15,6 @@ The load-bearing properties:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import fastpath
 from repro.obs.series import (
     DipSummary,
     SeriesFrame,
@@ -28,19 +27,12 @@ from repro.obs.series import (
 )
 
 
-def _sharding_series_bytes(task):
+def _sharding_series_bytes(seed):
     """Worker for the cross-process byte-identity test (module level:
     must be picklable for the spawn pool)."""
-    seed, disable_fastpath = task
-    from repro import fastpath as fp
     from repro.experiments.extension_sharding import failover_timeline
 
-    if disable_fastpath:
-        with fp.disabled():
-            timeline = failover_timeline(seed=seed)
-    else:
-        timeline = failover_timeline(seed=seed)
-    return timeline.series.to_bytes()
+    return failover_timeline(seed=seed).series.to_bytes()
 
 
 # -- frame basics ---------------------------------------------------
@@ -302,15 +294,12 @@ def test_sharding_series_matches_trace_and_is_deterministic():
     assert len(c.series) == len(a.series)
 
 
-def test_sharding_series_bytes_identical_across_jobs_and_fastpath():
+def test_sharding_series_bytes_identical_across_processes():
     from repro.fastpath.parallel import run_tasks
 
-    tasks = [(42, False), (42, True), (7, False), (7, True)]
-    sequential = [_sharding_series_bytes(t) for t in tasks]
-    parallel = run_tasks(_sharding_series_bytes, tasks, 2)
-    assert parallel == sequential
-    assert sequential[0] == sequential[1], "fastpath must not shift samples"
-    assert sequential[2] == sequential[3]
+    seeds = [42, 7]
+    sequential = [_sharding_series_bytes(seed) for seed in seeds]
+    assert run_tasks(_sharding_series_bytes, seeds, 2) == sequential
 
 
 def test_sampling_interval_does_not_change_the_experiment(monkeypatch):

@@ -7,10 +7,11 @@ A process is a Python generator that yields *commands*:
   microseconds until it returns True (models busy-waiting, e.g. the
   active backup polling the redo-log producer pointer).
 
-This is intentionally small, and nothing under ``src/`` uses it any
-more: the SMP validation (:mod:`repro.perf.smp_sim`), its last caller,
-is driven by plain callbacks. It is kept as public kernel API and for
-that validation's polling oracle (``tests/oracles``).
+This is intentionally small. It was kernel API under ``src/`` until
+its last caller there, the SMP validation (:mod:`repro.perf.smp_sim`),
+moved to plain callbacks; it lives here beside the one thing that
+still runs on it, that validation's polling original
+(``smp_sim_reference.py``).
 """
 
 from __future__ import annotations

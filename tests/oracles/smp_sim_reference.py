@@ -1,7 +1,8 @@
 """The polling original of ``repro.perf.smp_sim``, kept as a test oracle.
 
 This is the module as it stood before stalled streams became
-event-driven, verbatim below this docstring: generator ``Process``es,
+event-driven, verbatim below this docstring (but for where it finds
+``Process``, now ``tests/oracles/sim_process.py``): generator ``Process``es,
 and a stalled stream busy-waiting with ``wait_for(..., poll=0.05)``.
 It is ~8x slower (over 85% of its events are poll ticks) and still
 hangs or fails mid-run on the inputs the live module now rejects up
@@ -16,7 +17,7 @@ from typing import Dict, List
 from repro.hardware.specs import SanSpec, MEMORY_CHANNEL_II
 from repro.san.packets import PacketTrace
 from repro.sim.engine import Simulator
-from repro.sim.process import Process, sleep, wait_for
+from tests.oracles.sim_process import Process, sleep, wait_for
 
 #: Per-CPU posted-write capacity: six 32-byte write buffers.
 WRITE_BUFFER_BYTES = 6 * 32

@@ -1,9 +1,10 @@
-"""Property-based equivalence tests for the fast-path execution layer.
+"""Property-based equivalence tests for the deferred store pipeline.
 
-The whole fast path rests on two claims:
+The pipeline rests on two claims:
 
-* ``write_batch`` is observably identical to calling ``write`` once
-  per store, and
+* ``write_batch`` is observably identical to feeding the reference
+  write-buffer model (``tests/oracles/writebuffer_reference.py``) one
+  store at a time, and
 * a barrier-terminated store schedule that began with empty buffers
   drains into a packet sequence that is a pure function of its
   canonicalized shape, so the replay cache may serve it from memory.
@@ -17,11 +18,11 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro import fastpath
 from repro.fastpath.replay import PacketReplayCache
-from repro.hardware.writebuffer import WriteBufferModel, packets_for_stores
+from repro.hardware.writebuffer import WriteBufferModel
 from repro.memory.region import MemoryRegion, WriteCategory
 from repro.san.memory_channel import MemoryChannelInterface
+from tests.oracles.writebuffer_reference import ReferenceWriteBufferModel
 
 geometries = st.tuples(
     st.integers(1, 8),                      # num_buffers
@@ -44,8 +45,10 @@ schedule = st.lists(
 
 
 def _run_per_store(ops, num_buffers, block_bytes):
+    """The oracle: the reference model, one ``write`` per store."""
     sizes = []
-    model = WriteBufferModel(num_buffers, block_bytes, on_packet=sizes.append)
+    model = ReferenceWriteBufferModel(
+        num_buffers, block_bytes, on_packet=sizes.append)
     for op in ops:
         if op is True:
             model.barrier()
@@ -141,11 +144,13 @@ def test_account_replayed_matches_write_batch_statistics(ops, geometry):
 _REMOTE_BYTES = 160
 
 
-def _run_fragmented(geometry, word_bytes, offset, data, category, loop):
+def _run_fragmented(geometry, word_bytes, offset, data, category, loop,
+                    reference_buffers):
     """One ``write_uncoalesced`` on a fresh interface. ``loop`` hangs a
     do-nothing observer on the remote, which is enough to send the run
-    down the per-word loop. Returns everything the outside can see,
-    plus how many words went through ``_transmit``."""
+    down the per-word loop; ``reference_buffers`` swaps the reference
+    write-buffer model in under the interface. Returns everything the
+    outside can see, plus how many words went through ``_transmit``."""
     num_buffers, block_bytes = geometry
     remote = MemoryRegion("remote", _REMOTE_BYTES)
     if loop:
@@ -156,6 +161,9 @@ def _run_fragmented(geometry, word_bytes, offset, data, category, loop):
     mapping = interface.map_remote(remote)
     sizes = []
     record = interface.write_buffer.on_packet
+    if reference_buffers:
+        interface.write_buffer = ReferenceWriteBufferModel(
+            num_buffers, block_bytes)
 
     def on_packet(size):
         sizes.append(size)
@@ -188,29 +196,33 @@ def _run_fragmented(geometry, word_bytes, offset, data, category, loop):
     offset=st.integers(0, 70),
     data=st.binary(min_size=1, max_size=90),
     category=st.sampled_from(list(WriteCategory)),
-    fast=st.booleans(),
+    reference_buffers=st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
 def test_fragmented_lane_matches_per_word_loop(
-    geometry, word_bytes, offset, data, category, fast
+    geometry, word_bytes, offset, data, category, reference_buffers
 ):
     """Unaligned offsets, tail words and block-straddling words: the
     arithmetic lane leaves what the per-word loop leaves — packet
-    sizes *in order* included — under either fastpath setting, and
-    both agree with the reference write-buffer model drained after
-    every word."""
-    with fastpath.forced() if fast else fastpath.disabled():
-        lane, lane_words = _run_fragmented(
-            geometry, word_bytes, offset, data, category, loop=False)
-        loop, loop_words = _run_fragmented(
-            geometry, word_bytes, offset, data, category, loop=True)
+    sizes *in order* included — over either write-buffer model, and
+    both agree with the reference model drained after every word."""
+    lane, lane_words = _run_fragmented(
+        geometry, word_bytes, offset, data, category, False,
+        reference_buffers)
+    loop, loop_words = _run_fragmented(
+        geometry, word_bytes, offset, data, category, True,
+        reference_buffers)
     assert lane == loop
     words = [
         (0x8000_0000 + offset + cursor, min(word_bytes, len(data) - cursor))
         for cursor in range(0, len(data), word_bytes)
     ]
-    assert lane["sizes"] == packets_for_stores(
-        words, *geometry, barrier_between=True)
+    drained = []
+    oracle = ReferenceWriteBufferModel(*geometry, on_packet=drained.append)
+    for address, length in words:
+        oracle.write(address, length)
+        oracle.barrier()
+    assert lane["sizes"] == drained
     assert loop_words == len(words)
     # A word can only cover a whole block (and so overtake the open
     # partial block before it) when blocks are narrower than words and

@@ -1,10 +1,10 @@
 """Property suite for the simulator-core kernels.
 
-Two families of properties, both of the "fast and reference agree
-exactly" kind the fastpath layer lives by:
+Two families of properties, both of the "kernel and plain loop agree
+exactly" kind:
 
-* the big-int XOR diff kernel against the reference word-at-a-time
-  ``diff_runs`` on random buffer pairs — equal runs for every length,
+* the big-int XOR diff kernel against the word-at-a-time ``diff_runs``
+  of ``tests/oracles/diff_reference.py`` on random buffer pairs — equal runs for every length,
   including trailing partial words, all-equal and all-different
   buffers, and non-default word sizes;
 * event-queue determinism — same-timestamp FIFO ordering, lazy
@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.fastpath.kernels import diff_runs_fast
 from repro.sim.events import BucketedEventQueue, EventQueue
-from repro.vista.v2_mirror_diff import diff_runs
+from tests.oracles.diff_reference import diff_runs
 
 # ---------------------------------------------------------------------------
 # Diff kernel vs reference

@@ -18,6 +18,9 @@ payloads, rings that fill with and without an applier draining them,
 ring with write observers attached (the per-part lane), a primary that
 crashes mid-stream before the backup drains what reached it — and a
 pending-store limit low enough to be crossed in the middle of a run.
+The original runs over the shipped write-buffer model and again over
+the reference one (``tests/oracles/writebuffer_reference.py``), which
+simulates every deferred store on its own.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import fastpath
 from repro.errors import ReproError
 from repro.memory.rio import RioMemory
 from repro.obs.observer import Observer
@@ -33,6 +35,7 @@ from repro.replication import redo_log
 from repro.san import memory_channel
 from repro.san.memory_channel import MemoryChannelInterface
 from tests.oracles import redo_log_reference
+from tests.oracles.writebuffer_reference import ReferenceWriteBufferModel
 
 DB_BYTES = 1024
 
@@ -55,7 +58,8 @@ _ops = st.lists(
 )
 
 
-def _run(module, ring_bytes, ops, auto_apply, watch_ring):
+def _run(module, ring_bytes, ops, auto_apply, watch_ring,
+         reference_buffers=False):
     """Drive ``ops`` through ``module``'s producer and applier; returns
     everything the outside can see."""
     observer = Observer()
@@ -68,6 +72,8 @@ def _run(module, ring_bytes, ops, auto_apply, watch_ring):
     backup_if = MemoryChannelInterface("backup", observer=observer)
     packets = []
     for interface in (primary_if, backup_if):
+        if reference_buffers:
+            interface.write_buffer = ReferenceWriteBufferModel()
         def on_packet(size, name=interface.node_name,
                       record=interface._trace.record):
             packets.append((name, size))
@@ -162,10 +168,9 @@ def test_framed_stream_equals_the_per_store_original(
     real_limit = memory_channel._PENDING_LIMIT
     memory_channel._PENDING_LIMIT = pending_limit
     try:
-        with fastpath.forced() if fast else fastpath.disabled():
-            new = _run(redo_log, ring_bytes, ops, auto_apply, watch_ring)
-            old = _run(redo_log_reference, ring_bytes, ops, auto_apply,
-                       watch_ring)
+        new = _run(redo_log, ring_bytes, ops, auto_apply, watch_ring)
+        old = _run(redo_log_reference, ring_bytes, ops, auto_apply,
+                   watch_ring, reference_buffers=not fast)
     finally:
         memory_channel._PENDING_LIMIT = real_limit
     assert new == old
@@ -186,10 +191,9 @@ def test_a_long_stream_crosses_the_real_pending_limit():
 
     MemoryChannelInterface._flush_pending = spy
     try:
-        with fastpath.forced():
-            new = _run(redo_log, 4096, ops, True, False)
-            crossings = at_limit.count(True)
-            old = _run(redo_log_reference, 4096, ops, True, False)
+        new = _run(redo_log, 4096, ops, True, False)
+        crossings = at_limit.count(True)
+        old = _run(redo_log_reference, 4096, ops, True, False)
     finally:
         MemoryChannelInterface._flush_pending = flush
     assert new == old

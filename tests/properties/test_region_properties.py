@@ -1,12 +1,14 @@
-"""Property-based equivalence for the two memory-region backings.
+"""Property-based equivalence of the memory region and its oracle.
 
-:func:`repro.memory.region.memory_region` swaps a numpy-``uint8``
-region in under the fast path; the byte-identity discipline demands
-the swap be invisible everywhere the reproduction can look. Random
-operation sequences — writes, pokes, fills, overlapping in-region
-copies, cross-region copies (mixed backings included), protection
-windows, out-of-bounds attempts — must leave :class:`NumpyMemoryRegion`
-and the reference :class:`MemoryRegion` with identical bytes, identical
+:class:`~repro.memory.region.MemoryRegion` moves bytes by memoryview
+slice assignment over a numpy-allocated buffer;
+``tests/oracles/region_reference.py`` keeps the ``bytearray`` backing
+and read-then-write copies it replaced, and the difference must be
+invisible everywhere the reproduction can look. Random operation
+sequences — writes, pokes, fills, overlapping in-region copies,
+cross-region copies (mixed backings included), protection windows,
+out-of-bounds attempts — must leave the region and
+:class:`ReferenceMemoryRegion` with identical bytes, identical
 observer event streams, identical statistics, and identical error
 behaviour, at every offset alignment (the region size is prime, so
 partial words and boundary tails occur constantly). The word
@@ -14,7 +16,7 @@ accessors and ``write_run`` are held to the byte path the same way:
 each is exactly the ``write`` calls it stands for. On top of the
 region-level properties, a full Vista engine must produce identical
 :class:`~repro.vista.stats.AccessProfile` snapshots and counters with
-either backing underneath it.
+either underneath it.
 """
 
 from __future__ import annotations
@@ -24,21 +26,22 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import fastpath
 from repro.errors import CrashedError, OutOfBoundsError, ProtectionError
-from repro.fastpath.kernels import diff_runs_dispatch, diff_runs_fast
-from repro.memory.region import (
-    MemoryRegion,
-    NumpyMemoryRegion,
-    WriteCategory,
-    memory_region,
-)
+from repro.fastpath.kernels import diff_runs_fast
+from repro.memory import rio
+from repro.memory.region import MemoryRegion, WriteCategory
 from repro.replication.passive import PassiveReplicatedSystem
 from repro.vista import EngineConfig
 from repro.workloads import DebitCreditWorkload, run_workload
+from tests.oracles.diff_reference import diff_runs
+from tests.oracles.region_reference import ReferenceMemoryRegion
 
 #: Prime, so leaf/word/page boundaries never line up with the size.
 SIZE = 193
+
+both_regions = pytest.mark.parametrize(
+    "region_cls", [MemoryRegion, ReferenceMemoryRegion],
+    ids=["MemoryRegion", "oracle"])
 
 _categories = st.sampled_from(list(WriteCategory))
 
@@ -149,30 +152,31 @@ def _run_backend(region_cls, source_cls, ops):
 @given(ops=_ops)
 def test_numpy_region_matches_reference(ops):
     """Op for op: same bytes, same observer streams, same statistics,
-    same exception types — numpy backing vs bytearray reference."""
-    reference = _run_backend(MemoryRegion, MemoryRegion, ops)
-    vectorized = _run_backend(NumpyMemoryRegion, NumpyMemoryRegion, ops)
-    assert vectorized == reference
+    same exception types — numpy-allocated region vs bytearray
+    reference."""
+    reference = _run_backend(ReferenceMemoryRegion, ReferenceMemoryRegion, ops)
+    shipped = _run_backend(MemoryRegion, MemoryRegion, ops)
+    assert shipped == reference
 
 
 @settings(max_examples=100, deadline=None)
 @given(ops=_ops)
 def test_mixed_backings_match_reference(ops):
-    """``copy_from`` across backings (numpy target, bytearray source)
-    goes through the base-class slice assignment; it must be just as
+    """``copy_from`` across backings (numpy-allocated target,
+    bytearray source) is the same slice assignment; it must be just as
     invisible."""
-    reference = _run_backend(MemoryRegion, MemoryRegion, ops)
-    mixed = _run_backend(NumpyMemoryRegion, MemoryRegion, ops)
+    reference = _run_backend(ReferenceMemoryRegion, ReferenceMemoryRegion, ops)
+    mixed = _run_backend(MemoryRegion, ReferenceMemoryRegion, ops)
     assert mixed == reference
 
 
 @settings(max_examples=60, deadline=None)
 @given(ops_a=_ops, ops_b=_ops)
 def test_diff_over_region_views_is_backend_invariant(ops_a, ops_b):
-    """Both diff implementations, fed zero-copy views of either
-    backing, report the same difference runs."""
+    """The diff kernel and its word-loop oracle, fed zero-copy views
+    of either backing, report the same difference runs."""
     runs = []
-    for cls in (MemoryRegion, NumpyMemoryRegion):
+    for cls in (ReferenceMemoryRegion, MemoryRegion):
         a = cls("a", SIZE)
         b = cls("b", SIZE)
         source = cls("source", SIZE)
@@ -184,20 +188,11 @@ def test_diff_over_region_views_is_backend_invariant(ops_a, ops_b):
         runs.append(
             (
                 diff_runs_fast(view_a, view_b),
-                diff_runs_dispatch(view_a, view_b),
+                list(diff_runs(view_a, view_b)),
             )
         )
     assert runs[0] == runs[1]
-
-
-def test_factory_selects_backend_on_the_fastpath_switch():
-    with fastpath.forced():
-        fast = memory_region("fast", SIZE)
-    with fastpath.disabled():
-        slow = memory_region("slow", SIZE)
-    assert isinstance(fast, NumpyMemoryRegion)
-    assert isinstance(slow, MemoryRegion)
-    assert not isinstance(slow, NumpyMemoryRegion)
+    assert runs[0][0] == runs[0][1]
 
 
 # -- word accessors vs the byte path ----------------------------------
@@ -288,12 +283,12 @@ def test_word_accessors_match_the_byte_path(ops):
     """``write_u64``/``read_u64`` are the byte path minus the ``bytes``
     round trip, on both backings: same bytes, counters, observer
     streams, read values and errors (type and message)."""
-    oracle = _run_words(MemoryRegion, ops, accessors=False)
-    for region_cls in (MemoryRegion, NumpyMemoryRegion):
+    oracle = _run_words(ReferenceMemoryRegion, ops, accessors=False)
+    for region_cls in (MemoryRegion, ReferenceMemoryRegion):
         assert _run_words(region_cls, ops, accessors=True) == oracle
 
 
-@pytest.mark.parametrize("region_cls", [MemoryRegion, NumpyMemoryRegion])
+@both_regions
 def test_word_store_against_a_protection_window(region_cls):
     """Open window, straddled edges, closed window: the word store
     raises exactly the byte path's ``ProtectionError``."""
@@ -315,7 +310,7 @@ def test_word_store_against_a_protection_window(region_cls):
     assert (region.writes_observed, region.bytes_written) == (2, 16)
 
 
-@pytest.mark.parametrize("region_cls", [MemoryRegion, NumpyMemoryRegion])
+@both_regions
 @pytest.mark.parametrize("value", [-1, 2**64])
 def test_word_store_rejects_values_outside_a_u64(region_cls, value):
     region = region_cls("target", SIZE)
@@ -356,9 +351,11 @@ _run_ops = st.lists(
 )
 
 
-def _run_runs(region_cls, ops, lane: bool, observed: bool):
-    """Apply ``ops`` with ``write_run``, or with its definition: one
-    ``write`` per part in order, stopping at the first that raises."""
+def _run_runs(region_cls, ops, lane: bool, observed: bool,
+              one_shot: bool = False):
+    """Apply ``ops`` with ``write_run`` (handed a list, or a one-shot
+    iterator over it), or with its definition: one ``write`` per part
+    in order, stopping at the first that raises."""
     region = region_cls("target", SIZE)
     region.poke(0, _SOURCE_IMAGE)
     events, fast_events = _instrumented(region) if observed else ([], [])
@@ -366,7 +363,7 @@ def _run_runs(region_cls, ops, lane: bool, observed: bool):
     for op in ops:
         try:
             if op[0] == "write_run" and lane:
-                region.write_run(op[1], op[2])
+                region.write_run(op[1], iter(op[2]) if one_shot else op[2])
             elif op[0] == "write_run":
                 offset = op[1]
                 for data, category in op[2]:
@@ -406,12 +403,16 @@ def test_write_run_matches_the_per_part_loop(observed, ops):
     the same error (type and message) after the same parts landed —
     on both backings, with and without observers, zero-length parts
     and runs that overrun either end included."""
-    oracle = _run_runs(MemoryRegion, ops, lane=False, observed=observed)
-    for region_cls in (MemoryRegion, NumpyMemoryRegion):
-        assert _run_runs(region_cls, ops, lane=True, observed=observed) == oracle
+    oracle = _run_runs(
+        ReferenceMemoryRegion, ops, lane=False, observed=observed)
+    for region_cls in (MemoryRegion, ReferenceMemoryRegion):
+        for one_shot in (False, True):
+            assert _run_runs(
+                region_cls, ops, lane=True, observed=observed,
+                one_shot=one_shot) == oracle
 
 
-@pytest.mark.parametrize("region_cls", [MemoryRegion, NumpyMemoryRegion])
+@both_regions
 def test_write_run_counts_one_write_per_non_empty_part(region_cls):
     region = region_cls("target", SIZE)
     region.write_run(10, (
@@ -426,6 +427,18 @@ def test_write_run_counts_one_write_per_non_empty_part(region_cls):
                                     (b"not", WriteCategory.UNDO)))
     assert region.read(SIZE - 6, 6) == b"fits" + _ZERO[:2]
     assert (region.writes_observed, region.bytes_written) == (3, 17)
+
+
+def test_write_run_reads_a_one_shot_iterator_once():
+    """A generator whose run overruns the region: the first part lands
+    and the second raises, exactly as from a list."""
+    region = MemoryRegion("target", 16)
+    parts = [(b"0123456789", WriteCategory.META),
+             (b"abcdefghij", WriteCategory.UNDO)]
+    with pytest.raises(OutOfBoundsError):
+        region.write_run(0, (part for part in parts))
+    assert region.read(0, 16) == b"0123456789" + bytes(6)
+    assert (region.writes_observed, region.bytes_written) == (1, 10)
 
 
 # -- engine-level: AccessProfile snapshots ----------------------------
@@ -452,13 +465,14 @@ def _measure_engine(seed: int):
 @given(seed=st.integers(0, 2**16))
 def test_engine_access_profile_identical_across_backings(seed):
     """A full mirrored engine run records the same AccessProfile
-    snapshot and counters whichever region backing the factory picked
-    (``fastpath.disabled()`` pins the bytearray reference)."""
-    with fastpath.disabled():
-        slow = _measure_engine(seed)
-    with fastpath.forced():
-        fast = _measure_engine(seed)
-    assert fast == slow
+    snapshot and counters over the shipped region and over the
+    bytearray reference (substituted where every node allocates:
+    ``RioMemory.create_region``)."""
+    shipped = _measure_engine(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rio, "MemoryRegion", ReferenceMemoryRegion)
+        reference = _measure_engine(seed)
+    assert shipped == reference
 
 
 def test_numpy_backend_requires_numpy():

