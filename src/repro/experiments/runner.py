@@ -6,20 +6,21 @@ Installed as the ``repro-experiments`` console script::
     repro-experiments table4 fig2   # a subset
     repro-experiments --transactions 5000   # higher fidelity
     repro-experiments --jobs 4      # fan cells over 4 processes
-    repro-experiments --profile out.txt   # wall-clock subsystem profile
-    repro-experiments --cprofile out.txt  # cProfile one hot cell
 
 ``--jobs N`` computes the independent measurement cells in worker
 processes, then renders every table in-process from the preloaded
 cache — the printed output is byte-identical at any job count.
+
+Profiling is the performance ledger's job (``python3
+benchmarks/ledger/run.py --workload grid-1000 --trace 1`` for the
+per-layer and per-experiment wall-clock shares); for a per-function
+view use the stdlib directly: ``python -m cProfile -s tottime -m
+repro.experiments.runner table4``.
 """
 
 from __future__ import annotations
 
 import argparse
-import cProfile
-import io
-import pstats
 import sys
 import time
 from typing import Callable, Dict, List
@@ -170,35 +171,6 @@ def _precompute(ctx: ExperimentContext, resolved: List[str], jobs: int) -> None:
     ctx.preload(cells=dict(computed))
 
 
-def _cprofile_cell(args) -> int:
-    """cProfile one representative hot cell and report the top 25
-    functions by internal time (function-level drill-down; the
-    subsystem-level view is ``--profile``)."""
-    from repro.experiments.common import PAPER_DB_BYTES
-
-    settings = ExperimentSettings(transactions=args.transactions, seed=args.seed)
-    ctx = ExperimentContext(settings)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    ctx.passive_result("v3", "debit-credit", PAPER_DB_BYTES)
-    profiler.disable()
-    buffer = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buffer)
-    stats.sort_stats("tottime").print_stats(25)
-    report = (
-        f"# cProfile: passive v3 debit-credit @ 50 MB nominal, "
-        f"{args.transactions} transactions\n"
-        + buffer.getvalue()
-    )
-    if args.cprofile == "-":
-        print(report, end="")
-    else:
-        with open(args.cprofile, "w") as handle:
-            handle.write(report)
-        print(f"[profile written to {args.cprofile}]")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Reproduce the tables and figures of Amza et al., "
@@ -220,30 +192,7 @@ def main(argv=None) -> int:
         help="compute measurement cells across N worker processes "
         "(output stays byte-identical; default 1 = sequential)",
     )
-    parser.add_argument(
-        "--profile", nargs="?", const="-", default=None, metavar="PATH",
-        help="run the selected grid under the wall-clock stack sampler "
-        "and write the per-subsystem attribution report to PATH "
-        "(stdout if omitted); sampling covers this process only, so "
-        "profile with --jobs 1",
-    )
-    parser.add_argument(
-        "--profile-collapsed", default=None, metavar="PATH",
-        help="with --profile, also write folded stacks to PATH "
-        "(flamegraph.pl / speedscope input)",
-    )
-    parser.add_argument(
-        "--cprofile", nargs="?", const="-", default=None, metavar="PATH",
-        help="instead of running the grid, cProfile one representative "
-        "cell (passive v3 debit-credit at the paper's 50 MB database) "
-        "and write the top-25 functions to PATH (stdout if omitted)",
-    )
     args = parser.parse_args(argv)
-    if args.profile_collapsed and args.profile is None:
-        parser.error("--profile-collapsed requires --profile")
-
-    if args.cprofile is not None:
-        return _cprofile_cell(args)
 
     names = args.experiments or list(EXPERIMENTS)
     resolved = []
@@ -262,36 +211,15 @@ def main(argv=None) -> int:
     )
     ctx = ExperimentContext(settings)
 
-    def run_grid() -> None:
-        started = time.time()
-        if args.jobs > 1:
-            _precompute(ctx, resolved, args.jobs)
-        for key in resolved:
-            for block in EXPERIMENTS[key](ctx):
-                print(block)
-                print()
-        print(f"[all experiments passed their shape checks in "
-              f"{time.time() - started:.1f}s]")
-
-    if args.profile is None:
-        run_grid()
-        return 0
-
-    from repro.obs.prof import profile
-
-    _, report = profile(
-        run_grid, label=f"repro-experiments {' '.join(resolved)}"
-    )
-    text = report.render()
-    if args.profile == "-":
-        print(text, end="")
-    else:
-        with open(args.profile, "w") as handle:
-            handle.write(text)
-        print(f"[profile written to {args.profile}]")
-    if args.profile_collapsed:
-        report.write_collapsed(args.profile_collapsed)
-        print(f"[collapsed stacks written to {args.profile_collapsed}]")
+    started = time.time()
+    if args.jobs > 1:
+        _precompute(ctx, resolved, args.jobs)
+    for key in resolved:
+        for block in EXPERIMENTS[key](ctx):
+            print(block)
+            print()
+    print(f"[all experiments passed their shape checks in "
+          f"{time.time() - started:.1f}s]")
     return 0
 
 

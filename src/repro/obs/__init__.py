@@ -15,6 +15,8 @@ records nothing, so the perf-model calibration and seed determinism
 are untouched unless an observer is attached (or ``REPRO_OBS=1``).
 """
 
+import inspect
+
 from repro.obs.export import (
     chrome_trace_dict,
     read_jsonl,
@@ -54,16 +56,13 @@ _LAZY_EXPORTS = {
     "LatencySummary": "repro.obs.report",
     "TimelineReport": "repro.obs.report",
     "analyze_timeline": "repro.obs.report",
-    "analyze_trace_file": "repro.obs.report",
     "AuditReport": "repro.obs.audit",
     "TraceAuditor": "repro.obs.audit",
     "Violation": "repro.obs.audit",
     "audit_events": "repro.obs.audit",
-    "audit_trace_file": "repro.obs.audit",
     "ScopeAvailability": "repro.obs.slo",
     "SloReport": "repro.obs.slo",
     "compute_slo": "repro.obs.slo",
-    "slo_from_trace_file": "repro.obs.slo",
     "COMMIT_PHASES": "repro.obs.spans",
     "CommitSpanRecorder": "repro.obs.spans",
     "CommitSpanTree": "repro.obs.spans",
@@ -78,13 +77,6 @@ _LAZY_EXPORTS = {
     "series_interval_us": "repro.obs.series",
     "snap_tick": "repro.obs.series",
     "windowed_goodput": "repro.obs.series",
-    "ProfileReport": "repro.obs.prof",
-    "StackSampler": "repro.obs.prof",
-    "SubsystemTimers": "repro.obs.prof",
-    "parse_collapsed": "repro.obs.prof",
-    "profile": "repro.obs.prof",
-    "compare_reports": "repro.obs.bench",
-    "load_bench_report": "repro.obs.bench",
     "RECOVERY_PHASES": "repro.obs.recovery",
     "RecoveryLink": "repro.obs.recovery",
     "RecoverySpanRecorder": "repro.obs.recovery",
@@ -121,85 +113,12 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "AlertVerification",
-    "AuditReport",
-    "BurnRateRule",
-    "COMMIT_PHASES",
-    "CommitSpanRecorder",
-    "CommitSpanTree",
-    "Counter",
-    "DEFAULT_BOUNDS",
-    "DEFAULT_RULES",
-    "DipSummary",
-    "FailoverSpan",
-    "Gauge",
-    "Histogram",
-    "KIND_INSTANT",
-    "KIND_SPAN",
-    "LatencySummary",
-    "MetricsRegistry",
-    "NULL_OBSERVER",
-    "NullObserver",
-    "OBS_ENV_VAR",
-    "Observer",
-    "PhaseAttribution",
-    "ProfileReport",
-    "RECOVERY_PHASES",
-    "RecoveryDecomposition",
-    "RecoveryLink",
-    "RecoverySpanRecorder",
-    "RecoveryTree",
-    "SERIES_ENV_VAR",
-    "ScopeAvailability",
-    "ScopeDecomposition",
-    "SeriesFrame",
-    "SloReport",
-    "SpanNode",
-    "StackSampler",
-    "SubsystemTimers",
-    "TimeSeriesSampler",
-    "TimelineReport",
-    "TraceAuditor",
-    "TraceDiff",
-    "TraceEvent",
-    "TraceRecorder",
-    "Violation",
-    "analyze_timeline",
-    "analyze_trace_file",
-    "attribute_commits",
-    "audit_events",
-    "audit_trace_file",
-    "canonicalize_events",
-    "chrome_trace_dict",
-    "collect_commit_spans",
-    "collect_recoveries",
-    "collect_span_forest",
-    "compare_reports",
-    "compute_slo",
-    "critical_path",
-    "critical_path_us",
-    "crosscheck_recovery_slo",
-    "decompose_recoveries",
-    "derive_dip",
-    "diff_events",
-    "diff_files",
-    "diff_series",
-    "evaluate_alerts",
-    "get_default_observer",
-    "load_bench_report",
-    "parse_collapsed",
-    "profile",
-    "read_jsonl",
-    "recovery_forest",
-    "reset_default_observer",
-    "resolve_observer",
-    "select_events",
-    "series_interval_us",
-    "slo_from_trace_file",
-    "snap_tick",
-    "verify_alerts",
-    "windowed_goodput",
-    "write_chrome_trace",
-    "write_jsonl",
-]
+# Every public name is stated once above: the eager imports (not the
+# submodules importing them binds here) plus the lazy table's keys.
+__all__ = sorted(
+    [
+        name for name, value in globals().items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    ]
+    + list(_LAZY_EXPORTS)
+)

@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.obs.report import pair_outages
+from repro.obs.series import SAMPLE_EVENT
 from repro.obs.trace import TraceEvent
 
 #: Trace vocabulary: one instant when a rule starts/stops firing.
@@ -109,47 +111,34 @@ Window = Tuple[float, Optional[float]]
 def downtime_windows(
     events: Iterable[TraceEvent],
 ) -> Dict[str, List[Window]]:
-    """Per-scope downtime windows, the auditor's way: ``fault.crash``
-    opens a window for its ``<scope>.cluster`` component, the matching
-    ``takeover`` span's end closes it."""
-    from repro.obs.recovery import scope_of_component
-
-    windows: Dict[str, List[Window]] = {}
-    for event in events:
-        if event.name == "fault.crash":
-            scope = scope_of_component(event.component)
-            windows.setdefault(scope, []).append((event.ts_us, None))
-        elif event.name == "takeover":
-            scope = scope_of_component(event.component)
-            scoped = windows.setdefault(scope, [])
-            for index in range(len(scoped) - 1, -1, -1):
-                start, end = scoped[index]
-                if end is None:
-                    scoped[index] = (start, event.end_us)
-                    break
-            else:
-                scoped.append((event.ts_us, event.end_us))
-    return windows
+    """Per-scope downtime windows: each outage of
+    :func:`~repro.obs.report.pair_outages` from its crash (the
+    takeover's start when no crash was recorded) to its takeover's end
+    (None while open) — the same windows the auditor derives online."""
+    return {
+        scope: [
+            (
+                crash.ts_us if crash is not None else takeover.ts_us,
+                takeover.end_us if takeover is not None else None,
+            )
+            for crash, takeover in scoped
+        ]
+        for scope, scoped in pair_outages(events).items()
+    }
 
 
 def sample_ticks(events: Iterable[TraceEvent]) -> List[float]:
     """The evaluation instants: the trace's ``series.sample`` ticks, or
     — for traces without a sampler — the downtime window edges."""
-    from repro.obs.series import SAMPLE_EVENT
-
-    ticks = sorted({
-        event.ts_us for event in events if event.name == SAMPLE_EVENT
-    })
-    if ticks:
-        return ticks
-    edges = set()
+    ticks, edges = set(), set()
     for event in events:
-        if event.name == "fault.crash":
+        if event.name == SAMPLE_EVENT:
+            ticks.add(event.ts_us)
+        elif event.name == "fault.crash":
             edges.add(event.ts_us)
         elif event.name == "takeover":
-            edges.add(event.ts_us)
-            edges.add(event.end_us)
-    return sorted(edges)
+            edges.update((event.ts_us, event.end_us))
+    return sorted(ticks or edges)
 
 
 def _window_downtime(
@@ -192,36 +181,29 @@ def fire_schedule(
                 long_burn = rule.burn(long_down, rule.long_window_us)
                 key = (rule.name, scope)
                 active = firing.get(key, False)
-                should_fire = (
+                if not active and (
                     short_burn > rule.burn_threshold
                     and long_burn > rule.burn_threshold
-                )
-                if should_fire and not active:
-                    firing[key] = True
-                    out.append(TraceEvent(
-                        ts_us=tick, component=ALERT_COMPONENT,
-                        name=ALERT_FIRE,
-                        attrs={
-                            **rule.to_attrs(),
-                            "scope": scope or "cluster",
-                            "short_burn": short_burn,
-                            "long_burn": long_burn,
-                            "downtime_short_us": short_down,
-                            "downtime_long_us": long_down,
-                        },
-                    ))
+                ):
+                    name, evidence = ALERT_FIRE, {
+                        "downtime_short_us": short_down,
+                        "downtime_long_us": long_down,
+                    }
                 elif active and short_burn <= rule.burn_threshold:
-                    firing[key] = False
-                    out.append(TraceEvent(
-                        ts_us=tick, component=ALERT_COMPONENT,
-                        name=ALERT_RESOLVE,
-                        attrs={
-                            **rule.to_attrs(),
-                            "scope": scope or "cluster",
-                            "short_burn": short_burn,
-                            "long_burn": long_burn,
-                        },
-                    ))
+                    name, evidence = ALERT_RESOLVE, {}
+                else:
+                    continue
+                firing[key] = not active
+                out.append(TraceEvent(
+                    ts_us=tick, component=ALERT_COMPONENT, name=name,
+                    attrs={
+                        **rule.to_attrs(),
+                        "scope": scope or "cluster",
+                        "short_burn": short_burn,
+                        "long_burn": long_burn,
+                        **evidence,
+                    },
+                ))
     return out
 
 

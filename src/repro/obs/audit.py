@@ -58,16 +58,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.obs.alerts import (
+    ALERT_FIRE,
+    ALERT_RESOLVE,
+    _alert_key,
+    fire_schedule,
+    rules_from_events,
+)
+from repro.obs.recovery import RECOVERY_PHASE, RECOVERY_PHASES, RECOVERY_SPAN
+from repro.obs.report import completion_scope
+from repro.obs.series import SAMPLE_EVENT
 from repro.obs.spans import COMMIT_PHASE, COMMIT_SPAN
-from repro.obs.trace import TraceEvent
+from repro.obs.trace import TraceEvent, scope_of_component
 from repro.quorum.versions import VersionVector
-
-#: Imported by name to avoid a hard import cycle (alerts/recovery are
-#: leaf modules, but keep the vocabulary strings local and cheap).
-_RECOVERY_SPAN = "recovery.span"
-_RECOVERY_PHASE = "recovery.phase"
-_ALERT_NAMES = ("alert.fire", "alert.resolve")
-_SAMPLE_EVENT = "series.sample"
 
 #: Relative tolerance of the span-sum check. Phase durations are
 #: accumulated floats, so exact equality is one rounding away from a
@@ -140,16 +143,6 @@ class AuditReport:
         }
 
 
-def _scope_of(component: str) -> str:
-    """The shard scope a cluster-level component belongs to.
-
-    ``shard.2.cluster`` -> ``shard.2``; a bare ``cluster`` (unsharded
-    pair) -> ``""``, which downtime matching treats as "everything".
-    """
-    scope = component.rsplit(".cluster", 1)[0]
-    return "" if scope == component else scope
-
-
 class TraceAuditor:
     """Feed trace events in stream order; collect violations.
 
@@ -213,9 +206,12 @@ class TraceAuditor:
         elif name == "commit":
             self._check_commit(event)
         elif name == "view.change":
-            self._check_view(event)
+            self._check_advances(event, "view_id", "view id", self._view_ids)
         elif name == "service.restored":
-            self._check_epoch(event)
+            if "epoch" in event.attrs:
+                self._check_advances(
+                    event, "epoch", "service epoch", self._epochs
+                )
         elif name == "fault.crash":
             self._open_downtime(event)
         elif name == "takeover":
@@ -238,19 +234,19 @@ class TraceAuditor:
                 self._span_child_sums[parent_id] += event.dur_us
             else:
                 self._orphan_children.append(event)
-        elif name == _RECOVERY_SPAN:
+        elif name == RECOVERY_SPAN:
             span_id = int(event.attrs.get("span_id", 0))
             self._recovery_roots[span_id] = event
             self._recovery_children.setdefault(span_id, [])
-        elif name == _RECOVERY_PHASE:
+        elif name == RECOVERY_PHASE:
             parent_id = int(event.attrs.get("parent_id", 0))
             if parent_id in self._recovery_roots:
                 self._recovery_children[parent_id].append(event)
             else:
                 self._recovery_orphans.append(event)
-        elif name in _ALERT_NAMES:
+        elif name in (ALERT_FIRE, ALERT_RESOLVE):
             self._alert_events.append(event)
-        elif name == _SAMPLE_EVENT:
+        elif name == SAMPLE_EVENT:
             self._sample_ticks.add(event.ts_us)
 
     def _check_ring(self, event: TraceEvent) -> None:
@@ -310,31 +306,20 @@ class TraceAuditor:
                     ring_lag_bytes=lag,
                 )
 
-    def _check_view(self, event: TraceEvent) -> None:
-        view_id = int(event.attrs.get("view_id", 0))
-        key = event.component
-        last = self._view_ids.get(key)
-        if last is not None and view_id <= last:
+    def _check_advances(
+        self, event: TraceEvent, attr: str, what: str, seen: Dict[str, int]
+    ) -> None:
+        """The epoch-monotone rule for one id family (view ids, service
+        epochs): ``attr`` strictly increases per component."""
+        value = int(event.attrs.get(attr, 0))
+        last = seen.get(event.component)
+        if last is not None and value <= last:
             self._flag(
                 "epoch-monotone", event,
-                f"view id did not advance: {view_id} after {last}",
-                view_id=view_id, previous=last,
+                f"{what} did not advance: {value} after {last}",
+                **{attr: value, "previous": last},
             )
-        self._view_ids[key] = view_id
-
-    def _check_epoch(self, event: TraceEvent) -> None:
-        if "epoch" not in event.attrs:
-            return
-        epoch = int(event.attrs["epoch"])
-        key = event.component
-        last = self._epochs.get(key)
-        if last is not None and epoch <= last:
-            self._flag(
-                "epoch-monotone", event,
-                f"service epoch did not advance: {epoch} after {last}",
-                epoch=epoch, previous=last,
-            )
-        self._epochs[key] = epoch
+        seen[event.component] = value
 
     # -- quorum invariants ----------------------------------------------------
 
@@ -402,12 +387,12 @@ class TraceAuditor:
     # -- downtime windows -----------------------------------------------------
 
     def _open_downtime(self, event: TraceEvent) -> None:
-        scope = _scope_of(event.component)
+        scope = scope_of_component(event.component)
         self._downtime.setdefault(scope, []).append((event.ts_us, None))
         self._edge_ticks.add(event.ts_us)
 
     def _close_downtime(self, event: TraceEvent) -> None:
-        scope = _scope_of(event.component)
+        scope = scope_of_component(event.component)
         self._edge_ticks.add(event.ts_us)
         self._edge_ticks.add(event.end_us)
         windows = self._downtime.setdefault(scope, [])
@@ -420,18 +405,8 @@ class TraceAuditor:
         # over the span itself (detection to restoration).
         windows.append((event.ts_us, event.end_us))
 
-    def _completion_scope(self, event: TraceEvent) -> Optional[str]:
-        # Clusters whose serving scopes are not shards (quorum groups)
-        # stamp completions with an explicit scope; shard completions
-        # keep the derived "shard.N" name.
-        if "scope" in event.attrs:
-            return str(event.attrs["scope"])
-        if "shard" in event.attrs:
-            return f"shard.{int(event.attrs['shard'])}"
-        return None
-
     def _check_completion(self, event: TraceEvent) -> None:
-        scope = self._completion_scope(event)
+        scope = completion_scope(event)
         for window_scope, windows in self._downtime.items():
             if window_scope and scope is not None and window_scope != scope:
                 continue
@@ -461,11 +436,10 @@ class TraceAuditor:
         if not self._recovery_roots:
             return
         rule = "recovery-span-tiles-downtime"
-        from repro.obs.recovery import RECOVERY_PHASES
-
         by_scope: Dict[str, List[TraceEvent]] = {}
         for span_id, root in sorted(self._recovery_roots.items()):
-            by_scope.setdefault(_scope_of(root.component), []).append(root)
+            scope = scope_of_component(root.component)
+            by_scope.setdefault(scope, []).append(root)
             children = sorted(
                 self._recovery_children.get(span_id, []),
                 key=lambda child: child.ts_us,
@@ -556,8 +530,6 @@ class TraceAuditor:
         the trace carrying alert events at all."""
         if not self._alert_events:
             return
-        from repro.obs.alerts import _alert_key, fire_schedule, rules_from_events
-
         rules = rules_from_events(self._alert_events)
         ticks = sorted(self._sample_ticks or self._edge_ticks)
         expected = fire_schedule(self._downtime, ticks, rules)
@@ -623,13 +595,3 @@ def audit_events(
     for event in events:
         auditor.feed(event)
     return auditor.finish()
-
-
-def audit_trace_file(
-    path: str, max_lag_bytes: Optional[int] = None
-) -> AuditReport:
-    """Audit a JSONL trace file written by ``write_jsonl``."""
-    from repro.obs.export import read_jsonl
-
-    events, _metrics = read_jsonl(path)
-    return audit_events(events, max_lag_bytes=max_lag_bytes)

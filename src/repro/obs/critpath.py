@@ -1,11 +1,13 @@
 """Critical-path extraction over any causal span DAG.
 
-:mod:`repro.obs.spans` walks commit trees, :mod:`repro.obs.recovery`
-walks recovery trees; this module generalizes both: any events linked
-through ``trace_id``/``span_id``/``parent_id`` attrs form a span
-forest, and the critical path of a root is the backward walk from its
-end attributing every instant to the deepest descendant span active at
-that instant — gaps no child covers are the parent's own time.
+Any events linked through ``trace_id``/``span_id``/``parent_id`` attrs
+form a span forest. :func:`collect_span_forest` is *the* joiner:
+:func:`repro.obs.spans.collect_commit_spans` and
+:func:`repro.obs.recovery.collect_recoveries` only map its roots onto
+their dataclasses. The critical path of a root is the backward walk
+from its end attributing every instant to the deepest descendant span
+active at that instant — gaps no child covers are the parent's own
+time.
 
 Two invariants the property suite pins down:
 
@@ -30,12 +32,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.audit import SPAN_SUM_ATOL, SPAN_SUM_RTOL
 from repro.obs.recovery import (
+    RECOVERY_PHASE,
     RECOVERY_PHASES,
     RECOVERY_SPAN,
     RESUME_COLUMN,
     RecoveryTree,
     collect_recoveries,
 )
+from repro.obs.trace import KIND_SPAN, component_matches
 
 
 @dataclass
@@ -64,6 +68,25 @@ class SpanNode:
     def label(self) -> str:
         phase = self.event.attrs.get("phase")
         return str(phase) if phase is not None else self.event.name
+
+    def tree_fields(self) -> Dict[str, object]:
+        """What a commit tree and a recovery tree both keep of their
+        root: its bounds, its attrs without the causal ids, and its
+        children's durations summed per label (in event order)."""
+        phases: Dict[str, float] = {}
+        for child in self.children:
+            phases[child.label] = phases.get(child.label, 0.0) + child.dur_us
+        return {
+            "trace_id": self.trace_id,
+            "component": self.event.component,
+            "start_us": self.start_us,
+            "dur_us": self.dur_us,
+            "phases": phases,
+            "attrs": {
+                key: value for key, value in self.event.attrs.items()
+                if key not in ("trace_id", "span_id")
+            },
+        }
 
 
 @dataclass(frozen=True)
@@ -98,14 +121,13 @@ def collect_span_forest(
     for event in events:
         if names is not None and event.name not in names:
             continue
-        if event.kind != "span":
+        if event.kind != KIND_SPAN:
             continue
         attrs = event.attrs
         if "span_id" not in attrs:
             continue
-        if component_prefix is not None and not (
-            event.component == component_prefix
-            or event.component.startswith(component_prefix + ".")
+        if component_prefix is not None and not component_matches(
+            event.component, component_prefix
         ):
             continue
         node = SpanNode(
@@ -355,7 +377,7 @@ def decompose_recoveries(
 def recovery_forest(events: Iterable) -> List[SpanNode]:
     """The recovery trees as generic span nodes (for the walker)."""
     return collect_span_forest(
-        events, names=(RECOVERY_SPAN, "recovery.phase")
+        events, names=(RECOVERY_SPAN, RECOVERY_PHASE)
     )
 
 
@@ -367,10 +389,11 @@ def crosscheck_recovery_slo(
     For every SLO scope (after the optional ``scopes`` filter): the
     scope's recovery-root durations must sum to its SLO downtime within
     the span-sum tolerance, one root per counted failover, each root
-    matching one downtime window's bounds. This replaces the ad-hoc
-    downtime arithmetic the experiments used to duplicate; raises
-    ``AssertionError`` with a precise message on any mismatch and
-    returns the decomposition for further checks.
+    matching one downtime window's bounds. Only closed windows are
+    compared: an outage still open at the end of the trace has no
+    recovery root by construction (the root is emitted at restoration).
+    Raises ``AssertionError`` with a precise message on any mismatch
+    and returns the decomposition for further checks.
     """
     decomposition = decompose_recoveries(events, scopes=scopes)
     by_scope: Dict[str, List[RecoveryTree]] = {}
@@ -382,13 +405,14 @@ def crosscheck_recovery_slo(
             f"scope {scope.label}: {len(roots)} recovery span(s) for "
             f"{scope.failovers} SLO failover(s)"
         )
+        unmatched = [w for w in scope.windows if w[1] is not None]
+        downtime_us = sum(max(0.0, end - start) for start, end in unmatched)
         root_sum = sum(root.dur_us for root in roots)
-        tolerance = SPAN_SUM_ATOL + SPAN_SUM_RTOL * abs(scope.downtime_us)
-        assert abs(root_sum - scope.downtime_us) <= tolerance, (
+        tolerance = SPAN_SUM_ATOL + SPAN_SUM_RTOL * abs(downtime_us)
+        assert abs(root_sum - downtime_us) <= tolerance, (
             f"scope {scope.label}: recovery roots sum to {root_sum}us, "
-            f"SLO downtime is {scope.downtime_us}us"
+            f"SLO downtime is {downtime_us}us"
         )
-        unmatched = list(scope.windows)
         for root in sorted(roots, key=lambda r: r.start_us):
             match = next(
                 (

@@ -23,14 +23,12 @@ non-empty diff in CI evidence of a real change.
 
 Usage::
 
-    python -m repro.obs.diff baseline.jsonl current.jsonl
+    python -m repro.obs.report current.jsonl --diff baseline.jsonl
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.trace import TraceEvent
@@ -64,24 +62,9 @@ def canonicalize_events(
                     if local not in id_map:
                         id_map[local] = len(id_map) + 1
                     new_attrs[key] = id_map[local]
-            event = TraceEvent(
-                ts_us=event.ts_us, component=event.component,
-                name=event.name, kind=event.kind, dur_us=event.dur_us,
-                attrs=new_attrs,
-            )
+            event = replace(event, attrs=new_attrs)
         out.append(event)
     return out
-
-
-def _event_fields(event: TraceEvent) -> Dict[str, object]:
-    return {
-        "ts_us": event.ts_us,
-        "component": event.component,
-        "name": event.name,
-        "kind": event.kind,
-        "dur_us": event.dur_us,
-        "attrs": dict(event.attrs),
-    }
 
 
 @dataclass(frozen=True)
@@ -214,10 +197,9 @@ def diff_events(
         kind="trace", baseline_count=len(a), current_count=len(b)
     )
     for index in range(min(len(a), len(b))):
-        fields_a = _event_fields(a[index])
-        fields_b = _event_fields(b[index])
-        if fields_a == fields_b:
+        if a[index] == b[index]:
             continue
+        fields_a, fields_b = asdict(a[index]), asdict(b[index])
         for name in fields_a:
             if fields_a[name] != fields_b[name]:
                 diff.divergences.append(Divergence(
@@ -228,19 +210,15 @@ def diff_events(
             diff.truncated = True
             break
     if not diff.truncated and len(a) != len(b):
-        longer, label = (a, "baseline") if len(a) > len(b) else (b, "current")
         index = min(len(a), len(b))
-        extra = longer[index]
+        baseline_side, current_side = (
+            f"{side[index].component}/{side[index].name}"
+            if len(side) > index else "(absent)"
+            for side in (a, b)
+        )
         diff.divergences.append(Divergence(
             index=index, field="presence",
-            baseline=(
-                f"{extra.component}/{extra.name}" if label == "baseline"
-                else "(absent)"
-            ),
-            current=(
-                f"{extra.component}/{extra.name}" if label == "current"
-                else "(absent)"
-            ),
+            baseline=baseline_side, current=current_side,
         ))
     totals_a = _phase_totals(baseline)
     totals_b = _phase_totals(current)
@@ -293,23 +271,14 @@ def diff_series(
     return diff
 
 
-def _is_series_file(path: str) -> bool:
-    from repro.obs.series import SERIES_FORMAT
-
-    with open(path, "r", encoding="utf-8") as fh:
-        return f'"{SERIES_FORMAT}"' in fh.readline()
-
-
-def diff_files(
-    baseline_path: str, current_path: str, max_divergences: int = 20
-) -> TraceDiff:
+def diff_files(baseline_path: str, current_path: str) -> TraceDiff:
     """Diff two recorded files, sniffing ``repro-trace-v1`` vs
     ``repro-series-v1`` from the meta line (both must agree)."""
     from repro.obs.export import read_jsonl
-    from repro.obs.series import SeriesFrame
+    from repro.obs.series import SeriesFrame, is_series_file
 
-    series_a = _is_series_file(baseline_path)
-    series_b = _is_series_file(current_path)
+    series_a = is_series_file(baseline_path)
+    series_b = is_series_file(current_path)
     if series_a != series_b:
         raise ValueError(
             f"cannot diff a series file against a trace file "
@@ -319,42 +288,7 @@ def diff_files(
         return diff_series(
             SeriesFrame.read_jsonl(baseline_path),
             SeriesFrame.read_jsonl(current_path),
-            max_divergences=max_divergences,
         )
     events_a, _ = read_jsonl(baseline_path)
     events_b, _ = read_jsonl(current_path)
-    return diff_events(events_a, events_b, max_divergences=max_divergences)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.diff",
-        description=(
-            "Structurally diff two recorded runs (repro-trace-v1 or "
-            "repro-series-v1 JSONL): canonical causal-id alignment, "
-            "first-divergence localization, per-phase cost deltas. "
-            "Exit status 1 when the runs diverge."
-        ),
-    )
-    parser.add_argument("baseline", help="baseline JSONL file")
-    parser.add_argument("current", help="current JSONL file")
-    parser.add_argument(
-        "--max-divergences", type=int, default=20,
-        help="stop after this many localized divergences (default 20)",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-    )
-    args = parser.parse_args(argv)
-    diff = diff_files(
-        args.baseline, args.current, max_divergences=args.max_divergences
-    )
-    if args.format == "json":
-        print(json.dumps(diff.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(diff.render())
-    return 0 if diff.identical else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    return diff_events(events_a, events_b)

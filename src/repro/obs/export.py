@@ -28,7 +28,8 @@ from repro.obs.trace import KIND_SPAN, TraceEvent
 JSONL_FORMAT = "repro-trace-v1"
 
 
-def _stable_json(record: Dict[str, object]) -> str:
+def stable_json(record: Dict[str, object]) -> str:
+    """The canonical one-line encoding both JSONL formats are written in."""
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
@@ -39,14 +40,14 @@ def write_jsonl(
 ) -> Path:
     """Write a trace (and optional metrics snapshot) as JSONL."""
     path = Path(path)
-    lines = [_stable_json({"type": "meta", "format": JSONL_FORMAT})]
+    lines = [stable_json({"type": "meta", "format": JSONL_FORMAT})]
     for event in events:
         record = {"type": "event"}
         record.update(event.to_dict())
-        lines.append(_stable_json(record))
+        lines.append(stable_json(record))
     if metrics is not None:
         lines.append(
-            _stable_json({"type": "metrics", "snapshot": metrics.snapshot()})
+            stable_json({"type": "metrics", "snapshot": metrics.snapshot()})
         )
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -239,45 +239,33 @@ class MetricsRegistry:
     # -- merging -------------------------------------------------------------
 
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's metrics into this one, in place.
-
-        Counters and histogram observations add; gauges take the
-        other's value (last write wins, matching their semantics when
-        the merged registries are fed in a defined order). This is how
-        ``repro-experiments --jobs N`` folds its worker processes'
-        per-cell registries back into one process-wide view.
-        """
-        for name in sorted(other._counters):
-            self.counter(name).inc(other._counters[name].value)
-        for name in sorted(other._gauges):
-            self.gauge(name).set(other._gauges[name].value)
-        for name in sorted(other._histograms):
-            theirs = other._histograms[name]
-            self.histogram(name, theirs.bounds).merge(theirs)
+        """Fold another live registry's metrics into this one, in place
+        (:meth:`merge_snapshot` of its :meth:`snapshot`)."""
+        self.merge_snapshot(other.snapshot())
 
     def merge_snapshot(self, snapshot: Dict[str, Dict]) -> None:
-        """Fold a :meth:`snapshot` dump into this registry — the
-        picklable path for cross-process merging (snapshots travel
-        through the pool; live registries never do)."""
+        """Fold a :meth:`snapshot` dump into this registry.
+
+        Counters and histogram observations add; gauges take the
+        snapshot's value (last write wins, matching their semantics when
+        the merged registries are fed in a defined order). Snapshots are
+        the picklable form: this is how ``repro-experiments --jobs N``
+        folds its worker processes' per-cell registries back into one
+        process-wide view (live registries never travel through the
+        pool).
+        """
         for name, value in snapshot.get("counters", {}).items():
             self.counter(name).inc(value)
         for name, value in snapshot.get("gauges", {}).items():
             self.gauge(name).set(value)
         for name, dump in snapshot.get("histograms", {}).items():
-            histogram = self.histogram(name, tuple(dump["bounds"]))
-            for index, bucket_count in enumerate(dump["bucket_counts"]):
-                histogram.bucket_counts[index] += int(bucket_count)
-            count = int(dump["count"])
-            histogram.count += count
-            histogram.sum += dump["sum"]
-            if count:
-                low, high = dump["min"], dump["max"]
-                histogram.min = (
-                    low if histogram.min is None else min(histogram.min, low)
-                )
-                histogram.max = (
-                    high if histogram.max is None else max(histogram.max, high)
-                )
+            theirs = Histogram(name, tuple(dump["bounds"]))
+            theirs.bucket_counts = [int(n) for n in dump["bucket_counts"]]
+            theirs.count = int(dump["count"])
+            theirs.sum = dump["sum"]
+            if theirs.count:  # an empty histogram dumps min/max as 0.0
+                theirs.min, theirs.max = dump["min"], dump["max"]
+            self.histogram(name, theirs.bounds).merge(theirs)
 
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges) + len(self._histograms)

@@ -70,9 +70,6 @@ class NullObserver:
     def new_trace_id(self) -> int:
         return 0
 
-    def new_span_id(self) -> int:
-        return 0
-
     def linked_span(
         self, component: str, name: str, start_us: float, end_us: float,
         trace_id: int, parent_id: Optional[int] = None, **attrs: object,
@@ -192,16 +189,12 @@ class Observer:
     # -- causal spans --------------------------------------------------------
 
     def new_trace_id(self) -> int:
-        """A fresh id for one causal trace (e.g. one commit); unique
-        across every scope sharing this observer's recorder."""
+        """A fresh id for one causal trace (e.g. one commit) or one
+        span: both draw from one sequence, so any id is unique across
+        every scope sharing this observer's recorder."""
         root = self._root()
         root._next_id += 1
         return root._next_id
-
-    def new_span_id(self) -> int:
-        """A fresh span id, drawn from the same sequence as trace ids
-        so any id is unique across the whole trace."""
-        return self.new_trace_id()
 
     def linked_span(
         self, component: str, name: str, start_us: float, end_us: float,
@@ -214,7 +207,7 @@ class Observer:
         omitted for a trace root. The links live in ``attrs``, which is
         what lets them survive the JSONL and Chrome exports unchanged.
         """
-        span_id = self.new_span_id()
+        span_id = self.new_trace_id()
         if parent_id is not None:
             attrs["parent_id"] = parent_id
         self.recorder.span(

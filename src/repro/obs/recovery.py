@@ -43,6 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.obs.spans import emit_span_tree
+from repro.obs.trace import scope_of_component
+
 #: Event name of one failover's parent recovery span.
 RECOVERY_SPAN = "recovery.span"
 #: Event name of one recovery phase child span.
@@ -71,13 +74,6 @@ class RecoveryLink:
 
     trace_id: int
     span_id: int
-
-
-def scope_of_component(component: str) -> str:
-    """The serving scope a ``<scope>.cluster`` component belongs to:
-    ``shard.2.cluster`` -> ``shard.2``; a bare ``cluster`` -> ``""``."""
-    scope = component.rsplit(".cluster", 1)[0]
-    return "" if scope == component else scope
 
 
 class RecoverySpanRecorder:
@@ -118,21 +114,11 @@ class RecoverySpanRecorder:
         phases, self._phases = self._phases, []
         if not phases:
             raise ValueError("recovery span with no recorded phases")
-        start_us = phases[0][1]
-        end_us = phases[-1][2]
-        trace_id = self.observer.new_trace_id()
-        parent_id = self.observer.linked_span(
-            self.component, RECOVERY_SPAN, start_us, end_us, trace_id,
-            **attrs,
+        trace_id, span_id = emit_span_tree(
+            self.observer, self.component, RECOVERY_SPAN, RECOVERY_PHASE,
+            phases[0][1], phases[-1][2], phases, attrs,
         )
-        for name, phase_start, phase_end, phase_attrs in phases:
-            if phase_end == phase_start:
-                continue
-            self.observer.linked_span(
-                self.component, RECOVERY_PHASE, phase_start, phase_end,
-                trace_id, parent_id=parent_id, phase=name, **phase_attrs,
-            )
-        return RecoveryLink(trace_id=trace_id, span_id=parent_id)
+        return RecoveryLink(trace_id=trace_id, span_id=span_id)
 
 
 # -- analysis ----------------------------------------------------------------
@@ -175,57 +161,42 @@ def collect_recoveries(
 ) -> List[RecoveryTree]:
     """Rebuild every failover's recovery tree from an event stream.
 
-    Joins :data:`RECOVERY_SPAN` parents to their :data:`RECOVERY_PHASE`
-    children and :data:`RECOVERY_RESUME` instants through the
-    ``trace_id``/``parent_id`` attrs; works on the live recorder's list
-    or on events reloaded from JSONL.
+    The :data:`RECOVERY_SPAN` roots of the generic span forest
+    (:func:`~repro.obs.critpath.collect_span_forest` joins them to
+    their :data:`RECOVERY_PHASE` children), each joined here to its
+    :data:`RECOVERY_RESUME` instant through the ``parent_id`` attr;
+    works on the live recorder's list or on events reloaded from JSONL.
     """
-    parents: Dict[int, object] = {}
-    phases: Dict[int, Dict[str, float]] = {}
+    # Imported here: critpath imports this module for the vocabulary.
+    from repro.obs.critpath import collect_span_forest
+
+    # The one pass over the stream: the joins below see only the
+    # handful of recovery-vocabulary events.
+    vocabulary = (RECOVERY_SPAN, RECOVERY_PHASE, RECOVERY_RESUME)
+    events = [event for event in events if event.name in vocabulary]
     resumes: Dict[int, object] = {}
-    order: List[int] = []
     for event in events:
-        if event.name == RECOVERY_SPAN:
-            span_id = int(event.attrs["span_id"])
-            parents[span_id] = event
-            phases.setdefault(span_id, {})
-            order.append(span_id)
-        elif event.name == RECOVERY_PHASE:
-            parent_id = int(event.attrs["parent_id"])
-            by_phase = phases.setdefault(parent_id, {})
-            phase = str(event.attrs["phase"])
-            by_phase[phase] = by_phase.get(phase, 0.0) + event.dur_us
-        elif event.name == RECOVERY_RESUME:
-            parent_id = int(event.attrs["parent_id"])
-            resumes.setdefault(parent_id, event)
+        if event.name == RECOVERY_RESUME:
+            resumes.setdefault(int(event.attrs["parent_id"]), event)
     trees = []
-    for span_id in order:
-        event = parents[span_id]
-        attrs = {
-            key: value for key, value in event.attrs.items()
-            if key not in ("trace_id", "span_id")
-        }
-        resume = resumes.get(span_id)
+    for root in collect_span_forest(
+        events, component_prefix=component_prefix
+    ):
+        if root.event.name != RECOVERY_SPAN:
+            continue
+        resume = resumes.get(root.span_id)
         gap = commit_trace_id = None
         if resume is not None:
-            gap = resume.ts_us - (event.ts_us + event.dur_us)
+            gap = resume.ts_us - root.end_us
             if "commit_trace_id" in resume.attrs:
                 commit_trace_id = int(resume.attrs["commit_trace_id"])
-        tree = RecoveryTree(
-            trace_id=int(event.attrs["trace_id"]),
-            span_id=span_id,
-            component=event.component,
-            scope=scope_of_component(event.component),
-            start_us=event.ts_us,
-            dur_us=event.dur_us,
-            phases=phases[span_id],
-            attrs=attrs,
-            resume_gap_us=gap,
-            resume_commit_trace_id=commit_trace_id,
+        trees.append(
+            RecoveryTree(
+                span_id=root.span_id,
+                scope=scope_of_component(root.event.component),
+                resume_gap_us=gap,
+                resume_commit_trace_id=commit_trace_id,
+                **root.tree_fields(),
+            )
         )
-        if component_prefix is None or (
-            tree.component == component_prefix
-            or tree.component.startswith(component_prefix + ".")
-        ):
-            trees.append(tree)
     return trees

@@ -26,13 +26,15 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence
+from pathlib import Path
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.export import read_jsonl, write_chrome_trace
-from repro.obs.trace import TraceEvent, select_events
+from repro.obs.trace import TraceEvent, scope_of_component, select_events
 
 
 def _percentile(ordered: Sequence[float], q: float) -> float:
@@ -101,14 +103,7 @@ class LatencySummary:
         )
 
     def to_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "mean_us": self.mean_us,
-            "p50_us": self.p50_us,
-            "p95_us": self.p95_us,
-            "p99_us": self.p99_us,
-            "max_us": self.max_us,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -259,32 +254,72 @@ class TimelineReport:
         }
 
 
+def completion_scope(event: TraceEvent) -> Optional[str]:
+    """The serving scope a ``txn.complete`` names: clusters whose scopes
+    are not shards (quorum groups) stamp an explicit ``scope``; shard
+    completions keep the derived ``shard.N``."""
+    if "scope" in event.attrs:
+        return str(event.attrs["scope"])
+    if "shard" in event.attrs:
+        return f"shard.{int(event.attrs['shard'])}"
+    return None
+
+
+#: One outage: the ``fault.crash`` that opened it (None when a takeover
+#: arrived with no crash on record) and the ``takeover`` span that closed
+#: it (None while it is still open).
+Outage = Tuple[Optional[TraceEvent], Optional[TraceEvent]]
+
+
+def pair_outages(events: Iterable[TraceEvent]) -> Dict[str, List[Outage]]:
+    """*The* outage pairing: per scope, in opening order, every
+    ``fault.crash`` instant with the ``takeover`` span that closes it.
+
+    A takeover closes the scope's most recently opened crash that is
+    still open; a takeover with no open crash declares downtime over
+    the span itself (detection to restoration); a crash no takeover
+    follows stays open. Single pass. :func:`analyze_timeline` and
+    :func:`repro.obs.alerts.downtime_windows` are both written on it;
+    only :class:`~repro.obs.audit.TraceAuditor` pairs on its own — it is
+    the independent checker these numbers are audited against.
+    """
+    outages: Dict[str, List[Outage]] = {}
+    for event in events:
+        if event.name not in ("fault.crash", "takeover"):
+            continue
+        scoped = outages.setdefault(scope_of_component(event.component), [])
+        if event.name == "fault.crash":
+            scoped.append((event, None))
+            continue
+        for index in range(len(scoped) - 1, -1, -1):
+            crash, closed_by = scoped[index]
+            if closed_by is None:
+                scoped[index] = (crash, event)
+                break
+        else:
+            scoped.append((None, event))
+    return outages
+
+
 def analyze_timeline(
     events: Sequence[TraceEvent], window_us: float = 1_000.0
 ) -> TimelineReport:
     """Reconstruct the timeline report from raw trace events."""
-    crashes = select_events(events, name="fault.crash")
-    takeovers = select_events(events, name="takeover")
-    failovers: List[FailoverSpan] = []
-    for takeover in takeovers:
-        scope = takeover.component.rsplit(".cluster", 1)[0]
-        if scope == takeover.component:  # component was plain "cluster"
-            scope = ""
-        crash = next(
-            (c for c in crashes if c.component == takeover.component), None
+    failovers = [
+        FailoverSpan(
+            scope=scope,
+            crashed_node=(
+                str(crash.attrs.get("node", "?")) if crash is not None else "?"
+            ),
+            crash_at_us=crash.ts_us if crash is not None else takeover.ts_us,
+            detected_at_us=takeover.ts_us,
+            restored_at_us=takeover.end_us,
+            bytes_restored=int(takeover.attrs.get("bytes_restored", 0)),
         )
-        crash_at = crash.ts_us if crash is not None else takeover.ts_us
-        node = str(crash.attrs.get("node", "?")) if crash is not None else "?"
-        failovers.append(
-            FailoverSpan(
-                scope=scope,
-                crashed_node=node,
-                crash_at_us=crash_at,
-                detected_at_us=takeover.ts_us,
-                restored_at_us=takeover.end_us,
-                bytes_restored=int(takeover.attrs.get("bytes_restored", 0)),
-            )
-        )
+        for scope, scoped in pair_outages(events).items()
+        for crash, takeover in scoped
+        if takeover is not None  # an open outage is not a failover yet
+    ]
     failovers.sort(key=lambda span: span.crash_at_us)
 
     completes = select_events(events, name="txn.complete")
@@ -299,13 +334,9 @@ def analyze_timeline(
         if "shard" in event.attrs:
             shard = int(event.attrs["shard"])
             per_shard[shard] = per_shard.get(shard, 0) + 1
-        if "scope" in event.attrs:
-            scope = str(event.attrs["scope"])
-        elif "shard" in event.attrs:
-            scope = f"shard.{int(event.attrs['shard'])}"
-        else:
-            continue
-        per_scope[scope] = per_scope.get(scope, 0) + 1
+        scope = completion_scope(event)
+        if scope is not None:
+            per_scope[scope] = per_scope.get(scope, 0) + 1
     routing = {
         "routed": len(select_events(events, name="txn.submit")),
         "completed": len(completes),
@@ -324,19 +355,14 @@ def analyze_timeline(
     )
 
 
-def analyze_trace_file(
-    path: str, window_us: float = 1_000.0
-) -> TimelineReport:
-    """Load a JSONL trace and reconstruct its timeline report."""
-    events, _metrics = read_jsonl(path)
-    return analyze_timeline(events, window_us=window_us)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    # Imported here: slo imports this module for analyze_timeline.
-    import json as _json
-
+    # Imported here: these modules import this one (for the timeline,
+    # the latency summary or the outage pairing).
+    from repro.obs.alerts import verify_alerts
     from repro.obs.audit import audit_events
+    from repro.obs.critpath import decompose_recoveries
+    from repro.obs.diff import diff_files
+    from repro.obs.series import SeriesFrame, is_series_file
     from repro.obs.slo import compute_slo
     from repro.obs.spans import attribute_commits
 
@@ -434,134 +460,82 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.series_out and not args.series:
         parser.error("--series-out requires --series")
-
-    emitted: List[str] = []
-
-    def _emit(text: str) -> None:
-        emitted.append(text)
+    if args.scope and not (args.slo or args.spans or args.recovery):
+        parser.error("--scope requires --slo, --spans or --recovery")
 
     frame = None
-    series_only = False
-    if args.series:
-        from repro.obs.series import SERIES_FORMAT, SeriesFrame
-
-        try:
-            head = open(args.trace, "r", encoding="utf-8").readline()
-        except OSError as error:
-            parser.error(f"cannot read trace file: {error}")
-        if f'"{SERIES_FORMAT}"' in head:
+    events: List[TraceEvent] = []
+    try:
+        series_only = args.series and is_series_file(args.trace)
+        if series_only:
             frame = SeriesFrame.read_jsonl(args.trace)
-            series_only = True
-
-    if series_only:
-        events: List[TraceEvent] = []
-        report = analyze_timeline(events, window_us=args.window_us)
-    else:
-        try:
+        else:
             events, _metrics = read_jsonl(args.trace)
-        except OSError as error:
-            parser.error(f"cannot read trace file: {error}")
-        report = analyze_timeline(events, window_us=args.window_us)
-        if args.series:
-            from repro.obs.series import SeriesFrame
+            if args.series:
+                frame = SeriesFrame.from_events(events)
+    except OSError as error:
+        parser.error(f"cannot read trace file: {error}")
 
-            frame = SeriesFrame.from_events(events)
+    done: Dict[str, object] = {}
 
-    audit_report = None
-    if args.audit:
-        audit_report = audit_events(events, max_lag_bytes=args.max_lag_bytes)
-    slo_report = None
-    if args.slo:
-        audit_ok = audit_report.ok if audit_report is not None else None
-        slo_report = compute_slo(
-            events, audit_ok=audit_ok, failovers=report.failovers,
+    def _slo():
+        audit = done.get("audit")
+        return compute_slo(
+            events, audit_ok=None if audit is None else audit.ok,
             scopes=args.scope,
         )
-    elif args.scope and not (args.spans or args.recovery):
-        parser.error("--scope requires --slo, --spans or --recovery")
-    attribution = (
-        attribute_commits(events, scopes=args.scope) if args.spans else None
-    )
-    recovery = None
-    if args.recovery:
-        from repro.obs.critpath import decompose_recoveries
 
-        recovery = decompose_recoveries(events, scopes=args.scope)
-    alert_verification = None
-    if args.alerts:
-        from repro.obs.alerts import verify_alerts
-
-        alert_verification = verify_alerts(events)
-    trace_diff = None
-    if args.diff:
-        from repro.obs.diff import diff_files
-
+    def _diff():
         try:
-            trace_diff = diff_files(args.diff, args.trace)
+            return diff_files(args.diff, args.trace)
         except OSError as error:
             parser.error(f"cannot read baseline file: {error}")
 
+    # The report's sections, in output order: (name, requested?, compute,
+    # the result attribute that must hold for exit status 0). Every
+    # result renders as text and as a JSON object under its name.
+    sections = (
+        ("timeline", not series_only,
+         lambda: analyze_timeline(events, window_us=args.window_us), None),
+        ("series", frame is not None, lambda: frame, None),
+        ("audit", args.audit,
+         lambda: audit_events(events, max_lag_bytes=args.max_lag_bytes), "ok"),
+        ("slo", args.slo, _slo, None),
+        ("attribution", args.spans,
+         lambda: attribute_commits(events, scopes=args.scope), None),
+        ("recovery", args.recovery,
+         lambda: decompose_recoveries(events, scopes=args.scope), None),
+        ("alerts", args.alerts, lambda: verify_alerts(events), "ok"),
+        ("diff", args.diff, _diff, "identical"),
+    )
+    failed = False
+    for name, requested, compute, gate in sections:
+        if requested:
+            done[name] = compute()
+            failed |= gate is not None and not getattr(done[name], gate)
+
     if args.format == "json":
-        payload: Dict[str, object] = {}
-        if not series_only:
-            payload["timeline"] = report.to_dict()
-        if frame is not None:
-            payload["series"] = frame.to_dict()
-        if audit_report is not None:
-            payload["audit"] = audit_report.to_dict()
-        if slo_report is not None:
-            payload["slo"] = slo_report.to_dict()
-        if attribution is not None:
-            payload["attribution"] = attribution.to_dict()
-        if recovery is not None:
-            payload["recovery"] = recovery.to_dict()
-        if alert_verification is not None:
-            payload["alerts"] = alert_verification.to_dict()
-        if trace_diff is not None:
-            payload["diff"] = trace_diff.to_dict()
-        _emit(_json.dumps(payload, indent=2, sort_keys=True))
+        payload = {name: result.to_dict() for name, result in done.items()}
+        emitted = [json.dumps(payload, indent=2, sort_keys=True)]
     else:
-        sections = [] if series_only else [report.render()]
-        if frame is not None:
-            sections.append(frame.render())
-        if audit_report is not None:
-            sections.append(audit_report.render())
-        if slo_report is not None:
-            sections.append(slo_report.render())
-        if attribution is not None:
-            sections.append(attribution.render())
-        if recovery is not None:
-            sections.append(recovery.render())
-        if alert_verification is not None:
-            sections.append(alert_verification.render())
-        if trace_diff is not None:
-            sections.append(trace_diff.render())
-        _emit("\n\n".join(sections))
+        emitted = ["\n\n".join(result.render() for result in done.values())]
     if args.chrome_trace:
         write_chrome_trace(args.chrome_trace, events)
         if args.format != "json":
-            _emit(f"\n  chrome trace written to {args.chrome_trace}")
+            emitted.append(f"\n  chrome trace written to {args.chrome_trace}")
     if frame is not None and args.series_out:
         frame.write_jsonl(args.series_out)
         if args.format != "json":
-            _emit(f"\n  series written to {args.series_out}")
+            emitted.append(f"\n  series written to {args.series_out}")
 
     text = "\n".join(emitted)
     if args.output:
-        from pathlib import Path as _Path
-
-        target = _Path(args.output)
+        target = Path(args.output)
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
-    if audit_report is not None and not audit_report.ok:
-        return 1
-    if alert_verification is not None and not alert_verification.ok:
-        return 1
-    if trace_diff is not None and not trace_diff.identical:
-        return 1
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

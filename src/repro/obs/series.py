@@ -37,6 +37,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.obs.export import stable_json
 from repro.obs.observer import resolve_observer
 from repro.obs.trace import TraceEvent
 
@@ -53,8 +54,11 @@ SAMPLE_EVENT = "series.sample"
 _SPARK_RAMP = " .:-=+*#%@"
 
 
-def _stable_json(payload: object) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def is_series_file(path: str) -> bool:
+    """Whether ``path``'s meta line declares :data:`SERIES_FORMAT` (as
+    opposed to a ``repro-trace-v1`` trace)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return f'"{SERIES_FORMAT}"' in fh.readline()
 
 
 class SeriesFrame:
@@ -141,7 +145,7 @@ class SeriesFrame:
         per sample, values in column order)."""
         out = io.StringIO()
         names = sorted(self._columns)
-        out.write(_stable_json({
+        out.write(stable_json({
             "type": "meta",
             "format": SERIES_FORMAT,
             "columns": names,
@@ -149,7 +153,7 @@ class SeriesFrame:
         }) + "\n")
         columns = [self._columns[name] for name in names]
         for i, ts in enumerate(self._times):
-            out.write(_stable_json({
+            out.write(stable_json({
                 "type": "sample",
                 "ts_us": ts,
                 "values": [col[i] for col in columns],

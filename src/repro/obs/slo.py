@@ -3,9 +3,9 @@
 The paper's availability story (Section 7) is qualitative: failover
 takes tens of milliseconds, so a pair is "highly available". This
 module makes it quantitative the way an operator would: fold every
-measured :class:`~repro.obs.report.FailoverSpan`'s downtime window
-against the trace horizon into served-time ratios, per shard and
-cluster-wide, and express them as "nines".
+downtime window (:func:`~repro.obs.alerts.downtime_windows`, one per
+paired crash/takeover) against the trace horizon into served-time
+ratios, per shard and cluster-wide, and express them as "nines".
 
 The numbers are only as trustworthy as the trace, which is why
 :func:`compute_slo` accepts the :class:`~repro.obs.audit.AuditReport`
@@ -24,8 +24,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.report import FailoverSpan, analyze_timeline
-from repro.obs.trace import TraceEvent
+from repro.obs.alerts import Window, downtime_windows
+from repro.obs.report import completion_scope
+from repro.obs.trace import TraceEvent, component_matches
 
 #: Availability of a scope with zero observed downtime renders as this
 #: many nines rather than infinity: no finite trace proves more.
@@ -49,8 +50,14 @@ class ScopeAvailability:
     scope: str  # "shard.2", or "" for an unsharded pair
     horizon_us: float
     downtime_us: float
-    failovers: int
-    windows: Tuple[Tuple[float, float], ...] = ()
+    failovers: int  # completed takeovers; an open outage is not one yet
+    #: (start, end) per outage, clipped to the horizon; ``end`` is None
+    #: for an outage still open when the trace ends.
+    windows: Tuple[Window, ...] = ()
+
+    @property
+    def open_outage(self) -> bool:
+        return any(end is None for _start, end in self.windows)
 
     @property
     def label(self) -> str:
@@ -120,6 +127,10 @@ class SloReport:
                 f"({scope.nines:.2f} nines), downtime "
                 f"{scope.downtime_us / 1000:.2f} ms over "
                 f"{scope.failovers} failover(s)"
+                + (
+                    ", outage open at the end of the trace"
+                    if scope.open_outage else ""
+                )
             )
         if not self.scopes:
             lines.append("  no serving scopes in this trace")
@@ -147,89 +158,61 @@ class SloReport:
         }
 
 
-def _trace_horizon_us(events: Sequence[TraceEvent]) -> float:
-    return max((event.end_us for event in events), default=0.0)
-
-
 def _scope_selected(scope: str, scopes: Optional[Sequence[str]]) -> bool:
     """Whether ``scope`` passes a ``--scope`` filter list (exact label
     or dotted prefix; None or empty selects everything)."""
     if not scopes:
         return True
     label = scope or "cluster"
-    return any(
-        label == wanted or label.startswith(wanted + ".")
-        for wanted in scopes
-    )
+    return any(component_matches(label, wanted) for wanted in scopes)
 
 
 def compute_slo(
     events: Sequence[TraceEvent],
     horizon_us: Optional[float] = None,
     audit_ok: Optional[bool] = None,
-    failovers: Optional[Sequence[FailoverSpan]] = None,
     scopes: Optional[Sequence[str]] = None,
 ) -> SloReport:
-    """Fold a trace's failover spans into an availability report.
+    """Fold a trace's downtime windows into an availability report.
 
-    ``failovers`` can be supplied (e.g. from an already-computed
-    :class:`~repro.obs.report.TimelineReport`) to avoid re-scanning;
-    otherwise they are reconstructed from ``events``. Scopes are the
-    union of every serving scope that completed a transaction
-    ("shard.N", or the explicit scope quorum completions carry) and
-    every scope that failed over, so an always-up shard counts in the
-    cluster roll-up with zero downtime. ``scopes`` restricts the
-    report (and its cluster roll-up) to matching scopes — exact label
-    or dotted prefix — so one trace holding both shard and
-    quorum-group scopes can be reported per architecture.
+    Scopes are the union of every serving scope that completed a
+    transaction ("shard.N", or the explicit scope quorum completions
+    carry) and every scope with an outage, so an always-up shard counts
+    in the cluster roll-up with zero downtime. An outage still open at
+    the end of the trace is charged from its crash to ``horizon_us``
+    and kept in ``windows`` with a None end, but is not a failover.
+    ``scopes`` restricts the report (and its cluster roll-up) to
+    matching scopes — exact label or dotted prefix — so one trace
+    holding both shard and quorum-group scopes can be reported per
+    architecture.
     """
     if horizon_us is None:
-        horizon_us = _trace_horizon_us(events)
-    timeline = analyze_timeline(events)
-    if failovers is None:
-        failovers = timeline.failovers
-
-    scope_state: Dict[str, Tuple[float, int, List[Tuple[float, float]]]] = {}
-    for scope in timeline.per_scope_completions:
-        scope_state.setdefault(scope, (0.0, 0, []))
-    for span in failovers:
-        downtime, count, windows = scope_state.get(span.scope, (0.0, 0, []))
-        start = span.crash_at_us
-        end = min(span.restored_at_us, horizon_us)
-        charged = max(0.0, end - start)
-        windows.append((start, end))
-        scope_state[span.scope] = (downtime + charged, count + 1, windows)
-
-    scope_reports = [
-        ScopeAvailability(
-            scope=scope,
-            horizon_us=horizon_us,
-            downtime_us=downtime,
-            failovers=count,
-            windows=tuple(windows),
+        horizon_us = max((event.end_us for event in events), default=0.0)
+    outages = downtime_windows(events)
+    serving = {
+        completion_scope(event)
+        for event in events if event.name == "txn.complete"
+    } - {None}
+    scope_reports = []
+    for scope in sorted(serving | set(outages)):
+        if not _scope_selected(scope, scopes):
+            continue
+        downtime = 0.0
+        windows: List[Window] = []
+        for start, end in outages.get(scope, []):
+            if end is not None:
+                end = min(end, horizon_us)
+            downtime += max(0.0, (horizon_us if end is None else end) - start)
+            windows.append((start, end))
+        scope_reports.append(
+            ScopeAvailability(
+                scope=scope,
+                horizon_us=horizon_us,
+                downtime_us=downtime,
+                failovers=sum(end is not None for _start, end in windows),
+                windows=tuple(windows),
+            )
         )
-        for scope, (downtime, count, windows) in sorted(scope_state.items())
-        if _scope_selected(scope, scopes)
-    ]
     return SloReport(
         horizon_us=horizon_us, scopes=scope_reports, audit_ok=audit_ok
-    )
-
-
-def slo_from_trace_file(
-    path: str,
-    horizon_us: Optional[float] = None,
-    audited: bool = False,
-    scopes: Optional[Sequence[str]] = None,
-) -> SloReport:
-    """Load a JSONL trace, optionally audit it, and compute its SLO."""
-    from repro.obs.audit import audit_events
-    from repro.obs.export import read_jsonl
-
-    events, _metrics = read_jsonl(path)
-    audit_ok: Optional[bool] = None
-    if audited:
-        audit_ok = audit_events(events).ok
-    return compute_slo(
-        events, horizon_us=horizon_us, audit_ok=audit_ok, scopes=scopes
     )

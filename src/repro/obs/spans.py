@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.hardware.specs import SanSpec
+from repro.obs.trace import component_matches
 
 #: Event name of a commit's parent span.
 COMMIT_SPAN = "commit.span"
@@ -151,21 +152,47 @@ class CommitSpanRecorder:
         """Emit the tree ending at the observer's current time; returns
         the commit's trace id."""
         phases, self._phases = self._phases, []
-        total = sum(dur for _, dur in phases)
         end_us = self.observer.now
-        start_us = end_us - total
-        trace_id = self.observer.new_trace_id()
-        parent_id = self.observer.linked_span(
-            self.component, COMMIT_SPAN, start_us, end_us, trace_id, **attrs
-        )
+        start_us = end_us - sum(dur for _, dur in phases)
+        children = []
         cursor = start_us
         for name, dur in phases:
-            self.observer.linked_span(
-                self.component, COMMIT_PHASE, cursor, cursor + dur,
-                trace_id, parent_id=parent_id, phase=name,
-            )
+            children.append((name, cursor, cursor + dur, {}))
             cursor += dur
+        trace_id, _ = emit_span_tree(
+            self.observer, self.component, COMMIT_SPAN, COMMIT_PHASE,
+            start_us, end_us, children, attrs,
+        )
         return trace_id
+
+
+def emit_span_tree(
+    observer, component: str, root_name: str, child_name: str,
+    start_us: float, end_us: float,
+    children: Sequence[Tuple[str, float, float, Dict[str, object]]],
+    attrs: Dict[str, object],
+) -> Tuple[int, int]:
+    """Emit one causal tree — the root span ``[start_us, end_us]`` plus
+    its ``(phase, start_us, end_us, attrs)`` children — and return
+    ``(trace_id, root span_id)``.
+
+    The one emitter behind the commit and the recovery recorder: both
+    hand it children that tile the root in causal order, and zero-width
+    children are skipped, so every emitted child is a real contributor
+    to the critical path.
+    """
+    trace_id = observer.new_trace_id()
+    root_id = observer.linked_span(
+        component, root_name, start_us, end_us, trace_id, **attrs
+    )
+    for phase, child_start, child_end, child_attrs in children:
+        if child_end == child_start:
+            continue
+        observer.linked_span(
+            component, child_name, child_start, child_end, trace_id,
+            parent_id=root_id, phase=phase, **child_attrs,
+        )
+    return trace_id, root_id
 
 
 # -- analysis ----------------------------------------------------------------
@@ -190,42 +217,22 @@ class CommitSpanTree:
 def collect_commit_spans(events: Iterable) -> List[CommitSpanTree]:
     """Rebuild every commit's span tree from an event stream.
 
-    Joins :data:`COMMIT_SPAN` parents to their :data:`COMMIT_PHASE`
-    children through the ``trace_id``/``parent_id`` attrs; works on
-    the live recorder's list or on events reloaded from JSONL.
+    The :data:`COMMIT_SPAN` roots of the generic span forest
+    (:func:`~repro.obs.critpath.collect_span_forest` joins them to
+    their :data:`COMMIT_PHASE` children through the ``trace_id``/
+    ``parent_id`` attrs); works on the live recorder's list or on
+    events reloaded from JSONL.
     """
-    parents: Dict[int, object] = {}
-    phases: Dict[int, Dict[str, float]] = {}
-    order: List[int] = []
-    for event in events:
-        if event.name == COMMIT_SPAN:
-            span_id = int(event.attrs["span_id"])
-            parents[span_id] = event
-            phases.setdefault(span_id, {})
-            order.append(span_id)
-        elif event.name == COMMIT_PHASE:
-            parent_id = int(event.attrs["parent_id"])
-            by_phase = phases.setdefault(parent_id, {})
-            phase = str(event.attrs["phase"])
-            by_phase[phase] = by_phase.get(phase, 0.0) + event.dur_us
-    trees = []
-    for span_id in order:
-        event = parents[span_id]
-        attrs = {
-            key: value for key, value in event.attrs.items()
-            if key not in ("trace_id", "span_id")
-        }
-        trees.append(
-            CommitSpanTree(
-                trace_id=int(event.attrs["trace_id"]),
-                component=event.component,
-                start_us=event.ts_us,
-                dur_us=event.dur_us,
-                phases=phases[span_id],
-                attrs=attrs,
-            )
+    # Imported here: critpath imports audit, which imports this module.
+    from repro.obs.critpath import collect_span_forest
+
+    return [
+        CommitSpanTree(**root.tree_fields())
+        for root in collect_span_forest(
+            events, names=(COMMIT_SPAN, COMMIT_PHASE)
         )
-    return trees
+        if root.event.name == COMMIT_SPAN
+    ]
 
 
 @dataclass
@@ -314,19 +321,15 @@ def attribute_commits(
     from repro.obs.report import LatencySummary
 
     trees = collect_commit_spans(events)
-
-    def _selected(component: str, prefix: str) -> bool:
-        return component == prefix or component.startswith(prefix + ".")
-
     if component_prefix is not None:
         trees = [
             tree for tree in trees
-            if _selected(tree.component, component_prefix)
+            if component_matches(tree.component, component_prefix)
         ]
     if scopes:
         trees = [
             tree for tree in trees
-            if any(_selected(tree.component, scope) for scope in scopes)
+            if any(component_matches(tree.component, scope) for scope in scopes)
         ]
     phase_totals: Dict[str, float] = {}
     per_phase: Dict[str, List[float]] = {}

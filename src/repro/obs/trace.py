@@ -18,6 +18,21 @@ KIND_INSTANT = "instant"
 KIND_SPAN = "span"
 
 
+def component_matches(component: str, prefix: str) -> bool:
+    """The exact-or-dotted-prefix match every scope filter uses:
+    ``shard.1`` selects ``shard.1`` and ``shard.1.cluster`` but not
+    ``shard.10``."""
+    return component == prefix or component.startswith(prefix + ".")
+
+
+def scope_of_component(component: str) -> str:
+    """The serving scope a ``<scope>.cluster`` component belongs to:
+    ``shard.2.cluster`` -> ``shard.2``; a bare ``cluster`` (unsharded
+    pair) -> ``""``, which downtime matching treats as "everything"."""
+    scope = component.rsplit(".cluster", 1)[0]
+    return "" if scope == component else scope
+
+
 @dataclass(frozen=True)
 class TraceEvent:
     """One recorded occurrence, in simulated microseconds."""
@@ -130,9 +145,8 @@ def select_events(
     for event in events:
         if name is not None and event.name != name:
             continue
-        if component_prefix is not None and not (
-            event.component == component_prefix
-            or event.component.startswith(component_prefix + ".")
+        if component_prefix is not None and not component_matches(
+            event.component, component_prefix
         ):
             continue
         selected.append(event)

@@ -91,7 +91,6 @@ class Simulator:
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
-        on_event: Optional[Callable[[Event], Any]] = None,
     ) -> float:
         """Run events until the queue drains, ``until`` is reached, or
         ``max_events`` have fired.
@@ -99,12 +98,6 @@ class Simulator:
         Returns the simulated time when the run stopped. When stopping
         because of ``until``, the clock is advanced to exactly ``until``
         and pending later events remain queued.
-
-        ``on_event`` replaces the dispatch of every event: instead of
-        calling ``event.action()`` the loop calls ``on_event(event)``
-        (which must invoke the action itself). This is the profiler's
-        exact-timer hook; the check is hoisted out of the per-event hot
-        loop so passing ``None`` — the default — costs nothing.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run)")
@@ -114,7 +107,7 @@ class Simulator:
         pop_until = queue.pop_until
         advance_to = self.clock.advance_to
         try:
-            if max_events is None and on_event is None:
+            if max_events is None:
                 # Hot loop: one heap traversal per event (pop_until
                 # fuses the old peek_time + pop pair) and no per-event
                 # bookkeeping beyond the counter.
@@ -126,18 +119,13 @@ class Simulator:
                     executed += 1
                     event.action()
             else:
-                while True:
-                    if max_events is not None and executed >= max_events:
-                        break
+                while executed < max_events:
                     event = pop_until(until)
                     if event is None:
                         break
                     advance_to(event.time)
                     executed += 1
-                    if on_event is not None:
-                        on_event(event)
-                    else:
-                        event.action()
+                    event.action()
             if until is not None and self.now < until:
                 advance_to(until)
         finally:

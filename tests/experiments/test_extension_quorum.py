@@ -2,6 +2,7 @@
 
 from repro.experiments import extension_quorum
 from repro.experiments.common import ExperimentContext, ExperimentSettings
+from repro.obs.critpath import crosscheck_recovery_slo
 
 MB = 1024 * 1024
 
@@ -51,6 +52,20 @@ def test_trace_audits_clean_including_quorum_rules():
     names = {event.name for event in timeline.trace_events}
     assert "quorum.read" in names and "quorum.write" in names
     assert "fault.partition" in names and "fault.heal" in names
+
+
+def test_default_timeline_recovery_decomposition_is_pinned():
+    # Simulated time, deterministic under the seed: exact, not a ratio.
+    timeline = extension_quorum.quorum_timeline()
+    decomposition = crosscheck_recovery_slo(
+        timeline.trace_events, timeline.slo()
+    )
+    scope = decomposition.scope(f"group.{timeline.downed_group}")
+    assert scope.total_downtime_us == 4000.0
+    assert scope.share("view") == 1.0
+    tree = decomposition.trees[0]
+    assert tree.resume_gap_us == 0.0
+    assert tree.resume_commit_trace_id is not None
 
 
 def test_sloppy_quorum_beats_the_passive_pair():

@@ -6,6 +6,7 @@ from repro.experiments import extension_sharding
 from repro.experiments.common import ExperimentContext, ExperimentSettings
 from repro.fastpath import shardpar
 from repro.obs.audit import audit_events
+from repro.obs.critpath import crosscheck_recovery_slo
 
 MB = 1024 * 1024
 
@@ -44,6 +45,27 @@ def test_timeline_is_deterministic_under_the_seed():
     assert first.samples == second.samples
     assert first.router_stats == second.router_stats
     assert first.takeover == second.takeover
+
+
+def test_default_timeline_recovery_decomposition_is_pinned():
+    # Simulated time, deterministic under the seed: exact, not a ratio.
+    timeline = extension_sharding.failover_timeline()
+    decomposition = crosscheck_recovery_slo(
+        timeline.trace_events, timeline.slo()
+    )
+    scope = decomposition.scope(f"shard.{timeline.crashed_shard}")
+    exact = pytest.approx(14531.013333333336, rel=1e-12)
+    assert scope.total_downtime_us == exact
+    assert scope.phase_totals == {
+        "detect": 550.0,
+        "catchup": pytest.approx(13981.013333333336, rel=1e-12),
+    }
+    assert round(scope.share("catchup"), 4) == 0.9621
+    assert decomposition.trees[0].resume_gap_us == pytest.approx(
+        218.98666666666395, rel=1e-12
+    )
+    fired = [e for e in timeline.trace_events if e.name == "alert.fire"]
+    assert len(fired) == 2
 
 
 def test_scaling_is_near_linear_on_dedicated_links():

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.obs import Observer, TraceEvent, write_jsonl
-from repro.obs.audit import TraceAuditor, audit_events, audit_trace_file
+from repro.obs import Observer, TraceEvent, read_jsonl, write_jsonl
+from repro.obs.audit import TraceAuditor, audit_events
 from repro.replication.active import ActiveReplicatedSystem
 from repro.replication.commit_safety import CommitSafety
 from repro.replication.passive import PassiveReplicatedSystem
@@ -278,7 +278,7 @@ def test_audit_trace_file_round_trip(tmp_path):
     events.append(_ring_event(99.0, 10_000_000, 9_000_000))
     path = tmp_path / "broken.jsonl"
     write_jsonl(path, events)
-    report = audit_trace_file(path)
+    report = audit_events(read_jsonl(path)[0])
     assert not report.ok
     assert _rules(report) == ["ring-overrun"]
     rendered = report.render()

@@ -10,8 +10,8 @@ from repro.obs.diff import (
     diff_events,
     diff_files,
     diff_series,
-    main,
 )
+from repro.obs.report import main
 from repro.obs.series import SeriesFrame
 
 
@@ -153,8 +153,8 @@ def test_cli_exit_codes_and_json(tmp_path, capsys):
     b = tmp_path / "b.jsonl"
     write_jsonl(a, [_event(1.0, x=1)])
     write_jsonl(b, [_event(1.0, x=2)])
-    assert main([str(a), str(a)]) == 0
-    capsys.readouterr()
-    assert main([str(a), str(b), "--format", "json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
+    assert main([str(a), "--diff", str(a)]) == 0
+    assert "Trace diff: IDENTICAL" in capsys.readouterr().out
+    assert main([str(b), "--diff", str(a), "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)["diff"]
     assert payload["identical"] is False

@@ -135,3 +135,24 @@ def test_default_observer_follows_env(monkeypatch):
     assert resolve_observer(None) is live
     mine = NullObserver()
     assert resolve_observer(mine) is mine  # explicit always wins
+
+
+# -- the package's export table ------------------------------------------------
+
+
+def test_every_public_name_resolves_and_the_lazy_table_cannot_rot():
+    import importlib
+    import inspect
+
+    import repro.obs as obs
+
+    assert len(set(obs.__all__)) == len(obs.__all__)
+    assert set(obs._LAZY_EXPORTS) <= set(obs.__all__)
+    for name in obs.__all__:
+        value = getattr(obs, name)  # lazy names import their module here
+        assert not inspect.ismodule(value), name
+    for name, module_name in obs._LAZY_EXPORTS.items():
+        module = importlib.import_module(module_name)  # the module exists
+        assert getattr(obs, name) is getattr(module, name)
+    with pytest.raises(AttributeError):
+        obs.no_such_name

@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.obs import TraceEvent, write_jsonl
-from repro.obs.slo import (
-    MAX_NINES,
-    ScopeAvailability,
-    compute_slo,
-    nines,
-    slo_from_trace_file,
-)
+from repro.obs import Observer, TraceEvent, read_jsonl, write_jsonl
+from repro.obs.alerts import downtime_windows
+from repro.obs.audit import audit_events
+from repro.obs.critpath import crosscheck_recovery_slo
+from repro.obs.report import analyze_timeline
+from repro.obs.slo import MAX_NINES, ScopeAvailability, compute_slo, nines
+from repro.quorum.cluster import QuorumCluster
+from repro.quorum.workload import QuorumWorkload
+from repro.shard.router import Router
 
 
 def _crash(ts, scope="shard.1"):
@@ -116,9 +117,10 @@ def test_slo_from_trace_file_audits_on_request(tmp_path):
     ]
     path = tmp_path / "trace.jsonl"
     write_jsonl(path, events)
-    unaudited = slo_from_trace_file(path)
+    reloaded, _metrics = read_jsonl(path)
+    unaudited = compute_slo(reloaded)
     assert unaudited.audit_ok is None
-    audited = slo_from_trace_file(path, audited=True)
+    audited = compute_slo(reloaded, audit_ok=audit_events(reloaded).ok)
     assert audited.audit_ok is False
     assert audited.horizon_us == unaudited.horizon_us
 
@@ -131,3 +133,69 @@ def test_report_to_dict_shape():
         nines(payload["cluster_availability"])
     )
     assert [s["scope"] for s in payload["scopes"]] == ["shard.1"]
+
+
+# -- live quorum outages: repeated, and still open at the horizon -----------
+
+
+def _quorum_outage_run(faults, until_us):
+    """One strict (3,2,2) group under a router submitting every 500 us;
+    ``faults`` are ``(crash|recover, member, at_us)``."""
+    observer = Observer()
+    cluster = QuorumCluster(
+        1, replicas_per_group=3, read_quorum=2, write_quorum=2,
+        keys_per_group=16, observer=observer,
+    )
+    workload = QuorumWorkload(1, 16, value_bytes=32, seed=42)
+    cluster.setup(workload)
+    router = Router(cluster, workload, max_attempts=12, observer=observer)
+    for tick in range(20):
+        router.submit(key=0, at_us=tick * 500.0)
+    for kind, member, at_us in faults:
+        schedule = getattr(cluster, f"schedule_member_{kind}")
+        schedule(0, member, at_us)
+    cluster.run_until(until_us)
+    return cluster.groups[0], list(observer.recorder.events)
+
+
+def test_repeated_outages_in_one_scope_pair_crash_by_crash():
+    # Quorum lost twice in one trace. Pairing every takeover with the
+    # scope's *first* crash charged 6,500 us for these 2,500.
+    group, events = _quorum_outage_run(
+        [("crash", 1, 1_000.0), ("crash", 2, 2_000.0),
+         ("recover", 1, 3_000.0), ("crash", 1, 6_000.0),
+         ("recover", 1, 7_500.0)],
+        until_us=40_000.0,
+    )
+    windows = [(2_000.0, 3_000.0), (6_000.0, 7_500.0)]
+    assert [
+        (span.crash_at_us, span.restored_at_us)
+        for span in analyze_timeline(events).failovers
+    ] == windows
+    slo = compute_slo(events)
+    (scope,) = slo.scopes
+    assert scope.downtime_us == group.stats.downtime_us == 2_500.0
+    assert scope.failovers == 2
+    assert list(scope.windows) == windows
+    assert list(scope.windows) == downtime_windows(events)["group.0"]
+    crosscheck_recovery_slo(events, slo)
+    assert audit_events(events).ok
+
+
+def test_outage_open_at_the_horizon_is_charged_to_it():
+    # Quorum lost at 2,000 us and never regained: the module
+    # docstring's horizon convention (this used to report 1.0).
+    _group, events = _quorum_outage_run(
+        [("crash", 1, 1_000.0), ("crash", 2, 2_000.0)], until_us=10_000.0
+    )
+    slo = compute_slo(events)
+    (scope,) = slo.scopes
+    assert scope.downtime_us == slo.horizon_us - 2_000.0
+    assert scope.availability < 1.0
+    assert scope.windows == ((2_000.0, None),)
+    assert scope.failovers == 0  # completed takeovers only
+    assert "outage open at the end of the trace" in slo.render()
+    assert scope.to_dict()["windows_us"] == [[2_000.0, None]]
+    # An open outage has no recovery root; closed windows still match.
+    crosscheck_recovery_slo(events, slo)
+    assert audit_events(events).ok

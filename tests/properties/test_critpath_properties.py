@@ -1,14 +1,17 @@
-"""Property-based invariants of the critical-path walker and the
-structural trace differ.
+"""Property-based invariants of the critical-path walker, the span
+joiner and the structural trace differ.
 
-Three claims:
+Four claims:
 
 * ``critical_path_us(root) <= root.dur_us`` for *any* randomly grown
   span DAG — children may overlap, nest, stick out past the parent, or
   leave gaps; the walker clips and never double-counts;
 * when the children *tile* the parent exactly (the geometry both the
   commit and recovery recorders emit by construction), equality holds
-  and the root's self time is zero at every level; and
+  and the root's self time is zero at every level;
+* whatever the two recorders emit, the commit and recovery collectors
+  report exactly the per-label child durations of the
+  ``collect_span_forest`` root they are built on; and
 * a run structurally diffed against itself is always identical,
   across seeds — which is what makes a non-empty diff in CI evidence
   of a real change.
@@ -19,14 +22,25 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs import TraceEvent
+from repro.obs import Observer, TraceEvent
 from repro.obs.critpath import (
     SpanNode,
+    collect_span_forest,
     critical_path,
     critical_path_us,
     self_time_us,
 )
 from repro.obs.diff import diff_events, diff_series
+from repro.obs.recovery import (
+    RECOVERY_PHASES,
+    RecoverySpanRecorder,
+    collect_recoveries,
+)
+from repro.obs.spans import (
+    COMMIT_PHASES,
+    CommitSpanRecorder,
+    collect_commit_spans,
+)
 
 TOL = 1e-9
 
@@ -112,6 +126,53 @@ def _assert_tiled(node):
 @settings(max_examples=100, deadline=None)
 def test_tiling_children_reach_equality_at_every_level(root):
     _assert_tiled(root)
+
+
+# -- the collectors sit on the joiner ----------------------------------------
+
+_durations = st.floats(0.0, 500.0, allow_nan=False)
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(COMMIT_PHASES), _durations),
+             max_size=8),
+    st.lists(st.tuples(st.sampled_from(RECOVERY_PHASES), _durations),
+             min_size=1, max_size=6),
+)
+@settings(max_examples=100, deadline=None)
+def test_collectors_report_the_forest_roots_child_durations(commit, recovery):
+    observer = Observer(clock=lambda: 10_000.0)
+    commits = CommitSpanRecorder(observer, "shard.0.replication")
+    for phase, dur in commit:
+        commits.phase(phase, dur)
+    commits.finish(txn=1)
+    recoveries = RecoverySpanRecorder(observer, "shard.0.cluster")
+    cursor = 100.0
+    for phase, dur in recovery:
+        recoveries.phase(phase, cursor, cursor + dur)
+        cursor += dur
+    recoveries.finish(node="a")
+    events = observer.recorder.events
+
+    def per_label(root):
+        totals = {}
+        for child in root.children:
+            totals[child.label] = totals.get(child.label, 0.0) + child.dur_us
+        return totals
+
+    roots = {root.span_id: root for root in collect_span_forest(events)}
+    assert len(roots) == 2  # every phase joined a root, none orphaned
+    (commit_tree,) = collect_commit_spans(events)
+    (recovery_tree,) = collect_recoveries(events)
+    commit_root = next(
+        r for r in roots.values() if r.event.name == "commit.span"
+    )
+    assert commit_tree.phases == per_label(commit_root)
+    assert commit_tree.trace_id == commit_root.trace_id
+    assert recovery_tree.phases == per_label(roots[recovery_tree.span_id])
+    assert sum(recovery_tree.phases.values()) == pytest.approx(
+        recovery_tree.dur_us, abs=1e-6
+    )
 
 
 # -- self-diff is always empty -----------------------------------------------

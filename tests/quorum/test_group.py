@@ -194,3 +194,19 @@ def test_write_latency_is_the_wth_smallest_ack():
     # Coordinator acks locally at 0, remotes at the flat RTT; the 2nd
     # smallest ack time is one remote round trip.
     assert group.write_latencies == [100.0]
+
+
+def test_simulated_read_latency_percentiles_are_pinned():
+    # 64 keys seeded by 64 writes, then 4,000 round-robin reads of a
+    # strict (3,2,2) group: simulated time, so exact on any machine.
+    group = QuorumGroup(
+        group_id=0, num_replicas=3, read_quorum=2, write_quorum=2,
+        num_keys=64, sim=Simulator(),
+    )
+    for key in range(64):
+        group.write(key, b"seed-%d" % key)
+    for index in range(4000):
+        group.read(index % 64)
+    latencies = sorted(group.read_latencies[-4000:])
+    assert round(latencies[4000 // 2], 3) == 228.791
+    assert round(latencies[int(4000 * 0.99)], 3) == 243.077
