@@ -41,23 +41,15 @@ from typing import Dict, List, Optional, Union
 
 from repro.experiments.common import ExperimentContext
 from repro.experiments.extension_sharding import (
-    FailoverTimeline,
-    SeriesDerivations,
-    SlotSample,
+    DRAIN_US,
+    OutageTimeline,
     failover_timeline,
-    slot_samples,
 )
-from repro.obs import Observer, TraceEvent, analyze_timeline, write_jsonl
-from repro.obs.report import FailoverSpan, TimelineReport
-from repro.obs.series import (
-    SeriesFrame,
-    TimeSeriesSampler,
-    derive_dip,
-    quorum_probes,
-    router_probes,
-    series_interval_us,
-    sim_probes,
-)
+from repro.fastpath.shardpar import drive, fixed_load
+from repro.obs import Observer, TraceEvent
+from repro.obs.audit import audit_events
+from repro.obs.series import SeriesFrame, quorum_probes, router_probes, sim_probes
+from repro.obs.slo import compute_slo
 from repro.perf.quorum import (
     QuorumCostReport,
     primary_backup_cost,
@@ -65,9 +57,6 @@ from repro.perf.quorum import (
 )
 from repro.perf.report import ReportTable
 from repro.quorum import QuorumCluster, QuorumWorkload
-from repro.shard import Router
-
-MB = 1024 * 1024
 
 #: The sweep: (N, R, W, sloppy). The sloppy pair must be sloppy — the
 #: auditor rightly flags a *strict* R + W <= N configuration as having
@@ -91,7 +80,6 @@ NUM_GROUPS = 3
 KEYS_PER_GROUP = 32
 VALUE_BYTES = 64
 REPAIR_INTERVAL_US = 2_500.0
-DRAIN_US = 30_000.0
 
 #: Group 1 loses quorum when its second member dies and regains it
 #: when the first recovers: exactly one quorum-loss window.
@@ -113,69 +101,12 @@ PAIR_RECOVER_AT_US = 15_250.0
 
 
 @dataclass
-class QuorumTimeline(SeriesDerivations):
-    """The measured dip-and-recovery curve of one group's quorum loss."""
+class GroupOutageTimeline(OutageTimeline):
+    """One group's quorum loss, plus what only quorum groups report."""
 
-    num_groups: int
-    slot_us: float
-    offered_per_group_per_slot: int
-    downed_group: int
-    quorum_loss: FailoverSpan
-    samples: List[SlotSample]
+    #: Whether every replica of every group ended byte-identical.
     converged: bool
-    router_stats: Dict[str, int] = field(default_factory=dict)
-    group_stats: Dict[int, Dict[str, float]] = field(default_factory=dict)
-    #: The raw trace the numbers above were derived from.
-    trace_events: List[TraceEvent] = field(default_factory=list)
-    #: The sampled time series recorded alongside the trace.
-    series: SeriesFrame = field(default_factory=SeriesFrame)
-
-    def trace_report(self, window_us: Optional[float] = None) -> TimelineReport:
-        """Re-derive the timeline report from the recorded trace."""
-        return analyze_timeline(
-            self.trace_events,
-            window_us=self.slot_us if window_us is None else window_us,
-        )
-
-    def audit(self):
-        """Run the online trace auditor over the recorded trace."""
-        from repro.obs.audit import audit_events
-
-        return audit_events(self.trace_events)
-
-    def slo(self, audited: bool = True, scopes=None):
-        """Fold the trace's quorum-loss windows into availability."""
-        from repro.obs.slo import compute_slo
-
-        audit_ok = self.audit().ok if audited else None
-        return compute_slo(
-            self.trace_events, audit_ok=audit_ok, scopes=scopes
-        )
-
-    @property
-    def normal_per_slot(self) -> int:
-        return self.num_groups * self.offered_per_group_per_slot
-
-    @property
-    def degraded_per_slot(self) -> int:
-        return (self.num_groups - 1) * self.offered_per_group_per_slot
-
-    def outage_slots(self) -> List[SlotSample]:
-        """Slots that lie fully inside the quorum-loss window."""
-        return [
-            s for s in self.samples
-            if s.start_us > self.quorum_loss.crash_at_us
-            and s.start_us + self.slot_us <= self.quorum_loss.restored_at_us
-        ]
-
-    def recovered_slots(self) -> List[SlotSample]:
-        """Slots after quorum returned whose completions are back at
-        the offered rate (the catch-up burst has drained)."""
-        drained = [
-            s for s in self.samples
-            if s.start_us > self.quorum_loss.restored_at_us
-        ]
-        return [s for s in drained if s.completed == self.normal_per_slot]
+    group_stats: Dict[int, Dict[str, float]]
 
 
 @dataclass
@@ -186,31 +117,25 @@ class QuorumComparison:
     quorum_availability: float
     quorum_downtime_us: float
     hints_delivered: int
-    pair_timeline: FailoverTimeline
+    pair_timeline: OutageTimeline
     quorum_trace_events: List[TraceEvent] = field(default_factory=list)
     #: Sampled series of the sloppy group's run (hint backlog curve).
     quorum_series: SeriesFrame = field(default_factory=SeriesFrame)
 
     @property
     def pair_availability(self) -> float:
-        pair = self.pair_timeline.slo()
-        return pair.cluster_availability
+        return self.pair_timeline.slo.cluster_availability
 
     @property
     def pair_downtime_us(self) -> float:
-        return self.pair_timeline.takeover.downtime_us
-
-    def audit(self):
-        from repro.obs.audit import audit_events
-
-        return audit_events(self.quorum_trace_events)
+        return self.pair_timeline.outage.downtime_us
 
 
 @dataclass
 class QuorumResult:
     sweep: List[QuorumCostReport]
     baseline: QuorumCostReport
-    timeline: QuorumTimeline
+    timeline: GroupOutageTimeline
     comparison: QuorumComparison
 
     def table(self) -> ReportTable:
@@ -237,10 +162,10 @@ class QuorumResult:
             "is shipped copies per read-modify-write transaction"
         )
         timeline = self.timeline
-        loss = timeline.quorum_loss
-        stats = timeline.group_stats[timeline.downed_group]
+        loss = timeline.outage
+        stats = timeline.group_stats[timeline.downed_unit]
         table.add_note(
-            f"measured quorum loss: group {timeline.downed_group} held "
+            f"measured quorum loss: group {timeline.downed_unit} held "
             f"{len(timeline.outage_slots())} slots at "
             f"{timeline.degraded_per_slot}/{timeline.normal_per_slot} "
             f"per slot (downtime {loss.downtime_us / 1000:.1f} ms), "
@@ -260,34 +185,17 @@ class QuorumResult:
 
     def timeline_figure(self) -> str:
         timeline = self.timeline
-        loss = timeline.quorum_loss
-        title = (
+        return timeline.figure(
             f"Extension: aggregate completions per "
             f"{timeline.slot_us:.0f} us slot across one quorum loss "
-            f"({timeline.num_groups} strict (3,2,2) groups, group "
-            f"{timeline.downed_group} below quorum at "
-            f"{loss.crash_at_us / 1000:.2f} ms)"
+            f"({timeline.num_units} strict (3,2,2) groups, group "
+            f"{timeline.downed_unit} below quorum at "
+            f"{timeline.outage.crash_at_us / 1000:.2f} ms)",
+            "<- quorum lost",
+            "<- quorum restored",
+            f"{timeline.router_stats['dropped']} dropped; replicas "
+            f"converged: {'yes' if timeline.converged else 'no'}",
         )
-        lines = [title, "=" * len(title)]
-        for sample in timeline.samples:
-            marks = []
-            if sample.start_us <= loss.crash_at_us < sample.start_us + timeline.slot_us:
-                marks.append("<- quorum lost")
-            if sample.start_us <= loss.restored_at_us < sample.start_us + timeline.slot_us:
-                marks.append("<- quorum restored")
-            bar = "#" * sample.completed
-            lines.append(
-                f"  {sample.start_us / 1000:>5.1f} ms  "
-                f"{sample.completed:>3}  {bar} {' '.join(marks)}".rstrip()
-            )
-        stats = timeline.router_stats
-        lines.append(
-            f"  router: {stats.get('routed', 0)} routed, "
-            f"{stats.get('retries', 0)} retries, "
-            f"{stats.get('dropped', 0)} dropped; replicas converged: "
-            f"{'yes' if timeline.converged else 'no'}"
-        )
-        return "\n".join(lines)
 
     def check(self) -> None:
         # -- the cost model sweep ---------------------------------------
@@ -322,165 +230,12 @@ class QuorumResult:
             > by_config[(3, 1, 3)].availability
         )
 
-        # -- the quorum-loss timeline -----------------------------------
-        timeline = self.timeline
-        n = timeline.num_groups
-        normal = timeline.normal_per_slot
-        degraded = timeline.degraded_per_slot
-        loss = timeline.quorum_loss
-        assert loss.crash_at_us == CRASH_SECOND_AT_US
-        assert loss.restored_at_us == RECOVER_FIRST_AT_US
-        pre_crash = [
-            s for s in timeline.samples
-            if s.start_us + timeline.slot_us <= loss.crash_at_us
-        ]
-        assert pre_crash and all(s.completed == normal for s in pre_crash), (
-            "healthy groups must complete the offered rate"
-        )
-        outage = timeline.outage_slots()
-        assert len(outage) >= 3, "quorum-loss window too short to observe"
-        assert all(s.completed == degraded for s in outage), (
-            f"outage slots should degrade to exactly (n-1)/n = "
-            f"{degraded}/{normal}: {[s.completed for s in outage]}"
-        )
-        assert timeline.recovered_slots(), "throughput never recovered"
-        offered = sum(s.offered for s in timeline.samples)
-        completed = sum(s.completed for s in timeline.samples)
-        assert completed == offered, (completed, offered)
-        assert timeline.router_stats["dropped"] == 0
-        assert timeline.router_stats["retries"] > 0
-        # Divergence existed (the partition forced hintless staleness)
-        # and anti-entropy repaired it: every replica byte-identical.
-        assert timeline.converged, "anti-entropy failed to converge"
-        assert timeline.group_stats[PARTITIONED_GROUP]["repair_keys"] > 0
-
-        # -- trace consistency ------------------------------------------
-        rederived = timeline.trace_report()
-        assert rederived.routing == timeline.router_stats
-        spans = [
-            s for s in rederived.failovers
-            if s.scope == f"group.{timeline.downed_group}"
-        ]
-        assert len(spans) == 1, "exactly one group lost quorum"
-        assert spans[0].downtime_us == loss.downtime_us
-        assert rederived.failovers == [spans[0]], (
-            "no other group may lose quorum"
-        )
-        per_group = sum(
-            s.offered for s in timeline.samples
-        ) // n
-        assert rederived.per_scope_completions == {
-            f"group.{group}": per_group for group in range(n)
-        }, "the dip was delay, not loss — every group served its offer"
-
-        # -- series consistency -----------------------------------------
-        # The sampled time series must tell the same story as the trace:
-        # per-window completion deltas equal the trace's window counts
-        # exactly, and the dip derived from the series matches the dip
-        # derived from the trace.
-        assert len(timeline.series) > 0, "sampler recorded no ticks"
-        deltas = timeline.goodput_windows()
-        trace_counts = rederived.window_counts(len(deltas))
-        assert deltas == [float(c) for c in trace_counts], (
-            "series-derived goodput disagrees with the trace"
-        )
-        assert sum(deltas) == float(completed)
-        series_dip = timeline.series_dip()
-        assert series_dip is not None
-        trace_dip = derive_dip(
-            [float(c) for c in trace_counts],
-            timeline.slot_us,
-            float(normal),
-        )
-        assert series_dip == trace_dip
-        assert series_dip.dip_floor == float(degraded)
-        # The dip window brackets the measured quorum loss to within
-        # the sampling resolution on each side.
-        assert (
-            abs(series_dip.time_to_recover_us - loss.downtime_us)
-            <= 2 * timeline.slot_us
-        )
-        for group in range(n):
-            assert timeline.series.last(
-                f"group.{group}.completed"
-            ) == float(rederived.per_scope_completions[f"group.{group}"])
-        # Anti-entropy ran: the sampled repair-key counter moved, and
-        # never past the groups' own final bookkeeping.
-        repair_last = timeline.series.last("quorum.repair_keys")
-        repair_total = sum(
-            g["repair_keys"] for g in timeline.group_stats.values()
-        )
-        assert 0 < repair_last <= repair_total, (repair_last, repair_total)
-
-        # -- audit + SLO ------------------------------------------------
-        audit = timeline.audit()
-        assert audit.ok, audit.render()
-        slo = timeline.slo()
-        assert slo.audit_ok is True
-        by_scope = {s.scope: s for s in slo.scopes}
-        assert set(by_scope) == {f"group.{i}" for i in range(n)}
-        for group in range(n):
-            scope = by_scope[f"group.{group}"]
-            if group == timeline.downed_group:
-                assert scope.failovers == 1
-                assert scope.availability < 1.0
-            else:
-                assert scope.downtime_us == 0.0
-                assert scope.availability == 1.0
-        downed = by_scope[f"group.{timeline.downed_group}"]
-        expected = (n - 1 + downed.availability) / n
-        assert abs(slo.cluster_availability - expected) < 1e-12
-        # The per-scope filter isolates one group's record.
-        filtered = timeline.slo(scopes=[f"group.{timeline.downed_group}"])
-        assert len(filtered.scopes) == 1
-        assert filtered.scopes[0].scope == f"group.{timeline.downed_group}"
-
-        # -- recovery decomposition -------------------------------------
-        # SLO downtime and the recovery-span roots must tell one story,
-        # scope by scope, window by window (this replaces the ad-hoc
-        # downtime arithmetic the experiments used to duplicate).
-        from repro.obs.critpath import crosscheck_recovery_slo
-
-        decomposition = crosscheck_recovery_slo(timeline.trace_events, slo)
-        downed_scope = decomposition.scope(f"group.{timeline.downed_group}")
-        assert downed_scope.recoveries == 1
-        assert abs(
-            downed_scope.total_downtime_us - loss.downtime_us
-        ) <= 1e-6
-        # A quorum loss is a membership problem by construction: the
-        # whole outage is the view phase (no reachable quorum), with
-        # zero-width detection and instantaneous hint delivery.
-        assert downed_scope.dominant_phase == "view"
-        assert downed_scope.share("view") == 1.0
-        # The resume instant links into the first post-outage commit's
-        # span tree (quorum groups record commit spans while serving).
-        assert downed_scope.resume_gaps == 1
-        tree = decomposition.trees[0]
-        assert tree.resume_gap_us is not None and tree.resume_gap_us >= 0.0
-        assert tree.resume_commit_trace_id is not None
-
-        # -- alerts -----------------------------------------------------
-        # The recorded burn-rate alerts are grounded: every fire
-        # justified by real downtime, none missed, and only the downed
-        # group's scope ever pages.
-        verification = timeline.alerts()
-        assert verification.ok, verification.render()
-        fires = [
-            e for e in timeline.trace_events if e.name == "alert.fire"
-        ]
-        assert fires, "the quorum-loss window must trip the fast-burn rule"
-        assert {
-            str(e.attrs["scope"]) for e in fires
-        } == {f"group.{timeline.downed_group}"}
-        resolves = [
-            e for e in timeline.trace_events if e.name == "alert.resolve"
-        ]
-        assert len(resolves) == len(fires), "every alert must resolve"
+        check_quorum_timeline(self.timeline)
 
         # -- quorum vs pair, equal replica count ------------------------
         comparison = self.comparison
-        assert comparison.audit().ok
-        assert comparison.pair_timeline.audit().ok
+        assert audit_events(comparison.quorum_trace_events).ok
+        assert comparison.pair_timeline.audit.ok
         assert comparison.pair_availability < 1.0
         assert comparison.quorum_availability >= comparison.pair_availability
         # The sloppy group never stopped serving, and the crashed
@@ -494,6 +249,40 @@ class QuorumResult:
         assert backlog[-1] == 0.0, "hint backlog never drained"
 
 
+def check_quorum_timeline(timeline: GroupOutageTimeline) -> None:
+    """The shared timeline check, plus what only a quorum loss shows."""
+    downed, tree = timeline.check()
+    # Quorum is lost the instant the second member dies and regained
+    # the instant the first recovers: no detection, no restore.
+    assert timeline.outage.crash_at_us == CRASH_SECOND_AT_US
+    assert timeline.outage.restored_at_us == RECOVER_FIRST_AT_US
+    # Divergence existed (the partition forced hintless staleness)
+    # and anti-entropy repaired it: every replica byte-identical.
+    assert timeline.converged, "anti-entropy failed to converge"
+    assert timeline.group_stats[PARTITIONED_GROUP]["repair_keys"] > 0
+    # Anti-entropy ran: the sampled repair-key counter moved, and
+    # never past the groups' own final bookkeeping.
+    repair_last = timeline.series.last("quorum.repair_keys")
+    repair_total = sum(
+        g["repair_keys"] for g in timeline.group_stats.values()
+    )
+    assert 0 < repair_last <= repair_total, (repair_last, repair_total)
+    # The per-scope filter isolates one group's record.
+    filtered = compute_slo(
+        timeline.trace_events, audit_ok=timeline.audit.ok,
+        scopes=[timeline.downed_scope],
+    )
+    assert [s.scope for s in filtered.scopes] == [timeline.downed_scope]
+    # A quorum loss is a membership problem by construction: the
+    # whole outage is the view phase (no reachable quorum), with
+    # zero-width detection and instantaneous hint delivery.
+    assert downed.dominant_phase == "view"
+    assert downed.share("view") == 1.0
+    # The resume instant links into the first post-outage commit's
+    # span tree (quorum groups record commit spans while serving).
+    assert tree.resume_commit_trace_id is not None
+
+
 def quorum_timeline(
     num_groups: int = NUM_GROUPS,
     slots: int = SLOTS,
@@ -502,7 +291,7 @@ def quorum_timeline(
     seed: int = 42,
     observer: Optional[Observer] = None,
     trace_path: Optional[Union[str, "object"]] = None,
-) -> QuorumTimeline:
+) -> GroupOutageTimeline:
     """Drive a strict (3, 2, 2) quorum cluster through one quorum loss
     and one partition, deriving the timeline *from the recorded trace*.
 
@@ -520,79 +309,48 @@ def quorum_timeline(
         repair_interval_us=REPAIR_INTERVAL_US,
         observer=observer,
     )
-    workload = QuorumWorkload(
-        num_groups, KEYS_PER_GROUP, value_bytes=VALUE_BYTES, seed=seed
-    )
-    cluster.setup(workload)
-    router = Router(cluster, workload, max_attempts=12, observer=observer)
 
-    horizon_us = slots * slot_us + DRAIN_US
-    sampler = TimeSeriesSampler(observer=observer)
-    sampler.add_probes(sim_probes(cluster.sim))
-    sampler.add_probes(router_probes(
-        router, scopes={f"group.{g}": g for g in range(num_groups)}
-    ))
-    sampler.add_probes(quorum_probes(cluster.groups))
-    sampler.attach(
-        cluster.sim, series_interval_us(slot_us, slot_us), horizon_us
-    )
+    def schedule_faults(cluster: QuorumCluster) -> None:
+        cluster.schedule_member_crash(DOWNED_GROUP, 1, CRASH_FIRST_AT_US)
+        cluster.schedule_member_crash(DOWNED_GROUP, 2, CRASH_SECOND_AT_US)
+        cluster.schedule_member_recover(DOWNED_GROUP, 1, RECOVER_FIRST_AT_US)
+        cluster.schedule_member_recover(DOWNED_GROUP, 2, RECOVER_SECOND_AT_US)
+        cluster.schedule_partition(
+            PARTITIONED_GROUP, [0], [1, 2],
+            at_us=PARTITION_AT_US, heal_at_us=HEAL_AT_US,
+        )
 
-    # A fixed load: offered_per_group transactions per group per slot
-    # (global key g routes to group g; the group draws its own local
-    # keys from its seeded stream).
-    for slot in range(slots):
-        at_us = slot * slot_us
-        for group_id in range(num_groups):
-            for _ in range(offered_per_group):
-                router.submit(key=group_id, at_us=at_us)
-
-    cluster.schedule_member_crash(DOWNED_GROUP, 1, CRASH_FIRST_AT_US)
-    cluster.schedule_member_crash(DOWNED_GROUP, 2, CRASH_SECOND_AT_US)
-    cluster.schedule_member_recover(DOWNED_GROUP, 1, RECOVER_FIRST_AT_US)
-    cluster.schedule_member_recover(DOWNED_GROUP, 2, RECOVER_SECOND_AT_US)
-    cluster.schedule_partition(
-        PARTITIONED_GROUP, [0], [1, 2],
-        at_us=PARTITION_AT_US, heal_at_us=HEAL_AT_US,
+    # Run past the load so retries and repair rounds fully drain.
+    router, series = drive(
+        cluster,
+        QuorumWorkload(
+            num_groups, KEYS_PER_GROUP, value_bytes=VALUE_BYTES, seed=seed
+        ),
+        # Global key g routes to group g; the group draws its own local
+        # keys from its seeded stream.
+        fixed_load(slots, slot_us, range(num_groups), offered_per_group),
+        schedule_faults,
+        lambda router: {
+            **sim_probes(cluster.sim),
+            **router_probes(router),
+            **quorum_probes(cluster.groups),
+        },
+        slots * slot_us + DRAIN_US,
+        slot_us,
     )
-    # Run past the horizon so retries and repair rounds fully drain,
-    # then one explicit sweep to pick up any last divergence.
-    cluster.run_until(horizon_us)
+    # One explicit sweep to pick up any last divergence.
     cluster.repair_pass_all()
-    converged = all(
-        group.replicas_converged() for group in cluster.groups
-    )
-
-    # Annotate the trace with the burn-rate alert schedule its own
-    # downtime record justifies (appended post-run; every consumer
-    # selects events by name, none by position).
-    from repro.obs.alerts import evaluate_alerts
-
-    events = list(observer.recorder.events)
-    events = events + evaluate_alerts(events)
-    report = analyze_timeline(events, window_us=slot_us)
-    loss = next(
-        s for s in report.failovers
-        if s.scope == f"group.{DOWNED_GROUP}"
-    )
-    samples = slot_samples(report, slots, num_groups * offered_per_group)
-    # The trace must agree with the live objects' own bookkeeping —
-    # the observer is a recorder, never a participant.
-    assert report.routing["routed"] == router.routed
-    assert report.routing["completed"] == router.completed
-    if trace_path is not None:
-        write_jsonl(trace_path, events, metrics=observer.registry)
-    return QuorumTimeline(
-        num_groups=num_groups,
+    return GroupOutageTimeline.from_run(
+        observer, router.routed, router.completed, trace_path,
+        scope_prefix="group",
+        num_units=num_groups,
+        slots=slots,
         slot_us=slot_us,
-        offered_per_group_per_slot=offered_per_group,
-        downed_group=DOWNED_GROUP,
-        quorum_loss=loss,
-        samples=samples,
-        converged=converged,
-        router_stats=dict(report.routing),
+        offered_per_unit=offered_per_group,
+        downed_unit=DOWNED_GROUP,
+        series=series,
+        converged=all(group.replicas_converged() for group in cluster.groups),
         group_stats=cluster.stats,
-        trace_events=events,
-        series=sampler.frame,
     )
 
 
@@ -610,52 +368,40 @@ def availability_comparison(seed: int = 42) -> QuorumComparison:
         sloppy=True,
         observer=observer,
     )
-    workload = QuorumWorkload(
-        1, KEYS_PER_GROUP, value_bytes=VALUE_BYTES, seed=seed
-    )
-    cluster.setup(workload)
-    router = Router(cluster, workload, max_attempts=12, observer=observer)
-    sampler = TimeSeriesSampler(observer=observer)
-    sampler.add_probes(router_probes(router, scopes={"group.0": 0}))
-    sampler.add_probes(quorum_probes(cluster.groups))
-    sampler.attach(
-        cluster.sim,
-        series_interval_us(SLOT_US, SLOT_US),
+
+    def schedule_faults(cluster: QuorumCluster) -> None:
+        cluster.schedule_member_crash(0, 0, PAIR_CRASH_AT_US)
+        cluster.schedule_member_recover(0, 0, PAIR_RECOVER_AT_US)
+
+    router, series = drive(
+        cluster,
+        QuorumWorkload(1, KEYS_PER_GROUP, value_bytes=VALUE_BYTES, seed=seed),
+        fixed_load(SLOTS, SLOT_US, (0,), OFFERED_PER_GROUP_PER_SLOT),
+        schedule_faults,
+        lambda router: {
+            **router_probes(router),
+            **quorum_probes(cluster.groups),
+        },
         SLOTS * SLOT_US + DRAIN_US,
+        SLOT_US,
     )
-    for slot in range(SLOTS):
-        at_us = slot * SLOT_US
-        for _ in range(OFFERED_PER_GROUP_PER_SLOT):
-            router.submit(key=0, at_us=at_us)
-    cluster.schedule_member_crash(0, 0, PAIR_CRASH_AT_US)
-    cluster.schedule_member_recover(0, 0, PAIR_RECOVER_AT_US)
-    cluster.run_until(SLOTS * SLOT_US + DRAIN_US)
-    group = cluster.groups[0]
-    events = list(observer.recorder.events)
-
-    from repro.obs.slo import compute_slo
-
-    slo = compute_slo(events)
-    by_scope = {s.scope: s for s in slo.scopes}
-    quorum_scope = by_scope["group.0"]
     assert router.dropped == 0
-
-    pair = failover_timeline(
-        num_shards=1,
-        slots=SLOTS,
-        crashed_shard=0,
-        crash_at_us=PAIR_CRASH_AT_US,
-        db_bytes_per_shard=4 * MB,
-        seed=seed,
-    )
+    events = list(observer.recorder.events)
+    quorum_scope, = compute_slo(events).scopes
+    assert quorum_scope.scope == "group.0"
     return QuorumComparison(
         crash_at_us=PAIR_CRASH_AT_US,
         quorum_availability=quorum_scope.availability,
         quorum_downtime_us=quorum_scope.downtime_us,
-        hints_delivered=group.stats.hints_delivered,
-        pair_timeline=pair,
+        hints_delivered=cluster.groups[0].stats.hints_delivered,
+        pair_timeline=failover_timeline(
+            num_shards=1,
+            slots=SLOTS,
+            crashes=((0, PAIR_CRASH_AT_US),),
+            seed=seed,
+        ),
         quorum_trace_events=events,
-        quorum_series=sampler.frame,
+        quorum_series=series,
     )
 
 

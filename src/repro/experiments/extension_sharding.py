@@ -21,30 +21,32 @@ claims that justify sharding:
   mirror restore makes the takeover window long enough to see.
 
 Everything is deterministic under the seed: the timeline is a pure
-function of (shards, slots, crash time, seed).
+function of (shards, slots, crash schedule, seed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple, Union
 
-from repro.cluster.cluster import TakeoverReport
 from repro.experiments.common import ExperimentContext
 from repro.fastpath import shardpar
-from repro.fastpath.shardpar import TimelinePlan
 from repro.obs import Observer, TraceEvent, analyze_timeline, write_jsonl
-from repro.obs.report import TimelineReport
+from repro.obs.alerts import evaluate_alerts, verify_alerts
+from repro.obs.audit import AuditReport, audit_events
+from repro.obs.critpath import ScopeDecomposition, crosscheck_recovery_slo
+from repro.obs.recovery import RecoveryTree
+from repro.obs.report import FailoverSpan, TimelineReport
 from repro.obs.series import (
     DipSummary,
     SeriesFrame,
     derive_dip,
-    series_interval_us,
     windowed_goodput,
 )
+from repro.obs.slo import SloReport, compute_slo
 from repro.perf.report import ReportTable
 from repro.perf.sharding import ShardedThroughputReport, sharded_aggregate
-from repro.shard import ShardedWorkload
 
 MB = 1024 * 1024
 
@@ -54,9 +56,14 @@ SHARD_COUNTS = (1, 2, 4, 8)
 SLOT_US = 1_000.0
 SLOTS = 28
 OFFERED_PER_SHARD_PER_SLOT = 2
-CRASH_AT_US = 5_250.0
+#: ``(shard_id, at_us)`` per primary crash; the first is the outage the
+#: timeline measures.
+CRASHES = ((2, 5_250.0),)
 HEARTBEAT_INTERVAL_US = 100.0
 HEARTBEAT_TIMEOUT_US = 500.0
+RESTORE_BYTES_PER_US = 300.0
+#: Run this far past the load so the retry backlog fully drains.
+DRAIN_US = 30_000.0
 
 
 @dataclass
@@ -68,124 +75,314 @@ class SlotSample:
     completed: int
 
 
-def slot_samples(report, slots: int, offered: int) -> List[SlotSample]:
-    """The trace's completions per slot (one report window each), plus
-    a catch-up slot for whatever completed past the sampled horizon —
-    those completions still belong to the run."""
-    width = report.window_us
-    samples = [
-        SlotSample(slot * width, offered, completed)
-        for slot, completed in enumerate(report.window_counts(slots))
-    ]
-    tail = report.completions_between(slots * width, float("inf"))
-    if tail:
-        samples.append(SlotSample(slots * width, 0, tail))
-    return samples
-
-
-class SeriesDerivations:
-    """Windowed derivations shared by the measured timelines.
-
-    Expects ``series`` (a :class:`SeriesFrame` with a cumulative
-    ``router.completed`` column), ``slot_us`` and ``normal_per_slot``
-    on the concrete dataclass.
-    """
-
-    def goodput_windows(self, window_us: Optional[float] = None) -> List[float]:
-        """Completions per window derived from the sampled series."""
-        window = self.slot_us if window_us is None else window_us
-        return windowed_goodput(self.series, "router.completed", window)
-
-    def series_dip(self, window_us: Optional[float] = None) -> Optional[DipSummary]:
-        """Dip-and-recovery summary of the sampled goodput curve."""
-        window = self.slot_us if window_us is None else window_us
-        return derive_dip(
-            self.goodput_windows(window), window, float(self.normal_per_slot)
-        )
-
-    def recovery(self):
-        """Per-scope downtime decomposition from the recovery spans
-        (expects ``trace_events`` on the concrete dataclass)."""
-        from repro.obs.critpath import decompose_recoveries
-
-        return decompose_recoveries(self.trace_events)
-
-    def alerts(self):
-        """Cross-check the recorded burn-rate alerts against the
-        trace's own downtime record."""
-        from repro.obs.alerts import verify_alerts
-
-        return verify_alerts(self.trace_events)
-
-
 @dataclass
-class FailoverTimeline(SeriesDerivations):
-    """The measured dip-and-recovery curve of one shard's failover."""
+class OutageTimeline:
+    """The measured dip-and-recovery curve of one serving unit's outage
+    — a shard's failover or a group's quorum loss. The outage span, the
+    slot completions and the router totals are derived from the trace
+    (:func:`~repro.obs.report.analyze_timeline`), never copied from the
+    live objects."""
 
-    num_shards: int
+    #: Scope prefix of the serving units: ``"shard"`` or ``"group"``.
+    scope_prefix: str
+    num_units: int
+    slots: int
     slot_us: float
-    offered_per_shard_per_slot: int
-    crashed_shard: int
-    crash_at_us: float
-    takeover: TakeoverReport
-    samples: List[SlotSample]
-    router_stats: Dict[str, int] = field(default_factory=dict)
-    #: The raw trace the numbers above were derived from.
-    trace_events: List[TraceEvent] = field(default_factory=list)
+    #: Transactions offered per unit per slot.
+    offered_per_unit: int
+    downed_unit: int
+    #: The raw trace everything below is derived from.
+    trace_events: List[TraceEvent]
     #: The sampled time series recorded alongside the trace.
-    series: SeriesFrame = field(default_factory=SeriesFrame)
+    series: SeriesFrame
+    #: The downed unit's crash-to-restoration arc.
+    outage: FailoverSpan = field(init=False)
+    samples: List[SlotSample] = field(init=False)
+    router_stats: Dict[str, int] = field(init=False)
 
-    def trace_report(self, window_us: Optional[float] = None) -> TimelineReport:
-        """Re-derive the timeline report from the recorded trace."""
-        return analyze_timeline(
-            self.trace_events,
-            window_us=self.slot_us if window_us is None else window_us,
+    def __post_init__(self) -> None:
+        report = self.trace_report()
+        self.outage = next(
+            s for s in report.failovers if s.scope == self.downed_scope
         )
+        # One sample per slot (one report window each), plus a catch-up
+        # slot for whatever completed past the sampled horizon — those
+        # completions still belong to the run.
+        self.samples = [
+            SlotSample(slot * self.slot_us, self.normal_per_slot, completed)
+            for slot, completed in enumerate(report.window_counts(self.slots))
+        ]
+        end_us = self.slots * self.slot_us
+        tail = report.completions_between(end_us, float("inf"))
+        if tail:
+            self.samples.append(SlotSample(end_us, 0, tail))
+        self.router_stats = dict(report.routing)
 
-    def audit(self):
-        """Run the online trace auditor over the recorded trace."""
-        from repro.obs.audit import audit_events
+    @classmethod
+    def from_run(
+        cls,
+        observer: Observer,
+        routed: int,
+        completed: int,
+        trace_path: Optional[Union[str, "object"]],
+        **fields,
+    ) -> "OutageTimeline":
+        """The record of the finished run ``observer`` recorded: the
+        router's own ``routed`` / ``completed`` counts to cross-check,
+        and the remaining dataclass ``fields``. ``trace_path``
+        additionally dumps the trace (and the metrics snapshot) as
+        JSONL for ``python -m repro.obs.report``."""
+        # Annotate the trace with the burn-rate alert schedule its own
+        # downtime record justifies. Appended post-run (every consumer
+        # selects events by name, none by position), computed purely
+        # from the recorded events.
+        events = list(observer.recorder.events)
+        events += evaluate_alerts(events)
+        timeline = cls(trace_events=events, **fields)
+        # The trace must agree with the router's own bookkeeping — the
+        # observer is a recorder, never a participant.
+        assert timeline.router_stats["routed"] == routed
+        assert timeline.router_stats["completed"] == completed
+        if trace_path is not None:
+            write_jsonl(trace_path, events, metrics=observer.registry)
+        return timeline
 
-        return audit_events(self.trace_events)
+    # -- derivations --------------------------------------------------------
 
-    def slo(self, audited: bool = True):
-        """Fold the trace's downtime into an availability report,
-        audit-confirmed unless ``audited`` is False."""
-        from repro.obs.slo import compute_slo
-
-        audit_ok = self.audit().ok if audited else None
-        return compute_slo(self.trace_events, audit_ok=audit_ok)
+    @property
+    def downed_scope(self) -> str:
+        return f"{self.scope_prefix}.{self.downed_unit}"
 
     @property
     def normal_per_slot(self) -> int:
-        return self.num_shards * self.offered_per_shard_per_slot
+        return self.num_units * self.offered_per_unit
 
     @property
     def degraded_per_slot(self) -> int:
-        return (self.num_shards - 1) * self.offered_per_shard_per_slot
+        return (self.num_units - 1) * self.offered_per_unit
+
+    def trace_report(self) -> TimelineReport:
+        """Re-derive the timeline report from the recorded trace."""
+        return analyze_timeline(self.trace_events, window_us=self.slot_us)
+
+    @cached_property
+    def audit(self) -> AuditReport:
+        """The online trace auditor's verdict on the recorded trace
+        (run once per record)."""
+        return audit_events(self.trace_events)
+
+    @cached_property
+    def slo(self) -> SloReport:
+        """The trace's downtime folded into an audit-confirmed
+        availability report."""
+        return compute_slo(self.trace_events, audit_ok=self.audit.ok)
 
     def outage_slots(self) -> List[SlotSample]:
         """Slots that lie fully inside the unavailability window."""
         return [
             s for s in self.samples
-            if s.start_us > self.crash_at_us
-            and s.start_us + self.slot_us <= self.takeover.service_restored_at_us
+            if s.start_us > self.outage.crash_at_us
+            and s.start_us + self.slot_us <= self.outage.restored_at_us
         ]
 
     def recovered_slots(self) -> List[SlotSample]:
         """Slots starting after service was restored *and* the retry
         backlog drained (completions back at the offered rate)."""
-        drained = [
+        return [
             s for s in self.samples
-            if s.start_us > self.takeover.service_restored_at_us
+            if s.start_us > self.outage.restored_at_us
+            and s.completed == self.normal_per_slot
         ]
-        return [s for s in drained if s.completed == self.normal_per_slot]
+
+    def goodput_windows(self) -> List[float]:
+        """Completions per slot derived from the sampled series."""
+        return windowed_goodput(self.series, "router.completed", self.slot_us)
+
+    def series_dip(self) -> Optional[DipSummary]:
+        """Dip-and-recovery summary of the sampled goodput curve."""
+        return derive_dip(
+            self.goodput_windows(), self.slot_us, float(self.normal_per_slot)
+        )
+
+    def figure(
+        self, title: str, lost_mark: str, restored_mark: str, tail: str
+    ) -> str:
+        """One bar of completions per slot, the slots holding the
+        outage's two instants marked, and the router's totals (ending
+        in the architecture's own ``tail``)."""
+        lines = [title, "=" * len(title)]
+        instants = (
+            (lost_mark, self.outage.crash_at_us),
+            (restored_mark, self.outage.restored_at_us),
+        )
+        for sample in self.samples:
+            marks = [
+                mark for mark, at_us in instants
+                if sample.start_us <= at_us < sample.start_us + self.slot_us
+            ]
+            bar = "#" * sample.completed
+            lines.append(
+                f"  {sample.start_us / 1000:>5.1f} ms  "
+                f"{sample.completed:>3}  {bar} {' '.join(marks)}".rstrip()
+            )
+        lines.append(
+            f"  router: {self.router_stats['routed']} routed, "
+            f"{self.router_stats['retries']} retries, {tail}"
+        )
+        return "\n".join(lines)
+
+    # -- the shared check ---------------------------------------------------
+
+    def check(self) -> Tuple[ScopeDecomposition, RecoveryTree]:
+        """Everything a single-outage timeline must satisfy whatever
+        its architecture. Returns the downed scope's recovery
+        decomposition and its recovery tree for the architecture's own
+        assertions (dominant phase, resume link)."""
+        n = self.num_units
+        normal = self.normal_per_slot
+        degraded = self.degraded_per_slot
+        outage = self.outage
+        unit_scopes = [f"{self.scope_prefix}.{unit}" for unit in range(n)]
+
+        # -- the dip ----------------------------------------------------
+        pre_crash = [
+            s for s in self.samples
+            if s.start_us + self.slot_us <= outage.crash_at_us
+        ]
+        assert pre_crash and all(s.completed == normal for s in pre_crash), (
+            "a healthy cluster must complete the offered rate"
+        )
+        outage_slots = self.outage_slots()
+        assert len(outage_slots) >= 3, "outage window too short to observe"
+        assert all(s.completed == degraded for s in outage_slots), (
+            f"outage slots should degrade to exactly (n-1)/n = "
+            f"{degraded}/{normal}: {[s.completed for s in outage_slots]}"
+        )
+        assert self.recovered_slots(), "throughput never recovered"
+        # The retried backlog drains: nothing is lost end to end.
+        offered = sum(s.offered for s in self.samples)
+        completed = sum(s.completed for s in self.samples)
+        assert completed == offered, (completed, offered)
+        assert self.router_stats["dropped"] == 0
+        assert self.router_stats["retries"] > 0
+
+        # -- trace consistency ------------------------------------------
+        # Re-deriving the report from the raw trace must reproduce the
+        # numbers every assertion above just consumed.
+        rederived = self.trace_report()
+        assert rederived.routing == self.router_stats
+        assert rederived.failovers == [outage], (
+            "exactly one unit, the downed one, may have an outage"
+        )
+        assert rederived.window_counts(self.slots) == [
+            s.completed for s in self.samples[:self.slots]
+        ]
+        assert len(rederived.completions) == completed
+        # Every unit — downed one included — eventually completed
+        # exactly what it was offered; the dip was delay, not loss.
+        assert rederived.per_scope_completions == {
+            scope: self.slots * self.offered_per_unit for scope in unit_scopes
+        }
+
+        # -- series consistency -----------------------------------------
+        # The sampled SeriesFrame must tell the same story as the
+        # trace, window for window: goodput derived from the sampler's
+        # cumulative completion counter equals the trace-derived
+        # half-open window counts exactly, and the dip-and-recovery
+        # summaries computed from each agree.
+        assert len(self.series) > 0, "sampler recorded no ticks"
+        deltas = self.goodput_windows()
+        trace_counts = [float(c) for c in rederived.window_counts(len(deltas))]
+        assert deltas == trace_counts, "series windows diverge from trace"
+        assert sum(deltas) == float(completed)
+        series_dip = self.series_dip()
+        trace_dip = derive_dip(trace_counts, self.slot_us, float(normal))
+        assert series_dip is not None and series_dip == trace_dip
+        assert series_dip.dip_floor == float(degraded)
+        # The dip's duration brackets the measured downtime to within
+        # the slot quantization on each side.
+        assert abs(
+            series_dip.time_to_recover_us - outage.downtime_us
+        ) <= 2 * self.slot_us
+        # Per-scope cumulative counters land on the per-unit totals.
+        for scope in unit_scopes:
+            assert self.series.last(f"{scope}.completed") == float(
+                rederived.per_scope_completions[scope]
+            )
+
+        # -- audit + SLO ------------------------------------------------
+        # A clean run must satisfy every replication invariant the
+        # auditor knows, and the availability accounting must charge
+        # the measured downtime to exactly the downed unit.
+        assert self.audit.ok, self.audit.render()
+        slo = self.slo
+        assert slo.audit_ok is True
+        by_scope = {s.scope: s for s in slo.scopes}
+        assert sorted(by_scope) == sorted(unit_scopes)
+        for scope in unit_scopes:
+            if scope == self.downed_scope:
+                assert by_scope[scope].failovers == 1
+                assert by_scope[scope].availability < 1.0
+            else:
+                assert by_scope[scope].downtime_us == 0.0
+                assert by_scope[scope].availability == 1.0
+        # Cluster availability loses exactly the downed unit's share.
+        expected = (n - 1 + by_scope[self.downed_scope].availability) / n
+        assert abs(slo.cluster_availability - expected) < 1e-12
+
+        # -- recovery decomposition -------------------------------------
+        # SLO downtime and the recovery-span roots must tell one story,
+        # scope by scope, window by window (this replaces the ad-hoc
+        # downtime arithmetic the experiments used to duplicate).
+        decomposition = crosscheck_recovery_slo(self.trace_events, slo)
+        downed = decomposition.scope(self.downed_scope)
+        assert downed.recoveries == 1
+        assert abs(downed.total_downtime_us - outage.downtime_us) <= 1e-6
+        # The resume instant links the recovery to the first served
+        # completion, at or after restoration.
+        assert downed.resume_gaps == 1
+        tree = decomposition.trees[0]
+        assert tree.resume_gap_us is not None and tree.resume_gap_us >= 0.0
+
+        # -- alerts -----------------------------------------------------
+        # The recorded burn-rate alerts are grounded: every fire
+        # justified by real downtime, no justified window missed, and
+        # only the downed unit's scope ever pages.
+        verification = verify_alerts(self.trace_events)
+        assert verification.ok, verification.render()
+        fires = [e for e in self.trace_events if e.name == "alert.fire"]
+        assert fires, "an outage this long must trip the burn-rate rules"
+        assert {str(e.attrs["scope"]) for e in fires} == {self.downed_scope}
+        resolves = [e for e in self.trace_events if e.name == "alert.resolve"]
+        assert len(resolves) == len(fires), "every alert must resolve"
+        return downed, tree
+
+
+def check_failover_timeline(timeline: OutageTimeline) -> None:
+    """The shared timeline check, plus what only a pair failover shows."""
+    downed, tree = timeline.check()
+    # The crashed shard's epoch bumped under the router's snapshot.
+    assert timeline.router_stats["redirects"] > 0
+    # Downtime is bounded by detection plus the mirror restore.
+    outage = timeline.outage
+    assert outage.downtime_us <= (
+        HEARTBEAT_TIMEOUT_US + 2 * HEARTBEAT_INTERVAL_US
+        + outage.bytes_restored / RESTORE_BYTES_PER_US + 1.0
+    )
+    # Passive v1's whole-database mirror restore dominates the
+    # failover — the trace-derived root cause, not an assumption.
+    assert downed.dominant_phase == "catchup"
+    assert downed.share("catchup") > 0.9
+    # A passive pair's promoted engine serves bare (no commit-span
+    # recorder), so the resume instant's commit-tree link is absent
+    # here; the quorum experiment asserts the linked variant.
+    assert tree.resume_commit_trace_id is None
 
 
 @dataclass
 class ShardingResult:
     scaling: List[ShardedThroughputReport]
-    timeline: FailoverTimeline
+    timeline: OutageTimeline
 
     def table(self) -> ReportTable:
         table = ReportTable(
@@ -209,47 +406,29 @@ class ShardingResult:
         )
         timeline = self.timeline
         table.add_note(
-            f"failover dip: {timeline.num_shards} shards served "
+            f"failover dip: {timeline.num_units} shards served "
             f"{timeline.normal_per_slot}/slot, crash held "
             f"{len(timeline.outage_slots())} slots at "
             f"{timeline.degraded_per_slot}/slot "
-            f"(downtime {timeline.takeover.downtime_us / 1000:.1f} ms), "
+            f"(downtime {timeline.outage.downtime_us / 1000:.1f} ms), "
             f"then recovered"
         )
         return table
 
     def timeline_figure(self) -> str:
         timeline = self.timeline
-        title = (
+        return timeline.figure(
             f"Extension: aggregate completions per {timeline.slot_us:.0f} us "
             f"slot across one shard failover "
-            f"({timeline.num_shards} shards, crash at "
-            f"{timeline.crash_at_us / 1000:.2f} ms)"
+            f"({timeline.num_units} shards, crash at "
+            f"{timeline.outage.crash_at_us / 1000:.2f} ms)",
+            "<- crash",
+            "<- restored",
+            f"{timeline.router_stats['redirects']} redirects, "
+            f"{timeline.router_stats['dropped']} dropped",
         )
-        lines = [title, "=" * len(title)]
-        restored_at = timeline.takeover.service_restored_at_us
-        for sample in timeline.samples:
-            marks = []
-            if sample.start_us <= timeline.crash_at_us < sample.start_us + timeline.slot_us:
-                marks.append("<- crash")
-            if sample.start_us <= restored_at < sample.start_us + timeline.slot_us:
-                marks.append("<- restored")
-            bar = "#" * sample.completed
-            lines.append(
-                f"  {sample.start_us / 1000:>5.1f} ms  "
-                f"{sample.completed:>3}  {bar} {' '.join(marks)}".rstrip()
-            )
-        stats = timeline.router_stats
-        lines.append(
-            f"  router: {stats.get('routed', 0)} routed, "
-            f"{stats.get('retries', 0)} retries, "
-            f"{stats.get('redirects', 0)} redirects, "
-            f"{stats.get('dropped', 0)} dropped"
-        )
-        return "\n".join(lines)
 
     def check(self) -> None:
-        # -- scaling ----------------------------------------------------
         by_shards = {r.shards: r for r in self.scaling}
         one = by_shards[1]
         for n, report in by_shards.items():
@@ -264,165 +443,7 @@ class ShardingResult:
         assert shared == sorted(shared), f"shared-SAN curve not monotone: {shared}"
         # Near-linear 1 -> 4 on dedicated links (exactly 4.0 here).
         assert by_shards[4].dedicated_tps >= 3.6 * one.dedicated_tps
-
-        # -- failover timeline ------------------------------------------
-        timeline = self.timeline
-        n = timeline.num_shards
-        normal = timeline.normal_per_slot
-        degraded = timeline.degraded_per_slot
-
-        pre_crash = [
-            s for s in timeline.samples
-            if s.start_us + timeline.slot_us <= timeline.crash_at_us
-        ]
-        assert pre_crash and all(s.completed == normal for s in pre_crash), (
-            "healthy cluster must complete the offered rate"
-        )
-        outage = timeline.outage_slots()
-        assert len(outage) >= 3, "takeover window too short to observe"
-        assert all(s.completed == degraded for s in outage), (
-            f"outage slots should degrade to exactly (n-1)/n = "
-            f"{degraded}/{normal}: {[s.completed for s in outage]}"
-        )
-        assert timeline.recovered_slots(), "throughput never recovered"
-        # The retried backlog drains: nothing is lost end to end.
-        offered = sum(s.offered for s in timeline.samples)
-        completed = sum(s.completed for s in timeline.samples)
-        assert completed == offered, (completed, offered)
-        assert timeline.router_stats["dropped"] == 0
-        assert timeline.router_stats["retries"] > 0
-        assert timeline.router_stats["redirects"] > 0
-        # Downtime is bounded by detection plus the mirror restore.
-        report = timeline.takeover
-        assert report.downtime_us <= (
-            HEARTBEAT_TIMEOUT_US + 2 * HEARTBEAT_INTERVAL_US
-            + report.bytes_restored / 300.0 + 1.0
-        )
-        # The dip is 1/N of aggregate, not a full outage.
-        assert degraded == normal * (n - 1) // n
-
-        # -- trace consistency ------------------------------------------
-        # Re-deriving the report from the raw trace must reproduce the
-        # numbers every assertion above just consumed.
-        rederived = timeline.trace_report()
-        assert rederived.routing == timeline.router_stats
-        spans = [
-            s for s in rederived.failovers
-            if s.shard_id == timeline.crashed_shard
-        ]
-        assert len(spans) == 1, "exactly one shard failed over"
-        assert spans[0].downtime_us == report.downtime_us
-        assert spans[0].crash_at_us == timeline.crash_at_us
-        sampled_slots = len(
-            [s for s in timeline.samples if s.offered > 0]
-        )
-        assert rederived.window_counts(sampled_slots) == [
-            s.completed for s in timeline.samples[:sampled_slots]
-        ]
-        assert len(rederived.completions) == sum(
-            s.completed for s in timeline.samples
-        )
-        # Every shard — crashed one included — eventually completed
-        # exactly what it was offered; the dip was delay, not loss.
-        assert sorted(rederived.per_shard_completions) == list(range(n))
-        for count in rederived.per_shard_completions.values():
-            assert count == SLOTS * timeline.offered_per_shard_per_slot
-
-        # -- series consistency -----------------------------------------
-        # The sampled SeriesFrame must tell the same story as the
-        # trace, window for window: goodput derived from the sampler's
-        # cumulative completion counter equals the trace-derived
-        # half-open window counts exactly, and the dip-and-recovery
-        # summaries computed from each agree.
-        series = timeline.series
-        assert len(series) > 0, "sampler recorded no ticks"
-        deltas = timeline.goodput_windows()
-        trace_counts = [float(c) for c in rederived.window_counts(len(deltas))]
-        assert deltas == trace_counts, "series windows diverge from trace"
-        assert sum(deltas) == float(completed)
-        series_dip = timeline.series_dip()
-        trace_dip = derive_dip(
-            trace_counts, timeline.slot_us, float(normal)
-        )
-        assert series_dip is not None and series_dip == trace_dip
-        assert series_dip.dip_floor == float(degraded)
-        # The dip's duration brackets the measured takeover downtime
-        # to within the slot quantization on each side.
-        assert abs(
-            series_dip.time_to_recover_us - report.downtime_us
-        ) <= 2 * timeline.slot_us
-        # Per-scope cumulative counters land on the per-shard totals.
-        for shard in range(n):
-            assert timeline.series.last(f"shard.{shard}.completed") == float(
-                rederived.per_shard_completions[shard]
-            )
-
-        # -- audit + SLO ------------------------------------------------
-        # A clean run must satisfy every replication invariant the
-        # auditor knows, and the availability accounting must charge
-        # the measured downtime to exactly the crashed shard.
-        audit = timeline.audit()
-        assert audit.ok, audit.render()
-        slo = timeline.slo()
-        assert slo.audit_ok is True
-        by_scope = {s.scope: s for s in slo.scopes}
-        assert set(by_scope) == {f"shard.{i}" for i in range(n)}
-        for shard in range(n):
-            scope = by_scope[f"shard.{shard}"]
-            if shard == timeline.crashed_shard:
-                assert scope.failovers == 1
-                assert scope.availability < 1.0
-            else:
-                assert scope.downtime_us == 0.0
-                assert scope.availability == 1.0
-        # Cluster availability loses exactly the crashed shard's share.
-        crashed = by_scope[f"shard.{timeline.crashed_shard}"]
-        expected = (n - 1 + crashed.availability) / n
-        assert abs(slo.cluster_availability - expected) < 1e-12
-
-        # -- recovery decomposition -------------------------------------
-        # SLO downtime and the recovery-span roots must tell one story,
-        # scope by scope, window by window (this replaces the ad-hoc
-        # downtime arithmetic the experiments used to duplicate).
-        from repro.obs.critpath import crosscheck_recovery_slo
-
-        decomposition = crosscheck_recovery_slo(timeline.trace_events, slo)
-        crashed_scope = decomposition.scope(f"shard.{timeline.crashed_shard}")
-        assert crashed_scope.recoveries == 1
-        assert abs(
-            crashed_scope.total_downtime_us - report.downtime_us
-        ) <= 1e-6
-        # Passive v1's whole-database mirror restore dominates the
-        # failover — the trace-derived root cause, not an assumption.
-        assert crashed_scope.dominant_phase == "catchup"
-        assert crashed_scope.share("catchup") > 0.9
-        # The resume instant links the recovery to the first served
-        # completion, at or after restoration. A passive pair's
-        # promoted engine serves bare (no commit-span recorder), so
-        # the commit-tree link is absent here; the quorum experiment
-        # asserts the linked variant.
-        assert crashed_scope.resume_gaps == 1
-        tree = decomposition.trees[0]
-        assert tree.resume_gap_us is not None and tree.resume_gap_us >= 0.0
-        assert tree.resume_commit_trace_id is None
-
-        # -- alerts -----------------------------------------------------
-        # The recorded burn-rate alerts are grounded: every fire
-        # justified by real downtime, no justified window missed, and
-        # only the crashed shard's scope ever pages.
-        verification = timeline.alerts()
-        assert verification.ok, verification.render()
-        fires = [
-            e for e in timeline.trace_events if e.name == "alert.fire"
-        ]
-        assert fires, "an outage this long must trip the burn-rate rules"
-        assert {
-            str(e.attrs["scope"]) for e in fires
-        } == {f"shard.{timeline.crashed_shard}"}
-        resolves = [
-            e for e in timeline.trace_events if e.name == "alert.resolve"
-        ]
-        assert len(resolves) == len(fires), "every alert must resolve"
+        check_failover_timeline(self.timeline)
 
 
 def failover_plan(
@@ -430,32 +451,16 @@ def failover_plan(
     slots: int = SLOTS,
     slot_us: float = SLOT_US,
     offered_per_shard: int = OFFERED_PER_SHARD_PER_SLOT,
-    crash_at_us: float = CRASH_AT_US,
-    crashed_shard: int = 2,
+    crashes: tuple = CRASHES,
     db_bytes_per_shard: int = 4 * MB,
     seed: int = 42,
-    crashes: tuple = None,
-) -> TimelinePlan:
+) -> shardpar.TimelinePlan:
     """The failover timeline as a recorded schedule: a fixed
     round-robin load (``offered_per_shard`` transactions per shard per
-    slot, keyed to the first branch each shard owns) plus one primary
-    crash.
-
-    ``crashes`` — a tuple of ``(shard_id, at_us)`` pairs — overrides
-    the single ``crashed_shard``/``crash_at_us`` crash with a
-    multi-crash schedule (each shard at most once; the pair model has
-    one backup)."""
-    workload = ShardedWorkload(
-        "debit-credit", num_shards, db_bytes_per_shard, seed=seed
-    )
-    submissions = []
-    for slot in range(slots):
-        at_us = slot * slot_us
-        for shard_id in range(num_shards):
-            key = workload.partitioner.ranges[shard_id].start
-            submissions.extend((at_us, key) for _ in range(offered_per_shard))
-    horizon_us = slots * slot_us + 30_000.0
-    return TimelinePlan(
+    slot) plus the primary crashes — ``crashes`` is a tuple of
+    ``(shard_id, at_us)`` pairs, each shard at most once (the pair
+    model has one backup)."""
+    return shardpar.TimelinePlan(
         num_shards=num_shards,
         mode="passive",
         version="v1",  # whole-database mirror restore: a visible window
@@ -463,102 +468,54 @@ def failover_plan(
         log_bytes=512 * 1024,
         heartbeat_interval_us=HEARTBEAT_INTERVAL_US,
         heartbeat_timeout_us=HEARTBEAT_TIMEOUT_US,
-        restore_bytes_per_us=300.0,
+        restore_bytes_per_us=RESTORE_BYTES_PER_US,
         workload="debit-credit",
         seed=seed,
-        max_attempts=12,
-        # The sampler's ticks are pre-scheduled *before* the load, so
-        # at any shared timestamp they fire first and each sample sees
-        # exactly the [0, t) prefix — the property that makes the
-        # series windows match the trace windows bit for bit. The tick
-        # divides the slot width (REPRO_SERIES can select a finer
-        # divisor without changing any measured number).
-        sample_interval_us=series_interval_us(slot_us, slot_us),
-        sample_until_us=horizon_us,
-        # Run past the load so the retry backlog fully drains.
-        horizon_us=horizon_us,
-        submissions=tuple(submissions),
-        crashes=(
-            ((crashed_shard, crash_at_us),) if crashes is None
-            else tuple(crashes)
-        ),
+        slots=slots,
+        slot_us=slot_us,
+        offered_per_shard=offered_per_shard,
+        horizon_us=slots * slot_us + DRAIN_US,
+        crashes=tuple(crashes),
     )
 
 
 def failover_timeline(
-    num_shards: int = 4,
-    slots: int = SLOTS,
-    slot_us: float = SLOT_US,
-    offered_per_shard: int = OFFERED_PER_SHARD_PER_SLOT,
-    crash_at_us: float = CRASH_AT_US,
-    crashed_shard: int = 2,
-    db_bytes_per_shard: int = 4 * MB,
-    seed: int = 42,
     observer: Optional[Observer] = None,
     trace_path: Optional[Union[str, "object"]] = None,
-) -> FailoverTimeline:
-    """Drive a sharded cluster through one primary crash and derive the
-    per-slot timeline *from the recorded trace*.
+    **plan_args,
+) -> OutageTimeline:
+    """Drive a sharded cluster through :func:`failover_plan`
+    (``plan_args`` are its arguments) and derive the per-slot timeline
+    of the first crash *from the recorded trace*.
 
     An :class:`~repro.obs.Observer` is always attached (recording never
     touches model state, so the numbers match an unobserved run bit for
-    bit); the takeover span, slot completions and router totals all
-    come out of :func:`~repro.obs.report.analyze_timeline` rather than
-    the live objects. Pass ``trace_path`` to additionally dump the
-    trace (and metrics snapshot) as JSONL for ``python -m
-    repro.obs.report``.
+    bit). Pass ``trace_path`` to additionally dump the trace (and
+    metrics snapshot) as JSONL for ``python -m repro.obs.report``.
     """
     if observer is None:
         observer = Observer()
-    plan = failover_plan(
-        num_shards=num_shards,
-        slots=slots,
-        slot_us=slot_us,
-        offered_per_shard=offered_per_shard,
-        crash_at_us=crash_at_us,
-        crashed_shard=crashed_shard,
-        db_bytes_per_shard=db_bytes_per_shard,
-        seed=seed,
-    )
+    plan = failover_plan(**plan_args)
     outcome = shardpar.execute(plan, observer=observer)
-
-    # Annotate the trace with the burn-rate alert schedule its own
-    # downtime record justifies. Appended post-run (every consumer
-    # selects events by name, none by position), computed purely from
-    # the recorded events.
-    from repro.obs.alerts import evaluate_alerts
-
-    events = outcome.events + evaluate_alerts(outcome.events)
-    report = analyze_timeline(events, window_us=slot_us)
-    span = next(
-        s for s in report.failovers if s.shard_id == crashed_shard
-    )
-    takeover = TakeoverReport(
-        crash_at_us=span.crash_at_us,
-        detected_at_us=span.detected_at_us,
-        service_restored_at_us=span.restored_at_us,
-        bytes_restored=span.bytes_restored,
-    )
-    samples = slot_samples(report, slots, num_shards * offered_per_shard)
-    # The trace must agree with the router's own bookkeeping — the
-    # observer is a recorder, never a participant.
-    assert report.routing["routed"] == outcome.routed
-    assert report.routing["completed"] == outcome.completed
-    assert takeover.downtime_us == outcome.takeover_downtime_us[crashed_shard]
-    if trace_path is not None:
-        write_jsonl(trace_path, events, metrics=observer.registry)
-    return FailoverTimeline(
-        num_shards=num_shards,
-        slot_us=slot_us,
-        offered_per_shard_per_slot=offered_per_shard,
-        crashed_shard=crashed_shard,
-        crash_at_us=crash_at_us,
-        takeover=takeover,
-        samples=samples,
-        router_stats=dict(report.routing),
-        trace_events=events,
+    crashed_shard, crash_at_us = plan.crashes[0]
+    timeline = OutageTimeline.from_run(
+        observer, outcome.routed, outcome.completed, trace_path,
+        scope_prefix="shard",
+        num_units=plan.num_shards,
+        slots=plan.slots,
+        slot_us=plan.slot_us,
+        offered_per_unit=plan.offered_per_shard,
+        downed_unit=crashed_shard,
         series=outcome.frame,
     )
+    # The span the trace yields is the crash the plan scheduled and the
+    # takeover the pair itself reported.
+    assert timeline.outage.crash_at_us == crash_at_us
+    assert (
+        timeline.outage.downtime_us
+        == outcome.takeover_downtime_us[crashed_shard]
+    )
+    return timeline
 
 
 def run(ctx: Optional[ExperimentContext] = None) -> ShardingResult:

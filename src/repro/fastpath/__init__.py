@@ -24,8 +24,8 @@ the pair equal (DESIGN section 10 has the table).
   (:mod:`repro.fastpath.parallel`) — ``repro-experiments --jobs N``
   fans the grid's independent measured cells over a process pool and
   merges results deterministically.
-* **Timeline plans** (:mod:`repro.fastpath.shardpar`) — the sharded
-  failover schedule as data, and the executor that runs it.
+* **Timeline driver and plans** (:mod:`repro.fastpath.shardpar`) — the
+  failover timelines' one run scaffold, and the sharded schedule as data.
 
 Attaching an observer does not select a path either: an observed
 interface runs the same pipeline and is handed its totals at ordering

@@ -1,11 +1,11 @@
-"""The sharded failover timeline as a recorded plan and its executor.
+"""The timeline driver, and the sharded failover timeline as a plan.
 
-:class:`TimelinePlan` is the recorded schedule — a frozen
-description of the cluster geometry, the submission stream and the
-crash plan — and :func:`execute` runs it on one simulator, performing
-the construction and scheduling steps in a fixed order so the trace,
-the sampled series and every causal-trace id are a pure function of
-the plan.
+:func:`drive` is the one run scaffold of the pair, shard and quorum
+failover experiments. :class:`TimelinePlan` is the sharded experiment's
+recorded schedule — a frozen description of the cluster geometry, the
+load shape and the crash plan — and :func:`execute` builds its
+cluster and drives it, so the trace, the sampled series and every
+causal-trace id are a pure function of the plan.
 
 The module keeps its name, and :func:`execute` its ``jobs`` parameter,
 because the frozen performance ledger imports it so; the per-shard
@@ -16,20 +16,78 @@ and is gone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.observer import Observer
 from repro.obs.series import (
     SeriesFrame,
     TimeSeriesSampler,
     router_probes,
+    series_interval_us,
     sim_probes,
 )
 from repro.obs.trace import TraceEvent
-from repro.shard.cluster import ShardedCluster
+from repro.shard.cluster import RoutedCluster, ShardedCluster
 from repro.shard.router import Router
 from repro.shard.workload import ShardedWorkload
 from repro.vista.api import EngineConfig
+
+#: Attempt budget of a driven router: with the default backoff (250 us
+#: doubling to a 4 ms cap) twelve attempts ride out ~30 ms — twice the
+#: longest outage the timelines schedule (a 14.5 ms mirror restore).
+MAX_ATTEMPTS = 12
+
+
+def fixed_load(
+    slots: int, slot_us: float, keys: Sequence[int], offered_per_unit: int
+) -> Tuple[Tuple[float, int], ...]:
+    """A fixed load as ``(at_us, key)`` in submission order: at every
+    slot start, ``offered_per_unit`` transactions on each unit's key."""
+    return tuple(
+        (slot * slot_us, key)
+        for slot in range(slots)
+        for key in keys
+        for _ in range(offered_per_unit)
+    )
+
+
+def drive(
+    cluster: RoutedCluster,
+    workload,
+    submissions: Iterable[Tuple[float, int]],
+    schedule_faults: Callable[[RoutedCluster], None],
+    probes: Callable[[Router], Dict[str, Callable[[], float]]],
+    horizon_us: float,
+    slot_us: float,
+) -> Tuple[Router, SeriesFrame]:
+    """Run one timeline on the built ``cluster`` up to ``horizon_us``,
+    recording into its observer; returns the router and the sampled
+    frame.
+
+    The order — setup, router, sampler (columns ``probes(router)``),
+    load, ``schedule_faults(cluster)``, run — fixes the push, trace and
+    id streams. The sampler's ticks are pre-scheduled *before* the
+    load, so at any shared timestamp they fire first and each sample
+    sees exactly the ``[0, t)`` prefix — the property that makes the
+    series windows match the trace windows bit for bit. The tick
+    divides the slot width (``REPRO_SERIES`` can select a finer divisor
+    without changing any measured number).
+    """
+    cluster.setup(workload)
+    observer = cluster.observer
+    router = Router(
+        cluster, workload, max_attempts=MAX_ATTEMPTS, observer=observer
+    )
+    sampler = TimeSeriesSampler(observer=observer)
+    sampler.add_probes(probes(router))
+    sampler.attach(
+        cluster.sim, series_interval_us(slot_us, slot_us), horizon_us
+    )
+    for at_us, key in submissions:
+        router.submit(key=key, at_us=at_us)
+    schedule_faults(cluster)
+    cluster.run_until(horizon_us)
+    return router, sampler.frame
 
 
 @dataclass(frozen=True)
@@ -47,12 +105,12 @@ class TimelinePlan:
     restore_bytes_per_us: float
     workload: str
     seed: int
-    max_attempts: int
-    sample_interval_us: float
-    sample_until_us: float
+    slots: int
+    slot_us: float
+    #: The load: this many transactions per shard at every slot start,
+    #: keyed to the first branch each shard owns.
+    offered_per_shard: int
     horizon_us: float
-    #: ``(at_us, key)`` per submission, in submission order.
-    submissions: Tuple[Tuple[float, int], ...]
     #: ``(shard_id, at_us)`` per scheduled primary crash, in order.
     crashes: Tuple[Tuple[int, float], ...]
 
@@ -68,38 +126,6 @@ class Outcome:
     completed: int
     dropped: int
     takeover_downtime_us: Dict[int, float]
-
-
-def _build(plan: TimelinePlan, observer: Observer):
-    """Build cluster, workload, router and sampler from the plan, in
-    the order that fixes the push, trace and id streams."""
-    config = EngineConfig(
-        db_bytes=plan.db_bytes_per_shard, log_bytes=plan.log_bytes
-    )
-    cluster = ShardedCluster(
-        plan.num_shards,
-        mode=plan.mode,
-        version=plan.version,
-        config=config,
-        heartbeat_interval_us=plan.heartbeat_interval_us,
-        heartbeat_timeout_us=plan.heartbeat_timeout_us,
-        restore_bytes_per_us=plan.restore_bytes_per_us,
-        observer=observer,
-    )
-    workload = ShardedWorkload(
-        plan.workload, plan.num_shards, plan.db_bytes_per_shard, seed=plan.seed
-    )
-    cluster.setup(workload)
-    router = Router(
-        cluster, workload, max_attempts=plan.max_attempts, observer=observer
-    )
-    sampler = TimeSeriesSampler(observer=observer)
-    sampler.add_probes(sim_probes(cluster.sim))
-    sampler.add_probes(router_probes(
-        router, scopes={f"shard.{i}": i for i in range(plan.num_shards)}
-    ))
-    sampler.attach(cluster.sim, plan.sample_interval_us, plan.sample_until_us)
-    return cluster, router, sampler
 
 
 def execute(
@@ -118,15 +144,42 @@ def execute(
         )
     if observer is None:
         observer = Observer()
-    cluster, router, sampler = _build(plan, observer)
-    for at_us, key in plan.submissions:
-        router.submit(key=key, at_us=at_us)
-    for shard_id, at_us in plan.crashes:
-        cluster.schedule_primary_crash(shard_id, at_us)
-    cluster.run_until(plan.horizon_us)
+    cluster = ShardedCluster(
+        plan.num_shards,
+        mode=plan.mode,
+        version=plan.version,
+        config=EngineConfig(
+            db_bytes=plan.db_bytes_per_shard, log_bytes=plan.log_bytes
+        ),
+        heartbeat_interval_us=plan.heartbeat_interval_us,
+        heartbeat_timeout_us=plan.heartbeat_timeout_us,
+        restore_bytes_per_us=plan.restore_bytes_per_us,
+        observer=observer,
+    )
+
+    def schedule_crashes(cluster: ShardedCluster) -> None:
+        for shard_id, at_us in plan.crashes:
+            cluster.schedule_primary_crash(shard_id, at_us)
+
+    workload = ShardedWorkload(
+        plan.workload, plan.num_shards, plan.db_bytes_per_shard, seed=plan.seed
+    )
+    router, frame = drive(
+        cluster,
+        workload,
+        fixed_load(
+            plan.slots, plan.slot_us,
+            [shard.start for shard in workload.partitioner.ranges],
+            plan.offered_per_shard,
+        ),
+        schedule_crashes,
+        lambda router: {**sim_probes(cluster.sim), **router_probes(router)},
+        plan.horizon_us,
+        plan.slot_us,
+    )
     return Outcome(
         events=list(observer.recorder.events),
-        frame=sampler.frame,
+        frame=frame,
         routed=router.routed,
         completed=router.completed,
         dropped=router.dropped,

@@ -15,7 +15,7 @@
   addresses.
 """
 
-from repro.memory.region import MemoryRegion, WriteCategory, WriteEvent
+from repro.memory.region import MemoryRegion, WriteCategory
 from repro.memory.rio import RioMemory
 from repro.memory.allocator import ArrayAllocator, BumpAllocator, HeapAllocator
 from repro.memory.mapping import AddressSpace
@@ -23,7 +23,6 @@ from repro.memory.mapping import AddressSpace
 __all__ = [
     "MemoryRegion",
     "WriteCategory",
-    "WriteEvent",
     "RioMemory",
     "HeapAllocator",
     "BumpAllocator",

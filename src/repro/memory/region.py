@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as _np
@@ -51,27 +50,11 @@ class WriteCategory(enum.Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class WriteEvent:
-    """One observed write to a region."""
-
-    region: "MemoryRegion"
-    offset: int
-    length: int
-    category: WriteCategory
-
-    @property
-    def address(self) -> int:
-        """Global address of the write (region base + offset)."""
-        return self.region.base + self.offset
-
-
-Observer = Callable[[WriteEvent], None]
-
-#: Fast write observer: called as ``fn(offset, length, category)``
-#: without building a WriteEvent — the per-store allocation matters on
-#: the write-doubling hot path (millions of calls per experiment run).
-FastObserver = Callable[[int, int, WriteCategory], None]
+#: A write observer: called as ``fn(offset, length, category)`` after
+#: every write. Plain arguments, no event object — the per-store
+#: allocation matters on the write-doubling hot path (millions of calls
+#: per experiment run).
+Observer = Callable[[int, int, WriteCategory], None]
 
 
 #: The machine word of every in-region structure (allocator fields,
@@ -90,7 +73,6 @@ class MemoryRegion:
         "base",
         "data",
         "_observers",
-        "_fast_observers",
         "_protected",
         "_crashed",
         "_window",
@@ -106,7 +88,6 @@ class MemoryRegion:
         self.base = base
         self.data = memoryview(_np.zeros(size, dtype=_np.uint8))
         self._observers: List[Observer] = []
-        self._fast_observers: List[FastObserver] = []
         self._protected = False
         self._crashed = False
         self._window: Optional[tuple] = None
@@ -116,19 +97,12 @@ class MemoryRegion:
     # -- observation ----------------------------------------------------
 
     def add_observer(self, observer: Observer) -> None:
-        """Register a callable invoked after every write."""
+        """Register a callable invoked as ``fn(offset, length,
+        category)`` after every write."""
         self._observers.append(observer)
 
     def remove_observer(self, observer: Observer) -> None:
         self._observers.remove(observer)
-
-    def add_fast_observer(self, observer: FastObserver) -> None:
-        """Register a callable invoked as ``fn(offset, length,
-        category)`` after every write (no WriteEvent built)."""
-        self._fast_observers.append(observer)
-
-    def remove_fast_observer(self, observer: FastObserver) -> None:
-        self._fast_observers.remove(observer)
 
     # -- protection (Rio semantics) --------------------------------------
 
@@ -199,13 +173,9 @@ class MemoryRegion:
         self.data[offset : offset + length] = data
         self.writes_observed += 1
         self.bytes_written += length
-        if self._fast_observers:
-            for fast_observer in self._fast_observers:
-                fast_observer(offset, length, category)
         if self._observers:
-            event = WriteEvent(self, offset, length, category)
             for observer in self._observers:
-                observer(event)
+                observer(offset, length, category)
 
     def read(self, offset: int, length: int) -> bytes:
         """Return ``length`` bytes starting at ``offset``."""
@@ -245,13 +215,9 @@ class MemoryRegion:
         _pack_u64(self.data, offset, value)
         self.writes_observed += 1
         self.bytes_written += 8
-        if self._fast_observers:
-            for fast_observer in self._fast_observers:
-                fast_observer(offset, 8, category)
         if self._observers:
-            event = WriteEvent(self, offset, 8, category)
             for observer in self._observers:
-                observer(event)
+                observer(offset, 8, category)
 
     def write_run(self, offset: int, parts) -> None:
         """Store ``parts`` — ``(data, category)`` pairs — end to end
@@ -268,7 +234,6 @@ class MemoryRegion:
             self._crashed
             or self._protected
             or self._observers
-            or self._fast_observers
         ):
             stored = []
             total = 0
@@ -332,13 +297,9 @@ class MemoryRegion:
         ]
         self.writes_observed += 1
         self.bytes_written += length
-        if self._fast_observers:
-            for fast_observer in self._fast_observers:
-                fast_observer(dst_offset, length, category)
         if self._observers:
-            event = WriteEvent(self, dst_offset, length, category)
             for observer in self._observers:
-                observer(event)
+                observer(dst_offset, length, category)
 
     def poke(self, offset: int, data: bytes) -> None:
         """Setup-phase write: stores ``data`` without notifying

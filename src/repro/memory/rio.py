@@ -93,7 +93,6 @@ class RioMemory:
         self.crash_count += 1
         for region in self._regions.values():
             region._observers.clear()
-            region._fast_observers.clear()
             region._crashed = True
 
     def reboot(self) -> None:

@@ -463,18 +463,18 @@ def sim_probes(sim, prefix: str = "sim") -> Dict[str, Callable[[], float]]:
     }
 
 
-def router_probes(
-    router, scopes: Optional[Mapping[str, int]] = None
-) -> Dict[str, Callable[[], float]]:
-    """In-flight gauge plus cumulative completions, total and (when
-    ``scopes`` maps ``scope name -> shard id``) per scope."""
+def router_probes(router) -> Dict[str, Callable[[], float]]:
+    """In-flight gauge plus cumulative completions, total and per
+    serving unit (``shard.N.completed`` / ``group.N.completed``, after
+    the cluster's scope prefix)."""
     probes: Dict[str, Callable[[], float]] = {
         "router.in_flight": lambda: float(router.in_flight),
         "router.completed": lambda: float(router.completed),
     }
     by_shard = router.completed_by_shard  # bumped per completion
-    for scope, shard_id in (scopes or {}).items():
-        probes[f"{scope}.completed"] = (
+    prefix = router.cluster.scope_prefix
+    for shard_id in range(len(by_shard)):
+        probes[f"{prefix}.{shard_id}.completed"] = (
             lambda shard_id=shard_id: float(by_shard[shard_id]))
     return probes
 

@@ -2,14 +2,14 @@
 
 A :class:`QuorumCluster` is the leaderless counterpart of
 :class:`~repro.shard.cluster.ShardedCluster`: ``num_groups``
-:class:`~repro.quorum.group.QuorumGroup`\\ s on one shared simulator,
-fronted by the same :class:`~repro.shard.shardmap.ShardMap` and served
-through the same :meth:`execute` contract — epoch fencing first, then
-availability — so the existing :class:`~repro.shard.router.Router`
-drives it unmodified. Leaderless groups never change primaries, so map
-epochs simply never bump; a group that loses quorum reports
-:class:`~repro.errors.ShardUnavailableError` and the router backs off
-exactly as it does for a mid-failover pair.
+:class:`~repro.quorum.group.QuorumGroup`\\ s as the units of one
+:class:`~repro.shard.cluster.RoutedCluster`, so the simulator, the
+:class:`~repro.shard.shardmap.ShardMap` and the ``execute`` contract —
+epoch fencing first, then availability — are the very ones the
+:class:`~repro.shard.router.Router` drives for pairs. Leaderless groups
+never change primaries, so map epochs simply never bump; a group that
+loses quorum reports :class:`~repro.errors.ShardUnavailableError` and
+the router backs off exactly as it does for a mid-failover pair.
 
 Faults are declarative: member crash/recover points are scheduled on
 the simulator, and network partitions go through the shared
@@ -19,8 +19,8 @@ the simulator, and network partitions go through the shared
 all three architectures.
 
 Scopes: group ``g``'s events carry the ``group.g`` component prefix,
-and :meth:`scope_name` tells the router to stamp completions with the
-same scope, which is what the SLO per-scope accounting keys on.
+and the router stamps completions with the same scope, which is what
+the SLO per-scope accounting keys on.
 """
 
 from __future__ import annotations
@@ -29,15 +29,11 @@ import functools
 from typing import Dict, List, Sequence
 
 from repro.cluster.faults import FaultInjector, PartitionPlan
-from repro.errors import ConfigurationError, ShardUnavailableError
-from repro.obs.observer import resolve_observer
 from repro.quorum.group import QuorumGroup
-from repro.shard.shardmap import ShardMap
-from repro.sim.engine import Simulator
-from repro.sim.events import SHAPE_SHARED, default_event_queue
+from repro.shard.cluster import RoutedCluster
 
 
-class QuorumCluster:
+class QuorumCluster(RoutedCluster):
     """``num_groups`` leaderless N-replica groups behind one router.
 
     Args:
@@ -49,6 +45,8 @@ class QuorumCluster:
         leaf_span: forwarded to every group (see
             :class:`~repro.quorum.group.QuorumGroup`).
     """
+
+    scope_prefix = "group"
 
     def __init__(
         self,
@@ -64,24 +62,12 @@ class QuorumCluster:
         leaf_span: int = 8,
         observer=None,
     ):
-        if num_groups < 1:
-            raise ConfigurationError("need at least one group")
-        self.num_shards = num_groups
-        self.num_groups = num_groups
-        self.observer = resolve_observer(observer)
-        # Quorum acks and repair rounds collide on exact timestamps
-        # constantly: the shared-shape (wheel) queue, like the shards.
-        self.sim = Simulator(
-            observer=self.observer, queue=default_event_queue(SHAPE_SHARED)
-        )
-        self.shard_map = ShardMap()
-        self.group_observers = [
-            self.observer.scoped(f"group.{group_id}")
-            for group_id in range(num_groups)
-        ]
-        self.groups: List[QuorumGroup] = []
+        super().__init__(num_groups, observer)
+        self.groups: List[QuorumGroup] = self.units
         for group_id in range(num_groups):
-            self.groups.append(
+            # Leaderless groups have no primary/backup; the map entry
+            # names the first two ring members and its epoch never bumps.
+            self._add_unit(
                 QuorumGroup(
                     group_id=group_id,
                     num_replicas=replicas_per_group,
@@ -94,56 +80,20 @@ class QuorumCluster:
                     byte_us=byte_us,
                     repair_interval_us=repair_interval_us,
                     leaf_span=leaf_span,
-                    observer=self.group_observers[group_id],
-                )
-            )
-            # Leaderless groups have no primary/backup; the map entry
-            # names the first two ring members and its epoch never bumps.
-            self.shard_map.add_shard(
-                f"group{group_id}/r0", f"group{group_id}/r1"
+                    observer=self.unit_observers[group_id],
+                ),
+                f"group{group_id}/r0", f"group{group_id}/r1",
             )
         self.injector = FaultInjector(
             observer=self.observer, clock=lambda: self.sim.now
         )
-
-    # -- serving ------------------------------------------------------------
-
-    def setup(self, workload) -> None:
-        """Validate the workload's shape (stores start empty)."""
-        if workload.num_shards != self.num_groups:
-            raise ConfigurationError(
-                f"workload spans {workload.num_shards} groups, "
-                f"cluster has {self.num_groups}"
-            )
-
-    def scope_name(self, shard_id: int) -> str:
-        """The completion scope the router stamps for this group."""
-        return f"group.{shard_id}"
-
-    def available(self, shard_id: int) -> bool:
-        return self._group(shard_id).can_serve()
-
-    def execute(self, shard_id: int, epoch: int, request) -> object:
-        """Run ``request(group)`` with the shard-serving checks."""
-        self.shard_map.check_epoch(shard_id, epoch)
-        group = self._group(shard_id)
-        if not group.can_serve():
-            raise ShardUnavailableError(shard_id)
-        return request(group)
-
-    def pop_resume_link(self, shard_id: int):
-        """Consume the group's pending recovery link, if any (the
-        router's post-outage ``recovery.resume`` hook)."""
-        group = self._group(shard_id)
-        link, group.last_recovery_link = group.last_recovery_link, None
-        return link
 
     # -- faults -------------------------------------------------------------
 
     def schedule_member_crash(
         self, group_id: int, member: int, at_us: float
     ) -> None:
-        group = self._group(group_id)
+        group = self._unit(group_id)
         self.sim.schedule_at(
             at_us, functools.partial(group.crash_member, member),
             name=f"group{group_id}-crash-r{member}",
@@ -152,7 +102,7 @@ class QuorumCluster:
     def schedule_member_recover(
         self, group_id: int, member: int, at_us: float
     ) -> None:
-        group = self._group(group_id)
+        group = self._unit(group_id)
         self.sim.schedule_at(
             at_us, functools.partial(group.recover_member, member),
             name=f"group{group_id}-recover-r{member}",
@@ -169,7 +119,7 @@ class QuorumCluster:
     ) -> PartitionPlan:
         """Cut ``side_a`` from ``side_b`` at ``at_us`` (healing at
         ``heal_at_us`` when given), via the shared fault injector."""
-        group = self._group(group_id)
+        group = self._unit(group_id)
         plan = PartitionPlan(
             at_time_us=at_us,
             heal_at_us=heal_at_us,
@@ -196,10 +146,7 @@ class QuorumCluster:
             )
         return plan
 
-    # -- progress -----------------------------------------------------------
-
-    def run_until(self, until_us: float) -> None:
-        self.sim.run(until=until_us)
+    # -- repair and reporting ------------------------------------------------
 
     def repair_pass_all(self) -> int:
         """One explicit anti-entropy sweep over every group."""
@@ -212,16 +159,9 @@ class QuorumCluster:
             for group_id, group in enumerate(self.groups)
         }
 
-    def _group(self, shard_id: int) -> QuorumGroup:
-        if shard_id < 0 or shard_id >= self.num_groups:
-            raise ConfigurationError(
-                f"group {shard_id} not in cluster of {self.num_groups}"
-            )
-        return self.groups[shard_id]
-
     def __repr__(self) -> str:
-        down = sum(1 for group in self.groups if not group.can_serve())
+        down = sum(1 for group in self.groups if not group.is_available)
         return (
-            f"QuorumCluster({self.num_groups} groups, "
+            f"QuorumCluster({self.num_shards} groups, "
             f"{down} below quorum)"
         )

@@ -201,7 +201,14 @@ class QuorumGroup:
         jitter = ((src * 31 + dst * 17) % 7) / 7.0
         return self.link_rtt_us * (1.0 + self.rtt_spread * jitter)
 
-    def can_serve(self) -> bool:
+    @property
+    def serving(self) -> "QuorumGroup":
+        """What serves this unit's requests: the group itself (any
+        live replica coordinates; there is no promoted node)."""
+        return self
+
+    @property
+    def is_available(self) -> bool:
         """Whether a read-modify-write transaction can currently run."""
         if self.sloppy:
             return any(self._alive)
@@ -450,7 +457,7 @@ class QuorumGroup:
     def _reevaluate(self) -> None:
         """Track quorum-loss windows in the shared availability
         vocabulary (``fault.crash`` instant, ``takeover`` span)."""
-        serving = self.can_serve()
+        serving = self.is_available
         if serving and self._down_since_us is not None:
             start = self._down_since_us
             self._down_since_us = None

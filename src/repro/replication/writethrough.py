@@ -42,10 +42,9 @@ class ReplicaBinding:
         self.mapping = mapping
         self.fragmented = fragmented
         self.forwarded_writes = 0
-        # The fast-observer form skips the per-store WriteEvent
-        # allocation — this callback runs once per write of every
-        # replicated region, the hottest call site in the repo.
-        local.add_fast_observer(self._forward)
+        # This callback runs once per write of every replicated
+        # region, the hottest call site in the repo.
+        local.add_observer(self._forward)
 
     def _forward(self, offset: int, length: int, category) -> None:
         mapping = self.mapping
@@ -68,7 +67,7 @@ class ReplicaBinding:
 
     def detach(self) -> None:
         try:
-            self.local.remove_fast_observer(self._forward)
+            self.local.remove_observer(self._forward)
         except ValueError:
             pass  # a node crash already cleared the region's observers
 

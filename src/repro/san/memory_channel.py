@@ -56,8 +56,13 @@ class TransmitMapping:
         self.remote = remote
         self.size = remote.size
         self.name = name or remote.name
-        self.bytes_sent = 0
+        #: The one byte count a store updates; every other traffic
+        #: total (this window's, the interface's) is derived on read.
         self.bytes_by_category: Dict[WriteCategory, int] = {}
+
+    @property
+    def bytes_sent(self) -> int:
+        return sum(self.bytes_by_category.values())
 
     def write(
         self,
@@ -93,6 +98,8 @@ class TransmitMapping:
         its own Memory Channel packet — the "no aggregation" behaviour
         the paper reports for the mirroring protocols (Section 8).
         """
+        if word_bytes < 1:
+            raise ValueError(f"word_bytes must be positive, got {word_bytes}")
         self.interface._transmit_uncoalesced(self, offset, data, category, word_bytes)
 
     def __repr__(self) -> str:
@@ -165,8 +172,6 @@ class MemoryChannelInterface:
         self._next_io_base = 0x8000_0000
         self._crashed = False
         self.io_stores = 0  # number of I/O-space store instructions issued
-        self.bytes_sent = 0
-        self.bytes_by_category: Dict[WriteCategory, int] = {}
         # Stores whose write-buffer simulation is deferred to the next
         # ordering point — barrier, statistics read, crash — or the
         # pending limit (same order, same packets; data movement and
@@ -201,6 +206,20 @@ class MemoryChannelInterface:
     @property
     def mappings(self) -> List[TransmitMapping]:
         return list(self._mappings)
+
+    @property
+    def bytes_by_category(self) -> Dict[WriteCategory, int]:
+        """Bytes sent per category, summed over the windows (read once
+        per transaction or ordering point, never per store)."""
+        totals: Dict[WriteCategory, int] = {}
+        for mapping in self._mappings:
+            for category, count in mapping.bytes_by_category.items():
+                totals[category] = totals.get(category, 0) + count
+        return totals
+
+    @property
+    def bytes_sent(self) -> int:
+        return sum(mapping.bytes_sent for mapping in self._mappings)
 
     # -- transmission --------------------------------------------------------
 
@@ -297,7 +316,6 @@ class MemoryChannelInterface:
         remote = mapping.remote
         if (
             remote._observers
-            or remote._fast_observers
             or remote._protected
             or remote._crashed
         ):
@@ -306,11 +324,7 @@ class MemoryChannelInterface:
             remote.data[offset : offset + length] = data
             remote.writes_observed += 1
             remote.bytes_written += length
-        mapping.bytes_sent += length
         by_category = mapping.bytes_by_category
-        by_category[category] = by_category.get(category, 0) + length
-        self.bytes_sent += length
-        by_category = self.bytes_by_category
         by_category[category] = by_category.get(category, 0) + length
 
     def _transmit_run(self, mapping: TransmitMapping, offset: int, parts) -> None:
@@ -333,7 +347,6 @@ class MemoryChannelInterface:
             or offset < 0
             or offset + total > mapping.size
             or remote._observers
-            or remote._fast_observers
             or remote._protected
             or remote._crashed
         ):
@@ -363,11 +376,9 @@ class MemoryChannelInterface:
         remote.writes_observed += stores
         remote.bytes_written += total
         self.io_stores += stores
-        self.bytes_sent += total
-        mapping.bytes_sent += total
-        for by_category in (mapping.bytes_by_category, self.bytes_by_category):
-            for category, length in sent.items():
-                by_category[category] = by_category.get(category, 0) + length
+        by_category = mapping.bytes_by_category
+        for category, length in sent.items():
+            by_category[category] = by_category.get(category, 0) + length
 
     def _transmit_uncoalesced(
         self,
@@ -394,7 +405,6 @@ class MemoryChannelInterface:
         block_bytes = buffer.block_bytes
         if (
             length
-            and word_bytes > 0
             and not (self._crashed or self._pending or buffer.open_buffers)
             and (block_bytes >= word_bytes or buffer.num_buffers == 1)
             and mapping in self._mappings
@@ -402,7 +412,6 @@ class MemoryChannelInterface:
             and offset + length <= mapping.size
             and not (
                 remote._observers
-                or remote._fast_observers
                 or remote._protected
                 or remote._crashed
             )
@@ -424,11 +433,7 @@ class MemoryChannelInterface:
             remote.data[offset : offset + length] = data
             remote.writes_observed += words
             remote.bytes_written += length
-            mapping.bytes_sent += length
             by_category = mapping.bytes_by_category
-            by_category[category] = by_category.get(category, 0) + length
-            self.bytes_sent += length
-            by_category = self.bytes_by_category
             by_category[category] = by_category.get(category, 0) + length
             return
         # The drain is :meth:`barrier`'s inlined, minus the metrics
@@ -500,10 +505,7 @@ class MemoryChannelInterface:
         self._trace.clear()
         self.write_buffer.reset()
         self.io_stores = 0
-        self.bytes_sent = 0
-        self.bytes_by_category.clear()
         for mapping in self._mappings:
-            mapping.bytes_sent = 0
             mapping.bytes_by_category.clear()
         self._folded = (0, 0, 0, 0)
 

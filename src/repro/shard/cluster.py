@@ -1,22 +1,21 @@
-"""N independent primary-backup pairs behind one shard map.
+"""Replicated units behind one shard map, and the pair-based kind.
 
-A :class:`ShardedCluster` wires ``num_shards``
-:class:`~repro.cluster.cluster.ReplicatedCluster` pairs onto a single
-shared :class:`~repro.sim.engine.Simulator`: every pair keeps its own
+A :class:`RoutedCluster` is what the :class:`~repro.shard.router.Router`
+drives: ``num_shards`` replicated *units* on one shared
+:class:`~repro.sim.engine.Simulator`, fronted by the authoritative
+:class:`~repro.shard.shardmap.ShardMap` whose per-shard epochs fence
+requests routed with a stale view. A unit answers three names —
+``is_available``, ``serving`` and ``last_recovery_link`` — and the base
+class owns everything written against them; a subclass builds its units
+and schedules its faults.
+
+:class:`ShardedCluster` is the primary-backup kind: every unit is a
+:class:`~repro.cluster.cluster.ReplicatedCluster` pair with its own
 heartbeat monitor, membership view and takeover path, so one shard's
 primary crash triggers exactly one failover while the other shards
 keep serving — the availability composition that turns the paper's
-two-node story into a scale-out system. The cluster also maintains:
-
-* a cluster-wide :class:`~repro.cluster.membership.Membership` over
-  all ``2 * num_shards`` nodes (the N-member view machinery), and
-* the authoritative :class:`~repro.shard.shardmap.ShardMap`, whose
-  per-shard epochs fence requests routed with a stale view.
-
-Requests enter through :meth:`execute`, which performs the server-side
-checks a real shard server would: epoch fencing first, then
-availability. Routers translate the resulting errors into redirects
-and retries.
+two-node story into a scale-out system.
+:class:`~repro.quorum.cluster.QuorumCluster` is the leaderless kind.
 """
 
 from __future__ import annotations
@@ -35,8 +34,107 @@ from repro.sim.events import SHAPE_SHARED, default_event_queue
 from repro.vista.api import EngineConfig
 
 
-class ShardedCluster:
-    """``num_shards`` replicated pairs serving one logical database.
+class RoutedCluster:
+    """``num_units`` replicated units serving one logical database.
+
+    Construction order — simulator, scoped observers, then (in the
+    subclass) each unit followed by its :meth:`_add_unit` — fixes the
+    observer ids and the simulator's push stream, hence every trace byte.
+    """
+
+    #: Dotted prefix of the per-unit observer scopes (``shard.N``).
+    scope_prefix = "shard"
+
+    def __init__(self, num_units: int, observer=None):
+        if num_units < 1:
+            raise ConfigurationError(f"need at least one {self.scope_prefix}")
+        self.num_shards = num_units
+        self.observer = resolve_observer(observer)
+        # Heartbeat chains across 2N nodes, quorum acks and repair rounds
+        # collide on exact timestamps constantly: the wheel queue.
+        self.sim = Simulator(
+            observer=self.observer, queue=default_event_queue(SHAPE_SHARED)
+        )
+        self.shard_map = ShardMap()
+        #: Per-unit scoped views of the observer ("shard.N.…" names).
+        self.unit_observers = [
+            self.observer.scoped(f"{self.scope_prefix}.{unit_id}")
+            for unit_id in range(num_units)
+        ]
+        self.units: list = []
+
+    def _add_unit(self, unit, primary: str, backup: str) -> None:
+        self.units.append(unit)
+        self.shard_map.add_shard(primary, backup)
+
+    def setup(self, workload) -> None:
+        """Validate the workload's shape against the cluster's."""
+        if workload.num_shards != self.num_shards:
+            raise ConfigurationError(
+                f"workload spans {workload.num_shards} "
+                f"{self.scope_prefix}s, cluster has {self.num_shards}"
+            )
+
+    # -- serving ------------------------------------------------------------
+
+    def serving(self, shard_id: int):
+        """The object currently serving unit ``shard_id``."""
+        return self._unit(shard_id).serving
+
+    def available(self, shard_id: int) -> bool:
+        return self._unit(shard_id).is_available
+
+    def execute(self, shard_id: int, epoch: int, request: Callable) -> object:
+        """Run ``request(serving)`` on the unit, with the checks a real
+        shard server performs — epoch fencing first, then availability.
+
+        Raises :class:`~repro.errors.StaleShardMapError` when the
+        caller's routing epoch predates the unit's current view, and
+        :class:`~repro.errors.ShardUnavailableError` while the unit is
+        mid-failover or below quorum.
+        """
+        self.shard_map.check_epoch(shard_id, epoch)
+        unit = self._unit(shard_id)
+        if not unit.is_available:
+            raise ShardUnavailableError(shard_id)
+        return request(unit.serving)
+
+    def pop_resume_link(self, shard_id: int):
+        """Consume the unit's pending recovery link, if any: the
+        router's first served commit after an outage links its
+        ``recovery.resume`` instant back to the recovery span with it."""
+        unit = self._unit(shard_id)
+        link, unit.last_recovery_link = unit.last_recovery_link, None
+        return link
+
+    def completion_scope(self, shard_id: int) -> Optional[str]:
+        """The ``scope`` the router stamps on a ``txn.complete``, if any.
+
+        Trace readers derive ``shard.N`` from the ``shard`` attr every
+        completion carries, so a shard cluster stamps nothing and its
+        traces stay byte-identical; any other prefix is spelled out —
+        it is what the SLO per-scope accounting keys on.
+        """
+        if self.scope_prefix == "shard":
+            return None
+        return f"{self.scope_prefix}.{shard_id}"
+
+    # -- progress -----------------------------------------------------------
+
+    def run_until(self, until_us: float) -> None:
+        self.sim.run(until=until_us)
+
+    def _unit(self, shard_id: int):
+        if shard_id < 0 or shard_id >= self.num_shards:
+            raise ConfigurationError(
+                f"{self.scope_prefix} {shard_id} not in cluster of "
+                f"{self.num_shards}"
+            )
+        return self.units[shard_id]
+
+
+class ShardedCluster(RoutedCluster):
+    """``num_shards`` primary-backup pairs serving one logical database.
 
     Args:
         num_shards: how many primary-backup pairs to run.
@@ -59,27 +157,13 @@ class ShardedCluster:
         restore_bytes_per_us: float = 300.0,
         observer=None,
     ):
-        if num_shards < 1:
-            raise ConfigurationError("need at least one shard")
-        self.num_shards = num_shards
-        self.observer = resolve_observer(observer)
-        # Heartbeat chains across 2N nodes collide on exact
-        # timestamps constantly: the shared-shape (wheel) queue.
-        self.sim = Simulator(
-            observer=self.observer, queue=default_event_queue(SHAPE_SHARED)
-        )
-        self.shard_map = ShardMap()
-        self.pairs: List[ReplicatedCluster] = []
-        #: Per-shard scoped views of the observer ("shard.N.…" names).
-        self.shard_observers = [
-            self.observer.scoped(f"shard.{shard_id}")
-            for shard_id in range(num_shards)
-        ]
+        super().__init__(num_shards, observer)
+        self.pairs: List[ReplicatedCluster] = self.units
         node_names: List[str] = []
         for shard_id in range(num_shards):
             primary = f"shard{shard_id}/primary"
             backup = f"shard{shard_id}/backup"
-            self.pairs.append(ReplicatedCluster(
+            self._add_unit(ReplicatedCluster(
                 mode=mode,
                 version=version,
                 config=config,
@@ -92,60 +176,30 @@ class ShardedCluster:
                 on_failover=functools.partial(
                     self._pair_failed_over, shard_id
                 ),
-                observer=self.shard_observers[shard_id],
-            ))
-            self.shard_map.add_shard(primary, backup)
+                observer=self.unit_observers[shard_id],
+            ), primary, backup)
             node_names.extend((primary, backup))
         #: The resolved per-shard engine config (identical across pairs).
         self.config = self.pairs[0].config
-        #: Cluster-wide view of every node; the most senior surviving
-        #: node is the (purely administrative) cluster coordinator.
+        #: Cluster-wide view of all ``2 * num_shards`` nodes; the most
+        #: senior survivor is the (purely administrative) coordinator.
         self.membership = Membership(
             members=node_names, primary=node_names[0], observer=self.observer
         )
 
-    # -- setup --------------------------------------------------------------
-
     def setup(self, workload: ShardedWorkload) -> None:
         """Initialize every shard's database and ship the initial
         images to the backups."""
-        if workload.num_shards != self.num_shards:
-            raise ConfigurationError(
-                f"workload spans {workload.num_shards} shards, "
-                f"cluster has {self.num_shards}"
-            )
+        super().setup(workload)
         for shard_id, pair in enumerate(self.pairs):
             workload.shards[shard_id].setup(pair.system)
             pair.system.sync_initial()
-
-    # -- serving ------------------------------------------------------------
-
-    def serving(self, shard_id: int):
-        """The object currently serving shard ``shard_id``."""
-        return self._pair(shard_id).serving
-
-    def available(self, shard_id: int) -> bool:
-        return self._pair(shard_id).is_available
-
-    def execute(self, shard_id: int, epoch: int, request: Callable) -> object:
-        """Run ``request(serving)`` on the shard, with server-side checks.
-
-        Raises :class:`~repro.errors.StaleShardMapError` when the
-        caller's routing epoch predates the shard's current view, and
-        :class:`~repro.errors.ShardUnavailableError` while the shard is
-        mid-failover.
-        """
-        self.shard_map.check_epoch(shard_id, epoch)
-        pair = self._pair(shard_id)
-        if not pair.is_available:
-            raise ShardUnavailableError(shard_id)
-        return request(pair.serving)
 
     # -- failure ------------------------------------------------------------
 
     def schedule_primary_crash(self, shard_id: int, at_us: float) -> None:
         """Crash shard ``shard_id``'s primary at simulated ``at_us``."""
-        self._pair(shard_id).schedule_primary_crash(at_us)
+        self._unit(shard_id).schedule_primary_crash(at_us)
 
     def _pair_failed_over(self, shard_id: int, pair: ReplicatedCluster) -> None:
         """One pair's takeover completed: update the global views."""
@@ -162,28 +216,12 @@ class ShardedCluster:
 
     def _mark_restored(self, shard_id: int) -> None:
         self.shard_map.mark_restored(shard_id)
-        shard_observer = self.shard_observers[shard_id]
+        shard_observer = self.unit_observers[shard_id]
         if shard_observer.enabled:
             shard_observer.event(
                 "cluster", "service.restored",
                 epoch=self.shard_map.entry(shard_id).epoch,
             )
-
-    def pop_resume_link(self, shard_id: int):
-        """Consume the shard's pending recovery link, if any.
-
-        The router calls this after the first served commit following a
-        failover, to causally link its ``recovery.resume`` instant back
-        to the recovery span.
-        """
-        pair = self.pairs[shard_id]
-        link, pair.last_recovery_link = pair.last_recovery_link, None
-        return link
-
-    # -- progress -----------------------------------------------------------
-
-    def run_until(self, until_us: float) -> None:
-        self.sim.run(until=until_us)
 
     @property
     def takeovers(self) -> Dict[int, TakeoverReport]:
@@ -193,13 +231,6 @@ class ShardedCluster:
             for shard_id, pair in enumerate(self.pairs)
             if pair.takeover is not None
         }
-
-    def _pair(self, shard_id: int) -> ReplicatedCluster:
-        if shard_id < 0 or shard_id >= self.num_shards:
-            raise ConfigurationError(
-                f"shard {shard_id} not in cluster of {self.num_shards}"
-            )
-        return self.pairs[shard_id]
 
     def __repr__(self) -> str:
         failed = sum(1 for p in self.pairs if p.takeover is not None)

@@ -26,7 +26,6 @@ deterministically with heartbeats, crashes and takeovers.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -36,7 +35,9 @@ from repro.errors import (
     StaleShardMapError,
 )
 from repro.obs.observer import resolve_observer
-from repro.shard.cluster import ShardedCluster
+from repro.obs.recovery import RECOVERY_RESUME
+from repro.obs.spans import COMMIT_SPAN
+from repro.shard.cluster import RoutedCluster
 from repro.shard.workload import ShardedWorkload
 
 
@@ -59,11 +60,12 @@ class RoutedTransaction:
 
 
 class Router:
-    """Routes a :class:`ShardedWorkload`'s transactions at a cluster."""
+    """Routes a workload's transactions at a
+    :class:`~repro.shard.cluster.RoutedCluster` of either kind."""
 
     def __init__(
         self,
-        cluster: ShardedCluster,
+        cluster: RoutedCluster,
         workload: ShardedWorkload,
         max_attempts: int = 10,
         backoff_us: float = 250.0,
@@ -93,10 +95,9 @@ class Router:
         self.redirects = 0
         self.dropped = 0
         self.transactions: List[RoutedTransaction] = []
-        #: Completions per shard and, in completion order, when: what
-        #: probes and window counts read instead of scanning the above.
+        #: Completions per shard: what the series probes read instead
+        #: of scanning the above.
         self.completed_by_shard: List[int] = [0] * cluster.num_shards
-        self._completed_at_us: List[float] = []
 
     # -- submission ---------------------------------------------------------
 
@@ -192,7 +193,6 @@ class Router:
             record.completed_at_us = self.cluster.sim.now
             self.completed += 1
             self.completed_by_shard[record.shard_id] += 1
-            self._completed_at_us.append(record.completed_at_us)
             if self.observer.enabled:
                 latency = record.completed_at_us - record.submitted_at_us
                 self.observer.count("router.completed")
@@ -202,25 +202,15 @@ class Router:
                     "latency_us": latency,
                     "attempts": record.attempts,
                 }
-                # Clusters whose serving scopes are not named "shard.N"
-                # (quorum groups) declare them; shard clusters do not,
-                # keeping their traces byte-identical.
-                scope_name = getattr(self.cluster, "scope_name", None)
-                if scope_name is not None:
-                    attrs["scope"] = scope_name(record.shard_id)
+                scope = self.cluster.completion_scope(record.shard_id)
+                if scope is not None:
+                    attrs["scope"] = scope
                 self.observer.event("router", "txn.complete", **attrs)
                 # First served commit after a failover: emit the
                 # recovery.resume instant, causally linked to the
                 # recovery span and to this commit's span tree.
-                pop_link = getattr(self.cluster, "pop_resume_link", None)
-                link = (
-                    pop_link(record.shard_id)
-                    if pop_link is not None else None
-                )
+                link = self.cluster.pop_resume_link(record.shard_id)
                 if link is not None:
-                    from repro.obs.recovery import RECOVERY_RESUME
-                    from repro.obs.spans import COMMIT_SPAN
-
                     resume_attrs = {
                         "trace_id": link.trace_id,
                         "parent_id": link.span_id,
@@ -243,12 +233,6 @@ class Router:
     @property
     def in_flight(self) -> int:
         return self.routed - self.completed - self.dropped
-
-    def completions_between(self, start_us: float, stop_us: float) -> int:
-        """Transactions whose *completion* fell in ``[start_us, stop_us)``
-        — the unit the dip-and-recovery timeline counts."""
-        times = self._completed_at_us  # sorted: the clock never runs back
-        return max(0, bisect_left(times, stop_us) - bisect_left(times, start_us))
 
     def __repr__(self) -> str:
         return (

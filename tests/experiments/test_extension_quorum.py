@@ -1,5 +1,7 @@
 """The quorum extension experiment at test fidelity."""
 
+import pytest
+
 from repro.experiments import extension_quorum
 from repro.experiments.common import ExperimentContext, ExperimentSettings
 from repro.obs.critpath import crosscheck_recovery_slo
@@ -25,6 +27,13 @@ def test_runs_checks_and_renders():
     assert "<- quorum restored" in figure
 
 
+@pytest.mark.parametrize("args", [{"slots": 40}, {"num_groups": 4}],
+                         ids=["slots=40", "num_groups=4"])
+def test_timeline_check_follows_the_run(args):
+    timeline = extension_quorum.quorum_timeline(**args)
+    extension_quorum.check_quorum_timeline(timeline)
+
+
 def test_quorum_loss_dip_is_degraded_not_zero():
     timeline = extension_quorum.quorum_timeline(seed=42)
     outage = timeline.outage_slots()
@@ -42,13 +51,15 @@ def test_timeline_is_deterministic_under_the_seed():
     assert first.samples == second.samples
     assert first.router_stats == second.router_stats
     assert first.group_stats == second.group_stats
-    assert first.quorum_loss == second.quorum_loss
+    assert first.outage == second.outage
+    # The driver's determinism, event for event and sample for sample.
+    assert first.trace_events == second.trace_events
+    assert first.series.to_bytes() == second.series.to_bytes()
 
 
 def test_trace_audits_clean_including_quorum_rules():
     timeline = extension_quorum.quorum_timeline(seed=42)
-    report = timeline.audit()
-    assert report.ok
+    assert timeline.audit.ok
     names = {event.name for event in timeline.trace_events}
     assert "quorum.read" in names and "quorum.write" in names
     assert "fault.partition" in names and "fault.heal" in names
@@ -58,9 +69,9 @@ def test_default_timeline_recovery_decomposition_is_pinned():
     # Simulated time, deterministic under the seed: exact, not a ratio.
     timeline = extension_quorum.quorum_timeline()
     decomposition = crosscheck_recovery_slo(
-        timeline.trace_events, timeline.slo()
+        timeline.trace_events, timeline.slo
     )
-    scope = decomposition.scope(f"group.{timeline.downed_group}")
+    scope = decomposition.scope(timeline.downed_scope)
     assert scope.total_downtime_us == 4000.0
     assert scope.share("view") == 1.0
     tree = decomposition.trees[0]

@@ -29,6 +29,16 @@ def test_runs_checks_and_renders():
     assert "<- restored" in figure
 
 
+@pytest.mark.parametrize("plan_args", [
+    {"slots": 40}, {"num_shards": 8}, {"offered_per_shard": 3},
+], ids=lambda args: "-".join(f"{k}={v}" for k, v in args.items()))
+def test_timeline_check_follows_the_run(plan_args):
+    # The check once compared per-shard completions against the module
+    # constant SLOTS, failing a correct slots=40 run.
+    timeline = extension_sharding.failover_timeline(**plan_args)
+    extension_sharding.check_failover_timeline(timeline)
+
+
 def test_dip_is_one_nth_not_zero():
     timeline = extension_sharding.failover_timeline(seed=42)
     outage = timeline.outage_slots()
@@ -44,16 +54,16 @@ def test_timeline_is_deterministic_under_the_seed():
     second = extension_sharding.failover_timeline(seed=42)
     assert first.samples == second.samples
     assert first.router_stats == second.router_stats
-    assert first.takeover == second.takeover
+    assert first.outage == second.outage
 
 
 def test_default_timeline_recovery_decomposition_is_pinned():
     # Simulated time, deterministic under the seed: exact, not a ratio.
     timeline = extension_sharding.failover_timeline()
     decomposition = crosscheck_recovery_slo(
-        timeline.trace_events, timeline.slo()
+        timeline.trace_events, timeline.slo
     )
-    scope = decomposition.scope(f"shard.{timeline.crashed_shard}")
+    scope = decomposition.scope(timeline.downed_scope)
     exact = pytest.approx(14531.013333333336, rel=1e-12)
     assert scope.total_downtime_us == exact
     assert scope.phase_totals == {
@@ -91,6 +101,15 @@ def test_multi_crash_plan_audits_clean():
     names = [event.name for event in outcome.events]
     assert names.count("fault.crash") == 2
     assert names.count("takeover") == 2
+
+
+def test_driving_the_same_plan_twice_is_byte_identical():
+    plan = extension_sharding.failover_plan(
+        num_shards=3, slots=12, crashes=((1, 3_250.0),))
+    first, second = shardpar.execute(plan), shardpar.execute(plan)
+    assert first.events == second.events
+    assert first.frame.to_bytes() == second.frame.to_bytes()
+    assert len(first.frame) > 0 and first.takeover_downtime_us
 
 
 def test_execute_runs_on_one_simulator_only():

@@ -87,13 +87,15 @@ class TestHeapAllocator:
 
     def test_metadata_writes_are_categorized_meta(self):
         region = MemoryRegion("heap", 4096)
-        events = []
-        region.add_observer(events.append)
+        categories = []
+        region.add_observer(
+            lambda offset, length, category: categories.append(category)
+        )
         heap = HeapAllocator(region)
         offset = heap.malloc(64)
         heap.free(offset)
-        assert events, "allocator bookkeeping must be real region writes"
-        assert all(event.category is WriteCategory.META for event in events)
+        assert categories, "allocator bookkeeping must be real region writes"
+        assert all(category is WriteCategory.META for category in categories)
 
     def test_attach_without_format_preserves_state(self):
         region = MemoryRegion("heap", 4096)

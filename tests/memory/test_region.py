@@ -34,13 +34,20 @@ def test_out_of_bounds_read():
         region.read(63, 2)
 
 
+def recorder(events):
+    """An observer appending ``(offset, length, category)``."""
+    return lambda offset, length, category: events.append(
+        (offset, length, category)
+    )
+
+
 def test_observers_see_every_write_with_category():
     region = MemoryRegion("r", 64)
     events = []
-    region.add_observer(events.append)
+    region.add_observer(recorder(events))
     region.write(0, b"abc", WriteCategory.META)
     region.write(10, b"d")
-    assert [(e.offset, e.length, e.category) for e in events] == [
+    assert events == [
         (0, 3, WriteCategory.META),
         (10, 1, WriteCategory.MODIFIED),
     ]
@@ -49,16 +56,18 @@ def test_observers_see_every_write_with_category():
 def test_observer_address_includes_base():
     region = MemoryRegion("r", 64, base=0x1000)
     events = []
-    region.add_observer(events.append)
+    region.add_observer(recorder(events))
     region.write(4, b"x")
-    assert events[0].address == 0x1004
+    offset, _length, _category = events[0]
+    assert offset == 4 and region.base + offset == 0x1004
 
 
 def test_remove_observer():
     region = MemoryRegion("r", 64)
     events = []
-    region.add_observer(events.append)
-    region.remove_observer(events.append)
+    observer = recorder(events)
+    region.add_observer(observer)
+    region.remove_observer(observer)
     region.write(0, b"x")
     assert events == []
 
@@ -66,7 +75,7 @@ def test_remove_observer():
 def test_empty_write_is_noop():
     region = MemoryRegion("r", 64)
     events = []
-    region.add_observer(events.append)
+    region.add_observer(recorder(events))
     region.write(0, b"")
     assert events == []
     assert region.writes_observed == 0
@@ -75,7 +84,7 @@ def test_empty_write_is_noop():
 def test_poke_bypasses_observers_and_stats():
     region = MemoryRegion("r", 64)
     events = []
-    region.add_observer(events.append)
+    region.add_observer(recorder(events))
     region.poke(0, b"init")
     assert events == []
     assert region.read(0, 4) == b"init"
@@ -92,15 +101,10 @@ def test_copy_within():
 def test_copy_within_notifies_observers_like_a_write():
     region = MemoryRegion("r", 64)
     events = []
-    fast = []
-    region.add_observer(events.append)
-    region.add_fast_observer(lambda o, l, c: fast.append((o, l, c)))
+    region.add_observer(recorder(events))
     region.poke(0, b"data")
     region.copy_within(0, 32, 4, WriteCategory.META)
-    assert [(e.offset, e.length, e.category) for e in events] == [
-        (32, 4, WriteCategory.META)
-    ]
-    assert fast == [(32, 4, WriteCategory.META)]
+    assert events == [(32, 4, WriteCategory.META)]
     assert region.writes_observed == 1
     assert region.bytes_written == 4
 
@@ -119,7 +123,7 @@ def test_copy_within_overlapping_forward_and_backward():
 def test_copy_within_zero_length_checks_source_bounds():
     region = MemoryRegion("r", 16)
     events = []
-    region.add_observer(events.append)
+    region.add_observer(recorder(events))
     region.copy_within(4, 8, 0)
     assert events == []
     assert region.writes_observed == 0

@@ -50,7 +50,7 @@ def test_crash_detaches_observers():
     rio = RioMemory("n1")
     region = rio.create_region("db", 16)
     events = []
-    region.add_observer(events.append)
+    region.add_observer(lambda *event: events.append(event))
     rio.crash()
     rio.reboot()
     rio.get_region("db").write(0, b"x")

@@ -89,7 +89,7 @@ def test_failover_trace_round_trips_through_disk(tmp_path, seed):
     timeline = failover_timeline(
         num_shards=2,
         slots=12,
-        crashed_shard=1,
+        crashes=((1, 5_250.0),),
         db_bytes_per_shard=4 * 1024 * 1024,
         seed=seed,
         trace_path=tmp_path / "failover.jsonl",
@@ -106,7 +106,7 @@ def test_failover_trace_round_trips_through_disk(tmp_path, seed):
     assert reloaded.latency == live.latency
     assert reloaded.render() == live.render()
     span = reloaded.failovers[0]
-    assert span.downtime_us == timeline.takeover.downtime_us
+    assert span.downtime_us == timeline.outage.downtime_us
     assert [
         reloaded.completions_between(s.start_us, s.start_us + timeline.slot_us)
         for s in timeline.samples[:12]

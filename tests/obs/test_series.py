@@ -211,7 +211,7 @@ def test_scope_probes_never_walk_the_transaction_list():
     cluster, _workload, router = _routed_cluster(seed=13)
     router.transactions = Unscannable()
     sampler = TickMarkingSampler()
-    sampler.add_probes(router_probes(router, scopes=SCOPES))
+    sampler.add_probes(router_probes(router))
     sampler.attach(cluster.sim, 500.0, 4_000.0)
     for i in range(64):
         router.submit(at_us=i * 50.0)
@@ -227,8 +227,7 @@ def test_scope_probes_never_walk_the_transaction_list():
 def test_scope_probes_equal_the_brute_force_scan(seed):
     """Random offered load over two crashes, with retries and drops:
     every sample of every per-scope column is what scanning the whole
-    transaction list at that tick would have counted — and the router's
-    window counts are the linear scan's."""
+    transaction list at that tick would have counted."""
     import random
 
     rng = random.Random(seed)
@@ -236,7 +235,7 @@ def test_scope_probes_equal_the_brute_force_scan(seed):
         seed, max_attempts=3, backoff_us=250.0
     )
     sampler = TimeSeriesSampler()
-    sampler.add_probes(router_probes(router, scopes=SCOPES))
+    sampler.add_probes(router_probes(router))
     sampler.add_probes({
         f"scan.{scope}": _scan_completed(router, shard_id)
         for scope, shard_id in SCOPES.items()
@@ -263,15 +262,6 @@ def test_scope_probes_equal_the_brute_force_scan(seed):
     for scope in SCOPES:
         assert frame.values(f"{scope}.completed") == frame.values(f"scan.{scope}")
     assert sum(router.completed_by_shard) == router.completed
-
-    done = [t.completed_at_us for t in router.transactions
-            if t.completed_at_us is not None]
-    edges = sorted(set(rng.sample(done, 20))) + [0.0, 500.0, float("inf")]
-    for start_us in edges:
-        for stop_us in edges:
-            assert router.completions_between(start_us, stop_us) == sum(
-                1 for ts in done if start_us <= ts < stop_us
-            )
 
 
 # -- the sampler against the real experiment ------------------------

@@ -154,7 +154,7 @@ def _run_fragmented(geometry, word_bytes, offset, data, category, loop,
     num_buffers, block_bytes = geometry
     remote = MemoryRegion("remote", _REMOTE_BYTES)
     if loop:
-        remote.add_fast_observer(lambda offset, length, category: None)
+        remote.add_observer(lambda offset, length, category: None)
     interface = MemoryChannelInterface(
         "sender", write_buffers=num_buffers, write_buffer_bytes=block_bytes
     )

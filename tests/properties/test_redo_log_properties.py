@@ -82,12 +82,9 @@ def _run(module, ring_bytes, ops, auto_apply, watch_ring,
     writes = []
     watched = [db, consumer] + ([ring] if watch_ring else [])
     for region in watched:
-        region.add_observer(lambda event: writes.append(
-            ("event", event.region.name, event.offset, event.length,
-             event.category)))
-        region.add_fast_observer(lambda offset, length, category,
-                                 name=region.name: writes.append(
-            ("fast", name, offset, length, category)))
+        region.add_observer(lambda offset, length, category,
+                            name=region.name: writes.append(
+            (name, offset, length, category)))
     mapping = primary_if.map_remote(ring)
     producer = module.RedoLogProducer(mapping, consumer, observer=observer)
     applier = module.RedoLogApplier(

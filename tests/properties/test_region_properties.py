@@ -90,16 +90,13 @@ _SOURCE_IMAGE = bytes((i * 37 + 11) % 256 for i in range(SIZE))
 
 
 def _instrumented(region):
-    """Attach both observer flavours; returns the recorded streams."""
-    events, fast_events = [], []
+    """Attach an observer; returns the recorded stream."""
+    events = []
     region.add_observer(
-        lambda e: events.append((e.offset, e.length, e.category))
-    )
-    region.add_fast_observer(
         lambda offset, length, category:
-        fast_events.append((offset, length, category))
+        events.append((offset, length, category))
     )
-    return events, fast_events
+    return events
 
 
 def _drive(region, source, ops):
@@ -136,12 +133,11 @@ def _run_backend(region_cls, source_cls, ops):
     region = region_cls("target", SIZE)
     source = source_cls("source", SIZE)
     source.poke(0, _SOURCE_IMAGE)
-    events, fast_events = _instrumented(region)
+    events = _instrumented(region)
     outcomes = _drive(region, source, ops)
     return {
         "bytes": region.snapshot(),
         "events": events,
-        "fast_events": fast_events,
         "writes_observed": region.writes_observed,
         "bytes_written": region.bytes_written,
         "outcomes": outcomes,
@@ -234,7 +230,7 @@ def _run_words(region_cls, ops, accessors: bool):
     Outcomes keep read results and the raised error with its message."""
     region = region_cls("target", SIZE)
     region.poke(0, _SOURCE_IMAGE)
-    events, fast_events = _instrumented(region)
+    events = _instrumented(region)
     outcomes = []
     for op in ops:
         try:
@@ -270,7 +266,6 @@ def _run_words(region_cls, ops, accessors: bool):
     return {
         "bytes": region.snapshot(),
         "events": events,
-        "fast_events": fast_events,
         "writes_observed": region.writes_observed,
         "bytes_written": region.bytes_written,
         "outcomes": outcomes,
@@ -315,12 +310,12 @@ def test_word_store_against_a_protection_window(region_cls):
 def test_word_store_rejects_values_outside_a_u64(region_cls, value):
     region = region_cls("target", SIZE)
     region.poke(0, _SOURCE_IMAGE)
-    events, fast_events = _instrumented(region)
+    events = _instrumented(region)
     with pytest.raises(struct.error):
         region.write_u64(40, value)
     assert region.snapshot() == _SOURCE_IMAGE
     assert (region.writes_observed, region.bytes_written) == (0, 0)
-    assert events == [] and fast_events == []
+    assert events == []
 
 
 # -- write_run vs the per-part write loop ------------------------------
@@ -358,7 +353,7 @@ def _run_runs(region_cls, ops, lane: bool, observed: bool,
     in order, stopping at the first that raises."""
     region = region_cls("target", SIZE)
     region.poke(0, _SOURCE_IMAGE)
-    events, fast_events = _instrumented(region) if observed else ([], [])
+    events = _instrumented(region) if observed else []
     outcomes = []
     for op in ops:
         try:
@@ -388,7 +383,6 @@ def _run_runs(region_cls, ops, lane: bool, observed: bool,
     return {
         "bytes": region.snapshot(),
         "events": events,
-        "fast_events": fast_events,
         "writes_observed": region.writes_observed,
         "bytes_written": region.bytes_written,
         "outcomes": outcomes,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigurationError, ShardUnavailableError
+from repro.errors import ConfigurationError
 from repro.obs import Observer
 from repro.quorum.cluster import QuorumCluster
 from repro.quorum.workload import KeyPartitioner, QuorumWorkload
@@ -31,28 +31,6 @@ def test_workload_round_trips_its_counter_encoding():
     assert len(value) == 32
     assert workload.decode_counter(value) == 42
     assert workload.decode_counter(b"garbage") == 0
-
-
-def test_setup_rejects_mismatched_workloads():
-    cluster = make_cluster(num_groups=2)
-    with pytest.raises(ConfigurationError):
-        cluster.setup(QuorumWorkload(3, 8))
-
-
-def test_scope_name_matches_the_group_observer_scope():
-    cluster = make_cluster(num_groups=2)
-    assert cluster.scope_name(1) == "group.1"
-
-
-def test_execute_refuses_when_the_group_lost_quorum():
-    cluster = make_cluster(num_groups=1)
-    cluster.groups[0].crash_member(0)
-    cluster.groups[0].crash_member(1)
-    assert not cluster.available(0)
-    with pytest.raises(ShardUnavailableError):
-        cluster.execute(0, 0, lambda group: group.write(0, b"x"))
-    with pytest.raises(ConfigurationError):
-        cluster.execute(5, 0, lambda group: None)
 
 
 def test_router_drives_the_quorum_cluster_end_to_end():

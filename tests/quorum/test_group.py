@@ -49,7 +49,7 @@ def test_strict_group_survives_one_crash_and_reads_latest():
     group = make_group()  # (3, 2, 2): R+W > N
     record = group.write(7, b"before-crash")
     group.crash_member(7 % 3)  # kill the key's preferred coordinator
-    assert group.can_serve()
+    assert group.is_available
     stored = group.read(7)
     assert stored.winner.value == b"before-crash"
     assert stored.vv.descends(record.vv)
@@ -61,7 +61,7 @@ def test_strict_group_below_quorum_refuses_and_reports():
     group = make_group()
     group.crash_member(0)
     group.crash_member(1)
-    assert not group.can_serve()
+    assert not group.is_available
     with pytest.raises(ShardUnavailableError):
         group.write(3, b"x")
     with pytest.raises(ShardUnavailableError):
@@ -93,7 +93,7 @@ def test_sloppy_group_survives_all_but_one_crash():
     group = make_group(n=3, r=1, w=1, sloppy=True)
     group.crash_member(0)
     group.crash_member(2)
-    assert group.can_serve()
+    assert group.is_available
     group.write(2, b"lonely")
     assert group.value_of(2) == b"lonely"
     # Strict would be long gone.
@@ -105,7 +105,7 @@ def test_symmetric_partition_blocks_both_directions():
     group.apply_partition((0,), (1, 2))
     assert not group._connected(0, 1) and not group._connected(1, 0)
     # Majority side still has quorum; minority coordinator is skipped.
-    assert group.can_serve()
+    assert group.is_available
     group.write(0, b"majority")  # preferred coordinator 0 is cut off
     assert group.replicas[0].get(0) is None
     assert group.replicas[1].get(0) is not None

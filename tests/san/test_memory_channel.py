@@ -121,10 +121,20 @@ def test_uncoalesced_word_covering_a_block_overtakes_the_open_one():
     assert len(words) == 1
 
 
+@pytest.mark.parametrize("word_bytes", [0, -4])
+def test_uncoalesced_rejects_a_non_positive_word_size(word_bytes):
+    # -4 used to return silently having stored nothing.
+    interface, mapping, remote = make_pair()
+    with pytest.raises(ValueError, match="word_bytes"):
+        mapping.write_uncoalesced(0, b"\x07" * 10, word_bytes=word_bytes)
+    assert remote.read(0, 10) == bytes(10)
+    assert interface.io_stores == 0 and interface.bytes_sent == 0
+
+
 def test_uncoalesced_run_takes_the_loop_when_the_remote_is_observed():
     interface, mapping, remote = make_pair()
     seen = []
-    remote.add_fast_observer(
+    remote.add_observer(
         lambda offset, length, category: seen.append((offset, length)))
     words = _count_per_word_transmits(interface)
     mapping.write_uncoalesced(0, b"\x07" * 10)
@@ -354,10 +364,8 @@ def _run_lanes(ops, lane, observed, geometry, region_cls,
     interface.write_buffer.on_packet = lambda size: (packets.append(size), record(size))
     seen = []
     if observed:
-        remote.add_observer(lambda event: seen.append(
-            ("event", event.offset, event.length, event.category)))
-        remote.add_fast_observer(lambda offset, length, category: seen.append(
-            ("fast", offset, length, category)))
+        remote.add_observer(lambda offset, length, category: seen.append(
+            (offset, length, category)))
     outcomes = []
     for op in ops:
         try:

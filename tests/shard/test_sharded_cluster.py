@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.errors import (
-    ConfigurationError,
-    ShardUnavailableError,
-    StaleShardMapError,
-)
+from repro.errors import StaleShardMapError
 from repro.shard import ShardedCluster, ShardedWorkload
 from repro.shard.shardmap import STATUS_DEGRADED, STATUS_UP
 from repro.vista import EngineConfig
@@ -100,16 +96,6 @@ def test_execute_fences_stale_epochs_then_serves_fresh_ones():
                     lambda serving: workload.run_on_shard(0, serving))
 
 
-def test_execute_reports_unavailable_mid_failover():
-    cluster, workload = make(2, mode="passive", version="v1")
-    cluster.schedule_primary_crash(0, at_us=1_000.0)
-    cluster.run_until(2_000.0)  # takeover underway, restore pending
-    epoch = cluster.shard_map.entry(0).epoch
-    with pytest.raises(ShardUnavailableError):
-        cluster.execute(0, epoch,
-                        lambda serving: workload.run_on_shard(0, serving))
-
-
 def test_order_entry_shards_by_warehouse():
     cluster = ShardedCluster(
         2, config=CONFIG,
@@ -124,17 +110,6 @@ def test_order_entry_shards_by_warehouse():
         for _ in range(5):
             workload.run_on_shard(shard_id, cluster.serving(shard_id))
         workload.verify_shard(shard_id, cluster.serving(shard_id))
-
-
-def test_configuration_validation():
-    with pytest.raises(ConfigurationError):
-        ShardedCluster(0, config=CONFIG)
-    cluster, _ = make(2)
-    with pytest.raises(ConfigurationError):
-        cluster.serving(2)
-    mismatched = ShardedWorkload("debit-credit", 3, CONFIG.db_bytes)
-    with pytest.raises(ConfigurationError):
-        cluster.setup(mismatched)
 
 
 def test_repr_mentions_failures():

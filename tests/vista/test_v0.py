@@ -49,8 +49,8 @@ def test_metadata_writes_dominate():
     engine = make()
     by_category = {category: 0 for category in WriteCategory}
 
-    def count(event):
-        by_category[event.category] += event.length
+    def count(offset, length, category):
+        by_category[category] += length
 
     for region in engine.regions.values():
         region.add_observer(count)

@@ -100,9 +100,9 @@ def test_no_pointer_writes_in_log_region():
     updates — so its write-through stream is perfectly contiguous."""
     engine = make("v3-stream")
     offsets = []
-    engine.log_region.add_observer(lambda event: offsets.append(
-        (event.offset, event.length)
-    ))
+    engine.log_region.add_observer(
+        lambda offset, length, category: offsets.append((offset, length))
+    )
     engine.begin_transaction()
     engine.set_range(0, 8)
     engine.set_range(100, 8)
