@@ -13,178 +13,110 @@ The plan is advisory, not load-bearing: a cell missing from the plan
 (say, after an experiment module grows a new configuration) is simply
 computed inline by the rendering pass, exactly as without ``--jobs``.
 
-Cells are driven workload runs, keyed exactly like the context cache
-(``("passive", version, workload, nominal, ship_undo_log,
-coalescing)`` and friends). The ``smp-validation`` extension's
-discrete-event points are not fanned out: all 24 cost about a second,
-so it computes them inline from the preloaded cells.
+A cell spec *is* its context-cache key — what drives the run, kind
+first: ``("standalone", version, workload)``, ``("passive", version,
+workload, ship_undo_log, coalescing)``, ``("active", workload,
+coalescing)``. The database size an experiment reads a cell at is not
+part of it (the context applies that on read), so the full grid's 35
+reads are 22 cells. The ``smp-validation`` extension's discrete-event
+points are not fanned out: all 24 cost about a second, so it computes
+them inline from the preloaded cells.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Tuple
 
-from repro.experiments.common import (
-    MB,
-    PAPER_DB_BYTES,
-    ExperimentContext,
-    ExperimentSettings,
-)
+from repro.experiments.common import ExperimentContext, ExperimentSettings
 
 WORKLOADS = ("debit-credit", "order-entry")
 VERSIONS = ("v0", "v1", "v2", "v3")
-STREAM_DB_BYTES = 10 * MB
 
-#: A cell spec: (kind, full argument tuple of the context method).
-CellSpec = Tuple[str, tuple]
+#: A cell spec: the context-cache key of one driven run.
+CellSpec = Tuple
 
 #: Anchors for :meth:`ExperimentContext.calibration`.
 CALIBRATION_CELLS: List[CellSpec] = [
-    ("standalone", ("v3", workload, PAPER_DB_BYTES)) for workload in WORKLOADS
+    ("standalone", "v3", workload) for workload in WORKLOADS
 ]
 
-_SMP_CONFIGS = ("active", "passive-v3", "passive-v1")
-_SMP_PROCESSORS = (1, 2, 3, 4)
-_SMP_DURATION_US = 20_000.0
+
+def _passive(version: str, workload: str, ship_undo_log: bool = False,
+             coalescing: bool = True) -> CellSpec:
+    return ("passive", version, workload, ship_undo_log, coalescing)
 
 
-def _experiment_cells(key: str) -> List[CellSpec]:
-    """The driven-run cells experiment ``key`` reads from the cache."""
-    paper, stream = PAPER_DB_BYTES, STREAM_DB_BYTES
-    cells: List[CellSpec] = []
-    if key == "table1":
-        for workload in WORKLOADS:
-            cells.append(("standalone", ("v0", workload, paper)))
-            cells.append(("passive", ("v0", workload, paper, False, True)))
-    elif key == "table3":
-        for workload in WORKLOADS:
-            for version in VERSIONS:
-                cells.append(("standalone", (version, workload, paper)))
-    elif key == "table4":
-        for workload in WORKLOADS:
-            for version in VERSIONS:
-                cells.append(("passive", (version, workload, paper, False, True)))
-    elif key == "table6":
-        for workload in WORKLOADS:
-            cells.append(("passive", ("v3", workload, paper, False, True)))
-            cells.append(("active", (workload, paper, True)))
-    elif key == "table8":
-        for workload in WORKLOADS:
-            for nominal in (10 * MB, 100 * MB, 1024 * MB):
-                cells.append(("active", (workload, nominal, True)))
-    elif key == "figures2-3":
-        for workload in WORKLOADS:
-            cells.append(("active", (workload, stream, True)))
-            for version in ("v3", "v2", "v1"):
-                cells.append(("passive", (version, workload, stream, False, True)))
-    elif key == "ablations":
-        for workload in WORKLOADS:
-            cells.append(("passive", ("v3", workload, paper, False, True)))
-            cells.append(("passive", ("v3", workload, paper, False, False)))
-            cells.append(("active", (workload, paper, True)))
-            cells.append(("passive", ("v1", workload, paper, False, True)))
-            cells.append(("passive", ("v1", workload, paper, True, True)))
-    elif key == "smp-validation":
-        for workload in WORKLOADS:
-            cells.append(("active", (workload, stream, True)))
-            cells.append(("passive", ("v3", workload, stream, False, True)))
-            cells.append(("passive", ("v1", workload, stream, False, True)))
-    elif key == "sensitivity":
-        for workload in WORKLOADS:
-            cells.append(("standalone", ("v3", workload, paper)))
-            cells.append(("standalone", ("v0", workload, paper)))
-            for version in VERSIONS:
-                cells.append(("passive", (version, workload, paper, False, True)))
-            cells.append(("active", (workload, paper, True)))
-    elif key == "sharding":
-        cells.append(("active", ("debit-credit", None, True)))
-    # figure1 / recovery build their own clusters and read no cells;
-    # quorum's runs are pure discrete-event simulations of the seed.
-    return cells
+def _active(workload: str) -> CellSpec:
+    return ("active", workload, True)
 
 
-#: Experiments that never call ``ctx.estimator()``.
-_NO_CALIBRATION = frozenset({"figure1", "recovery", "quorum"})
+#: The driven runs each experiment reads, per workload. figure1 and
+#: recovery build their own clusters and read no cells; quorum's runs
+#: are pure discrete-event simulations of the seed.
+_READS = {
+    "table1": lambda w: [("standalone", "v0", w), _passive("v0", w)],
+    "table3": lambda w: [("standalone", v, w) for v in VERSIONS],
+    "table4": lambda w: [_passive(v, w) for v in VERSIONS],
+    "table6": lambda w: [_passive("v3", w), _active(w)],
+    "table8": lambda w: [_active(w)],
+    "figures2-3": lambda w: [_active(w)]
+    + [_passive(v, w) for v in ("v3", "v2", "v1")],
+    "ablations": lambda w: [
+        _passive("v3", w),
+        _passive("v3", w, coalescing=False),
+        _active(w),
+        _passive("v1", w),
+        _passive("v1", w, ship_undo_log=True),
+    ],
+    "smp-validation": lambda w: [_active(w), _passive("v3", w), _passive("v1", w)],
+    "sensitivity": lambda w: [("standalone", "v3", w), ("standalone", "v0", w)]
+    + [_passive(v, w) for v in VERSIONS] + [_active(w)],
+    "sharding": lambda w: [_active(w)] if w == "debit-credit" else [],
+}
 
 
 def plan_for(experiment_keys: Iterable[str]) -> List[CellSpec]:
     """Deduplicated cell plan for the selected experiments, in a
-    deterministic order (calibration anchors first, since every
-    estimator call needs them)."""
-    keys = list(experiment_keys)
-    plan: List[CellSpec] = []
-    if any(key not in _NO_CALIBRATION for key in keys):
-        plan.extend(CALIBRATION_CELLS)
-    for key in keys:
-        plan.extend(_experiment_cells(key))
-    seen = set()
-    deduped = []
-    for spec in plan:
-        if spec not in seen:
-            seen.add(spec)
-            deduped.append(spec)
-    return deduped
-
-
-def cache_key(spec: CellSpec) -> Tuple:
-    """The context-cache key this spec's result lands under."""
-    kind, args = spec
-    return (kind,) + tuple(args)
+    deterministic order (calibration anchors first: an experiment that
+    reads any cell prices it through ``ctx.estimator()``)."""
+    plan = [
+        cell
+        for key in experiment_keys if key in _READS
+        for workload in WORKLOADS
+        for cell in _READS[key](workload)
+    ]
+    if plan:
+        plan = CALIBRATION_CELLS + plan
+    return list(dict.fromkeys(plan))  # first occurrence wins
 
 
 def compute_cell(task: Tuple[ExperimentSettings, CellSpec]):
     """Pool worker: measure one cell in a fresh context.
 
-    Returns ``(cache_key, RunResult)`` — both picklable, and identical
-    to what the main process would compute (fresh system, fresh seeded
-    workload, same settings).
+    Returns ``(spec, RunResult, snapshot)`` — picklable, the result
+    identical to what the main process would compute (fresh system,
+    fresh seeded workload, same settings). ``snapshot`` is the cell's
+    own metrics, None when observation is off: a pool process computes
+    many cells against one process-global default observer, so each
+    cell resets it first — or its snapshot would repeat every earlier
+    cell's counts and the runner's merge would double-count them.
     """
+    from repro.obs.observer import get_default_observer, reset_default_observer
+
     settings, spec = task
-    ctx = ExperimentContext(settings)
-    kind, args = spec
-    method = {
-        "standalone": ctx.standalone_result,
-        "passive": ctx.passive_result,
-        "active": ctx.active_result,
-    }[kind]
-    return cache_key(spec), method(*args)
+    reset_default_observer()
+    result = ExperimentContext(settings).driven(spec)
+    observer = get_default_observer()
+    return spec, result, observer.registry.snapshot() if observer.enabled else None
 
 
 def smp_sim_tasks(ctx: ExperimentContext) -> List[tuple]:
     """The SMP discrete-event points as ``(memo key, RunResult,
     cpu_us, processors)`` — what ``extension_smp_sim.run`` simulates,
     enumerated for the performance ledger."""
-    estimator = ctx.estimator()
-    tasks = []
-    for workload in WORKLOADS:
-        for config in _SMP_CONFIGS:
-            if config == "active":
-                result = ctx.active_result(workload, STREAM_DB_BYTES)
-                report = estimator.active(result)
-            else:
-                version = config.split("-")[1]
-                result = ctx.passive_result(version, workload, STREAM_DB_BYTES)
-                report = estimator.passive(result)
-            for processors in _SMP_PROCESSORS:
-                key = ("smp-sim", workload, config, processors, _SMP_DURATION_US)
-                tasks.append((key, result, report.cpu_us, processors))
-    return tasks
+    from repro.experiments import extension_smp_sim
 
-
-def compute_cell_observed(task: Tuple[ExperimentSettings, CellSpec]):
-    """Pool worker for observed runs: ``compute_cell`` plus the cell's
-    own metrics snapshot.
-
-    A pool process computes many cells back to back against one
-    process-global default observer, so each cell starts by resetting
-    it — otherwise a cell's snapshot would also contain every earlier
-    cell's counts and the runner's merge would double-count them.
-    Returns ``(cache_key, RunResult, snapshot)``; the snapshot is None
-    when observation is off.
-    """
-    from repro.obs.observer import get_default_observer, reset_default_observer
-
-    reset_default_observer()
-    key, result = compute_cell(task)
-    observer = get_default_observer()
-    return key, result, observer.registry.snapshot() if observer.enabled else None
+    return [
+        (key, result, report.cpu_us, processors)
+        for key, result, report, processors in extension_smp_sim.points(ctx)
+    ]

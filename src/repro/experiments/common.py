@@ -1,11 +1,12 @@
 """Shared experiment machinery.
 
-:class:`ExperimentContext` owns the settings, runs (and caches) the
-driven workload measurements each experiment needs, and produces the
-calibrated throughput estimator. The calibration fits exactly two
-numbers — the per-benchmark base cost, anchored to Table 3's Version 3
-standalone row — and everything else in every experiment is a
-prediction from measured counts.
+:class:`ExperimentContext` owns the settings, a measured cell's
+identity (what drives the run, never the nominal size it is read at)
+and lifetime (its system is closed as soon as it is measured), and
+produces the calibrated throughput estimator. The calibration fits
+exactly two numbers — the per-benchmark base cost, anchored to Table
+3's Version 3 standalone row — and everything else in every experiment
+is a prediction from measured counts.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
+from repro.errors import ConfigurationError
 from repro.hardware.writebuffer import WriteBufferModel
 from repro.memory.rio import RioMemory
 from repro.perf.calibration import Calibration, DEFAULT_CALIBRATION
@@ -20,7 +22,8 @@ from repro.perf.throughput import ThroughputEstimator, calibrate_bases
 from repro.replication.active import ActiveReplicatedSystem
 from repro.replication.passive import PassiveReplicatedSystem
 from repro.vista.api import EngineConfig
-from repro.vista.factory import create_engine
+from repro.vista.factory import engine_class
+from repro.vista.v3_inline_log import InlineLogEngine
 from repro.workloads import (
     DebitCreditWorkload,
     OrderEntryWorkload,
@@ -50,6 +53,12 @@ class ExperimentSettings:
     log_bytes: int = 2 * MB
     nominal_db_bytes: int = PAPER_DB_BYTES
 
+    def __post_init__(self):
+        if self.transactions < 1 or self.warmup < 0:
+            raise ConfigurationError(
+                f"need transactions >= 1 and warmup >= 0, got {self}"
+            )
+
     def engine_config(self, nominal: Optional[int] = None) -> EngineConfig:
         return EngineConfig(
             db_bytes=self.allocated_db_bytes,
@@ -59,7 +68,15 @@ class ExperimentSettings:
 
 
 class ExperimentContext:
-    """Runs and caches the measurements behind the tables/figures."""
+    """Runs and caches the measurements behind the tables/figures.
+
+    A cell is keyed by what *drives* its run — ``("standalone",
+    version, workload)``, ``("passive", version, workload,
+    ship_undo_log, coalescing)``, ``("active", workload, coalescing)``
+    — never by nominal database size: nothing a driven run executes
+    reads it (DESIGN §7), so ``*_result(..., nominal)`` is a view of
+    the one cached run with its working sets declared at that size.
+    """
 
     def __init__(self, settings: Optional[ExperimentSettings] = None,
                  calibration: Calibration = DEFAULT_CALIBRATION):
@@ -85,41 +102,69 @@ class ExperimentContext:
         the preload is simply computed inline."""
         self._cache.update(cells)
 
-    # -- workload helpers ---------------------------------------------------
-
-    def _workload(self, name: str):
-        cls = WORKLOAD_CLASSES[name]
-        return cls(self.settings.allocated_db_bytes, seed=self.settings.seed)
-
-    def _run(self, key: Tuple, target, workload) -> RunResult:
-        if key in self._cache:
-            return self._cache[key]
-        workload.setup(target)
-        sync = getattr(target, "sync_initial", None)
-        if sync is not None:
-            sync()
-        result = run_workload(
-            target,
-            workload,
-            self.settings.transactions,
-            warmup=self.settings.warmup,
-            verify=True,
-        )
-        self._cache[key] = result
-        return result
-
     # -- measured runs ----------------------------------------------------------
+
+    def _build(self, key: Tuple):
+        """A fresh system for cell ``key`` and its workload's name."""
+        config = self.settings.engine_config()
+        kind, *args = key
+        if kind == "standalone":
+            version, workload_name = args
+            rio = RioMemory(f"standalone-{version}-{workload_name}")
+            return engine_class(version).create(rio, config), workload_name
+        if kind == "passive":
+            version, workload_name, ship_undo_log, coalescing = args
+            system = PassiveReplicatedSystem(
+                version, config, ship_undo_log=ship_undo_log
+            )
+            interface = system.interface
+        else:
+            workload_name, coalescing = args
+            system = ActiveReplicatedSystem(config)
+            interface = system.primary_interface
+        if not coalescing:
+            _disable_coalescing(interface)
+        return system, workload_name
+
+    def driven(self, key: Tuple) -> RunResult:
+        """Cell ``key`` as driven, measured on first use. A ``RunResult``
+        holds only detached statistics, so the system is closed as soon
+        as it is measured and its regions freed by reference count (a
+        standalone engine has nothing to close): one live system at a
+        time, nothing left for a cyclic collection."""
+        if key not in self._cache:
+            target, workload_name = self._build(key)
+            try:
+                workload = WORKLOAD_CLASSES[workload_name](
+                    self.settings.allocated_db_bytes, seed=self.settings.seed
+                )
+                workload.setup(target)
+                if hasattr(target, "sync_initial"):
+                    target.sync_initial()
+                self._cache[key] = run_workload(
+                    target, workload, self.settings.transactions,
+                    warmup=self.settings.warmup, verify=True,
+                )
+            finally:
+                if hasattr(target, "close"):
+                    target.close()
+        return self._cache[key]
+
+    def _at_nominal(self, key: Tuple, engine, nominal: Optional[int]) -> RunResult:
+        """A copy of cell ``key``'s result whose profile declares
+        ``engine``'s working sets at ``nominal``; the cached run is
+        never mutated, so one run reads at any number of sizes."""
+        result = self.driven(key)
+        sizes = dict(engine.working_sets(self.settings.engine_config(nominal)))
+        return replace(
+            result, profile=replace(result.profile, working_set_bytes=sizes)
+        )
 
     def standalone_result(
         self, version: str, workload_name: str, nominal: Optional[int] = None
     ) -> RunResult:
-        key = ("standalone", version, workload_name, nominal)
-        if key in self._cache:
-            return self._cache[key]
-        config = self.settings.engine_config(nominal)
-        rio = RioMemory(f"standalone-{version}-{workload_name}")
-        engine = create_engine(version, rio, config)
-        return self._run(key, engine, self._workload(workload_name))
+        key = ("standalone", version, workload_name)
+        return self._at_nominal(key, engine_class(version), nominal)
 
     def passive_result(
         self,
@@ -129,29 +174,15 @@ class ExperimentContext:
         ship_undo_log: bool = False,
         coalescing: bool = True,
     ) -> RunResult:
-        key = ("passive", version, workload_name, nominal, ship_undo_log, coalescing)
-        if key in self._cache:
-            return self._cache[key]
-        config = self.settings.engine_config(nominal)
-        system = PassiveReplicatedSystem(
-            version, config, ship_undo_log=ship_undo_log
-        )
-        if not coalescing:
-            _disable_coalescing(system.interface)
-        return self._run(key, system, self._workload(workload_name))
+        key = ("passive", version, workload_name, ship_undo_log, coalescing)
+        return self._at_nominal(key, engine_class(version), nominal)
 
     def active_result(
         self, workload_name: str, nominal: Optional[int] = None,
         coalescing: bool = True,
     ) -> RunResult:
-        key = ("active", workload_name, nominal, coalescing)
-        if key in self._cache:
-            return self._cache[key]
-        config = self.settings.engine_config(nominal)
-        system = ActiveReplicatedSystem(config)
-        if not coalescing:
-            _disable_coalescing(system.primary_interface)
-        return self._run(key, system, self._workload(workload_name))
+        key = ("active", workload_name, coalescing)
+        return self._at_nominal(key, InlineLogEngine, nominal)
 
     # -- calibration ----------------------------------------------------------------
 

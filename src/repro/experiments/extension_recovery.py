@@ -135,6 +135,7 @@ def run(db_bytes: int = 8 * MB, seed: int = 42) -> RecoveryResult:
         )
         if version == "v3":
             live_undo = max(live_undo, measured[version])
+        system.close()  # measured: free its regions before the next build
 
     active = ActiveReplicatedSystem(config, auto_apply=False)
     workload = DebitCreditWorkload(db_bytes, seed=seed)
@@ -148,6 +149,7 @@ def run(db_bytes: int = 8 * MB, seed: int = 42) -> RecoveryResult:
     ) / 50.0
     active.fail_primary()
     active.failover()
+    active.close()
     observer.registry.gauge("recovery.active.ring_backlog_bytes").set(
         float(backlog)
     )

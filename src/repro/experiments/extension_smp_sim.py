@@ -19,6 +19,8 @@ from repro.perf.smp_sim import simulate_from_run
 MB = 1024 * 1024
 STREAM_DB_BYTES = 10 * MB
 PROCESSORS = (1, 2, 3, 4)
+CONFIGS = ("active", "passive-v3", "passive-v1")
+DURATION_US = 20_000.0
 
 
 @dataclass
@@ -58,12 +60,13 @@ class SmpValidationResult:
                     )
 
 
-def run(ctx: ExperimentContext, configs=("active", "passive-v3", "passive-v1"),
-        duration_us: float = 20_000.0) -> SmpValidationResult:
+def points(ctx: ExperimentContext, configs=CONFIGS,
+           duration_us: float = DURATION_US):
+    """Every simulated point, as ``(memo key, RunResult, single-stream
+    report, processors)`` — the one enumeration ``run`` and the
+    ledger's ``cells.smp_sim_tasks`` share."""
     estimator = ctx.estimator()
-    curves: Dict[str, Dict[str, List[tuple]]] = {}
     for workload in ("debit-credit", "order-entry"):
-        curves[workload] = {}
         for config in configs:
             if config == "active":
                 result = ctx.active_result(workload, STREAM_DB_BYTES)
@@ -72,21 +75,28 @@ def run(ctx: ExperimentContext, configs=("active", "passive-v3", "passive-v1"),
                 version = config.split("-")[1]
                 result = ctx.passive_result(version, workload, STREAM_DB_BYTES)
                 report = estimator.passive(result)
-            points = []
             for processors in PROCESSORS:
-                analytic = estimator.smp_aggregate(report, processors)
-                # Each stream computes for its pure CPU time; link
-                # occupancy, queueing and write-buffer stalls all
-                # emerge from the simulation. The closed form is the
-                # conservative side at one CPU (it charges a partial
-                # overlap penalty; pure backpressure hides more).
-                simulated = ctx.memo(
-                    ("smp-sim", workload, config, processors, duration_us),
-                    lambda: simulate_from_run(
-                        result, cpu_us=report.cpu_us,
-                        processors=processors, duration_us=duration_us,
-                    ),
-                )
-                points.append((analytic, simulated.aggregate_tps))
-            curves[workload][config] = points
+                key = ("smp-sim", workload, config, processors, duration_us)
+                yield key, result, report, processors
+
+
+def run(ctx: ExperimentContext, configs=CONFIGS,
+        duration_us: float = DURATION_US) -> SmpValidationResult:
+    estimator = ctx.estimator()
+    curves: Dict[str, Dict[str, List[tuple]]] = {}
+    for key, result, report, processors in points(ctx, configs, duration_us):
+        _, workload, config, _, _ = key
+        analytic = estimator.smp_aggregate(report, processors)
+        # Each stream computes for its pure CPU time; link occupancy,
+        # queueing and write-buffer stalls all emerge from the
+        # simulation. The closed form is the conservative side at one
+        # CPU (it charges a partial overlap penalty; pure backpressure
+        # hides more).
+        simulated = ctx.memo(key, lambda: simulate_from_run(
+            result, cpu_us=report.cpu_us,
+            processors=processors, duration_us=duration_us,
+        ))
+        curves.setdefault(workload, {}).setdefault(config, []).append(
+            (analytic, simulated.aggregate_tps)
+        )
     return SmpValidationResult(curves=curves)

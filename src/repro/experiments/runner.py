@@ -150,25 +150,18 @@ def _precompute(ctx: ExperimentContext, resolved: List[str], jobs: int) -> None:
     from repro.fastpath.parallel import run_tasks
     from repro.obs.observer import get_default_observer
 
-    observer = get_default_observer()
-    plan = cells.plan_for(resolved)
-    if observer.enabled:
-        # Observed run: workers also return their per-cell metrics
-        # snapshots, merged here in task order (run_tasks preserves
-        # it), so the aggregate registry is deterministic at any -j.
-        computed = run_tasks(
-            cells.compute_cell_observed,
-            [(ctx.settings, spec) for spec in plan], jobs,
-        )
-        ctx.preload(cells={key: result for key, result, _ in computed})
-        for _key, _result, snapshot in computed:
-            if snapshot is not None:
-                observer.registry.merge_snapshot(snapshot)
-        return
     computed = run_tasks(
-        cells.compute_cell, [(ctx.settings, spec) for spec in plan], jobs
+        cells.compute_cell,
+        [(ctx.settings, spec) for spec in cells.plan_for(resolved)], jobs,
     )
-    ctx.preload(cells=dict(computed))
+    ctx.preload({spec: result for spec, result, _ in computed})
+    # Observed run: the workers' per-cell metrics snapshots merge here
+    # in task order (run_tasks preserves it), so the aggregate registry
+    # is deterministic at any -j.
+    observer = get_default_observer()
+    for _spec, _result, snapshot in computed:
+        if snapshot is not None:
+            observer.registry.merge_snapshot(snapshot)
 
 
 def main(argv=None) -> int:
@@ -193,6 +186,9 @@ def main(argv=None) -> int:
         "(output stays byte-identical; default 1 = sequential)",
     )
     args = parser.parse_args(argv)
+    for flag in ("transactions", "jobs"):
+        if getattr(args, flag) < 1:
+            parser.error(f"--{flag} must be at least 1, got {getattr(args, flag)}")
 
     names = args.experiments or list(EXPERIMENTS)
     resolved = []

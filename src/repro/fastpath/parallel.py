@@ -9,21 +9,11 @@ is deterministic no matter how the pool interleaved the work.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Sequence, TypeVar
 
 Task = TypeVar("Task")
 Result = TypeVar("Result")
-
-
-def default_jobs() -> int:
-    """A sensible ``--jobs`` default for "use the machine": the CPU
-    count the scheduler will actually give us, when knowable."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def run_tasks(

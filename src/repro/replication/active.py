@@ -267,6 +267,14 @@ class ActiveReplicatedSystem:
         self._failed_over = True
         return InlineLogEngine(regions, self.config, fresh=True)
 
+    def close(self) -> None:
+        """As :meth:`PassiveReplicatedSystem.close`: the ring and ack
+        windows unmapped, both nodes' regions refusing access."""
+        self.primary_interface.unmap_all()
+        self.backup_interface.unmap_all()
+        self.primary_rio.crash()
+        self.backup_rio.crash()
+
     # -- accounting -------------------------------------------------------------------
 
     @property

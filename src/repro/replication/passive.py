@@ -215,6 +215,18 @@ class PassiveReplicatedSystem:
         self._failed_over = True
         return backup_engine
 
+    def close(self) -> None:
+        """Tear down a pair that has been measured: bindings detached,
+        transmit windows unmapped, both nodes' regions refusing access
+        as a crashed node's do — a closed pair can never run on
+        unreplicated, and the two reference cycles that kept its
+        regions for the cyclic collector (DESIGN §7) are broken.
+        Idempotent; statistics already read stay valid."""
+        self.replica.detach_all()
+        self.interface.unmap_all()
+        self.primary_rio.crash()
+        self.backup_rio.crash()
+
     # -- accounting ----------------------------------------------------------------
 
     @property

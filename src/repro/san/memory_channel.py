@@ -203,6 +203,17 @@ class MemoryChannelInterface:
         self._mappings.append(mapping)
         return mapping
 
+    def unmap_all(self) -> None:
+        """Remove every transmit window: a store through a stale
+        :class:`TransmitMapping` raises :class:`NotMappedError`, and
+        the interface <-> window reference cycle that kept the remote
+        regions alive is gone."""
+        # bytes_sent is summed over the windows: fold what they carried
+        # and rebase — an observer's counters cannot decrease.
+        self._fold_metrics()
+        self._mappings.clear()
+        self._folded = self._folded[:1] + (0,) + self._folded[2:]
+
     @property
     def mappings(self) -> List[TransmitMapping]:
         return list(self._mappings)

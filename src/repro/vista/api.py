@@ -21,8 +21,8 @@ soon as the commit completes on the primary (Section 2.1).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import (
     NoTransactionError,
@@ -78,9 +78,6 @@ class EngineConfig:
     def nominal(self) -> int:
         return self.nominal_db_bytes if self.nominal_db_bytes else self.db_bytes
 
-    def with_nominal(self, nominal_db_bytes: int) -> "EngineConfig":
-        return replace(self, nominal_db_bytes=nominal_db_bytes)
-
 
 class TransactionEngine(abc.ABC):
     """Base class for the four engine versions.
@@ -112,7 +109,8 @@ class TransactionEngine(abc.ABC):
         self.control = regions["control"]
         self.counters = EngineCounters()
         self.profile = AccessProfile(line_size=config.line_size)
-        self.profile.declare("db", config.nominal)
+        for name, size in self.working_sets(config):
+            self.profile.declare(name, size)
         self._active = False
         self._ranges: List[Tuple[int, int]] = []
         self._setup(fresh)
@@ -129,6 +127,14 @@ class TransactionEngine(abc.ABC):
     @classmethod
     def _extra_region_specs(cls, config: EngineConfig) -> Dict[str, int]:
         return {}
+
+    @classmethod
+    def working_sets(cls, config: EngineConfig) -> Iterator[Tuple[str, int]]:
+        """``(name, size)`` of each working set this version declares
+        in its :class:`AccessProfile` — the one reader of
+        ``config.nominal``, shared by the constructor, the driver's
+        post-warm-up re-declare and the experiments' at-nominal view."""
+        yield "db", config.nominal
 
     @classmethod
     def create(

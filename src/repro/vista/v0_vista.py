@@ -37,10 +37,14 @@ class VistaEngine(TransactionEngine):
     def _extra_region_specs(cls, config: EngineConfig) -> Dict[str, int]:
         return {"heap": config.log_bytes}
 
+    @classmethod
+    def working_sets(cls, config: EngineConfig):
+        yield from super().working_sets(config)
+        yield "heap", config.log_bytes
+
     def _setup(self, fresh: bool) -> None:
         self.heap_region = self.regions["heap"]
         self.heap = HeapAllocator(self.heap_region, fresh=fresh)
-        self.profile.declare("heap", self.heap_region.size)
         if fresh:
             self.control.write_u64(_HEAD, NULL)
             self.control.write_u64(_COMMIT_SEQ, 0)

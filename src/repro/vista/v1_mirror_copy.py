@@ -41,13 +41,17 @@ class MirrorCopyEngine(TransactionEngine):
             "ranges": 8 + config.range_records * _RANGE_RECORD_BYTES,
         }
 
+    @classmethod
+    def working_sets(cls, config: EngineConfig):
+        yield from super().working_sets(config)
+        yield "mirror", config.nominal
+
     def _setup(self, fresh: bool) -> None:
         self.mirror: MemoryRegion = self.regions["mirror"]
         self.ranges_region = self.regions["ranges"]
         self.range_array = ArrayAllocator(
             self.ranges_region, _RANGE_RECORD_BYTES, fresh=fresh
         )
-        self.profile.declare("mirror", self.config.nominal)
         if fresh:
             self.control.write_u64(_COMMIT_SEQ, 0)
 

@@ -56,15 +56,19 @@ class InlineLogEngine(TransactionEngine):
     def _extra_region_specs(cls, config: EngineConfig) -> Dict[str, int]:
         return {"ulog": config.log_bytes}
 
+    @classmethod
+    def working_sets(cls, config: EngineConfig):
+        yield from super().working_sets(config)
+        # The log empties at every commit, so only a small hot prefix
+        # is ever live — that is the locality advantage.
+        yield "ulog", config.log_hot_bytes
+
     def _setup(self, fresh: bool) -> None:
         self.log_region = self.regions["ulog"]
         # The bump pointer is volatile CPU state: recovery re-derives it
         # by scanning, so it is never written through (one reason this
         # version's metadata traffic stays low).
         self._log_pointer = 0
-        # The log empties at every commit, so only a small hot prefix
-        # is ever live — that is the locality advantage.
-        self.profile.declare("ulog", self.config.log_hot_bytes)
         if fresh:
             self.control.write_u64(_COMMIT_SEQ, 0)
 

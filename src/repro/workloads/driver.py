@@ -125,7 +125,7 @@ def run_workload(
     # seeing live counts.
     engine.counters.reset()
     engine.profile.reset()
-    for name, size in _declared_sets(engine):
+    for name, size in engine.working_sets(engine.config):
         engine.profile.declare(name, size)
     if interface is not None:
         interface.reset_stats()
@@ -192,14 +192,3 @@ def run_workload(
         if shipped is not None:
             result.redo_records = shipped - redo_baseline
     return result
-
-
-def _declared_sets(engine: TransactionEngine):
-    """Re-declare the engine's working sets after a profile reset."""
-    yield "db", engine.config.nominal
-    if engine.VERSION == "v0":
-        yield "heap", engine.regions["heap"].size
-    elif engine.VERSION in ("v1", "v2"):
-        yield "mirror", engine.config.nominal
-    elif engine.VERSION == "v3":
-        yield "ulog", engine.config.log_hot_bytes

@@ -15,6 +15,7 @@ from repro.experiments import (
     table6_7,
     table8,
 )
+from repro.errors import ConfigurationError
 from repro.experiments.common import (
     ExperimentContext,
     ExperimentSettings,
@@ -102,7 +103,10 @@ def test_calibration_anchors_v3_standalone(ctx):
 def test_context_caches_runs(ctx):
     first = ctx.standalone_result("v1", "debit-credit", 50 * MB)
     second = ctx.standalone_result("v1", "debit-credit", 50 * MB)
-    assert first is second
+    # Each read is a view; the driven run behind both is one object.
+    assert first == second
+    assert first.counters is second.counters
+    assert first.counters is ctx.driven(("standalone", "v1", "debit-credit")).counters
 
 
 def test_scale_to_paper_mb():
@@ -122,3 +126,23 @@ def test_runner_rejects_unknown_experiment():
 
     with pytest.raises(SystemExit):
         main(["tableX"])
+
+
+@pytest.mark.parametrize("flag", ["--transactions", "--jobs"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_runner_rejects_a_count_below_one_naming_the_flag(flag, value, capsys):
+    from repro.experiments.runner import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main([flag, value, "table3"])
+    assert exit_info.value.code == 2
+    assert f"{flag} must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [
+    {"transactions": 0}, {"transactions": -5}, {"warmup": -1},
+])
+def test_settings_reject_a_run_that_measures_nothing(bad):
+    with pytest.raises(ConfigurationError, match="transactions >= 1"):
+        ExperimentSettings(**bad)
+    ExperimentSettings(transactions=1, warmup=0)  # the smallest valid run

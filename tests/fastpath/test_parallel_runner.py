@@ -5,7 +5,9 @@ prints (only the final timing line may differ), because the pool only
 computes cache cells — rendering stays sequential and in-process.
 """
 
-from repro.experiments import cells, runner
+import pytest
+
+from repro.experiments import cells, common, extension_smp_sim, runner
 from repro.experiments.common import ExperimentContext, ExperimentSettings
 from repro.fastpath.parallel import run_tasks
 
@@ -36,24 +38,54 @@ def _square(n):
     return n * n
 
 
-def test_plan_covers_every_cell_an_experiment_reads():
-    """Drift canary: rendering table6 after preloading its plan must
-    never compute a cell inline. (The plan is advisory — a miss would
-    still be correct, just sequential — but silent plan drift wastes
-    the pool, so it should fail loudly here.)"""
-    settings = ExperimentSettings(transactions=40, warmup=10)
-    plan = cells.plan_for(["table6"])
-    computed = dict(
-        run_tasks(cells.compute_cell, [(settings, spec) for spec in plan], jobs=1)
-    )
-    ctx = ExperimentContext(settings)
-    ctx.preload(cells=computed)
-    ctx._run = _refuse_inline_runs  # any cache miss lands here
-    runner.EXPERIMENTS["table6"](ctx)
+@pytest.fixture(scope="module")
+def grid():
+    """One sequential full grid on one context, recording the cells
+    each experiment reads and every ``run_workload`` call. What is
+    watched is which runs get driven, so the 24 SMP points are cut to
+    a tenth of their simulated duration."""
+    ctx = ExperimentContext(ExperimentSettings(
+        transactions=40, warmup=10, allocated_db_bytes=4 << 20))
+    reads, runs = {}, []
+    driven, run_workload = ctx.driven, common.run_workload
+    simulate = extension_smp_sim.simulate_from_run
+
+    def counting(*args, **kwargs):
+        runs.append(args)
+        return run_workload(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(common, "run_workload", counting)
+        patch.setattr(
+            extension_smp_sim, "simulate_from_run",
+            lambda result, duration_us, **kwargs: simulate(
+                result, duration_us=duration_us / 10, **kwargs),
+        )
+        for key, experiment in runner.EXPERIMENTS.items():
+            seen = reads[key] = []
+            patch.setattr(
+                ctx, "driven",
+                lambda cell, seen=seen: seen.append(cell) or driven(cell),
+            )
+            experiment(ctx)
+    return reads, runs
 
 
-def _refuse_inline_runs(key, target, workload):
-    raise AssertionError(f"cell {key!r} missing from the parallel plan")
+@pytest.mark.parametrize("key", list(runner.EXPERIMENTS))
+def test_plan_covers_every_cell_an_experiment_reads(grid, key):
+    """Drift canary: an experiment rendered after preloading its plan
+    must never compute a cell inline. (The plan is advisory — a miss
+    would still be correct, just sequential — but silent plan drift
+    wastes the pool, so it should fail loudly here.)"""
+    reads, _ = grid
+    assert set(reads[key]) <= set(cells.plan_for([key]))
+
+
+def test_the_full_grid_is_22_driven_runs(grid):
+    reads, runs = grid
+    plan = cells.plan_for(list(runner.EXPERIMENTS))
+    assert len(plan) == 22 == len(runs)
+    assert set(plan) == {cell for seen in reads.values() for cell in seen}
 
 
 def test_plan_for_dedupes_and_orders_anchors_first():
