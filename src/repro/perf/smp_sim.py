@@ -17,6 +17,17 @@ drained, through the same zero-delay resume event — because that grid
 decides every equal-timestamp ordering among the lock-step streams, so
 keeping it keeps the committed tables bit-identical
 (``tests/oracles/smp_sim_reference.py`` is the polling original).
+
+Nor does the link take one event per packet. When packet *k* completes,
+the completion of *k+1* would be pushed with the highest sequence
+number issued so far, so it is the very next event to fire unless
+something already queued fires at or before its instant: an earlier
+event wins on time, an equal one on sequence (it was pushed first), and
+nothing new can be pushed in between, since only firing events push.
+So ``complete`` finishes *k+1* in place — same ``busy_us`` order, same
+service span, same wake tick; it reads ``done_at``, never the clock —
+while the queue's next event is strictly later and the horizon is not
+passed, and goes back on the heap only where the chain is interrupted.
 """
 
 from __future__ import annotations
@@ -56,12 +67,7 @@ def packet_sequence(trace: PacketTrace, transactions: int) -> List[List[int]]:
     flat: List[int] = []
     for size in sorted(trace.histogram):
         flat.extend([size] * int(round(trace.histogram[size])))
-    if not flat:
-        return [[] for _ in range(transactions)]
-    per_txn: List[List[int]] = [[] for _ in range(transactions)]
-    for position, size in enumerate(flat):
-        per_txn[position % transactions].append(size)
-    return per_txn
+    return [flat[first::transactions] for first in range(transactions)]
 
 
 @dataclass
@@ -97,10 +103,11 @@ def simulate_smp(
     """
     if processors < 1:
         raise ValueError("need at least one processor")
-    if not txn_cpu_us > 0:
-        raise ValueError(f"txn_cpu_us must be positive, not {txn_cpu_us}")
-    if duration_us < 0:
-        raise ValueError(f"duration_us must not be negative, not {duration_us}")
+    if not 0 < txn_cpu_us < inf:
+        raise ValueError(f"txn_cpu_us must be positive and finite, not {txn_cpu_us}")
+    if not 0 <= duration_us < inf:
+        raise ValueError(
+            f"duration_us must be finite and not negative, not {duration_us}")
     if buffer_bytes < 0:
         raise ValueError(f"buffer_bytes must not be negative, not {buffer_bytes}")
     try:
@@ -110,6 +117,7 @@ def simulate_smp(
         raise ValueError(f"txn_packets: {error}") from None
     sim = Simulator()
     clock, schedule_at, schedule_after = sim.clock, sim.schedule_at, sim.schedule_after
+    peek_time = sim.queue.peek_time
     completed = [0] * processors
     outstanding = [0] * processors  # posted, undelivered bytes per stream
     stalled_at = [None] * processors  # stall instant while waiting on the link
@@ -121,33 +129,41 @@ def simulate_smp(
     busy_us = started_at = done_at = 0.0  # link total; the head's service span
 
     def start(now: float) -> None:
+        """Put the head packet on the wire at ``now``."""
         nonlocal busy_us, started_at, done_at
         service = service_us[fifo[0][0]]
         busy_us += service
         started_at, done_at = now, now + service
-        schedule_at(done_at, complete, "link")
 
     def complete() -> None:
-        size, index = fifo.popleft()
-        outstanding[index] -= size
-        stalled = stalled_at[index]
-        if stalled is not None and outstanding[index] <= buffer_bytes:
-            stalled_at[index] = None
-            tick = stalled + POLL_US
-            while tick < done_at:
-                tick += POLL_US
-            # A tick at this very instant still saw full buffers if it was
-            # scheduled (one tick earlier) before this completion was (at
-            # service start): it fired first, so the next tick resumes.
-            if tick == done_at and _grid(stalled, POLL_US, tick)[-2] < started_at:
-                tick += POLL_US
-            if tick in due:
-                due[tick].append((index, stalled))
-            else:
-                due[tick] = [(index, stalled)]
-                schedule_at(tick, wake, "wake")
-        if fifo:
+        """Finish the packet on the wire, and every one behind it whose
+        completion would be the very next event to fire."""
+        while True:
+            size, index = fifo.popleft()
+            outstanding[index] -= size
+            stalled = stalled_at[index]
+            if stalled is not None and outstanding[index] <= buffer_bytes:
+                stalled_at[index] = None
+                tick = stalled + POLL_US
+                while tick < done_at:
+                    tick += POLL_US
+                # A tick at this very instant still saw full buffers if it
+                # was scheduled (one tick earlier) before this completion was
+                # (at service start): it fired first, so the next tick resumes.
+                if tick == done_at and _grid(stalled, POLL_US, tick)[-2] < started_at:
+                    tick += POLL_US
+                if tick in due:
+                    due[tick].append((index, stalled))
+                else:
+                    due[tick] = [(index, stalled)]
+                    schedule_at(tick, wake, "wake")
+            if not fifo:
+                return
             start(done_at)
+            pending = peek_time()
+            if done_at > duration_us or (pending is not None and pending <= done_at):
+                schedule_at(done_at, complete, "link")
+                return
 
     def poll_history(entry) -> list:
         """The polling run's event instants of a due stream since its
@@ -187,6 +203,7 @@ def simulate_smp(
                 outstanding[index] += sum(packets)
                 if idle:
                     start(clock.now)
+                    schedule_at(done_at, complete, "link")
             if outstanding[index] > buffer_bytes:
                 stalled_at[index] = clock.now
             else:

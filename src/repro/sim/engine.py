@@ -60,9 +60,10 @@ class Simulator:
         self, when: float, action: Callable[[], Any], name: str = ""
     ) -> Event:
         """Schedule ``action`` at absolute simulated time ``when``."""
-        if when < self.now:
+        if not when >= self.now:  # "not >=": NaN compares false and is refused too
             raise SimulationError(
-                f"cannot schedule event at {when} before current time {self.now}"
+                f"cannot schedule event at {when}, not at or after "
+                f"current time {self.now}"
             )
         return self.queue.push(when, action, name)
 
@@ -70,8 +71,8 @@ class Simulator:
         self, delay: float, action: Callable[[], Any], name: str = ""
     ) -> Event:
         """Schedule ``action`` ``delay`` microseconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule with negative delay {delay}")
+        if not delay >= 0:  # NaN too
+            raise SimulationError(f"cannot schedule with negative or NaN delay {delay}")
         return self.queue.push(self.now + delay, action, name)
 
     def step(self) -> bool:
@@ -101,6 +102,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run)")
+        if until != until:  # NaN: no event time ever exceeds it
+            raise SimulationError(f"cannot run until {until}")
         self._running = True
         executed = 0
         queue = self.queue

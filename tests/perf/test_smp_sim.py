@@ -90,9 +90,10 @@ def test_write_buffer_backpressure_limits_single_stream():
 # nonsense are rejected before the first event, naming the argument.
 
 
-@pytest.mark.parametrize("cpu_us", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("cpu_us", [0.0, -1.0, float("nan"), float("inf")])
 def test_rejects_non_positive_cpu_time(cpu_us):
-    # simulate_smp(0.0, [[]], 1) re-armed at t=0 forever.
+    # simulate_smp(0.0, [[]], 1) re-armed at t=0 forever; an infinite CPU
+    # time silently returned an all-zero result.
     with pytest.raises(ValueError, match="txn_cpu_us"):
         simulate_smp(cpu_us, [[]], 1)
 
@@ -116,6 +117,13 @@ def test_rejects_negative_duration():
         simulate_smp(1.0, [[4]], 1, duration_us=-5.0)
 
 
+@pytest.mark.parametrize("duration_us", [float("nan"), float("inf")])
+def test_rejects_non_finite_duration(duration_us):
+    # Neither ever returned: no event time exceeds NaN, none reaches inf.
+    with pytest.raises(ValueError, match="duration_us"):
+        simulate_smp(1.0, [[32]], 1, duration_us=duration_us)
+
+
 def test_zero_buffer_and_empty_schedule_are_still_valid():
     every_post_stalls = simulate_smp(1.0, [[4]], 2, duration_us=100.0, buffer_bytes=0)
     assert min(every_post_stalls.per_stream_completed) > 0
@@ -126,7 +134,8 @@ def test_zero_buffer_and_empty_schedule_are_still_valid():
 
 def test_simulation_runs_on_the_shared_kernel_without_polling(monkeypatch):
     """One Simulator.run drives it (so ``sim.events`` describes it), and
-    the event count is packets + transaction steps, not poll ticks."""
+    a saturated link takes fewer events than it carries packets: the
+    completions behind the head drain in place, off the heap."""
     from repro.sim.engine import Simulator
 
     runs = []
@@ -143,6 +152,9 @@ def test_simulation_runs_on_the_shared_kernel_without_polling(monkeypatch):
     packets = round(result.link_busy_us / MEMORY_CHANNEL_II.packet_time_us(32))
     transactions = sum(result.per_stream_completed)
     assert len(runs) == 1
-    # One completion per packet; per transaction a post and, if it
-    # stalled, a wake and a resume. Polling took ~40,000 events a stream.
-    assert 0 < runs[0] <= packets + 3 * transactions + 16
+    # Per transaction a post and, if it stalled, a wake and a resume, and
+    # a link event only where one of those interrupts the chain of
+    # completions: 3,175 events for 5,072 packets here. One event per
+    # packet was 6,977; polling took ~40,000 events a stream.
+    assert transactions > 0
+    assert 0 < runs[0] < packets

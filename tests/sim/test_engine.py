@@ -32,6 +32,41 @@ def test_schedule_in_past_rejected():
         sim.schedule_after(-1.0, lambda: None)
 
 
+# NaN fails every comparison, so "when < now" style guards let it in: a
+# NaN event fired out of order ([1, 3, nan, 5] for events at 5, nan, 1,
+# 3), a NaN delay left the clock at NaN, a NaN horizon never stopped.
+
+
+def test_schedule_at_nan_rejected_naming_the_value():
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="nan"):
+        sim.schedule_at(float("nan"), lambda: None)
+    assert len(sim.queue) == 0
+
+
+def test_schedule_after_nan_rejected_naming_the_value():
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="nan"):
+        sim.schedule_after(float("nan"), lambda: None)
+    assert sim.run() == 0.0
+
+
+def test_run_until_nan_rejected_before_any_event():
+    sim = Simulator()
+    fired = []
+
+    def beat():  # a self-rescheduling population: no horizon, no end
+        fired.append(sim.now)
+        sim.schedule_after(1.0, beat)
+
+    sim.schedule_at(0.0, beat)
+    with pytest.raises(SimulationError, match="nan"):
+        sim.run(until=float("nan"))
+    assert fired == []
+    sim.run(until=2.0)  # the refusal left the simulator usable
+    assert fired == [0.0, 1.0, 2.0]
+
+
 def test_events_can_schedule_events():
     sim = Simulator()
     seen = []
