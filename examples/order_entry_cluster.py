@@ -9,7 +9,12 @@ Tables 4-7 on one workload.
 Run:  python examples/order_entry_cluster.py
 """
 
-from repro.experiments.common import ExperimentContext, ExperimentSettings
+from repro.experiments.common import (
+    ExperimentContext,
+    ExperimentSettings,
+    active_cell,
+    passive_cell,
+)
 from repro.perf.report import ReportTable
 from repro.vista.factory import ENGINE_VERSIONS
 
@@ -21,7 +26,6 @@ def main() -> None:
         ExperimentSettings(transactions=600, warmup=50,
                            allocated_db_bytes=4 * MB)
     )
-    estimator = ctx.estimator()
     workload = "order-entry"
 
     table = ReportTable(
@@ -29,32 +33,26 @@ def main() -> None:
         "paper's AlphaServer + Memory Channel II)",
         ["design", "txns/sec", "bytes/txn", "mean packet", "meta share"],
     )
-    for version in ENGINE_VERSIONS:
-        result = ctx.passive_result(version, workload)
-        report = estimator.passive(result)
+    designs = {
+        f"passive {engine.TITLE}": passive_cell(version, workload)
+        for version, engine in ENGINE_VERSIONS.items()
+    }
+    designs["active (redo log)"] = active_cell(workload)
+    for design, spec in designs.items():
+        result = ctx.read(spec)
         per_txn = result.traffic_per_txn()
         table.add_row(
-            f"passive {ENGINE_VERSIONS[version].TITLE}",
-            report.tps,
+            design,
+            ctx.report(spec).tps,
             per_txn["total"],
             f"{result.packet_trace.mean_packet_bytes():.1f} B",
             f"{per_txn.get('meta', 0) / per_txn['total']:.0%}",
         )
-    result = ctx.active_result(workload)
-    report = estimator.active(result)
-    per_txn = result.traffic_per_txn()
-    table.add_row(
-        "active (redo log)",
-        report.tps,
-        per_txn["total"],
-        f"{result.packet_trace.mean_packet_bytes():.1f} B",
-        f"{per_txn.get('meta', 0) / per_txn['total']:.0%}",
-    )
     table.add_note("ordering matches the paper: v0 < v1 < v2 < v3 < active")
     print(table.render())
 
     print()
-    breakdown = estimator.model.breakdown(ctx.passive_result("v3", workload))
+    breakdown = ctx.report(passive_cell("v3", workload)).breakdown
     print("where a passive-V3 transaction spends its time (us):")
     for component, micros in breakdown.cpu.items():
         print(f"  cpu/{component:<12} {micros:6.2f}")

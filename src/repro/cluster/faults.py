@@ -36,14 +36,10 @@ class CrashPlan:
     """When to crash.
 
     Exactly one of ``after_transactions`` / ``at_time_us`` is set.
-    ``mid_transaction`` additionally asks the driver to crash *between*
-    the writes of the following transaction rather than at its
-    boundary, exercising undo recovery.
     """
 
     after_transactions: Optional[int] = None
     at_time_us: Optional[float] = None
-    mid_transaction: bool = False
 
     def __post_init__(self):
         if (self.after_transactions is None) == (self.at_time_us is None):

@@ -17,10 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.experiments.common import ExperimentContext, PAPER_DB_BYTES
+from repro.experiments.common import (
+    PAPER_DB_BYTES,
+    WORKLOADS,
+    ExperimentContext,
+    active_cell,
+    passive_cell,
+)
 from repro.perf.report import ReportTable
-
-from repro.experiments.table3 import WORKLOADS
 
 
 @dataclass
@@ -32,20 +36,8 @@ class AblationResult:
             "Ablations: what each design choice is worth (txns/sec)",
             ["configuration", "Debit-Credit", "Order-Entry"],
         )
-        order = (
-            "passive-v3",
-            "passive-v3-no-coalescing",
-            "active",
-            "active-2safe",
-            "passive-v1",
-            "passive-v1-ship-undo",
-        )
-        for name in order:
-            table.add_row(
-                name,
-                self.rows[name]["debit-credit"],
-                self.rows[name]["order-entry"],
-            )
+        for name, tps in self.rows.items():
+            table.add_row(name, tps["debit-credit"], tps["order-entry"])
         table.add_note(
             "no-coalescing: a SAN without write-combining; 2safe: commit "
             "waits for the backup round trip; ship-undo: Section 5.1 "
@@ -78,32 +70,28 @@ class AblationResult:
             ), workload
 
 
-def run(ctx: ExperimentContext) -> AblationResult:
-    estimator = ctx.estimator()
-    rows: Dict[str, Dict[str, float]] = {
-        name: {}
-        for name in (
-            "passive-v3", "passive-v3-no-coalescing",
-            "active", "active-2safe",
-            "passive-v1", "passive-v1-ship-undo",
-        )
+def reads(workload: str) -> dict:
+    """Row name -> (cell, nominal size, estimator options), in the
+    order the table prints them."""
+    def row(spec, **options):
+        return spec, PAPER_DB_BYTES, options
+
+    return {
+        "passive-v3": row(passive_cell("v3", workload)),
+        "passive-v3-no-coalescing":
+            row(passive_cell("v3", workload, coalescing=False)),
+        "active": row(active_cell(workload)),
+        "active-2safe": row(active_cell(workload), two_safe=True),
+        "passive-v1": row(passive_cell("v1", workload)),
+        "passive-v1-ship-undo":
+            row(passive_cell("v1", workload, ship_undo_log=True)),
     }
+
+
+def run(ctx: ExperimentContext) -> AblationResult:
+    rows: Dict[str, Dict[str, float]] = {}
     for workload in WORKLOADS:
-        rows["passive-v3"][workload] = estimator.passive(
-            ctx.passive_result("v3", workload, PAPER_DB_BYTES)
-        ).tps
-        rows["passive-v3-no-coalescing"][workload] = estimator.passive(
-            ctx.passive_result("v3", workload, PAPER_DB_BYTES, coalescing=False)
-        ).tps
-        active = ctx.active_result(workload, PAPER_DB_BYTES)
-        rows["active"][workload] = estimator.active(active).tps
-        rows["active-2safe"][workload] = estimator.active(
-            active, two_safe=True
-        ).tps
-        rows["passive-v1"][workload] = estimator.passive(
-            ctx.passive_result("v1", workload, PAPER_DB_BYTES)
-        ).tps
-        rows["passive-v1-ship-undo"][workload] = estimator.passive(
-            ctx.passive_result("v1", workload, PAPER_DB_BYTES, ship_undo_log=True)
-        ).tps
+        for name, (spec, nominal, options) in reads(workload).items():
+            report = ctx.report(spec, nominal, **options)
+            rows.setdefault(name, {})[workload] = report.tps
     return AblationResult(rows=rows)

@@ -17,29 +17,50 @@ from typing import Dict, Optional, Tuple
 from repro.errors import ConfigurationError
 from repro.hardware.writebuffer import WriteBufferModel
 from repro.memory.rio import RioMemory
-from repro.perf.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.perf.throughput import ThroughputEstimator, calibrate_bases
+from repro.perf.calibration import Calibration, DEFAULT_CALIBRATION, PAPER
+from repro.perf.report import ReportTable
+from repro.perf.throughput import (
+    ThroughputEstimator,
+    ThroughputReport,
+    calibrate_bases,
+)
 from repro.replication.active import ActiveReplicatedSystem
 from repro.replication.passive import PassiveReplicatedSystem
 from repro.vista.api import EngineConfig
-from repro.vista.factory import engine_class
+from repro.vista.factory import ENGINE_VERSIONS, engine_class
 from repro.vista.v3_inline_log import InlineLogEngine
-from repro.workloads import (
-    DebitCreditWorkload,
-    OrderEntryWorkload,
-    RunResult,
-    run_workload,
-)
+from repro.workloads import WORKLOADS as WORKLOAD_CLASSES
+from repro.workloads import RunResult, run_workload
 
 MB = 1024 * 1024
 
-WORKLOAD_CLASSES = {
-    "debit-credit": DebitCreditWorkload,
-    "order-entry": OrderEntryWorkload,
-}
+#: The paper's two benchmarks, in the order every table prints them.
+WORKLOADS = tuple(WORKLOAD_CLASSES)
+#: ...and the column headings they print under.
+WORKLOAD_COLUMNS = ("Debit-Credit", "Order-Entry")
+#: The traffic categories of Tables 2, 5 and 7, in column order.
+CATEGORIES = ("modified", "undo", "meta")
 
 #: The paper's default database size (Section 2.4).
 PAPER_DB_BYTES = 50 * MB
+
+#: A cell spec: what drives one run, kind first — the context-cache
+#: key, and ``spec[0]`` the :class:`ThroughputEstimator` method that
+#: prices it.
+CellSpec = Tuple
+
+
+def standalone_cell(version: str, workload: str) -> CellSpec:
+    return ("standalone", version, workload)
+
+
+def passive_cell(version: str, workload: str, ship_undo_log: bool = False,
+                 coalescing: bool = True) -> CellSpec:
+    return ("passive", version, workload, ship_undo_log, coalescing)
+
+
+def active_cell(workload: str, coalescing: bool = True) -> CellSpec:
+    return ("active", workload, coalescing)
 
 
 @dataclass(frozen=True)
@@ -74,8 +95,8 @@ class ExperimentContext:
     version, workload)``, ``("passive", version, workload,
     ship_undo_log, coalescing)``, ``("active", workload, coalescing)``
     — never by nominal database size: nothing a driven run executes
-    reads it (DESIGN §7), so ``*_result(..., nominal)`` is a view of
-    the one cached run with its working sets declared at that size.
+    reads it (DESIGN §7), so ``read(spec, nominal)`` is a view of the
+    one cached run with its working sets declared at that size.
     """
 
     def __init__(self, settings: Optional[ExperimentSettings] = None,
@@ -98,8 +119,8 @@ class ExperimentContext:
     def preload(self, cells: Dict) -> None:
         """Seed the run cache with values computed elsewhere (the
         ``--jobs`` runner computes cells in worker processes and
-        installs them here before rendering). Any cell missing from
-        the preload is simply computed inline."""
+        installs them here before rendering; its plan is the
+        experiments' own ``reads``, so rendering drives nothing)."""
         self._cache.update(cells)
 
     # -- measured runs ----------------------------------------------------------
@@ -150,39 +171,23 @@ class ExperimentContext:
                     target.close()
         return self._cache[key]
 
-    def _at_nominal(self, key: Tuple, engine, nominal: Optional[int]) -> RunResult:
-        """A copy of cell ``key``'s result whose profile declares
-        ``engine``'s working sets at ``nominal``; the cached run is
-        never mutated, so one run reads at any number of sizes."""
-        result = self.driven(key)
+    def read(self, spec: CellSpec, nominal: Optional[int] = None) -> RunResult:
+        """A copy of cell ``spec``'s result whose profile declares its
+        engine's working sets at ``nominal``; the cached run is never
+        mutated, so one run reads at any number of sizes."""
+        result = self.driven(spec)
+        engine = InlineLogEngine if spec[0] == "active" else engine_class(spec[1])
         sizes = dict(engine.working_sets(self.settings.engine_config(nominal)))
         return replace(
             result, profile=replace(result.profile, working_set_bytes=sizes)
         )
 
-    def standalone_result(
-        self, version: str, workload_name: str, nominal: Optional[int] = None
-    ) -> RunResult:
-        key = ("standalone", version, workload_name)
-        return self._at_nominal(key, engine_class(version), nominal)
-
-    def passive_result(
-        self,
-        version: str,
-        workload_name: str,
-        nominal: Optional[int] = None,
-        ship_undo_log: bool = False,
-        coalescing: bool = True,
-    ) -> RunResult:
-        key = ("passive", version, workload_name, ship_undo_log, coalescing)
-        return self._at_nominal(key, engine_class(version), nominal)
-
-    def active_result(
-        self, workload_name: str, nominal: Optional[int] = None,
-        coalescing: bool = True,
-    ) -> RunResult:
-        key = ("active", workload_name, coalescing)
-        return self._at_nominal(key, InlineLogEngine, nominal)
+    def report(self, spec: CellSpec, nominal: Optional[int] = None,
+               **estimator_options) -> ThroughputReport:
+        """Cell ``spec`` read at ``nominal`` and priced by the
+        estimator method its kind names."""
+        price = getattr(self.estimator(), spec[0])
+        return price(self.read(spec, nominal), **estimator_options)
 
     # -- calibration ----------------------------------------------------------------
 
@@ -191,8 +196,8 @@ class ExperimentContext:
         Version 3 standalone row at the paper's 50 MB database."""
         if self._calibrated is None:
             anchors = {
-                name: self.standalone_result("v3", name, PAPER_DB_BYTES)
-                for name in WORKLOAD_CLASSES
+                name: self.read(standalone_cell("v3", name), PAPER_DB_BYTES)
+                for name in WORKLOADS
             }
             self._calibrated = calibrate_bases(self._base_calibration, anchors)
         return self._calibrated
@@ -212,11 +217,67 @@ def _disable_coalescing(interface) -> None:
 
 def scale_to_paper_mb(bytes_per_txn: float, workload_name: str) -> float:
     """Convert measured bytes/transaction into the MB a paper-length
-    run would ship, for side-by-side comparison with Tables 2/5/7.
+    run would ship, for side-by-side comparison with Tables 2/5/7."""
+    return bytes_per_txn * PAPER["run_transactions"][workload_name] / MB
 
-    The paper's runs are ~4.98 M Debit-Credit transactions (22.8 s at
-    218,627 tps) and ~457 k Order-Entry transactions (6.2 s at
-    73,748 tps).
-    """
-    paper_txns = {"debit-credit": 4_984_695, "order-entry": 457_238}
-    return bytes_per_txn * paper_txns[workload_name] / MB
+
+def traffic_mb(result: RunResult, workload_name: str) -> Dict[str, float]:
+    """What ``result`` shipped, by category, in paper-length-run MB."""
+    return {
+        category: scale_to_paper_mb(count, workload_name)
+        for category, count in result.traffic_per_txn().items()
+        if category != "total"
+    }
+
+
+def throughputs(ctx: ExperimentContext, reads) -> Dict[str, Dict[str, float]]:
+    """workload -> label -> transactions/second, over an experiment's
+    ``reads(workload) -> {label: (spec, nominal)}``."""
+    return {
+        workload: {
+            label: ctx.report(*read).tps
+            for label, read in reads(workload).items()
+        }
+        for workload in WORKLOADS
+    }
+
+
+def traffics(ctx: ExperimentContext, reads) -> Dict[str, Dict[str, Dict[str, float]]]:
+    """workload -> label -> category -> MB shipped, over the same."""
+    return {
+        workload: {
+            label: traffic_mb(ctx.read(*read), workload)
+            for label, read in reads(workload).items()
+        }
+        for workload in WORKLOADS
+    }
+
+
+def version_table(title: str, mode: str, tps, note: str) -> ReportTable:
+    """Tables 3 and 4: one row per engine version against ``PAPER[mode]``."""
+    table = ReportTable.against_paper(
+        title, "version", WORKLOAD_COLUMNS, ratios=True
+    )
+    for version, engine in ENGINE_VERSIONS.items():
+        table.add_compared_row(engine.TITLE, [
+            (tps[workload][version], PAPER[mode][workload][version])
+            for workload in WORKLOADS
+        ])
+    table.add_note(note)
+    return table
+
+
+def traffic_table(title: str, label: str, rows) -> ReportTable:
+    """Tables 5 and 7: per ``(workload, row name, measured MB by
+    category, PAPER["traffic_mb"] row key)``, each category and the
+    total beside the paper's."""
+    table = ReportTable.against_paper(title, label, CATEGORIES + ("total",))
+    for workload, name, measured, paper_key in rows:
+        paper = PAPER["traffic_mb"][workload][paper_key]
+        table.add_compared_row(
+            f"{workload} {name}",
+            [(measured.get(category, 0.0), paper[category])
+             for category in CATEGORIES]
+            + [(sum(measured.values()), paper["total"])],
+        )
+    return table

@@ -405,9 +405,7 @@ def availability_comparison(seed: int = 42) -> QuorumComparison:
     )
 
 
-def run(ctx: Optional[ExperimentContext] = None) -> QuorumResult:
-    if ctx is None:
-        ctx = ExperimentContext()
+def run(ctx: ExperimentContext) -> QuorumResult:
     seed = ctx.settings.seed
     sweep = [
         quorum_cost(

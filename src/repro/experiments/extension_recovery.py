@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+from repro.experiments.common import MB
 from repro.obs import MetricsRegistry, Observer
 from repro.perf.report import ReportTable
 from repro.replication.active import ActiveReplicatedSystem
@@ -27,7 +28,6 @@ from repro.replication.recovery_time import (
 from repro.vista.api import EngineConfig
 from repro.workloads import DebitCreditWorkload
 
-MB = 1024 * 1024
 DETECTION_US = 5_000.0
 
 
@@ -106,7 +106,8 @@ class RecoveryResult:
         assert 3.0 < self.loss_window_us < 20.0, self.loss_window_us
 
 
-def run(db_bytes: int = 8 * MB, seed: int = 42) -> RecoveryResult:
+def run(_ctx=None, db_bytes: int = 8 * MB, seed: int = 42) -> RecoveryResult:
+    """Reads no cells: it crashes five systems of its own."""
     config = EngineConfig(db_bytes=db_bytes, log_bytes=2 * MB)
     observer = Observer()
     measured: Dict[str, int] = {}

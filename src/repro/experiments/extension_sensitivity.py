@@ -22,12 +22,18 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Dict, List
 
-from repro.experiments.common import ExperimentContext, PAPER_DB_BYTES
+from repro.experiments.common import (
+    PAPER_DB_BYTES,
+    WORKLOADS,
+    ExperimentContext,
+    active_cell,
+    passive_cell,
+    standalone_cell,
+)
 from repro.perf.calibration import DEFAULT_CALIBRATION
 from repro.perf.report import ReportTable
 from repro.perf.throughput import ThroughputEstimator, calibrate_bases
-
-WORKLOADS = ("debit-credit", "order-entry")
+from repro.vista.factory import ENGINE_VERSIONS
 
 OVERLAPS = (0.15, 0.30, 0.50)
 MISS_PENALTIES = (0.07, 0.13, 0.22)  # us
@@ -70,19 +76,24 @@ class SensitivityResult:
             )
 
 
+def reads(workload: str) -> dict:
+    cells = {
+        "v3-standalone": standalone_cell("v3", workload),
+        "v0-standalone": standalone_cell("v0", workload),
+        **{version: passive_cell(version, workload) for version in ENGINE_VERSIONS},
+        "active": active_cell(workload),
+    }
+    return {label: (spec, PAPER_DB_BYTES) for label, spec in cells.items()}
+
+
 def run(ctx: ExperimentContext) -> SensitivityResult:
     # Measured runs are calibration-independent: gather them once.
-    runs = {}
-    for workload in WORKLOADS:
-        runs[workload] = {
-            "v3-standalone": ctx.standalone_result("v3", workload, PAPER_DB_BYTES),
-            "v0-standalone": ctx.standalone_result("v0", workload, PAPER_DB_BYTES),
-            "passive": {
-                version: ctx.passive_result(version, workload, PAPER_DB_BYTES)
-                for version in ("v0", "v1", "v2", "v3")
-            },
-            "active": ctx.active_result(workload, PAPER_DB_BYTES),
+    runs = {
+        workload: {
+            label: ctx.read(*read) for label, read in reads(workload).items()
         }
+        for workload in WORKLOADS
+    }
 
     held = {conclusion: 0 for conclusion in CONCLUSIONS}
     failures: List[tuple] = []
@@ -126,10 +137,11 @@ def _evaluate(estimator: ThroughputEstimator, runs) -> Dict[str, bool]:
     collapse_ok = True
     smp_ok = True
     for workload in WORKLOADS:
-        passive = {
-            version: estimator.passive(result).tps
-            for version, result in runs[workload]["passive"].items()
+        reports = {
+            version: estimator.passive(runs[workload][version])
+            for version in ENGINE_VERSIONS
         }
+        passive = {version: report.tps for version, report in reports.items()}
         active_report = estimator.active(runs[workload]["active"])
         v0_standalone = estimator.standalone(runs[workload]["v0-standalone"]).tps
 
@@ -139,14 +151,8 @@ def _evaluate(estimator: ThroughputEstimator, runs) -> Dict[str, bool]:
             active_ok = False
         if not passive["v0"] < v0_standalone / 2.0:
             collapse_ok = False
-        passive_v3_report = estimator.passive(runs[workload]["passive"]["v3"])
         active_4 = estimator.smp_aggregate(active_report, 4)
-        passive_4 = estimator.smp_aggregate(passive_v3_report, 4)
+        passive_4 = estimator.smp_aggregate(reports["v3"], 4)
         if not active_4 > 1.5 * passive_4:
             smp_ok = False
-    return {
-        "passive ordering v0<v1<v2<v3": ordering_ok,
-        "active beats best passive": active_ok,
-        "straightforward collapse >= 2x": collapse_ok,
-        "active >= 1.5x passive-v3 at 4 CPUs": smp_ok,
-    }
+    return dict(zip(CONCLUSIONS, (ordering_ok, active_ok, collapse_ok, smp_ok)))

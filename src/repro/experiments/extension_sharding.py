@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.experiments.common import ExperimentContext
+from repro.experiments.common import MB, ExperimentContext, active_cell
 from repro.fastpath import shardpar
 from repro.obs import Observer, TraceEvent, analyze_timeline, write_jsonl
 from repro.obs.alerts import evaluate_alerts, verify_alerts
@@ -47,8 +47,6 @@ from repro.obs.series import (
 from repro.obs.slo import SloReport, compute_slo
 from repro.perf.report import ReportTable
 from repro.perf.sharding import ShardedThroughputReport, sharded_aggregate
-
-MB = 1024 * 1024
 
 SHARD_COUNTS = (1, 2, 4, 8)
 
@@ -518,12 +516,17 @@ def failover_timeline(
     return timeline
 
 
-def run(ctx: Optional[ExperimentContext] = None) -> ShardingResult:
-    if ctx is None:
-        ctx = ExperimentContext()
-    result = ctx.active_result("debit-credit")
-    single = ctx.estimator().active(result)
-    per_txn_trace = result.packets_per_txn()
+def reads(workload: str) -> dict:
+    """One shard's stream is the active Debit-Credit cell."""
+    if workload != "debit-credit":
+        return {}
+    return {"single": (active_cell(workload), None)}
+
+
+def run(ctx: ExperimentContext) -> ShardingResult:
+    read = reads("debit-credit")["single"]
+    single = ctx.report(*read)
+    per_txn_trace = ctx.read(*read).packets_per_txn()
     scaling = [
         sharded_aggregate(single, n, per_txn_trace=per_txn_trace)
         for n in SHARD_COUNTS

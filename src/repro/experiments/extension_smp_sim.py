@@ -12,13 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.experiments.common import ExperimentContext
+from repro.experiments.common import WORKLOADS, ExperimentContext
+from repro.experiments.figures2_3 import PROCESSORS, reads as stream_reads
 from repro.perf.report import ReportTable
 from repro.perf.smp_sim import simulate_from_run
 
-MB = 1024 * 1024
-STREAM_DB_BYTES = 10 * MB
-PROCESSORS = (1, 2, 3, 4)
 CONFIGS = ("active", "passive-v3", "passive-v1")
 DURATION_US = 20_000.0
 
@@ -60,21 +58,20 @@ class SmpValidationResult:
                     )
 
 
+def reads(workload: str, configs=CONFIGS) -> dict:
+    """The figures' own streams, for the configurations simulated."""
+    streams = stream_reads(workload)
+    return {config: streams[config] for config in configs}
+
+
 def points(ctx: ExperimentContext, configs=CONFIGS,
            duration_us: float = DURATION_US):
     """Every simulated point, as ``(memo key, RunResult, single-stream
     report, processors)`` — the one enumeration ``run`` and the
     ledger's ``cells.smp_sim_tasks`` share."""
-    estimator = ctx.estimator()
-    for workload in ("debit-credit", "order-entry"):
-        for config in configs:
-            if config == "active":
-                result = ctx.active_result(workload, STREAM_DB_BYTES)
-                report = estimator.active(result)
-            else:
-                version = config.split("-")[1]
-                result = ctx.passive_result(version, workload, STREAM_DB_BYTES)
-                report = estimator.passive(result)
+    for workload in WORKLOADS:
+        for config, read in reads(workload, configs).items():
+            result, report = ctx.read(*read), ctx.report(*read)
             for processors in PROCESSORS:
                 key = ("smp-sim", workload, config, processors, duration_us)
                 yield key, result, report, processors

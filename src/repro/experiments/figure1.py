@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.perf.calibration import PAPER
-from repro.perf.report import ReportTable, ratio
+from repro.perf.report import ReportTable
 from repro.san.ping_pong import BandwidthPoint, run_figure1_sweep
 
 
@@ -24,15 +24,12 @@ class Figure1Result:
     def table(self) -> ReportTable:
         table = ReportTable(
             "Figure 1: Effective bandwidth vs Memory Channel packet size",
-            ["packet", "measured MB/s", "paper MB/s", "ratio"],
+            ["packet", "measured MB/s", "paper MB/s", "ratio"], ratios=True,
         )
         for point in self.points:
-            paper = self.paper[point.packet_bytes]
-            table.add_row(
+            table.add_compared_row(
                 f"{point.packet_bytes} bytes",
-                point.effective_mb_per_s,
-                paper,
-                ratio(point.effective_mb_per_s, paper),
+                [(point.effective_mb_per_s, self.paper[point.packet_bytes])],
             )
         table.add_note(
             "bandwidth grows with packet size because the per-packet "
@@ -51,6 +48,7 @@ class Figure1Result:
         assert 70.0 <= by_size[32] <= 90.0, by_size
 
 
-def run(region_bytes: int = 1 << 18) -> Figure1Result:
+def run(_ctx=None, region_bytes: int = 1 << 18) -> Figure1Result:
+    """Reads no cells: the sweep drives its own SAN pair."""
     points = run_figure1_sweep(region_bytes=region_bytes)
     return Figure1Result(points=points, paper=dict(PAPER["figure1"]))

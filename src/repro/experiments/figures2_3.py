@@ -16,15 +16,19 @@ link's carrying capacity for each protocol's packet mix:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partialmethod
 from typing import Dict, List
 
-from repro.experiments.common import ExperimentContext
+from repro.experiments.common import (
+    MB,
+    WORKLOADS,
+    ExperimentContext,
+    active_cell,
+    passive_cell,
+)
 from repro.perf.report import ascii_series
 from repro.perf.throughput import ThroughputReport
 
-from repro.experiments.table3 import WORKLOADS
-
-MB = 1024 * 1024
 STREAM_DB_BYTES = 10 * MB  # "a 10 Mbyte database per transaction stream"
 PROCESSORS = (1, 2, 3, 4)
 
@@ -55,6 +59,9 @@ class Figures23Result:
             ],
         )
 
+    figure2 = partialmethod(figure, "debit-credit")
+    figure3 = partialmethod(figure, "order-entry")
+
     def check(self) -> None:
         for workload in WORKLOADS:
             curves = self.aggregate[workload]
@@ -80,30 +87,27 @@ class Figures23Result:
                 )
 
 
+def reads(workload: str) -> dict:
+    return {
+        config: (
+            active_cell(workload) if config == "active"
+            else passive_cell(config.split("-")[1], workload),
+            STREAM_DB_BYTES,
+        )
+        for config in CONFIGS
+    }
+
+
 def run(ctx: ExperimentContext) -> Figures23Result:
     estimator = ctx.estimator()
     aggregate: Dict[str, Dict[str, List[float]]] = {}
     singles: Dict[str, Dict[str, ThroughputReport]] = {}
     for workload in WORKLOADS:
-        aggregate[workload] = {}
-        singles[workload] = {}
-        reports = {
-            "active": estimator.active(
-                ctx.active_result(workload, STREAM_DB_BYTES)
-            ),
-            "passive-v3": estimator.passive(
-                ctx.passive_result("v3", workload, STREAM_DB_BYTES)
-            ),
-            "passive-v2": estimator.passive(
-                ctx.passive_result("v2", workload, STREAM_DB_BYTES)
-            ),
-            "passive-v1": estimator.passive(
-                ctx.passive_result("v1", workload, STREAM_DB_BYTES)
-            ),
+        singles[workload] = {
+            config: ctx.report(*read) for config, read in reads(workload).items()
         }
-        for config, report in reports.items():
-            singles[workload][config] = report
-            aggregate[workload][config] = [
-                estimator.smp_aggregate(report, n) for n in PROCESSORS
-            ]
+        aggregate[workload] = {
+            config: [estimator.smp_aggregate(report, n) for n in PROCESSORS]
+            for config, report in singles[workload].items()
+        }
     return Figures23Result(aggregate=aggregate, singles=singles)

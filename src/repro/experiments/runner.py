@@ -39,98 +39,41 @@ from repro.experiments import table1_2, table3, table4_5, table6_7, table8
 from repro.experiments.common import ExperimentContext, ExperimentSettings
 
 
-def _run_figure1(_ctx: ExperimentContext) -> List[str]:
-    result = figure1.run()
+#: key -> (module, the renderers of its ``run(ctx)`` result, in print
+#: order). Adding an experiment is one row here: ``EXPERIMENTS`` and
+#: ``benchmarks/test_paper_tables.py`` call the module's ``run`` and
+#: these names, ``cells.plan_for`` its ``reads``.
+EXPERIMENT_TABLE = {
+    "figure1": (figure1, ("table",)),
+    "table1": (table1_2, ("table1", "table2")),
+    "table3": (table3, ("table",)),
+    "table4": (table4_5, ("table4", "table5")),
+    "table6": (table6_7, ("table6", "table7")),
+    "table8": (table8, ("table",)),
+    "figures2-3": (figures2_3, ("figure2", "figure3")),
+    "ablations": (ablations, ("table",)),
+    "recovery": (extension_recovery, ("table",)),
+    "smp-validation": (extension_smp_sim, ("table",)),
+    "sensitivity": (extension_sensitivity, ("table",)),
+    "sharding": (extension_sharding, ("table", "timeline_figure")),
+    "quorum": (extension_quorum, ("table", "timeline_figure")),
+}
+
+
+def check_and_render(result, renderers) -> List[str]:
+    """``result`` must pass its own shape checks before a byte of it
+    is shown; a renderer returns a ``ReportTable`` or a figure's text."""
     result.check()
-    return [result.table().render()]
+    return [str(getattr(result, name)()) for name in renderers]
 
 
-def _run_table1_2(ctx: ExperimentContext) -> List[str]:
-    result = table1_2.run(ctx)
-    result.check()
-    return [result.table1().render(), result.table2().render()]
+def _experiment(module, renderers) -> Callable[[ExperimentContext], List[str]]:
+    return lambda ctx: check_and_render(module.run(ctx), renderers)
 
 
-def _run_table3(ctx: ExperimentContext) -> List[str]:
-    result = table3.run(ctx)
-    result.check()
-    return [result.table().render()]
-
-
-def _run_table4_5(ctx: ExperimentContext) -> List[str]:
-    result = table4_5.run(ctx)
-    result.check()
-    return [result.table4().render(), result.table5().render()]
-
-
-def _run_table6_7(ctx: ExperimentContext) -> List[str]:
-    result = table6_7.run(ctx)
-    result.check()
-    return [result.table6().render(), result.table7().render()]
-
-
-def _run_table8(ctx: ExperimentContext) -> List[str]:
-    result = table8.run(ctx)
-    result.check()
-    return [result.table().render()]
-
-
-def _run_figures2_3(ctx: ExperimentContext) -> List[str]:
-    result = figures2_3.run(ctx)
-    result.check()
-    return [result.figure("debit-credit"), result.figure("order-entry")]
-
-
-def _run_ablations(ctx: ExperimentContext) -> List[str]:
-    result = ablations.run(ctx)
-    result.check()
-    return [result.table().render()]
-
-
-def _run_recovery(_ctx: ExperimentContext) -> List[str]:
-    result = extension_recovery.run()
-    result.check()
-    return [result.table().render()]
-
-
-def _run_smp_validation(ctx: ExperimentContext) -> List[str]:
-    result = extension_smp_sim.run(ctx)
-    result.check()
-    return [result.table().render()]
-
-
-def _run_sensitivity(ctx: ExperimentContext) -> List[str]:
-    result = extension_sensitivity.run(ctx)
-    result.check()
-    return [result.table().render()]
-
-
-def _run_sharding(ctx: ExperimentContext) -> List[str]:
-    result = extension_sharding.run(ctx)
-    result.check()
-    return [result.table().render(), result.timeline_figure()]
-
-
-def _run_quorum(ctx: ExperimentContext) -> List[str]:
-    result = extension_quorum.run(ctx)
-    result.check()
-    return [result.table().render(), result.timeline_figure()]
-
-
+#: Looked up at call time by ``main`` (the ledger wraps its entries).
 EXPERIMENTS: Dict[str, Callable[[ExperimentContext], List[str]]] = {
-    "figure1": _run_figure1,
-    "table1": _run_table1_2,
-    "table3": _run_table3,
-    "table4": _run_table4_5,
-    "table6": _run_table6_7,
-    "table8": _run_table8,
-    "figures2-3": _run_figures2_3,
-    "ablations": _run_ablations,
-    "recovery": _run_recovery,
-    "smp-validation": _run_smp_validation,
-    "sensitivity": _run_sensitivity,
-    "sharding": _run_sharding,
-    "quorum": _run_quorum,
+    key: _experiment(*row) for key, row in EXPERIMENT_TABLE.items()
 }
 
 ALIASES = {
@@ -143,9 +86,9 @@ ALIASES = {
 def _precompute(ctx: ExperimentContext, resolved: List[str], jobs: int) -> None:
     """Fan the selected experiments' measurement cells over ``jobs``
     worker processes, then seed the context cache. Rendering afterwards
-    only reads the cache (falling back to inline computation for any
-    cell the plan missed, and for the SMP discrete-event points), so
-    the printed tables are byte-identical to a sequential run."""
+    only reads the cache (the plan is the experiments' own ``reads``;
+    the SMP discrete-event points are computed inline), so the printed
+    tables are byte-identical to a sequential run."""
     from repro.experiments import cells
     from repro.fastpath.parallel import run_tasks
     from repro.obs.observer import get_default_observer

@@ -13,50 +13,47 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.experiments.common import (
-    ExperimentContext,
+    CATEGORIES,
     PAPER_DB_BYTES,
-    scale_to_paper_mb,
+    WORKLOAD_COLUMNS,
+    WORKLOADS,
+    ExperimentContext,
+    passive_cell,
+    standalone_cell,
+    throughputs,
+    traffic_mb,
 )
 from repro.perf.calibration import PAPER
-from repro.perf.report import ReportTable, ratio
+from repro.perf.report import ReportTable
 
-WORKLOADS = ("debit-credit", "order-entry")
-CATEGORIES = ("modified", "undo", "meta")
+LABELS = {"modified": "Modified data", "undo": "Undo log",
+          "meta": "Meta-data", "total": "Total data"}
 
 
 @dataclass
 class Table12Result:
     throughput: Dict[str, Dict[str, float]]  # workload -> mode -> tps
-    traffic: Dict[str, Dict[str, float]]  # workload -> category -> bytes/txn
+    traffic: Dict[str, Dict[str, float]]  # workload -> category -> MB
 
     def table1(self) -> ReportTable:
-        table = ReportTable(
+        table = ReportTable.against_paper(
             "Table 1: Straightforward implementation throughput (txns/sec)",
-            ["configuration", "Debit-Credit", "paper", "Order-Entry", "paper"],
+            "configuration", WORKLOAD_COLUMNS,
         )
-        paper_sa = PAPER["standalone"]
-        paper_pb = PAPER["passive"]
-        table.add_row(
-            "Single machine",
-            self.throughput["debit-credit"]["standalone"],
-            paper_sa["debit-credit"]["v0"],
-            self.throughput["order-entry"]["standalone"],
-            paper_sa["order-entry"]["v0"],
-        )
-        table.add_row(
-            "Primary-backup",
-            self.throughput["debit-credit"]["passive"],
-            paper_pb["debit-credit"]["v0"],
-            self.throughput["order-entry"]["passive"],
-            paper_pb["order-entry"]["v0"],
-        )
+        for mode, label in (("standalone", "Single machine"),
+                            ("passive", "Primary-backup")):
+            table.add_compared_row(label, [
+                (self.throughput[workload][mode], PAPER[mode][workload]["v0"])
+                for workload in WORKLOADS
+            ])
         for workload in WORKLOADS:
             drop = (
                 self.throughput[workload]["standalone"]
                 / self.throughput[workload]["passive"]
             )
             paper_drop = (
-                paper_sa[workload]["v0"] / paper_pb[workload]["v0"]
+                PAPER["standalone"][workload]["v0"]
+                / PAPER["passive"][workload]["v0"]
             )
             table.add_note(
                 f"{workload}: throughput drops {drop:.1f}x "
@@ -65,28 +62,20 @@ class Table12Result:
         return table
 
     def table2(self) -> ReportTable:
-        table = ReportTable(
+        table = ReportTable.against_paper(
             "Table 2: Data communicated to the backup (MB, paper-length run)",
-            ["category", "Debit-Credit", "paper", "Order-Entry", "paper"],
+            "category", WORKLOAD_COLUMNS,
         )
-        paper_rows = {
-            "modified": ("Modified data", 140.8, 38.9),
-            "undo": ("Undo log", 323.2, 199.8),
-            "meta": ("Meta-data", 6708.4, 433.6),
+        measured = {
+            workload: {**traffic, "total": sum(traffic.values())}
+            for workload, traffic in self.traffic.items()
         }
-        totals = {"debit-credit": 0.0, "order-entry": 0.0}
-        for category, (label, paper_dc, paper_oe) in paper_rows.items():
-            dc = scale_to_paper_mb(
-                self.traffic["debit-credit"].get(category, 0.0), "debit-credit"
-            )
-            oe = scale_to_paper_mb(
-                self.traffic["order-entry"].get(category, 0.0), "order-entry"
-            )
-            totals["debit-credit"] += dc
-            totals["order-entry"] += oe
-            table.add_row(label, dc, paper_dc, oe, paper_oe)
-        table.add_row("Total data", totals["debit-credit"], 7172.4,
-                      totals["order-entry"], 672.3)
+        for category, label in LABELS.items():
+            table.add_compared_row(label, [
+                (measured[workload][category],
+                 PAPER["traffic_mb"][workload]["v0"][category])
+                for workload in WORKLOADS
+            ])
         table.add_note(
             "meta-data dominates: the heap allocator and linked-list "
             "bookkeeping all cross the SAN in the straightforward scheme"
@@ -102,25 +91,24 @@ class Table12Result:
                 f"throughput (got {standalone} -> {passive})"
             )
             traffic = self.traffic[workload]
-            payload = traffic.get("modified", 0) + traffic.get("undo", 0)
-            assert traffic.get("meta", 0) > payload, (
+            payload = traffic["modified"] + traffic["undo"]
+            assert traffic["meta"] > payload, (
                 f"{workload}: metadata must dominate V0 traffic: {traffic}"
             )
 
 
+def reads(workload: str) -> dict:
+    return {
+        "standalone": (standalone_cell("v0", workload), PAPER_DB_BYTES),
+        "passive": (passive_cell("v0", workload), PAPER_DB_BYTES),
+    }
+
+
 def run(ctx: ExperimentContext) -> Table12Result:
-    estimator = ctx.estimator()
-    throughput: Dict[str, Dict[str, float]] = {}
     traffic: Dict[str, Dict[str, float]] = {}
     for workload in WORKLOADS:
-        standalone = ctx.standalone_result("v0", workload, PAPER_DB_BYTES)
-        passive = ctx.passive_result("v0", workload, PAPER_DB_BYTES)
-        throughput[workload] = {
-            "standalone": estimator.standalone(standalone).tps,
-            "passive": estimator.passive(passive).tps,
-        }
-        per_txn = passive.traffic_per_txn()
+        shipped = traffic_mb(ctx.read(*reads(workload)["passive"]), workload)
         traffic[workload] = {
-            category: per_txn.get(category, 0.0) for category in CATEGORIES
+            category: shipped.get(category, 0.0) for category in CATEGORIES
         }
-    return Table12Result(throughput=throughput, traffic=traffic)
+    return Table12Result(throughput=throughputs(ctx, reads), traffic=traffic)

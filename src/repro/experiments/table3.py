@@ -11,19 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.experiments.common import ExperimentContext, PAPER_DB_BYTES
-from repro.perf.calibration import PAPER
-from repro.perf.report import ReportTable, ratio
+from repro.experiments.common import (
+    PAPER_DB_BYTES,
+    WORKLOADS,
+    ExperimentContext,
+    standalone_cell,
+    throughputs,
+    version_table,
+)
+from repro.perf.report import ReportTable
 from repro.vista.factory import ENGINE_VERSIONS
-
-WORKLOADS = ("debit-credit", "order-entry")
-
-TITLES = {
-    "v0": "Version 0 (Vista)",
-    "v1": "Version 1 (Mirror by Copy)",
-    "v2": "Version 2 (Mirror by Diff)",
-    "v3": "Version 3 (Improved Log)",
-}
 
 
 @dataclass
@@ -31,26 +28,13 @@ class Table3Result:
     tps: Dict[str, Dict[str, float]]  # workload -> version -> tps
 
     def table(self) -> ReportTable:
-        table = ReportTable(
+        return version_table(
             "Table 3: Standalone throughput of the re-structured versions "
             "(txns/sec)",
-            ["version", "Debit-Credit", "paper", "ratio",
-             "Order-Entry", "paper", "ratio"],
-        )
-        for version in ENGINE_VERSIONS:
-            dc = self.tps["debit-credit"][version]
-            oe = self.tps["order-entry"][version]
-            paper_dc = PAPER["standalone"]["debit-credit"][version]
-            paper_oe = PAPER["standalone"]["order-entry"][version]
-            table.add_row(
-                TITLES[version], dc, paper_dc, ratio(dc, paper_dc),
-                oe, paper_oe, ratio(oe, paper_oe),
-            )
-        table.add_note(
+            "standalone", self.tps,
             "V3 is calibration's anchor row; V0-V2 are predictions from "
-            "measured operation counts"
+            "measured operation counts",
         )
-        return table
 
     def check(self) -> None:
         """The paper's standalone ordering: V3 > V1 > V2 > V0."""
@@ -61,12 +45,12 @@ class Table3Result:
             )
 
 
+def reads(workload: str) -> dict:
+    return {
+        version: (standalone_cell(version, workload), PAPER_DB_BYTES)
+        for version in ENGINE_VERSIONS
+    }
+
+
 def run(ctx: ExperimentContext) -> Table3Result:
-    estimator = ctx.estimator()
-    tps: Dict[str, Dict[str, float]] = {}
-    for workload in WORKLOADS:
-        tps[workload] = {}
-        for version in ENGINE_VERSIONS:
-            result = ctx.standalone_result(version, workload, PAPER_DB_BYTES)
-            tps[workload][version] = estimator.standalone(result).tps
-    return Table3Result(tps=tps)
+    return Table3Result(tps=throughputs(ctx, reads))

@@ -15,31 +15,17 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.experiments.common import (
-    ExperimentContext,
     PAPER_DB_BYTES,
-    scale_to_paper_mb,
+    WORKLOADS,
+    ExperimentContext,
+    passive_cell,
+    throughputs,
+    traffic_table,
+    traffics,
+    version_table,
 )
-from repro.perf.calibration import PAPER
-from repro.perf.report import ReportTable, ratio
+from repro.perf.report import ReportTable
 from repro.vista.factory import ENGINE_VERSIONS
-
-from repro.experiments.table3 import TITLES, WORKLOADS
-
-#: Paper Table 5, in MB over the paper-length run.
-PAPER_TABLE5 = {
-    "debit-credit": {
-        "v0": {"modified": 140.8, "undo": 323.2, "meta": 6708.4, "total": 7172.4},
-        "v1": {"modified": 140.8, "undo": 323.2, "meta": 40.4, "total": 504.4},
-        "v2": {"modified": 140.8, "undo": 140.8, "meta": 40.4, "total": 322.1},
-        "v3": {"modified": 140.8, "undo": 323.2, "meta": 141.4, "total": 605.4},
-    },
-    "order-entry": {
-        "v0": {"modified": 38.9, "undo": 199.8, "meta": 433.6, "total": 672.3},
-        "v1": {"modified": 38.9, "undo": 199.8, "meta": 3.7, "total": 242.4},
-        "v2": {"modified": 38.9, "undo": 38.9, "meta": 3.7, "total": 81.5},
-        "v3": {"modified": 38.9, "undo": 199.8, "meta": 14.5, "total": 253.2},
-    },
-}
 
 
 @dataclass
@@ -48,45 +34,22 @@ class Table45Result:
     traffic_mb: Dict[str, Dict[str, Dict[str, float]]]
 
     def table4(self) -> ReportTable:
-        table = ReportTable(
+        return version_table(
             "Table 4: Primary-backup (passive) throughput (txns/sec)",
-            ["version", "Debit-Credit", "paper", "ratio",
-             "Order-Entry", "paper", "ratio"],
-        )
-        for version in ENGINE_VERSIONS:
-            dc = self.tps["debit-credit"][version]
-            oe = self.tps["order-entry"][version]
-            paper_dc = PAPER["passive"]["debit-credit"][version]
-            paper_oe = PAPER["passive"]["order-entry"][version]
-            table.add_row(
-                TITLES[version], dc, paper_dc, ratio(dc, paper_dc),
-                oe, paper_oe, ratio(oe, paper_oe),
-            )
-        table.add_note(
+            "passive", self.tps,
             "V3 outperforms the mirror versions despite shipping more "
-            "bytes — its contiguous log coalesces into 32-byte packets"
+            "bytes — its contiguous log coalesces into 32-byte packets",
         )
-        return table
 
     def table5(self) -> ReportTable:
-        table = ReportTable(
+        return traffic_table(
             "Table 5: Data transferred to the passive backup "
             "(MB, paper-length run)",
-            ["benchmark/version", "modified", "paper", "undo", "paper",
-             "meta", "paper", "total", "paper"],
+            "benchmark/version",
+            [(workload, version, measured, version)
+             for workload, versions in self.traffic_mb.items()
+             for version, measured in versions.items()],
         )
-        for workload in WORKLOADS:
-            for version in ENGINE_VERSIONS:
-                measured = self.traffic_mb[workload][version]
-                paper = PAPER_TABLE5[workload][version]
-                table.add_row(
-                    f"{workload} {version}",
-                    measured.get("modified", 0.0), paper["modified"],
-                    measured.get("undo", 0.0), paper["undo"],
-                    measured.get("meta", 0.0), paper["meta"],
-                    sum(measured.values()), paper["total"],
-                )
-        return table
 
     def check(self) -> None:
         for workload in WORKLOADS:
@@ -103,20 +66,14 @@ class Table45Result:
             assert v0_total > 3 * v3_total, (workload, v0_total, v3_total)
 
 
+def reads(workload: str) -> dict:
+    return {
+        version: (passive_cell(version, workload), PAPER_DB_BYTES)
+        for version in ENGINE_VERSIONS
+    }
+
+
 def run(ctx: ExperimentContext) -> Table45Result:
-    estimator = ctx.estimator()
-    tps: Dict[str, Dict[str, float]] = {}
-    traffic: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for workload in WORKLOADS:
-        tps[workload] = {}
-        traffic[workload] = {}
-        for version in ENGINE_VERSIONS:
-            result = ctx.passive_result(version, workload, PAPER_DB_BYTES)
-            tps[workload][version] = estimator.passive(result).tps
-            per_txn = result.traffic_per_txn()
-            traffic[workload][version] = {
-                category: scale_to_paper_mb(count, workload)
-                for category, count in per_txn.items()
-                if category != "total"
-            }
-    return Table45Result(tps=tps, traffic_mb=traffic)
+    return Table45Result(
+        tps=throughputs(ctx, reads), traffic_mb=traffics(ctx, reads)
+    )

@@ -12,26 +12,30 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.experiments.common import (
-    ExperimentContext,
     PAPER_DB_BYTES,
-    scale_to_paper_mb,
+    WORKLOAD_COLUMNS,
+    WORKLOADS,
+    ExperimentContext,
+    active_cell,
+    passive_cell,
+    throughputs,
+    traffic_table,
+    traffics,
 )
 from repro.perf.calibration import PAPER
-from repro.perf.report import ReportTable, ratio
+from repro.perf.report import ReportTable
 
-from repro.experiments.table3 import WORKLOADS
-
-#: Paper Table 7, MB over the paper-length run.
-PAPER_TABLE7 = {
-    "debit-credit": {
-        "passive-v3": {"modified": 140.8, "undo": 323.2, "meta": 141.4, "total": 605.4},
-        "active": {"modified": 140.8, "undo": 0.0, "meta": 141.4, "total": 282.2},
-    },
-    "order-entry": {
-        "passive-v3": {"modified": 38.9, "undo": 199.8, "meta": 14.5, "total": 253.2},
-        "active": {"modified": 38.9, "undo": 0.0, "meta": 24.7, "total": 63.6},
-    },
+#: config -> (Table 6 row label, its PAPER throughput table and row;
+#: the row also keys PAPER["traffic_mb"]).
+CONFIGS = {
+    "passive-v3": ("Best Passive (Version 3)", "passive", "v3"),
+    "active": ("Active", "active", "active"),
 }
+
+
+def _paper_tps(config: str, workload: str) -> float:
+    _, mode, row = CONFIGS[config]
+    return PAPER[mode][workload][row]
 
 
 @dataclass
@@ -40,43 +44,23 @@ class Table67Result:
     traffic_mb: Dict[str, Dict[str, Dict[str, float]]]
 
     def table6(self) -> ReportTable:
-        table = ReportTable(
+        table = ReportTable.against_paper(
             "Table 6: Passive vs Active backup throughput (txns/sec)",
-            ["configuration", "Debit-Credit", "paper", "ratio",
-             "Order-Entry", "paper", "ratio"],
+            "configuration", WORKLOAD_COLUMNS, ratios=True,
         )
-        paper_passive = PAPER["passive"]
-        paper_active = PAPER["active"]
-        table.add_row(
-            "Best Passive (Version 3)",
-            self.tps["debit-credit"]["passive-v3"],
-            paper_passive["debit-credit"]["v3"],
-            ratio(self.tps["debit-credit"]["passive-v3"],
-                  paper_passive["debit-credit"]["v3"]),
-            self.tps["order-entry"]["passive-v3"],
-            paper_passive["order-entry"]["v3"],
-            ratio(self.tps["order-entry"]["passive-v3"],
-                  paper_passive["order-entry"]["v3"]),
-        )
-        table.add_row(
-            "Active",
-            self.tps["debit-credit"]["active"],
-            paper_active["debit-credit"]["active"],
-            ratio(self.tps["debit-credit"]["active"],
-                  paper_active["debit-credit"]["active"]),
-            self.tps["order-entry"]["active"],
-            paper_active["order-entry"]["active"],
-            ratio(self.tps["order-entry"]["active"],
-                  paper_active["order-entry"]["active"]),
-        )
+        for config, (label, _, _) in CONFIGS.items():
+            table.add_compared_row(label, [
+                (self.tps[workload][config], _paper_tps(config, workload))
+                for workload in WORKLOADS
+            ])
         for workload in WORKLOADS:
             gain = (
                 self.tps[workload]["active"] / self.tps[workload]["passive-v3"]
                 - 1.0
             ) * 100
             paper_gain = (
-                PAPER["active"][workload]["active"]
-                / PAPER["passive"][workload]["v3"]
+                _paper_tps("active", workload)
+                / _paper_tps("passive-v3", workload)
                 - 1.0
             ) * 100
             table.add_note(
@@ -86,23 +70,14 @@ class Table67Result:
         return table
 
     def table7(self) -> ReportTable:
-        table = ReportTable(
+        table = traffic_table(
             "Table 7: Data transferred, active vs best passive "
             "(MB, paper-length run)",
-            ["benchmark/config", "modified", "paper", "undo", "paper",
-             "meta", "paper", "total", "paper"],
+            "benchmark/config",
+            [(workload, config, measured, CONFIGS[config][2])
+             for workload, configs in self.traffic_mb.items()
+             for config, measured in configs.items()],
         )
-        for workload in WORKLOADS:
-            for config in ("passive-v3", "active"):
-                measured = self.traffic_mb[workload][config]
-                paper = PAPER_TABLE7[workload][config]
-                table.add_row(
-                    f"{workload} {config}",
-                    measured.get("modified", 0.0), paper["modified"],
-                    measured.get("undo", 0.0), paper["undo"],
-                    measured.get("meta", 0.0), paper["meta"],
-                    sum(measured.values()), paper["total"],
-                )
         table.add_note(
             "the active scheme ships no undo data at all; its meta-data "
             "describes scattered modified bytes, so Order-Entry needs "
@@ -127,24 +102,14 @@ class Table67Result:
             assert self.traffic_mb[workload]["active"].get("undo", 0.0) == 0.0
 
 
+def reads(workload: str) -> dict:
+    return {
+        "passive-v3": (passive_cell("v3", workload), PAPER_DB_BYTES),
+        "active": (active_cell(workload), PAPER_DB_BYTES),
+    }
+
+
 def run(ctx: ExperimentContext) -> Table67Result:
-    estimator = ctx.estimator()
-    tps: Dict[str, Dict[str, float]] = {}
-    traffic: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for workload in WORKLOADS:
-        passive = ctx.passive_result("v3", workload, PAPER_DB_BYTES)
-        active = ctx.active_result(workload, PAPER_DB_BYTES)
-        tps[workload] = {
-            "passive-v3": estimator.passive(passive).tps,
-            "active": estimator.active(active).tps,
-        }
-        traffic[workload] = {}
-        for config, result in (("passive-v3", passive), ("active", active)):
-            per_txn = result.traffic_per_txn()
-            traffic[workload][config] = {
-                category: scale_to_paper_mb(count, workload)
-                for category, count in per_txn.items()
-                if category != "total"
-            }
-        traffic[workload]["active"].setdefault("undo", 0.0)
-    return Table67Result(tps=tps, traffic_mb=traffic)
+    return Table67Result(
+        tps=throughputs(ctx, reads), traffic_mb=traffics(ctx, reads)
+    )

@@ -11,13 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.experiments.common import ExperimentContext
+from repro.experiments.common import (
+    MB,
+    WORKLOADS,
+    ExperimentContext,
+    active_cell,
+    throughputs,
+)
 from repro.perf.calibration import PAPER
-from repro.perf.report import ReportTable, ratio
+from repro.perf.report import ReportTable
 
-from repro.experiments.table3 import WORKLOADS
-
-MB = 1024 * 1024
 SIZES = (("10MB", 10 * MB), ("100MB", 100 * MB), ("1GB", 1024 * MB))
 
 
@@ -26,20 +29,15 @@ class Table8Result:
     tps: Dict[str, Dict[str, float]]  # workload -> size label -> tps
 
     def table(self) -> ReportTable:
-        table = ReportTable(
+        table = ReportTable.against_paper(
             "Table 8: Active-backup throughput vs database size (txns/sec)",
-            ["benchmark", "10 MB", "paper", "100 MB", "paper",
-             "1 GB", "paper"],
+            "benchmark", ["10 MB", "100 MB", "1 GB"],
         )
         for workload in WORKLOADS:
-            paper = PAPER["dbsize"][workload]
-            table.add_row(
-                workload,
-                self.tps[workload]["10MB"], paper["10MB"],
-                self.tps[workload]["100MB"], paper["100MB"],
-                self.tps[workload]["1GB"], paper["1GB"],
-            )
-        for workload in WORKLOADS:
+            table.add_compared_row(workload, [
+                (self.tps[workload][label], PAPER["dbsize"][workload][label])
+                for label, _ in SIZES
+            ])
             drop = (
                 1.0 - self.tps[workload]["1GB"] / self.tps[workload]["10MB"]
             ) * 100
@@ -67,12 +65,9 @@ class Table8Result:
             )
 
 
+def reads(workload: str) -> dict:
+    return {label: (active_cell(workload), nominal) for label, nominal in SIZES}
+
+
 def run(ctx: ExperimentContext) -> Table8Result:
-    estimator = ctx.estimator()
-    tps: Dict[str, Dict[str, float]] = {}
-    for workload in WORKLOADS:
-        tps[workload] = {}
-        for label, nominal in SIZES:
-            result = ctx.active_result(workload, nominal)
-            tps[workload][label] = estimator.active(result).tps
-    return Table8Result(tps=tps)
+    return Table8Result(tps=throughputs(ctx, reads))

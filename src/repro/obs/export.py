@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import KIND_SPAN, TraceEvent
@@ -53,18 +53,33 @@ def write_jsonl(
     return path
 
 
+def jsonl_records(path: Union[str, Path]) -> Iterator[Tuple[int, Dict]]:
+    """``(line number, object)`` per non-blank line of either JSONL
+    format. A line that is not one JSON object — what a file cut
+    mid-write ends in — is a ``ValueError`` naming ``path:line``."""
+    with open(path, "r", encoding="utf-8") as lines:
+        for line_number, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as error:
+                record = error
+            if not isinstance(record, dict):
+                raise ValueError(
+                    f"{path}:{line_number}: not a JSON object (truncated "
+                    f"or corrupted file?): {record}"
+                )
+            yield line_number, record
+
+
 def read_jsonl(
     path: Union[str, Path],
 ) -> Tuple[List[TraceEvent], Optional[Dict]]:
     """Reload a JSONL trace: ``(events, metrics_snapshot_or_None)``."""
     events: List[TraceEvent] = []
     snapshot: Optional[Dict] = None
-    for line_number, line in enumerate(
-        Path(path).read_text().splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        record = json.loads(line)
+    for line_number, record in jsonl_records(path):
         record_type = record.get("type")
         if record_type == "meta":
             if record.get("format") != JSONL_FORMAT:
@@ -72,9 +87,14 @@ def read_jsonl(
                     f"{path}: unknown trace format {record.get('format')!r}"
                 )
         elif record_type == "event":
-            events.append(TraceEvent.from_dict(record))
+            try:
+                events.append(TraceEvent.from_dict(record))
+            except (KeyError, TypeError, ValueError) as error:
+                raise ValueError(
+                    f"{path}:{line_number}: malformed event record: {error!r}"
+                ) from None
         elif record_type == "metrics":
-            snapshot = record["snapshot"]
+            snapshot = record.get("snapshot")
         else:
             raise ValueError(
                 f"{path}:{line_number}: unknown record type {record_type!r}"

@@ -473,7 +473,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             events, _metrics = read_jsonl(args.trace)
             if args.series:
                 frame = SeriesFrame.from_events(events)
-    except OSError as error:
+    except (OSError, ValueError) as error:
+        # Missing, or cut / corrupted mid-line (that names path:line).
         parser.error(f"cannot read trace file: {error}")
 
     done: Dict[str, object] = {}
@@ -488,7 +489,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     def _diff():
         try:
             return diff_files(args.diff, args.trace)
-        except OSError as error:
+        except (OSError, ValueError) as error:
             parser.error(f"cannot read baseline file: {error}")
 
     # The report's sections, in output order: (name, requested?, compute,

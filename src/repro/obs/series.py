@@ -32,12 +32,11 @@ tick — a property CI checks by re-running tier 1 under
 from __future__ import annotations
 
 import io
-import json
 import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.export import stable_json
+from repro.obs.export import jsonl_records, stable_json
 from repro.obs.observer import resolve_observer
 from repro.obs.trace import TraceEvent
 
@@ -170,20 +169,24 @@ class SeriesFrame:
 
     @classmethod
     def read_jsonl(cls, path: str) -> "SeriesFrame":
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [json.loads(line) for line in fh if line.strip()]
-        if not lines or lines[0].get("type") != "meta":
+        records = jsonl_records(path)
+        _, meta = next(records, (0, {}))
+        if meta.get("type") != "meta":
             raise ValueError(f"{path}: missing {SERIES_FORMAT} meta line")
-        meta = lines[0]
         if meta.get("format") != SERIES_FORMAT:
             raise ValueError(f"{path}: not a {SERIES_FORMAT} file")
         columns = list(meta["columns"])
         frame = cls(columns)
-        for line in lines[1:]:
+        for line_number, line in records:
             if line.get("type") != "sample":
                 continue
-            frame.append(line["ts_us"],
-                         dict(zip(columns, line["values"])))
+            try:
+                frame.append(line["ts_us"],
+                             dict(zip(columns, line["values"])))
+            except (KeyError, TypeError, ValueError) as error:
+                raise ValueError(
+                    f"{path}:{line_number}: malformed sample record: {error!r}"
+                ) from None
         return frame
 
     def write_csv(self, path: str) -> None:

@@ -112,26 +112,29 @@ PAPER: Dict[str, Dict[str, float]] = {
         "debit-credit": {"active": 314861},
         "order-entry": {"active": 73940},
     },
-    # Table 2 / 5 / 7: traffic in MB over the paper's full runs; the
-    # per-transaction equivalents below divide by the paper's implied
-    # transaction counts (4.98 M for Debit-Credit, 457 k for
-    # Order-Entry).
-    "traffic_per_txn": {
+    # Tables 2 / 5 / 7: traffic in MB over the paper's full runs, as
+    # printed (each total is the paper's own, not the categories' sum).
+    # Table 2 is Table 5's v0 row; Table 7's passive row is its v3 row.
+    "traffic_mb": {
         "debit-credit": {
-            "v0": {"modified": 28.3, "undo": 64.9, "meta": 1347.0},
-            "v1": {"modified": 28.3, "undo": 64.9, "meta": 8.1},
-            "v2": {"modified": 28.3, "undo": 28.3, "meta": 8.1},
-            "v3": {"modified": 28.3, "undo": 64.9, "meta": 28.4},
-            "active": {"modified": 28.3, "undo": 0.0, "meta": 28.4},
+            "v0": {"modified": 140.8, "undo": 323.2, "meta": 6708.4, "total": 7172.4},
+            "v1": {"modified": 140.8, "undo": 323.2, "meta": 40.4, "total": 504.4},
+            "v2": {"modified": 140.8, "undo": 140.8, "meta": 40.4, "total": 322.1},
+            "v3": {"modified": 140.8, "undo": 323.2, "meta": 141.4, "total": 605.4},
+            "active": {"modified": 140.8, "undo": 0.0, "meta": 141.4, "total": 282.2},
         },
         "order-entry": {
-            "v0": {"modified": 85.1, "undo": 437.1, "meta": 948.6},
-            "v1": {"modified": 85.1, "undo": 437.1, "meta": 8.1},
-            "v2": {"modified": 85.1, "undo": 85.1, "meta": 8.1},
-            "v3": {"modified": 85.1, "undo": 437.1, "meta": 31.7},
-            "active": {"modified": 85.1, "undo": 0.0, "meta": 54.0},
+            "v0": {"modified": 38.9, "undo": 199.8, "meta": 433.6, "total": 672.3},
+            "v1": {"modified": 38.9, "undo": 199.8, "meta": 3.7, "total": 242.4},
+            "v2": {"modified": 38.9, "undo": 38.9, "meta": 3.7, "total": 81.5},
+            "v3": {"modified": 38.9, "undo": 199.8, "meta": 14.5, "total": 253.2},
+            "active": {"modified": 38.9, "undo": 0.0, "meta": 24.7, "total": 63.6},
         },
     },
+    # The length of those runs in transactions: 22.8 s of Debit-Credit
+    # at 218,627 tps and 6.2 s of Order-Entry at 73,748 tps (Table 1's
+    # single-machine rates).
+    "run_transactions": {"debit-credit": 4_984_695, "order-entry": 457_238},
     # Table 8: active-backup throughput vs database size.
     "dbsize": {
         "debit-credit": {"10MB": 322102, "100MB": 301604, "1GB": 280646},

@@ -19,6 +19,29 @@ class ReportTable:
     columns: Sequence[str]
     rows: List[Sequence[str]] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
+    #: whether each measured/paper pair is followed by its ratio.
+    ratios: bool = False
+
+    @classmethod
+    def against_paper(cls, title: str, label: str, groups: Sequence[str],
+                      ratios: bool = False) -> "ReportTable":
+        """A table of measured values beside the paper's: a label
+        column, then per group the measured value, ``paper`` and
+        (with ``ratios``) ``ratio``."""
+        columns = [label]
+        for group in groups:
+            columns += [group, "paper", "ratio"] if ratios else [group, "paper"]
+        return cls(title, columns, ratios=ratios)
+
+    def add_compared_row(self, label: str, pairs: Iterable[tuple]) -> None:
+        """The one builder of a measured/paper row: ``pairs`` is one
+        ``(measured, paper)`` per column group."""
+        cells: List[object] = []
+        for measured, paper in pairs:
+            cells += [measured, paper]
+            if self.ratios:
+                cells.append(ratio(measured, paper))
+        self.add_row(label, *cells)
 
     def add_row(self, *cells: object) -> None:
         if len(cells) != len(self.columns):

@@ -447,24 +447,16 @@ class MemoryChannelInterface:
             by_category = mapping.bytes_by_category
             by_category[category] = by_category.get(category, 0) + length
             return
-        # The drain is :meth:`barrier`'s inlined, minus the metrics
-        # fold: nothing outside can order itself between two words of a
-        # stream (the commit barrier after it is the ordering point).
+        # :meth:`barrier` minus the metrics fold: nothing outside can
+        # order itself between two words of a stream (the commit
+        # barrier after it is the ordering point).
         for cursor in range(0, length, word_bytes):
             chunk = data[cursor : cursor + word_bytes]
             self._transmit(mapping, offset + cursor, chunk, category)
-            pending = self._pending
-            if pending and self._pending_start_empty:
-                self._pending = []
-                buffer.account_replayed(*GLOBAL_REPLAY_CACHE.drain_sizes(
-                    pending, buffer.num_buffers, block_bytes
-                ))
-            else:
-                self._flush_pending()
-                buffer.barrier()
+            self._drain()
 
-    def barrier(self) -> None:
-        """Drain the write buffers (commit-ordering point)."""
+    def _drain(self) -> None:
+        """Settle the deferred stores and empty the write buffers."""
         pending = self._pending
         if pending and self._pending_start_empty:
             # The whole batch ran buffers-empty to barrier: a pure
@@ -479,6 +471,10 @@ class MemoryChannelInterface:
         else:
             self._flush_pending()
             self.write_buffer.barrier()
+
+    def barrier(self) -> None:
+        """Drain the write buffers (commit-ordering point)."""
+        self._drain()
         if self.observer.enabled:
             self._fold_metrics()
 

@@ -7,8 +7,12 @@ import dataclasses
 
 import pytest
 
-from repro.experiments import cells
-from repro.experiments.common import ExperimentContext, ExperimentSettings
+from repro.experiments.common import (
+    WORKLOADS,
+    ExperimentContext,
+    ExperimentSettings,
+)
+from repro.vista.factory import ENGINE_VERSIONS
 
 MB = 1024 * 1024
 DRIVEN, READ = 50 * MB, 1024 * MB
@@ -20,30 +24,18 @@ SETTINGS = ExperimentSettings(
 #: Every way a run can be driven: kind, version, the two passive flags.
 DRIVES = (
     [("standalone", version, workload)
-     for version in ("v0", "v1", "v3") for workload in cells.WORKLOADS]
+     for version in ("v0", "v1", "v3") for workload in WORKLOADS]
     + [("passive", version, workload, ship_undo_log, coalescing)
-       for version in cells.VERSIONS for workload in cells.WORKLOADS
+       for version in ENGINE_VERSIONS for workload in WORKLOADS
        for ship_undo_log, coalescing in ((False, True), (True, True), (False, False))]
     + [("active", workload, coalescing)
-       for workload in cells.WORKLOADS for coalescing in (True, False)]
+       for workload in WORKLOADS for coalescing in (True, False)]
 )
-
-
-def _read(ctx: ExperimentContext, key, nominal):
-    kind, *args = key
-    if kind == "standalone":
-        return ctx.standalone_result(*args, nominal)
-    if kind == "passive":
-        version, workload, ship_undo_log, coalescing = args
-        return ctx.passive_result(
-            version, workload, nominal, ship_undo_log, coalescing)
-    workload, coalescing = args
-    return ctx.active_result(workload, nominal, coalescing)
 
 
 @pytest.mark.parametrize("key", DRIVES, ids=lambda key: "-".join(map(str, key)))
 def test_read_at_another_size_equals_a_run_driven_at_it(key):
-    read = _read(ExperimentContext(SETTINGS), key, READ)
+    read = ExperimentContext(SETTINGS).read(key, READ)
     fresh = ExperimentContext(
         dataclasses.replace(SETTINGS, nominal_db_bytes=READ)
     ).driven(key)
@@ -60,7 +52,7 @@ def test_reads_at_three_sizes_do_not_alias(key, sized):
     """Table 8's rows must not collapse to the last size read."""
     ctx = ExperimentContext(SETTINGS)
     sizes = (10 * MB, 100 * MB, 1024 * MB)
-    reads = [_read(ctx, key, nominal) for nominal in sizes]
+    reads = [ctx.read(key, nominal) for nominal in sizes]
     cached = ctx.driven(key).profile.working_set_bytes
     for name in sized:
         assert [r.profile.working_set_bytes[name] for r in reads] == list(sizes)

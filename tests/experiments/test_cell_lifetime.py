@@ -9,7 +9,13 @@ import gc
 import pytest
 
 from repro.experiments import extension_recovery, table4_5, table6_7
-from repro.experiments.common import ExperimentContext, ExperimentSettings
+from repro.experiments.common import (
+    ExperimentContext,
+    ExperimentSettings,
+    active_cell,
+    passive_cell,
+    standalone_cell,
+)
 from repro.memory.region import MemoryRegion
 from repro.replication.passive import PassiveReplicatedSystem
 
@@ -34,13 +40,14 @@ def collector_off():
 MEASUREMENTS = {
     **{
         f"passive-{version}":
-            lambda ctx, version=version: ctx.passive_result(version, "debit-credit")
+            lambda ctx, version=version:
+                ctx.read(passive_cell(version, "debit-credit"))
         for version in ("v0", "v1", "v2", "v3")
     },
     "passive-v1-undo-shipped":
-        lambda ctx: ctx.passive_result("v1", "order-entry", ship_undo_log=True),
-    "active": lambda ctx: ctx.active_result("debit-credit"),
-    "standalone-v0": lambda ctx: ctx.standalone_result("v0", "debit-credit"),
+        lambda ctx: ctx.read(passive_cell("v1", "order-entry", ship_undo_log=True)),
+    "active": lambda ctx: ctx.read(active_cell("debit-credit")),
+    "standalone-v0": lambda ctx: ctx.read(standalone_cell("v0", "debit-credit")),
     "recovery": lambda ctx: extension_recovery.run(db_bytes=4 * MB),
 }
 
@@ -72,7 +79,7 @@ def test_a_failed_measurement_still_closes_its_system(collector_off, monkeypatch
     ctx = ExperimentContext(SETTINGS)
     before = _live_regions()
     with pytest.raises(RuntimeError):
-        ctx.passive_result("v1", "debit-credit")
+        ctx.read(passive_cell("v1", "debit-credit"))
     assert _live_regions() == before
 
 

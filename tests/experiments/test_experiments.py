@@ -3,6 +3,8 @@ own shape checks, and renders. Uses a shared low-fidelity context so
 the whole module stays fast; the benchmarks run the full-fidelity
 versions."""
 
+import inspect
+
 import pytest
 
 from repro.experiments import (
@@ -20,6 +22,7 @@ from repro.experiments.common import (
     ExperimentContext,
     ExperimentSettings,
     scale_to_paper_mb,
+    standalone_cell,
 )
 
 MB = 1024 * 1024
@@ -77,8 +80,8 @@ def test_table8(ctx):
 def test_figures2_3(ctx):
     result = figures2_3.run(ctx)
     result.check()
-    assert "Pass. Ver. 3" in result.figure("debit-credit")
-    assert "Figure 3" in result.figure("order-entry")
+    assert "Pass. Ver. 3" in result.figure2()
+    assert "Figure 3" in result.figure3()
 
 
 def test_ablations(ctx):
@@ -91,18 +94,16 @@ def test_calibration_anchors_v3_standalone(ctx):
     from repro.experiments.common import PAPER_DB_BYTES
     from repro.perf.calibration import PAPER
 
-    estimator = ctx.estimator()
     for workload in ("debit-credit", "order-entry"):
-        result = ctx.standalone_result("v3", workload, PAPER_DB_BYTES)
-        tps = estimator.standalone(result).tps
+        tps = ctx.report(standalone_cell("v3", workload), PAPER_DB_BYTES).tps
         assert tps == pytest.approx(
             PAPER["standalone"][workload]["v3"], rel=1e-6
         )
 
 
 def test_context_caches_runs(ctx):
-    first = ctx.standalone_result("v1", "debit-credit", 50 * MB)
-    second = ctx.standalone_result("v1", "debit-credit", 50 * MB)
+    first = ctx.read(standalone_cell("v1", "debit-credit"), 50 * MB)
+    second = ctx.read(standalone_cell("v1", "debit-credit"), 50 * MB)
     # Each read is a view; the driven run behind both is one object.
     assert first == second
     assert first.counters is second.counters
@@ -113,6 +114,19 @@ def test_scale_to_paper_mb():
     # 28.3 bytes/txn over the paper's ~4.98M Debit-Credit transactions
     # is the paper's 140.8 MB of modified data.
     assert scale_to_paper_mb(28.3, "debit-credit") == pytest.approx(134.5, rel=0.02)
+
+
+def test_every_renderer_in_the_runners_table_exists():
+    """A row's names are looked up on the result only when it prints;
+    a typo should fail here, not at the end of a grid."""
+    from repro.experiments.runner import EXPERIMENT_TABLE, EXPERIMENTS
+
+    assert list(EXPERIMENTS) == list(EXPERIMENT_TABLE)
+    for key, (module, renderers) in EXPERIMENT_TABLE.items():
+        result_class = inspect.signature(module.run).return_annotation
+        result_class = getattr(module, result_class)
+        for name in renderers:
+            assert callable(getattr(result_class, name, None)), (key, name)
 
 
 def test_runner_cli_subset():

@@ -111,3 +111,90 @@ def test_failover_trace_round_trips_through_disk(tmp_path, seed):
         reloaded.completions_between(s.start_us, s.start_us + timeline.slot_us)
         for s in timeline.samples[:12]
     ] == [s.completed for s in timeline.samples[:12]]
+
+
+@pytest.fixture(scope="module")
+def recorded_trace(tmp_path_factory):
+    from repro.experiments.extension_sharding import failover_timeline
+
+    path = tmp_path_factory.mktemp("recorded") / "failover.jsonl"
+    failover_timeline(
+        num_shards=2, slots=12, crashes=((1, 5_250.0),),
+        db_bytes_per_shard=4 * 1024 * 1024, trace_path=path,
+    )
+    return path.read_bytes()
+
+
+NEWLINE = b"\n"
+
+
+def _report_exit(path, capsys, *flags):
+    """The report CLI's exit status and stderr; anything but a clean
+    return or argparse's ``SystemExit`` (a traceback) propagates."""
+    from repro.obs.report import main
+
+    try:
+        status = main([str(path), *flags])
+    except SystemExit as exit_:
+        status = exit_.code
+    return status, capsys.readouterr().err
+
+
+def test_a_trace_cut_mid_line_is_a_one_line_error(recorded_trace, tmp_path, capsys):
+    """Cut anywhere inside a line, the reader names ``path:line`` and
+    the CLI exits 2 as it does for a missing file — never a traceback,
+    never a PASS. (A cut *on* a line boundary still reads as a whole,
+    shorter run: the trailer half of ROADMAP 5(a).)"""
+    path = tmp_path / "cut.jsonl"
+    size = len(recorded_trace)
+    offsets = [size * k // 23 for k in range(1, 23)] + [size // 2, size - 2]
+    mid_line = 0
+    for offset in offsets:
+        kept = recorded_trace[:offset]
+        path.write_bytes(kept)
+        status, err = _report_exit(path, capsys, "--audit")
+        last = kept.rsplit(b"\n", 1)[-1]
+        if last and not last.endswith(b"}"):
+            mid_line += 1
+            where = f":{kept.count(NEWLINE) + 1}: "
+            assert status == 2, offset
+            assert f"{path}{where}" in err, err
+            with pytest.raises(ValueError, match=where):
+                read_jsonl(path)
+    assert mid_line >= 20
+
+
+@pytest.mark.parametrize("damage", [
+    lambda line: line[: len(line) // 2],
+    lambda line: b"[1, 2]",
+    lambda line: line.replace(b'"ts_us":', b'"ts":'),
+    lambda line: b"\xff\xfe" + line,
+], ids=["half-a-line", "not-a-record", "field-missing", "not-utf8"])
+def test_a_corrupted_middle_line_is_a_one_line_error(
+        recorded_trace, tmp_path, capsys, damage):
+    lines = recorded_trace.split(b"\n")
+    middle = len(lines) // 2
+    assert b'"type":"event"' in lines[middle]
+    lines[middle] = damage(lines[middle])
+    path = tmp_path / "corrupt.jsonl"
+    path.write_bytes(b"\n".join(lines))
+    status, err = _report_exit(path, capsys, "--audit", "--slo")
+    assert status == 2
+    assert "cannot read trace file" in err
+    with pytest.raises(ValueError):
+        read_jsonl(path)
+
+
+def test_a_series_file_cut_mid_line_is_a_one_line_error(tmp_path, capsys):
+    from repro.obs.series import SeriesFrame
+
+    frame = SeriesFrame(["queue"])
+    for tick in range(8):
+        frame.append(tick * 250.0, {"queue": float(tick)})
+    whole = frame.to_bytes()
+    path = tmp_path / "series.jsonl"
+    path.write_bytes(whole[: len(whole) - 9])
+    status, err = _report_exit(path, capsys, "--series")
+    assert status == 2 and f"{path}:9: " in err
+    with pytest.raises(ValueError, match=":9: "):
+        SeriesFrame.read_jsonl(str(path))

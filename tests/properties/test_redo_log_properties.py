@@ -25,10 +25,12 @@ simulates every deferred store on its own.
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import struct
 
-from repro.errors import ReproError
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from repro.errors import RedoLogCorruptError, ReproError
 from repro.memory.rio import RioMemory
 from repro.obs.observer import Observer
 from repro.replication import redo_log
@@ -195,3 +197,142 @@ def test_a_long_stream_crosses_the_real_pending_limit():
         MemoryChannelInterface._flush_pending = flush
     assert new == old
     assert crossings == 2  # 18,001 stores on the primary's interface
+
+
+# -- restartable, idempotent redo ---------------------------------------------
+#
+# What a REDO-only takeover rests on (Sauer & Haerder, PAPERS.md): a
+# backup that applied frames whose acknowledgment the primary never saw
+# restarts from an earlier frame boundary, re-applies, and ends in the
+# state of applying every frame exactly once; one that restarts where
+# no frame begins is refused before a byte of it reaches the database.
+
+#: Small enough that a frame of the undrained backlog crosses the ring
+#: end in about half of the examples.
+_small_rings = st.sampled_from([64, 80, 100, 160])
+_small_txn = st.lists(  # at most 4 + 3 * (8 + 12) = 64 bytes on the wire
+    st.tuples(st.integers(0, DB_BYTES - 12), st.binary(max_size=12)),
+    max_size=3,
+)
+
+
+def _backlog(ring_bytes, drained, undrained):
+    """Publish and drain ``drained`` (so the backlog starts anywhere in
+    the ring), then publish ``undrained`` with the backup not draining
+    until the ring is full. Returns the applier, its database, the
+    frame boundaries of the backlog and the database image after each."""
+    backup = RioMemory("backup")
+    ring = backup.create_region("ring", ring_bytes + 8)
+    db = backup.create_region("db", DB_BYTES)
+    consumer = RioMemory("primary").create_region("consumer", 8)
+    producer = redo_log.RedoLogProducer(
+        MemoryChannelInterface("primary").map_remote(ring), consumer)
+    applier = redo_log.RedoLogApplier(
+        ring, db, MemoryChannelInterface("backup").map_remote(consumer))
+    image = bytearray(DB_BYTES)
+
+    def publish(records, drain):
+        txn = redo_log.RedoTransaction(tuple(
+            redo_log.RedoRecord(offset, data) for offset, data in records))
+        if drain:
+            producer.publish(txn, drain=applier.apply_available)
+            applier.apply_available()
+        elif not producer.try_publish(txn):
+            return False
+        for offset, data in records:
+            image[offset : offset + len(data)] = data
+        return True
+
+    for records in drained:
+        publish(records, drain=True)
+    boundaries, images = [producer.produced], [bytes(image)]
+    for records in undrained:
+        if not publish(records, drain=False):
+            break
+        boundaries.append(producer.produced)
+        images.append(bytes(image))
+    return applier, db, boundaries, images
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ring_bytes=_small_rings,
+    drained=st.lists(_small_txn, max_size=12),
+    undrained=st.lists(_small_txn, min_size=1, max_size=12),
+    data=st.data(),
+)
+def test_redo_restarts_from_any_applied_frame_boundary(
+    ring_bytes, drained, undrained, data
+):
+    applier, db, boundaries, images = _backlog(ring_bytes, drained, undrained)
+    frames = len(boundaries) - 1
+    applied = data.draw(st.integers(0, frames), label="frames applied")
+    restart = data.draw(st.integers(0, applied), label="restart at frame")
+    for _ in range(applied):
+        assert applier.apply_one()
+    assert db.snapshot() == images[applied]
+
+    restarted = redo_log.RedoLogApplier(
+        applier.ring, db, applier.consumer_mapping)
+    restarted.consumed = boundaries[restart]
+    assert restarted.apply_available() == frames - restart
+    assert restarted.consumed == boundaries[-1]
+    assert db.snapshot() == images[-1]
+
+
+def _spelled_frame(stream: bytes):
+    """The records of the frame ``stream`` (every byte up to the
+    producer pointer) begins with, or None where it begins with none."""
+    if len(stream) < 4:
+        return None
+    (count,) = struct.unpack_from("<I", stream)
+    cursor, records = 4, []
+    for _ in range(count):
+        if cursor + 8 > len(stream):
+            return None
+        offset, length = struct.unpack_from("<II", stream, cursor)
+        cursor += 8 + length
+        if cursor > len(stream):
+            return None
+        records.append((offset, length))
+    return records
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ring_bytes=_small_rings,
+    drained=st.lists(_small_txn, max_size=12),
+    undrained=st.lists(_small_txn, min_size=1, max_size=12),
+    data=st.data(),
+)
+def test_redo_restart_off_a_frame_boundary_never_applies_part_of_a_frame(
+    ring_bytes, drained, undrained, data
+):
+    applier, db, boundaries, images = _backlog(ring_bytes, drained, undrained)
+    assume(len(boundaries) > 1)
+    torn = data.draw(
+        st.integers(boundaries[0] + 1, boundaries[-1] - 1)
+        .filter(lambda sequence: sequence not in boundaries),
+        label="restart at byte",
+    )
+    ring, capacity = applier.ring.snapshot(), applier.capacity
+    spelled = _spelled_frame(bytes(
+        ring[8 + sequence % capacity] for sequence in range(torn, boundaries[-1])
+    ))
+    # Bytes that happen to spell a frame with records are a frame to
+    # any decoder; what must never happen is part of one.
+    assume(not spelled)
+
+    restarted = redo_log.RedoLogApplier(
+        applier.ring, db, applier.consumer_mapping)
+    restarted.consumed = torn
+    untouched = (images[0], db.writes_observed)
+    if spelled is None:
+        with pytest.raises(RedoLogCorruptError):
+            restarted.apply_one()
+        assert restarted.consumed == torn
+    else:  # a zero count: an empty frame, four bytes long
+        assert restarted.apply_one()
+        assert restarted.consumed == torn + 4
+    assert restarted.records_applied == 0
+    assert (db.snapshot(), db.writes_observed) == untouched
