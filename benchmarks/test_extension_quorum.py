@@ -34,7 +34,7 @@ def test_extension_quorum(ctx, benchmark, emit):
             trace_path=str(out / "extension_quorum.trace.jsonl"),
         )
         (out / "extension_quorum.timeline.txt").write_text(
-            result.timeline.trace_report().render() + "\n"
+            result.timeline.trace_report.render() + "\n"
         )
 
     # Acceptance: the quorum loss costs ~1/N, not everything...

@@ -34,7 +34,7 @@ def test_extension_sharding(ctx, benchmark, emit):
             result.timeline.trace_events,
         )
         (out / "extension_sharding.timeline.txt").write_text(
-            result.timeline.trace_report().render() + "\n"
+            result.timeline.trace_report.render() + "\n"
         )
 
     # Acceptance: near-linear 1 -> 4 on dedicated links...

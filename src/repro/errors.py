@@ -79,7 +79,8 @@ class RedoLogFullError(ReplicationError):
 
 class RedoLogCorruptError(ReplicationError):
     """A redo frame's record count or a record header claims bytes past
-    the producer pointer: the ring is torn or corrupted."""
+    the producer pointer, or a record an offset outside the database:
+    the ring is torn or corrupted."""
 
     def __init__(self, field: str, consumed: int, produced: int):
         super().__init__(

@@ -28,6 +28,7 @@ from repro.obs.metrics import (
     DEFAULT_BOUNDS,
     Gauge,
     Histogram,
+    LatencySummary,
     MetricsRegistry,
 )
 from repro.obs.observer import (
@@ -47,13 +48,12 @@ from repro.obs.trace import (
     select_events,
 )
 
-# Symbols re-exported lazily (PEP 562): the report/audit/slo modules
-# are runnable or import each other, so pre-importing them through the
-# package would trip runpy's double-import warning (report) or force
-# the whole analysis layer on every ``import repro`` (audit/slo/spans).
+# Symbols re-exported lazily (PEP 562): pre-importing the analysis
+# layer through the package would trip runpy's double-import warning
+# (report is runnable) and force every report, the auditor and the SLO
+# fold on each ``import repro``, which needs only the emitting side.
 _LAZY_EXPORTS = {
     "FailoverSpan": "repro.obs.report",
-    "LatencySummary": "repro.obs.report",
     "TimelineReport": "repro.obs.report",
     "analyze_timeline": "repro.obs.report",
     "AuditReport": "repro.obs.audit",
@@ -84,13 +84,9 @@ _LAZY_EXPORTS = {
     "collect_recoveries": "repro.obs.recovery",
     "RecoveryDecomposition": "repro.obs.critpath",
     "ScopeDecomposition": "repro.obs.critpath",
-    "SpanNode": "repro.obs.critpath",
-    "collect_span_forest": "repro.obs.critpath",
-    "critical_path": "repro.obs.critpath",
-    "critical_path_us": "repro.obs.critpath",
-    "crosscheck_recovery_slo": "repro.obs.critpath",
+    "SpanNode": "repro.obs.spans",
+    "collect_span_forest": "repro.obs.spans",
     "decompose_recoveries": "repro.obs.critpath",
-    "recovery_forest": "repro.obs.critpath",
     "TraceDiff": "repro.obs.diff",
     "canonicalize_events": "repro.obs.diff",
     "diff_events": "repro.obs.diff",

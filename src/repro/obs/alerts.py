@@ -25,9 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.report import pair_outages
 from repro.obs.series import SAMPLE_EVENT
-from repro.obs.trace import TraceEvent
+from repro.obs.trace import TraceEvent, Window, downtime_windows
 
 #: Trace vocabulary: one instant when a rule starts/stops firing.
 ALERT_FIRE = "alert.fire"
@@ -103,29 +102,6 @@ DEFAULT_RULES: Tuple[BurnRateRule, ...] = (
         burn_threshold=2.0,
     ),
 )
-
-#: (start, end) with ``end=None`` while the outage is still open.
-Window = Tuple[float, Optional[float]]
-
-
-def downtime_windows(
-    events: Iterable[TraceEvent],
-) -> Dict[str, List[Window]]:
-    """Per-scope downtime windows: each outage of
-    :func:`~repro.obs.report.pair_outages` from its crash (the
-    takeover's start when no crash was recorded) to its takeover's end
-    (None while open) — the same windows the auditor derives online."""
-    return {
-        scope: [
-            (
-                crash.ts_us if crash is not None else takeover.ts_us,
-                takeover.end_us if takeover is not None else None,
-            )
-            for crash, takeover in scoped
-        ]
-        for scope, scoped in pair_outages(events).items()
-    }
-
 
 def sample_ticks(events: Iterable[TraceEvent]) -> List[float]:
     """The evaluation instants: the trace's ``series.sample`` ticks, or
@@ -282,6 +258,25 @@ def _alert_key(event: TraceEvent) -> Tuple[float, str, str, str]:
     )
 
 
+def ungrounded_alerts(
+    recorded: Iterable[TraceEvent], expected: Iterable[TraceEvent]
+) -> Tuple[List[TraceEvent], List[TraceEvent]]:
+    """*The* grounding verdict, ``(false fires, missed)``: the recorded
+    alert events no expected one matches, and the expected ones never
+    recorded — matched on (tick, fire/resolve, rule, scope), each list
+    in that order. :func:`verify_alerts` feeds it the schedule
+    :func:`evaluate_alerts` derives; the auditor's ``alert-grounded``
+    rule feeds it the schedule its *own* downtime windows justify."""
+    recorded_by_key = {_alert_key(event): event for event in recorded}
+    expected_by_key = {_alert_key(event): event for event in expected}
+    return (
+        [recorded_by_key[key]
+         for key in sorted(recorded_by_key.keys() - expected_by_key.keys())],
+        [expected_by_key[key]
+         for key in sorted(expected_by_key.keys() - recorded_by_key.keys())],
+    )
+
+
 def verify_alerts(
     events: Sequence[TraceEvent],
     rules: Optional[Sequence[BurnRateRule]] = None,
@@ -300,21 +295,18 @@ def verify_alerts(
     if rules is None:
         rules = rules_from_events(recorded) or list(DEFAULT_RULES)
     expected = evaluate_alerts(events, rules)
-    recorded_keys = {_alert_key(event) for event in recorded}
-    expected_keys = {_alert_key(event) for event in expected}
-    false_fires = [
-        f"{name} rule={rule!s} scope={scope!s} at {ts:.1f}us not justified "
-        f"by any downtime window"
-        for ts, name, rule, scope in sorted(recorded_keys - expected_keys)
-    ]
-    missed = [
-        f"{name} rule={rule!s} scope={scope!s} due at {ts:.1f}us was never "
-        f"recorded"
-        for ts, name, rule, scope in sorted(expected_keys - recorded_keys)
-    ]
+    false_fires, missed = ungrounded_alerts(recorded, expected)
     return AlertVerification(
         recorded=len(recorded),
         expected=len(expected),
-        false_fires=false_fires,
-        missed=missed,
+        false_fires=[
+            f"{name} rule={rule} scope={scope} at {ts:.1f}us not justified "
+            f"by any downtime window"
+            for ts, name, rule, scope in map(_alert_key, false_fires)
+        ],
+        missed=[
+            f"{name} rule={rule} scope={scope} due at {ts:.1f}us was never "
+            f"recorded"
+            for ts, name, rule, scope in map(_alert_key, missed)
+        ],
     )

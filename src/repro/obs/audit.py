@@ -61,22 +61,20 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.obs.alerts import (
     ALERT_FIRE,
     ALERT_RESOLVE,
-    _alert_key,
     fire_schedule,
     rules_from_events,
+    ungrounded_alerts,
 )
 from repro.obs.recovery import RECOVERY_PHASE, RECOVERY_PHASES, RECOVERY_SPAN
-from repro.obs.report import completion_scope
 from repro.obs.series import SAMPLE_EVENT
-from repro.obs.spans import COMMIT_PHASE, COMMIT_SPAN
-from repro.obs.trace import TraceEvent, scope_of_component
+from repro.obs.spans import (
+    COMMIT_PHASE,
+    COMMIT_SPAN,
+    SPAN_SUM_ATOL,
+    SPAN_SUM_RTOL,
+)
+from repro.obs.trace import TraceEvent, completion_scope, scope_of_component
 from repro.quorum.versions import VersionVector
-
-#: Relative tolerance of the span-sum check. Phase durations are
-#: accumulated floats, so exact equality is one rounding away from a
-#: false alarm.
-SPAN_SUM_RTOL = 1e-9
-SPAN_SUM_ATOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -532,13 +530,10 @@ class TraceAuditor:
             return
         rules = rules_from_events(self._alert_events)
         ticks = sorted(self._sample_ticks or self._edge_ticks)
-        expected = fire_schedule(self._downtime, ticks, rules)
-        recorded_by_key = {
-            _alert_key(event): event for event in self._alert_events
-        }
-        expected_by_key = {_alert_key(event): event for event in expected}
-        for key in sorted(set(recorded_by_key) - set(expected_by_key)):
-            event = recorded_by_key[key]
+        false_fires, missed = ungrounded_alerts(
+            self._alert_events, fire_schedule(self._downtime, ticks, rules)
+        )
+        for event in false_fires:
             self._flag(
                 "alert-grounded", event,
                 f"{event.name} for rule {event.attrs.get('rule')!r} scope "
@@ -547,8 +542,7 @@ class TraceAuditor:
                 rule_name=event.attrs.get("rule"),
                 scope=event.attrs.get("scope"),
             )
-        for key in sorted(set(expected_by_key) - set(recorded_by_key)):
-            event = expected_by_key[key]
+        for event in missed:
             self._flag(
                 "alert-grounded", event,
                 f"justified {event.name} for rule "

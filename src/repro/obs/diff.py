@@ -31,6 +31,10 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.critpath import decompose_recoveries
+from repro.obs.export import read_jsonl
+from repro.obs.series import SeriesFrame, is_series_file
+from repro.obs.spans import attribute_commits
 from repro.obs.trace import TraceEvent
 
 #: Attrs carrying causal ids, renumbered during canonicalization (the
@@ -170,9 +174,6 @@ class TraceDiff:
 def _phase_totals(events: Sequence[TraceEvent]) -> Dict[str, float]:
     """Commit-pipeline and recovery-phase totals, namespaced so the
     two vocabularies cannot collide in one delta table."""
-    from repro.obs.critpath import decompose_recoveries
-    from repro.obs.spans import attribute_commits
-
     totals: Dict[str, float] = {}
     commits = attribute_commits(events)
     for phase, value in commits.phase_totals.items():
@@ -274,9 +275,6 @@ def diff_series(
 def diff_files(baseline_path: str, current_path: str) -> TraceDiff:
     """Diff two recorded files, sniffing ``repro-trace-v1`` vs
     ``repro-series-v1`` from the meta line (both must agree)."""
-    from repro.obs.export import read_jsonl
-    from repro.obs.series import SeriesFrame, is_series_file
-
     series_a = is_series_file(baseline_path)
     series_b = is_series_file(current_path)
     if series_a != series_b:

@@ -76,17 +76,22 @@ def jsonl_records(path: Union[str, Path]) -> Iterator[Tuple[int, Dict]]:
 def read_jsonl(
     path: Union[str, Path],
 ) -> Tuple[List[TraceEvent], Optional[Dict]]:
-    """Reload a JSONL trace: ``(events, metrics_snapshot_or_None)``."""
+    """Reload a JSONL trace: ``(events, metrics_snapshot_or_None)``.
+    The first record must be the :data:`JSONL_FORMAT` meta line — an
+    empty file, or one that is not a trace, is a ``ValueError``."""
     events: List[TraceEvent] = []
     snapshot: Optional[Dict] = None
-    for line_number, record in jsonl_records(path):
+    records = jsonl_records(path)
+    _, meta = next(records, (0, {}))
+    if meta.get("type") != "meta":
+        raise ValueError(f"{path}: missing {JSONL_FORMAT} meta line")
+    if meta.get("format") != JSONL_FORMAT:
+        raise ValueError(
+            f"{path}: unknown trace format {meta.get('format')!r}"
+        )
+    for line_number, record in records:
         record_type = record.get("type")
-        if record_type == "meta":
-            if record.get("format") != JSONL_FORMAT:
-                raise ValueError(
-                    f"{path}: unknown trace format {record.get('format')!r}"
-                )
-        elif record_type == "event":
+        if record_type == "event":
             try:
                 events.append(TraceEvent.from_dict(record))
             except (KeyError, TypeError, ValueError) as error:

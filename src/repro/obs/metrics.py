@@ -19,7 +19,7 @@ the simulation (the default-off contract of :mod:`repro.obs`).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Default histogram bounds: ~log2-spaced microsecond latency buckets
@@ -140,6 +140,44 @@ class Histogram:
             self.min = other.min if self.min is None else min(self.min, other.min)
         if other.max is not None:
             self.max = other.max if self.max is None else max(self.max, other.max)
+
+
+def _percentile(ordered: Sequence[float], q: float) -> float:
+    """Exact nearest-rank percentile of an already-sorted sequence."""
+    if not ordered:
+        return 0.0
+    rank = max(1, int(q * len(ordered) + 0.5))
+    return ordered[min(rank, len(ordered)) - 1]
+
+
+@dataclass
+class LatencySummary:
+    """Exact distribution summary of a list of durations — what the
+    reports compute offline, where :class:`Histogram` buckets online."""
+
+    count: int = 0
+    mean_us: float = 0.0
+    p50_us: float = 0.0
+    p95_us: float = 0.0
+    p99_us: float = 0.0
+    max_us: float = 0.0
+
+    @classmethod
+    def from_values(cls, values: Sequence[float]) -> "LatencySummary":
+        if not values:
+            return cls()
+        ordered = sorted(values)
+        return cls(
+            count=len(ordered),
+            mean_us=sum(ordered) / len(ordered),
+            p50_us=_percentile(ordered, 0.50),
+            p95_us=_percentile(ordered, 0.95),
+            p99_us=_percentile(ordered, 0.99),
+            max_us=ordered[-1],
+        )
+
+    def to_dict(self) -> Dict[str, float]:
+        return asdict(self)
 
 
 class MetricsRegistry:

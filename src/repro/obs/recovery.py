@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.spans import emit_span_tree
+from repro.obs.spans import collect_span_forest, emit_span_tree
 from repro.obs.trace import scope_of_component
 
 #: Event name of one failover's parent recovery span.
@@ -162,14 +162,11 @@ def collect_recoveries(
     """Rebuild every failover's recovery tree from an event stream.
 
     The :data:`RECOVERY_SPAN` roots of the generic span forest
-    (:func:`~repro.obs.critpath.collect_span_forest` joins them to
+    (:func:`~repro.obs.spans.collect_span_forest` joins them to
     their :data:`RECOVERY_PHASE` children), each joined here to its
     :data:`RECOVERY_RESUME` instant through the ``parent_id`` attr;
     works on the live recorder's list or on events reloaded from JSONL.
     """
-    # Imported here: critpath imports this module for the vocabulary.
-    from repro.obs.critpath import collect_span_forest
-
     # The one pass over the stream: the joins below see only the
     # handful of recovery-vocabulary events.
     vocabulary = (RECOVERY_SPAN, RECOVERY_PHASE, RECOVERY_RESUME)
@@ -187,7 +184,7 @@ def collect_recoveries(
         resume = resumes.get(root.span_id)
         gap = commit_trace_id = None
         if resume is not None:
-            gap = resume.ts_us - root.end_us
+            gap = resume.ts_us - root.event.end_us
             if "commit_trace_id" in resume.attrs:
                 commit_trace_id = int(resume.attrs["commit_trace_id"])
         trees.append(

@@ -28,21 +28,21 @@ from __future__ import annotations
 import argparse
 import json
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
+from repro.obs.alerts import verify_alerts
+from repro.obs.audit import audit_events
+from repro.obs.critpath import decompose_recoveries
+from repro.obs.diff import diff_files
 from repro.obs.export import read_jsonl, write_chrome_trace
-from repro.obs.trace import TraceEvent, scope_of_component, select_events
-
-
-def _percentile(ordered: Sequence[float], q: float) -> float:
-    """Exact nearest-rank percentile of an already-sorted sequence."""
-    if not ordered:
-        return 0.0
-    rank = max(1, int(q * len(ordered) + 0.5))
-    return ordered[min(rank, len(ordered)) - 1]
+from repro.obs.metrics import LatencySummary
+from repro.obs.series import SeriesFrame, is_series_file
+from repro.obs.slo import compute_slo
+from repro.obs.spans import attribute_commits
+from repro.obs.trace import TraceEvent, completion_scope, pair_outages
 
 
 @dataclass(frozen=True)
@@ -75,35 +75,6 @@ class FailoverSpan:
     @property
     def downtime_us(self) -> float:
         return self.restored_at_us - self.crash_at_us
-
-
-@dataclass
-class LatencySummary:
-    """Exact distribution summary of the router's transaction latencies."""
-
-    count: int = 0
-    mean_us: float = 0.0
-    p50_us: float = 0.0
-    p95_us: float = 0.0
-    p99_us: float = 0.0
-    max_us: float = 0.0
-
-    @classmethod
-    def from_values(cls, values: Sequence[float]) -> "LatencySummary":
-        if not values:
-            return cls()
-        ordered = sorted(values)
-        return cls(
-            count=len(ordered),
-            mean_us=sum(ordered) / len(ordered),
-            p50_us=_percentile(ordered, 0.50),
-            p95_us=_percentile(ordered, 0.95),
-            p99_us=_percentile(ordered, 0.99),
-            max_us=ordered[-1],
-        )
-
-    def to_dict(self) -> Dict[str, float]:
-        return asdict(self)
 
 
 @dataclass
@@ -254,51 +225,14 @@ class TimelineReport:
         }
 
 
-def completion_scope(event: TraceEvent) -> Optional[str]:
-    """The serving scope a ``txn.complete`` names: clusters whose scopes
-    are not shards (quorum groups) stamp an explicit ``scope``; shard
-    completions keep the derived ``shard.N``."""
-    if "scope" in event.attrs:
-        return str(event.attrs["scope"])
-    if "shard" in event.attrs:
-        return f"shard.{int(event.attrs['shard'])}"
-    return None
-
-
-#: One outage: the ``fault.crash`` that opened it (None when a takeover
-#: arrived with no crash on record) and the ``takeover`` span that closed
-#: it (None while it is still open).
-Outage = Tuple[Optional[TraceEvent], Optional[TraceEvent]]
-
-
-def pair_outages(events: Iterable[TraceEvent]) -> Dict[str, List[Outage]]:
-    """*The* outage pairing: per scope, in opening order, every
-    ``fault.crash`` instant with the ``takeover`` span that closes it.
-
-    A takeover closes the scope's most recently opened crash that is
-    still open; a takeover with no open crash declares downtime over
-    the span itself (detection to restoration); a crash no takeover
-    follows stays open. Single pass. :func:`analyze_timeline` and
-    :func:`repro.obs.alerts.downtime_windows` are both written on it;
-    only :class:`~repro.obs.audit.TraceAuditor` pairs on its own — it is
-    the independent checker these numbers are audited against.
-    """
-    outages: Dict[str, List[Outage]] = {}
-    for event in events:
-        if event.name not in ("fault.crash", "takeover"):
-            continue
-        scoped = outages.setdefault(scope_of_component(event.component), [])
-        if event.name == "fault.crash":
-            scoped.append((event, None))
-            continue
-        for index in range(len(scoped) - 1, -1, -1):
-            crash, closed_by = scoped[index]
-            if closed_by is None:
-                scoped[index] = (crash, event)
-                break
-        else:
-            scoped.append((None, event))
-    return outages
+#: The router's lifecycle instants, by the routing total each counts.
+_ROUTING_TOTALS = {
+    "txn.submit": "routed",
+    "txn.complete": "completed",
+    "txn.retry": "retries",
+    "txn.redirect": "redirects",
+    "txn.drop": "dropped",
+}
 
 
 def analyze_timeline(
@@ -322,31 +256,30 @@ def analyze_timeline(
     ]
     failovers.sort(key=lambda span: span.crash_at_us)
 
-    completes = select_events(events, name="txn.complete")
-    latencies = [
-        float(event.attrs["latency_us"])
-        for event in completes
-        if "latency_us" in event.attrs
-    ]
+    routing = dict.fromkeys(_ROUTING_TOTALS.values(), 0)
+    completions: List[float] = []
+    latencies: List[float] = []
     per_shard: Dict[int, int] = {}
     per_scope: Dict[str, int] = {}
-    for event in completes:
+    for event in events:
+        total = _ROUTING_TOTALS.get(event.name)
+        if total is None:
+            continue
+        routing[total] += 1
+        if total != "completed":
+            continue
+        completions.append(event.ts_us)
+        if "latency_us" in event.attrs:
+            latencies.append(float(event.attrs["latency_us"]))
         if "shard" in event.attrs:
             shard = int(event.attrs["shard"])
             per_shard[shard] = per_shard.get(shard, 0) + 1
         scope = completion_scope(event)
         if scope is not None:
             per_scope[scope] = per_scope.get(scope, 0) + 1
-    routing = {
-        "routed": len(select_events(events, name="txn.submit")),
-        "completed": len(completes),
-        "retries": len(select_events(events, name="txn.retry")),
-        "redirects": len(select_events(events, name="txn.redirect")),
-        "dropped": len(select_events(events, name="txn.drop")),
-    }
     return TimelineReport(
         window_us=window_us,
-        completions=[event.ts_us for event in completes],
+        completions=completions,
         failovers=failovers,
         routing=routing,
         latency=LatencySummary.from_values(latencies),
@@ -356,16 +289,6 @@ def analyze_timeline(
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    # Imported here: these modules import this one (for the timeline,
-    # the latency summary or the outage pairing).
-    from repro.obs.alerts import verify_alerts
-    from repro.obs.audit import audit_events
-    from repro.obs.critpath import decompose_recoveries
-    from repro.obs.diff import diff_files
-    from repro.obs.series import SeriesFrame, is_series_file
-    from repro.obs.slo import compute_slo
-    from repro.obs.spans import attribute_commits
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.report",
         description=(

@@ -3,7 +3,7 @@
 The paper's availability story (Section 7) is qualitative: failover
 takes tens of milliseconds, so a pair is "highly available". This
 module makes it quantitative the way an operator would: fold every
-downtime window (:func:`~repro.obs.alerts.downtime_windows`, one per
+downtime window (:func:`~repro.obs.trace.downtime_windows`, one per
 paired crash/takeover) against the trace horizon into served-time
 ratios, per shard and cluster-wide, and express them as "nines".
 
@@ -24,9 +24,13 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.alerts import Window, downtime_windows
-from repro.obs.report import completion_scope
-from repro.obs.trace import TraceEvent, component_matches
+from repro.obs.trace import (
+    TraceEvent,
+    Window,
+    completion_scope,
+    downtime_windows,
+    scope_selected,
+)
 
 #: Availability of a scope with zero observed downtime renders as this
 #: many nines rather than infinity: no finite trace proves more.
@@ -158,15 +162,6 @@ class SloReport:
         }
 
 
-def _scope_selected(scope: str, scopes: Optional[Sequence[str]]) -> bool:
-    """Whether ``scope`` passes a ``--scope`` filter list (exact label
-    or dotted prefix; None or empty selects everything)."""
-    if not scopes:
-        return True
-    label = scope or "cluster"
-    return any(component_matches(label, wanted) for wanted in scopes)
-
-
 def compute_slo(
     events: Sequence[TraceEvent],
     horizon_us: Optional[float] = None,
@@ -195,7 +190,7 @@ def compute_slo(
     } - {None}
     scope_reports = []
     for scope in sorted(serving | set(outages)):
-        if not _scope_selected(scope, scopes):
+        if not scope_selected(scope, scopes):
             continue
         downtime = 0.0
         windows: List[Window] = []

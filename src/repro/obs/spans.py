@@ -24,7 +24,9 @@ The emitting side is :class:`CommitSpanRecorder` (used by
 the workload driver); the consuming side is
 :func:`collect_commit_spans` / :func:`attribute_commits`, which
 rebuild the trees from any event stream (live recorder or reloaded
-JSONL) and summarize them per phase with p50/p95/p99.
+JSONL) and summarize them per phase with p50/p95/p99. The recovery
+vocabulary rides the same three functions — :func:`emit_span_tree`,
+:func:`collect_span_forest`, :func:`fold_phases` — and tolerances.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.hardware.specs import SanSpec
-from repro.obs.trace import component_matches
+from repro.obs.metrics import LatencySummary
+from repro.obs.trace import KIND_SPAN, component_matches
 
 #: Event name of a commit's parent span.
 COMMIT_SPAN = "commit.span"
@@ -56,6 +59,12 @@ COMMIT_PHASES: Tuple[str, ...] = (
     PHASE_ENGINE, PHASE_DOUBLING, PHASE_BARRIER, PHASE_SHIP, PHASE_APPLY,
     PHASE_QUORUM_WAIT, PHASE_TRANSFER,
 )
+
+#: Tolerance of every "children sum to the parent" check. Phase
+#: durations are accumulated floats, so exact equality is one rounding
+#: away from a false alarm.
+SPAN_SUM_RTOL = 1e-9
+SPAN_SUM_ATOL = 1e-6
 
 #: Engine-counter fields whose per-commit deltas the engine-phase cost
 #: folds through the calibration (mirrors CostModel.engine_cpu_us).
@@ -198,6 +207,120 @@ def emit_span_tree(
 # -- analysis ----------------------------------------------------------------
 
 
+@dataclass
+class SpanNode:
+    """One span in a reconstructed forest."""
+
+    event: object
+    span_id: int
+    parent_id: Optional[int]
+    trace_id: Optional[int]
+    children: List["SpanNode"] = field(default_factory=list)
+
+    @property
+    def dur_us(self) -> float:
+        return self.event.dur_us
+
+    @property
+    def label(self) -> str:
+        phase = self.event.attrs.get("phase")
+        return str(phase) if phase is not None else self.event.name
+
+    def tree_fields(self) -> Dict[str, object]:
+        """What a commit tree and a recovery tree both keep of their
+        root: its bounds, its attrs without the causal ids, and its
+        children's durations summed per label (in event order)."""
+        phases: Dict[str, float] = {}
+        for child in self.children:
+            phases[child.label] = phases.get(child.label, 0.0) + child.dur_us
+        return {
+            "trace_id": self.trace_id,
+            "component": self.event.component,
+            "start_us": self.event.ts_us,
+            "dur_us": self.dur_us,
+            "phases": phases,
+            "attrs": {
+                key: value for key, value in self.event.attrs.items()
+                if key not in ("trace_id", "span_id")
+            },
+        }
+
+
+def collect_span_forest(
+    events: Iterable,
+    names: Optional[Sequence[str]] = None,
+    component_prefix: Optional[str] = None,
+) -> List[SpanNode]:
+    """Rebuild the span forest from any event stream — *the* joiner:
+    :func:`collect_commit_spans` and
+    :func:`repro.obs.recovery.collect_recoveries` only map its roots
+    onto their dataclasses.
+
+    Every span event carrying a ``span_id`` becomes a node; nodes
+    whose ``parent_id`` resolves become children (in event order),
+    everything else is a root. ``names`` restricts which event names
+    participate (e.g. ``("commit.span", "commit.phase")``);
+    ``component_prefix`` filters scopes the usual exact-or-dotted way.
+    """
+    nodes: List[SpanNode] = []
+    by_id: Dict[int, SpanNode] = {}
+    for event in events:
+        if names is not None and event.name not in names:
+            continue
+        if event.kind != KIND_SPAN:
+            continue
+        attrs = event.attrs
+        if "span_id" not in attrs:
+            continue
+        if component_prefix is not None and not component_matches(
+            event.component, component_prefix
+        ):
+            continue
+        node = SpanNode(
+            event=event,
+            span_id=int(attrs["span_id"]),
+            parent_id=(
+                int(attrs["parent_id"]) if "parent_id" in attrs else None
+            ),
+            trace_id=(
+                int(attrs["trace_id"]) if "trace_id" in attrs else None
+            ),
+        )
+        nodes.append(node)
+        by_id[node.span_id] = node
+    roots: List[SpanNode] = []
+    for node in nodes:
+        parent = (
+            by_id.get(node.parent_id) if node.parent_id is not None else None
+        )
+        if parent is not None and parent is not node:
+            parent.children.append(node)
+        else:
+            roots.append(node)
+    return roots
+
+
+def fold_phases(
+    trees: Sequence, total: str
+) -> Tuple[Dict[str, float], Dict[str, LatencySummary]]:
+    """*The* fold of reconstructed trees (commit or recovery) into
+    ``(phase totals, latency)``: each phase's durations summed in tree
+    order, and a p50/p95/p99 :class:`~repro.obs.metrics.LatencySummary`
+    per phase, led by the trees' end-to-end durations under ``total``."""
+    phase_totals: Dict[str, float] = {}
+    per_phase: Dict[str, List[float]] = {}
+    for tree in trees:
+        for phase, dur in tree.phases.items():
+            phase_totals[phase] = phase_totals.get(phase, 0.0) + dur
+            per_phase.setdefault(phase, []).append(dur)
+    latency = {
+        total: LatencySummary.from_values([tree.dur_us for tree in trees])
+    }
+    for phase, values in per_phase.items():
+        latency[phase] = LatencySummary.from_values(values)
+    return phase_totals, latency
+
+
 @dataclass(frozen=True)
 class CommitSpanTree:
     """One commit's reconstructed span tree."""
@@ -218,14 +341,11 @@ def collect_commit_spans(events: Iterable) -> List[CommitSpanTree]:
     """Rebuild every commit's span tree from an event stream.
 
     The :data:`COMMIT_SPAN` roots of the generic span forest
-    (:func:`~repro.obs.critpath.collect_span_forest` joins them to
-    their :data:`COMMIT_PHASE` children through the ``trace_id``/
+    (:func:`collect_span_forest` joins them to their
+    :data:`COMMIT_PHASE` children through the ``trace_id``/
     ``parent_id`` attrs); works on the live recorder's list or on
     events reloaded from JSONL.
     """
-    # Imported here: critpath imports audit, which imports this module.
-    from repro.obs.critpath import collect_span_forest
-
     return [
         CommitSpanTree(**root.tree_fields())
         for root in collect_span_forest(
@@ -240,7 +360,7 @@ class PhaseAttribution:
     """Where the commits' time went, phase by phase.
 
     ``latency`` maps each phase (plus the ``"commit"`` end-to-end
-    total) to a :class:`~repro.obs.report.LatencySummary` with
+    total) to a :class:`~repro.obs.metrics.LatencySummary` with
     p50/p95/p99 over the per-commit durations.
     """
 
@@ -318,8 +438,6 @@ def attribute_commits(
     ``scopes`` accepts a list of such selectors and keeps a tree when
     any of them matches.
     """
-    from repro.obs.report import LatencySummary
-
     trees = collect_commit_spans(events)
     if component_prefix is not None:
         trees = [
@@ -331,20 +449,10 @@ def attribute_commits(
             tree for tree in trees
             if any(component_matches(tree.component, scope) for scope in scopes)
         ]
-    phase_totals: Dict[str, float] = {}
-    per_phase: Dict[str, List[float]] = {}
-    totals: List[float] = []
-    for tree in trees:
-        totals.append(tree.dur_us)
-        for phase, dur in tree.phases.items():
-            phase_totals[phase] = phase_totals.get(phase, 0.0) + dur
-            per_phase.setdefault(phase, []).append(dur)
-    latency: Dict[str, object] = {"commit": LatencySummary.from_values(totals)}
-    for phase, values in per_phase.items():
-        latency[phase] = LatencySummary.from_values(values)
+    phase_totals, latency = fold_phases(trees, "commit")
     return PhaseAttribution(
         commits=len(trees),
-        total_us=sum(totals),
+        total_us=sum(tree.dur_us for tree in trees),
         phase_totals=phase_totals,
         latency=latency,
     )

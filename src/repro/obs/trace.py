@@ -12,7 +12,7 @@ naming scheme in DESIGN.md is part of the contract.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 KIND_INSTANT = "instant"
 KIND_SPAN = "span"
@@ -31,6 +31,15 @@ def scope_of_component(component: str) -> str:
     pair) -> ``""``, which downtime matching treats as "everything"."""
     scope = component.rsplit(".cluster", 1)[0]
     return "" if scope == component else scope
+
+
+def scope_selected(scope: str, scopes: Optional[Sequence[str]]) -> bool:
+    """Whether ``scope`` passes a ``--scope`` filter list (exact label
+    or dotted prefix; None or empty selects everything)."""
+    if not scopes:
+        return True
+    label = scope or "cluster"
+    return any(component_matches(label, wanted) for wanted in scopes)
 
 
 @dataclass(frozen=True)
@@ -151,3 +160,74 @@ def select_events(
             continue
         selected.append(event)
     return selected
+
+
+def completion_scope(event: TraceEvent) -> Optional[str]:
+    """The serving scope a ``txn.complete`` names: clusters whose scopes
+    are not shards (quorum groups) stamp an explicit ``scope``; shard
+    completions keep the derived ``shard.N``."""
+    if "scope" in event.attrs:
+        return str(event.attrs["scope"])
+    if "shard" in event.attrs:
+        return f"shard.{int(event.attrs['shard'])}"
+    return None
+
+
+#: One outage: the ``fault.crash`` that opened it (None when a takeover
+#: arrived with no crash on record) and the ``takeover`` span that closed
+#: it (None while it is still open).
+Outage = Tuple[Optional[TraceEvent], Optional[TraceEvent]]
+
+
+def pair_outages(events: Iterable[TraceEvent]) -> Dict[str, List[Outage]]:
+    """*The* outage pairing: per scope, in opening order, every
+    ``fault.crash`` instant with the ``takeover`` span that closes it.
+
+    A takeover closes the scope's most recently opened crash that is
+    still open; a takeover with no open crash declares downtime over
+    the span itself (detection to restoration); a crash no takeover
+    follows stays open. Single pass.
+    :func:`repro.obs.report.analyze_timeline` and
+    :func:`downtime_windows` are both written on it; only
+    :class:`~repro.obs.audit.TraceAuditor` pairs on its own — it is
+    the independent checker these numbers are audited against.
+    """
+    outages: Dict[str, List[Outage]] = {}
+    for event in events:
+        if event.name not in ("fault.crash", "takeover"):
+            continue
+        scoped = outages.setdefault(scope_of_component(event.component), [])
+        if event.name == "fault.crash":
+            scoped.append((event, None))
+            continue
+        for index in range(len(scoped) - 1, -1, -1):
+            crash, closed_by = scoped[index]
+            if closed_by is None:
+                scoped[index] = (crash, event)
+                break
+        else:
+            scoped.append((None, event))
+    return outages
+
+
+#: (start, end) with ``end=None`` while the outage is still open.
+Window = Tuple[float, Optional[float]]
+
+
+def downtime_windows(
+    events: Iterable[TraceEvent],
+) -> Dict[str, List[Window]]:
+    """Per-scope downtime windows: each outage of :func:`pair_outages`
+    from its crash (the takeover's start when no crash was recorded) to
+    its takeover's end (None while open) — the same windows the auditor
+    derives online."""
+    return {
+        scope: [
+            (
+                crash.ts_us if crash is not None else takeover.ts_us,
+                takeover.end_us if takeover is not None else None,
+            )
+            for crash, takeover in scoped
+        ]
+        for scope, scoped in pair_outages(events).items()
+    }

@@ -255,8 +255,9 @@ class RedoLogApplier:
     def apply_one(self) -> bool:
         """Apply one whole transaction if available; returns True if
         one was applied. A count, header or payload that would run
-        past the producer pointer raises :class:`RedoLogCorruptError`
-        before any record of the frame reaches the database."""
+        past the producer pointer, or a record that would land outside
+        the database, raises :class:`RedoLogCorruptError` before any
+        record of the frame reaches the database."""
         produced = self.produced  # the frame's one crash/bounds test
         consumed = self.consumed
         if consumed >= produced:
@@ -284,6 +285,7 @@ class RedoLogApplier:
         if cursor > limit:
             raise RedoLogCorruptError("record count", consumed, produced)
         (count,) = _U32.unpack_from(ring, base)
+        db_size = self.db.size
         records = []
         for index in range(count):
             start = cursor + HEADER_BYTES
@@ -296,6 +298,10 @@ class RedoLogApplier:
             if cursor > limit:
                 raise RedoLogCorruptError(
                     f"length {length} of record {index} of {count}", consumed, produced
+                )
+            if offset + length > db_size:
+                raise RedoLogCorruptError(
+                    f"offset {offset} of record {index} of {count}", consumed, produced
                 )
             records.append((offset, start, length))
         write, modified = self.db.write, WriteCategory.MODIFIED

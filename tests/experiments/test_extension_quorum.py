@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments import extension_quorum
 from repro.experiments.common import ExperimentContext, ExperimentSettings
-from repro.obs.critpath import crosscheck_recovery_slo
+from repro.obs.critpath import decompose_recoveries
 
 MB = 1024 * 1024
 
@@ -68,9 +68,7 @@ def test_trace_audits_clean_including_quorum_rules():
 def test_default_timeline_recovery_decomposition_is_pinned():
     # Simulated time, deterministic under the seed: exact, not a ratio.
     timeline = extension_quorum.quorum_timeline()
-    decomposition = crosscheck_recovery_slo(
-        timeline.trace_events, timeline.slo
-    )
+    decomposition = decompose_recoveries(timeline.trace_events)
     scope = decomposition.scope(timeline.downed_scope)
     assert scope.total_downtime_us == 4000.0
     assert scope.share("view") == 1.0

@@ -6,7 +6,7 @@ from repro.experiments import extension_sharding
 from repro.experiments.common import ExperimentContext, ExperimentSettings
 from repro.fastpath import shardpar
 from repro.obs.audit import audit_events
-from repro.obs.critpath import crosscheck_recovery_slo
+from repro.obs.critpath import decompose_recoveries
 
 MB = 1024 * 1024
 
@@ -60,9 +60,7 @@ def test_timeline_is_deterministic_under_the_seed():
 def test_default_timeline_recovery_decomposition_is_pinned():
     # Simulated time, deterministic under the seed: exact, not a ratio.
     timeline = extension_sharding.failover_timeline()
-    decomposition = crosscheck_recovery_slo(
-        timeline.trace_events, timeline.slo
-    )
+    decomposition = decompose_recoveries(timeline.trace_events)
     scope = decomposition.scope(timeline.downed_scope)
     exact = pytest.approx(14531.013333333336, rel=1e-12)
     assert scope.total_downtime_us == exact

@@ -8,13 +8,13 @@ from repro.obs.alerts import (
     ALERT_RESOLVE,
     BurnRateRule,
     DEFAULT_RULES,
-    downtime_windows,
     evaluate_alerts,
     fire_schedule,
     rules_from_events,
     sample_ticks,
     verify_alerts,
 )
+from repro.obs.trace import downtime_windows
 
 PAGE = DEFAULT_RULES[0]
 

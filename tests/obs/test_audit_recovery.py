@@ -1,9 +1,12 @@
 """The recovery-span-tiles-downtime and alert-grounded auditor rules,
 each exercised with deliberately broken synthetic traces."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.obs import TraceEvent
 from repro.obs.alerts import DEFAULT_RULES, evaluate_alerts
-from repro.obs.audit import audit_events
+from repro.obs.audit import TraceAuditor, audit_events
+from repro.obs.trace import downtime_windows
 
 
 def _rules(report):
@@ -41,6 +44,47 @@ def _reattr(event, **changes):
         kind=event.kind, dur_us=changes.pop("dur_us", event.dur_us),
         attrs={**event.attrs, **changes},
     )
+
+
+# -- the two pairings agree ---------------------------------------------------
+#
+# The auditor pairs crashes with takeovers online and on its own — it
+# is the independent checker — while the SLO, the alerts and the
+# timeline read ``downtime_windows``. Both rules below judge recovery
+# roots and alerts against the auditor's windows, so "audit.ok" vouches
+# for the SLO's windows only because the two pairings always agree.
+
+_outage_events = st.lists(
+    st.tuples(
+        st.sampled_from(["fault.crash", "takeover"]),
+        # Three scoped components and the unscoped pair.
+        st.sampled_from(
+            ["shard.0.cluster", "shard.1.cluster", "group.3.cluster", "cluster"]
+        ),
+        st.floats(0.0, 500.0, allow_nan=False),  # gap since the last event
+        st.floats(0.0, 500.0, allow_nan=False),  # a takeover's duration
+    ),
+    max_size=24,
+)
+
+
+@given(_outage_events)
+@settings(max_examples=200, deadline=None)
+def test_auditor_downtime_windows_equal_the_shared_pairing(draws):
+    # Any interleaving: a takeover with no crash on record, a crash
+    # never closed, repeated and nested outages in one scope.
+    events, now = [], 0.0
+    for name, component, gap, dur in draws:
+        now += gap
+        if name == "takeover":
+            events.append(TraceEvent(now, component, name, kind="span",
+                                     dur_us=dur, attrs={"bytes_restored": 0}))
+        else:
+            events.append(TraceEvent(now, component, name, attrs={"node": "p"}))
+    auditor = TraceAuditor()
+    for event in events:
+        auditor.feed(event)
+    assert auditor._downtime == downtime_windows(events)
 
 
 # -- recovery-span-tiles-downtime --------------------------------------------

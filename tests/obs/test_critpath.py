@@ -1,104 +1,20 @@
-"""The generic critical-path walker and the downtime decomposition."""
+"""The span-forest joiner and the downtime decomposition."""
 
 import pytest
 
 from repro.obs import Observer, TraceEvent
-from repro.obs.critpath import (
-    SpanNode,
-    collect_span_forest,
-    critical_path,
-    critical_path_us,
-    crosscheck_recovery_slo,
-    decompose_recoveries,
-    recovery_forest,
-    self_time_us,
-)
+from repro.obs.critpath import decompose_recoveries
 from repro.obs.recovery import (
     PHASE_CATCHUP,
     PHASE_DETECT,
     RECOVERY_RESUME,
     RecoverySpanRecorder,
 )
+from repro.obs.spans import collect_span_forest
 
 
 def _span(ts, dur, name="span", **attrs):
     return TraceEvent(ts, "c", name, kind="span", dur_us=dur, attrs=attrs)
-
-
-def _node(ts, dur, span_id, parent_id=None, **attrs):
-    return SpanNode(
-        event=_span(ts, dur, **attrs),
-        span_id=span_id,
-        parent_id=parent_id,
-        trace_id=1,
-    )
-
-
-def _tree(root, *children):
-    root.children.extend(children)
-    return root
-
-
-# -- the walker on hand-built geometries -------------------------------------
-
-
-def test_tiling_children_cover_the_whole_root():
-    root = _tree(
-        _node(0.0, 100.0, 1),
-        _node(0.0, 30.0, 2, parent_id=1),
-        _node(30.0, 70.0, 3, parent_id=1),
-    )
-    segments = critical_path(root)
-    assert [(s.node.span_id, s.start_us, s.end_us) for s in segments] == [
-        (2, 0.0, 30.0), (3, 30.0, 100.0),
-    ]
-    assert critical_path_us(root) == 100.0
-    assert self_time_us(root) == 0.0
-
-
-def test_gaps_are_the_roots_own_time():
-    root = _tree(
-        _node(0.0, 100.0, 1),
-        _node(10.0, 20.0, 2, parent_id=1),
-        _node(60.0, 10.0, 3, parent_id=1),
-    )
-    segments = critical_path(root)
-    assert [(s.node.span_id, s.dur_us) for s in segments] == [
-        (1, 10.0), (2, 20.0), (1, 30.0), (3, 10.0), (1, 30.0),
-    ]
-    assert critical_path_us(root) == 30.0
-    assert self_time_us(root) == 70.0
-
-
-def test_overlapping_children_count_once():
-    # Two children overlap on [20, 40]; the later-ending one owns it.
-    root = _tree(
-        _node(0.0, 100.0, 1),
-        _node(10.0, 30.0, 2, parent_id=1),
-        _node(20.0, 40.0, 3, parent_id=1),
-    )
-    assert critical_path_us(root) == 50.0  # [10, 60], not 30 + 40
-
-
-def test_children_clip_to_the_parent():
-    root = _tree(
-        _node(50.0, 50.0, 1),
-        _node(0.0, 200.0, 2, parent_id=1),  # sticks out both sides
-    )
-    assert critical_path_us(root) == 50.0
-    assert self_time_us(root) == 0.0
-
-
-def test_nested_descendants_attribute_to_the_deepest():
-    grandchild = _node(20.0, 10.0, 3, parent_id=2)
-    child = _tree(_node(10.0, 40.0, 2, parent_id=1), grandchild)
-    root = _tree(_node(0.0, 100.0, 1), child)
-    segments = critical_path(root)
-    by_owner = {}
-    for segment in segments:
-        owner = segment.node.span_id
-        by_owner[owner] = by_owner.get(owner, 0.0) + segment.dur_us
-    assert by_owner == {1: 60.0, 2: 30.0, 3: 10.0}
 
 
 def test_collect_span_forest_resolves_parents_and_filters():
@@ -168,65 +84,3 @@ def test_decompose_recoveries_scope_filter():
     assert [s.label for s in only_groups.scopes] == ["group.1"]
     with pytest.raises(KeyError):
         only_groups.scope("shard.2")
-
-
-def test_recovery_forest_walks_like_any_dag():
-    observer = Observer()
-    _record_failover(observer, "shard.0", 0.0, 100.0, 900.0)
-    roots = recovery_forest(observer.recorder.events)
-    assert len(roots) == 1
-    assert critical_path_us(roots[0]) == pytest.approx(1_000.0)
-    assert self_time_us(roots[0]) == pytest.approx(0.0)
-
-
-# -- the SLO cross-check -----------------------------------------------------
-
-
-class _FakeScope:
-    def __init__(self, scope, failovers, downtime_us, windows):
-        self.scope = scope
-        self.label = scope or "cluster"
-        self.failovers = failovers
-        self.downtime_us = downtime_us
-        self.windows = windows
-
-
-class _FakeSlo:
-    def __init__(self, scopes):
-        self.scopes = scopes
-
-
-def test_crosscheck_accepts_matching_roots_and_windows():
-    observer = Observer()
-    _record_failover(observer, "shard.2", 1_000.0, 500.0, 4_500.0)
-    slo = _FakeSlo([
-        _FakeScope("shard.2", 1, 5_000.0, [(1_000.0, 6_000.0)]),
-        _FakeScope("shard.3", 0, 0.0, []),
-    ])
-    decomposition = crosscheck_recovery_slo(observer.recorder.events, slo)
-    assert decomposition.recoveries == 1
-
-
-def test_crosscheck_flags_count_sum_window_and_orphan_mismatches():
-    observer = Observer()
-    _record_failover(observer, "shard.2", 1_000.0, 500.0, 4_500.0)
-    events = observer.recorder.events
-
-    missing = _FakeSlo([_FakeScope("shard.2", 2, 5_000.0,
-                                   [(1_000.0, 6_000.0)] * 2)])
-    with pytest.raises(AssertionError, match="recovery span"):
-        crosscheck_recovery_slo(events, missing)
-
-    wrong_sum = _FakeSlo([_FakeScope("shard.2", 1, 9_000.0,
-                                     [(1_000.0, 10_000.0)])])
-    with pytest.raises(AssertionError, match="sum to"):
-        crosscheck_recovery_slo(events, wrong_sum)
-
-    wrong_window = _FakeSlo([_FakeScope("shard.2", 1, 5_000.0,
-                                        [(2_000.0, 7_000.0)])])
-    with pytest.raises(AssertionError, match="matches no SLO"):
-        crosscheck_recovery_slo(events, wrong_window)
-
-    orphan = _FakeSlo([])
-    with pytest.raises(AssertionError, match="does not know"):
-        crosscheck_recovery_slo(events, orphan)

@@ -198,3 +198,27 @@ def test_a_series_file_cut_mid_line_is_a_one_line_error(tmp_path, capsys):
     assert status == 2 and f"{path}:9: " in err
     with pytest.raises(ValueError, match=":9: "):
         SeriesFrame.read_jsonl(str(path))
+
+
+def _series_bytes(_trace):
+    from repro.obs.series import SeriesFrame
+
+    frame = SeriesFrame(["queue"])
+    frame.append(0.0, {"queue": 1.0})
+    return frame.to_bytes()
+
+
+@pytest.mark.parametrize("content, reason", [
+    (lambda trace: b"", "missing repro-trace-v1 meta line"),
+    (lambda trace: trace.split(b"\n", 1)[1], "missing repro-trace-v1 meta line"),
+    (_series_bytes, "unknown trace format 'repro-series-v1'"),
+], ids=["empty-file", "event-first", "series-as-trace"])
+def test_a_file_that_is_not_a_trace_cannot_audit_pass(
+        recorded_trace, tmp_path, capsys, content, reason):
+    path = tmp_path / "not-a-trace.jsonl"
+    path.write_bytes(content(recorded_trace))
+    status, err = _report_exit(path, capsys, "--audit")
+    assert status == 2
+    assert f"cannot read trace file: {path}: {reason}" in err
+    with pytest.raises(ValueError, match="meta line|trace format"):
+        read_jsonl(path)

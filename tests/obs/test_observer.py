@@ -156,3 +156,44 @@ def test_every_public_name_resolves_and_the_lazy_table_cannot_rot():
         assert getattr(obs, name) is getattr(module, name)
     with pytest.raises(AttributeError):
         obs.no_such_name
+
+
+_IMPORT_HYGIENE = """
+import importlib, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("repro.obs"))
+
+import repro
+print(" ".join(loaded()))
+# Each analysis module as the *first* repro.obs import: what an import
+# cycle breaks, whichever side it is entered from.
+for name in sys.argv[1:]:
+    for module in loaded():
+        del sys.modules[module]
+    importlib.import_module("repro.obs." + name)
+"""
+
+
+def test_import_repro_loads_only_the_emitting_side_and_no_cycle():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    analysis = ["alerts", "audit", "critpath", "diff", "report", "series", "slo"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _IMPORT_HYGIENE, *analysis],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    # The package's lazy table promises the analysis layer is never
+    # forced on ``import repro``.
+    assert proc.stdout.split() == ["repro.obs"] + [
+        f"repro.obs.{name}" for name in
+        ("export", "metrics", "observer", "recovery", "spans", "trace")
+    ]

@@ -3,7 +3,8 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.obs import TraceEvent, analyze_timeline, write_jsonl
-from repro.obs.report import LatencySummary, TimelineReport, main
+from repro.obs.metrics import LatencySummary
+from repro.obs.report import TimelineReport, main
 
 
 def _failover_events():

@@ -275,7 +275,7 @@ def test_sharding_series_matches_trace_and_is_deterministic():
     assert a.series.to_bytes() == b.series.to_bytes()
     # Exactness: the series' windowed deltas equal the trace's counts.
     deltas = a.goodput_windows()
-    counts = a.trace_report().window_counts(len(deltas))
+    counts = a.trace_report.window_counts(len(deltas))
     assert deltas == [float(c) for c in counts]
     # A different workload seed samples the same columns on the same
     # ticks (the seed varies keys and payloads, not the offered slots).

@@ -3,11 +3,10 @@
 import pytest
 
 from repro.obs import Observer, TraceEvent, read_jsonl, write_jsonl
-from repro.obs.alerts import downtime_windows
 from repro.obs.audit import audit_events
-from repro.obs.critpath import crosscheck_recovery_slo
 from repro.obs.report import analyze_timeline
 from repro.obs.slo import MAX_NINES, ScopeAvailability, compute_slo, nines
+from repro.obs.trace import downtime_windows
 from repro.quorum.cluster import QuorumCluster
 from repro.quorum.workload import QuorumWorkload
 from repro.shard.router import Router
@@ -178,7 +177,6 @@ def test_repeated_outages_in_one_scope_pair_crash_by_crash():
     assert scope.failovers == 2
     assert list(scope.windows) == windows
     assert list(scope.windows) == downtime_windows(events)["group.0"]
-    crosscheck_recovery_slo(events, slo)
     assert audit_events(events).ok
 
 
@@ -197,5 +195,4 @@ def test_outage_open_at_the_horizon_is_charged_to_it():
     assert "outage open at the end of the trace" in slo.render()
     assert scope.to_dict()["windows_us"] == [[2_000.0, None]]
     # An open outage has no recovery root; closed windows still match.
-    crosscheck_recovery_slo(events, slo)
     assert audit_events(events).ok

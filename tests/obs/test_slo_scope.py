@@ -6,7 +6,8 @@ import pytest
 
 from repro.obs import TraceEvent, write_jsonl
 from repro.obs.report import main as report_main
-from repro.obs.slo import _scope_selected, compute_slo
+from repro.obs.slo import compute_slo
+from repro.obs.trace import scope_selected
 
 
 def _completion(ts, scope):
@@ -41,13 +42,13 @@ def _events():
 
 
 def test_scope_selection_matches_exact_and_dotted_prefix():
-    assert _scope_selected("group.1", None)
-    assert _scope_selected("group.1", ["group.1"])
-    assert _scope_selected("group.1", ["group"])
-    assert not _scope_selected("group.1", ["group.10"])
-    assert not _scope_selected("shard.0", ["group"])
+    assert scope_selected("group.1", None)
+    assert scope_selected("group.1", ["group.1"])
+    assert scope_selected("group.1", ["group"])
+    assert not scope_selected("group.1", ["group.10"])
+    assert not scope_selected("shard.0", ["group"])
     # The anonymous scope reports under the label "cluster".
-    assert _scope_selected("", ["cluster"])
+    assert scope_selected("", ["cluster"])
 
 
 def test_compute_slo_reports_every_scope_without_a_filter():

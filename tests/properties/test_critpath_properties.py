@@ -1,17 +1,13 @@
-"""Property-based invariants of the critical-path walker, the span
-joiner and the structural trace differ.
+"""Property-based invariants of the span joiner and the structural
+trace differ.
 
-Four claims:
+Two claims:
 
-* ``critical_path_us(root) <= root.dur_us`` for *any* randomly grown
-  span DAG — children may overlap, nest, stick out past the parent, or
-  leave gaps; the walker clips and never double-counts;
-* when the children *tile* the parent exactly (the geometry both the
-  commit and recovery recorders emit by construction), equality holds
-  and the root's self time is zero at every level;
 * whatever the two recorders emit, the commit and recovery collectors
   report exactly the per-label child durations of the
-  ``collect_span_forest`` root they are built on; and
+  ``collect_span_forest`` root they are built on (and the recovery
+  children sum to their root: the tiling every report attributes by);
+  and
 * a run structurally diffed against itself is always identical,
   across seeds — which is what makes a non-empty diff in CI evidence
   of a real change.
@@ -23,13 +19,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs import Observer, TraceEvent
-from repro.obs.critpath import (
-    SpanNode,
-    collect_span_forest,
-    critical_path,
-    critical_path_us,
-    self_time_us,
-)
 from repro.obs.diff import diff_events, diff_series
 from repro.obs.recovery import (
     RECOVERY_PHASES,
@@ -40,93 +29,8 @@ from repro.obs.spans import (
     COMMIT_PHASES,
     CommitSpanRecorder,
     collect_commit_spans,
+    collect_span_forest,
 )
-
-TOL = 1e-9
-
-
-def _node(span_id, start, dur, parent_id=None):
-    event = TraceEvent(start, "c", "span", kind="span", dur_us=dur, attrs={})
-    return SpanNode(event=event, span_id=span_id, parent_id=parent_id,
-                    trace_id=1)
-
-
-# -- random DAG geometry -----------------------------------------------------
-#
-# A recursive tree: each node gets 0-4 children whose intervals are
-# drawn *unconstrained* within (and slightly beyond) the parent — the
-# nastiest geometries the walker must clip.
-
-_interval = st.tuples(
-    st.floats(-20.0, 120.0, allow_nan=False),
-    st.floats(0.0, 80.0, allow_nan=False),
-)
-
-
-@st.composite
-def _random_tree(draw, depth=0):
-    start, dur = draw(_interval)
-    node = _node(draw(st.integers(0, 10**6)), start, dur)
-    if depth < 3:
-        for child_tree in draw(
-            st.lists(_random_tree(depth=depth + 1), min_size=0, max_size=4)
-        ):
-            node.children.append(child_tree)
-    return node
-
-
-@given(_random_tree())
-@settings(max_examples=150, deadline=None)
-def test_critical_path_never_exceeds_root_duration(root):
-    path_us = critical_path_us(root)
-    assert -TOL <= path_us <= root.dur_us + TOL
-    # The segments tile the root's interval exactly, in order.
-    segments = critical_path(root)
-    cursor = root.start_us
-    for segment in segments:
-        assert segment.start_us == pytest.approx(cursor, abs=1e-6)
-        assert segment.end_us >= segment.start_us
-        cursor = segment.end_us
-    if segments:
-        assert cursor == pytest.approx(root.end_us, abs=1e-6)
-
-
-# -- tiling geometry ---------------------------------------------------------
-#
-# Recursively split [start, start+dur] at random cut points: children
-# tile each parent exactly, so the critical path equals the duration
-# at every level and no node keeps self time.
-
-@st.composite
-def _tiling_tree(draw, start=0.0, dur=1000.0, depth=0):
-    node = _node(draw(st.integers(0, 10**6)), start, dur)
-    if depth < 3 and dur > 1.0 and draw(st.booleans()):
-        pieces = draw(st.integers(1, 4))
-        cuts = sorted(draw(st.lists(
-            st.floats(0.0, 1.0, allow_nan=False),
-            min_size=pieces - 1, max_size=pieces - 1,
-        )))
-        edges = [start] + [start + c * dur for c in cuts] + [start + dur]
-        for lo, hi in zip(edges, edges[1:]):
-            node.children.append(
-                draw(_tiling_tree(start=lo, dur=hi - lo, depth=depth + 1))
-            )
-    return node
-
-
-def _assert_tiled(node):
-    if node.children:
-        assert critical_path_us(node) == pytest.approx(node.dur_us, abs=1e-6)
-        assert self_time_us(node) == pytest.approx(0.0, abs=1e-6)
-    for child in node.children:
-        _assert_tiled(child)
-
-
-@given(_tiling_tree())
-@settings(max_examples=100, deadline=None)
-def test_tiling_children_reach_equality_at_every_level(root):
-    _assert_tiled(root)
-
 
 # -- the collectors sit on the joiner ----------------------------------------
 

@@ -210,8 +210,19 @@ def test_a_long_stream_crosses_the_real_pending_limit():
 #: Small enough that a frame of the undrained backlog crosses the ring
 #: end in about half of the examples.
 _small_rings = st.sampled_from([64, 80, 100, 160])
+#: A payload that itself spells a one-record frame, so a restart that
+#: lands on it decodes a record whose offset lies anywhere — inside the
+#: database or far outside it.
+_frame_like = st.builds(
+    lambda offset, length: struct.pack("<III", 1, offset, length),
+    st.one_of(st.integers(0, DB_BYTES), st.integers(0, 2**32 - 1)),
+    st.integers(0, 4),
+)
 _small_txn = st.lists(  # at most 4 + 3 * (8 + 12) = 64 bytes on the wire
-    st.tuples(st.integers(0, DB_BYTES - 12), st.binary(max_size=12)),
+    st.tuples(
+        st.integers(0, DB_BYTES - 12),
+        st.one_of(st.binary(max_size=12), _frame_like),
+    ),
     max_size=3,
 )
 
@@ -310,8 +321,17 @@ def test_redo_restart_off_a_frame_boundary_never_applies_part_of_a_frame(
 ):
     applier, db, boundaries, images = _backlog(ring_bytes, drained, undrained)
     assume(len(boundaries) > 1)
+    anywhere = st.integers(boundaries[0] + 1, boundaries[-1] - 1)
+    # Half the restarts land where a record's payload begins: the one
+    # place a _frame_like payload is read as a frame.
+    payloads = [
+        boundary + 4 + sum(8 + len(data) for _, data in records[:index]) + 8
+        for boundary, records in zip(boundaries[:-1], undrained)
+        for index in range(len(records))
+    ]
     torn = data.draw(
-        st.integers(boundaries[0] + 1, boundaries[-1] - 1)
+        (st.one_of(st.sampled_from(payloads), anywhere) if payloads
+         else anywhere)
         .filter(lambda sequence: sequence not in boundaries),
         label="restart at byte",
     )
@@ -319,20 +339,27 @@ def test_redo_restart_off_a_frame_boundary_never_applies_part_of_a_frame(
     spelled = _spelled_frame(bytes(
         ring[8 + sequence % capacity] for sequence in range(torn, boundaries[-1])
     ))
-    # Bytes that happen to spell a frame with records are a frame to
-    # any decoder; what must never happen is part of one.
-    assume(not spelled)
+    # Bytes that happen to spell a frame whose every record lies inside
+    # the database are a frame to any decoder; what must never happen
+    # is part of one — a record outside the database refuses them all.
+    lands = spelled is not None and all(
+        offset + length <= DB_BYTES for offset, length in spelled
+    )
 
     restarted = redo_log.RedoLogApplier(
         applier.ring, db, applier.consumer_mapping)
     restarted.consumed = torn
     untouched = (images[0], db.writes_observed)
-    if spelled is None:
+    if lands:
+        assert restarted.apply_one()
+        assert restarted.consumed == torn + 4 + sum(
+            8 + length for _offset, length in spelled
+        )
+        assert restarted.records_applied == len(spelled)
+    else:
         with pytest.raises(RedoLogCorruptError):
             restarted.apply_one()
         assert restarted.consumed == torn
-    else:  # a zero count: an empty frame, four bytes long
-        assert restarted.apply_one()
-        assert restarted.consumed == torn + 4
-    assert restarted.records_applied == 0
-    assert (db.snapshot(), db.writes_observed) == untouched
+        assert restarted.records_applied == 0
+    if not spelled:
+        assert (db.snapshot(), db.writes_observed) == untouched

@@ -189,6 +189,14 @@ def test_oversized_record_length_is_refused_before_earlier_records_land():
     _assert_refused(applier, db, "length 4000 of record 1 of 2")
 
 
+def test_out_of_database_offset_is_refused_before_earlier_records_land():
+    producer, applier, db = make_ring()  # a 1,024-byte database
+    producer.try_publish(txn((10, b"hello"), (20, b"world")))
+    second_header = 4 + 8 + 5
+    _poke_ring(applier, second_header, struct.pack("<II", 1020, 5))
+    _assert_refused(applier, db, "offset 1020 of record 1 of 2")
+
+
 def test_frame_truncated_by_a_lowered_producer_pointer_is_refused():
     producer, applier, db = make_ring()
     producer.try_publish(txn((10, b"hello"), (20, b"world")))
