@@ -287,11 +287,24 @@ class MemoryRegion:
         overlapping ranges is safe) instead of through an intermediate
         ``bytes``.
         """
-        src._check_bounds(src_offset, length)
+        # read's and then write's fused precondition (see write).
+        if (
+            src._crashed
+            or src_offset < 0
+            or length < 0
+            or src_offset + length > src.size
+        ):
+            src._check_bounds(src_offset, length)
         if length == 0:
             return
-        self._check_bounds(dst_offset, length)
-        self._check_protection(dst_offset, length)
+        if (
+            self._crashed
+            or self._protected
+            or dst_offset < 0
+            or dst_offset + length > self.size
+        ):
+            self._check_bounds(dst_offset, length)
+            self._check_protection(dst_offset, length)
         self.data[dst_offset : dst_offset + length] = src.data[
             src_offset : src_offset + length
         ]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
+from repro.errors import ConfigurationError
 from repro.memory.region import MemoryRegion
 from repro.memory.rio import RioMemory
 from repro.san.memory_channel import MemoryChannelInterface, TransmitMapping
@@ -41,29 +42,19 @@ class ReplicaBinding:
         self.local = local
         self.mapping = mapping
         self.fragmented = fragmented
-        self.forwarded_writes = 0
         # This callback runs once per write of every replicated
         # region, the hottest call site in the repo.
         local.add_observer(self._forward)
 
     def _forward(self, offset: int, length: int, category) -> None:
-        mapping = self.mapping
         if not self.fragmented:
-            # The local write that triggered this callback was
-            # bounds-checked against a region the same size as the
-            # window, so skip re-validation and the per-store call
-            # chain (mapping.write -> _transmit).
-            mapping.interface._transmit_trusted(
-                mapping,
-                offset,
-                self.local.data[offset : offset + length],
-                category,
+            self.mapping.write(
+                offset, self.local.data[offset : offset + length], category
             )
         else:
-            mapping.write_uncoalesced(
+            self.mapping.write_uncoalesced(
                 offset, self.local.read(offset, length), category
             )
-        self.forwarded_writes += 1
 
     def detach(self) -> None:
         try:
@@ -86,9 +77,15 @@ class WriteThroughReplica:
         self.backup_regions: Dict[str, MemoryRegion] = {}
 
     def twin_region(self, name: str, size: int) -> MemoryRegion:
-        """Create (or fetch) the backup's copy of region ``name``."""
+        """Create (or fetch) the backup's ``size``-byte copy of ``name``."""
         if self.backup_rio.has_region(name):
-            return self.backup_rio.get_region(name)
+            region = self.backup_rio.get_region(name)
+            if region.size != size:
+                raise ConfigurationError(
+                    f"backup region {name!r} is {region.size} bytes, "
+                    f"its primary {size}"
+                )
+            return region
         region = self.backup_rio.create_region(name, size)
         self.backup_regions[name] = region
         return region

@@ -7,8 +7,9 @@ receiver's memory with no remote-CPU involvement (Section 2.3).
 
 * :mod:`repro.san.packets` — packet traces and per-size statistics.
 * :mod:`repro.san.memory_channel` — transmit mappings, write-through
-  delivery, loopback mode (with its read-your-writes hazard) and
-  write doubling.
+  delivery and loopback mode (with its read-your-writes hazard). Write
+  doubling, which that hazard forces, is
+  :mod:`repro.replication.writethrough`.
 * :mod:`repro.san.link` — link-time accounting with multi-sender
   contention, used for the SMP-primary experiments (Figures 2, 3).
 * :mod:`repro.san.ping_pong` — the microbenchmark behind Figure 1.
@@ -16,7 +17,6 @@ receiver's memory with no remote-CPU involvement (Section 2.3).
 
 from repro.san.packets import PacketTrace
 from repro.san.memory_channel import (
-    DoubledWrite,
     LoopbackBuffer,
     MemoryChannelInterface,
     TransmitMapping,
@@ -29,7 +29,6 @@ __all__ = [
     "MemoryChannelInterface",
     "TransmitMapping",
     "LoopbackBuffer",
-    "DoubledWrite",
     "SharedLink",
     "measure_effective_bandwidth",
     "run_figure1_sweep",

@@ -21,7 +21,6 @@ instead.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.errors import CrashedError, NotMappedError
@@ -42,6 +41,11 @@ class TransmitMapping:
 
     The window occupies ``[io_base, io_base + size)`` in the sender's
     I/O space and is backed by ``remote`` (same size) on the receiver.
+    Its three store methods are the SAN store path: the bytes reach
+    the remote region at once (DMA, remote CPU uninvolved) and are
+    counted there; packet formation waits for the interface's next
+    ordering point (disjoint ``io_base`` values keep windows from
+    sharing a 32-byte block).
     """
 
     def __init__(
@@ -70,18 +74,84 @@ class TransmitMapping:
         data: bytes,
         category: WriteCategory = WriteCategory.MODIFIED,
     ) -> None:
-        """Store ``data`` at ``offset`` within the window.
-
-        The store is pushed through the sender's write buffers (packet
-        accounting) and delivered into the remote region.
-        """
-        self.interface._transmit(self, offset, data, category)
+        """Store ``data`` (any bytes-like object) at ``offset`` within
+        the window: one I/O-space store. A crashed interface, a window
+        not installed or a non-empty store outside it is refused."""
+        interface = self.interface
+        length = len(data)
+        if (
+            interface._crashed
+            or self not in interface._mappings
+            or (length and (offset < 0 or offset + length > self.size))
+        ):
+            interface._refuse(self, offset, length)
+        if length == 0:
+            return
+        interface.io_stores += 1
+        pending = interface._pending
+        pending.append((self.io_base + offset, length))
+        if len(pending) >= _PENDING_LIMIT:
+            interface._flush_pending()
+        remote = self.remote
+        if remote._observers or remote._protected or remote._crashed:
+            remote.write(offset, bytes(data), category)
+        else:
+            remote.data[offset : offset + length] = data
+            remote.writes_observed += 1
+            remote.bytes_written += length
+        by_category = self.bytes_by_category
+        by_category[category] = by_category.get(category, 0) + length
 
     def write_run(self, offset: int, parts) -> None:
         """Store ``parts`` — ``(data, category)`` pairs — end to end
-        from ``offset``: exactly ``write(part)`` per part in order (see
-        :meth:`MemoryChannelInterface._transmit_run`)."""
-        self.interface._transmit_run(self, offset, parts)
+        from ``offset``: exactly :meth:`write` per part in order.
+
+        A healthy interface, an installed window, a run inside it and a
+        plain remote are established once; the bytes land as one slice
+        assignment, and every non-empty part still issues its own store
+        — stores that meet mid-block cannot be merged without changing
+        the packets. Anything else is the per-part loop, which raises at
+        the store that earns it."""
+        parts = tuple(parts)  # read twice below; may be a one-shot iterator
+        run = b"".join([data for data, _ in parts])
+        total = len(run)
+        interface = self.interface
+        remote = self.remote
+        if (
+            interface._crashed
+            or self not in interface._mappings
+            or offset < 0
+            or offset + total > self.size
+            or remote._observers
+            or remote._protected
+            or remote._crashed
+        ):
+            for data, category in parts:
+                self.write(offset, data, category)
+                offset += len(data)
+            return
+        pending = interface._pending
+        address = self.io_base + offset
+        stores = 0
+        sent: Dict[WriteCategory, int] = {}
+        for data, category in parts:
+            length = len(data)
+            if length == 0:
+                continue
+            stores += 1
+            sent[category] = sent.get(category, 0) + length
+            pending.append((address, length))
+            if len(pending) >= _PENDING_LIMIT:
+                interface._flush_pending()
+                pending = interface._pending
+            address += length
+        remote.data[offset : offset + total] = run
+        remote.writes_observed += stores
+        remote.bytes_written += total
+        interface.io_stores += stores
+        by_category = self.bytes_by_category
+        for category, length in sent.items():
+            by_category[category] = by_category.get(category, 0) + length
 
     def write_uncoalesced(
         self,
@@ -97,10 +167,56 @@ class TransmitMapping:
         write buffer drains during each stall, so every word leaves as
         its own Memory Channel packet — the "no aggregation" behaviour
         the paper reports for the mirroring protocols (Section 8).
-        """
+
+        From drained buffers on a healthy interface into a plain remote
+        the run is computed whole: each word's packets are its own bytes
+        split at block boundaries, in address order (which needs one
+        buffer or ``block_bytes >= word_bytes``: with more, a word that
+        fully covers a block emits it ahead of the partial one still
+        open before it). Anything else — and every error — takes the
+        per-word loop: :meth:`write`, then a drain."""
         if word_bytes < 1:
             raise ValueError(f"word_bytes must be positive, got {word_bytes}")
-        self.interface._transmit_uncoalesced(self, offset, data, category, word_bytes)
+        interface = self.interface
+        buffer = interface.write_buffer
+        length = len(data)
+        remote = self.remote
+        block_bytes = buffer.block_bytes
+        if (
+            length
+            and not (interface._crashed or interface._pending or buffer.open_buffers)
+            and (block_bytes >= word_bytes or buffer.num_buffers == 1)
+            and self in interface._mappings
+            and 0 <= offset
+            and offset + length <= self.size
+            and not (remote._observers or remote._protected or remote._crashed)
+        ):
+            sizes: List[int] = []
+            start = self.io_base + offset
+            end = start + length
+            for word in range(start, end, word_bytes):
+                stop = min(word + word_bytes, end)
+                edge = (word // block_bytes + 1) * block_bytes
+                while edge < stop:
+                    sizes.append(edge - word)
+                    word = edge
+                    edge += block_bytes
+                sizes.append(stop - word)
+            buffer.account_replayed(sizes, length)
+            words = -(-length // word_bytes)
+            interface.io_stores += words
+            remote.data[offset : offset + length] = data
+            remote.writes_observed += words
+            remote.bytes_written += length
+            by_category = self.bytes_by_category
+            by_category[category] = by_category.get(category, 0) + length
+            return
+        # The drain is barrier()'s minus the metrics fold: nothing
+        # outside can order itself between two words of a stream (the
+        # commit barrier after it is the ordering point).
+        for cursor in range(0, length, word_bytes):
+            self.write(offset + cursor, data[cursor : cursor + word_bytes], category)
+            interface._drain()
 
     def __repr__(self) -> str:
         return (
@@ -168,7 +284,9 @@ class MemoryChannelInterface:
             block_bytes=write_buffer_bytes,
             on_packet=self._trace.record,
         )
-        self._mappings: List[TransmitMapping] = []
+        # Installed windows, in mapping order; a dict so a store's
+        # "installed?" test is one hash probe, not a list scan.
+        self._mappings: Dict[TransmitMapping, None] = {}
         self._next_io_base = 0x8000_0000
         self._crashed = False
         self.io_stores = 0  # number of I/O-space store instructions issued
@@ -176,11 +294,12 @@ class MemoryChannelInterface:
         # ordering point — barrier, statistics read, crash — or the
         # pending limit (same order, same packets; data movement and
         # byte accounting are never deferred). _pending_start_empty
-        # remembers whether the buffers were drained when the batch
-        # began, which is what makes the batch replay-cacheable as a
-        # pure function.
+        # says whether the buffers were drained when the batch began,
+        # which is what makes the batch replay-cacheable as a pure
+        # function. The buffers' open set changes only where _pending
+        # is emptied, so it is set there and nowhere else.
         self._pending: List[Tuple[int, int]] = []
-        self._pending_start_empty = False
+        self._pending_start_empty = True
         # The observer's four counters and the totals they last saw
         # (see _fold_metrics).
         self._metric_names = tuple(
@@ -200,7 +319,7 @@ class MemoryChannelInterface:
         self._check_alive()
         mapping = TransmitMapping(self, self._next_io_base, remote, name)
         self._next_io_base += _align_up(remote.size, 8192)
-        self._mappings.append(mapping)
+        self._mappings[mapping] = None
         return mapping
 
     def unmap_all(self) -> None:
@@ -267,193 +386,24 @@ class MemoryChannelInterface:
         buffer fills and FIFO displacement would have emitted them."""
         if self._pending:
             pending, self._pending = self._pending, []
-            self.write_buffer.write_batch(pending)
+            buffer = self.write_buffer
+            buffer.write_batch(pending)
+            self._pending_start_empty = not buffer.open_buffers
 
     def _check_alive(self) -> None:
         if self._crashed:
             raise CrashedError(f"Memory Channel interface of {self.node_name} is down")
 
-    def _transmit(
-        self,
-        mapping: TransmitMapping,
-        offset: int,
-        data: bytes,
-        category: WriteCategory,
-    ) -> None:
-        """Validate one store — interface up, window installed, store
-        inside it — and issue it (:meth:`_transmit_trusted`)."""
+    def _refuse(self, mapping: TransmitMapping, offset: int, length: int) -> None:
+        """Raise what a refused store earns, first failure first:
+        interface down, window not installed, store outside it."""
         self._check_alive()
         if mapping not in self._mappings:
             raise NotMappedError(f"mapping {mapping.name!r} is not installed")
-        length = len(data)
-        if length and (offset < 0 or offset + length > mapping.size):
-            raise NotMappedError(
-                f"I/O-space write [{offset}, {offset + length}) outside "
-                f"window {mapping.name!r} of size {mapping.size}"
-            )
-        self._transmit_trusted(mapping, offset, data, category)
-
-    def _transmit_trusted(
-        self,
-        mapping: TransmitMapping,
-        offset: int,
-        data,
-        category: WriteCategory,
-    ) -> None:
-        """Issue one validated store: the mapping is known installed
-        and the store known in-bounds — :meth:`_transmit` just checked,
-        or the sender is a write-doubling binding mirroring a local
-        write that was bounds-checked against the same-size twin.
-
-        Packet formation is deferred to the next ordering point: the
-        store enters the CPU write buffers at its I/O-space address;
-        coalescing across *distinct mappings* is still per 32-byte
-        block, which the disjoint io_base values prevent from ever
-        merging. The DMA into the remote physical memory (remote CPU
-        uninvolved) and the byte accounting happen here.
-        """
-        if self._crashed:
-            self._check_alive()
-        length = len(data)
-        if length == 0:
-            return
-        self.io_stores += 1
-        pending = self._pending
-        if not pending:
-            self._pending_start_empty = not self.write_buffer.open_buffers
-        pending.append((mapping.io_base + offset, length))
-        if len(pending) >= _PENDING_LIMIT:
-            self._flush_pending()
-        remote = mapping.remote
-        if (
-            remote._observers
-            or remote._protected
-            or remote._crashed
-        ):
-            remote.write(offset, bytes(data), category)
-        else:
-            remote.data[offset : offset + length] = data
-            remote.writes_observed += 1
-            remote.bytes_written += length
-        by_category = mapping.bytes_by_category
-        by_category[category] = by_category.get(category, 0) + length
-
-    def _transmit_run(self, mapping: TransmitMapping, offset: int, parts) -> None:
-        """:meth:`_transmit` for each ``(data, category)`` of ``parts``,
-        laid end to end from ``offset``.
-
-        A healthy interface, an installed mapping, a run inside the
-        window and a plain remote are established once; the bytes land
-        as one slice assignment, and every non-empty part still issues
-        its own store — stores that meet mid-block cannot be merged
-        without changing the packets. Anything else is the per-part
-        loop, which raises at the store that earns it."""
-        parts = tuple(parts)  # read twice below; may be a one-shot iterator
-        run = b"".join([data for data, _ in parts])
-        total = len(run)
-        remote = mapping.remote
-        if (
-            self._crashed
-            or mapping not in self._mappings
-            or offset < 0
-            or offset + total > mapping.size
-            or remote._observers
-            or remote._protected
-            or remote._crashed
-        ):
-            for data, category in parts:
-                self._transmit(mapping, offset, data, category)
-                offset += len(data)
-            return
-        buffer = self.write_buffer
-        pending = self._pending
-        address = mapping.io_base + offset
-        stores = 0
-        sent: Dict[WriteCategory, int] = {}
-        for data, category in parts:
-            length = len(data)
-            if length == 0:
-                continue
-            stores += 1
-            sent[category] = sent.get(category, 0) + length
-            if not pending:
-                self._pending_start_empty = not buffer.open_buffers
-            pending.append((address, length))
-            if len(pending) >= _PENDING_LIMIT:
-                self._flush_pending()
-                pending = self._pending
-            address += length
-        remote.data[offset : offset + total] = run
-        remote.writes_observed += stores
-        remote.bytes_written += total
-        self.io_stores += stores
-        by_category = mapping.bytes_by_category
-        for category, length in sent.items():
-            by_category[category] = by_category.get(category, 0) + length
-
-    def _transmit_uncoalesced(
-        self,
-        mapping: TransmitMapping,
-        offset: int,
-        data: bytes,
-        category: WriteCategory,
-        word_bytes: int,
-    ) -> None:
-        """Transmit word-by-word, draining between stores so no
-        coalescing happens (see TransmitMapping.write_uncoalesced).
-
-        A run that starts from drained buffers on a healthy interface
-        into a plain remote is computed whole: drained before and after
-        every word, each word's packets are its own bytes split at
-        block boundaries, in address order. (Address order needs one
-        buffer or ``block_bytes >= word_bytes``: with more buffers a
-        word that fully covers a block emits it ahead of the partial
-        block still open before it.) Anything else — and every error —
-        takes the per-word loop."""
-        buffer = self.write_buffer
-        length = len(data)
-        remote = mapping.remote
-        block_bytes = buffer.block_bytes
-        if (
-            length
-            and not (self._crashed or self._pending or buffer.open_buffers)
-            and (block_bytes >= word_bytes or buffer.num_buffers == 1)
-            and mapping in self._mappings
-            and 0 <= offset
-            and offset + length <= mapping.size
-            and not (
-                remote._observers
-                or remote._protected
-                or remote._crashed
-            )
-        ):
-            sizes: List[int] = []
-            start = mapping.io_base + offset
-            end = start + length
-            for word in range(start, end, word_bytes):
-                stop = min(word + word_bytes, end)
-                edge = (word // block_bytes + 1) * block_bytes
-                while edge < stop:
-                    sizes.append(edge - word)
-                    word = edge
-                    edge += block_bytes
-                sizes.append(stop - word)
-            buffer.account_replayed(sizes, length)
-            words = -(-length // word_bytes)
-            self.io_stores += words
-            remote.data[offset : offset + length] = data
-            remote.writes_observed += words
-            remote.bytes_written += length
-            by_category = mapping.bytes_by_category
-            by_category[category] = by_category.get(category, 0) + length
-            return
-        # :meth:`barrier` minus the metrics fold: nothing outside can
-        # order itself between two words of a stream (the commit
-        # barrier after it is the ordering point).
-        for cursor in range(0, length, word_bytes):
-            chunk = data[cursor : cursor + word_bytes]
-            self._transmit(mapping, offset + cursor, chunk, category)
-            self._drain()
+        raise NotMappedError(
+            f"I/O-space write [{offset}, {offset + length}) outside "
+            f"window {mapping.name!r} of size {mapping.size}"
+        )
 
     def _drain(self) -> None:
         """Settle the deferred stores and empty the write buffers."""
@@ -471,6 +421,7 @@ class MemoryChannelInterface:
         else:
             self._flush_pending()
             self.write_buffer.barrier()
+            self._pending_start_empty = True
 
     def barrier(self) -> None:
         """Drain the write buffers (commit-ordering point)."""
@@ -493,6 +444,7 @@ class MemoryChannelInterface:
         self._pending.clear()
         self._fold_metrics()
         self.write_buffer.reset()
+        self._pending_start_empty = True
         self._folded = self._folded[:2] + (0, 0)  # the buffers' half
 
     # -- statistics --------------------------------------------------------------
@@ -511,35 +463,11 @@ class MemoryChannelInterface:
         self._fold_metrics()
         self._trace.clear()
         self.write_buffer.reset()
+        self._pending_start_empty = True
         self.io_stores = 0
         for mapping in self._mappings:
             mapping.bytes_by_category.clear()
         self._folded = (0, 0, 0, 0)
-
-
-@dataclass
-class DoubledWrite:
-    """Helper performing the canonical "write doubling" pattern: every
-    store goes to the ordinary local copy *and* to the I/O-space window
-    so the remote copy tracks it.
-    """
-
-    local: MemoryRegion
-    mapping: TransmitMapping
-
-    def write(
-        self,
-        offset: int,
-        data: bytes,
-        category: WriteCategory = WriteCategory.MODIFIED,
-    ) -> None:
-        self.local.write(offset, data, category)
-        self.mapping.write(offset, data, category)
-
-    def read(self, offset: int, length: int) -> bytes:
-        """Reads always come from the local copy (remote reads are not
-        supported by the hardware)."""
-        return self.local.read(offset, length)
 
 
 def _align_up(value: int, alignment: int) -> int:

@@ -100,10 +100,10 @@ def test_fastpath_measurements_byte_identical(
 # -- observed == detached ------------------------------------------------------
 #
 # An observer is a reader: the interface it watches runs the same store
-# path (batched pipeline, replay cache, trusted lane) and measures the
-# same numbers as one nobody watches, and the four ``san.<node>.*``
-# counters it is handed are the interface's own totals, folded at
-# ordering points.
+# path (batched pipeline, replay cache, the window's store lanes) and
+# measures the same numbers as one nobody watches, and the four
+# ``san.<node>.*`` counters it is handed are the interface's own
+# totals, folded at ordering points.
 
 OBSERVABLE = [
     ("passive-v0", lambda obs: PassiveReplicatedSystem("v0", CONFIG, observer=obs)),

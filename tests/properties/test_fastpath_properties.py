@@ -150,7 +150,7 @@ def _run_fragmented(geometry, word_bytes, offset, data, category, loop,
     do-nothing observer on the remote, which is enough to send the run
     down the per-word loop; ``reference_buffers`` swaps the reference
     write-buffer model in under the interface. Returns everything the
-    outside can see, plus how many words went through ``_transmit``."""
+    outside can see, plus how many words went through ``mapping.write``."""
     num_buffers, block_bytes = geometry
     remote = MemoryRegion("remote", _REMOTE_BYTES)
     if loop:
@@ -171,8 +171,8 @@ def _run_fragmented(geometry, word_bytes, offset, data, category, loop,
 
     interface.write_buffer.on_packet = on_packet
     per_word = []
-    transmit = interface._transmit
-    interface._transmit = lambda *args: (per_word.append(1), transmit(*args))
+    write = mapping.write
+    mapping.write = lambda *args: (per_word.append(1), write(*args))
     mapping.write_uncoalesced(offset, data, category, word_bytes=word_bytes)
     seen = {
         "sizes": sizes,

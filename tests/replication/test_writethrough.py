@@ -1,6 +1,9 @@
 """Write-through bindings: write doubling keeps the backup's twin
 regions byte-identical to the primary's."""
 
+import pytest
+
+from repro.errors import ConfigurationError
 from repro.memory.region import MemoryRegion, WriteCategory
 from repro.memory.rio import RioMemory
 from repro.san.memory_channel import MemoryChannelInterface
@@ -96,7 +99,22 @@ def test_twin_region_reuses_existing():
 def test_forwarded_write_counter():
     _interface, replica = make_replica()
     local = MemoryRegion("db", 64)
-    binding = replica.bind(local, "db")
+    replica.bind(local, "db")
     local.write(0, b"a")
     local.write(1, b"b")
-    assert binding.forwarded_writes == 2
+    assert replica.backup_regions["db"].writes_observed == 2
+
+
+def test_twin_of_another_size_is_refused():
+    """A window onto a smaller existing twin would take the local
+    region's stores past its end."""
+    interface, replica = make_replica()
+    replica.backup_rio.create_region("db", 64)
+    local = MemoryRegion("db", 256)
+    with pytest.raises(ConfigurationError, match=r"'db' is 64 bytes, its primary 256"):
+        replica.bind(local, "db")
+    with pytest.raises(ConfigurationError):
+        replica.twin_region("db", 128)
+    local.write(100, b"hello")  # not bound: nothing is forwarded
+    assert (interface.io_stores, interface.mappings) == (0, [])
+    assert replica.twin_region("db", 64).size == 64

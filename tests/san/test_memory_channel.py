@@ -1,18 +1,18 @@
 """Memory Channel semantics: write-through, write doubling, loopback,
 packet accounting, crash behaviour."""
 
+import os
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import CrashedError, NotMappedError, ProtectionError, ReproError
 from repro.hardware.writebuffer import WriteBufferModel
 from repro.memory.region import MemoryRegion, WriteCategory
+from repro.replication.writethrough import ReplicaBinding
 from repro.san import memory_channel
-from repro.san.memory_channel import (
-    DoubledWrite,
-    LoopbackBuffer,
-    MemoryChannelInterface,
-)
+from repro.san.memory_channel import LoopbackBuffer, MemoryChannelInterface
 from tests.oracles.region_reference import ReferenceMemoryRegion
 from tests.oracles.writebuffer_reference import ReferenceWriteBufferModel
 
@@ -81,18 +81,19 @@ def test_uncoalesced_write_emits_word_packets():
     assert interface.trace.histogram == {4: 5}
 
 
-def _count_per_word_transmits(interface):
-    """How many words of a fragmented run go through ``_transmit``
-    (the per-word loop) rather than the arithmetic lane."""
-    words = []
-    transmit = interface._transmit
-    interface._transmit = lambda *args: (words.append(args[2]), transmit(*args))
-    return words
+def _spy_on_write(mapping):
+    """The data of every store that goes through ``mapping.write``: a
+    fragmented run's per-word loop or a run's per-part loop, not the
+    arithmetic or run lane."""
+    stores = []
+    write = mapping.write
+    mapping.write = lambda *args: (stores.append(args[1]), write(*args))
+    return stores
 
 
 def test_uncoalesced_run_from_a_drained_interface_is_computed_whole():
     interface, mapping, remote = make_pair()
-    words = _count_per_word_transmits(interface)
+    words = _spy_on_write(mapping)
     mapping.write_uncoalesced(30, b"\x07" * 10, WriteCategory.UNDO)
     assert words == []
     assert remote.read(30, 10) == b"\x07" * 10
@@ -115,7 +116,7 @@ def test_uncoalesced_word_covering_a_block_overtakes_the_open_one():
     mapping = interface.map_remote(remote)
     sizes = []
     interface.write_buffer.on_packet = sizes.append
-    words = _count_per_word_transmits(interface)
+    words = _spy_on_write(mapping)
     mapping.write_uncoalesced(2, b"\x01" * 8, word_bytes=8)
     assert sizes == [4, 2, 2]
     assert len(words) == 1
@@ -136,7 +137,7 @@ def test_uncoalesced_run_takes_the_loop_when_the_remote_is_observed():
     seen = []
     remote.add_observer(
         lambda offset, length, category: seen.append((offset, length)))
-    words = _count_per_word_transmits(interface)
+    words = _spy_on_write(mapping)
     mapping.write_uncoalesced(0, b"\x07" * 10)
     assert words == [b"\x07" * 4, b"\x07" * 4, b"\x07" * 2]
     assert seen == [(0, 4), (4, 4), (8, 2)]
@@ -159,7 +160,7 @@ def test_uncoalesced_run_behind_deferred_stores_takes_the_loop():
     interface, mapping, _remote = make_pair()
     mapping.write(64, b"\x01" * 4)
     assert interface._pending
-    words = _count_per_word_transmits(interface)
+    words = _spy_on_write(mapping)
     mapping.write_uncoalesced(0, b"\x07" * 8)
     assert len(words) == 2
     # the deferred store drains with the first word, ahead of it
@@ -173,7 +174,7 @@ def test_uncoalesced_run_behind_open_buffers_takes_the_loop():
     interface.trace  # a statistics read: simulates the store, no drain
     assert not interface._pending
     assert interface.write_buffer.open_buffers == 1
-    words = _count_per_word_transmits(interface)
+    words = _spy_on_write(mapping)
     mapping.write_uncoalesced(0, b"\x07" * 8)
     assert len(words) == 2
     assert interface.trace.histogram == {2: 1, 4: 2}
@@ -194,9 +195,9 @@ def test_uncoalesced_run_past_the_window_sends_the_words_that_fit():
         mapping.write_uncoalesced(58, b"\x07" * 8)
     assert interface.io_stores == 1
     assert remote.read(58, 6) == b"\x07" * 4 + b"\x00" * 2
-    other = MemoryChannelInterface("other")
-    with pytest.raises(NotMappedError):
-        other._transmit_uncoalesced(mapping, 0, b"\x07" * 8, WriteCategory.META, 4)
+    interface.unmap_all()
+    with pytest.raises(NotMappedError, match="not installed"):
+        mapping.write_uncoalesced(0, b"\x07" * 8)
 
 
 def test_distinct_mappings_never_share_packets():
@@ -228,10 +229,15 @@ def test_crashed_interface_rejects_writes():
 
 
 def test_unmapped_mapping_rejected():
-    interface_a, mapping, _remote = make_pair()
-    interface_b = MemoryChannelInterface("other")
-    with pytest.raises(NotMappedError):
-        interface_b._transmit(mapping, 0, b"x", WriteCategory.MODIFIED)
+    interface, mapping, _remote = make_pair()
+    mapping.interface = MemoryChannelInterface("other")  # never installed there
+    with pytest.raises(NotMappedError, match="not installed"):
+        mapping.write(0, b"x")
+    mapping.interface = interface
+    interface.unmap_all()
+    with pytest.raises(NotMappedError, match="not installed"):
+        mapping.write(0, b"")
+    assert interface.io_stores == 0
 
 
 def test_reset_stats():
@@ -256,11 +262,11 @@ def test_doubled_write_keeps_copies_identical():
     local = MemoryRegion("local", 256)
     remote = MemoryRegion("remote", 256)
     interface = MemoryChannelInterface("sender")
-    doubled = DoubledWrite(local, interface.map_remote(remote))
-    doubled.write(5, b"twice")
+    ReplicaBinding(local, interface.map_remote(remote))
+    local.write(5, b"twice")
     assert local.read(5, 5) == b"twice"
     assert remote.read(5, 5) == b"twice"
-    assert doubled.read(5, 5) == b"twice"  # reads come from the local copy
+    assert interface.io_stores == 1
 
 
 def test_loopback_delay_breaks_read_your_writes():
@@ -302,7 +308,7 @@ def test_loopback_delivers_a_long_backlog_in_order():
 def test_bytes_sent_is_a_running_total_across_every_lane():
     interface, mapping, _remote = make_pair()
     mapping.write(0, b"abcd", WriteCategory.META)
-    interface._transmit_trusted(mapping, 4, b"efgh", WriteCategory.UNDO)
+    mapping.write(4, memoryview(b"efgh"), WriteCategory.UNDO)
     mapping.write_uncoalesced(8, b"ijklmnop", WriteCategory.UNDO)
     mapping.write_run(16, ((b"qr", WriteCategory.META), (b"stu", WriteCategory.MODIFIED)))
     assert interface.bytes_sent == 21 == sum(interface.bytes_by_category.values())
@@ -329,6 +335,9 @@ _lane_ops = st.lists(
         st.tuples(st.just("write_run"), _offsets, _parts),
         st.tuples(st.just("write"), _offsets, st.binary(min_size=0, max_size=5),
                   _categories),
+        # a view into a larger buffer, as a doubling binding sends
+        st.tuples(st.just("write_view"), _offsets, st.binary(min_size=0, max_size=8),
+                  st.integers(0, 3), _categories),
         st.tuples(st.just("foreign_run"), _offsets, _parts),  # not installed here
         st.tuples(st.just("barrier")),
         st.tuples(st.just("trace")),
@@ -340,6 +349,7 @@ _lane_ops = st.lists(
         st.tuples(st.just("reboot_remote")),
         st.tuples(st.just("crash_interface")),
         st.tuples(st.just("reboot_interface")),
+        st.tuples(st.just("unmap")),
     ),
     min_size=1, max_size=30,
 )
@@ -381,6 +391,8 @@ def _run_lanes(ops, lane, observed, geometry, region_cls,
                         offset += len(data)
             elif op[0] == "write":
                 mapping.write(op[1], op[2], op[3])
+            elif op[0] == "write_view":
+                mapping.write(op[1], memoryview(op[2])[op[3]:], op[4])
             elif op[0] == "barrier":
                 interface.barrier()
             elif op[0] == "trace":
@@ -398,6 +410,8 @@ def _run_lanes(ops, lane, observed, geometry, region_cls,
                 remote._crashed = op[0] == "crash_remote"
             elif op[0] == "crash_interface":
                 interface.crash()
+            elif op[0] == "unmap":
+                interface.unmap_all()
             else:
                 interface.reboot()
             outcomes.append(None)
@@ -438,9 +452,10 @@ def test_write_run_through_a_mapping_matches_the_per_part_loop(
     counters, same packets in the same order, same ``io_stores`` and
     byte accounting, and the same error after the same parts went out
     — crashed interface or remote, protected or observed remote,
-    uninstalled mapping, runs overrunning either window edge,
-    zero-length parts, a one-shot iterator for a run, and a pending
-    limit crossed mid-run. The ``reference`` leg's oracle is the
+    uninstalled mapping (a foreign one, or every window unmapped),
+    runs overrunning either window edge, zero-length parts, a one-shot
+    iterator for a run, single stores of memoryview slices, and a
+    pending limit crossed mid-run. The ``reference`` leg's oracle is the
     per-part loop over the reference write-buffer model and region."""
     real_limit = memory_channel._PENDING_LIMIT
     memory_channel._PENDING_LIMIT = pending_limit
@@ -458,20 +473,13 @@ def test_write_run_through_a_mapping_matches_the_per_part_loop(
         memory_channel._PENDING_LIMIT = real_limit
 
 
-def _spy_on_transmit(interface):
-    calls = []
-    transmit = interface._transmit
-    interface._transmit = lambda *args: (calls.append(args[2]), transmit(*args))
-    return calls
-
-
 _RUN = ((b"head", WriteCategory.META), (b"", WriteCategory.UNDO),
         (b"payload", WriteCategory.MODIFIED))
 
 
 def test_run_into_a_plain_remote_is_one_deposit_and_a_store_per_part():
     interface, mapping, remote = make_pair(64)
-    calls = _spy_on_transmit(interface)
+    calls = _spy_on_write(mapping)
     mapping.write_run(20, _RUN)
     assert calls == []  # the run lane, not the per-part loop
     assert remote.read(20, 11) == b"headpayload"
@@ -486,7 +494,7 @@ def test_run_into_a_plain_remote_is_one_deposit_and_a_store_per_part():
 
 def test_run_ending_exactly_at_the_window_edge_takes_the_lane():
     interface, mapping, remote = make_pair(64)
-    calls = _spy_on_transmit(interface)
+    calls = _spy_on_write(mapping)
     mapping.write_run(53, _RUN)
     assert calls == []
     assert remote.read(53, 11) == b"headpayload"
@@ -595,3 +603,57 @@ def test_run_from_a_one_shot_iterator_is_issued_and_accounted():
         (mapping.io_base + 20, 4), (mapping.io_base + 24, 7)]
     assert interface.bytes_by_category == mapping.bytes_by_category == {
         WriteCategory.META: 4, WriteCategory.MODIFIED: 7}
+
+
+# -- the lane is one frame deep ------------------------------------------
+
+
+def _repro_frames(action):
+    """The ``repro`` functions ``action`` enters, in call order, as
+    ``(module file, function)`` (comprehensions, which py3.12 inlines,
+    left out)."""
+    package = os.path.dirname(os.path.dirname(memory_channel.__file__)) + os.sep
+    calls = []
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            calls.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return [
+        (code.co_filename[len(package):], code.co_name) for code in calls
+        if code.co_filename.startswith(package) and not code.co_name.startswith("<")
+    ]
+
+
+def test_each_store_lane_is_one_frame_of_the_channel_module():
+    """No public -> private hop: a plain store, a run and an arithmetic
+    word run each run in the one method called."""
+    interface, mapping, _remote = make_pair()
+
+    def channel_frames(action):
+        return [name for module, name in _repro_frames(action)
+                if module == "san/memory_channel.py"]
+
+    assert channel_frames(lambda: mapping.write(0, b"abcd")) == ["write"]
+    assert channel_frames(lambda: mapping.write_run(8, _RUN)) == ["write_run"]
+    interface.barrier()
+    assert channel_frames(
+        lambda: mapping.write_uncoalesced(32, b"\x07" * 10)) == ["write_uncoalesced"]
+    assert interface.io_stores == 6  # one, two parts, three words
+
+
+def test_a_doubled_store_reaches_the_wire_through_the_binding_alone():
+    local = MemoryRegion("local", 64)
+    interface = MemoryChannelInterface("sender")
+    ReplicaBinding(local, interface.map_remote(MemoryRegion("twin", 64)))
+    assert _repro_frames(lambda: local.write_u64(8, 7)) == [
+        ("memory/region.py", "write_u64"),
+        ("replication/writethrough.py", "_forward"),
+        ("san/memory_channel.py", "write"),
+    ]
+    assert interface.io_stores == 1
