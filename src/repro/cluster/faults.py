@@ -166,17 +166,6 @@ class FaultInjector:
         ]
         return fired
 
-    def next_transaction_boundary(self) -> Optional[CrashPlan]:
-        """The earliest pending transaction-count plan, if any."""
-        plans = [
-            plan
-            for plan, _action in self._plans
-            if plan.after_transactions is not None
-        ]
-        if not plans:
-            return None
-        return min(plans, key=lambda plan: plan.after_transactions)
-
     def _now(self) -> Optional[float]:
         if self._clock is not None:
             return self._clock()

@@ -38,10 +38,6 @@ class AllocationError(MemoryError_):
     """The allocator could not satisfy a request."""
 
 
-class ProtectionError(MemoryError_):
-    """A write hit a protected (Rio) region outside a sanctioned window."""
-
-
 class CrashedError(ReproError):
     """An operation was attempted on a crashed node or device."""
 

@@ -286,8 +286,6 @@ def check_quorum_timeline(timeline: GroupOutageTimeline) -> None:
 def quorum_timeline(
     num_groups: int = NUM_GROUPS,
     slots: int = SLOTS,
-    slot_us: float = SLOT_US,
-    offered_per_group: int = OFFERED_PER_GROUP_PER_SLOT,
     seed: int = 42,
     observer: Optional[Observer] = None,
     trace_path: Optional[Union[str, "object"]] = None,
@@ -328,15 +326,16 @@ def quorum_timeline(
         ),
         # Global key g routes to group g; the group draws its own local
         # keys from its seeded stream.
-        fixed_load(slots, slot_us, range(num_groups), offered_per_group),
+        fixed_load(slots, SLOT_US, range(num_groups),
+                   OFFERED_PER_GROUP_PER_SLOT),
         schedule_faults,
         lambda router: {
             **sim_probes(cluster.sim),
             **router_probes(router),
             **quorum_probes(cluster.groups),
         },
-        slots * slot_us + DRAIN_US,
-        slot_us,
+        slots * SLOT_US + DRAIN_US,
+        SLOT_US,
     )
     # One explicit sweep to pick up any last divergence.
     cluster.repair_pass_all()
@@ -345,8 +344,8 @@ def quorum_timeline(
         scope_prefix="group",
         num_units=num_groups,
         slots=slots,
-        slot_us=slot_us,
-        offered_per_unit=offered_per_group,
+        slot_us=SLOT_US,
+        offered_per_unit=OFFERED_PER_GROUP_PER_SLOT,
         downed_unit=DOWNED_GROUP,
         series=series,
         converged=all(group.replicas_converged() for group in cluster.groups),

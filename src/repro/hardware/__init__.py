@@ -7,8 +7,8 @@ package models the pieces of that hardware whose behaviour the paper's
 results hinge on:
 
 * :mod:`repro.hardware.specs` — machine/cache/SAN parameter records.
-* :mod:`repro.hardware.cache` — an exact direct-mapped cache simulator
-  and an analytic miss-rate model used by the throughput estimator.
+* :mod:`repro.hardware.cache` — the analytic miss-rate model used by
+  the throughput estimator.
 * :mod:`repro.hardware.writebuffer` — the 6x32-byte write-buffer
   coalescing model that turns store streams into Memory Channel
   packets (the mechanism behind Figure 1 and the logging-vs-mirroring
@@ -23,7 +23,7 @@ from repro.hardware.specs import (
     MachineSpec,
     SanSpec,
 )
-from repro.hardware.cache import AnalyticCacheModel, DirectMappedCache
+from repro.hardware.cache import AnalyticCacheModel
 from repro.hardware.writebuffer import WriteBufferModel
 from repro.hardware.cpu import CostAccumulator
 
@@ -34,7 +34,6 @@ __all__ = [
     "MachineSpec",
     "SanSpec",
     "AnalyticCacheModel",
-    "DirectMappedCache",
     "WriteBufferModel",
     "CostAccumulator",
 ]

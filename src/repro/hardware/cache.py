@@ -1,15 +1,11 @@
-"""Cache models.
+"""The cache model.
 
-Two models are provided:
-
-* :class:`DirectMappedCache` — an exact simulator of a direct-mapped
-  cache (tag per line). Used in unit tests and to validate the
-  analytic model on small configurations.
-* :class:`AnalyticCacheModel` — a closed-form steady-state miss-rate
-  estimate for uniform random accesses over a working set. The
-  throughput estimator uses this because the paper's databases (up to
-  1 GB) are too large to simulate access-by-access from Python at the
-  transaction volumes involved.
+:class:`AnalyticCacheModel` is a closed-form steady-state miss-rate
+estimate for uniform random accesses over a working set. The
+throughput estimator uses it because the paper's databases (up to
+1 GB) are too large to simulate access-by-access from Python at the
+transaction volumes involved; an exact direct-mapped simulator
+validates it in the tests (``tests/oracles/cache_reference.py``).
 
 For a direct-mapped cache of ``C`` bytes and a uniformly accessed
 working set of ``W`` bytes, the steady-state probability that a
@@ -24,60 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hardware.specs import CacheSpec
-
-
-class DirectMappedCache:
-    """Exact direct-mapped cache simulator.
-
-    Addresses are byte addresses; each access touches the single line
-    containing the address (callers split multi-line accesses with
-    :meth:`access_range`).
-    """
-
-    def __init__(self, spec: CacheSpec):
-        if spec.size_bytes % spec.line_size != 0:
-            raise ValueError("cache size must be a multiple of the line size")
-        self.spec = spec
-        self._tags: list = [None] * spec.num_lines
-        self.hits = 0
-        self.misses = 0
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
-    def flush(self) -> None:
-        """Invalidate every line (does not reset statistics)."""
-        self._tags = [None] * self.spec.num_lines
-
-    def access(self, address: int) -> bool:
-        """Access one byte address; returns True on hit."""
-        line = address // self.spec.line_size
-        index = line % self.spec.num_lines
-        if self._tags[index] == line:
-            self.hits += 1
-            return True
-        self._tags[index] = line
-        self.misses += 1
-        return False
-
-    def access_range(self, offset: int, length: int) -> int:
-        """Access every line in ``[offset, offset+length)``; returns misses."""
-        if length <= 0:
-            return 0
-        line_size = self.spec.line_size
-        first = offset // line_size
-        last = (offset + length - 1) // line_size
-        misses = 0
-        for line in range(first, last + 1):
-            if not self.access(line * line_size):
-                misses += 1
-        return misses
-
-    @property
-    def miss_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.misses / total if total else 0.0
 
 
 @dataclass(frozen=True)

@@ -26,18 +26,6 @@ class CacheSpec:
     line_size: int
     miss_penalty_us: float
 
-    @property
-    def num_lines(self) -> int:
-        return self.size_bytes // self.line_size
-
-    def lines_spanned(self, offset: int, length: int) -> int:
-        """Number of cache lines touched by ``[offset, offset+length)``."""
-        if length <= 0:
-            return 0
-        first = offset // self.line_size
-        last = (offset + length - 1) // self.line_size
-        return last - first + 1
-
 
 @dataclass(frozen=True)
 class MachineSpec:
@@ -50,14 +38,6 @@ class MachineSpec:
     board_cache: CacheSpec
     write_buffers: int
     write_buffer_bytes: int
-
-    @property
-    def cycle_us(self) -> float:
-        """Duration of one CPU cycle in microseconds."""
-        return 1.0 / self.cpu_mhz
-
-    def cycles_to_us(self, cycles: float) -> float:
-        return cycles / self.cpu_mhz
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ scattered 4-byte database writes expensive (~14 MB/s).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
 BLOCK_BYTES_DEFAULT = 32
 
@@ -256,28 +256,3 @@ class WriteBufferModel:
 #: The name the frozen ledger probes construct models through
 #: (``benchmarks/ledger/probes.py``); nothing under ``src/`` calls it.
 writebuffer_model = WriteBufferModel
-
-
-def packets_for_stores(
-    stores: Iterable[Tuple[int, int]],
-    num_buffers: int = 6,
-    block_bytes: int = BLOCK_BYTES_DEFAULT,
-    barrier_between: bool = False,
-) -> List[int]:
-    """Convenience: run a store stream through a fresh model.
-
-    Args:
-        stores: iterable of (address, length) stores.
-        barrier_between: insert a barrier after every store (models
-            fully serialized writes; used in tests).
-
-    Returns the list of emitted packet sizes in order.
-    """
-    sizes: List[int] = []
-    model = WriteBufferModel(num_buffers, block_bytes, on_packet=sizes.append)
-    for address, length in stores:
-        model.write(address, length)
-        if barrier_between:
-            model.barrier()
-    model.barrier()
-    return sizes

@@ -1,7 +1,7 @@
 """Allocators over memory regions.
 
-Three allocators reflect the three structural regimes the paper
-compares:
+Two allocators reflect the structural regimes the paper compares
+(Version 3's inline log needs none: it advances a volatile pointer):
 
 * :class:`HeapAllocator` — a boundary-tag, first-fit free-list heap,
   as used by Version 0 (Vista) for undo-log records and pre-image
@@ -10,9 +10,6 @@ compares:
   in a write-through replica every one of those stores crosses the
   SAN, which is how the straightforward implementation ends up
   shipping 6.7 GB of metadata for Debit-Credit (Table 2).
-* :class:`BumpAllocator` — a pointer that advances and retreats, as
-  used by Version 3's inline log ("allocate such a log record by
-  simply advancing a pointer in memory").
 * :class:`ArrayAllocator` — fixed-size records allocated by
   incrementing an array index, as used by Versions 1 and 2 for their
   set_range coordinate arrays.
@@ -220,73 +217,6 @@ class HeapAllocator:
 
 def _align16(n: int) -> int:
     return (n + 15) & ~15
-
-
-class BumpAllocator:
-    """A log-style allocator: advance a pointer to allocate, move it
-    back to free. The pointer itself lives in the region (META write on
-    every change) because in a write-through replica it must reach the
-    backup for recovery to find the end of the log.
-
-    Layout: [0:8] current pointer (region-relative offset of next free
-    byte), [8:] allocatable space.
-    """
-
-    _DATA_START = 8
-
-    def __init__(
-        self,
-        region: MemoryRegion,
-        base: int = 0,
-        size: Optional[int] = None,
-        fresh: bool = True,
-    ):
-        self.region = region
-        self.base = base
-        self.size = size if size is not None else region.size - base
-        if self.size <= self._DATA_START:
-            raise AllocationError("bump area too small")
-        self.allocs = 0
-        if fresh:
-            self._set_pointer(self.base + self._DATA_START)
-
-    def _set_pointer(self, value: int) -> None:
-        self.region.write_u64(self.base, value)
-
-    @property
-    def pointer(self) -> int:
-        return self.region.read_u64(self.base)
-
-    @property
-    def limit(self) -> int:
-        return self.base + self.size
-
-    def alloc(self, nbytes: int) -> int:
-        """Advance the pointer; returns the region-relative offset."""
-        if nbytes <= 0:
-            raise AllocationError(f"cannot allocate {nbytes} bytes")
-        current = self.pointer
-        if current + nbytes > self.limit:
-            raise AllocationError(
-                f"bump allocator exhausted: need {nbytes}, "
-                f"have {self.limit - current}"
-            )
-        self._set_pointer(current + nbytes)
-        self.allocs += 1
-        return current
-
-    def mark(self) -> int:
-        """Current pointer, for a later :meth:`release_to`."""
-        return self.pointer
-
-    def release_to(self, mark: int) -> None:
-        """Move the pointer back (de-allocating everything after it)."""
-        if mark < self.base + self._DATA_START or mark > self.pointer:
-            raise AllocationError(f"invalid bump mark {mark}")
-        self._set_pointer(mark)
-
-    def reset(self) -> None:
-        self._set_pointer(self.base + self._DATA_START)
 
 
 class ArrayAllocator:

@@ -39,10 +39,6 @@ class AddressSpace:
         self._by_name[region.name] = region
         return region
 
-    def place_all(self, *regions: MemoryRegion) -> None:
-        for region in regions:
-            self.place(region)
-
     def resolve(self, address: int) -> Tuple[MemoryRegion, int]:
         """Map a global address back to (region, offset)."""
         for region in self._placed:

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import enum
 import struct
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 import numpy as _np
 
-from repro.errors import CrashedError, OutOfBoundsError, ProtectionError
+from repro.errors import CrashedError, OutOfBoundsError
 
 
 class WriteCategory(enum.Enum):
@@ -73,9 +73,7 @@ class MemoryRegion:
         "base",
         "data",
         "_observers",
-        "_protected",
         "_crashed",
-        "_window",
         "writes_observed",
         "bytes_written",
     )
@@ -88,9 +86,7 @@ class MemoryRegion:
         self.base = base
         self.data = memoryview(_np.zeros(size, dtype=_np.uint8))
         self._observers: List[Observer] = []
-        self._protected = False
         self._crashed = False
-        self._window: Optional[tuple] = None
         self.writes_observed = 0
         self.bytes_written = 0
 
@@ -104,24 +100,6 @@ class MemoryRegion:
     def remove_observer(self, observer: Observer) -> None:
         self._observers.remove(observer)
 
-    # -- protection (Rio semantics) --------------------------------------
-
-    def protect(self) -> None:
-        """Enable Rio-style VM protection: writes outside an open
-        window raise :class:`ProtectionError`."""
-        self._protected = True
-
-    def unprotect(self) -> None:
-        self._protected = False
-
-    def open_window(self, offset: int, length: int) -> None:
-        """Sanction writes to ``[offset, offset+length)`` while protected."""
-        self._check_bounds(offset, length)
-        self._window = (offset, offset + length)
-
-    def close_window(self) -> None:
-        self._window = None
-
     # -- access ----------------------------------------------------------
 
     def _check_bounds(self, offset: int, length: int) -> None:
@@ -133,20 +111,6 @@ class MemoryRegion:
         if offset < 0 or length < 0 or offset + length > self.size:
             raise OutOfBoundsError(self.name, offset, length, self.size)
 
-    def _check_protection(self, offset: int, length: int) -> None:
-        if not self._protected:
-            return
-        if self._window is None:
-            raise ProtectionError(
-                f"write to protected region {self.name!r} with no open window"
-            )
-        lo, hi = self._window
-        if offset < lo or offset + length > hi:
-            raise ProtectionError(
-                f"write [{offset}, {offset + length}) outside open window "
-                f"[{lo}, {hi}) of protected region {self.name!r}"
-            )
-
     def write(
         self,
         offset: int,
@@ -157,19 +121,12 @@ class MemoryRegion:
         length = len(data)
         if length == 0:
             return
-        # Fused precondition: the common case (healthy, unprotected
-        # region, in-bounds store) clears every check with one branch.
-        # length >= 1 here, so the negative-length clause of
-        # _check_bounds cannot fire and the fallthrough raises the
-        # exact same exception the two-call reference sequence would.
-        if (
-            self._crashed
-            or self._protected
-            or offset < 0
-            or offset + length > self.size
-        ):
+        # Fused precondition: the common case (healthy region, in-bounds
+        # store) clears every check with one branch. length >= 1 here,
+        # so the negative-length clause of _check_bounds cannot fire
+        # and the fallthrough raises the exception it would.
+        if self._crashed or offset < 0 or offset + length > self.size:
             self._check_bounds(offset, length)
-            self._check_protection(offset, length)
         self.data[offset : offset + length] = data
         self.writes_observed += 1
         self.bytes_written += length
@@ -204,14 +161,8 @@ class MemoryRegion:
         # zeroing the field, where pack() touches nothing.
         if value >> 64:
             raise struct.error("argument out of range")
-        if (
-            self._crashed
-            or self._protected
-            or offset < 0
-            or offset + 8 > self.size
-        ):
+        if self._crashed or offset < 0 or offset + 8 > self.size:
             self._check_bounds(offset, 8)
-            self._check_protection(offset, 8)
         _pack_u64(self.data, offset, value)
         self.writes_observed += 1
         self.bytes_written += 8
@@ -224,17 +175,13 @@ class MemoryRegion:
         from ``offset``: a ``writev``.
 
         Exactly ``write(part)`` per part in order. A plain region
-        (alive, unprotected, unobserved) with the whole run in bounds
+        (alive, unobserved) with the whole run in bounds
         takes it as one slice assignment, counted as one write per
         non-empty part; anything else *is* the per-part loop, so every
         observer sees store *k* after exactly the bytes before it and
         every error surfaces at its own store."""
         parts = tuple(parts)  # read twice below; may be a one-shot iterator
-        if not (
-            self._crashed
-            or self._protected
-            or self._observers
-        ):
+        if not (self._crashed or self._observers):
             stored = []
             total = 0
             for data, _ in parts:
@@ -297,14 +244,8 @@ class MemoryRegion:
             src._check_bounds(src_offset, length)
         if length == 0:
             return
-        if (
-            self._crashed
-            or self._protected
-            or dst_offset < 0
-            or dst_offset + length > self.size
-        ):
+        if self._crashed or dst_offset < 0 or dst_offset + length > self.size:
             self._check_bounds(dst_offset, length)
-            self._check_protection(dst_offset, length)
         self.data[dst_offset : dst_offset + length] = src.data[
             src_offset : src_offset + length
         ]

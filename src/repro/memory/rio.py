@@ -16,7 +16,7 @@ contents while the owning node discards all of its volatile state;
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator
 
 from repro.errors import CrashedError
 from repro.memory.region import MemoryRegion
@@ -25,9 +25,8 @@ from repro.memory.region import MemoryRegion
 class RioMemory:
     """A set of named memory regions that survive node crashes."""
 
-    def __init__(self, node_name: str = "node", protect_regions: bool = False):
+    def __init__(self, node_name: str = "node"):
         self.node_name = node_name
-        self.protect_regions = protect_regions
         self._regions: Dict[str, MemoryRegion] = {}
         self._crashed = False
         self.crash_count = 0
@@ -42,8 +41,6 @@ class RioMemory:
                 f"region {name!r} already exists in Rio of {self.node_name!r}"
             )
         region = MemoryRegion(f"{self.node_name}/{name}", size, base)
-        if self.protect_regions:
-            region.protect()
         self._regions[name] = region
         return region
 
@@ -59,10 +56,6 @@ class RioMemory:
 
     def has_region(self, name: str) -> bool:
         return name in self._regions
-
-    def drop_region(self, name: str) -> None:
-        self._check_alive()
-        del self._regions[name]
 
     def regions(self) -> Iterator[MemoryRegion]:
         return iter(self._regions.values())
@@ -96,7 +89,7 @@ class RioMemory:
             region._crashed = True
 
     def reboot(self) -> None:
-        """Warm reboot: Rio restores the protected regions intact."""
+        """Warm reboot: Rio restores the regions intact."""
         self._crashed = False
         for region in self._regions.values():
             region._crashed = False

@@ -45,7 +45,6 @@ from repro.obs.trace import (
     KIND_SPAN,
     TraceEvent,
     TraceRecorder,
-    select_events,
 )
 
 # Symbols re-exported lazily (PEP 562): pre-importing the analysis

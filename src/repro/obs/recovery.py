@@ -146,10 +146,6 @@ class RecoveryTree:
         return self.start_us + self.dur_us
 
     @property
-    def phase_sum_us(self) -> float:
-        return sum(self.phases.values())
-
-    @property
     def dominant_phase(self) -> Optional[str]:
         if not self.phases:
             return None

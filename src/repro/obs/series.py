@@ -15,7 +15,7 @@ instrument that draws the curves:
   half-open ``[0, t)`` prefix — which is what makes the windowed
   derivations below agree *exactly* with trace-derived window counts.
 * :class:`SeriesFrame` holds the columnar result (one time axis, one
-  float column per probe) with JSONL/CSV export, reconstruction from
+  float column per probe) with JSONL export, reconstruction from
   ``series.sample`` trace events, and an ASCII sparkline renderer.
 * :func:`windowed_goodput` / :func:`derive_dip` turn a cumulative
   counter column into per-window rates and a dip-and-recovery summary
@@ -189,15 +189,6 @@ class SeriesFrame:
                 ) from None
         return frame
 
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            names = sorted(self._columns)
-            fh.write(",".join(["time_us"] + names) + "\n")
-            columns = [self._columns[name] for name in names]
-            for i, ts in enumerate(self._times):
-                row = [repr(ts)] + [repr(col[i]) for col in columns]
-                fh.write(",".join(row) + "\n")
-
     @classmethod
     def from_events(cls, events: Iterable[TraceEvent]) -> "SeriesFrame":
         """Rebuild a frame from ``series.sample`` trace events, e.g.
@@ -305,10 +296,6 @@ class DipSummary:
     dip_floor: float         # the worst window's rate
     recover_window: int      # first window at/after the dip back at normal
     time_to_recover_us: float  # (recover - dip_start) * window width
-
-    @property
-    def outage_windows(self) -> int:
-        return self.recover_window - self.dip_start_window
 
 
 def derive_dip(

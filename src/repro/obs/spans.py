@@ -332,10 +332,6 @@ class CommitSpanTree:
     phases: Dict[str, float]
     attrs: Dict[str, object]
 
-    @property
-    def phase_sum_us(self) -> float:
-        return sum(self.phases.values())
-
 
 def collect_commit_spans(events: Iterable) -> List[CommitSpanTree]:
     """Rebuild every commit's span tree from an event stream.
@@ -434,7 +430,7 @@ def attribute_commits(
     """Summarize the commit span trees in ``events`` per phase.
 
     ``component_prefix`` restricts the attribution to one scope (e.g.
-    ``"shard.2"``) the way :func:`~repro.obs.trace.select_events` does;
+    ``"shard.2"``) by :func:`~repro.obs.trace.component_matches`;
     ``scopes`` accepts a list of such selectors and keeps a tree when
     any of them matches.
     """

@@ -124,16 +124,6 @@ class TraceRecorder:
         self.events.append(event)
         return event
 
-    # -- selection -----------------------------------------------------------
-
-    def select(
-        self,
-        name: Optional[str] = None,
-        component_prefix: Optional[str] = None,
-    ) -> List[TraceEvent]:
-        """Events matching a name and/or a component prefix (dot-aware)."""
-        return select_events(self.events, name, component_prefix)
-
     def clear(self) -> None:
         self.events.clear()
 
@@ -142,24 +132,6 @@ class TraceRecorder:
 
     def __repr__(self) -> str:
         return f"TraceRecorder({len(self.events)} events)"
-
-
-def select_events(
-    events: Iterable[TraceEvent],
-    name: Optional[str] = None,
-    component_prefix: Optional[str] = None,
-) -> List[TraceEvent]:
-    """Filter ``events`` by exact name and/or component prefix."""
-    selected = []
-    for event in events:
-        if name is not None and event.name != name:
-            continue
-        if component_prefix is not None and not component_matches(
-            event.component, component_prefix
-        ):
-            continue
-        selected.append(event)
-    return selected
 
 
 def completion_scope(event: TraceEvent) -> Optional[str]:

@@ -80,15 +80,6 @@ class QuorumCostReport:
         R + W > N condition behind read-latest)."""
         return self.read_quorum + self.write_quorum > self.replicas
 
-    @property
-    def copies_stored(self) -> int:
-        """Durable copies of every write (the storage amplification)."""
-        return self.replicas
-
-    @property
-    def unavailability(self) -> float:
-        return 1.0 - self.availability
-
     def traffic_ratio(self, baseline: "QuorumCostReport") -> float:
         """This configuration's total per-transaction wire bytes as a
         multiple of ``baseline``'s (one read + one write each)."""

@@ -46,18 +46,6 @@ class ShardedThroughputReport:
     def dedicated_speedup(self) -> float:
         return self.dedicated_tps / self.per_pair_tps
 
-    def degraded_tps(self, failed_shards: int = 1,
-                     dedicated: bool = True) -> float:
-        """Aggregate rate while ``failed_shards`` shards are mid-failover
-        and contribute nothing: the dip floor of the availability
-        timeline (roughly ``(n-k)/n`` of normal)."""
-        if failed_shards < 0 or failed_shards > self.shards:
-            raise ConfigurationError(
-                f"{failed_shards} failed of {self.shards} shards"
-            )
-        total = self.dedicated_tps if dedicated else self.shared_san_tps
-        return total * (self.shards - failed_shards) / self.shards
-
 
 def sharded_aggregate(
     single: ThroughputReport,

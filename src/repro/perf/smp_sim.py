@@ -81,10 +81,6 @@ class SmpSimulationResult:
     def aggregate_tps(self) -> float:
         return sum(self.per_stream_completed) / self.simulated_us * 1e6
 
-    @property
-    def link_utilization(self) -> float:
-        return self.link_busy_us / self.simulated_us
-
 
 def simulate_smp(
     txn_cpu_us: float,

@@ -158,13 +158,6 @@ class ReplicaStore:
 
     # -- identity ------------------------------------------------------------
 
-    def key_digest(self, key: int) -> bytes:
-        """The key's fixed-width digest cell (EMPTY_DIGEST if absent)."""
-        stored = self._data.get(key)
-        if stored is None:
-            return EMPTY_DIGEST
-        return hashlib.sha1(stored.encode()).digest()
-
     def _flush_digests(self) -> None:
         """Refresh the digest cells of keys written since the last
         identity read."""
@@ -188,17 +181,6 @@ class ReplicaStore:
         """
         self._flush_digests()
         return self._digests.view(0, self.num_keys * DIGEST_BYTES)
-
-    def leaf_bytes(self, start_key: int, span: int) -> bytes:
-        """Concatenated digest cells of keys [start_key, start_key+span)
-        — a materialized slice of :meth:`digest_view`, kept for
-        callers that want owned bytes (the hot path slices the view
-        directly)."""
-        end_key = min(start_key + span, self.num_keys)
-        self._flush_digests()
-        return self._digests.read(
-            start_key * DIGEST_BYTES, (end_key - start_key) * DIGEST_BYTES
-        )
 
     def canonical_bytes(self) -> bytes:
         """The whole replica's canonical byte image: replicas are

@@ -85,10 +85,6 @@ class VersionVector:
         """Strictly newer: descends from ``other`` and differs."""
         return self.descends(other) and self._counters != other._counters
 
-    def concurrent_with(self, other: "VersionVector") -> bool:
-        """Neither descends from the other: concurrent writes."""
-        return not self.descends(other) and not other.descends(self)
-
     # -- encoding ------------------------------------------------------------
 
     def encode(self) -> str:

@@ -23,14 +23,6 @@ class CommitSafety(enum.Enum):
     ONE_SAFE = "1-safe"
     TWO_SAFE = "2-safe"
 
-    @property
-    def waits_for_backup(self) -> bool:
-        """Whether commit may return only after the backup durably has
-        the transaction. This is the contract the trace auditor holds
-        2-safe commits to: a ``commit`` event claiming 2-safe with redo
-        still in flight (nonzero ring lag) is a violation."""
-        return self is CommitSafety.TWO_SAFE
-
     def extra_commit_latency_us(self, san: SanSpec) -> float:
         """Added per-commit latency versus local-only commit.
 

@@ -19,10 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from repro.hardware.specs import MEMORY_CHANNEL_II
+
 US_PER_SECOND = 1e6
 
 #: Late-90s AlphaServer bulk memory copy: ~300 MB/s.
 MEMCPY_BYTES_PER_US = 300.0
+
+#: The backup's per-transaction redo apply time.
+APPLY_US = 0.5
 
 #: An OS reboot on the paper's hardware, dominated by firmware + Unix
 #: boot; Rio's warm reboot avoids fsck but not the boot itself.
@@ -39,14 +44,11 @@ class RecoveryProfile:
     fixed_work_us: float = 0.0
     needs_reboot: bool = False
 
-    def takeover_us(self, memcpy_bytes_per_us: float = MEMCPY_BYTES_PER_US) -> float:
-        work = self.bytes_to_restore / memcpy_bytes_per_us + self.fixed_work_us
+    def takeover_us(self) -> float:
+        work = self.bytes_to_restore / MEMCPY_BYTES_PER_US + self.fixed_work_us
         if self.needs_reboot:
             work += REBOOT_US
         return self.detection_us + work
-
-    def downtime_seconds(self) -> float:
-        return self.takeover_us() / US_PER_SECOND
 
 
 def profiles_for(
@@ -95,11 +97,7 @@ def profiles_for(
     }
 
 
-def one_safe_window_us(
-    redo_link_time_per_txn_us: float,
-    san_latency_us: float = 3.3,
-    apply_us: float = 0.5,
-) -> float:
+def one_safe_window_us(redo_link_time_per_txn_us: float) -> float:
     """Duration of the 1-safe vulnerability window per commit.
 
     After the primary's commit returns, the transaction is lost if the
@@ -109,7 +107,7 @@ def one_safe_window_us(
     calls this "a very short window of vulnerability (a few
     microseconds)" — this makes the number concrete.
     """
-    return san_latency_us + redo_link_time_per_txn_us + apply_us
+    return MEMORY_CHANNEL_II.latency_us + redo_link_time_per_txn_us + APPLY_US
 
 
 def availability(downtime_us_per_failure: float,

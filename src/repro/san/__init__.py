@@ -6,9 +6,8 @@ into network packets by the sender's interface and DMA-ed into the
 receiver's memory with no remote-CPU involvement (Section 2.3).
 
 * :mod:`repro.san.packets` — packet traces and per-size statistics.
-* :mod:`repro.san.memory_channel` — transmit mappings, write-through
-  delivery and loopback mode (with its read-your-writes hazard). Write
-  doubling, which that hazard forces, is
+* :mod:`repro.san.memory_channel` — transmit mappings and write-through
+  delivery. Write doubling, which the lack of remote reads forces, is
   :mod:`repro.replication.writethrough`.
 * :mod:`repro.san.link` — link-time accounting with multi-sender
   contention, used for the SMP-primary experiments (Figures 2, 3).
@@ -16,11 +15,7 @@ receiver's memory with no remote-CPU involvement (Section 2.3).
 """
 
 from repro.san.packets import PacketTrace
-from repro.san.memory_channel import (
-    LoopbackBuffer,
-    MemoryChannelInterface,
-    TransmitMapping,
-)
+from repro.san.memory_channel import MemoryChannelInterface, TransmitMapping
 from repro.san.link import SharedLink
 from repro.san.ping_pong import measure_effective_bandwidth, run_figure1_sweep
 
@@ -28,7 +23,6 @@ __all__ = [
     "PacketTrace",
     "MemoryChannelInterface",
     "TransmitMapping",
-    "LoopbackBuffer",
     "SharedLink",
     "measure_effective_bandwidth",
     "run_figure1_sweep",

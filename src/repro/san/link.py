@@ -49,10 +49,3 @@ class SharedLink:
         if elapsed_us <= 0:
             raise ValueError("elapsed time must be positive")
         return self.total_link_time_us() / elapsed_us
-
-    def max_rate_per_second(self, link_time_per_unit_us: float) -> float:
-        """How many 'units' (transactions) per second the link can carry
-        if each unit occupies the link for ``link_time_per_unit_us``."""
-        if link_time_per_unit_us <= 0:
-            return float("inf")
-        return 1e6 / link_time_per_unit_us

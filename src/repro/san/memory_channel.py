@@ -11,17 +11,15 @@ involved, which is what makes a *passive* backup possible.
 Only remote writes are supported; remote reads are not (Section 2.3).
 The asymmetry forces "write doubling": the sender keeps an ordinary
 local copy for reads and performs every store twice, once to the local
-copy and once to I/O space. Loopback mode — where the interface also
-applies I/O-space stores to the local copy — is modelled too, including
-the delivery delay that makes it impractical (a processor may not see
-its own last write), which is why all the paper's systems double-write
-instead.
+copy and once to I/O space. Loopback mode, where the interface also
+applies I/O-space stores to the local copy, delivers them late enough
+that a processor may not see its own last write, so none of the
+paper's systems use it: they all double-write.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import CrashedError, NotMappedError
 from repro.fastpath.replay import GLOBAL_REPLAY_CACHE
@@ -93,7 +91,7 @@ class TransmitMapping:
         if len(pending) >= _PENDING_LIMIT:
             interface._flush_pending()
         remote = self.remote
-        if remote._observers or remote._protected or remote._crashed:
+        if remote._observers or remote._crashed:
             remote.write(offset, bytes(data), category)
         else:
             remote.data[offset : offset + length] = data
@@ -123,7 +121,6 @@ class TransmitMapping:
             or offset < 0
             or offset + total > self.size
             or remote._observers
-            or remote._protected
             or remote._crashed
         ):
             for data, category in parts:
@@ -189,7 +186,7 @@ class TransmitMapping:
             and self in interface._mappings
             and 0 <= offset
             and offset + length <= self.size
-            and not (remote._observers or remote._protected or remote._crashed)
+            and not (remote._observers or remote._crashed)
         ):
             sizes: List[int] = []
             start = self.io_base + offset
@@ -223,38 +220,6 @@ class TransmitMapping:
             f"TransmitMapping({self.name!r}, io_base={self.io_base:#x}, "
             f"size={self.size})"
         )
-
-
-class LoopbackBuffer:
-    """Models loopback mode's delayed local delivery.
-
-    Writes queue here before being applied to the local copy; until
-    :meth:`deliver` runs, local reads see stale data — the
-    read-your-writes hazard that makes loopback impractical
-    (Section 2.3).
-    """
-
-    def __init__(self, local: MemoryRegion):
-        self.local = local
-        self._pending: Deque[Tuple[int, bytes]] = deque()
-
-    def enqueue(self, offset: int, data: bytes) -> None:
-        self._pending.append((offset, data))
-
-    @property
-    def pending_writes(self) -> int:
-        return len(self._pending)
-
-    def deliver(self, count: Optional[int] = None) -> int:
-        """Apply up to ``count`` queued writes (all when None)."""
-        if count is None:
-            count = len(self._pending)
-        delivered = 0
-        while self._pending and delivered < count:
-            offset, data = self._pending.popleft()
-            self.local.write(offset, data, WriteCategory.META)
-            delivered += 1
-        return delivered
 
 
 class MemoryChannelInterface:
@@ -332,10 +297,6 @@ class MemoryChannelInterface:
         self._fold_metrics()
         self._mappings.clear()
         self._folded = self._folded[:1] + (0,) + self._folded[2:]
-
-    @property
-    def mappings(self) -> List[TransmitMapping]:
-        return list(self._mappings)
 
     @property
     def bytes_by_category(self) -> Dict[WriteCategory, int]:

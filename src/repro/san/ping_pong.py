@@ -81,9 +81,3 @@ def run_figure1_sweep(
     return [
         measure_effective_bandwidth(size, region_bytes, san) for size in sizes
     ]
-
-
-def measure_latency_us(san: SanSpec = MEMORY_CHANNEL_II) -> float:
-    """Uncontended one-way latency for a 4-byte write (the paper's
-    ping-pong measures 3.3 us)."""
-    return san.latency_us

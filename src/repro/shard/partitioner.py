@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -66,20 +66,6 @@ class Partitioner:
     # -- construction helpers ----------------------------------------------
 
     @classmethod
-    def even(cls, total_keys: int, num_shards: int) -> "Partitioner":
-        """Split ``total_keys`` as evenly as possible (the first
-        ``total_keys % num_shards`` shards take one extra key)."""
-        if num_shards < 1:
-            raise ConfigurationError("need at least one shard")
-        if total_keys < num_shards:
-            raise ConfigurationError(
-                f"cannot give {num_shards} shards at least one of "
-                f"{total_keys} keys"
-            )
-        base, extra = divmod(total_keys, num_shards)
-        return cls([base + (1 if i < extra else 0) for i in range(num_shards)])
-
-    @classmethod
     def for_debit_credit(cls, shard_workloads: Sequence) -> "Partitioner":
         """Partition by branch: shard ``i`` owns the branches of the
         ``i``-th per-shard :class:`DebitCreditWorkload` layout."""
@@ -99,21 +85,6 @@ class Partitioner:
                 f"key {key} outside keyspace [0, {self.total_keys})"
             )
         return bisect_right(self._starts, key) - 1
-
-    def to_local(self, key: int) -> Tuple[int, int]:
-        """Global key -> (shard_id, shard-local key)."""
-        shard_id = self.shard_of(key)
-        return shard_id, key - self.ranges[shard_id].start
-
-    def to_global(self, shard_id: int, local_key: int) -> int:
-        """(shard_id, shard-local key) -> global key."""
-        r = self.ranges[shard_id]
-        if local_key < 0 or local_key >= r.size:
-            raise ConfigurationError(
-                f"local key {local_key} outside shard {shard_id}'s "
-                f"{r.size} keys"
-            )
-        return r.start + local_key
 
     def __repr__(self) -> str:
         return (

@@ -17,7 +17,6 @@ from repro.sim.events import (
     default_event_queue,
 )
 from repro.sim.engine import Simulator
-from repro.sim.rng import SeedSequence, make_rng
 
 __all__ = [
     "VirtualClock",
@@ -28,6 +27,4 @@ __all__ = [
     "SHAPE_SHARED",
     "default_event_queue",
     "Simulator",
-    "SeedSequence",
-    "make_rng",
 ]

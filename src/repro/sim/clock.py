@@ -40,16 +40,5 @@ class VirtualClock:
             )
         self._now = when
 
-    def advance_by(self, delta: float) -> float:
-        """Move the clock forward by ``delta`` microseconds.
-
-        Returns the new time. A negative ``delta`` raises
-        :class:`ClockError`.
-        """
-        if delta < 0:
-            raise ClockError(f"cannot advance clock by negative delta {delta}")
-        self._now += delta
-        return self._now
-
     def __repr__(self) -> str:
         return f"VirtualClock(now={self._now:.3f}us)"

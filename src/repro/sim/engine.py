@@ -11,7 +11,7 @@ from typing import Any, Callable, Optional
 from repro.errors import SimulationError
 from repro.obs.observer import resolve_observer
 from repro.sim.clock import VirtualClock
-from repro.sim.events import Event, EventQueue, default_event_queue
+from repro.sim.events import Event, default_event_queue
 
 
 class Simulator:
@@ -21,7 +21,7 @@ class Simulator:
     this simulator's clock as its time source and, when each ``run``
     returns, the events it executed (``sim.events``) and the queue
     depth it left (``sim.queue_depth``) — ``run`` is the same loop
-    observed or not; only ``step`` reports per event.
+    observed or not.
 
     The event queue defaults to the heap
     (:func:`~repro.sim.events.default_event_queue` for an irregular
@@ -75,26 +75,8 @@ class Simulator:
             raise SimulationError(f"cannot schedule with negative or NaN delay {delay}")
         return self.queue.push(self.now + delay, action, name)
 
-    def step(self) -> bool:
-        """Run the next event. Returns False when the queue is empty."""
-        event = self.queue.pop()
-        if event is None:
-            return False
-        self.clock.advance_to(event.time)
-        self._events_processed += 1
-        if self.observer.enabled:
-            self.observer.count("sim.events")
-            self.observer.gauge("sim.queue_depth", len(self.queue))
-        event.action()
-        return True
-
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> float:
-        """Run events until the queue drains, ``until`` is reached, or
-        ``max_events`` have fired.
+    def run(self, until: Optional[float] = None) -> float:
+        """Run events until the queue drains or ``until`` is reached.
 
         Returns the simulated time when the run stopped. When stopping
         because of ``until``, the clock is advanced to exactly ``until``
@@ -110,25 +92,16 @@ class Simulator:
         pop_until = queue.pop_until
         advance_to = self.clock.advance_to
         try:
-            if max_events is None:
-                # Hot loop: one heap traversal per event (pop_until
-                # fuses the old peek_time + pop pair) and no per-event
-                # bookkeeping beyond the counter.
-                while True:
-                    event = pop_until(until)
-                    if event is None:
-                        break
-                    advance_to(event.time)
-                    executed += 1
-                    event.action()
-            else:
-                while executed < max_events:
-                    event = pop_until(until)
-                    if event is None:
-                        break
-                    advance_to(event.time)
-                    executed += 1
-                    event.action()
+            # Hot loop: one heap traversal per event (pop_until peeks
+            # and pops at once) and no per-event bookkeeping beyond
+            # the counter.
+            while True:
+                event = pop_until(until)
+                if event is None:
+                    break
+                advance_to(event.time)
+                executed += 1
+                event.action()
             if until is not None and self.now < until:
                 advance_to(until)
         finally:

@@ -40,11 +40,9 @@ class Event:
         seq: tie-breaking sequence number assigned by the queue.
         action: zero-argument callable run when the event fires.
         name: optional label for tracing and debugging.
-        cancelled: lazy-cancellation flag; the queue skips the event
-            when it surfaces rather than repairing the heap eagerly.
     """
 
-    __slots__ = ("time", "seq", "action", "name", "cancelled")
+    __slots__ = ("time", "seq", "action", "name")
 
     def __init__(
         self,
@@ -57,15 +55,9 @@ class Event:
         self.seq = seq
         self.action = action
         self.name = name
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        """Mark the event so the queue skips it when popped."""
-        self.cancelled = True
 
     def __repr__(self) -> str:
-        state = ", cancelled" if self.cancelled else ""
-        return f"Event(time={self.time}, seq={self.seq}, name={self.name!r}{state})"
+        return f"Event(time={self.time}, seq={self.seq}, name={self.name!r})"
 
 
 class EventQueue:
@@ -93,57 +85,29 @@ class EventQueue:
         heapq.heappush(self._heap, (time, seq, event))
         return event
 
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest non-cancelled event, or None."""
-        heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)[2]
-            if not event.cancelled:
-                return event
-        return None
-
     def pop_until(self, until: Optional[float] = None) -> Optional[Event]:
-        """Pop the earliest live event firing at or before ``until``.
+        """Pop the earliest event firing at or before ``until``.
 
         Returns None — leaving the queue intact — when the queue is
-        empty or the earliest live event fires after ``until``. This is
-        the fused form of ``peek_time()`` + ``pop()``: one heap
-        traversal per event instead of two.
+        empty or the earliest event fires after ``until``: the fused
+        form of ``peek_time()`` + pop, one heap traversal per event.
         """
         heap = self._heap
-        while heap:
-            entry = heap[0]
-            if until is not None and entry[0] > until:
-                return None
-            heapq.heappop(heap)
-            event = entry[2]
-            if not event.cancelled:
-                return event
+        if heap and (until is None or heap[0][0] <= until):
+            return heapq.heappop(heap)[2]
         return None
 
     def peek_time(self) -> Optional[float]:
-        """Return the firing time of the earliest live event, or None."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-        if heap:
-            return heap[0][0]
-        return None
+        """Return the firing time of the earliest event, or None."""
+        return self._heap[0][0] if self._heap else None
 
     def distinct_times(self) -> int:
         """Number of distinct firing times among pending entries.
 
-        Counts lazily-cancelled events that have not yet surfaced, the
-        same discipline as ``len()``, so both queue implementations
-        report the same figure for identical contents. This is the
-        "timer-wheel occupancy" probe: how many wheel buckets the same
-        schedule would occupy.
+        This is the "timer-wheel occupancy" probe: how many wheel
+        buckets the same schedule would occupy.
         """
         return len({entry[0] for entry in self._heap})
-
-    def clear(self) -> None:
-        """Drop all pending events."""
-        self._heap.clear()
 
 
 class BucketedEventQueue:
@@ -155,10 +119,6 @@ class BucketedEventQueue:
     operation — which is the common case for the heartbeat-dominated
     event populations where thousands of events share a handful of
     firing times.
-
-    ``len()`` mirrors the heap queue's semantics: cancelled events
-    keep counting until they physically surface at a pop/peek, because
-    cancellation is lazy in both implementations.
 
     A bucket with a single event is stored as the :class:`Event`
     itself; the deque only materializes on the second arrival at the
@@ -193,72 +153,44 @@ class BucketedEventQueue:
         self._size += 1
         return event
 
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest non-cancelled event, or None."""
-        return self.pop_until(None)
-
     def pop_until(self, until: Optional[float] = None) -> Optional[Event]:
-        """Pop the earliest live event firing at or before ``until``.
+        """Pop the earliest event firing at or before ``until``.
 
         Returns None — leaving the queue intact — when the queue is
-        empty or the earliest live event fires after ``until``.
+        empty or the earliest event fires after ``until``.
         """
         heap = self._heap
+        if not heap:
+            return None
+        time = heap[0]
+        if until is not None and time > until:
+            return None
         buckets = self._buckets
-        while heap:
-            time = heap[0]
-            if until is not None and time > until:
-                return None
-            bucket = buckets[time]
-            if type(bucket) is deque:
-                event = bucket.popleft()
-                if not bucket:
-                    heapq.heappop(heap)
-                    del buckets[time]
-            else:
-                event = bucket
+        bucket = buckets[time]
+        if type(bucket) is deque:
+            event = bucket.popleft()
+            if not bucket:
                 heapq.heappop(heap)
                 del buckets[time]
-            self._size -= 1
-            if not event.cancelled:
-                return event
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        """Return the firing time of the earliest live event, or None."""
-        heap = self._heap
-        buckets = self._buckets
-        while heap:
-            time = heap[0]
-            bucket = buckets[time]
-            if type(bucket) is deque:
-                while bucket and bucket[0].cancelled:
-                    bucket.popleft()
-                    self._size -= 1
-                if bucket:
-                    return time
-            elif not bucket.cancelled:
-                return time
-            else:
-                self._size -= 1
+        else:
+            event = bucket
             heapq.heappop(heap)
             del buckets[time]
-        return None
+        self._size -= 1
+        return event
+
+    def peek_time(self) -> Optional[float]:
+        """Return the firing time of the earliest event, or None."""
+        return self._heap[0] if self._heap else None
 
     def distinct_times(self) -> int:
         """Number of distinct firing times among pending entries.
 
-        For the wheel this is exactly the number of live buckets (one
-        heap float per distinct time); matches the heap queue's
-        figure for identical contents.
+        For the wheel this is exactly the number of buckets (one heap
+        float per distinct time); matches the heap queue's figure for
+        identical contents.
         """
         return len(self._heap)
-
-    def clear(self) -> None:
-        """Drop all pending events."""
-        self._heap.clear()
-        self._buckets.clear()
-        self._size = 0
 
 
 #: Schedule-shape hints for :func:`default_event_queue`. "shared"

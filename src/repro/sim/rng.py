@@ -1,47 +1,14 @@
 """Seeded random-number helpers.
 
-All stochastic behaviour in the library flows through these helpers so
-that an experiment is fully determined by a single integer seed. Child
-streams are derived with :class:`SeedSequence` so adding a new consumer
-does not perturb existing ones.
+Every stochastic component draws from a ``random.Random`` seeded from
+the experiment's single integer seed, so a run is fully determined by
+that seed.
 """
 
 from __future__ import annotations
 
 import random
 from typing import Iterator
-
-
-class SeedSequence:
-    """Derives independent, named child seeds from a root seed.
-
-    Each distinct ``name`` yields a stable child seed; the mapping does
-    not depend on the order in which names are requested.
-    """
-
-    def __init__(self, root_seed: int):
-        self.root_seed = int(root_seed)
-
-    def child_seed(self, name: str) -> int:
-        """Return a deterministic 63-bit seed for ``name``."""
-        h = 1469598103934665603  # FNV-1a 64-bit offset basis
-        for byte in f"{self.root_seed}/{name}".encode():
-            h ^= byte
-            h = (h * 1099511628211) & 0xFFFFFFFFFFFFFFFF
-        return h & 0x7FFFFFFFFFFFFFFF
-
-    def rng(self, name: str) -> random.Random:
-        """Return a ``random.Random`` seeded for ``name``."""
-        return random.Random(self.child_seed(name))
-
-    def spawn(self, name: str) -> "SeedSequence":
-        """Return a child sequence rooted at ``name``'s seed."""
-        return SeedSequence(self.child_seed(name))
-
-
-def make_rng(seed: int) -> random.Random:
-    """Return a ``random.Random`` for a bare integer seed."""
-    return random.Random(seed)
 
 
 def zipf_like(rng: random.Random, n: int, skew: float = 0.0) -> Iterator[int]:

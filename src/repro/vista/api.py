@@ -189,10 +189,6 @@ class TransactionEngine(abc.ABC):
 
     # -- the RVM API -------------------------------------------------------
 
-    @property
-    def in_transaction(self) -> bool:
-        return self._active
-
     def begin_transaction(self) -> None:
         """Start a transaction."""
         if self._active:

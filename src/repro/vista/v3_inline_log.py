@@ -76,10 +76,6 @@ class InlineLogEngine(TransactionEngine):
     def commit_sequence(self) -> int:
         return self.control.read_u64(_COMMIT_SEQ)
 
-    @property
-    def log_pointer(self) -> int:
-        return self._log_pointer
-
     def _epoch(self) -> int:
         """The epoch stamped into records of the current transaction."""
         return self.commit_sequence & _EPOCH_MASK

@@ -63,10 +63,3 @@ class Workload(abc.ABC):
     def _count(self, txn_type: str) -> None:
         self.transactions_run += 1
         self.type_counts[txn_type] = self.type_counts.get(txn_type, 0) + 1
-
-    def reset_rng(self) -> None:
-        """Restart the deterministic sequence (for paired runs that must
-        issue identical transactions against different targets)."""
-        self.rng = random.Random(self.seed)
-        self.transactions_run = 0
-        self.type_counts = {}

@@ -134,7 +134,3 @@ class DatabaseLayout:
         self._cursor += size_bytes
         self.areas[name] = area
         return area
-
-    @property
-    def used_bytes(self) -> int:
-        return self._cursor

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.faults import CrashPlan, FaultInjector
+from tests.obs.select import select_events
 
 
 def test_plan_requires_exactly_one_trigger():
@@ -53,14 +54,6 @@ def test_multiple_plans():
     assert order == ["a", "b"]
 
 
-def test_next_transaction_boundary():
-    injector = FaultInjector()
-    injector.schedule(CrashPlan(after_transactions=9), lambda: None)
-    injector.schedule(CrashPlan(after_transactions=4), lambda: None)
-    assert injector.next_transaction_boundary().after_transactions == 4
-    assert FaultInjector().next_transaction_boundary() is None
-
-
 def test_fired_history():
     from repro.obs import NullObserver
 
@@ -107,7 +100,7 @@ def test_fired_plan_emits_crash_event():
     injector = FaultInjector(observer=observer)
     injector.schedule(CrashPlan(at_time_us=3.0), lambda: None)
     injector.on_time(3.0)
-    events = observer.recorder.select(name="fault.crash")
+    events = select_events(observer.recorder.events, name="fault.crash")
     assert len(events) == 1
     assert events[0].ts_us == 3.0
     assert events[0].component == "faults"

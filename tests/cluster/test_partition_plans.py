@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.faults import FaultInjector, PartitionPlan
 from repro.obs import Observer
+from tests.obs.select import select_events
 
 
 def test_heal_cannot_precede_the_cut():
@@ -36,7 +37,7 @@ def test_partition_then_heal_fire_in_order_with_trace_events():
     assert log == ["cut", "heal"]
     assert injector.pending == 0
 
-    events = [e for e in observer.recorder.select()
+    events = [e for e in observer.recorder.events
               if e.name in ("fault.partition", "fault.heal")]
     assert [e.name for e in events] == ["fault.partition", "fault.heal"]
     assert [e.ts_us for e in events] == [100.0, 300.0]
@@ -74,10 +75,10 @@ def test_partition_without_heal_is_permanent():
     injector.on_time(9_999.0)
     assert log == ["cut"]
     assert injector.pending == 0
-    events = observer.recorder.select(name="fault.partition")
+    events = select_events(observer.recorder.events, name="fault.partition")
     assert len(events) == 1
     assert events[0].attrs["symmetric"] is False
-    assert not observer.recorder.select(name="fault.heal")
+    assert not select_events(observer.recorder.events, name="fault.heal")
 
 
 def test_partitions_coexist_with_crash_plans():

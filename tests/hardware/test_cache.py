@@ -1,11 +1,12 @@
-"""Cache models: the exact simulator and the analytic estimate."""
+"""The analytic cache model, and the exact simulator it is held to."""
 
 import random
 
 import pytest
 
-from repro.hardware.cache import AnalyticCacheModel, DirectMappedCache
+from repro.hardware.cache import AnalyticCacheModel
 from repro.hardware.specs import CacheSpec
+from tests.oracles.cache_reference import DirectMappedCache
 
 SMALL = CacheSpec(size_bytes=1024, line_size=64, miss_penalty_us=0.1)
 

@@ -5,7 +5,6 @@ import pytest
 from repro.hardware.specs import (
     ALPHASERVER_4100,
     MEMORY_CHANNEL_II,
-    CacheSpec,
     SanSpec,
 )
 
@@ -17,11 +16,6 @@ def test_alpha_parameters_match_the_paper():
     assert ALPHASERVER_4100.write_buffer_bytes == 32
     assert ALPHASERVER_4100.board_cache.size_bytes == 8 * 1024 * 1024
     assert ALPHASERVER_4100.board_cache.line_size == 64
-
-
-def test_cycle_conversion():
-    assert ALPHASERVER_4100.cycles_to_us(600.0) == pytest.approx(1.0)
-    assert ALPHASERVER_4100.cycle_us == pytest.approx(1 / 600)
 
 
 def test_memory_channel_latency_matches_paper():
@@ -55,13 +49,3 @@ def test_packet_time_rejects_bad_sizes():
 def test_packet_time_components():
     san = SanSpec("test", 1.0, 0.5, 100.0, 32)
     assert san.packet_time_us(10) == pytest.approx(0.5 + 0.1)
-
-
-def test_cache_lines_spanned():
-    cache = CacheSpec(size_bytes=1024, line_size=64, miss_penalty_us=0.1)
-    assert cache.lines_spanned(0, 1) == 1
-    assert cache.lines_spanned(0, 64) == 1
-    assert cache.lines_spanned(0, 65) == 2
-    assert cache.lines_spanned(63, 2) == 2
-    assert cache.lines_spanned(10, 0) == 0
-    assert cache.num_lines == 16

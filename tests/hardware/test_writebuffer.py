@@ -3,7 +3,8 @@ Figure 1 and the logging-vs-mirroring result."""
 
 import pytest
 
-from repro.hardware.writebuffer import WriteBufferModel, packets_for_stores
+from repro.hardware.writebuffer import WriteBufferModel
+from tests.oracles.writebuffer_reference import packets_for_stores
 
 
 def test_contiguous_stores_coalesce_to_full_packet():

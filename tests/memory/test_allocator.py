@@ -1,12 +1,11 @@
-"""Allocators: heap (boundary tags, coalescing, metadata writes),
-bump, and array."""
+"""Allocators: heap (boundary tags, coalescing, metadata writes) and
+array."""
 
 import pytest
 
 from repro.errors import AllocationError
 from repro.memory.allocator import (
     ArrayAllocator,
-    BumpAllocator,
     HeapAllocator,
 )
 from repro.memory.region import MemoryRegion, WriteCategory
@@ -110,50 +109,6 @@ class TestHeapAllocator:
         region = MemoryRegion("heap", 64)
         with pytest.raises(AllocationError):
             HeapAllocator(region)
-
-
-class TestBumpAllocator:
-    def test_alloc_advances_pointer(self):
-        region = MemoryRegion("log", 1024)
-        bump = BumpAllocator(region)
-        a = bump.alloc(100)
-        b = bump.alloc(50)
-        assert b == a + 100
-
-    def test_release_to_mark(self):
-        region = MemoryRegion("log", 1024)
-        bump = BumpAllocator(region)
-        mark = bump.mark()
-        bump.alloc(100)
-        bump.release_to(mark)
-        assert bump.alloc(10) == mark
-
-    def test_exhaustion(self):
-        region = MemoryRegion("log", 128)
-        bump = BumpAllocator(region)
-        with pytest.raises(AllocationError):
-            bump.alloc(1024)
-
-    def test_invalid_release(self):
-        region = MemoryRegion("log", 1024)
-        bump = BumpAllocator(region)
-        with pytest.raises(AllocationError):
-            bump.release_to(bump.pointer + 8)
-
-    def test_pointer_is_persistent_state(self):
-        region = MemoryRegion("log", 1024)
-        bump = BumpAllocator(region)
-        bump.alloc(100)
-        # Attaching without fresh sees the same pointer.
-        attached = BumpAllocator(region, fresh=False)
-        assert attached.pointer == bump.pointer
-
-    def test_reset(self):
-        region = MemoryRegion("log", 1024)
-        bump = BumpAllocator(region)
-        first = bump.alloc(64)
-        bump.reset()
-        assert bump.alloc(64) == first
 
 
 class TestArrayAllocator:

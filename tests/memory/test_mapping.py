@@ -57,10 +57,3 @@ def test_duplicate_name_rejected():
 def test_bad_alignment_rejected():
     with pytest.raises(ConfigurationError):
         AddressSpace(alignment=100)
-
-
-def test_place_all():
-    space = AddressSpace()
-    a, b = MemoryRegion("a", 16), MemoryRegion("b", 16)
-    space.place_all(a, b)
-    assert len(space.regions) == 2

@@ -1,8 +1,8 @@
-"""MemoryRegion: bounds, observers, categories, protection."""
+"""MemoryRegion: bounds, observers, categories."""
 
 import pytest
 
-from repro.errors import OutOfBoundsError, ProtectionError
+from repro.errors import OutOfBoundsError
 from repro.memory.region import MemoryRegion, WriteCategory
 
 
@@ -131,16 +131,6 @@ def test_copy_within_zero_length_checks_source_bounds():
         region.copy_within(17, 0, 0)
 
 
-def test_copy_within_respects_protection_window():
-    region = MemoryRegion("r", 64)
-    region.protect()
-    with pytest.raises(ProtectionError):
-        region.copy_within(0, 32, 4)
-    region.open_window(32, 4)
-    region.copy_within(0, 32, 4)
-    region.unprotect()
-
-
 def test_view_is_read_only_and_checked():
     region = MemoryRegion("r", 16)
     region.poke(2, b"abc")
@@ -198,27 +188,6 @@ def test_write_statistics():
     region.write(4, b"ef")
     assert region.writes_observed == 2
     assert region.bytes_written == 6
-
-
-def test_protection_blocks_writes_without_window():
-    region = MemoryRegion("r", 64)
-    region.protect()
-    with pytest.raises(ProtectionError):
-        region.write(0, b"x")
-
-
-def test_protection_window_allows_sanctioned_writes():
-    region = MemoryRegion("r", 64)
-    region.protect()
-    region.open_window(8, 8)
-    region.write(8, b"ok")
-    with pytest.raises(ProtectionError):
-        region.write(0, b"no")
-    region.close_window()
-    with pytest.raises(ProtectionError):
-        region.write(8, b"no")
-    region.unprotect()
-    region.write(0, b"yes")
 
 
 def test_len_and_repr():

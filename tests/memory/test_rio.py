@@ -67,24 +67,6 @@ def test_crash_count_and_idempotence():
     assert rio.crash_count == 2
 
 
-def test_protect_regions_option():
-    rio = RioMemory("n1", protect_regions=True)
-    region = rio.create_region("db", 16)
-    from repro.errors import ProtectionError
-
-    with pytest.raises(ProtectionError):
-        region.write(0, b"x")
-    region.open_window(0, 4)
-    region.write(0, b"ok")
-
-
-def test_drop_region():
-    rio = RioMemory("n1")
-    rio.create_region("db", 16)
-    rio.drop_region("db")
-    assert not rio.has_region("db")
-
-
 def test_regions_iterator():
     rio = RioMemory("n1")
     rio.create_region("a", 16)

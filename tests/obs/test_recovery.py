@@ -95,7 +95,7 @@ def test_collect_recoveries_joins_phases_and_resume():
     assert tree.start_us == 100.0
     assert tree.dur_us == 300.0
     assert tree.phases == {PHASE_DETECT: 50.0, PHASE_CATCHUP: 250.0}
-    assert tree.phase_sum_us == tree.dur_us
+    assert sum(tree.phases.values()) == tree.dur_us
     assert tree.dominant_phase == PHASE_CATCHUP
     assert tree.resume_gap_us == 25.0
     assert tree.resume_commit_trace_id == 77

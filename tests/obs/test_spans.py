@@ -112,7 +112,8 @@ def test_passive_commit_spans_tile_exactly():
     trees = collect_commit_spans(observer.recorder.events)
     assert len(trees) == 15
     for tree in trees:
-        assert tree.phase_sum_us == pytest.approx(tree.dur_us, abs=1e-9)
+        assert sum(tree.phases.values()) == pytest.approx(
+            tree.dur_us, abs=1e-9)
         assert set(tree.phases) <= {PHASE_ENGINE, PHASE_DOUBLING, PHASE_BARRIER}
         assert tree.phases[PHASE_ENGINE] > 0
         assert tree.attrs["safety"] == "1-safe"
@@ -125,7 +126,8 @@ def test_active_commit_spans_have_ship_and_apply():
     trees = collect_commit_spans(observer.recorder.events)
     assert len(trees) == 15
     for tree in trees:
-        assert tree.phase_sum_us == pytest.approx(tree.dur_us, abs=1e-9)
+        assert sum(tree.phases.values()) == pytest.approx(
+            tree.dur_us, abs=1e-9)
         assert PHASE_SHIP in tree.phases
         assert PHASE_APPLY in tree.phases
         # 1-safe: no synchronous barrier phase.

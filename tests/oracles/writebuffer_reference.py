@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
-from repro.hardware.writebuffer import BLOCK_BYTES_DEFAULT
+from repro.hardware.writebuffer import BLOCK_BYTES_DEFAULT, WriteBufferModel
 
 
 @dataclass
@@ -148,3 +148,29 @@ class ReferenceWriteBufferModel:
         self.packets_emitted = 0
         self.bytes_emitted = 0
         self._histogram.clear()
+
+
+def packets_for_stores(
+    stores: Iterable[Tuple[int, int]],
+    num_buffers: int = 6,
+    block_bytes: int = BLOCK_BYTES_DEFAULT,
+    barrier_between: bool = False,
+) -> List[int]:
+    """Run a store stream through a fresh production
+    :class:`~repro.hardware.writebuffer.WriteBufferModel`.
+
+    Args:
+        stores: iterable of (address, length) stores.
+        barrier_between: insert a barrier after every store (models
+            fully serialized writes; used in tests).
+
+    Returns the list of emitted packet sizes in order.
+    """
+    sizes: List[int] = []
+    model = WriteBufferModel(num_buffers, block_bytes, on_packet=sizes.append)
+    for address, length in stores:
+        model.write(address, length)
+        if barrier_between:
+            model.barrier()
+    model.barrier()
+    return sizes

@@ -33,7 +33,7 @@ def test_cpu_bound_stream_scales_linearly():
         duration_us=10_000.0,
     )
     assert result.aggregate_tps == pytest.approx(4 * 1e5, rel=0.02)
-    assert result.link_utilization < 0.2
+    assert result.link_busy_us / result.simulated_us < 0.2
 
 
 def test_link_bound_streams_cap_at_link_capacity():
@@ -47,7 +47,7 @@ def test_link_bound_streams_cap_at_link_capacity():
     )
     cap = 1e6 / link_per_txn
     assert result.aggregate_tps == pytest.approx(cap, rel=0.05)
-    assert result.link_utilization > 0.95
+    assert result.link_busy_us / result.simulated_us > 0.95
 
 
 def test_adding_processors_beyond_saturation_is_flat():

@@ -6,8 +6,8 @@ slice assignment over a numpy-allocated buffer;
 and read-then-write copies it replaced, and the difference must be
 invisible everywhere the reproduction can look. Random operation
 sequences — writes, pokes, fills, overlapping in-region copies,
-cross-region copies (mixed backings included), protection windows,
-out-of-bounds attempts — must leave the region and
+cross-region copies (mixed backings included), out-of-bounds
+attempts — must leave the region and
 :class:`ReferenceMemoryRegion` with identical bytes, identical
 observer event streams, identical statistics, and identical error
 behaviour, at every offset alignment (the region size is prime, so
@@ -26,7 +26,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import CrashedError, OutOfBoundsError, ProtectionError
+from repro.errors import CrashedError, OutOfBoundsError
 from repro.fastpath.kernels import diff_runs_fast
 from repro.memory import rio
 from repro.memory.region import MemoryRegion, WriteCategory
@@ -74,12 +74,6 @@ _ops = st.lists(
             st.integers(0, 48),
             _categories,
         ),
-        st.tuples(st.just("protect")),
-        st.tuples(st.just("unprotect")),
-        st.tuples(
-            st.just("window"), st.integers(0, SIZE + 8), st.integers(0, 32)
-        ),
-        st.tuples(st.just("close")),
     ),
     min_size=0,
     max_size=40,
@@ -115,14 +109,6 @@ def _drive(region, source, ops):
                 region.copy_within(op[1], op[2], op[3], op[4])
             elif op[0] == "xcopy":
                 region.copy_from(source, op[1], op[2], op[3], op[4])
-            elif op[0] == "protect":
-                region.protect()
-            elif op[0] == "unprotect":
-                region.unprotect()
-            elif op[0] == "window":
-                region.open_window(op[1], op[2])
-            elif op[0] == "close":
-                region.close_window()
             outcomes.append(None)
         except Exception as error:  # noqa: BLE001 - compared by type
             outcomes.append(type(error))
@@ -197,8 +183,8 @@ _U64 = struct.Struct("<Q")
 _ZERO = bytes(8)
 _offsets = st.integers(-9, SIZE + 8)  # both ends overrun
 
-#: Word and byte accesses interleaved with everything that can make
-#: one fail: protection windows (open, closed, straddled), a crash.
+#: Word and byte accesses interleaved with what can make one fail
+#: besides its bounds: a crash.
 _word_ops = st.lists(
     st.one_of(
         st.tuples(
@@ -212,10 +198,6 @@ _word_ops = st.lists(
             st.binary(min_size=0, max_size=24), _categories,
         ),
         st.tuples(st.just("read"), _offsets, st.integers(0, 24)),
-        st.tuples(st.just("protect")),
-        st.tuples(st.just("unprotect")),
-        st.tuples(st.just("window"), st.integers(0, SIZE), st.integers(0, 32)),
-        st.tuples(st.just("close")),
         st.tuples(st.just("crash")),
         st.tuples(st.just("reboot")),
     ),
@@ -247,18 +229,10 @@ def _run_words(region_cls, ops, accessors: bool):
                 region.write(op[1], op[2], op[3])
             elif op[0] == "read":
                 result = region.read(op[1], op[2])
-            elif op[0] == "protect":
-                region.protect()
-            elif op[0] == "unprotect":
-                region.unprotect()
-            elif op[0] == "window":
-                region.open_window(op[1], op[2])
-            elif op[0] == "close":
-                region.close_window()
             else:  # what RioMemory.crash()/reboot() do to a region
                 region._crashed = op[0] == "crash"
             outcomes.append(result)
-        except (CrashedError, OutOfBoundsError, ProtectionError) as error:
+        except (CrashedError, OutOfBoundsError) as error:
             outcomes.append((type(error), str(error)))
         except struct.error:  # its wording is the interpreter's
             outcomes.append(struct.error)
@@ -284,28 +258,6 @@ def test_word_accessors_match_the_byte_path(ops):
 
 
 @both_regions
-def test_word_store_against_a_protection_window(region_cls):
-    """Open window, straddled edges, closed window: the word store
-    raises exactly the byte path's ``ProtectionError``."""
-    region = region_cls("target", SIZE)
-    region.protect()
-    region.open_window(16, 16)
-    region.write_u64(16, 7)
-    region.write_u64(24, 9, WriteCategory.UNDO)
-    assert (region.read_u64(16), region.read_u64(24)) == (7, 9)
-    for offset in (8, 12, 28, 32):  # below, straddling low/high, above
-        with pytest.raises(ProtectionError) as by_bytes:
-            region.write(offset, _U64.pack(1), WriteCategory.META)
-        with pytest.raises(ProtectionError) as by_word:
-            region.write_u64(offset, 1)
-        assert str(by_word.value) == str(by_bytes.value)
-    region.close_window()
-    with pytest.raises(ProtectionError, match="no open window"):
-        region.write_u64(16, 1)
-    assert (region.writes_observed, region.bytes_written) == (2, 16)
-
-
-@both_regions
 @pytest.mark.parametrize("value", [-1, 2**64])
 def test_word_store_rejects_values_outside_a_u64(region_cls, value):
     region = region_cls("target", SIZE)
@@ -326,7 +278,7 @@ _parts = st.lists(
 )
 
 #: Runs interleaved with everything that decides their lane: single
-#: stores, protection windows (open, closed, straddled), a crash.
+#: stores and a crash.
 _run_ops = st.lists(
     st.one_of(
         st.tuples(st.just("write_run"), _offsets, _parts),
@@ -334,10 +286,6 @@ _run_ops = st.lists(
             st.just("write"), _offsets,
             st.binary(min_size=0, max_size=24), _categories,
         ),
-        st.tuples(st.just("protect")),
-        st.tuples(st.just("unprotect")),
-        st.tuples(st.just("window"), st.integers(0, SIZE), st.integers(0, 48)),
-        st.tuples(st.just("close")),
         st.tuples(st.just("crash")),
         st.tuples(st.just("reboot")),
     ),
@@ -366,18 +314,10 @@ def _run_runs(region_cls, ops, lane: bool, observed: bool,
                     offset += len(data)
             elif op[0] == "write":
                 region.write(op[1], op[2], op[3])
-            elif op[0] == "protect":
-                region.protect()
-            elif op[0] == "unprotect":
-                region.unprotect()
-            elif op[0] == "window":
-                region.open_window(op[1], op[2])
-            elif op[0] == "close":
-                region.close_window()
             else:
                 region._crashed = op[0] == "crash"
             outcomes.append(None)
-        except (CrashedError, OutOfBoundsError, ProtectionError) as error:
+        except (CrashedError, OutOfBoundsError) as error:
             outcomes.append((type(error), str(error)))
     region._crashed = False
     return {

@@ -7,8 +7,11 @@ from __future__ import annotations
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.hardware.writebuffer import WriteBufferModel, packets_for_stores
-from tests.oracles.writebuffer_reference import ReferenceWriteBufferModel
+from repro.hardware.writebuffer import WriteBufferModel
+from tests.oracles.writebuffer_reference import (
+    ReferenceWriteBufferModel,
+    packets_for_stores,
+)
 
 stores = st.lists(
     st.tuples(st.integers(0, 2000), st.integers(1, 100)),

@@ -78,7 +78,7 @@ def test_scheduled_partition_cuts_then_heals_with_trace_events():
     assert not group._connected(0, 1)
     cluster.run_until(400.0)
     assert group._connected(0, 1)
-    names = [e.name for e in observer.recorder.select()
+    names = [e.name for e in observer.recorder.events
              if e.name.startswith("fault.")]
     assert names == ["fault.partition", "fault.heal"]
 

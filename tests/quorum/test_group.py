@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError, ShardUnavailableError
 from repro.obs import Observer
 from repro.quorum.group import MODE_SLOPPY, MODE_STRICT, QuorumGroup
 from repro.sim.engine import Simulator
+from tests.obs.select import select_events
 
 
 def make_group(n=3, r=2, w=2, sloppy=False, observer=None, sim=None, **kw):
@@ -174,16 +175,17 @@ def test_quorum_loss_emits_the_shared_availability_vocabulary():
     sim.schedule_at(150.0, lambda: group.crash_member(1))
     sim.schedule_at(400.0, lambda: group.recover_member(1))
     sim.run(until=500.0)
-    crashes = observer.recorder.select(name="fault.crash")
+    crashes = select_events(observer.recorder.events, name="fault.crash")
     assert len(crashes) == 1
     assert crashes[0].ts_us == 150.0
     assert crashes[0].component == "group.0.cluster"
-    takeovers = observer.recorder.select(name="takeover")
+    takeovers = select_events(observer.recorder.events, name="takeover")
     assert len(takeovers) == 1
     assert takeovers[0].ts_us == 150.0
     assert takeovers[0].end_us == 400.0
     assert group.stats.downtime_us == 250.0
-    member_events = observer.recorder.select(name="quorum.member.crash")
+    member_events = select_events(observer.recorder.events,
+                                  name="quorum.member.crash")
     assert [e.attrs["member"] for e in member_events] == [0, 1]
 
 

@@ -78,11 +78,12 @@ def test_store_apply_reports_state_changes():
 
 def test_key_digest_is_empty_for_absent_and_cell_width_for_present():
     store = ReplicaStore(4)
-    assert store.key_digest(0) == EMPTY_DIGEST
+    assert bytes(store.digest_view()[:DIGEST_BYTES]) == EMPTY_DIGEST
     store.apply(0, record(b"x", [(0, 1)]))
-    digest = store.key_digest(0)
+    cells = bytes(store.digest_view())
+    digest = cells[:DIGEST_BYTES]
     assert digest != EMPTY_DIGEST and len(digest) == DIGEST_BYTES
-    assert store.leaf_bytes(0, 4) == digest + EMPTY_DIGEST * 3
+    assert cells == digest + EMPTY_DIGEST * 3
 
 
 # -- Merkle trees -------------------------------------------------------------
@@ -172,19 +173,19 @@ def test_digest_view_matches_leaf_bytes_and_is_readonly():
     view = store.digest_view()
     assert view.readonly
     before = bytes(view)
-    assert before == store.leaf_bytes(0, store.num_keys)
+    assert before == store._digests.read(0, store.num_keys * DIGEST_BYTES)
     # Writes after a view dirty the cells; the next view sees them.
     store.apply(5, record(b"late", [(1, 1)]))
     refreshed = bytes(store.digest_view())
     assert refreshed != before
-    assert refreshed == store.leaf_bytes(0, store.num_keys)
+    assert refreshed == store._digests.read(0, store.num_keys * DIGEST_BYTES)
 
 
 def test_repair_hot_path_makes_no_intermediate_bytes(monkeypatch):
     """The sync pass must run entirely on hoisted digest views:
     tree builds and leaf diffs slice one view per store, and nothing
-    on the path materializes per-leaf ``bytes`` through
-    ``leaf_bytes``/``read``. Regression guard for the view hoist."""
+    on the path materializes per-leaf ``bytes`` through a region
+    ``read``. Regression guard for the view hoist."""
     a = ReplicaStore(64)
     b = ReplicaStore(64)
     for key in range(0, 64, 3):
@@ -197,7 +198,6 @@ def test_repair_hot_path_makes_no_intermediate_bytes(monkeypatch):
             "repair hot path materialized intermediate bytes"
         )
 
-    monkeypatch.setattr(ReplicaStore, "leaf_bytes", boom)
     monkeypatch.setattr(type(a._digests), "read", boom)
     keys, compared = differing_keys(a, b, leaf_span=4)
     assert keys and compared

@@ -41,7 +41,6 @@ def test_descends_dominates_concurrent():
     other = base.bump(1)
     assert newer.descends(base) and newer.dominates(base)
     assert base.descends(base) and not base.dominates(base)
-    assert other.concurrent_with(newer)
     assert not other.descends(newer) and not newer.descends(other)
     # Merging two concurrent vectors descends from both.
     joined = newer.merge(other)

@@ -68,10 +68,11 @@ def test_closed_system_refuses_every_transaction_and_region_access(measured):
 
 def test_close_unmaps_the_transmit_windows(measured):
     system, _, _ = measured
-    stale = [m for interface in _interfaces(system) for m in interface.mappings]
+    stale = [mapping for interface in _interfaces(system)
+             for mapping in interface._mappings]
     assert stale
     system.close()
-    assert all(interface.mappings == [] for interface in _interfaces(system))
+    assert all(not interface._mappings for interface in _interfaces(system))
     for mapping in stale:
         with pytest.raises(NotMappedError):
             mapping.write(0, b"x" * 8)

@@ -93,7 +93,7 @@ def test_mirror_versions_do_not_ship_range_array():
     system = PassiveReplicatedSystem("v1", CONFIG)
     system.sync_initial()
     run_txns(system, 3)
-    mapped = {mapping.name for mapping in system.interface.mappings}
+    mapped = {mapping.name for mapping in system.interface._mappings}
     assert "ranges" not in mapped
     assert "mirror" in mapped
 
@@ -102,7 +102,7 @@ def test_ship_undo_log_ablation_ships_range_array():
     system = PassiveReplicatedSystem("v1", CONFIG, ship_undo_log=True)
     system.sync_initial()
     run_txns(system, 3)
-    mapped = {mapping.name for mapping in system.interface.mappings}
+    mapped = {mapping.name for mapping in system.interface._mappings}
     assert "ranges" in mapped
     # And failover then uses ordinary recovery, not a full restore.
     system.begin_transaction()

@@ -116,5 +116,5 @@ def test_twin_of_another_size_is_refused():
     with pytest.raises(ConfigurationError):
         replica.twin_region("db", 128)
     local.write(100, b"hello")  # not bound: nothing is forwarded
-    assert (interface.io_stores, interface.mappings) == (0, [])
+    assert (interface.io_stores, list(interface._mappings)) == (0, [])
     assert replica.twin_region("db", 64).size == 64

@@ -27,9 +27,3 @@ def test_utilization_rejects_bad_elapsed():
     link = SharedLink(MEMORY_CHANNEL_II)
     with pytest.raises(ValueError):
         link.utilization(0.0)
-
-
-def test_max_rate():
-    link = SharedLink(MEMORY_CHANNEL_II)
-    assert link.max_rate_per_second(2.0) == pytest.approx(500_000)
-    assert link.max_rate_per_second(0.0) == float("inf")

@@ -1,5 +1,5 @@
-"""Memory Channel semantics: write-through, write doubling, loopback,
-packet accounting, crash behaviour."""
+"""Memory Channel semantics: write-through, write doubling, packet
+accounting, crash behaviour."""
 
 import os
 import sys
@@ -7,12 +7,12 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import CrashedError, NotMappedError, ProtectionError, ReproError
+from repro.errors import CrashedError, NotMappedError, ReproError
 from repro.hardware.writebuffer import WriteBufferModel
 from repro.memory.region import MemoryRegion, WriteCategory
 from repro.replication.writethrough import ReplicaBinding
 from repro.san import memory_channel
-from repro.san.memory_channel import LoopbackBuffer, MemoryChannelInterface
+from repro.san.memory_channel import MemoryChannelInterface
 from tests.oracles.region_reference import ReferenceMemoryRegion
 from tests.oracles.writebuffer_reference import ReferenceWriteBufferModel
 
@@ -144,14 +144,14 @@ def test_uncoalesced_run_takes_the_loop_when_the_remote_is_observed():
     assert interface.trace.histogram == {4: 2, 2: 1}
 
 
-def test_uncoalesced_run_into_a_protected_remote_raises_at_its_first_word():
+def test_uncoalesced_run_into_a_crashed_remote_raises_at_its_first_word():
     interface, mapping, remote = make_pair()
-    remote.protect()
-    with pytest.raises(ProtectionError):
+    remote._crashed = True  # what RioMemory.crash() does to a region
+    with pytest.raises(CrashedError):
         mapping.write_uncoalesced(0, b"\x07" * 8)
     assert interface.io_stores == 1  # issued, then refused by the remote
+    remote._crashed = False
     assert remote.snapshot() == bytes(remote.size)
-    remote.open_window(0, 8)
     mapping.write_uncoalesced(0, b"\x07" * 8)
     assert remote.read(0, 8) == b"\x07" * 8
 
@@ -269,42 +269,6 @@ def test_doubled_write_keeps_copies_identical():
     assert interface.io_stores == 1
 
 
-def test_loopback_delay_breaks_read_your_writes():
-    """Loopback mode applies I/O writes to the local copy only after a
-    delay — the hazard that makes write doubling the practical choice
-    (Section 2.3)."""
-    local = MemoryRegion("local", 64)
-    loopback = LoopbackBuffer(local)
-    loopback.enqueue(0, b"new!")
-    # The processor does NOT see its own last write yet.
-    assert local.read(0, 4) == b"\x00" * 4
-    assert loopback.pending_writes == 1
-    loopback.deliver()
-    assert local.read(0, 4) == b"new!"
-
-
-def test_loopback_partial_delivery():
-    local = MemoryRegion("local", 64)
-    loopback = LoopbackBuffer(local)
-    loopback.enqueue(0, b"a")
-    loopback.enqueue(1, b"b")
-    assert loopback.deliver(1) == 1
-    assert local.read(0, 2) == b"a\x00"
-    assert loopback.deliver() == 1
-    assert local.read(0, 2) == b"ab"
-
-
-def test_loopback_delivers_a_long_backlog_in_order():
-    local = MemoryRegion("local", 4)
-    loopback = LoopbackBuffer(local)
-    for value in range(5000):
-        loopback.enqueue(value % 4, bytes([value % 251]))
-    assert loopback.deliver(4996) == 4996
-    assert loopback.pending_writes == 4
-    assert loopback.deliver() == 4
-    assert local.snapshot() == bytes(value % 251 for value in range(4996, 5000))
-
-
 def test_bytes_sent_is_a_running_total_across_every_lane():
     interface, mapping, _remote = make_pair()
     mapping.write(0, b"abcd", WriteCategory.META)
@@ -341,10 +305,6 @@ _lane_ops = st.lists(
         st.tuples(st.just("foreign_run"), _offsets, _parts),  # not installed here
         st.tuples(st.just("barrier")),
         st.tuples(st.just("trace")),
-        st.tuples(st.just("protect")),
-        st.tuples(st.just("unprotect")),
-        st.tuples(st.just("window"), st.integers(0, WINDOW), st.integers(0, 16)),
-        st.tuples(st.just("close")),
         st.tuples(st.just("crash_remote")),
         st.tuples(st.just("reboot_remote")),
         st.tuples(st.just("crash_interface")),
@@ -398,14 +358,6 @@ def _run_lanes(ops, lane, observed, geometry, region_cls,
             elif op[0] == "trace":
                 outcomes.append(dict(interface.trace.histogram))
                 continue
-            elif op[0] == "protect":
-                remote.protect()
-            elif op[0] == "unprotect":
-                remote.unprotect()
-            elif op[0] == "window":
-                remote.open_window(op[1], op[2])
-            elif op[0] == "close":
-                remote.close_window()
             elif op[0] in ("crash_remote", "reboot_remote"):
                 remote._crashed = op[0] == "crash_remote"
             elif op[0] == "crash_interface":
@@ -451,7 +403,7 @@ def test_write_run_through_a_mapping_matches_the_per_part_loop(
     """A run is its stores on the wire too: same remote bytes and
     counters, same packets in the same order, same ``io_stores`` and
     byte accounting, and the same error after the same parts went out
-    — crashed interface or remote, protected or observed remote,
+    — crashed interface or remote, observed remote,
     uninstalled mapping (a foreign one, or every window unmapped),
     runs overrunning either window edge, zero-length parts, a one-shot
     iterator for a run, single stores of memoryview slices, and a
@@ -507,21 +459,6 @@ def test_run_one_byte_past_the_window_sends_the_parts_that_fit():
     assert interface.io_stores == 1
     assert remote.read(54, 10) == b"head" + bytes(6)
     assert interface.bytes_by_category == {WriteCategory.META: 4}
-
-
-def test_run_into_a_protected_remote_stops_at_the_window_edge():
-    interface, mapping, remote = make_pair(64)
-    remote.protect()
-    remote.open_window(20, 11)
-    mapping.write_run(20, _RUN)  # inside the open window
-    assert remote.read(20, 11) == b"headpayload"
-    remote.open_window(20, 8)
-    with pytest.raises(ProtectionError):
-        mapping.write_run(20, ((b"HEAD", WriteCategory.META),
-                               (b"PAYLOAD", WriteCategory.MODIFIED)))
-    assert remote.read(20, 11) == b"HEADpayload"
-    assert interface.io_stores == 4  # the refused store was issued
-    assert interface.bytes_sent == 15
 
 
 @pytest.mark.parametrize("down", ["interface", "remote", "uninstalled"])

@@ -5,7 +5,6 @@ import pytest
 from repro.perf.calibration import PAPER
 from repro.san.ping_pong import (
     measure_effective_bandwidth,
-    measure_latency_us,
     run_figure1_sweep,
 )
 
@@ -50,7 +49,3 @@ def test_invalid_packet_sizes_rejected():
         measure_effective_bandwidth(64, REGION)
     with pytest.raises(ValueError):
         measure_effective_bandwidth(6, REGION)
-
-
-def test_latency_matches_paper():
-    assert measure_latency_us() == 3.3

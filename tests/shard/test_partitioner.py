@@ -20,35 +20,12 @@ def test_ranges_are_contiguous_and_cover_the_keyspace():
     assert owners == [0, 0, 0, 1, 1, 2, 2, 2, 2, 2]
 
 
-def test_local_global_round_trip():
-    part = Partitioner([4, 4, 4])
-    for key in range(part.total_keys):
-        shard_id, local = part.to_local(key)
-        assert key in part.ranges[shard_id]
-        assert part.to_global(shard_id, local) == key
-
-
-def test_even_split_spreads_the_remainder():
-    part = Partitioner.even(10, 4)
-    assert [r.size for r in part.ranges] == [3, 3, 2, 2]
-    assert part.total_keys == 10
-
-
-def test_even_split_validates():
-    with pytest.raises(ConfigurationError):
-        Partitioner.even(3, 4)  # cannot give every shard a key
-    with pytest.raises(ConfigurationError):
-        Partitioner.even(8, 0)
-
-
 def test_out_of_range_keys_rejected():
     part = Partitioner([2, 2])
     with pytest.raises(ConfigurationError):
         part.shard_of(-1)
     with pytest.raises(ConfigurationError):
         part.shard_of(4)
-    with pytest.raises(ConfigurationError):
-        part.to_global(0, 2)
 
 
 def test_empty_or_zero_shards_rejected():

@@ -16,6 +16,7 @@ from repro.obs import Observer
 from repro.quorum import QuorumCluster, QuorumWorkload
 from repro.shard import Router, ShardedCluster, ShardedWorkload
 from repro.vista import EngineConfig
+from tests.obs.select import select_events
 
 MB = 1024 * 1024
 CONFIG = EngineConfig(db_bytes=4 * MB, log_bytes=512 * 1024)
@@ -133,7 +134,7 @@ def test_router_stamps_scope_for_quorum_clusters_only(kind):
         for key in keys:
             router.submit(key=key, at_us=slot * 1_000.0)
     cluster.run_until(UP_AT_US)
-    completes = observer.recorder.select(name="txn.complete")
+    completes = select_events(observer.recorder.events, name="txn.complete")
     assert len(completes) == router.completed == 8
     for event in completes:
         if kind == "shard":
@@ -143,6 +144,6 @@ def test_router_stamps_scope_for_quorum_clusters_only(kind):
         else:
             assert event.attrs["scope"] == f"group.{event.attrs['shard']}"
     # The one resume instant of the run consumed unit 0's link.
-    resumes = observer.recorder.select(name="recovery.resume")
+    resumes = select_events(observer.recorder.events, name="recovery.resume")
     assert [e.attrs["shard"] for e in resumes] == [0]
     assert cluster.pop_resume_link(0) is None

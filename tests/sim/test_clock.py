@@ -37,17 +37,5 @@ def test_advance_to_past_rejected():
         clock.advance_to(9.999)
 
 
-def test_advance_by():
-    clock = VirtualClock(1.0)
-    assert clock.advance_by(2.5) == 3.5
-    assert clock.now == 3.5
-
-
-def test_advance_by_negative_rejected():
-    clock = VirtualClock()
-    with pytest.raises(ClockError):
-        clock.advance_by(-0.1)
-
-
 def test_repr_mentions_time():
     assert "1.500" in repr(VirtualClock(1.5))

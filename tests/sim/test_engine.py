@@ -99,23 +99,6 @@ def test_run_until_with_empty_queue_advances_clock():
     assert sim.now == 7.0
 
 
-def test_max_events():
-    sim = Simulator()
-    seen = []
-    for t in (1.0, 2.0, 3.0):
-        sim.schedule_at(t, lambda t=t: seen.append(t))
-    sim.run(max_events=2)
-    assert seen == [1.0, 2.0]
-
-
-def test_step_returns_false_when_drained():
-    sim = Simulator()
-    assert sim.step() is False
-    sim.schedule_at(1.0, lambda: None)
-    assert sim.step() is True
-    assert sim.step() is False
-
-
 def test_events_processed_counter():
     sim = Simulator()
     for t in range(5):
@@ -135,16 +118,7 @@ def test_reentrant_run_rejected():
         sim.run()
 
 
-def test_cancelled_event_not_executed():
-    sim = Simulator()
-    seen = []
-    event = sim.schedule_at(1.0, lambda: seen.append("x"))
-    event.cancel()
-    sim.run()
-    assert seen == []
-
-
-def test_observed_run_reports_once_at_exit_and_step_per_event():
+def test_observed_run_reports_once_at_exit():
     from repro.obs.observer import Observer
 
     observer = Observer()
@@ -160,8 +134,8 @@ def test_observed_run_reports_once_at_exit_and_step_per_event():
     assert counted_mid_run == [0.0] * 5
     assert observer.registry.value("sim.events") == 5 == sim.events_processed
     assert observer.registry.value("sim.queue_depth") == 1
-    assert sim.step() is True  # step() still reports each event
-    assert observer.registry.value("sim.events") == 6
+    sim.run()  # the last event, reported when this run returns
+    assert observer.registry.value("sim.events") == 6 == sim.events_processed
     assert observer.registry.value("sim.queue_depth") == 0
     sim.run()  # nothing left: an empty run reports nothing
     assert observer.registry.value("sim.events") == 6

@@ -1,50 +1,12 @@
-"""Seeded RNG helpers: determinism and independence."""
+"""The seeded Zipf-like index stream."""
 
-from repro.sim.rng import SeedSequence, make_rng, zipf_like
+import random
 
-
-def test_same_seed_same_stream():
-    a = make_rng(123)
-    b = make_rng(123)
-    assert [a.random() for _ in range(10)] == [b.random() for _ in range(10)]
-
-
-def test_child_seeds_are_stable():
-    seq = SeedSequence(42)
-    assert seq.child_seed("driver") == seq.child_seed("driver")
-
-
-def test_child_seeds_differ_by_name():
-    seq = SeedSequence(42)
-    assert seq.child_seed("driver") != seq.child_seed("workload")
-
-
-def test_child_seeds_differ_by_root():
-    assert SeedSequence(1).child_seed("x") != SeedSequence(2).child_seed("x")
-
-
-def test_order_independence():
-    seq_a = SeedSequence(7)
-    first = seq_a.child_seed("a")
-    seq_b = SeedSequence(7)
-    seq_b.child_seed("zzz")
-    assert seq_b.child_seed("a") == first
-
-
-def test_rng_streams_reproducible():
-    values_1 = [SeedSequence(9).rng("w").random() for _ in range(1)]
-    values_2 = [SeedSequence(9).rng("w").random() for _ in range(1)]
-    assert values_1 == values_2
-
-
-def test_spawn_creates_namespaced_children():
-    root = SeedSequence(5)
-    child = root.spawn("cluster")
-    assert child.child_seed("node") != root.child_seed("node")
+from repro.sim.rng import zipf_like
 
 
 def test_zipf_like_uniform_covers_range():
-    rng = make_rng(3)
+    rng = random.Random(3)
     values = set()
     gen = zipf_like(rng, 10)
     for _ in range(1000):
@@ -53,7 +15,7 @@ def test_zipf_like_uniform_covers_range():
 
 
 def test_zipf_like_skewed_prefers_low_indices():
-    rng = make_rng(3)
+    rng = random.Random(3)
     gen = zipf_like(rng, 1000, skew=0.9)
     samples = [next(gen) for _ in range(2000)]
     assert all(0 <= value < 1000 for value in samples)
@@ -65,4 +27,4 @@ def test_zipf_like_rejects_empty_domain():
     import pytest
 
     with pytest.raises(ValueError):
-        next(zipf_like(make_rng(0), 0))
+        next(zipf_like(random.Random(0), 0))

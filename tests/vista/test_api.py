@@ -78,11 +78,11 @@ def test_unenforced_ranges_option():
 
 
 def test_in_transaction_flag(engine):
-    assert not engine.in_transaction
+    assert not engine._active
     engine.begin_transaction()
-    assert engine.in_transaction
+    assert engine._active
     engine.commit_transaction()
-    assert not engine.in_transaction
+    assert not engine._active
 
 
 def test_initialize_data_rejected_inside_transaction(engine):

@@ -32,10 +32,10 @@ def test_commit_resets_pointer_to_base():
     engine = make()
     engine.begin_transaction()
     engine.set_range(0, 32)
-    assert engine.log_pointer > 0
+    assert engine._log_pointer > 0
     engine.write(0, b"\x01" * 32)
     engine.commit_transaction()
-    assert engine.log_pointer == 0
+    assert engine._log_pointer == 0
 
 
 def test_commit_invalidates_records_by_epoch():

@@ -30,7 +30,7 @@ def test_layout_shape():
     )
     assert workload.accounts.records > 10 * workload.tellers.records
     assert workload.audit_size == AUDIT_BYTES
-    assert workload.layout.used_bytes <= CONFIG.db_bytes
+    assert workload.layout._cursor <= CONFIG.db_bytes
 
 
 def test_too_small_database_rejected():

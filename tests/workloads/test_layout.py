@@ -19,7 +19,7 @@ def test_tables_packed_sequentially():
     b = layout.add_table("b", 50, 20, {"y": (0, 8)})
     assert a.base == 0
     assert b.base == 1000
-    assert layout.used_bytes == 2000
+    assert layout._cursor == 2000
 
 
 def test_table_overflow_rejected():
