@@ -1,19 +1,19 @@
 """Recovery-time comparison: what failover actually costs per design.
 
-Uses :class:`~repro.cluster.cluster.ReplicatedCluster` — nodes,
-heartbeats and failover wired together on the discrete-event
-simulator — to crash a primary under load for every replication design
-and report detection latency, bytes restored, and total downtime. The
-Section 5.1 tradeoff (mirror versions restore the *whole database*)
-shows up directly in the measurements, as does the availability gap to
-standalone Vista.
+Uses a one-shard :class:`~repro.shard.cluster.ShardedCluster` — one
+primary-backup pair with its nodes, heartbeats and failover wired
+together on the discrete-event simulator — to crash a primary under
+load for every replication design and report detection latency, bytes
+restored, and total downtime. The Section 5.1 tradeoff (mirror versions
+restore the *whole database*) shows up directly in the measurements, as
+does the availability gap to standalone Vista.
 
 Run:  python examples/recovery_comparison.py
 """
 
-from repro.cluster.cluster import ReplicatedCluster
 from repro.experiments import extension_recovery
 from repro.perf.report import ReportTable
+from repro.shard import ShardedCluster
 from repro.vista import EngineConfig
 from repro.workloads import DebitCreditWorkload
 
@@ -36,17 +36,19 @@ def main() -> None:
         ["design", "detection", "bytes restored", "downtime"],
     )
     for mode, version in DESIGNS:
-        cluster = ReplicatedCluster(
-            mode=mode, version=version, config=CONFIG,
+        cluster = ShardedCluster(
+            1, mode=mode, version=version, config=CONFIG,
             heartbeat_interval_us=100.0, heartbeat_timeout_us=500.0,
         )
+        pair = cluster.pairs[0]
         workload = DebitCreditWorkload(CONFIG.db_bytes, seed=99)
-        workload.setup(cluster.serving)
-        cluster.run_transactions(workload, 100)
-        cluster.schedule_primary_crash(at_us=5_000.0)
+        workload.setup(pair.serving)
+        for _ in range(100):
+            workload.run_transaction(pair.serving)
+        cluster.crash(0, 0, at_us=5_000.0)
         cluster.run_until(1_000_000.0)
-        report = cluster.takeover
-        workload.verify(cluster.serving)  # takeover preserved every commit
+        report = pair.takeover
+        workload.verify(pair.serving)  # takeover preserved every commit
         label = f"{mode} {version}" if mode == "passive" else "active"
         table.add_row(
             label,

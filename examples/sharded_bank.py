@@ -82,7 +82,7 @@ def main(argv=None) -> None:
 
     print(f"\n!! shard {CRASHED_SHARD} primary crashes at "
           f"t={CRASH_AT_US:.0f}us")
-    cluster.schedule_primary_crash(CRASHED_SHARD, at_us=CRASH_AT_US)
+    cluster.crash(CRASHED_SHARD, 0, at_us=CRASH_AT_US)
     cluster.run_until(40_000.0)
 
     report = cluster.takeovers[CRASHED_SHARD]

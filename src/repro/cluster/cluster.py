@@ -5,15 +5,15 @@ experiments otherwise assemble by hand: a primary and a backup
 :class:`~repro.cluster.node.Node`, a replicated transaction system
 (passive, any version, or active), a heartbeat monitor on the
 discrete-event simulator, and the takeover path. Crash the primary at
-a simulated time and the cluster detects it, runs failover, and
-reports the measured downtime — the availability story the paper's
-title promises, made executable.
+a simulated time (``RoutedCluster.crash``) and the pair detects it,
+runs failover, and reports the measured downtime — the availability
+story the paper's title promises, made executable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from repro.cluster.membership import HeartbeatMonitor, Membership
 from repro.cluster.node import Node
@@ -30,8 +30,7 @@ from repro.obs.spans import PhaseCostModel
 from repro.replication.active import ActiveReplicatedSystem
 from repro.replication.passive import PassiveReplicatedSystem
 from repro.sim.engine import Simulator
-from repro.sim.events import SHAPE_SHARED, default_event_queue
-from repro.vista.api import EngineConfig, TransactionEngine
+from repro.vista.api import EngineConfig
 
 
 @dataclass
@@ -53,38 +52,36 @@ class TakeoverReport:
 
 
 class ReplicatedCluster:
-    """Primary + backup + failure detection + failover, in one object.
+    """Primary + backup + failure detection + failover, in one object:
+    one unit of a :class:`~repro.shard.cluster.ShardedCluster`, which
+    builds every pair on its one simulator and schedules its faults.
 
     Args:
+        sim: the simulator the pair's heartbeats and takeover run on.
+        primary_name / backup_name: node names, unique on ``sim``.
+        on_failover: called with this cluster after a takeover
+            completes (the shard map uses it to bump epochs).
         mode: ``"passive"`` or ``"active"``.
         version: engine version for passive mode (ignored for active,
             which always runs Version 3 on the primary).
         restore_bytes_per_us: backup-side memory copy bandwidth used to
             convert failover work (bytes restored) into simulated time;
             ~300 bytes/us matches a late-90s AlphaServer memcpy.
-        sim: a simulator to share with other pairs (a
-            :class:`~repro.shard.cluster.ShardedCluster` runs every
-            pair's heartbeats and takeovers on one clock); by default
-            the pair owns a private one.
-        primary_name / backup_name: node names, overridable so several
-            pairs can coexist on one simulator without name clashes.
-        on_failover: called with this cluster after a takeover
-            completes (the shard map uses it to bump epochs).
     """
 
     def __init__(
         self,
-        mode: str = "active",
-        version: str = "v3",
-        config: Optional[EngineConfig] = None,
-        heartbeat_interval_us: float = 1_000.0,
-        heartbeat_timeout_us: float = 5_000.0,
-        restore_bytes_per_us: float = 300.0,
-        sim: Optional[Simulator] = None,
-        primary_name: str = "primary",
-        backup_name: str = "backup",
-        on_failover: Optional[Callable[["ReplicatedCluster"], None]] = None,
-        observer=None,
+        sim: Simulator,
+        primary_name: str,
+        backup_name: str,
+        on_failover: Callable[["ReplicatedCluster"], None],
+        mode: str,
+        version: str,
+        config: Optional[EngineConfig],
+        heartbeat_interval_us: float,
+        heartbeat_timeout_us: float,
+        restore_bytes_per_us: float,
+        observer,
     ):
         if mode not in ("passive", "active"):
             raise ConfigurationError(f"unknown cluster mode {mode!r}")
@@ -94,16 +91,7 @@ class ReplicatedCluster:
         self.restore_bytes_per_us = restore_bytes_per_us
         self.on_failover = on_failover
         self.observer = resolve_observer(observer)
-
-        # Standalone pairs are heartbeat/timeout driven: shared-shape
-        # timestamps, so the wheel queue.
-        self.sim = (
-            sim
-            if sim is not None
-            else Simulator(
-                observer=self.observer, queue=default_event_queue(SHAPE_SHARED)
-            )
-        )
+        self.sim = sim
         self.observer.bind_clock(lambda: self.sim.now)
         self.primary_node = Node(primary_name)
         self.backup_node = Node(backup_name)
@@ -131,6 +119,7 @@ class ReplicatedCluster:
         #: Causal handle of the last emitted recovery span, consumed by
         #: the router's first post-failover completion (resume link).
         self.last_recovery_link = None
+        self._crash_planned = False
         self._crash_at_us: Optional[float] = None
         self._serving = self.system
         self.monitor = HeartbeatMonitor(
@@ -165,18 +154,34 @@ class ReplicatedCluster:
             return False
         return self.sim.now >= self.takeover.service_restored_at_us
 
-    def run_transactions(self, workload, count: int) -> None:
-        """Drive ``count`` workload transactions at the current server."""
-        for _ in range(count):
-            workload.run_transaction(self._serving)
-
     # -- failure ---------------------------------------------------------------
 
-    def schedule_primary_crash(self, at_us: float) -> None:
-        """Crash the primary at simulated time ``at_us``."""
-        self.sim.schedule_at(at_us, self._crash_primary, name="crash")
+    def check_fault(self, fault: str, *sides: Sequence[int]) -> None:
+        """Admit, when it is scheduled, the one fault a pair takes: a
+        single crash of its primary (member 0). The pair fails over once
+        and never heals, so a second crash, a backup crash, a recovery
+        or a partition is refused here, before the simulator runs."""
+        if fault != "crash":
+            raise ConfigurationError(
+                f"a primary-backup pair cannot take a {fault}: it fails "
+                f"over once and never heals"
+            )
+        ((member,),) = sides
+        if member != 0:
+            raise ConfigurationError(
+                f"a pair crashes only its primary (member 0), not "
+                f"member {member}"
+            )
+        if self._crash_planned:
+            raise ConfigurationError(
+                f"{self.primary_node.name} already has a crash scheduled; "
+                f"a pair fails over once"
+            )
+        self._crash_planned = True
 
-    def _crash_primary(self) -> None:
+    def crash_member(self, member: int) -> None:
+        """Crash the primary now (``member`` is 0: :meth:`check_fault`
+        admitted nothing else)."""
         self._crash_at_us = self.sim.now
         self.primary_node.crash()
         self.system.fail_primary()
@@ -266,11 +271,7 @@ class ReplicatedCluster:
                     ),
                 )
             self.last_recovery_link = recorder.finish(**root_attrs)
-        if self.on_failover is not None:
-            self.on_failover(self)
-
-    def run_until(self, until_us: float) -> None:
-        self.sim.run(until=until_us)
+        self.on_failover(self)
 
     def __repr__(self) -> str:
         state = "failed-over" if self.takeover else "normal"

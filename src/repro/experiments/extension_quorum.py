@@ -309,11 +309,11 @@ def quorum_timeline(
     )
 
     def schedule_faults(cluster: QuorumCluster) -> None:
-        cluster.schedule_member_crash(DOWNED_GROUP, 1, CRASH_FIRST_AT_US)
-        cluster.schedule_member_crash(DOWNED_GROUP, 2, CRASH_SECOND_AT_US)
-        cluster.schedule_member_recover(DOWNED_GROUP, 1, RECOVER_FIRST_AT_US)
-        cluster.schedule_member_recover(DOWNED_GROUP, 2, RECOVER_SECOND_AT_US)
-        cluster.schedule_partition(
+        cluster.crash(DOWNED_GROUP, 1, CRASH_FIRST_AT_US)
+        cluster.crash(DOWNED_GROUP, 2, CRASH_SECOND_AT_US)
+        cluster.recover(DOWNED_GROUP, 1, RECOVER_FIRST_AT_US)
+        cluster.recover(DOWNED_GROUP, 2, RECOVER_SECOND_AT_US)
+        cluster.partition(
             PARTITIONED_GROUP, [0], [1, 2],
             at_us=PARTITION_AT_US, heal_at_us=HEAL_AT_US,
         )
@@ -369,8 +369,8 @@ def availability_comparison(seed: int = 42) -> QuorumComparison:
     )
 
     def schedule_faults(cluster: QuorumCluster) -> None:
-        cluster.schedule_member_crash(0, 0, PAIR_CRASH_AT_US)
-        cluster.schedule_member_recover(0, 0, PAIR_RECOVER_AT_US)
+        cluster.crash(0, 0, PAIR_CRASH_AT_US)
+        cluster.recover(0, 0, PAIR_RECOVER_AT_US)
 
     router, series = drive(
         cluster,

@@ -159,7 +159,7 @@ def execute(
 
     def schedule_crashes(cluster: ShardedCluster) -> None:
         for shard_id, at_us in plan.crashes:
-            cluster.schedule_primary_crash(shard_id, at_us)
+            cluster.crash(shard_id, 0, at_us)
 
     workload = ShardedWorkload(
         plan.workload, plan.num_shards, plan.db_bytes_per_shard, seed=plan.seed

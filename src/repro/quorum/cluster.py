@@ -11,12 +11,10 @@ never change primaries, so map epochs simply never bump; a group that
 loses quorum reports :class:`~repro.errors.ShardUnavailableError` and
 the router backs off exactly as it does for a mid-failover pair.
 
-Faults are declarative: member crash/recover points are scheduled on
-the simulator, and network partitions go through the shared
-:class:`~repro.cluster.faults.FaultInjector`'s
-:class:`~repro.cluster.faults.PartitionPlan` machinery so the
-``fault.partition`` / ``fault.heal`` trace record is uniform across
-all three architectures.
+Faults go through the base class's verbs — ``crash``, ``recover`` and
+``partition`` on :class:`~repro.shard.cluster.RoutedCluster` — which
+have the group check the members when the fault is scheduled and apply
+it when it fires.
 
 Scopes: group ``g``'s events carry the ``group.g`` component prefix,
 and the router stamps completions with the same scope, which is what
@@ -25,10 +23,8 @@ the SLO per-scope accounting keys on.
 
 from __future__ import annotations
 
-import functools
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
-from repro.cluster.faults import FaultInjector, PartitionPlan
 from repro.quorum.group import QuorumGroup
 from repro.shard.cluster import RoutedCluster
 
@@ -84,67 +80,6 @@ class QuorumCluster(RoutedCluster):
                 ),
                 f"group{group_id}/r0", f"group{group_id}/r1",
             )
-        self.injector = FaultInjector(
-            observer=self.observer, clock=lambda: self.sim.now
-        )
-
-    # -- faults -------------------------------------------------------------
-
-    def schedule_member_crash(
-        self, group_id: int, member: int, at_us: float
-    ) -> None:
-        group = self._unit(group_id)
-        self.sim.schedule_at(
-            at_us, functools.partial(group.crash_member, member),
-            name=f"group{group_id}-crash-r{member}",
-        )
-
-    def schedule_member_recover(
-        self, group_id: int, member: int, at_us: float
-    ) -> None:
-        group = self._unit(group_id)
-        self.sim.schedule_at(
-            at_us, functools.partial(group.recover_member, member),
-            name=f"group{group_id}-recover-r{member}",
-        )
-
-    def schedule_partition(
-        self,
-        group_id: int,
-        side_a: Sequence[int],
-        side_b: Sequence[int],
-        at_us: float,
-        heal_at_us: float = None,
-        symmetric: bool = True,
-    ) -> PartitionPlan:
-        """Cut ``side_a`` from ``side_b`` at ``at_us`` (healing at
-        ``heal_at_us`` when given), via the shared fault injector."""
-        group = self._unit(group_id)
-        plan = PartitionPlan(
-            at_time_us=at_us,
-            heal_at_us=heal_at_us,
-            symmetric=symmetric,
-            description=(
-                f"group{group_id}: {sorted(side_a)} | {sorted(side_b)}"
-            ),
-        )
-        self.injector.schedule_partition(
-            plan,
-            functools.partial(
-                group.apply_partition, tuple(side_a), tuple(side_b), symmetric
-            ),
-            group.heal_partition,
-        )
-        self.sim.schedule_at(
-            at_us, lambda: self.injector.on_time(self.sim.now),
-            name=f"group{group_id}-partition",
-        )
-        if heal_at_us is not None:
-            self.sim.schedule_at(
-                heal_at_us, lambda: self.injector.on_time(self.sim.now),
-                name=f"group{group_id}-heal",
-            )
-        return plan
 
     # -- repair and reporting ------------------------------------------------
 

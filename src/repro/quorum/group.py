@@ -40,7 +40,7 @@ primary-backup pairs use.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError, ShardUnavailableError
 from repro.obs.observer import resolve_observer
@@ -413,7 +413,32 @@ class QuorumGroup:
 
     # -- membership and partitions -------------------------------------------
 
+    def check_fault(self, fault: str, *sides: Sequence[int]) -> None:
+        """The one check on the members a fault names, made when the
+        fault is scheduled and again when it is applied: every side is
+        non-empty, every member is in ``[0, N)`` and no member is on two
+        sides. A group takes every ``fault`` kind."""
+        seen: Set[int] = set()
+        for side in sides:
+            if not side:
+                raise ConfigurationError(
+                    f"group {self.group_id}: a {fault} side names no member"
+                )
+            for member in side:
+                if not 0 <= member < self.num_replicas:
+                    raise ConfigurationError(
+                        f"group {self.group_id} has no member {member} "
+                        f"(members are 0..{self.num_replicas - 1})"
+                    )
+                if member in seen:
+                    raise ConfigurationError(
+                        f"member {member} cannot be on both sides of a "
+                        f"{fault}"
+                    )
+            seen.update(side)
+
     def crash_member(self, member: int) -> None:
+        self.check_fault("crash", (member,))
         if not self._alive[member]:
             return
         self._alive[member] = False
@@ -422,6 +447,7 @@ class QuorumGroup:
         self._reevaluate()
 
     def recover_member(self, member: int) -> None:
+        self.check_fault("recover", (member,))
         if self._alive[member]:
             return
         self._alive[member] = True
@@ -437,12 +463,9 @@ class QuorumGroup:
     ) -> None:
         """Block traffic from ``side_a`` to ``side_b`` (both ways when
         symmetric — an asymmetric cut models one-way link loss)."""
+        self.check_fault("partition", side_a, side_b)
         for a in side_a:
             for b in side_b:
-                if a == b:
-                    raise ConfigurationError(
-                        f"member {a} cannot be on both sides of a partition"
-                    )
                 self._blocked.add((a, b))
                 if symmetric:
                     self._blocked.add((b, a))

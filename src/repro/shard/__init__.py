@@ -14,7 +14,9 @@ fault-tolerant partial replication, Sutra & Shapiro):
   shard-local databases plus the client-side key stream;
 * :mod:`repro.shard.cluster` — N
   :class:`~repro.cluster.cluster.ReplicatedCluster` pairs on one
-  shared simulator, each with independent detection and takeover;
+  shared simulator, each with independent detection and takeover, and
+  the ``crash`` / ``recover`` / ``partition`` verbs that schedule every
+  fault;
 * :mod:`repro.shard.router` — the client router: key -> shard, with
   epoch-refresh redirects and exponential-backoff retries while a
   shard fails over.

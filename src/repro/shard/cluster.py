@@ -6,8 +6,16 @@ drives: ``num_shards`` replicated *units* on one shared
 :class:`~repro.shard.shardmap.ShardMap` whose per-shard epochs fence
 requests routed with a stale view. A unit answers three names —
 ``is_available``, ``serving`` and ``last_recovery_link`` — and the base
-class owns everything written against them; a subclass builds its units
-and schedules its faults.
+class owns everything written against them; a subclass only builds its
+units.
+
+Faults are scheduled here and nowhere else: :meth:`RoutedCluster.crash`,
+:meth:`~RoutedCluster.recover` and :meth:`~RoutedCluster.partition` have
+the unit check the fault when it is scheduled (``check_fault``), so a
+fault the unit cannot take is a :class:`~repro.errors.ConfigurationError`
+then and never one from inside ``sim.run``; the unit's own
+``crash_member`` / ``recover_member`` / ``apply_partition`` /
+``heal_partition`` apply it when it fires.
 
 :class:`ShardedCluster` is the primary-backup kind: every unit is a
 :class:`~repro.cluster.cluster.ReplicatedCluster` pair with its own
@@ -21,7 +29,8 @@ two-node story into a scale-out system.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cluster.cluster import ReplicatedCluster, TakeoverReport
 from repro.cluster.membership import Membership
@@ -32,6 +41,30 @@ from repro.shard.workload import ShardedWorkload
 from repro.sim.engine import Simulator
 from repro.sim.events import SHAPE_SHARED, default_event_queue
 from repro.vista.api import EngineConfig
+
+
+@dataclass(frozen=True)
+class PartitionPlan:
+    """When to cut the network, and (optionally) when to heal it.
+
+    A partition separates two sides of a unit at ``at_time_us``; a
+    ``symmetric`` cut blocks both directions, an asymmetric one models
+    one-way link loss (A's packets to B are dropped while B still
+    reaches A). ``description`` names the sides for the trace record,
+    whose ``plan`` attr is this plan's repr.
+    """
+
+    at_time_us: float
+    heal_at_us: Optional[float] = None
+    symmetric: bool = True
+    description: str = ""
+
+    def __post_init__(self):
+        if self.heal_at_us is not None and self.heal_at_us < self.at_time_us:
+            raise ValueError(
+                f"heal at {self.heal_at_us} precedes partition "
+                f"at {self.at_time_us}"
+            )
 
 
 class RoutedCluster:
@@ -119,6 +152,84 @@ class RoutedCluster:
             return None
         return f"{self.scope_prefix}.{shard_id}"
 
+    # -- faults -------------------------------------------------------------
+
+    def crash(self, unit: int, member: int, at_us: float) -> None:
+        """Crash ``member`` of ``unit`` at simulated ``at_us`` (a pair's
+        primary is member 0)."""
+        target = self._unit(unit)
+        target.check_fault("crash", (member,))
+        self.sim.schedule_at(
+            at_us, functools.partial(target.crash_member, member),
+            name=f"{self.scope_prefix}{unit}-crash-r{member}",
+        )
+
+    def recover(self, unit: int, member: int, at_us: float) -> None:
+        """Bring ``member`` of ``unit`` back at simulated ``at_us``."""
+        target = self._unit(unit)
+        target.check_fault("recover", (member,))
+        self.sim.schedule_at(
+            at_us, functools.partial(target.recover_member, member),
+            name=f"{self.scope_prefix}{unit}-recover-r{member}",
+        )
+
+    def partition(
+        self,
+        unit: int,
+        side_a: Sequence[int],
+        side_b: Sequence[int],
+        at_us: float,
+        heal_at_us: Optional[float] = None,
+        symmetric: bool = True,
+    ) -> PartitionPlan:
+        """Cut ``side_a`` of ``unit`` from ``side_b`` at ``at_us``,
+        healing at ``heal_at_us`` when given. Both firings emit a
+        ``faults`` event (``fault.partition`` / ``fault.heal``)."""
+        target = self._unit(unit)
+        target.check_fault("partition", side_a, side_b)
+        plan = PartitionPlan(
+            at_time_us=at_us,
+            heal_at_us=heal_at_us,
+            symmetric=symmetric,
+            description=(
+                f"{self.scope_prefix}{unit}: "
+                f"{sorted(side_a)} | {sorted(side_b)}"
+            ),
+        )
+        self.sim.schedule_at(
+            at_us,
+            functools.partial(
+                self._fire_partition, plan, "fault.partition",
+                functools.partial(
+                    target.apply_partition,
+                    tuple(side_a), tuple(side_b), symmetric,
+                ),
+            ),
+            name=f"{self.scope_prefix}{unit}-partition",
+        )
+        if heal_at_us is not None:
+            self.sim.schedule_at(
+                heal_at_us,
+                functools.partial(
+                    self._fire_partition, plan, "fault.heal",
+                    target.heal_partition,
+                ),
+                name=f"{self.scope_prefix}{unit}-heal",
+            )
+        return plan
+
+    def _fire_partition(
+        self, plan: PartitionPlan, event_name: str, apply: Callable[[], None]
+    ) -> None:
+        if self.observer.enabled:
+            self.observer.count("faults.fired")
+            self.observer.event_at(
+                self.sim.now, "faults", event_name,
+                plan=repr(plan), symmetric=plan.symmetric,
+                sides=plan.description,
+            )
+        apply()
+
     # -- progress -----------------------------------------------------------
 
     def run_until(self, until_us: float) -> None:
@@ -196,10 +307,6 @@ class ShardedCluster(RoutedCluster):
             pair.system.sync_initial()
 
     # -- failure ------------------------------------------------------------
-
-    def schedule_primary_crash(self, shard_id: int, at_us: float) -> None:
-        """Crash shard ``shard_id``'s primary at simulated ``at_us``."""
-        self._unit(shard_id).schedule_primary_crash(at_us)
 
     def _pair_failed_over(self, shard_id: int, pair: ReplicatedCluster) -> None:
         """One pair's takeover completed: update the global views."""

@@ -1,10 +1,9 @@
 """The workload driver.
 
 Runs a workload's transaction stream against any target (standalone
-engine, passive or active replicated system), optionally injecting
-crashes, and collects everything the performance model needs: engine
-operation counters, the access profile, the Memory Channel packet
-trace and categorized traffic.
+engine, passive or active replicated system) and collects everything
+the performance model needs: engine operation counters, the access
+profile, the Memory Channel packet trace and categorized traffic.
 
 Transactions are issued sequentially and as fast as possible, with no
 terminal I/O, exactly as the paper's benchmarks are driven.
@@ -15,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.cluster.faults import FaultInjector
 from repro.hardware.specs import MEMORY_CHANNEL_II
 from repro.obs.observer import resolve_observer
 from repro.obs.spans import (
@@ -44,6 +42,8 @@ class RunResult:
     io_stores: int = 0
     ack_bytes: int = 0
     redo_records: Optional[int] = None
+    #: Always False: the driver runs every transaction. The frozen
+    #: performance ledger still records the field.
     crashed: bool = False
 
     @property
@@ -89,15 +89,14 @@ def run_workload(
     workload: Workload,
     transactions: int,
     warmup: int = 0,
-    fault_injector: Optional[FaultInjector] = None,
     verify: bool = False,
     observer=None,
 ) -> RunResult:
     """Drive ``transactions`` through ``workload`` against ``target``.
 
     ``warmup`` transactions run first and are excluded from every
-    statistic (counters, traffic, packets). When a fault injector is
-    supplied, the run stops early if a crash fires.
+    statistic (counters, traffic, packets). To crash at commit ``k``,
+    drive ``k`` transactions and fail the target afterwards.
 
     With an observer attached the driver emits ``run.start``/``run.end``
     markers and — for standalone engines, which have no replication
@@ -138,13 +137,10 @@ def run_workload(
             transactions=transactions,
         )
 
-    executed = 0
-    crashed = False
     for _ in range(transactions):
         if spans is not None:
             before = counters_snapshot(engine.counters)
         workload.run_transaction(target)
-        executed += 1
         if spans is not None:
             spans.phase(
                 PHASE_ENGINE,
@@ -153,30 +149,24 @@ def run_workload(
                 ),
             )
             spans.finish(workload=workload.name, safety="local")
-        if fault_injector is not None and fault_injector.on_transaction_committed(
-            executed
-        ):
-            crashed = True
-            break
 
-    if verify and not crashed:
+    if verify:
         workload.verify(target)
 
     if observer.enabled:
-        observer.count("workload.driver.transactions", executed)
+        observer.count("workload.driver.transactions", transactions)
         observer.event(
             "workload.driver", "run.end",
             workload=workload.name, target=_target_kind(target),
-            transactions=executed, crashed=crashed,
+            transactions=transactions,
         )
 
     result = RunResult(
         workload=workload.name,
         target_kind=_target_kind(target),
-        transactions=executed,
+        transactions=transactions,
         counters=engine.counters,
         profile=engine.profile,
-        crashed=crashed,
     )
     if interface is not None:
         result.traffic_bytes = {

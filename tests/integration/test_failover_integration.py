@@ -3,7 +3,6 @@ points, heartbeat-driven takeover, service continuation."""
 
 import pytest
 
-from repro.cluster.faults import CrashPlan, FaultInjector
 from repro.cluster.membership import HeartbeatMonitor, Membership
 from repro.cluster.node import Node
 from repro.replication.active import ActiveReplicatedSystem
@@ -23,10 +22,9 @@ def test_passive_failover_under_debit_credit(version, crash_at):
     workload = DebitCreditWorkload(CONFIG.db_bytes, seed=13)
     workload.setup(system)
     system.sync_initial()
-    injector = FaultInjector()
-    injector.schedule(CrashPlan(after_transactions=crash_at), system.fail_primary)
-    result = run_workload(system, workload, 60, fault_injector=injector)
-    assert result.crashed and result.transactions == crash_at
+    result = run_workload(system, workload, crash_at)
+    system.fail_primary()  # crash right after commit ``crash_at``
+    assert result.transactions == crash_at
     backup = system.failover()
     workload.verify(backup)  # shadow model agrees with the backup
 
@@ -37,9 +35,8 @@ def test_passive_failover_under_order_entry(version):
     workload = OrderEntryWorkload(CONFIG.db_bytes, seed=13)
     workload.setup(system)
     system.sync_initial()
-    injector = FaultInjector()
-    injector.schedule(CrashPlan(after_transactions=25), system.fail_primary)
-    run_workload(system, workload, 60, fault_injector=injector)
+    run_workload(system, workload, 25)
+    system.fail_primary()
     backup = system.failover()
     workload.verify(backup)
 
@@ -49,9 +46,8 @@ def test_active_failover_under_order_entry():
     workload = OrderEntryWorkload(CONFIG.db_bytes, seed=13)
     workload.setup(system)
     system.sync_initial()
-    injector = FaultInjector()
-    injector.schedule(CrashPlan(after_transactions=30), system.fail_primary)
-    run_workload(system, workload, 60, fault_injector=injector)
+    run_workload(system, workload, 30)
+    system.fail_primary()
     backup = system.failover()
     workload.verify(backup)
 

@@ -234,8 +234,8 @@ def test_scope_probes_equal_the_brute_force_scan(seed):
     horizon = 60_000.0
     sampler.attach(cluster.sim, 500.0, horizon)
     first, second = rng.sample(range(SHARDS), 2)
-    cluster.schedule_primary_crash(first, at_us=1_000.0)
-    cluster.schedule_primary_crash(second, at_us=rng.choice([4_000.0, 9_000.0]))
+    cluster.crash(first, 0, at_us=1_000.0)
+    cluster.crash(second, 0, at_us=rng.choice([4_000.0, 9_000.0]))
     ranges = workload.partitioner.ranges
     for _ in range(400):
         shard = rng.randrange(SHARDS)

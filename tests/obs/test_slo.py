@@ -151,8 +151,7 @@ def _quorum_outage_run(faults, until_us):
     for tick in range(20):
         router.submit(key=0, at_us=tick * 500.0)
     for kind, member, at_us in faults:
-        schedule = getattr(cluster, f"schedule_member_{kind}")
-        schedule(0, member, at_us)
+        getattr(cluster, kind)(0, member, at_us)
     cluster.run_until(until_us)
     return cluster.groups[0], list(observer.recorder.events)
 

@@ -56,9 +56,9 @@ def test_router_retries_through_a_scheduled_quorum_loss():
     cluster.setup(workload)
     router = Router(cluster, workload, max_attempts=12,
                     observer=cluster.observer)
-    cluster.schedule_member_crash(0, 0, 50.0)
-    cluster.schedule_member_crash(0, 1, 60.0)
-    cluster.schedule_member_recover(0, 1, 900.0)
+    cluster.crash(0, 0, 50.0)
+    cluster.crash(0, 1, 60.0)
+    cluster.recover(0, 1, 900.0)
     router.submit(key=0, at_us=100.0)
     cluster.run_until(10_000.0)
     assert router.completed == 1
@@ -69,7 +69,7 @@ def test_router_retries_through_a_scheduled_quorum_loss():
 def test_scheduled_partition_cuts_then_heals_with_trace_events():
     observer = Observer()
     cluster = make_cluster(num_groups=1, observer=observer)
-    plan = cluster.schedule_partition(
+    plan = cluster.partition(
         0, (0,), (1, 2), at_us=100.0, heal_at_us=300.0
     )
     assert plan.symmetric

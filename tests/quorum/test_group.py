@@ -127,6 +127,21 @@ def test_partition_rejects_overlapping_sides():
         group.apply_partition((0, 1), (1, 2))
 
 
+@pytest.mark.parametrize("apply", [
+    lambda g: g.crash_member(-1),
+    lambda g: g.crash_member(3),
+    lambda g: g.recover_member(3),
+    lambda g: g.apply_partition((0,), (7,)),
+    lambda g: g.apply_partition((), (1,)),
+], ids=["crash-negative", "crash-3", "recover-3", "side-7", "empty-side"])
+def test_faults_are_checked_when_applied(apply):
+    group = make_group()
+    with pytest.raises(ConfigurationError):
+        apply(group)
+    assert all(group.alive(member) for member in range(3))
+    assert group._blocked == set()
+
+
 def test_concurrent_writes_surface_as_siblings_after_heal():
     # Sloppy pair, asymmetric cuts in both directions: each member
     # coordinates its own write without seeing the other's.

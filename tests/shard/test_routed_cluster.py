@@ -55,11 +55,11 @@ def make(kind, observer=None):
     cluster, workload = build(kind, observer=observer), workload_for(kind)
     cluster.setup(workload)
     if kind == "shard":
-        cluster.schedule_primary_crash(0, at_us=1_000.0)
+        cluster.crash(0, 0, at_us=1_000.0)
     else:
-        cluster.schedule_member_crash(0, 0, 900.0)
-        cluster.schedule_member_crash(0, 1, 1_000.0)
-        cluster.schedule_member_recover(0, 1, 3_000.0)
+        cluster.crash(0, 0, 900.0)
+        cluster.crash(0, 1, 1_000.0)
+        cluster.recover(0, 1, 3_000.0)
     return cluster, workload
 
 
@@ -108,6 +108,34 @@ def test_configuration_is_validated(kind):
             cluster.pop_resume_link(unit_id)
     with pytest.raises(ConfigurationError):
         cluster.setup(workload_for(kind, num_units=3))
+
+
+#: Faults no unit of either kind can take: a member index out of range
+#: (a negative one used to wrap to the last replica), a side naming no
+#: member, a side out of range and a member on both sides.
+BAD_FAULTS = {
+    "crash-negative-member": lambda c: c.crash(0, -1, 1_000.0),
+    "crash-member-out-of-range": lambda c: c.crash(0, 5, 1_000.0),
+    "recover-member-out-of-range": lambda c: c.recover(0, 3, 1_000.0),
+    "partition-side-out-of-range":
+        lambda c: c.partition(0, [0], [7], at_us=1_000.0),
+    "partition-empty-side": lambda c: c.partition(0, [], [1], at_us=1_000.0),
+    "partition-overlapping-sides":
+        lambda c: c.partition(0, [0, 1], [1, 2], at_us=1_000.0),
+}
+
+
+@pytest.mark.parametrize("fault", list(BAD_FAULTS))
+@pytest.mark.parametrize("kind", KINDS)
+def test_bad_faults_are_refused_when_scheduled(kind, fault):
+    cluster = build(kind)
+    pending = len(cluster.sim.queue)
+    with pytest.raises(ConfigurationError):
+        BAD_FAULTS[fault](cluster)
+    # Refused before anything reached the simulator.
+    assert len(cluster.sim.queue) == pending
+    cluster.run_until(UP_AT_US)
+    assert cluster.available(0) and cluster.available(1)
 
 
 @pytest.mark.parametrize("kind", KINDS)

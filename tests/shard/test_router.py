@@ -50,7 +50,7 @@ def test_failover_submissions_retry_until_service_returns():
     # down for milliseconds, so retries must ride out a real window.
     cluster, workload, router = make(num_shards=2, mode="passive",
                                      version="v1")
-    cluster.schedule_primary_crash(0, at_us=1_000.0)
+    cluster.crash(0, 0, at_us=1_000.0)
     key = workload.partitioner.ranges[0].start
     victim = router.submit(key=key, at_us=2_000.0)  # mid-outage
     bystander = router.submit(
@@ -70,7 +70,7 @@ def test_failover_submissions_retry_until_service_returns():
 
 def test_stale_snapshot_redirects_once_then_serves():
     cluster, workload, router = make(num_shards=2)
-    cluster.schedule_primary_crash(1, at_us=1_000.0)
+    cluster.crash(1, 0, at_us=1_000.0)
     cluster.run_until(10_000.0)  # failover done; router's map is stale
     record = router.submit(key=workload.partitioner.ranges[1].start)
     cluster.run_until(10_001.0)
@@ -82,7 +82,7 @@ def test_stale_snapshot_redirects_once_then_serves():
 def test_attempt_budget_exhaustion_drops_the_transaction():
     cluster, workload, router = make(num_shards=2, mode="passive",
                                      version="v1", max_attempts=1)
-    cluster.schedule_primary_crash(0, at_us=1_000.0)
+    cluster.crash(0, 0, at_us=1_000.0)
     record = router.submit(
         key=workload.partitioner.ranges[0].start, at_us=2_000.0
     )
@@ -99,7 +99,7 @@ def test_backoff_is_exponential_and_capped():
         backoff_us=100.0, backoff_factor=2.0, max_backoff_us=400.0,
         max_attempts=60,
     )
-    cluster.schedule_primary_crash(0, at_us=1_000.0)
+    cluster.crash(0, 0, at_us=1_000.0)
     record = router.submit(
         key=workload.partitioner.ranges[0].start, at_us=2_000.0
     )

@@ -2,10 +2,14 @@
 
 import pytest
 
-from repro.errors import StaleShardMapError
+from repro.errors import ConfigurationError, StaleShardMapError
+from repro.obs import Observer
+from repro.obs.audit import audit_events
+from repro.obs.slo import compute_slo
 from repro.shard import ShardedCluster, ShardedWorkload
 from repro.shard.shardmap import STATUS_DEGRADED, STATUS_UP
 from repro.vista import EngineConfig
+from tests.obs.select import select_events
 
 MB = 1024 * 1024
 CONFIG = EngineConfig(db_bytes=4 * MB, log_bytes=512 * 1024)
@@ -37,7 +41,7 @@ def test_single_shard_crash_fails_over_only_that_shard():
     for shard_id in range(3):
         for _ in range(10):
             workload.run_on_shard(shard_id, cluster.serving(shard_id))
-    cluster.schedule_primary_crash(1, at_us=2_000.0)
+    cluster.crash(1, 0, at_us=2_000.0)
     cluster.run_until(20_000.0)
 
     assert set(cluster.takeovers) == {1}
@@ -67,7 +71,7 @@ def test_single_shard_crash_fails_over_only_that_shard():
 def test_availability_window_tracks_the_takeover():
     cluster, _ = make(2, mode="passive", version="v1")
     assert cluster.available(0) and cluster.available(1)
-    cluster.schedule_primary_crash(0, at_us=1_000.0)
+    cluster.crash(0, 0, at_us=1_000.0)
     cluster.run_until(1_200.0)  # crashed, not yet detected
     assert not cluster.available(0)
     assert cluster.available(1)
@@ -82,7 +86,7 @@ def test_availability_window_tracks_the_takeover():
 def test_execute_fences_stale_epochs_then_serves_fresh_ones():
     cluster, workload = make(2)
     stale = cluster.shard_map.snapshot()
-    cluster.schedule_primary_crash(1, at_us=1_000.0)
+    cluster.crash(1, 0, at_us=1_000.0)
     cluster.run_until(10_000.0)
 
     run = lambda serving: workload.run_on_shard(1, serving)
@@ -112,9 +116,44 @@ def test_order_entry_shards_by_warehouse():
         workload.verify_shard(shard_id, cluster.serving(shard_id))
 
 
+def test_a_second_crash_of_one_pair_is_refused_when_scheduled():
+    # A second crash of shard 0 used to rewrite its one outage: two
+    # fault.crash events, a takeover stamped with the second crash, and
+    # an SLO charge of both windows (about twice the real downtime)
+    # that the auditor passed.
+    observer = Observer()
+    cluster = ShardedCluster(2, config=CONFIG, observer=observer)
+    cluster.crash(0, 0, at_us=10.0)
+    with pytest.raises(ConfigurationError):
+        cluster.crash(0, 0, at_us=20.0)
+    cluster.run_until(20_000.0)
+
+    events = list(observer.recorder.events)
+    report = cluster.takeovers[0]
+    assert report.crash_at_us == 10.0
+    assert report.downtime_us == 5_990.0
+    assert len(select_events(events, name="fault.crash")) == 1
+    (scope,) = compute_slo(events).scopes
+    assert scope.downtime_us == report.downtime_us
+    assert audit_events(events).ok
+
+
+@pytest.mark.parametrize("fault", [
+    lambda c: c.crash(0, 1, 1_000.0),  # the backup
+    lambda c: c.recover(0, 0, 1_000.0),
+    lambda c: c.partition(0, [0], [1], at_us=1_000.0),
+], ids=["backup-crash", "recover", "partition"])
+def test_a_pair_takes_only_a_crash_of_its_primary(fault):
+    cluster, _ = make(2)
+    with pytest.raises(ConfigurationError):
+        fault(cluster)
+    cluster.run_until(10_000.0)
+    assert cluster.takeovers == {}
+
+
 def test_repr_mentions_failures():
     cluster, _ = make(2)
     assert "0 failed over" in repr(cluster)
-    cluster.schedule_primary_crash(0, at_us=1_000.0)
+    cluster.crash(0, 0, at_us=1_000.0)
     cluster.run_until(10_000.0)
     assert "1 failed over" in repr(cluster)

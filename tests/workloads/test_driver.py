@@ -1,8 +1,7 @@
-"""The workload driver: measurement collection, warmup, fault hooks."""
+"""The workload driver: measurement collection, warmup, crash at a commit."""
 
 import pytest
 
-from repro.cluster.faults import CrashPlan, FaultInjector
 from repro.memory.rio import RioMemory
 from repro.replication.active import ActiveReplicatedSystem
 from repro.replication.passive import PassiveReplicatedSystem
@@ -63,15 +62,14 @@ def test_active_run_collects_redo_and_acks():
     assert "undo" not in result.traffic_bytes
 
 
-def test_fault_injector_stops_run():
+def test_backup_holds_the_driven_commits_after_a_crash():
     system = PassiveReplicatedSystem("v3", CONFIG)
     workload = DebitCreditWorkload(CONFIG.db_bytes, seed=1)
     workload.setup(system)
     system.sync_initial()
-    injector = FaultInjector()
-    injector.schedule(CrashPlan(after_transactions=20), system.fail_primary)
-    result = run_workload(system, workload, 100, fault_injector=injector)
-    assert result.crashed
+    result = run_workload(system, workload, 20)
+    system.fail_primary()  # crash right after the 20th commit
+    assert not result.crashed
     assert result.transactions == 20
     backup = system.failover()
     # The backup holds the 20 committed transactions (its recovery pass
