@@ -29,6 +29,7 @@ from repro.obs.recovery import (
 from repro.obs.spans import PhaseCostModel
 from repro.replication.active import ActiveReplicatedSystem
 from repro.replication.passive import PassiveReplicatedSystem
+from repro.replication.recovery_time import MEMCPY_BYTES_PER_US
 from repro.sim.engine import Simulator
 from repro.vista.api import EngineConfig
 
@@ -64,9 +65,10 @@ class ReplicatedCluster:
         mode: ``"passive"`` or ``"active"``.
         version: engine version for passive mode (ignored for active,
             which always runs Version 3 on the primary).
-        restore_bytes_per_us: backup-side memory copy bandwidth used to
-            convert failover work (bytes restored) into simulated time;
-            ~300 bytes/us matches a late-90s AlphaServer memcpy.
+
+    Failover work (bytes restored) becomes simulated time at the
+    backup's memory-copy rate,
+    :data:`~repro.replication.recovery_time.MEMCPY_BYTES_PER_US`.
     """
 
     def __init__(
@@ -80,7 +82,6 @@ class ReplicatedCluster:
         config: Optional[EngineConfig],
         heartbeat_interval_us: float,
         heartbeat_timeout_us: float,
-        restore_bytes_per_us: float,
         observer,
     ):
         if mode not in ("passive", "active"):
@@ -88,7 +89,6 @@ class ReplicatedCluster:
         self.mode = mode
         self.version = version
         self.config = config if config is not None else EngineConfig()
-        self.restore_bytes_per_us = restore_bytes_per_us
         self.on_failover = on_failover
         self.observer = resolve_observer(observer)
         self.sim = sim
@@ -207,7 +207,7 @@ class ReplicatedCluster:
         )
         engine = self.system.failover()
         restored = engine.counters.rollback_bytes
-        takeover_us = restored / self.restore_bytes_per_us
+        takeover_us = restored / MEMCPY_BYTES_PER_US
         self.takeover = TakeoverReport(
             crash_at_us=self._crash_at_us,
             detected_at_us=detected,
@@ -253,7 +253,7 @@ class ReplicatedCluster:
                 PHASE_CATCHUP, detected,
                 self.takeover.service_restored_at_us,
                 bytes_restored=restored,
-                restore_bytes_per_us=self.restore_bytes_per_us,
+                restore_bytes_per_us=MEMCPY_BYTES_PER_US,
             )
             root_attrs = {
                 "node": self.primary_node.name,

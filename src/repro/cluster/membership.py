@@ -25,15 +25,14 @@ class Membership:
     """A node's view of who is in the cluster and who leads.
 
     Works for any member count, not just a primary-backup pair. Every
-    view change — the initial view, joins, and failures — is recorded
-    in ``history`` as ``(view_id, members, primary)`` tuples, so a
+    view change — the initial view and each failure — is recorded in
+    ``history`` as ``(view_id, members, primary)`` tuples, so a
     late-joining observer can replay how the cluster got here.
 
-    Promotion after a primary failure is deterministic: the survivor
-    with the lowest *seniority rank* (order of joining the view) takes
-    over, regardless of the order earlier members failed. A member that
-    leaves and rejoins receives a fresh, higher rank, so a flapping
-    node can never steal leadership from a stable one.
+    Promotion after a primary failure is deterministic: the most senior
+    survivor takes over, seniority being the order of the initial
+    member list (which failures preserve), regardless of the order in
+    which earlier members failed.
     """
 
     members: List[str]
@@ -49,13 +48,23 @@ class Membership:
             )
         if len(set(self.members)) != len(self.members):
             raise ValueError(f"duplicate members in {self.members}")
-        self._ranks = {name: rank for rank, name in enumerate(self.members)}
-        self._next_rank = len(self.members)
         # View 0 is itself part of the record.
-        self.history.append((self.view_id, tuple(self.members), self.primary))
-        self._emit_view()
+        self._record()
 
-    def _emit_view(self) -> None:
+    def fail(self, name: str) -> None:
+        """Remove a member; promotes the most senior survivor if it led."""
+        if name not in self.members:
+            return
+        self.members.remove(name)
+        if self.primary == name:
+            if not self.members:
+                raise ValueError("no surviving member to promote")
+            self.primary = self.members[0]
+        self.view_id += 1
+        self._record()
+
+    def _record(self) -> None:
+        self.history.append((self.view_id, tuple(self.members), self.primary))
         if self.observer.enabled:
             self.observer.count("membership.view_changes")
             self.observer.gauge("membership.members", len(self.members))
@@ -64,38 +73,6 @@ class Membership:
                 view_id=self.view_id, members=list(self.members),
                 primary=self.primary,
             )
-
-    def rank(self, name: str) -> int:
-        """Seniority rank of a current member (lower is more senior)."""
-        if name not in self.members:
-            raise ValueError(f"{name!r} is not a member")
-        return self._ranks[name]
-
-    def join(self, name: str) -> None:
-        """Add a member at the lowest seniority; records a view change."""
-        if name in self.members:
-            return
-        self.members.append(name)
-        self._ranks[name] = self._next_rank
-        self._next_rank += 1
-        self._record()
-
-    def fail(self, name: str) -> None:
-        """Remove a member; promotes the most senior survivor if it led."""
-        if name not in self.members:
-            return
-        self.members.remove(name)
-        del self._ranks[name]
-        if self.primary == name:
-            if not self.members:
-                raise ValueError("no surviving member to promote")
-            self.primary = min(self.members, key=self._ranks.__getitem__)
-        self._record()
-
-    def _record(self) -> None:
-        self.view_id += 1
-        self.history.append((self.view_id, tuple(self.members), self.primary))
-        self._emit_view()
 
 
 class HeartbeatMonitor:
@@ -120,7 +97,6 @@ class HeartbeatMonitor:
         self.timeout_us = timeout_us
         self.observer = resolve_observer(observer)
         self.detected_at_us: Optional[float] = None
-        self._stopped = False
 
     def start(self) -> None:
         """Begin heartbeating and monitoring."""
@@ -128,17 +104,12 @@ class HeartbeatMonitor:
         self._schedule_beat()
         self._schedule_check()
 
-    def stop(self) -> None:
-        self._stopped = True
-
     # -- internal ----------------------------------------------------------
 
     def _schedule_beat(self) -> None:
         self.sim.schedule_after(self.interval_us, self._beat, name="heartbeat")
 
     def _beat(self) -> None:
-        if self._stopped:
-            return
         self.watched.heartbeat(self.sim.now)
         if self.observer.enabled:
             self.observer.count("monitor.heartbeats")
@@ -148,7 +119,7 @@ class HeartbeatMonitor:
         self.sim.schedule_after(self.interval_us, self._check, name="hb-check")
 
     def _check(self) -> None:
-        if self._stopped or self.detected_at_us is not None:
+        if self.detected_at_us is not None:
             return
         last = self.watched.last_heartbeat_us or 0.0
         if self.sim.now - last > self.timeout_us:

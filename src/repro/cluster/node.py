@@ -1,62 +1,28 @@
-"""A simulated cluster node.
+"""A simulated cluster node, as failure detection sees it.
 
-A node bundles the pieces one AlphaServer contributes to the cluster:
-Rio reliable memory, a Memory Channel interface, and (optionally)
-transaction engines. Crashing a node takes all of them down together;
-rebooting brings back the Rio contents, modelling Vista's
-"safe but unavailable until recovery" behaviour.
+A node is a name, a ``crashed`` flag and its last heartbeat: what a
+:class:`~repro.cluster.membership.HeartbeatMonitor` watches. A pair's
+Rio memories and Memory Channel interfaces belong to its replicated
+system (``primary_rio`` / ``backup_rio`` and their interfaces), which
+``fail_primary()`` crashes together with the node.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.hardware.specs import (
-    ALPHASERVER_4100,
-    MEMORY_CHANNEL_II,
-    MachineSpec,
-    SanSpec,
-)
-from repro.memory.rio import RioMemory
-from repro.san.memory_channel import MemoryChannelInterface
-
 
 class Node:
-    """One commodity server in the cluster."""
+    """One commodity server: up until it crashes, then silent."""
 
-    def __init__(
-        self,
-        name: str,
-        machine: MachineSpec = ALPHASERVER_4100,
-        san: SanSpec = MEMORY_CHANNEL_II,
-    ):
+    def __init__(self, name: str):
         self.name = name
-        self.machine = machine
-        self.rio = RioMemory(name)
-        self.interface = MemoryChannelInterface(
-            name,
-            san,
-            write_buffers=machine.write_buffers,
-            write_buffer_bytes=machine.write_buffer_bytes,
-        )
         self.crashed = False
-        self.crash_count = 0
         self.last_heartbeat_us: Optional[float] = None
 
     def crash(self) -> None:
-        """Fail-stop: Rio preserves memory; everything else stops."""
-        if self.crashed:
-            return
+        """Fail-stop: the node stops heartbeating."""
         self.crashed = True
-        self.crash_count += 1
-        self.rio.crash()
-        self.interface.crash()
-
-    def reboot(self) -> None:
-        """Warm reboot: Rio contents come back; the node rejoins."""
-        self.crashed = False
-        self.rio.reboot()
-        self.interface.reboot()
 
     def heartbeat(self, now_us: float) -> None:
         """Record a heartbeat emission (ignored while crashed)."""

@@ -63,21 +63,12 @@ def plan_for(experiment_keys: Iterable[str]) -> List[CellSpec]:
 def compute_cell(task: Tuple[ExperimentSettings, CellSpec]):
     """Pool worker: measure one cell in a fresh context.
 
-    Returns ``(spec, RunResult, snapshot)`` — picklable, the result
-    identical to what the main process would compute (fresh system,
-    fresh seeded workload, same settings). ``snapshot`` is the cell's
-    own metrics, None when observation is off: a pool process computes
-    many cells against one process-global default observer, so each
-    cell resets it first — or its snapshot would repeat every earlier
-    cell's counts and the runner's merge would double-count them.
+    Returns ``(spec, RunResult)`` — picklable, the result identical to
+    what the main process would compute (fresh system, fresh seeded
+    workload, same settings).
     """
-    from repro.obs.observer import get_default_observer, reset_default_observer
-
     settings, spec = task
-    reset_default_observer()
-    result = ExperimentContext(settings).driven(spec)
-    observer = get_default_observer()
-    return spec, result, observer.registry.snapshot() if observer.enabled else None
+    return spec, ExperimentContext(settings).driven(spec)
 
 
 def smp_sim_tasks(ctx: ExperimentContext) -> List[tuple]:

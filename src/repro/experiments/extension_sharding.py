@@ -47,6 +47,7 @@ from repro.obs.series import (
 from repro.obs.slo import SloReport, compute_slo
 from repro.perf.report import ReportTable
 from repro.perf.sharding import ShardedThroughputReport, sharded_aggregate
+from repro.replication.recovery_time import MEMCPY_BYTES_PER_US
 
 SHARD_COUNTS = (1, 2, 4, 8)
 
@@ -59,7 +60,6 @@ OFFERED_PER_SHARD_PER_SLOT = 2
 CRASHES = ((2, 5_250.0),)
 HEARTBEAT_INTERVAL_US = 100.0
 HEARTBEAT_TIMEOUT_US = 500.0
-RESTORE_BYTES_PER_US = 300.0
 #: Run this far past the load so the retry backlog fully drains.
 DRAIN_US = 30_000.0
 
@@ -358,7 +358,7 @@ def check_failover_timeline(timeline: OutageTimeline) -> None:
     outage = timeline.outage
     assert outage.downtime_us <= (
         HEARTBEAT_TIMEOUT_US + 2 * HEARTBEAT_INTERVAL_US
-        + outage.bytes_restored / RESTORE_BYTES_PER_US + 1.0
+        + outage.bytes_restored / MEMCPY_BYTES_PER_US + 1.0
     )
     # Passive v1's whole-database mirror restore dominates the
     # failover — the trace-derived root cause, not an assumption.
@@ -459,7 +459,6 @@ def failover_plan(
         log_bytes=512 * 1024,
         heartbeat_interval_us=HEARTBEAT_INTERVAL_US,
         heartbeat_timeout_us=HEARTBEAT_TIMEOUT_US,
-        restore_bytes_per_us=RESTORE_BYTES_PER_US,
         workload="debit-credit",
         seed=seed,
         slots=slots,

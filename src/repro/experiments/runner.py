@@ -91,20 +91,11 @@ def _precompute(ctx: ExperimentContext, resolved: List[str], jobs: int) -> None:
     tables are byte-identical to a sequential run."""
     from repro.experiments import cells
     from repro.fastpath.parallel import run_tasks
-    from repro.obs.observer import get_default_observer
 
-    computed = run_tasks(
+    ctx.preload(dict(run_tasks(
         cells.compute_cell,
         [(ctx.settings, spec) for spec in cells.plan_for(resolved)], jobs,
-    )
-    ctx.preload({spec: result for spec, result, _ in computed})
-    # Observed run: the workers' per-cell metrics snapshots merge here
-    # in task order (run_tasks preserves it), so the aggregate registry
-    # is deterministic at any -j.
-    observer = get_default_observer()
-    for _spec, _result, snapshot in computed:
-        if snapshot is not None:
-            observer.registry.merge_snapshot(snapshot)
+    )))
 
 
 def main(argv=None) -> int:

@@ -23,7 +23,7 @@ the pair equal (DESIGN section 10 has the table).
 * **Process-parallel experiment runner**
   (:mod:`repro.fastpath.parallel`) — ``repro-experiments --jobs N``
   fans the grid's independent measured cells over a process pool and
-  merges results deterministically.
+  preloads their results, in task order, into the context cache.
 * **Timeline driver and plans** (:mod:`repro.fastpath.shardpar`) — the
   failover timelines' one run scaffold, and the sharded schedule as data.
 

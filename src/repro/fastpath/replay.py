@@ -53,9 +53,6 @@ class PacketReplayCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def clear(self) -> None:
-        self._entries.clear()
-
     @staticmethod
     def canonical_key(
         ops: Iterable[Tuple[int, int]], num_buffers: int, block_bytes: int

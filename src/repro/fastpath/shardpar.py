@@ -102,7 +102,6 @@ class TimelinePlan:
     log_bytes: int
     heartbeat_interval_us: float
     heartbeat_timeout_us: float
-    restore_bytes_per_us: float
     workload: str
     seed: int
     slots: int
@@ -153,7 +152,6 @@ def execute(
         ),
         heartbeat_interval_us=plan.heartbeat_interval_us,
         heartbeat_timeout_us=plan.heartbeat_timeout_us,
-        restore_bytes_per_us=plan.restore_bytes_per_us,
         observer=observer,
     )
 

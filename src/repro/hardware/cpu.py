@@ -28,19 +28,6 @@ class CostAccumulator:
     def total_us(self) -> float:
         return sum(self.components.values())
 
-    def merge(self, other: "CostAccumulator") -> None:
-        """Fold another accumulator's charges into this one."""
-        for component, micros in other.components.items():
-            self.components[component] = (
-                self.components.get(component, 0.0) + micros
-            )
-
-    def scaled(self, factor: float) -> "CostAccumulator":
-        """Return a copy with every component multiplied by ``factor``."""
-        return CostAccumulator(
-            {component: micros * factor for component, micros in self.components.items()}
-        )
-
     def items(self) -> Iterator[Tuple[str, float]]:
         return iter(sorted(self.components.items()))
 

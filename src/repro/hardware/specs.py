@@ -73,12 +73,6 @@ class SanSpec:
             )
         return self.per_packet_overhead_us + size_bytes / self.raw_bandwidth_bytes_per_us
 
-    def effective_bandwidth_mb_per_s(self, packet_bytes: int) -> float:
-        """Sustained MB/s for a stream of fixed-size packets (Figure 1)."""
-        time_per_packet = self.packet_time_us(packet_bytes)
-        bytes_per_us = packet_bytes / time_per_packet
-        return bytes_per_us * 1e6 / MB
-
 
 #: The paper's compute node: AlphaServer 4100 5/600 — four 600 MHz
 #: 21164A CPUs, 2 GB memory, 8 MB direct-mapped board cache with

@@ -23,7 +23,6 @@ scattered 4-byte database writes expensive (~14 MB/s).
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Callable, Iterable, Optional, Tuple
 
 BLOCK_BYTES_DEFAULT = 32
@@ -91,15 +90,9 @@ class WriteBufferModel:
         self._open: dict = {}  # block -> written bitmask (insertion = FIFO)
         self.packets_emitted = 0
         self.bytes_emitted = 0
-        self._histogram: Counter = Counter()
         self._full_mask = (1 << block_bytes) - 1
 
     # -- store stream ---------------------------------------------------
-
-    def write(self, address: int, length: int) -> None:
-        """Record a store of ``length`` bytes at ``address``."""
-        if length > 0:
-            self._write_run(address, address + length)
 
     def write_batch(self, stores: Iterable[Tuple[int, int]]) -> None:
         """Record a whole batch of (address, length) stores.
@@ -190,7 +183,6 @@ class WriteBufferModel:
         size = self.block_bytes
         self.packets_emitted += count
         self.bytes_emitted += count * size
-        self._histogram[size] += count
         callback = self.on_packet
         if callback is not None:
             for _ in range(count):
@@ -210,20 +202,18 @@ class WriteBufferModel:
             return
         self.packets_emitted += 1
         self.bytes_emitted += size
-        self._histogram[size] += 1
         if self.on_packet is not None:
             self.on_packet(size)
 
     def account_replayed(self, sizes: Iterable[int], total_bytes: int) -> None:
-        """Credit packets computed (or looked up) without running
-        :meth:`write` — a replay-cache hit, the arithmetic fragmented
+        """Credit packets computed (or looked up) without running the
+        store loop — a replay-cache hit, the arithmetic fragmented
         lane — to the model's own statistics. The caller is responsible
         for the schedule having started *and* ended with no open
         buffers (a barrier-terminated batch)."""
         sizes = tuple(sizes)
         self.packets_emitted += len(sizes)
         self.bytes_emitted += total_bytes
-        self._histogram.update(sizes)
         if self.on_packet is not None:
             for size in sizes:
                 self.on_packet(size)
@@ -235,22 +225,11 @@ class WriteBufferModel:
         """How many write buffers currently hold undrained stores."""
         return len(self._open)
 
-    @property
-    def histogram(self) -> dict:
-        """Mapping of packet size (bytes) -> count of packets emitted."""
-        return dict(self._histogram)
-
-    def mean_packet_bytes(self) -> float:
-        if not self.packets_emitted:
-            return 0.0
-        return self.bytes_emitted / self.packets_emitted
-
     def reset(self) -> None:
         """Drop open buffers and statistics."""
         self._open.clear()
         self.packets_emitted = 0
         self.bytes_emitted = 0
-        self._histogram.clear()
 
 
 #: The name the frozen ledger probes construct models through

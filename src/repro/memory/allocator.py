@@ -205,15 +205,6 @@ class HeapAllocator:
     def _fits_block(self, block: int) -> bool:
         return block + MIN_BLOCK <= self.size
 
-    def free_bytes(self) -> int:
-        """Total payload capacity currently on the free list."""
-        total = 0
-        block = self._head()
-        while block != NULL:
-            total += self._block_size(block) - HEADER_BYTES - FOOTER_BYTES
-            block = self._next_free(block)
-        return total
-
 
 def _align16(n: int) -> int:
     return (n + 15) & ~15

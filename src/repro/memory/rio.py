@@ -62,10 +62,6 @@ class RioMemory:
 
     # -- crash semantics ---------------------------------------------------
 
-    @property
-    def crashed(self) -> bool:
-        return self._crashed
-
     def _check_alive(self) -> None:
         if self._crashed:
             raise CrashedError(

@@ -37,7 +37,6 @@ from repro.obs.observer import (
     OBS_ENV_VAR,
     Observer,
     get_default_observer,
-    reset_default_observer,
     resolve_observer,
 )
 from repro.obs.trace import (

@@ -59,9 +59,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = value
 
-    def add(self, delta: float) -> None:
-        self.value += delta
-
 
 class Histogram:
     """Bucketed distribution with count/sum/min/max sidecars.
@@ -120,26 +117,6 @@ class Histogram:
             "p95": self.quantile(0.95),
             "p99": self.quantile(0.99),
         }
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram's observations into this one.
-
-        Requires identical bucket bounds — merging differently-shaped
-        histograms would silently misbucket, so it raises instead.
-        """
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"cannot merge histogram {other.name!r} into {self.name!r}: "
-                f"bucket bounds differ"
-            )
-        for index, bucket_count in enumerate(other.bucket_counts):
-            self.bucket_counts[index] += bucket_count
-        self.count += other.count
-        self.sum += other.sum
-        if other.min is not None:
-            self.min = other.min if self.min is None else min(self.min, other.min)
-        if other.max is not None:
-            self.max = other.max if self.max is None else max(self.max, other.max)
 
 
 def _percentile(ordered: Sequence[float], q: float) -> float:
@@ -241,18 +218,6 @@ class MetricsRegistry:
             return self._gauges[name].value
         return default
 
-    def names(self, prefix: str = "") -> List[str]:
-        """All metric names under ``prefix`` (dot-aware), sorted."""
-        every = (
-            list(self._counters) + list(self._gauges) + list(self._histograms)
-        )
-        if prefix:
-            every = [
-                name for name in every
-                if name == prefix or name.startswith(prefix + ".")
-            ]
-        return sorted(every)
-
     def snapshot(self) -> Dict[str, Dict]:
         """A JSON-serializable dump of every metric, stable-ordered."""
         return {
@@ -273,37 +238,6 @@ class MetricsRegistry:
                 for name, hist in sorted(self._histograms.items())
             },
         }
-
-    # -- merging -------------------------------------------------------------
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another live registry's metrics into this one, in place
-        (:meth:`merge_snapshot` of its :meth:`snapshot`)."""
-        self.merge_snapshot(other.snapshot())
-
-    def merge_snapshot(self, snapshot: Dict[str, Dict]) -> None:
-        """Fold a :meth:`snapshot` dump into this registry.
-
-        Counters and histogram observations add; gauges take the
-        snapshot's value (last write wins, matching their semantics when
-        the merged registries are fed in a defined order). Snapshots are
-        the picklable form: this is how ``repro-experiments --jobs N``
-        folds its worker processes' per-cell registries back into one
-        process-wide view (live registries never travel through the
-        pool).
-        """
-        for name, value in snapshot.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, dump in snapshot.get("histograms", {}).items():
-            theirs = Histogram(name, tuple(dump["bounds"]))
-            theirs.bucket_counts = [int(n) for n in dump["bucket_counts"]]
-            theirs.count = int(dump["count"])
-            theirs.sum = dump["sum"]
-            if theirs.count:  # an empty histogram dumps min/max as 0.0
-                theirs.min, theirs.max = dump["min"], dump["max"]
-            self.histogram(name, theirs.bounds).merge(theirs)
 
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges) + len(self._histograms)

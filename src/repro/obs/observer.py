@@ -136,10 +136,6 @@ class Observer:
         child._parent = self
         return child
 
-    @property
-    def prefix(self) -> str:
-        return self._prefix
-
     def metric_name(self, name: str) -> str:
         """``name`` as this scope records it (prefix applied) — for
         handing fully-qualified names to registry-level bridges."""
@@ -246,18 +242,6 @@ def get_default_observer():
     if _default_observer is None:
         _default_observer = Observer()
     return _default_observer
-
-
-def reset_default_observer() -> None:
-    """Drop the process-default observer so the next
-    :func:`get_default_observer` call builds a fresh one.
-
-    The parallel experiment runner's workers call this before each
-    cell: a pool process computes many cells back to back, and without
-    the reset each cell's metrics snapshot would also contain every
-    earlier cell's counts, double-counting them at the merge."""
-    global _default_observer
-    _default_observer = None
 
 
 def resolve_observer(observer):

@@ -141,20 +141,8 @@ class RecoveryTree:
     #: The first post-failover commit's trace id, when linked.
     resume_commit_trace_id: Optional[int] = None
 
-    @property
-    def end_us(self) -> float:
-        return self.start_us + self.dur_us
 
-    @property
-    def dominant_phase(self) -> Optional[str]:
-        if not self.phases:
-            return None
-        return max(self.phases.items(), key=lambda item: item[1])[0]
-
-
-def collect_recoveries(
-    events: Iterable, component_prefix: Optional[str] = None
-) -> List[RecoveryTree]:
+def collect_recoveries(events: Iterable) -> List[RecoveryTree]:
     """Rebuild every failover's recovery tree from an event stream.
 
     The :data:`RECOVERY_SPAN` roots of the generic span forest
@@ -172,9 +160,7 @@ def collect_recoveries(
         if event.name == RECOVERY_RESUME:
             resumes.setdefault(int(event.attrs["parent_id"]), event)
     trees = []
-    for root in collect_span_forest(
-        events, component_prefix=component_prefix
-    ):
+    for root in collect_span_forest(events):
         if root.event.name != RECOVERY_SPAN:
             continue
         resume = resumes.get(root.span_id)

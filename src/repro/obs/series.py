@@ -34,7 +34,7 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.obs.export import jsonl_records, stable_json
 from repro.obs.observer import resolve_observer
@@ -92,10 +92,6 @@ class SeriesFrame:
         """The value column for ``name``."""
         return list(self._columns[name])
 
-    def series(self, name: str) -> Tuple[List[float], List[float]]:
-        """``(times_us, values)`` arrays for one probe."""
-        return self.times_us, self.values(name)
-
     def last(self, name: str) -> float:
         return self._columns[name][-1]
 
@@ -127,18 +123,6 @@ class SeriesFrame:
                        for name in sorted(self._columns)},
         }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "SeriesFrame":
-        if payload.get("format") != SERIES_FORMAT:
-            raise ValueError(f"not a {SERIES_FORMAT} payload")
-        columns = list(payload["columns"])  # type: ignore[arg-type]
-        frame = cls(columns)
-        times = payload["times_us"]
-        values = payload["values"]
-        for i, ts in enumerate(times):  # type: ignore[arg-type]
-            frame.append(ts, {name: values[name][i] for name in columns})  # type: ignore[index]
-        return frame
-
     def to_jsonl(self) -> str:
         """Serialize as ``repro-series-v1`` JSONL (meta line + one line
         per sample, values in column order)."""
@@ -158,10 +142,6 @@ class SeriesFrame:
                 "values": [col[i] for col in columns],
             }) + "\n")
         return out.getvalue()
-
-    def to_bytes(self) -> bytes:
-        """Canonical byte encoding — the byte-identity test currency."""
-        return self.to_jsonl().encode("utf-8")
 
     def write_jsonl(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -249,7 +249,6 @@ class SpanNode:
 def collect_span_forest(
     events: Iterable,
     names: Optional[Sequence[str]] = None,
-    component_prefix: Optional[str] = None,
 ) -> List[SpanNode]:
     """Rebuild the span forest from any event stream — *the* joiner:
     :func:`collect_commit_spans` and
@@ -259,8 +258,7 @@ def collect_span_forest(
     Every span event carrying a ``span_id`` becomes a node; nodes
     whose ``parent_id`` resolves become children (in event order),
     everything else is a root. ``names`` restricts which event names
-    participate (e.g. ``("commit.span", "commit.phase")``);
-    ``component_prefix`` filters scopes the usual exact-or-dotted way.
+    participate (e.g. ``("commit.span", "commit.phase")``).
     """
     nodes: List[SpanNode] = []
     by_id: Dict[int, SpanNode] = {}
@@ -271,10 +269,6 @@ def collect_span_forest(
             continue
         attrs = event.attrs
         if "span_id" not in attrs:
-            continue
-        if component_prefix is not None and not component_matches(
-            event.component, component_prefix
-        ):
             continue
         node = SpanNode(
             event=event,
@@ -423,23 +417,15 @@ class PhaseAttribution:
 
 
 def attribute_commits(
-    events: Iterable,
-    component_prefix: Optional[str] = None,
-    scopes: Optional[List[str]] = None,
+    events: Iterable, scopes: Optional[List[str]] = None
 ) -> PhaseAttribution:
     """Summarize the commit span trees in ``events`` per phase.
 
-    ``component_prefix`` restricts the attribution to one scope (e.g.
-    ``"shard.2"``) by :func:`~repro.obs.trace.component_matches`;
-    ``scopes`` accepts a list of such selectors and keeps a tree when
-    any of them matches.
+    ``scopes`` restricts the attribution to the trees whose component
+    any of its selectors matches (e.g. ``"shard.2"``, by
+    :func:`~repro.obs.trace.component_matches`).
     """
     trees = collect_commit_spans(events)
-    if component_prefix is not None:
-        trees = [
-            tree for tree in trees
-            if component_matches(tree.component, component_prefix)
-        ]
     if scopes:
         trees = [
             tree for tree in trees

@@ -102,9 +102,6 @@ class TraceRecorder:
     def __init__(self) -> None:
         self.events: List[TraceEvent] = []
 
-    def record(self, event: TraceEvent) -> None:
-        self.events.append(event)
-
     def instant(
         self, ts_us: float, component: str, name: str, **attrs: object
     ) -> TraceEvent:
@@ -123,9 +120,6 @@ class TraceRecorder:
         event = TraceEvent(ts_us, component, name, KIND_SPAN, dur_us, attrs)
         self.events.append(event)
         return event
-
-    def clear(self) -> None:
-        self.events.clear()
 
     def __len__(self) -> int:
         return len(self.events)

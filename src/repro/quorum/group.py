@@ -177,9 +177,6 @@ class QuorumGroup:
     def mode(self) -> str:
         return MODE_SLOPPY if self.sloppy else MODE_STRICT
 
-    def alive(self, member: int) -> bool:
-        return self._alive[member]
-
     def _connected(self, src: int, dst: int) -> bool:
         if not (self._alive[src] and self._alive[dst]):
             return False

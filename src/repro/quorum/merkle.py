@@ -74,10 +74,6 @@ class MerkleTree:
     def root(self) -> bytes:
         return self.levels[-1][0]
 
-    @property
-    def nodes(self) -> int:
-        return sum(len(level) for level in self.levels)
-
     def __repr__(self) -> str:
         return (
             f"MerkleTree({self.num_leaves} leaves x {self.leaf_span} keys, "
@@ -160,13 +156,6 @@ class SyncStats:
     digests_compared: int = 0
     changed_a: int = 0
     changed_b: int = 0
-
-    def merge(self, other: "SyncStats") -> None:
-        self.keys_synced += other.keys_synced
-        self.bytes_transferred += other.bytes_transferred
-        self.digests_compared += other.digests_compared
-        self.changed_a += other.changed_a
-        self.changed_b += other.changed_b
 
 
 def anti_entropy_sync(

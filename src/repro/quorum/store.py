@@ -135,10 +135,6 @@ class ReplicaStore:
         self._check_key(key)
         return self._data.get(key)
 
-    @property
-    def keys_stored(self) -> int:
-        return len(self._data)
-
     # -- writes --------------------------------------------------------------
 
     def apply(self, key: int, record: Record) -> bool:
@@ -193,4 +189,4 @@ class ReplicaStore:
         return b"".join(parts)
 
     def __repr__(self) -> str:
-        return f"ReplicaStore({self.keys_stored}/{self.num_keys} keys)"
+        return f"ReplicaStore({len(self._data)}/{self.num_keys} keys)"

@@ -47,10 +47,6 @@ class VersionVector:
                 return count
         return 0
 
-    @property
-    def counters(self) -> Tuple[Tuple[int, int], ...]:
-        return self._counters
-
     def __bool__(self) -> bool:
         return bool(self._counters)
 

@@ -5,8 +5,7 @@ a transaction engine; a leaderless group's native unit is the keyed
 read-modify-write, so this module provides the quorum analogue of
 :class:`~repro.shard.workload.ShardedWorkload` with the same client
 surface the :class:`~repro.shard.router.Router` drives — ``num_shards``,
-a ``partitioner`` with ``shard_of``, ``next_key`` and ``run_on_shard``
-— which is what lets one router implementation serve all three
+a ``partitioner`` with ``shard_of``, and ``run_on_shard`` — which is what lets one router implementation serve all three
 architectures.
 
 Like the sharded benchmarks, the routed global key picks only the
@@ -62,7 +61,7 @@ class QuorumWorkload:
         keys_per_group: size of each group's local keyspace.
         value_bytes: payload padding per written value (sizes the
             replication traffic the cost model accounts).
-        seed: drives the client's key stream and every group stream.
+        seed: drives every group's stream.
     """
 
     def __init__(
@@ -81,7 +80,6 @@ class QuorumWorkload:
         self.partitioner = KeyPartitioner(
             num_groups, num_groups * keys_per_group
         )
-        self.client_rng = random.Random(seed)
         self._group_rngs: List[random.Random] = [
             random.Random(seed + 1 + _GROUP_SEED_STRIDE * group_id)
             for group_id in range(num_groups)
@@ -91,10 +89,6 @@ class QuorumWorkload:
         self.transactions_run = 0
 
     # -- client side --------------------------------------------------------
-
-    def next_key(self) -> int:
-        """Draw the next transaction's global routing key."""
-        return self.client_rng.randrange(self.partitioner.total_keys)
 
     def encode_value(self, group_id: int, key: int, counter: int) -> bytes:
         body = f"g{group_id}k{key}:c{counter}:".encode("ascii")

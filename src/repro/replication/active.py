@@ -287,9 +287,5 @@ class ActiveReplicatedSystem:
         }
 
     @property
-    def ack_bytes(self) -> int:
-        return self.backup_interface.bytes_sent
-
-    @property
     def total_bytes_sent(self) -> int:
         return self.primary_interface.bytes_sent

@@ -226,17 +226,3 @@ class PassiveReplicatedSystem:
         self.interface.unmap_all()
         self.primary_rio.crash()
         self.backup_rio.crash()
-
-    # -- accounting ----------------------------------------------------------------
-
-    @property
-    def traffic_bytes_by_category(self) -> Dict[str, int]:
-        """Bytes sent to the backup, keyed by category value."""
-        return {
-            category.value: count
-            for category, count in self.interface.bytes_by_category.items()
-        }
-
-    @property
-    def total_bytes_sent(self) -> int:
-        return self.interface.bytes_sent

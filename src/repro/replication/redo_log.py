@@ -59,10 +59,6 @@ class RedoRecord(NamedTuple):
     db_offset: int
     data: bytes
 
-    @property
-    def length(self) -> int:
-        return len(self.data)
-
 
 class RedoTransaction:
     """A committed transaction's redo records, in write order."""

@@ -41,11 +41,3 @@ class SharedLink:
         if self.observer.enabled:
             self.observer.gauge("san.shared.link_time_us", total)
         return total
-
-    def utilization(self, elapsed_us: float) -> float:
-        """Fraction of ``elapsed_us`` the link spent busy (can exceed
-        1.0 when the offered load is infeasible, i.e. the link is the
-        bottleneck)."""
-        if elapsed_us <= 0:
-            raise ValueError("elapsed time must be positive")
-        return self.total_link_time_us() / elapsed_us

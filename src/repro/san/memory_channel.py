@@ -400,14 +400,6 @@ class MemoryChannelInterface:
         self._fold_metrics()
         self._crashed = True
 
-    def reboot(self) -> None:
-        self._crashed = False
-        self._pending.clear()
-        self._fold_metrics()
-        self.write_buffer.reset()
-        self._pending_start_empty = True
-        self._folded = self._folded[:2] + (0, 0)  # the buffers' half
-
     # -- statistics --------------------------------------------------------------
 
     def link_time_us(self) -> float:

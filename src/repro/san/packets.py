@@ -28,10 +28,6 @@ class PacketTrace:
             raise ValueError("packet size must be positive")
         self.histogram[size_bytes] = self.histogram.get(size_bytes, 0) + 1
 
-    def merge(self, other: "PacketTrace") -> None:
-        for size, count in other.histogram.items():
-            self.histogram[size] = self.histogram.get(size, 0) + count
-
     @property
     def packets(self) -> int:
         return sum(self.histogram.values())

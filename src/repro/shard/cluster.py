@@ -114,9 +114,6 @@ class RoutedCluster:
         """The object currently serving unit ``shard_id``."""
         return self._unit(shard_id).serving
 
-    def available(self, shard_id: int) -> bool:
-        return self._unit(shard_id).is_available
-
     def execute(self, shard_id: int, epoch: int, request: Callable) -> object:
         """Run ``request(serving)`` on the unit, with the checks a real
         shard server performs — epoch fencing first, then availability.
@@ -252,9 +249,8 @@ class ShardedCluster(RoutedCluster):
         mode / version / config: forwarded to every pair (see
             :class:`~repro.cluster.cluster.ReplicatedCluster`); the
             config sizes *one shard's* database, not the whole thing.
-        heartbeat_interval_us / heartbeat_timeout_us /
-        restore_bytes_per_us: per-pair failure-detection and takeover
-            parameters, shared by all pairs.
+        heartbeat_interval_us / heartbeat_timeout_us: per-pair
+            failure-detection parameters, shared by all pairs.
     """
 
     def __init__(
@@ -265,7 +261,6 @@ class ShardedCluster(RoutedCluster):
         config: Optional[EngineConfig] = None,
         heartbeat_interval_us: float = 1_000.0,
         heartbeat_timeout_us: float = 5_000.0,
-        restore_bytes_per_us: float = 300.0,
         observer=None,
     ):
         super().__init__(num_shards, observer)
@@ -280,7 +275,6 @@ class ShardedCluster(RoutedCluster):
                 config=config,
                 heartbeat_interval_us=heartbeat_interval_us,
                 heartbeat_timeout_us=heartbeat_timeout_us,
-                restore_bytes_per_us=restore_bytes_per_us,
                 sim=self.sim,
                 primary_name=primary,
                 backup_name=backup,

@@ -27,10 +27,6 @@ class KeyRange:
     start: int
     stop: int
 
-    @property
-    def size(self) -> int:
-        return self.stop - self.start
-
     def __contains__(self, key: int) -> bool:
         return self.start <= key < self.stop
 
@@ -59,10 +55,6 @@ class Partitioner:
         self.total_keys = cursor
         self._starts = [r.start for r in self.ranges]
 
-    @property
-    def num_shards(self) -> int:
-        return len(self.ranges)
-
     # -- construction helpers ----------------------------------------------
 
     @classmethod
@@ -88,6 +80,6 @@ class Partitioner:
 
     def __repr__(self) -> str:
         return (
-            f"Partitioner({self.num_shards} shards, "
+            f"Partitioner({len(self.ranges)} shards, "
             f"{self.total_keys} keys)"
         )

@@ -52,12 +52,6 @@ class RoutedTransaction:
     attempts: int = 0
     dropped: bool = False
 
-    @property
-    def latency_us(self) -> Optional[float]:
-        if self.completed_at_us is None:
-            return None
-        return self.completed_at_us - self.submitted_at_us
-
 
 class Router:
     """Routes a workload's transactions at a
@@ -101,26 +95,21 @@ class Router:
 
     # -- submission ---------------------------------------------------------
 
-    def submit(
-        self, key: Optional[int] = None, at_us: Optional[float] = None
-    ) -> RoutedTransaction:
-        """Submit one transaction (by ``key``, or the workload's next
-        client key) at simulated ``at_us`` (default: now)."""
-        if key is None:
-            key = self.workload.next_key()
+    def submit(self, key: int, at_us: float) -> RoutedTransaction:
+        """Submit one transaction on partition ``key`` at simulated
+        ``at_us``."""
         shard_id = self.workload.partitioner.shard_of(key)
-        when = self.cluster.sim.now if at_us is None else at_us
         record = RoutedTransaction(key=key, shard_id=shard_id,
-                                   submitted_at_us=when)
+                                   submitted_at_us=at_us)
         self.routed += 1
         self.transactions.append(record)
         if self.observer.enabled:
             self.observer.count("router.routed")
             self.observer.event_at(
-                when, "router", "txn.submit", key=key, shard=shard_id
+                at_us, "router", "txn.submit", key=key, shard=shard_id
             )
         self.cluster.sim.schedule_at(
-            when, lambda: self._attempt(record), name="router-submit"
+            at_us, lambda: self._attempt(record), name="router-submit"
         )
         return record
 

@@ -44,10 +44,6 @@ class ShardMap:
         self.entries.append(entry)
         return entry
 
-    @property
-    def num_shards(self) -> int:
-        return len(self.entries)
-
     def entry(self, shard_id: int) -> ShardInfo:
         if shard_id < 0 or shard_id >= len(self.entries):
             raise ConfigurationError(

@@ -3,10 +3,9 @@
 Each shard runs an ordinary :class:`~repro.workloads.base.Workload`
 instance over its own (smaller) database — the layouts, shadow models
 and verification all come along for free. What this module adds is the
-*client side*: a deterministic stream of global partition keys
-(branches for Debit-Credit, warehouses for Order-Entry) drawn
-uniformly over the whole cluster, and the mapping from a routed key to
-one transaction on the owning shard's workload.
+mapping from a routed global partition key (a branch for Debit-Credit,
+a warehouse for Order-Entry) to one transaction on the owning shard's
+workload; the client picks the keys.
 
 Transactions never span shards: the paper's benchmarks pin each
 transaction to one branch/warehouse, which is exactly why they
@@ -15,7 +14,6 @@ partition cleanly (the STAR observation).
 
 from __future__ import annotations
 
-import random
 from typing import List
 
 from repro.errors import ConfigurationError
@@ -30,15 +28,15 @@ _SHARD_SEED_STRIDE = 7919
 
 
 class ShardedWorkload:
-    """N per-shard workload instances plus the client key stream.
+    """N per-shard workload instances behind one partitioner.
 
     Args:
         name: ``"debit-credit"`` or ``"order-entry"``.
         num_shards: how many primary-backup pairs the database spans.
         db_bytes_per_shard: each shard's database size.
-        seed: drives both the client's key choices and (offset per
-            shard) every shard-local transaction stream, so a whole
-            sharded run is reproducible from one integer.
+        seed: seeds (offset per shard) every shard-local transaction
+            stream, so a whole sharded run is reproducible from one
+            integer.
     """
 
     WORKLOADS = {
@@ -72,14 +70,8 @@ class ShardedWorkload:
             self.partitioner = Partitioner.for_debit_credit(self.shards)
         else:
             self.partitioner = Partitioner.for_order_entry(self.shards)
-        self.client_rng = random.Random(seed)
 
     # -- client side --------------------------------------------------------
-
-    def next_key(self) -> int:
-        """Draw the next transaction's global partition key (uniform
-        over branches/warehouses, like the underlying benchmarks)."""
-        return self.client_rng.randrange(self.partitioner.total_keys)
 
     def run_on_shard(self, shard_id: int, target: TransactionTarget) -> None:
         """Execute one transaction of shard ``shard_id``'s stream on

@@ -2,9 +2,8 @@
 
 The kernel provides a virtual clock measured in microseconds (the
 natural unit for the paper's hardware: Memory Channel latency is
-3.3 us, transactions take 2-20 us), an event queue with stable
-ordering, and seeded random-number helpers so every simulation is
-reproducible.
+3.3 us, transactions take 2-20 us) and an event queue with stable
+ordering, so every simulation is reproducible.
 """
 
 from repro.sim.clock import VirtualClock

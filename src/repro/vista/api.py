@@ -125,8 +125,9 @@ class TransactionEngine(abc.ABC):
         return specs
 
     @classmethod
+    @abc.abstractmethod
     def _extra_region_specs(cls, config: EngineConfig) -> Dict[str, int]:
-        return {}
+        """The version's regions beside ``db`` and ``control``."""
 
     @classmethod
     def working_sets(cls, config: EngineConfig) -> Iterator[Tuple[str, int]]:

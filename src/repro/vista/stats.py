@@ -64,15 +64,6 @@ class AccessProfile:
         self.random_lines.clear()
         self.sequential_bytes.clear()
 
-    def merge(self, other: "AccessProfile") -> None:
-        self.working_set_bytes.update(other.working_set_bytes)
-        for name, lines in other.random_lines.items():
-            self.random_lines[name] = self.random_lines.get(name, 0.0) + lines
-        for name, nbytes in other.sequential_bytes.items():
-            self.sequential_bytes[name] = (
-                self.sequential_bytes.get(name, 0.0) + nbytes
-            )
-
     def scaled(self, factor: float) -> "AccessProfile":
         scaled = AccessProfile(line_size=self.line_size)
         scaled.working_set_bytes = dict(self.working_set_bytes)
@@ -84,21 +75,6 @@ class AccessProfile:
             for name, nbytes in self.sequential_bytes.items()
         }
         return scaled
-
-    def snapshot_into(self, registry, prefix: str) -> None:
-        """Fold this profile into an obs registry under ``prefix``.
-
-        Working-set sizes and the per-set random/sequential footprints
-        become gauges (``<prefix>.random_lines.db``, ...), so locality
-        numbers live in the same namespace as every other metric.
-        Idempotent: re-snapshotting overwrites, never double-counts.
-        """
-        for name, size in self.working_set_bytes.items():
-            registry.gauge(f"{prefix}.working_set_bytes.{name}").set(size)
-        for name, lines in self.random_lines.items():
-            registry.gauge(f"{prefix}.random_lines.{name}").set(lines)
-        for name, nbytes in self.sequential_bytes.items():
-            registry.gauge(f"{prefix}.sequential_bytes.{name}").set(nbytes)
 
 
 @dataclass
@@ -130,10 +106,6 @@ class EngineCounters:
         instead of a dead snapshot."""
         for name in self.__dataclass_fields__:
             setattr(self, name, 0)
-
-    def merge(self, other: "EngineCounters") -> None:
-        for name in self.__dataclass_fields__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def per_transaction(self) -> Dict[str, float]:
         """Averages per committed-or-aborted transaction."""

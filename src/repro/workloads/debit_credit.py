@@ -36,19 +36,12 @@ _HISTORY = struct.Struct("<iiii")
 
 
 class DebitCreditWorkload(Workload):
-    """The Debit-Credit benchmark over a database of ``db_bytes``.
-
-    ``skew`` (0 = the paper's uniform account selection) concentrates
-    account accesses on low account ids, a sensitivity knob for cache
-    studies beyond the paper.
-    """
+    """The Debit-Credit benchmark over a database of ``db_bytes``."""
 
     name = "debit-credit"
 
-    def __init__(self, db_bytes: int, seed: int = 0, skew: float = 0.0):
+    def __init__(self, db_bytes: int, seed: int = 0):
         super().__init__(db_bytes, seed)
-        self.skew = skew
-        self._account_picker = None
         if db_bytes < AUDIT_BYTES + 30 * RECORD_BYTES:
             raise ConfigurationError(
                 f"Debit-Credit needs more than {AUDIT_BYTES} bytes of "
@@ -89,20 +82,9 @@ class DebitCreditWorkload(Workload):
 
     # -- one transaction --------------------------------------------------------
 
-    def _pick_account(self) -> int:
-        if self.skew <= 0:
-            return self.rng.randrange(self.accounts.records)
-        if self._account_picker is None:
-            from repro.sim.rng import zipf_like
-
-            self._account_picker = zipf_like(
-                self.rng, self.accounts.records, self.skew
-            )
-        return next(self._account_picker)
-
     def run_transaction(self, target: TransactionTarget) -> None:
         rng = self.rng
-        account_id = self._pick_account()
+        account_id = rng.randrange(self.accounts.records)
         branch_id = min(
             account_id * self.branches.records // self.accounts.records,
             self.branches.records - 1,

@@ -1,48 +1,41 @@
-"""Node: crash takes Rio and the Memory Channel down together."""
+"""Node: a name, a crashed flag and a heartbeat; a pair's Rio memory
+and Memory Channel interfaces are its replicated system's."""
 
 import pytest
 
 from repro.cluster.node import Node
 from repro.errors import CrashedError
+from repro.memory.rio import RioMemory
+from repro.san.memory_channel import MemoryChannelInterface
+from repro.shard import ShardedCluster
+from repro.vista import EngineConfig
+
+MB = 1024 * 1024
 
 
-def test_node_bundles_rio_and_interface():
-    node = Node("n1")
-    assert node.rio.node_name == "n1"
-    assert node.interface.node_name == "n1"
-    assert node.machine.write_buffers == 6
+def test_crash_takes_everything_down(monkeypatch):
+    """A pair builds one Rio memory and one interface per node, both
+    its system's, and a primary crash takes the node and that memory
+    down together."""
+    built = {RioMemory: 0, MemoryChannelInterface: 0}
+    for cls in built:
+        def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            built[_cls] += 1
+            _init(self, *args, **kwargs)
 
-
-def test_crash_takes_everything_down():
-    node = Node("n1")
-    region = node.rio.create_region("db", 64)
-    region.write(0, b"data")
-    node.crash()
-    assert node.crashed
+        monkeypatch.setattr(cls, "__init__", counting)
+    cluster = ShardedCluster(
+        2, mode="active",
+        config=EngineConfig(db_bytes=4 * MB, log_bytes=512 * 1024),
+        heartbeat_interval_us=100.0, heartbeat_timeout_us=500.0,
+    )
+    assert built == {RioMemory: 4, MemoryChannelInterface: 4}
+    cluster.crash(0, 0, at_us=1_000.0)
+    cluster.run_until(10_000.0)
+    pair = cluster.pairs[0]
+    assert pair.primary_node.crashed
     with pytest.raises(CrashedError):
-        region.write(0, b"more")
-    with pytest.raises(CrashedError):
-        node.interface.map_remote(region)
-
-
-def test_reboot_restores_rio_contents():
-    node = Node("n1")
-    region = node.rio.create_region("db", 64)
-    region.write(0, b"safe")
-    node.crash()
-    node.reboot()
-    assert node.rio.get_region("db").read(0, 4) == b"safe"
-    assert not node.crashed
-
-
-def test_crash_idempotent_and_counted():
-    node = Node("n1")
-    node.crash()
-    node.crash()
-    assert node.crash_count == 1
-    node.reboot()
-    node.crash()
-    assert node.crash_count == 2
+        pair.system.primary_rio.get_region("db")
 
 
 def test_heartbeat_ignored_while_crashed():

@@ -106,7 +106,7 @@ def test_driving_the_same_plan_twice_is_byte_identical():
         num_shards=3, slots=12, crashes=((1, 3_250.0),))
     first, second = shardpar.execute(plan), shardpar.execute(plan)
     assert first.events == second.events
-    assert first.frame.to_bytes() == second.frame.to_bytes()
+    assert first.frame.to_jsonl() == second.frame.to_jsonl()
     assert len(first.frame) > 0 and first.takeover_downtime_us
 
 

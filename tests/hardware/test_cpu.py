@@ -24,21 +24,6 @@ def test_negative_charge_rejected():
         CostAccumulator().charge("x", -0.1)
 
 
-def test_merge():
-    a = CostAccumulator({"x": 1.0})
-    b = CostAccumulator({"x": 2.0, "y": 3.0})
-    a.merge(b)
-    assert a["x"] == 3.0
-    assert a["y"] == 3.0
-
-
-def test_scaled_returns_copy():
-    acc = CostAccumulator({"x": 2.0})
-    half = acc.scaled(0.5)
-    assert half["x"] == 1.0
-    assert acc["x"] == 2.0
-
-
 def test_items_sorted():
     acc = CostAccumulator({"b": 1.0, "a": 2.0})
     assert [name for name, _value in acc.items()] == ["a", "b"]

@@ -7,6 +7,12 @@ from repro.hardware.specs import (
     MEMORY_CHANNEL_II,
     SanSpec,
 )
+from repro.san.packets import PacketTrace
+
+
+def _stream_mb_per_s(size: int) -> float:
+    """Sustained MB/s of a stream of ``size``-byte packets (Figure 1)."""
+    return PacketTrace({size: 1}).effective_bandwidth_mb_per_s(MEMORY_CHANNEL_II)
 
 
 def test_alpha_parameters_match_the_paper():
@@ -25,15 +31,15 @@ def test_memory_channel_latency_matches_paper():
 
 def test_figure1_endpoints_from_fit():
     """The fitted curve must hit the paper's measured endpoints."""
-    low = MEMORY_CHANNEL_II.effective_bandwidth_mb_per_s(4)
-    high = MEMORY_CHANNEL_II.effective_bandwidth_mb_per_s(32)
+    low = _stream_mb_per_s(4)
+    high = _stream_mb_per_s(32)
     assert low == pytest.approx(14.0, rel=0.10)
     assert high == pytest.approx(80.0, rel=0.06)
 
 
 def test_bandwidth_monotonic_in_packet_size():
     values = [
-        MEMORY_CHANNEL_II.effective_bandwidth_mb_per_s(size)
+        _stream_mb_per_s(size)
         for size in (4, 8, 16, 32)
     ]
     assert values == sorted(values)

@@ -16,7 +16,7 @@ def test_contiguous_stores_coalesce_to_full_packet():
 def test_full_block_drains_immediately():
     emitted = []
     model = WriteBufferModel(on_packet=emitted.append)
-    model.write(0, 32)
+    model.write_batch([(0, 32)])
     assert emitted == [32]  # no barrier needed
 
 
@@ -39,9 +39,9 @@ def test_unaligned_write_splits_correctly():
 def test_rewriting_same_bytes_does_not_grow_packet():
     emitted = []
     model = WriteBufferModel(on_packet=emitted.append)
-    model.write(0, 8)
-    model.write(0, 8)
-    model.write(0, 8)
+    model.write_batch([(0, 8)])
+    model.write_batch([(0, 8)])
+    model.write_batch([(0, 8)])
     model.barrier()
     assert emitted == [8]
 
@@ -49,9 +49,9 @@ def test_rewriting_same_bytes_does_not_grow_packet():
 def test_fifo_displacement_at_capacity():
     emitted = []
     model = WriteBufferModel(num_buffers=2, on_packet=emitted.append)
-    model.write(0, 4)     # block 0
-    model.write(100, 4)   # block 3
-    model.write(200, 4)   # block 6 -> displaces block 0
+    model.write_batch([(0, 4)])     # block 0
+    model.write_batch([(100, 4)])   # block 3
+    model.write_batch([(200, 4)])   # block 6 -> displaces block 0
     assert emitted == [4]
     model.barrier()
     assert emitted == [4, 4, 4]
@@ -60,32 +60,26 @@ def test_fifo_displacement_at_capacity():
 def test_barrier_flushes_everything():
     emitted = []
     model = WriteBufferModel(on_packet=emitted.append)
-    model.write(0, 10)
-    model.write(64, 6)
+    model.write_batch([(0, 10)])
+    model.write_batch([(64, 6)])
     model.barrier()
     assert sorted(emitted) == [6, 10]
     model.barrier()  # idempotent
     assert len(emitted) == 2
 
 
-def test_histogram_and_means():
+def test_packet_and_byte_totals():
     model = WriteBufferModel()
-    model.write(0, 32)
-    model.write(100, 4)
+    model.write_batch([(0, 32)])
+    model.write_batch([(100, 4)])
     model.barrier()
-    assert model.histogram == {32: 1, 4: 1}
     assert model.packets_emitted == 2
     assert model.bytes_emitted == 36
-    assert model.mean_packet_bytes() == pytest.approx(18.0)
-
-
-def test_mean_of_empty_model_is_zero():
-    assert WriteBufferModel().mean_packet_bytes() == 0.0
 
 
 def test_reset_clears_state():
     model = WriteBufferModel()
-    model.write(0, 8)
+    model.write_batch([(0, 8)])
     model.reset()
     model.barrier()
     assert model.packets_emitted == 0
@@ -93,7 +87,7 @@ def test_reset_clears_state():
 
 def test_zero_length_write_is_noop():
     model = WriteBufferModel()
-    model.write(0, 0)
+    model.write_batch([(0, 0)])
     model.barrier()
     assert model.packets_emitted == 0
 
@@ -112,9 +106,9 @@ def test_interleaved_streams_coalesce_independently():
     model = WriteBufferModel(on_packet=emitted.append)
     log = 0
     for i in range(8):
-        model.write(log, 4)        # sequential log stream
+        model.write_batch([(log, 4)])        # sequential log stream
         log += 4
-        model.write(1000 + 64 * i, 4)  # scattered stores
+        model.write_batch([(1000 + 64 * i, 4)])  # scattered stores
     model.barrier()
     # The log block accumulates until FIFO displacement (at 6 distinct
     # blocks) evicts it — still far larger than any scattered packet.

@@ -49,10 +49,10 @@ class TestHeapAllocator:
     def test_free_everything_restores_capacity(self):
         _region, heap = make_heap(2048)
         offsets = [heap.malloc(100) for _ in range(8)]
-        before = heap.free_bytes()
+        with pytest.raises(AllocationError):
+            heap.malloc(1500)
         for offset in offsets:
             heap.free(offset)
-        assert heap.free_bytes() > before
         # After coalescing we can allocate one big block again.
         heap.malloc(1500)
 

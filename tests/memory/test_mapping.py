@@ -1,4 +1,4 @@
-"""AddressSpace: non-overlapping aligned placement and resolution."""
+"""AddressSpace: non-overlapping aligned placement."""
 
 import pytest
 
@@ -22,29 +22,6 @@ def test_regions_never_overlap():
     spans = sorted((r.base, r.base + r.size) for r in regions)
     for (_, end), (start, _) in zip(spans, spans[1:]):
         assert start >= end
-
-
-def test_resolve_maps_address_back():
-    space = AddressSpace()
-    region = space.place(MemoryRegion("r", 256))
-    found, offset = space.resolve(region.base + 17)
-    assert found is region
-    assert offset == 17
-
-
-def test_resolve_unmapped_raises():
-    space = AddressSpace()
-    with pytest.raises(ConfigurationError):
-        space.resolve(0x42)
-
-
-def test_contains_and_region_at():
-    space = AddressSpace()
-    region = space.place(MemoryRegion("r", 256))
-    assert region.base in space
-    assert (region.base + region.size) not in space
-    assert space.region_at(region.base) is region
-    assert space.region_at(1) is None
 
 
 def test_duplicate_name_rejected():

@@ -191,7 +191,7 @@ def test_a_series_file_cut_mid_line_is_a_one_line_error(tmp_path, capsys):
     frame = SeriesFrame(["queue"])
     for tick in range(8):
         frame.append(tick * 250.0, {"queue": float(tick)})
-    whole = frame.to_bytes()
+    whole = frame.to_jsonl().encode()
     path = tmp_path / "series.jsonl"
     path.write_bytes(whole[: len(whole) - 9])
     status, err = _report_exit(path, capsys, "--series")
@@ -205,7 +205,7 @@ def _series_bytes(_trace):
 
     frame = SeriesFrame(["queue"])
     frame.append(0.0, {"queue": 1.0})
-    return frame.to_bytes()
+    return frame.to_jsonl().encode()
 
 
 @pytest.mark.parametrize("content, reason", [

@@ -55,8 +55,6 @@ def test_recorder_select():
     # Prefix match is dot-aware: "shard" matches, "shard.10" does not.
     assert len(select_events(recorder.events, component_prefix="shard")) == 3
     assert select_events(recorder.events, component_prefix="shard.10") == []
-    recorder.clear()
-    assert len(recorder) == 0
 
 
 # -- Observer -----------------------------------------------------------------

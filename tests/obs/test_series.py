@@ -32,7 +32,7 @@ def _sharding_series_bytes(seed):
     must be picklable for the spawn pool)."""
     from repro.experiments.extension_sharding import failover_timeline
 
-    return failover_timeline(seed=seed).series.to_bytes()
+    return failover_timeline(seed=seed).series.to_jsonl()
 
 
 # -- frame basics ---------------------------------------------------
@@ -45,7 +45,7 @@ def test_frame_append_and_accessors():
     assert len(frame) == 2
     assert frame.times_us == [0.0, 5.0]
     assert frame.values("a") == [1.0, 2.0]
-    assert frame.series("b") == ([0.0, 5.0], [10.0, 9.0])
+    assert frame.values("b") == [10.0, 9.0]
     assert frame.last("b") == 9.0
 
 
@@ -63,8 +63,8 @@ def test_jsonl_and_dict_round_trips(tmp_path):
     path = str(tmp_path / "frame.jsonl")
     frame.write_jsonl(path)
     again = SeriesFrame.read_jsonl(path)
-    assert again.to_bytes() == frame.to_bytes()
-    assert SeriesFrame.from_dict(frame.to_dict()).to_bytes() == frame.to_bytes()
+    assert again.to_jsonl() == frame.to_jsonl()
+    assert again.to_dict() == frame.to_dict()
 
 
 def test_render_handles_empty_and_flat_series():
@@ -199,13 +199,14 @@ def test_scope_probes_never_walk_the_transaction_list():
             finally:
                 router.transactions.ticking = False
 
-    cluster, _workload, router = _routed_cluster(seed=13)
+    cluster, workload, router = _routed_cluster(seed=13)
     router.transactions = Unscannable()
     sampler = TickMarkingSampler()
     sampler.add_probes(router_probes(router))
     sampler.attach(cluster.sim, 500.0, 4_000.0)
+    ranges = workload.partitioner.ranges
     for i in range(64):
-        router.submit(at_us=i * 50.0)
+        router.submit(key=ranges[i % len(ranges)].start, at_us=i * 50.0)
     cluster.run_until(4_000.0)
     frame = sampler.frame
     assert len(frame) == 9
@@ -263,7 +264,7 @@ def test_sharding_series_matches_trace_and_is_deterministic():
 
     a = failover_timeline(seed=42)
     b = failover_timeline(seed=42)
-    assert a.series.to_bytes() == b.series.to_bytes()
+    assert a.series.to_jsonl() == b.series.to_jsonl()
     # Exactness: the series' windowed deltas equal the trace's counts.
     deltas = a.goodput_windows()
     counts = a.trace_report.window_counts(len(deltas))
@@ -310,4 +311,4 @@ def test_frame_from_trace_events_is_byte_identical(tmp_path):
     write_jsonl(path, timeline.trace_events, metrics=observer.registry)
     events, _ = read_jsonl(path)
     rebuilt = SeriesFrame.from_events(events)
-    assert rebuilt.to_bytes() == timeline.series.to_bytes()
+    assert rebuilt.to_jsonl() == timeline.series.to_jsonl()

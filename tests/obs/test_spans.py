@@ -177,14 +177,14 @@ def test_attribution_sums_and_shares():
     assert set(payload["latency_us"]) == set(attribution.latency)
 
 
-def test_attribution_filters_by_component_prefix():
+def test_attribution_filters_by_scopes():
     observer = Observer()
     for shard in range(2):
         scoped = observer.scoped(f"shard.{shard}")
         recorder = CommitSpanRecorder(scoped, "replication")
         recorder.phase(PHASE_ENGINE, 1.0 + shard)
         recorder.finish()
-    only = attribute_commits(observer.recorder.events, "shard.1")
+    only = attribute_commits(observer.recorder.events, scopes=["shard.1"])
     assert only.commits == 1
     assert only.total_us == pytest.approx(2.0)
     both = attribute_commits(observer.recorder.events)

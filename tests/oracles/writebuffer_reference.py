@@ -169,7 +169,7 @@ def packets_for_stores(
     sizes: List[int] = []
     model = WriteBufferModel(num_buffers, block_bytes, on_packet=sizes.append)
     for address, length in stores:
-        model.write(address, length)
+        model.write_batch([(address, length)])
         if barrier_between:
             model.barrier()
     model.barrier()

@@ -84,7 +84,6 @@ def test_write_batch_matches_per_store_writes(ops, geometry):
     assert fast_sizes == slow_sizes
     assert fast.packets_emitted == slow.packets_emitted
     assert fast.bytes_emitted == slow.bytes_emitted
-    assert fast.histogram == slow.histogram
 
 
 @given(ops=stores, geometry=geometries)
@@ -136,7 +135,6 @@ def test_account_replayed_matches_write_batch_statistics(ops, geometry):
     assert replayed_sizes == sizes
     assert model.packets_emitted == reference.packets_emitted
     assert model.bytes_emitted == reference.bytes_emitted
-    assert model.histogram == reference.histogram
 
 
 # -- the arithmetic fragmented lane vs the per-word loop ----------------

@@ -138,7 +138,7 @@ def test_faults_are_checked_when_applied(apply):
     group = make_group()
     with pytest.raises(ConfigurationError):
         apply(group)
-    assert all(group.alive(member) for member in range(3))
+    assert group._alive == [True, True, True]
     assert group._blocked == set()
 
 

@@ -58,7 +58,8 @@ def test_closed_system_refuses_every_transaction_and_region_access(measured):
         with pytest.raises(ReproError):
             call()
     for rio in (system.primary_rio, system.backup_rio):
-        assert rio.crashed
+        with pytest.raises(CrashedError):
+            rio.create_region("probe", 8)
         for region in rio.regions():
             with pytest.raises(CrashedError):
                 region.read(0, 1)
@@ -102,7 +103,8 @@ def test_close_after_failover_is_allowed(measured):
     system.fail_primary()
     system.failover()
     system.close()
-    assert system.backup_rio.crashed
+    with pytest.raises(CrashedError):
+        system.backup_rio.create_region("probe", 8)
 
 
 def test_what_a_closed_system_measured_stays_readable(measured):

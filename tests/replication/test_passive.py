@@ -117,7 +117,8 @@ def test_v0_ships_heap_metadata():
     system = PassiveReplicatedSystem("v0", CONFIG)
     system.sync_initial()
     run_txns(system, 5)
-    traffic = system.traffic_bytes_by_category
+    traffic = {category.value: count for category, count
+               in system.interface.bytes_by_category.items()}
     assert traffic["meta"] > traffic["modified"] + traffic["undo"]
 
 

@@ -130,7 +130,7 @@ def test_free_bytes_accounting():
 def test_wire_bytes():
     t = txn((0, b"12345"), (10, b"6789"))
     assert t.wire_bytes() == 4 + (8 + 5) + (8 + 4)
-    assert t.records[0].length == 5
+    assert len(t.records[0].data) == 5
 
 
 def test_empty_transaction_is_legal():

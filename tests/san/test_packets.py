@@ -47,13 +47,6 @@ def test_effective_bandwidth_empty_trace():
     assert PacketTrace().effective_bandwidth_mb_per_s(MEMORY_CHANNEL_II) == 0.0
 
 
-def test_merge():
-    a = PacketTrace({4: 1})
-    b = PacketTrace({4: 2, 8: 1})
-    a.merge(b)
-    assert a.histogram == {4: 3, 8: 1}
-
-
 def test_scaled():
     trace = PacketTrace({4: 10})
     per_txn = trace.scaled(0.1)

@@ -71,7 +71,7 @@ def run_on(workload, shard_id):
 def test_stale_epoch_is_fenced_before_availability(kind):
     cluster, workload = make(kind)
     cluster.run_until(DOWN_AT_US)
-    assert not cluster.available(0)
+    assert not cluster.units[0].is_available
     epoch = cluster.shard_map.entry(0).epoch
     # Down *and* routed with an older epoch: the fence answers first,
     # so the router refreshes its entry instead of burning a retry.
@@ -85,10 +85,10 @@ def test_stale_epoch_is_fenced_before_availability(kind):
 def test_only_the_downed_unit_is_unavailable_and_it_comes_back(kind):
     cluster, workload = make(kind)
     cluster.run_until(DOWN_AT_US)
-    assert cluster.available(1)
+    assert cluster.units[1].is_available
     cluster.execute(1, cluster.shard_map.entry(1).epoch, run_on(workload, 1))
     cluster.run_until(UP_AT_US)
-    assert cluster.available(0)
+    assert cluster.units[0].is_available
     cluster.execute(0, cluster.shard_map.entry(0).epoch, run_on(workload, 0))
 
 
@@ -100,8 +100,6 @@ def test_configuration_is_validated(kind):
     for unit_id in (-1, 2, 5):
         with pytest.raises(ConfigurationError):
             cluster.execute(unit_id, 0, run_on(workload, 0))
-        with pytest.raises(ConfigurationError):
-            cluster.available(unit_id)
         with pytest.raises(ConfigurationError):
             cluster.serving(unit_id)
         with pytest.raises(ConfigurationError):
@@ -135,7 +133,7 @@ def test_bad_faults_are_refused_when_scheduled(kind, fault):
     # Refused before anything reached the simulator.
     assert len(cluster.sim.queue) == pending
     cluster.run_until(UP_AT_US)
-    assert cluster.available(0) and cluster.available(1)
+    assert cluster.units[0].is_available and cluster.units[1].is_available
 
 
 @pytest.mark.parametrize("kind", KINDS)

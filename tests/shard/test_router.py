@@ -1,5 +1,7 @@
 """Router behavior: placement, redirects, retries, drops."""
 
+import random
+
 import pytest
 
 from repro.errors import RoutingError
@@ -24,12 +26,15 @@ def make(num_shards=4, mode="active", version="v3", seed=13, **router_kwargs):
 
 def test_healthy_routing_completes_everything_immediately():
     cluster, workload, router = make()
+    keys = random.Random(13)
     for _ in range(40):
-        router.submit()  # client-drawn keys
+        router.submit(
+            key=keys.randrange(workload.partitioner.total_keys), at_us=0.0)
     cluster.run_until(1_000.0)
     assert router.routed == router.completed == 40
     assert router.retries == router.redirects == router.dropped == 0
-    assert all(t.latency_us == 0.0 for t in router.transactions)
+    assert all(t.completed_at_us == t.submitted_at_us
+               for t in router.transactions)
     # Keys actually spread over the shards.
     touched = {t.shard_id for t in router.transactions}
     assert len(touched) > 1
@@ -41,7 +46,7 @@ def test_submissions_route_by_partition_key():
     _cluster, workload, router = make(num_shards=3)
     for shard_id in range(3):
         key = workload.partitioner.ranges[shard_id].start
-        record = router.submit(key=key)
+        record = router.submit(key=key, at_us=0.0)
         assert record.shard_id == shard_id
 
 
@@ -72,7 +77,8 @@ def test_stale_snapshot_redirects_once_then_serves():
     cluster, workload, router = make(num_shards=2)
     cluster.crash(1, 0, at_us=1_000.0)
     cluster.run_until(10_000.0)  # failover done; router's map is stale
-    record = router.submit(key=workload.partitioner.ranges[1].start)
+    record = router.submit(key=workload.partitioner.ranges[1].start,
+                           at_us=10_000.0)
     cluster.run_until(10_001.0)
     assert record.completed_at_us is not None
     assert router.redirects == 1

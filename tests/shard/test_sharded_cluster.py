@@ -33,7 +33,7 @@ def test_pairs_share_one_simulator_and_namespace():
     names = {pair.primary_node.name for pair in cluster.pairs}
     assert names == {"shard0/primary", "shard1/primary", "shard2/primary"}
     assert len(cluster.membership.members) == 6
-    assert cluster.shard_map.num_shards == 3
+    assert len(cluster.shard_map.entries) == 3
 
 
 def test_single_shard_crash_fails_over_only_that_shard():
@@ -70,17 +70,17 @@ def test_single_shard_crash_fails_over_only_that_shard():
 
 def test_availability_window_tracks_the_takeover():
     cluster, _ = make(2, mode="passive", version="v1")
-    assert cluster.available(0) and cluster.available(1)
+    assert cluster.units[0].is_available and cluster.units[1].is_available
     cluster.crash(0, 0, at_us=1_000.0)
     cluster.run_until(1_200.0)  # crashed, not yet detected
-    assert not cluster.available(0)
-    assert cluster.available(1)
+    assert not cluster.units[0].is_available
+    assert cluster.units[1].is_available
     cluster.run_until(2_000.0)  # detected; mirror restore still running
     report = cluster.takeovers[0]
     assert report.service_restored_at_us > 2_000.0
-    assert not cluster.available(0)
+    assert not cluster.units[0].is_available
     cluster.run_until(report.service_restored_at_us + 1.0)
-    assert cluster.available(0)
+    assert cluster.units[0].is_available
 
 
 def test_execute_fences_stale_epochs_then_serves_fresh_ones():

@@ -20,7 +20,7 @@ def make_map(shards=3):
 
 def test_entries_start_up_at_epoch_zero():
     shard_map = make_map()
-    assert shard_map.num_shards == 3
+    assert len(shard_map.entries) == 3
     for i, entry in enumerate(shard_map.entries):
         assert entry.shard_id == i
         assert entry.epoch == 0

@@ -8,7 +8,9 @@ method or property defined in a class body. Dunders are exempt.
 A name is *used* by an ``ast.Name`` load, an ``ast.Attribute``, an
 ``ImportFrom`` alias or an identifier inside a string constant that is
 not a docstring. Matching is by bare name, so a collision keeps a def
-alive. A use does not count when it sits
+alive here; ``tests/census.py`` closes that gap by running the
+production entry points and failing on any def whose code never ran.
+A use does not count when it sits
 
 * in ``tests/``: tests are not production callers;
 * inside the def's own body, or inside a def that is itself dead;

@@ -6,14 +6,6 @@ from repro.vista.stats import AccessProfile, EngineCounters
 
 
 class TestEngineCounters:
-    def test_merge(self):
-        a = EngineCounters(transactions=2, mallocs=4)
-        b = EngineCounters(transactions=1, frees=3)
-        a.merge(b)
-        assert a.transactions == 3
-        assert a.mallocs == 4
-        assert a.frees == 3
-
     def test_per_transaction(self):
         counters = EngineCounters(transactions=4, set_ranges=8, mallocs=16)
         per_txn = counters.per_transaction()
@@ -45,17 +37,6 @@ class TestAccessProfile:
         profile.touch_sequential("db", 0)
         assert profile.random_lines == {}
         assert profile.sequential_bytes == {}
-
-    def test_merge(self):
-        a = AccessProfile()
-        a.declare("db", 100)
-        a.touch_random("db", 0, 64)
-        b = AccessProfile()
-        b.touch_random("db", 0, 64)
-        b.touch_sequential("log", 32)
-        a.merge(b)
-        assert a.random_lines["db"] == 2
-        assert a.sequential_bytes["log"] == 32
 
     def test_scaled(self):
         profile = AccessProfile()
