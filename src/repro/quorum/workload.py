@@ -5,8 +5,8 @@ a transaction engine; a leaderless group's native unit is the keyed
 read-modify-write, so this module provides the quorum analogue of
 :class:`~repro.shard.workload.ShardedWorkload` with the same client
 surface the :class:`~repro.shard.router.Router` drives — ``num_shards``,
-a ``partitioner`` with ``shard_of``, and ``run_on_shard`` — which is what lets one router implementation serve all three
-architectures.
+a ``partitioner`` with ``shard_of``, and ``run_on_shard`` — which is
+what lets one router implementation serve all three architectures.
 
 Like the sharded benchmarks, the routed global key picks only the
 *group*; the transaction itself comes from a per-group deterministic
