@@ -61,7 +61,7 @@ def main() -> None:
     print(table.render())
 
     print()
-    result = extension_recovery.run(db_bytes=8 * MB)
+    result = extension_recovery.run()
     result.check()
     print(result.table().render())
 

@@ -241,7 +241,7 @@ class ReplicatedCluster:
             # active pair replays the ring during detection, so its
             # catchup is zero-width too and the measured drain cost
             # rides on the root attrs instead.
-            recorder = RecoverySpanRecorder(self.observer, "cluster")
+            recorder = RecoverySpanRecorder(self.observer)
             recorder.phase(
                 PHASE_DETECT, self._crash_at_us, detected,
                 heartbeat_interval_us=self.monitor.interval_us,
@@ -266,7 +266,7 @@ class ReplicatedCluster:
                 root_attrs.update(
                     drain_records=drain_records,
                     drain_bytes=drain_bytes,
-                    drain_cost_us=PhaseCostModel(self.system.san).apply_us(
+                    drain_cost_us=PhaseCostModel(None).apply_us(
                         drain_records, drain_bytes
                     ),
                 )

@@ -59,8 +59,8 @@ def passive_cell(version: str, workload: str, ship_undo_log: bool = False,
     return ("passive", version, workload, ship_undo_log, coalescing)
 
 
-def active_cell(workload: str, coalescing: bool = True) -> CellSpec:
-    return ("active", workload, coalescing)
+def active_cell(workload: str) -> CellSpec:
+    return ("active", workload, True)
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,8 @@ class ExperimentContext:
     one cached run with its working sets declared at that size.
     """
 
-    def __init__(self, settings: Optional[ExperimentSettings] = None,
-                 calibration: Calibration = DEFAULT_CALIBRATION):
+    def __init__(self, settings: Optional[ExperimentSettings] = None):
         self.settings = settings or ExperimentSettings()
-        self._base_calibration = calibration
         self._calibrated: Optional[Calibration] = None
         self._cache: Dict[Tuple, RunResult] = {}
         self._memo: Dict[Tuple, object] = {}
@@ -199,7 +197,7 @@ class ExperimentContext:
                 name: self.read(standalone_cell("v3", name), PAPER_DB_BYTES)
                 for name in WORKLOADS
             }
-            self._calibrated = calibrate_bases(self._base_calibration, anchors)
+            self._calibrated = calibrate_bases(DEFAULT_CALIBRATION, anchors)
         return self._calibrated
 
     def estimator(self) -> ThroughputEstimator:

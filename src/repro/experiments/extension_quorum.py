@@ -78,7 +78,6 @@ SLOTS = 24
 OFFERED_PER_GROUP_PER_SLOT = 2
 NUM_GROUPS = 3
 KEYS_PER_GROUP = 32
-VALUE_BYTES = 64
 REPAIR_INTERVAL_US = 2_500.0
 
 #: Group 1 loses quorum when its second member dies and regains it
@@ -284,10 +283,8 @@ def check_quorum_timeline(timeline: GroupOutageTimeline) -> None:
 
 
 def quorum_timeline(
-    num_groups: int = NUM_GROUPS,
     slots: int = SLOTS,
     seed: int = 42,
-    observer: Optional[Observer] = None,
     trace_path: Optional[Union[str, "object"]] = None,
 ) -> GroupOutageTimeline:
     """Drive a strict (3, 2, 2) quorum cluster through one quorum loss
@@ -296,8 +293,8 @@ def quorum_timeline(
     Pass ``trace_path`` to additionally dump the trace as JSONL for
     ``python -m repro.obs.report``.
     """
-    if observer is None:
-        observer = Observer()
+    num_groups = NUM_GROUPS
+    observer = Observer()
     cluster = QuorumCluster(
         num_groups,
         replicas_per_group=3,
@@ -322,7 +319,7 @@ def quorum_timeline(
     router, series = drive(
         cluster,
         QuorumWorkload(
-            num_groups, KEYS_PER_GROUP, value_bytes=VALUE_BYTES, seed=seed
+            num_groups, KEYS_PER_GROUP, seed=seed
         ),
         # Global key g routes to group g; the group draws its own local
         # keys from its seeded stream.
@@ -374,7 +371,7 @@ def availability_comparison(seed: int = 42) -> QuorumComparison:
 
     router, series = drive(
         cluster,
-        QuorumWorkload(1, KEYS_PER_GROUP, value_bytes=VALUE_BYTES, seed=seed),
+        QuorumWorkload(1, KEYS_PER_GROUP, seed=seed),
         fixed_load(SLOTS, SLOT_US, (0,), OFFERED_PER_GROUP_PER_SLOT),
         schedule_faults,
         lambda router: {

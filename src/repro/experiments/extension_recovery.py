@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.experiments.common import MB
+from repro.hardware.specs import MEMORY_CHANNEL_II
 from repro.obs import MetricsRegistry, Observer
 from repro.perf.report import ReportTable
 from repro.replication.active import ActiveReplicatedSystem
@@ -27,8 +28,6 @@ from repro.replication.recovery_time import (
 )
 from repro.vista.api import EngineConfig
 from repro.workloads import DebitCreditWorkload
-
-DETECTION_US = 5_000.0
 
 
 @dataclass
@@ -106,8 +105,14 @@ class RecoveryResult:
         assert 3.0 < self.loss_window_us < 20.0, self.loss_window_us
 
 
-def run(_ctx=None, db_bytes: int = 8 * MB, seed: int = 42) -> RecoveryResult:
+#: Database size of the five crashed systems, and their workload seed.
+_DB_BYTES = 8 * MB
+_SEED = 42
+
+
+def run(_ctx=None) -> RecoveryResult:
     """Reads no cells: it crashes five systems of its own."""
+    db_bytes, seed = _DB_BYTES, _SEED
     config = EngineConfig(db_bytes=db_bytes, log_bytes=2 * MB)
     observer = Observer()
     measured: Dict[str, int] = {}
@@ -146,7 +151,7 @@ def run(_ctx=None, db_bytes: int = 8 * MB, seed: int = 42) -> RecoveryResult:
         workload.run_transaction(active)
     backlog = active.producer.produced - active.applier.consumed
     redo_link_per_txn = active.primary_interface.trace.link_time_us(
-        active.san
+        MEMORY_CHANNEL_II
     ) / 50.0
     active.fail_primary()
     active.failover()
@@ -160,7 +165,6 @@ def run(_ctx=None, db_bytes: int = 8 * MB, seed: int = 42) -> RecoveryResult:
         db_bytes=db_bytes,
         live_undo_bytes=max(64, live_undo),
         ring_backlog_bytes=float(backlog),
-        detection_us=DETECTION_US,
     )
     return RecoveryResult(
         profiles=profiles,

@@ -45,6 +45,8 @@ CONCLUSIONS = (
     "straightforward collapse >= 2x",
     "active >= 1.5x passive-v3 at 4 CPUs",
 )
+#: Share of the grid each conclusion must hold at.
+MINIMUM_FRACTION = 0.95
 
 
 @dataclass
@@ -68,10 +70,10 @@ class SensitivityResult:
         )
         return table
 
-    def check(self, minimum_fraction: float = 0.95) -> None:
+    def check(self) -> None:
         for conclusion in CONCLUSIONS:
             fraction = self.held[conclusion] / self.grid_points
-            assert fraction >= minimum_fraction, (
+            assert fraction >= MINIMUM_FRACTION, (
                 conclusion, fraction, self.failures[:5],
             )
 

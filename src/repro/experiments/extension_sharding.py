@@ -55,6 +55,7 @@ SHARD_COUNTS = (1, 2, 4, 8)
 SLOT_US = 1_000.0
 SLOTS = 28
 OFFERED_PER_SHARD_PER_SLOT = 2
+DB_BYTES_PER_SHARD = 4 * MB
 #: ``(shard_id, at_us)`` per primary crash; the first is the outage the
 #: timeline measures.
 CRASHES = ((2, 5_250.0),)
@@ -440,10 +441,8 @@ class ShardingResult:
 def failover_plan(
     num_shards: int = 4,
     slots: int = SLOTS,
-    slot_us: float = SLOT_US,
     offered_per_shard: int = OFFERED_PER_SHARD_PER_SLOT,
     crashes: tuple = CRASHES,
-    db_bytes_per_shard: int = 4 * MB,
     seed: int = 42,
 ) -> shardpar.TimelinePlan:
     """The failover timeline as a recorded schedule: a fixed
@@ -455,22 +454,21 @@ def failover_plan(
         num_shards=num_shards,
         mode="passive",
         version="v1",  # whole-database mirror restore: a visible window
-        db_bytes_per_shard=db_bytes_per_shard,
+        db_bytes_per_shard=DB_BYTES_PER_SHARD,
         log_bytes=512 * 1024,
         heartbeat_interval_us=HEARTBEAT_INTERVAL_US,
         heartbeat_timeout_us=HEARTBEAT_TIMEOUT_US,
         workload="debit-credit",
         seed=seed,
         slots=slots,
-        slot_us=slot_us,
+        slot_us=SLOT_US,
         offered_per_shard=offered_per_shard,
-        horizon_us=slots * slot_us + DRAIN_US,
+        horizon_us=slots * SLOT_US + DRAIN_US,
         crashes=tuple(crashes),
     )
 
 
 def failover_timeline(
-    observer: Optional[Observer] = None,
     trace_path: Optional[Union[str, "object"]] = None,
     **plan_args,
 ) -> OutageTimeline:
@@ -483,8 +481,7 @@ def failover_timeline(
     bit). Pass ``trace_path`` to additionally dump the trace (and
     metrics snapshot) as JSONL for ``python -m repro.obs.report``.
     """
-    if observer is None:
-        observer = Observer()
+    observer = Observer()
     plan = failover_plan(**plan_args)
     outcome = shardpar.execute(plan, observer=observer)
     crashed_shard, crash_at_us = plan.crashes[0]

@@ -19,6 +19,8 @@ from repro.perf.smp_sim import simulate_from_run
 
 CONFIGS = ("active", "passive-v3", "passive-v1")
 DURATION_US = 20_000.0
+#: How far simulated and analytic may part at any point.
+TOLERANCE = 0.35
 
 
 @dataclass
@@ -46,42 +48,41 @@ class SmpValidationResult:
         )
         return table
 
-    def check(self, tolerance: float = 0.35) -> None:
-        """Simulated and analytic agree within ``tolerance`` at every
-        point, and the qualitative shapes match."""
+    def check(self) -> None:
+        """Simulated and analytic agree within :data:`TOLERANCE` at
+        every point, and the qualitative shapes match."""
         for workload, configs in self.curves.items():
             for config, points in configs.items():
                 for processors, (analytic, simulated) in zip(PROCESSORS, points):
                     error = abs(simulated - analytic) / analytic
-                    assert error <= tolerance, (
+                    assert error <= TOLERANCE, (
                         workload, config, processors, analytic, simulated,
                     )
 
 
-def reads(workload: str, configs=CONFIGS) -> dict:
+def reads(workload: str) -> dict:
     """The figures' own streams, for the configurations simulated."""
     streams = stream_reads(workload)
-    return {config: streams[config] for config in configs}
+    return {config: streams[config] for config in CONFIGS}
 
 
-def points(ctx: ExperimentContext, configs=CONFIGS,
-           duration_us: float = DURATION_US):
+def points(ctx: ExperimentContext, duration_us: float = DURATION_US):
     """Every simulated point, as ``(memo key, RunResult, single-stream
     report, processors)`` — the one enumeration ``run`` and the
     ledger's ``cells.smp_sim_tasks`` share."""
     for workload in WORKLOADS:
-        for config, read in reads(workload, configs).items():
+        for config, read in reads(workload).items():
             result, report = ctx.read(*read), ctx.report(*read)
             for processors in PROCESSORS:
                 key = ("smp-sim", workload, config, processors, duration_us)
                 yield key, result, report, processors
 
 
-def run(ctx: ExperimentContext, configs=CONFIGS,
+def run(ctx: ExperimentContext,
         duration_us: float = DURATION_US) -> SmpValidationResult:
     estimator = ctx.estimator()
     curves: Dict[str, Dict[str, List[tuple]]] = {}
-    for key, result, report, processors in points(ctx, configs, duration_us):
+    for key, result, report, processors in points(ctx, duration_us):
         _, workload, config, _, _ = key
         analytic = estimator.smp_aggregate(report, processors)
         # Each stream computes for its pure CPU time; link occupancy,

@@ -48,7 +48,11 @@ class Figure1Result:
         assert 70.0 <= by_size[32] <= 90.0, by_size
 
 
-def run(_ctx=None, region_bytes: int = 1 << 18) -> Figure1Result:
+#: Bytes each packet size's strided sweep writes.
+_REGION_BYTES = 1 << 18
+
+
+def run(_ctx=None) -> Figure1Result:
     """Reads no cells: the sweep drives its own SAN pair."""
-    points = run_figure1_sweep(region_bytes=region_bytes)
+    points = run_figure1_sweep(region_bytes=_REGION_BYTES)
     return Figure1Result(points=points, paper=dict(PAPER["figure1"]))

@@ -63,11 +63,9 @@ def _run_end(xb: bytes, start: int, chunk_words: int, word: int, zero: bytes) ->
     return chunk_words
 
 
-def diff_runs_fast(
-    old: bytes, new: bytes, word: int = _WORD
-) -> List[Tuple[int, int]]:
-    """The ``(offset, length)`` runs of words where ``new`` differs
-    from ``old``, by big-int XOR.
+def diff_runs_fast(old: bytes, new: bytes) -> List[Tuple[int, int]]:
+    """The ``(offset, length)`` runs of :data:`_WORD`-byte words where
+    ``new`` differs from ``old``, by big-int XOR.
 
     Offsets are relative to the start of the buffers; runs are maximal
     and word-aligned (a trailing partial word counts as one word).
@@ -78,6 +76,7 @@ def diff_runs_fast(
     runs: List[Tuple[int, int]] = []
     if length == 0 or old == new:
         return runs
+    word = _WORD
     wordbits = word * 8
     zero_word = b"\x00" * word
     chunk_bytes = _CHUNK_WORDS * word

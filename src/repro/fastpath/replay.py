@@ -33,19 +33,17 @@ from repro.hardware.writebuffer import WriteBufferModel
 #: One cached drain: (packet sizes in emission order, total bytes).
 CacheEntry = Tuple[Tuple[int, ...], int]
 
+#: Bound on distinct canonical schedules kept; the least-recently-
+#: inserted entry is evicted beyond it. The paper's workloads need a
+#: few thousand (transaction shapes times block alignments).
+_MAX_ENTRIES = 65536
+
 
 class PacketReplayCache:
-    """Memoizes barrier-terminated store schedules -> packet sequences.
+    """Memoizes barrier-terminated store schedules -> packet sequences,
+    at most :data:`_MAX_ENTRIES` of them."""
 
-    Args:
-        max_entries: bound on distinct canonical schedules kept; the
-            least-recently-inserted entry is evicted beyond it. The
-            paper's workloads need a few thousand (transaction shapes
-            times block alignments), so the default is comfortable.
-    """
-
-    def __init__(self, max_entries: int = 65536):
-        self.max_entries = max_entries
+    def __init__(self):
         self._entries: "OrderedDict[tuple, CacheEntry]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -103,7 +101,7 @@ class PacketReplayCache:
         model.barrier()
         entry = (tuple(sizes), model.bytes_emitted)
         self._entries[key] = entry
-        if len(self._entries) > self.max_entries:
+        if len(self._entries) > _MAX_ENTRIES:
             self._entries.popitem(last=False)
         return entry
 

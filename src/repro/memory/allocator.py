@@ -24,8 +24,6 @@ see each of them — it just never becomes a ``bytes`` object on the way.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.errors import AllocationError
 from repro.memory.region import MemoryRegion
 
@@ -42,7 +40,7 @@ NULL = 0  # no block; valid block offsets are always > 0
 class HeapAllocator:
     """Boundary-tag first-fit heap with an in-region free list.
 
-    Layout (offsets relative to ``base``):
+    The heap spans its whole region. Layout:
         [0:8]    free-list head (block offset, NULL when empty)
         [8:32]   reserved
         [32:]    blocks
@@ -60,16 +58,9 @@ class HeapAllocator:
     _HEAD_OFFSET = 0
     _BLOCKS_START = 32
 
-    def __init__(
-        self,
-        region: MemoryRegion,
-        base: int = 0,
-        size: Optional[int] = None,
-        fresh: bool = True,
-    ):
+    def __init__(self, region: MemoryRegion, fresh: bool = True):
         self.region = region
-        self.base = base
-        self.size = size if size is not None else region.size - base
+        self.size = region.size
         if self.size < self._BLOCKS_START + MIN_BLOCK:
             raise AllocationError(
                 f"heap of {self.size} bytes is too small (min "
@@ -83,66 +74,63 @@ class HeapAllocator:
         if fresh:
             self._format()
 
-    # -- low-level field access (block offsets are heap-relative) --------
+    # -- low-level field access -------------------------------------------
 
     def _block_size(self, block: int) -> int:
-        return self.region.read_u64(self.base + block)
+        return self.region.read_u64(block)
 
     def _block_flags(self, block: int) -> int:
-        return self.region.read_u64(self.base + block + 8)
+        return self.region.read_u64(block + 8)
 
     def _set_tags(self, block: int, size: int, flags: int) -> None:
         """Write the header, then its footer copy."""
         write = self.region.write_u64
-        start = self.base + block
-        write(start, size)
-        write(start + 8, flags)
-        write(start + size - 16, size)
-        write(start + size - 8, flags)
+        write(block, size)
+        write(block + 8, flags)
+        write(block + size - 16, size)
+        write(block + size - 8, flags)
 
     def _next_free(self, block: int) -> int:
-        return self.region.read_u64(self.base + block + _NEXT)
+        return self.region.read_u64(block + _NEXT)
 
     def _head(self) -> int:
-        return self.region.read_u64(self.base + self._HEAD_OFFSET)
+        return self.region.read_u64(self._HEAD_OFFSET)
 
     # -- free-list manipulation -------------------------------------------
 
     def _list_insert(self, block: int) -> None:
         write = self.region.write_u64
-        base = self.base
         head = self._head()
-        write(base + block + _NEXT, head)
-        write(base + block + _PREV, NULL)
+        write(block + _NEXT, head)
+        write(block + _PREV, NULL)
         if head != NULL:
-            write(base + head + _PREV, block)
-        write(base + self._HEAD_OFFSET, block)
+            write(head + _PREV, block)
+        write(self._HEAD_OFFSET, block)
 
     def _list_remove(self, block: int) -> None:
         write = self.region.write_u64
-        base = self.base
-        prev = self.region.read_u64(base + block + _PREV)
+        prev = self.region.read_u64(block + _PREV)
         nxt = self._next_free(block)
         if prev != NULL:
-            write(base + prev + _NEXT, nxt)
+            write(prev + _NEXT, nxt)
         else:
-            write(base + self._HEAD_OFFSET, nxt)
+            write(self._HEAD_OFFSET, nxt)
         if nxt != NULL:
-            write(base + nxt + _PREV, prev)
+            write(nxt + _PREV, prev)
 
     def _format(self) -> None:
         """Initialize the heap as one big free block."""
         first = self._BLOCKS_START
         block_size = self.size - self._BLOCKS_START
-        self.region.write_u64(self.base + self._HEAD_OFFSET, NULL)
+        self.region.write_u64(self._HEAD_OFFSET, NULL)
         self._set_tags(first, block_size, _FREE)
         self._list_insert(first)
 
     # -- public API ---------------------------------------------------------
 
     def malloc(self, nbytes: int) -> int:
-        """Allocate ``nbytes`` of payload; returns the payload offset
-        relative to the region (not the heap base)."""
+        """Allocate ``nbytes`` of payload; returns the payload's region
+        offset."""
         if nbytes <= 0:
             raise AllocationError(f"cannot allocate {nbytes} bytes")
         need = max(MIN_BLOCK, _align16(nbytes + HEADER_BYTES + FOOTER_BYTES))
@@ -169,11 +157,11 @@ class HeapAllocator:
         else:
             self._set_tags(block, size, _USED)
         self.allocs += 1
-        return self.base + block + HEADER_BYTES
+        return block + HEADER_BYTES
 
     def free(self, payload_offset: int) -> None:
         """Free an allocation returned by :meth:`malloc`."""
-        block = payload_offset - self.base - HEADER_BYTES
+        block = payload_offset - HEADER_BYTES
         if block < self._BLOCKS_START or block >= self.size:
             raise AllocationError(f"free of invalid offset {payload_offset}")
         if self._block_flags(block) != _USED:
@@ -189,9 +177,8 @@ class HeapAllocator:
 
         # Coalesce with the preceding block if it is free.
         if block > self._BLOCKS_START:
-            footer_end = self.base + block
-            if self.region.read_u64(footer_end - 8) == _FREE:
-                prev_size = self.region.read_u64(footer_end - 16)
+            if self.region.read_u64(block - 8) == _FREE:
+                prev_size = self.region.read_u64(block - 16)
                 prev = block - prev_size
                 self.coalesces += 1
                 self._list_remove(prev)
@@ -216,7 +203,7 @@ class ArrayAllocator:
     replaced by an array from which consecutive records are allocated
     by simply incrementing the array index").
 
-    Layout: [0:8] count, [8:] records.
+    The array spans its whole region. Layout: [0:8] count, [8:] records.
     """
 
     _DATA_START = 8
@@ -225,17 +212,13 @@ class ArrayAllocator:
         self,
         region: MemoryRegion,
         record_bytes: int,
-        base: int = 0,
-        size: Optional[int] = None,
         fresh: bool = True,
     ):
         if record_bytes <= 0:
             raise AllocationError("record size must be positive")
         self.region = region
         self.record_bytes = record_bytes
-        self.base = base
-        self.size = size if size is not None else region.size - base
-        self.capacity = (self.size - self._DATA_START) // record_bytes
+        self.capacity = (region.size - self._DATA_START) // record_bytes
         if self.capacity < 1:
             raise AllocationError("array area too small for one record")
         self.allocs = 0
@@ -243,17 +226,17 @@ class ArrayAllocator:
             self._set_count(0)
 
     def _set_count(self, value: int) -> None:
-        self.region.write_u64(self.base, value)
+        self.region.write_u64(0, value)
 
     @property
     def count(self) -> int:
-        return self.region.read_u64(self.base)
+        return self.region.read_u64(0)
 
     def record_offset(self, index: int) -> int:
         """Region-relative offset of record ``index``."""
         if index < 0 or index >= self.capacity:
             raise AllocationError(f"record index {index} out of range")
-        return self.base + self._DATA_START + index * self.record_bytes
+        return self._DATA_START + index * self.record_bytes
 
     def push(self) -> int:
         """Allocate the next record; returns its region-relative offset."""
@@ -266,8 +249,6 @@ class ArrayAllocator:
         self.allocs += 1
         return self.record_offset(count)
 
-    def truncate(self, count: int = 0) -> None:
-        """Move the index back, de-allocating records beyond ``count``."""
-        if count < 0 or count > self.count:
-            raise AllocationError(f"invalid truncate count {count}")
-        self._set_count(count)
+    def truncate(self) -> None:
+        """Move the index back to 0, de-allocating every record."""
+        self._set_count(0)

@@ -14,14 +14,17 @@ from repro.errors import ConfigurationError
 from repro.memory.region import MemoryRegion
 
 
+#: Where the first region is placed, and the page alignment of every
+#: base address.
+_START = 0x1000_0000
+_ALIGNMENT = 4096
+
+
 class AddressSpace:
     """Allocates global base addresses for memory regions."""
 
-    def __init__(self, start: int = 0x1000_0000, alignment: int = 4096):
-        if alignment < 1 or alignment & (alignment - 1):
-            raise ConfigurationError("alignment must be a power of two")
-        self.alignment = alignment
-        self._next = _align(start, alignment)
+    def __init__(self):
+        self._next = _START
         self._names: Set[str] = set()
 
     def place(self, region: MemoryRegion) -> MemoryRegion:
@@ -31,10 +34,10 @@ class AddressSpace:
                 f"region {region.name!r} already placed in this address space"
             )
         region.base = self._next
-        self._next = _align(self._next + region.size, self.alignment)
+        self._next = _align(self._next + region.size)
         self._names.add(region.name)
         return region
 
 
-def _align(value: int, alignment: int) -> int:
-    return (value + alignment - 1) & ~(alignment - 1)
+def _align(value: int) -> int:
+    return (value + _ALIGNMENT - 1) & ~(_ALIGNMENT - 1)

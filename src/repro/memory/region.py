@@ -50,6 +50,11 @@ class WriteCategory(enum.Enum):
     __hash__ = object.__hash__
 
 
+#: The category of every word store, bound once: looking the member up
+#: on each observed store is measurable on the doubling path.
+_META = WriteCategory.META
+
+
 #: A write observer: called as ``fn(offset, length, category)`` after
 #: every write. Plain arguments, no event object — the per-store
 #: allocation matters on the write-doubling hot path (millions of calls
@@ -78,12 +83,12 @@ class MemoryRegion:
         "bytes_written",
     )
 
-    def __init__(self, name: str, size: int, base: int = 0):
+    def __init__(self, name: str, size: int):
         if size <= 0:
             raise ValueError(f"region {name!r} must have positive size")
         self.name = name
         self.size = size
-        self.base = base
+        self.base = 0  # until an AddressSpace places the region
         self.data = memoryview(_np.zeros(size, dtype=_np.uint8))
         self._observers: List[Observer] = []
         self._crashed = False
@@ -146,15 +151,10 @@ class MemoryRegion:
             self._check_bounds(offset, 8)
         return _unpack_u64(self.data, offset)[0]
 
-    def write_u64(
-        self,
-        offset: int,
-        value: int,
-        category: WriteCategory = WriteCategory.META,
-    ) -> None:
+    def write_u64(self, offset: int, value: int) -> None:
         """Store ``value`` as a little-endian 8-byte word at ``offset``.
 
-        Exactly ``write(offset, pack("<Q", value), category)`` — same
+        Exactly ``write(offset, pack("<Q", value), META)`` — same
         checks, statistics and observer calls — encoded straight into
         the backing buffer."""
         # Negative or too wide. pack_into would notice only after
@@ -168,7 +168,7 @@ class MemoryRegion:
         self.bytes_written += 8
         if self._observers:
             for observer in self._observers:
-                observer(offset, 8, category)
+                observer(offset, 8, _META)
 
     def write_run(self, offset: int, parts) -> None:
         """Store ``parts`` — ``(data, category)`` pairs — end to end
@@ -205,16 +205,10 @@ class MemoryRegion:
         self._check_bounds(offset, length)
         return memoryview(self.data).toreadonly()[offset : offset + length]
 
-    def copy_within(
-        self,
-        src_offset: int,
-        dst_offset: int,
-        length: int,
-        category: WriteCategory = WriteCategory.UNDO,
-    ) -> None:
+    def copy_within(self, src_offset: int, dst_offset: int, length: int) -> None:
         """bcopy inside the region (observers see the destination
-        write); the ranges may overlap."""
-        self.copy_from(self, src_offset, dst_offset, length, category)
+        write, an UNDO one); the ranges may overlap."""
+        self.copy_from(self, src_offset, dst_offset, length)
 
     def copy_from(
         self,

@@ -33,14 +33,14 @@ class RioMemory:
 
     # -- region management -----------------------------------------------
 
-    def create_region(self, name: str, size: int, base: int = 0) -> MemoryRegion:
+    def create_region(self, name: str, size: int) -> MemoryRegion:
         """Create a persistent region; names must be unique per node."""
         self._check_alive()
         if name in self._regions:
             raise ValueError(
                 f"region {name!r} already exists in Rio of {self.node_name!r}"
             )
-        region = MemoryRegion(f"{self.node_name}/{name}", size, base)
+        region = MemoryRegion(f"{self.node_name}/{name}", size)
         self._regions[name] = region
         return region
 

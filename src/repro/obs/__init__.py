@@ -25,8 +25,8 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import (
     Counter,
-    DEFAULT_BOUNDS,
     Gauge,
+    HISTOGRAM_BOUNDS,
     Histogram,
     LatencySummary,
     MetricsRegistry,

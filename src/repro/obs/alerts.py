@@ -23,7 +23,7 @@ own downtime windows and flags any fire the windows do not justify
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.obs.series import SAMPLE_EVENT
 from repro.obs.trace import TraceEvent, Window, downtime_windows
@@ -277,23 +277,19 @@ def ungrounded_alerts(
     )
 
 
-def verify_alerts(
-    events: Sequence[TraceEvent],
-    rules: Optional[Sequence[BurnRateRule]] = None,
-) -> AlertVerification:
+def verify_alerts(events: Sequence[TraceEvent]) -> AlertVerification:
     """Cross-check a trace's recorded alerts against its own downtime.
 
-    ``rules`` defaults to the set the recorded alerts restate in their
-    attrs (falling back to :data:`DEFAULT_RULES` when the trace has no
-    alerts at all, so an un-annotated trace with alert-worthy downtime
+    The rules are the set the recorded alerts restate in their attrs
+    (falling back to :data:`DEFAULT_RULES` when the trace has no alerts
+    at all, so an un-annotated trace with alert-worthy downtime
     correctly reports missed windows).
     """
     recorded = [
         event for event in events
         if event.name in (ALERT_FIRE, ALERT_RESOLVE)
     ]
-    if rules is None:
-        rules = rules_from_events(recorded) or list(DEFAULT_RULES)
+    rules = rules_from_events(recorded) or list(DEFAULT_RULES)
     expected = evaluate_alerts(events, rules)
     false_fires, missed = ungrounded_alerts(recorded, expected)
     return AlertVerification(

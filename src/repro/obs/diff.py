@@ -43,6 +43,9 @@ CANONICAL_ID_ATTRS: Tuple[str, ...] = (
     "trace_id", "span_id", "parent_id", "commit_trace_id",
 )
 
+#: A diff stops listing divergences (and says it was truncated) here.
+MAX_DIVERGENCES = 20
+
 
 def canonicalize_events(
     events: Sequence[TraceEvent],
@@ -187,9 +190,7 @@ def _phase_totals(events: Sequence[TraceEvent]) -> Dict[str, float]:
 
 
 def diff_events(
-    baseline: Sequence[TraceEvent],
-    current: Sequence[TraceEvent],
-    max_divergences: int = 20,
+    baseline: Sequence[TraceEvent], current: Sequence[TraceEvent]
 ) -> TraceDiff:
     """Structurally diff two event lists (canonical id alignment)."""
     a = canonicalize_events(baseline)
@@ -207,7 +208,7 @@ def diff_events(
                     index=index, field=name,
                     baseline=fields_a[name], current=fields_b[name],
                 ))
-        if len(diff.divergences) >= max_divergences:
+        if len(diff.divergences) >= MAX_DIVERGENCES:
             diff.truncated = True
             break
     if not diff.truncated and len(a) != len(b):
@@ -230,9 +231,7 @@ def diff_events(
     return diff
 
 
-def diff_series(
-    baseline, current, max_divergences: int = 20
-) -> TraceDiff:
+def diff_series(baseline, current) -> TraceDiff:
     """Diff two :class:`~repro.obs.series.SeriesFrame`s row by row."""
     diff = TraceDiff(
         kind="series", baseline_count=len(baseline),
@@ -260,7 +259,7 @@ def diff_series(
                     index=index, field=name,
                     baseline=col_a[index], current=col_b[index],
                 ))
-        if len(diff.divergences) >= max_divergences:
+        if len(diff.divergences) >= MAX_DIVERGENCES:
             diff.truncated = True
             break
     if not diff.truncated and len(times_a) != len(times_b):

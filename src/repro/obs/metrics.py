@@ -22,9 +22,9 @@ import bisect
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-#: Default histogram bounds: ~log2-spaced microsecond latency buckets
-#: spanning one write-buffer drain to a whole mirror restore.
-DEFAULT_BOUNDS: Tuple[float, ...] = (
+#: Every histogram's bucket bounds: ~log2-spaced microsecond latency
+#: buckets spanning one write-buffer drain to a whole mirror restore.
+HISTOGRAM_BOUNDS: Tuple[float, ...] = (
     1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
     1_000.0, 2_500.0, 5_000.0, 10_000.0, 25_000.0, 50_000.0, 100_000.0,
 )
@@ -63,15 +63,14 @@ class Gauge:
 class Histogram:
     """Bucketed distribution with count/sum/min/max sidecars.
 
-    ``bounds`` are the inclusive upper edges of the finite buckets; one
-    implicit overflow bucket catches everything above the last edge.
+    :data:`HISTOGRAM_BOUNDS` are the inclusive upper edges of the finite
+    buckets; one implicit overflow bucket catches everything above the
+    last edge.
     """
 
-    def __init__(self, name: str, bounds: Sequence[float] = DEFAULT_BOUNDS):
-        if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
-            raise ValueError(f"histogram {name!r} bounds must be strictly increasing")
+    def __init__(self, name: str):
         self.name = name
-        self.bounds: Tuple[float, ...] = tuple(bounds)
+        self.bounds: Tuple[float, ...] = HISTOGRAM_BOUNDS
         self.bucket_counts: List[int] = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.sum = 0.0
@@ -186,13 +185,11 @@ class MetricsRegistry:
             metric = self._gauges[name] = Gauge(name)
         return metric
 
-    def histogram(
-        self, name: str, bounds: Sequence[float] = DEFAULT_BOUNDS
-    ) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         metric = self._histograms.get(name)
         if metric is None:
             self._check_kind(name, "histogram", self._histograms)
-            metric = self._histograms[name] = Histogram(name, bounds)
+            metric = self._histograms[name] = Histogram(name)
         return metric
 
     def _check_kind(self, name: str, kind: str, own: Dict) -> None:
@@ -209,14 +206,14 @@ class MetricsRegistry:
 
     # -- reading -------------------------------------------------------------
 
-    def value(self, name: str, default: float = 0.0) -> float:
-        """The scalar value of a counter or gauge (histograms have no
-        single value; use :meth:`histogram`)."""
+    def value(self, name: str) -> float:
+        """The scalar value of a counter or gauge, 0.0 for neither
+        (histograms have no single value; use :meth:`histogram`)."""
         if name in self._counters:
             return self._counters[name].value
         if name in self._gauges:
             return self._gauges[name].value
-        return default
+        return 0.0
 
     def snapshot(self) -> Dict[str, Dict]:
         """A JSON-serializable dump of every metric, stable-ordered."""

@@ -21,9 +21,9 @@ Components used outside any simulator stamp events at time 0.
 from __future__ import annotations
 
 import os
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
-from repro.obs.metrics import DEFAULT_BOUNDS, Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.trace import TraceEvent, TraceRecorder
 
 
@@ -33,7 +33,7 @@ class NullObserver:
 
     enabled = False
 
-    def bind_clock(self, clock: Callable[[], float], force: bool = False) -> None:
+    def bind_clock(self, clock: Callable[[], float]) -> None:
         pass
 
     def scoped(self, prefix: str) -> "NullObserver":
@@ -52,8 +52,7 @@ class NullObserver:
     def gauge(self, name: str, value: float) -> None:
         pass
 
-    def observe(self, name: str, value: float,
-                bounds: Sequence[float] = DEFAULT_BOUNDS) -> None:
+    def observe(self, name: str, value: float) -> None:
         pass
 
     def event(self, component: str, name: str, **attrs: object) -> None:
@@ -91,13 +90,12 @@ class Observer:
 
     def __init__(
         self,
-        clock: Optional[Callable[[], float]] = None,
         registry: Optional[MetricsRegistry] = None,
         recorder: Optional[TraceRecorder] = None,
     ):
         self.registry = registry if registry is not None else MetricsRegistry()
         self.recorder = recorder if recorder is not None else TraceRecorder()
-        self._clock = clock
+        self._clock: Optional[Callable[[], float]] = None
         self._prefix = ""
         self._parent: Optional[Observer] = None
         self._next_id = 0
@@ -109,14 +107,12 @@ class Observer:
         root = self._root()
         return root._clock() if root._clock is not None else 0.0
 
-    def bind_clock(
-        self, clock: Callable[[], float], force: bool = False
-    ) -> None:
-        """Attach a simulated-time source; first binding wins unless
-        forced, so a shared observer keeps the shared simulator's clock
-        even when several components offer theirs."""
+    def bind_clock(self, clock: Callable[[], float]) -> None:
+        """Attach a simulated-time source; the first binding wins, so a
+        shared observer keeps the shared simulator's clock even when
+        several components offer theirs."""
         root = self._root()
-        if root._clock is None or force:
+        if root._clock is None:
             root._clock = clock
 
     def _root(self) -> "Observer":
@@ -152,11 +148,8 @@ class Observer:
     def gauge(self, name: str, value: float) -> None:
         self.registry.gauge(self._join(name)).set(value)
 
-    def observe(
-        self, name: str, value: float,
-        bounds: Sequence[float] = DEFAULT_BOUNDS,
-    ) -> Histogram:
-        histogram = self.registry.histogram(self._join(name), bounds)
+    def observe(self, name: str, value: float) -> Histogram:
+        histogram = self.registry.histogram(self._join(name))
         histogram.observe(value)
         return histogram
 

@@ -84,12 +84,12 @@ class RecoverySpanRecorder:
     boundaries, so phases are recorded as explicit ``[start, end]``
     checkpoints in causal order; :meth:`finish` validates contiguity
     and emits the root plus the tiled, non-empty children. Recording
-    is a pure observation — no model state is read back.
+    is a pure observation — no model state is read back. The tree's
+    component is ``cluster``, under the observer's scope.
     """
 
-    def __init__(self, observer, component: str = "cluster"):
+    def __init__(self, observer):
         self.observer = observer
-        self.component = component
         self._phases: List[Tuple[str, float, float, Dict[str, object]]] = []
 
     def phase(
@@ -115,7 +115,7 @@ class RecoverySpanRecorder:
         if not phases:
             raise ValueError("recovery span with no recorded phases")
         trace_id, span_id = emit_span_tree(
-            self.observer, self.component, RECOVERY_SPAN, RECOVERY_PHASE,
+            self.observer, "cluster", RECOVERY_SPAN, RECOVERY_PHASE,
             phases[0][1], phases[-1][2], phases, attrs,
         )
         return RecoveryLink(trace_id=trace_id, span_id=span_id)

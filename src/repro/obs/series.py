@@ -51,6 +51,8 @@ SERIES_ENV_VAR = "REPRO_SERIES"
 SAMPLE_EVENT = "series.sample"
 
 _SPARK_RAMP = " .:-=+*#%@"
+#: Most characters a rendered sparkline spans.
+_SPARK_WIDTH = 64
 
 
 def is_series_file(path: str) -> bool:
@@ -184,9 +186,10 @@ class SeriesFrame:
 
     # -- rendering ---------------------------------------------------
 
-    def render(self, width: int = 64) -> str:
+    def render(self) -> str:
         """ASCII sparkline table: one row per column, bucketed to at
-        most ``width`` characters, with min/max/last annotations."""
+        most :data:`_SPARK_WIDTH` characters, with min/max/last
+        annotations."""
         if not self._times:
             return "(empty series)\n"
         lines = [
@@ -197,7 +200,7 @@ class SeriesFrame:
         for name in sorted(self._columns):
             column = self._columns[name]
             lo, hi = min(column), max(column)
-            spark = _sparkline(column, width, lo, hi)
+            spark = _sparkline(column, _SPARK_WIDTH, lo, hi)
             lines.append(
                 f"  {name:<{label_width}} |{spark}| "
                 f"min {_fmt(lo)}  max {_fmt(hi)}  last {_fmt(column[-1])}"
@@ -371,9 +374,8 @@ class TimeSeriesSampler:
     prefix.
     """
 
-    def __init__(self, observer=None, component: str = "series") -> None:
+    def __init__(self, observer=None) -> None:
         self.observer = resolve_observer(observer)
-        self.component = component
         self.frame = SeriesFrame()
         self._probes: Dict[str, Callable[[], float]] = {}
         self._attached = False
@@ -414,7 +416,7 @@ class TimeSeriesSampler:
         self.frame.append(now, sample)
         observer = self.observer
         if observer.enabled:
-            observer.event_at(now, self.component, SAMPLE_EVENT, **sample)
+            observer.event_at(now, "series", SAMPLE_EVENT, **sample)
 
 
 # -- probe catalogs -------------------------------------------------
@@ -423,13 +425,13 @@ class TimeSeriesSampler:
 # returns an insertion-ordered mapping suitable for ``add_probes``.
 
 
-def sim_probes(sim, prefix: str = "sim") -> Dict[str, Callable[[], float]]:
+def sim_probes(sim) -> Dict[str, Callable[[], float]]:
     """Event-queue depth and timer-wheel occupancy (distinct pending
     firing times — identical across heap and wheel implementations)."""
     queue = sim.queue
     return {
-        f"{prefix}.queue_depth": lambda: float(len(queue)),
-        f"{prefix}.wheel_occupancy": lambda: float(queue.distinct_times()),
+        "sim.queue_depth": lambda: float(len(queue)),
+        "sim.wheel_occupancy": lambda: float(queue.distinct_times()),
     }
 
 

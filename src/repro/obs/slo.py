@@ -14,8 +14,8 @@ carries ``audit_ok=False`` and says so when rendered — availability
 claims over an inconsistent trace are not claims.
 
 Horizon convention: the serving window is ``[0, horizon_us)`` with the
-horizon defaulting to the last event timestamp in the trace, so a
-trace that ends mid-outage counts the open downtime to its end.
+horizon at the end of the trace's last event, so a trace that ends
+mid-outage counts the open downtime to its end.
 """
 
 from __future__ import annotations
@@ -164,7 +164,6 @@ class SloReport:
 
 def compute_slo(
     events: Sequence[TraceEvent],
-    horizon_us: Optional[float] = None,
     audit_ok: Optional[bool] = None,
     scopes: Optional[Sequence[str]] = None,
 ) -> SloReport:
@@ -174,15 +173,14 @@ def compute_slo(
     transaction ("shard.N", or the explicit scope quorum completions
     carry) and every scope with an outage, so an always-up shard counts
     in the cluster roll-up with zero downtime. An outage still open at
-    the end of the trace is charged from its crash to ``horizon_us``
+    the end of the trace is charged from its crash to the horizon
     and kept in ``windows`` with a None end, but is not a failover.
     ``scopes`` restricts the report (and its cluster roll-up) to
     matching scopes — exact label or dotted prefix — so one trace
     holding both shard and quorum-group scopes can be reported per
     architecture.
     """
-    if horizon_us is None:
-        horizon_us = max((event.end_us for event in events), default=0.0)
+    horizon_us = max((event.end_us for event in events), default=0.0)
     outages = downtime_windows(events)
     serving = {
         completion_scope(event)
@@ -195,8 +193,6 @@ def compute_slo(
         downtime = 0.0
         windows: List[Window] = []
         for start, end in outages.get(scope, []):
-            if end is not None:
-                end = min(end, horizon_us)
             downtime += max(0.0, (horizon_us if end is None else end) - start)
             windows.append((start, end))
         scope_reports.append(

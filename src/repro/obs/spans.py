@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.hardware.specs import SanSpec
 from repro.obs.metrics import LatencySummary
 from repro.obs.trace import KIND_SPAN, component_matches
 
@@ -90,19 +89,14 @@ class PhaseCostModel:
     one story.
     """
 
-    def __init__(
-        self,
-        san: SanSpec,
-        calibration=None,
-        workload: Optional[str] = None,
-    ):
-        if calibration is None:
-            # Imported late: repro.perf pulls in the cost model, which
-            # pulls in the workload driver, which imports this module.
-            from repro.perf.calibration import DEFAULT_CALIBRATION
-            calibration = DEFAULT_CALIBRATION
-        self.san = san
-        self.calibration = calibration
+    def __init__(self, workload: Optional[str]):
+        """``workload`` names the calibrated base cost; a replicated
+        system, which does not know its workload, passes None and is
+        priced at a 2 us base."""
+        # Imported late: repro.perf pulls in the cost model, which
+        # pulls in the workload driver, which imports this module.
+        from repro.perf.calibration import DEFAULT_CALIBRATION
+        self.calibration = DEFAULT_CALIBRATION
         self.workload = workload
 
     def base_us(self) -> float:

@@ -97,7 +97,6 @@ def quorum_cost(
     replica_availability: float,
     record_bytes: int,
     sloppy: bool = False,
-    label: str = "",
 ) -> QuorumCostReport:
     """Cost one (N, R, W) configuration.
 
@@ -120,7 +119,7 @@ def quorum_cost(
         replicas, needed, replica_availability
     )
     return QuorumCostReport(
-        label=label or f"quorum {replicas}/{read_quorum}/{write_quorum}",
+        label=f"quorum {replicas}/{read_quorum}/{write_quorum}",
         replicas=replicas,
         read_quorum=read_quorum,
         write_quorum=write_quorum,

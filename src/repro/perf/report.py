@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
+#: Length of the longest bar :func:`ascii_series` draws.
+_BAR_WIDTH = 48
 
 @dataclass
 class ReportTable:
@@ -98,11 +100,11 @@ def ascii_series(
     title: str,
     x_values: Sequence[object],
     series: Iterable[tuple],
-    width: int = 48,
 ) -> str:
     """A small text rendering of a figure: one row per (label, ys)
-    series with a proportional bar per point — enough to eyeball the
-    scaling shapes of Figures 2 and 3 in a terminal."""
+    series with a proportional bar per point, the longest
+    :data:`_BAR_WIDTH` characters — enough to eyeball the scaling
+    shapes of Figures 2 and 3 in a terminal."""
     series = list(series)
     peak = max(
         (y for _label, ys in series for y in ys), default=1.0
@@ -111,6 +113,6 @@ def ascii_series(
     for label, ys in series:
         lines.append(label)
         for x, y in zip(x_values, ys):
-            bar = "#" * max(1, int(width * y / peak))
+            bar = "#" * max(1, int(_BAR_WIDTH * y / peak))
             lines.append(f"  {str(x):>4}  {y:>12,.0f}  {bar}")
     return "\n".join(lines)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.hardware.specs import SanSpec, MEMORY_CHANNEL_II
+from repro.hardware.specs import MEMORY_CHANNEL_II
 from repro.perf.throughput import ThroughputReport
 from repro.san.link import SharedLink
 from repro.san.packets import PacketTrace
@@ -50,7 +50,6 @@ class ShardedThroughputReport:
 def sharded_aggregate(
     single: ThroughputReport,
     shards: int,
-    san: SanSpec = MEMORY_CHANNEL_II,
     per_txn_trace: Optional[PacketTrace] = None,
 ) -> ShardedThroughputReport:
     """Compose one pair's report into an N-pair aggregate.
@@ -58,10 +57,10 @@ def sharded_aggregate(
     Args:
         single: the calibrated single-pair throughput report.
         shards: number of identical pairs.
-        san: the SAN the shared-link variant funnels through.
         per_txn_trace: the pair's measured per-transaction packet
             trace; when given, the shared-SAN cap is computed from the
-            actual packet-size mix on a :class:`SharedLink` (4-byte
+            actual packet-size mix on a Memory Channel II
+            :class:`SharedLink` (4-byte
             packets cost far more than their bytes suggest). Without
             it, the report's scalar ``link_us`` is used.
     """
@@ -70,7 +69,7 @@ def sharded_aggregate(
     dedicated = shards * single.tps
 
     if per_txn_trace is not None and per_txn_trace.packets:
-        link = SharedLink(san)
+        link = SharedLink(MEMORY_CHANNEL_II)
         for _ in range(shards):
             link.attach(per_txn_trace)
         # One transaction from each pair must drain through the link.

@@ -220,9 +220,9 @@ def simulate_smp(
 
 
 def simulate_from_run(result, cpu_us: float, processors: int,
-                      duration_us: float = 20_000.0,
-                      san: SanSpec = MEMORY_CHANNEL_II) -> SmpSimulationResult:
+                      duration_us: float = 20_000.0) -> SmpSimulationResult:
     """Convenience: build the packet schedule from a measured
-    :class:`~repro.workloads.driver.RunResult` and simulate."""
+    :class:`~repro.workloads.driver.RunResult` and simulate it on
+    Memory Channel II."""
     per_txn = packet_sequence(result.packet_trace, result.transactions)
-    return simulate_smp(cpu_us, per_txn, processors, duration_us, san)
+    return simulate_smp(cpu_us, per_txn, processors, duration_us)

@@ -22,7 +22,7 @@ The estimator composes the cost model:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.perf.calibration import Calibration, DEFAULT_CALIBRATION, PAPER
 from repro.perf.costmodel import CostBreakdown, CostModel
@@ -143,7 +143,6 @@ class ThroughputEstimator:
 def calibrate_bases(
     estimator_calibration: Calibration,
     v3_standalone_results: Dict[str, RunResult],
-    targets: Optional[Dict[str, float]] = None,
 ) -> Calibration:
     """Solve the per-benchmark base cost so that Version 3's standalone
     throughput matches Table 3 (the only fitted throughput numbers; all
@@ -152,18 +151,11 @@ def calibrate_bases(
     Args:
         v3_standalone_results: workload name -> RunResult of a V3
             standalone run at the paper's 50 MB nominal size.
-        targets: workload name -> target transactions/second; defaults
-            to the paper's Table 3 Version 3 row.
     """
-    if targets is None:
-        targets = {
-            workload: PAPER["standalone"][workload]["v3"]
-            for workload in v3_standalone_results
-        }
     model = CostModel(estimator_calibration)
     bases = {}
     for workload, result in v3_standalone_results.items():
-        target_us = US_PER_SECOND / targets[workload]
+        target_us = US_PER_SECOND / PAPER["standalone"][workload]["v3"]
         breakdown = model.breakdown(result)
         charged = (
             breakdown.cpu.total_us()

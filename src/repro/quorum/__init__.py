@@ -28,7 +28,7 @@ from repro.quorum.group import (
     QuorumGroupStats,
 )
 from repro.quorum.merkle import (
-    DEFAULT_LEAF_SPAN,
+    LEAF_SPAN,
     MerkleTree,
     SyncStats,
     anti_entropy_sync,
@@ -46,10 +46,10 @@ from repro.quorum.versions import VersionVector, merge_all
 from repro.quorum.workload import KeyPartitioner, QuorumWorkload
 
 __all__ = [
-    "DEFAULT_LEAF_SPAN",
     "DIGEST_BYTES",
     "EMPTY_DIGEST",
     "KeyPartitioner",
+    "LEAF_SPAN",
     "MODE_SLOPPY",
     "MODE_STRICT",
     "MerkleTree",

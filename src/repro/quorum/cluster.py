@@ -37,8 +37,7 @@ class QuorumCluster(RoutedCluster):
         replicas_per_group / read_quorum / write_quorum: the (N, R, W)
             tuple shared by every group.
         keys_per_group: each group's local keyspace size.
-        sloppy / link_rtt_us / byte_us / repair_interval_us /
-        leaf_span: forwarded to every group (see
+        sloppy / repair_interval_us: forwarded to every group (see
             :class:`~repro.quorum.group.QuorumGroup`).
     """
 
@@ -52,10 +51,7 @@ class QuorumCluster(RoutedCluster):
         write_quorum: int = 3,
         keys_per_group: int = 64,
         sloppy: bool = False,
-        link_rtt_us: float = 200.0,
-        byte_us: float = 0.01,
         repair_interval_us: float = 0.0,
-        leaf_span: int = 8,
         observer=None,
     ):
         super().__init__(num_groups, observer)
@@ -72,10 +68,7 @@ class QuorumCluster(RoutedCluster):
                     num_keys=keys_per_group,
                     sim=self.sim,
                     sloppy=sloppy,
-                    link_rtt_us=link_rtt_us,
-                    byte_us=byte_us,
                     repair_interval_us=repair_interval_us,
-                    leaf_span=leaf_span,
                     observer=self.unit_observers[group_id],
                 ),
                 f"group{group_id}/r0", f"group{group_id}/r1",

@@ -54,7 +54,7 @@ from repro.obs.spans import (
     PHASE_TRANSFER,
     CommitSpanRecorder,
 )
-from repro.quorum.merkle import DEFAULT_LEAF_SPAN, anti_entropy_sync
+from repro.quorum.merkle import anti_entropy_sync
 from repro.quorum.store import Record, ReplicaStore, Stored
 from repro.quorum.versions import VersionVector
 from repro.sim.engine import Simulator
@@ -64,6 +64,12 @@ MODE_SLOPPY = "sloppy"
 
 #: Per-digest CPU cost charged to the anti-entropy repair model.
 DIGEST_COMPARE_US = 0.05
+#: Base coordinator->replica round trip; a pair's spreads
+#: deterministically up to RTT_SPREAD above it.
+LINK_RTT_US = 200.0
+RTT_SPREAD = 0.5
+#: Modeled wire/storage cost per payload byte.
+BYTE_US = 0.01
 
 
 class QuorumGroupStats:
@@ -99,11 +105,7 @@ class QuorumGroup:
         num_keys: size of the group's keyspace.
         sim: the shared simulator (clock + event scheduling).
         sloppy: relax quorums with hinted handoff (see module docs).
-        link_rtt_us: base coordinator->replica round trip; actual pairs
-            spread deterministically up to ``rtt_spread`` above it.
-        byte_us: modeled wire/storage cost per payload byte.
         repair_interval_us: anti-entropy period; 0 disables the loop.
-        leaf_span: keys per Merkle leaf for the repair comparator.
         observer: obs hook, usually already scoped to ``group.<id>``.
     """
 
@@ -116,11 +118,7 @@ class QuorumGroup:
         num_keys: int,
         sim: Simulator,
         sloppy: bool = False,
-        link_rtt_us: float = 200.0,
-        rtt_spread: float = 0.5,
-        byte_us: float = 0.01,
         repair_interval_us: float = 0.0,
-        leaf_span: int = DEFAULT_LEAF_SPAN,
         observer=None,
     ):
         if num_replicas < 1:
@@ -140,11 +138,7 @@ class QuorumGroup:
         self.num_keys = num_keys
         self.sim = sim
         self.sloppy = sloppy
-        self.link_rtt_us = link_rtt_us
-        self.rtt_spread = rtt_spread
-        self.byte_us = byte_us
         self.repair_interval_us = repair_interval_us
-        self.leaf_span = leaf_span
         self.observer = resolve_observer(observer)
         self.observer.bind_clock(lambda: self.sim.now)
 
@@ -196,7 +190,7 @@ class QuorumGroup:
         if src == dst:
             return 0.0
         jitter = ((src * 31 + dst * 17) % 7) / 7.0
-        return self.link_rtt_us * (1.0 + self.rtt_spread * jitter)
+        return LINK_RTT_US * (1.0 + RTT_SPREAD * jitter)
 
     @property
     def serving(self) -> "QuorumGroup":
@@ -254,7 +248,7 @@ class QuorumGroup:
         for member in connected:
             self.replicas[member].apply(key, record)
             ack_times.append(
-                self._rtt_us(coordinator, member) + payload * self.byte_us
+                self._rtt_us(coordinator, member) + payload * BYTE_US
             )
             if member != coordinator:
                 remote_copies += 1
@@ -266,7 +260,7 @@ class QuorumGroup:
                 self._park_hint(holder, member, key, stored)
                 hinted += 1
                 ack_times.append(
-                    self._rtt_us(coordinator, holder) + payload * self.byte_us
+                    self._rtt_us(coordinator, holder) + payload * BYTE_US
                 )
                 if holder != coordinator:
                     remote_copies += 1
@@ -276,7 +270,7 @@ class QuorumGroup:
         if acks < required:
             raise ShardUnavailableError(self.group_id)
         quorum_wait_us = sorted(ack_times)[required - 1]
-        transfer_us = remote_copies * payload * self.byte_us
+        transfer_us = remote_copies * payload * BYTE_US
 
         self.stats.writes += 1
         self.stats.hinted_writes += hinted
@@ -317,7 +311,7 @@ class QuorumGroup:
             response = self.replicas[member].get(key)
             payload = response.payload_bytes if response is not None else 0
             response_us = (
-                self._rtt_us(coordinator, member) + payload * self.byte_us
+                self._rtt_us(coordinator, member) + payload * BYTE_US
             )
             latency_us = max(latency_us, response_us)
             if response is not None:
@@ -495,7 +489,7 @@ class QuorumGroup:
                 # whole outage is a membership problem — no reachable
                 # quorum — so the view phase spans it entirely; hinted
                 # handoff delivers instantaneously on regain.
-                recorder = RecoverySpanRecorder(self.observer, "cluster")
+                recorder = RecoverySpanRecorder(self.observer)
                 recorder.phase(PHASE_DETECT, start, start)
                 recorder.phase(
                     PHASE_VIEW, start, self.sim.now,
@@ -534,11 +528,11 @@ class QuorumGroup:
                 continue
             start_us = self.sim.now
             stats = anti_entropy_sync(
-                self.replicas[left], self.replicas[right], self.leaf_span
+                self.replicas[left], self.replicas[right]
             )
             model_us = (
                 stats.digests_compared * DIGEST_COMPARE_US
-                + stats.bytes_transferred * self.byte_us
+                + stats.bytes_transferred * BYTE_US
             )
             self.stats.repair_keys += stats.keys_synced
             self.stats.repair_bytes += stats.bytes_transferred

@@ -27,8 +27,8 @@ from repro.errors import ConfigurationError
 from repro.fastpath.kernels import diff_runs_fast
 from repro.quorum.store import DIGEST_BYTES, ReplicaStore
 
-#: Default keys per Merkle leaf.
-DEFAULT_LEAF_SPAN = 8
+#: Keys per Merkle leaf.
+LEAF_SPAN = 8
 
 
 class MerkleTree:
@@ -38,22 +38,14 @@ class MerkleTree:
     one below (an odd tail node is re-hashed alone) up to the root.
     """
 
-    def __init__(
-        self,
-        store: ReplicaStore,
-        leaf_span: int = DEFAULT_LEAF_SPAN,
-        digests: memoryview = None,
-    ):
-        if leaf_span < 1:
-            raise ConfigurationError("leaf span must be positive")
-        self.leaf_span = leaf_span
-        self.num_leaves = (store.num_keys + leaf_span - 1) // leaf_span
+    def __init__(self, store: ReplicaStore, digests: memoryview = None):
+        self.num_leaves = (store.num_keys + LEAF_SPAN - 1) // LEAF_SPAN
         # One zero-copy view of the store's digest cells for the whole
         # build (callers running a sync pass hand in theirs), sliced
         # per leaf — no per-leaf ``bytes`` is ever materialized.
         if digests is None:
             digests = store.digest_view()
-        cell_span = leaf_span * DIGEST_BYTES
+        cell_span = LEAF_SPAN * DIGEST_BYTES
         total = store.num_keys * DIGEST_BYTES
         leaves = [
             hashlib.sha1(
@@ -76,7 +68,7 @@ class MerkleTree:
 
     def __repr__(self) -> str:
         return (
-            f"MerkleTree({self.num_leaves} leaves x {self.leaf_span} keys, "
+            f"MerkleTree({self.num_leaves} leaves x {LEAF_SPAN} keys, "
             f"root {self.root.hex()[:8]})"
         )
 
@@ -88,7 +80,7 @@ def diff_leaves(a: MerkleTree, b: MerkleTree) -> Tuple[List[int], int]:
     digest-compare count is the honest cost of the exchange a real
     anti-entropy session would pay.
     """
-    if a.num_leaves != b.num_leaves or a.leaf_span != b.leaf_span:
+    if a.num_leaves != b.num_leaves:
         raise ConfigurationError("cannot diff trees of different geometry")
     compared = 1
     if a.root == b.root:
@@ -113,9 +105,7 @@ def diff_leaves(a: MerkleTree, b: MerkleTree) -> Tuple[List[int], int]:
 
 
 def differing_keys(
-    store_a: ReplicaStore,
-    store_b: ReplicaStore,
-    leaf_span: int = DEFAULT_LEAF_SPAN,
+    store_a: ReplicaStore, store_b: ReplicaStore
 ) -> Tuple[List[int], int]:
     """Exact divergent key indexes between two replicas.
 
@@ -126,11 +116,11 @@ def differing_keys(
     """
     digests_a = store_a.digest_view()
     digests_b = store_b.digest_view()
-    tree_a = MerkleTree(store_a, leaf_span, digests=digests_a)
-    tree_b = MerkleTree(store_b, leaf_span, digests=digests_b)
+    tree_a = MerkleTree(store_a, digests=digests_a)
+    tree_b = MerkleTree(store_b, digests=digests_b)
     leaves, compared = diff_leaves(tree_a, tree_b)
     keys: List[int] = []
-    cell_span = leaf_span * DIGEST_BYTES
+    cell_span = LEAF_SPAN * DIGEST_BYTES
     total = store_a.num_keys * DIGEST_BYTES
     for leaf in leaves:
         start = leaf * cell_span
@@ -142,7 +132,7 @@ def differing_keys(
             first = offset // DIGEST_BYTES
             last = (offset + length - 1) // DIGEST_BYTES
             touched.update(range(first, last + 1))
-        start_key = leaf * leaf_span
+        start_key = leaf * LEAF_SPAN
         keys.extend(sorted(start_key + cell for cell in touched))
     return keys, compared
 
@@ -158,11 +148,7 @@ class SyncStats:
     changed_b: int = 0
 
 
-def anti_entropy_sync(
-    store_a: ReplicaStore,
-    store_b: ReplicaStore,
-    leaf_span: int = DEFAULT_LEAF_SPAN,
-) -> SyncStats:
+def anti_entropy_sync(store_a: ReplicaStore, store_b: ReplicaStore) -> SyncStats:
     """One bidirectional repair pass between two replicas.
 
     Every divergent key's sibling set crosses the wire in whichever
@@ -170,7 +156,7 @@ def anti_entropy_sync(
     merge is a semilattice join, a single pass converges the pair:
     afterwards their canonical bytes — and Merkle roots — are equal.
     """
-    keys, compared = differing_keys(store_a, store_b, leaf_span)
+    keys, compared = differing_keys(store_a, store_b)
     stats = SyncStats(digests_compared=compared)
     for key in keys:
         stored_a = store_a.get(key)

@@ -30,6 +30,10 @@ from repro.errors import ConfigurationError
 #: workload's convention, so group i never replays group j's keys.
 _GROUP_SEED_STRIDE = 6101
 
+#: Payload padding per written value (sizes the replication traffic the
+#: cost model accounts).
+VALUE_BYTES = 64
+
 
 class KeyPartitioner:
     """Round-robin global key -> group mapping.
@@ -59,23 +63,16 @@ class QuorumWorkload:
     Args:
         num_groups: how many quorum groups the keyspace spans.
         keys_per_group: size of each group's local keyspace.
-        value_bytes: payload padding per written value (sizes the
-            replication traffic the cost model accounts).
         seed: drives every group's stream.
+
+    Every written value is padded to :data:`VALUE_BYTES`.
     """
 
-    def __init__(
-        self,
-        num_groups: int,
-        keys_per_group: int,
-        value_bytes: int = 64,
-        seed: int = 0,
-    ):
+    def __init__(self, num_groups: int, keys_per_group: int, seed: int = 0):
         if keys_per_group < 1:
             raise ConfigurationError("need at least one key per group")
         self.num_shards = num_groups
         self.keys_per_group = keys_per_group
-        self.value_bytes = value_bytes
         self.seed = seed
         self.partitioner = KeyPartitioner(
             num_groups, num_groups * keys_per_group
@@ -92,7 +89,7 @@ class QuorumWorkload:
 
     def encode_value(self, group_id: int, key: int, counter: int) -> bytes:
         body = f"g{group_id}k{key}:c{counter}:".encode("ascii")
-        return body + b"x" * max(0, self.value_bytes - len(body))
+        return body + b"x" * max(0, VALUE_BYTES - len(body))
 
     @staticmethod
     def decode_counter(value: bytes) -> int:

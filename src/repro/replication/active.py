@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FailoverError
-from repro.hardware.specs import SanSpec, MEMORY_CHANNEL_II
+from repro.hardware.specs import MEMORY_CHANNEL_II
 from repro.memory.mapping import AddressSpace
 from repro.memory.rio import RioMemory
 from repro.obs.observer import resolve_observer
@@ -79,7 +79,6 @@ class ActiveReplicatedSystem:
     def __init__(
         self,
         config: Optional[EngineConfig] = None,
-        san: SanSpec = MEMORY_CHANNEL_II,
         ring_bytes: int = _DEFAULT_RING_BYTES,
         safety: CommitSafety = CommitSafety.ONE_SAFE,
         auto_apply: bool = True,
@@ -88,7 +87,6 @@ class ActiveReplicatedSystem:
         observer=None,
     ):
         self.config = config if config is not None else EngineConfig()
-        self.san = san
         self.safety = safety
         self.auto_apply = auto_apply
         self.observer = resolve_observer(observer)
@@ -108,10 +106,10 @@ class ActiveReplicatedSystem:
         # Primary -> backup: the ring. Backup -> primary: the consumer
         # pointer, written through the backup's own interface.
         self.primary_interface = MemoryChannelInterface(
-            primary_name, san, observer=self.observer
+            primary_name, observer=self.observer
         )
         self.backup_interface = MemoryChannelInterface(
-            backup_name, san, observer=self.observer
+            backup_name, observer=self.observer
         )
         self.consumer_region = self.primary_rio.create_region("consumer-seq", 8)
         ring_mapping = self.primary_interface.map_remote(self.ring, name="redo-ring")
@@ -129,7 +127,7 @@ class ActiveReplicatedSystem:
             self._spans = CommitSpanRecorder(
                 self.observer, "replication.active"
             )
-            self._phase_model = PhaseCostModel(san)
+            self._phase_model = PhaseCostModel(None)
         else:
             self._spans = None
         self._txn_counters_base = ()
@@ -228,7 +226,7 @@ class ActiveReplicatedSystem:
                 ),
             )
             self._spans.phase(
-                PHASE_BARRIER, self.safety.barrier_phase_us(self.san)
+                PHASE_BARRIER, self.safety.barrier_phase_us(MEMORY_CHANNEL_II)
             )
             self._spans.finish(
                 records=len(redo.records), wire_bytes=redo.wire_bytes(),

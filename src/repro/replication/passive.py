@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.errors import FailoverError
-from repro.hardware.specs import SanSpec, MEMORY_CHANNEL_II
 from repro.memory.mapping import AddressSpace
 from repro.memory.region import MemoryRegion
 from repro.memory.rio import RioMemory
@@ -58,7 +57,6 @@ class PassiveReplicatedSystem:
         self,
         version: str,
         config: Optional[EngineConfig] = None,
-        san: SanSpec = MEMORY_CHANNEL_II,
         ship_undo_log: bool = False,
         primary_name: str = "primary",
         backup_name: str = "backup",
@@ -66,7 +64,6 @@ class PassiveReplicatedSystem:
     ):
         self.version = version
         self.config = config if config is not None else EngineConfig()
-        self.san = san
         self.ship_undo_log = ship_undo_log
         self.observer = resolve_observer(observer)
 
@@ -77,7 +74,7 @@ class PassiveReplicatedSystem:
             self.primary_rio, self.config, self.space
         )
         self.interface = MemoryChannelInterface(
-            primary_name, san, observer=self.observer
+            primary_name, observer=self.observer
         )
         self.replica = WriteThroughReplica(self.interface, self.backup_rio)
 
@@ -102,7 +99,7 @@ class PassiveReplicatedSystem:
             self._spans = CommitSpanRecorder(
                 self.observer, "replication.passive"
             )
-            self._phase_model = PhaseCostModel(san)
+            self._phase_model = PhaseCostModel(None)
         else:
             self._spans = None
         self._txn_counters_base = ()

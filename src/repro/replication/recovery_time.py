@@ -33,6 +33,11 @@ APPLY_US = 0.5
 #: boot; Rio's warm reboot avoids fsck but not the boot itself.
 REBOOT_US = 90.0 * US_PER_SECOND
 
+#: Failure-detection latency of a replicated design (the heartbeat
+#: timeout), and the mean time between failures availability assumes.
+DETECTION_US = 5_000.0
+MTBF_SECONDS = 30 * 24 * 3600.0
+
 
 @dataclass(frozen=True)
 class RecoveryProfile:
@@ -55,7 +60,6 @@ def profiles_for(
     db_bytes: int,
     live_undo_bytes: float,
     ring_backlog_bytes: float,
-    detection_us: float = 5_000.0,
 ) -> Dict[str, RecoveryProfile]:
     """Build the per-design recovery profiles.
 
@@ -65,7 +69,8 @@ def profiles_for(
             log versions roll back — typically one transaction's worth).
         ring_backlog_bytes: unapplied redo at the crash (what the
             active backup drains — bounded by the ring size).
-        detection_us: failure-detection latency (heartbeat timeout).
+
+    Every replicated design detects the failure in :data:`DETECTION_US`.
     """
     return {
         "standalone (Vista)": RecoveryProfile(
@@ -76,22 +81,22 @@ def profiles_for(
         ),
         "passive v0 (undo rollback)": RecoveryProfile(
             "passive v0 (undo rollback)",
-            detection_us=detection_us,
+            detection_us=DETECTION_US,
             bytes_to_restore=live_undo_bytes,
         ),
         "passive v1/v2 (mirror restore)": RecoveryProfile(
             "passive v1/v2 (mirror restore)",
-            detection_us=detection_us,
+            detection_us=DETECTION_US,
             bytes_to_restore=float(db_bytes),
         ),
         "passive v3 (log rollback)": RecoveryProfile(
             "passive v3 (log rollback)",
-            detection_us=detection_us,
+            detection_us=DETECTION_US,
             bytes_to_restore=live_undo_bytes,
         ),
         "active (drain redo ring)": RecoveryProfile(
             "active (drain redo ring)",
-            detection_us=detection_us,
+            detection_us=DETECTION_US,
             bytes_to_restore=ring_backlog_bytes,
         ),
     }
@@ -110,11 +115,11 @@ def one_safe_window_us(redo_link_time_per_txn_us: float) -> float:
     return MEMORY_CHANNEL_II.latency_us + redo_link_time_per_txn_us + APPLY_US
 
 
-def availability(downtime_us_per_failure: float,
-                 mtbf_seconds: float = 30 * 24 * 3600.0) -> float:
-    """Steady-state availability for a given mean time between failures."""
+def availability(downtime_us_per_failure: float) -> float:
+    """Steady-state availability at a :data:`MTBF_SECONDS` mean time
+    between failures."""
     downtime_s = downtime_us_per_failure / US_PER_SECOND
-    return mtbf_seconds / (mtbf_seconds + downtime_s)
+    return MTBF_SECONDS / (MTBF_SECONDS + downtime_s)
 
 
 def nines(value: float) -> float:

@@ -23,7 +23,7 @@ from typing import Dict, List, Tuple
 
 from repro.errors import CrashedError, NotMappedError
 from repro.fastpath.replay import GLOBAL_REPLAY_CACHE
-from repro.hardware.specs import SanSpec, MEMORY_CHANNEL_II
+from repro.hardware.specs import ALPHASERVER_4100, MEMORY_CHANNEL_II
 from repro.hardware.writebuffer import WriteBufferModel
 from repro.memory.region import MemoryRegion, WriteCategory
 from repro.obs.observer import resolve_observer
@@ -32,6 +32,10 @@ from repro.san.packets import PacketTrace
 #: Cap on deferred stores held per interface before a partial drain;
 #: bounds memory for barrier-free streams (the redo ring's).
 _PENDING_LIMIT = 8192
+
+#: Size of each isolated store :meth:`TransmitMapping.write_uncoalesced`
+#: issues: a 21164A longword.
+_STALLED_WORD_BYTES = 4
 
 
 class TransmitMapping:
@@ -155,9 +159,9 @@ class TransmitMapping:
         offset: int,
         data: bytes,
         category: WriteCategory = WriteCategory.MODIFIED,
-        word_bytes: int = 4,
     ) -> None:
-        """Store ``data`` as isolated word-size packets.
+        """Store ``data`` as isolated word-size packets
+        (:data:`_STALLED_WORD_BYTES` each).
 
         Models a doubled-write stream whose source stalls between
         stores (e.g. copying through cache-missing mirror lines): the
@@ -172,8 +176,7 @@ class TransmitMapping:
         fully covers a block emits it ahead of the partial one still
         open before it). Anything else — and every error — takes the
         per-word loop: :meth:`write`, then a drain."""
-        if word_bytes < 1:
-            raise ValueError(f"word_bytes must be positive, got {word_bytes}")
+        word_bytes = _STALLED_WORD_BYTES
         interface = self.interface
         buffer = interface.write_buffer
         length = len(data)
@@ -227,26 +230,18 @@ class MemoryChannelInterface:
 
     Args:
         node_name: owner label, for diagnostics.
-        san: link parameters (defaults to Memory Channel II).
-        write_buffers / write_buffer_bytes: the sending CPU's buffer
-            geometry (6 x 32 bytes on the 21164A).
+
+    The link is Memory Channel II and the sending CPU's write buffers
+    are the 21164A's (6 x 32 bytes): the paper's one machine.
     """
 
-    def __init__(
-        self,
-        node_name: str = "node",
-        san: SanSpec = MEMORY_CHANNEL_II,
-        write_buffers: int = 6,
-        write_buffer_bytes: int = 32,
-        observer=None,
-    ):
+    def __init__(self, node_name: str = "node", observer=None):
         self.node_name = node_name
-        self.san = san
         self._trace = PacketTrace()
         self.observer = resolve_observer(observer)
         self.write_buffer = WriteBufferModel(
-            num_buffers=write_buffers,
-            block_bytes=write_buffer_bytes,
+            num_buffers=ALPHASERVER_4100.write_buffers,
+            block_bytes=ALPHASERVER_4100.write_buffer_bytes,
             on_packet=self._trace.record,
         )
         # Installed windows, in mapping order; a dict so a store's
@@ -404,7 +399,7 @@ class MemoryChannelInterface:
 
     def link_time_us(self) -> float:
         """Link occupancy consumed by everything sent so far."""
-        return self.trace.link_time_us(self.san)
+        return self.trace.link_time_us(MEMORY_CHANNEL_II)
 
     def reset_stats(self) -> None:
         # Deferred stores are dropped unsimulated (that would only

@@ -12,13 +12,16 @@ report bytes / link-time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
-from repro.hardware.specs import SanSpec, MEMORY_CHANNEL_II
+from repro.hardware.specs import MEMORY_CHANNEL_II
 from repro.memory.region import MemoryRegion
 from repro.san.memory_channel import MemoryChannelInterface
 
 _WORD = 4  # the Alpha issues 4-byte stores in the paper's test program
+
+#: Figure 1's packet sizes.
+_PACKET_SIZES = (4, 8, 16, 32)
 
 
 @dataclass(frozen=True)
@@ -33,24 +36,25 @@ class BandwidthPoint:
 def measure_effective_bandwidth(
     packet_bytes: int,
     region_bytes: int = 1 << 20,
-    san: SanSpec = MEMORY_CHANNEL_II,
 ) -> BandwidthPoint:
-    """Measure effective bandwidth for packets of ``packet_bytes``.
+    """Measure effective bandwidth on Memory Channel II for packets of
+    ``packet_bytes``.
 
     Writes ``region_bytes`` of data as runs of ``packet_bytes``
     contiguous bytes separated by a stride of 32 bytes — exactly the
     strided pattern of the paper's test program — and reports the
     bytes-per-link-time the emitted packet trace achieves.
     """
-    if packet_bytes < _WORD or packet_bytes > san.max_packet_bytes:
+    max_packet_bytes = MEMORY_CHANNEL_II.max_packet_bytes
+    if packet_bytes < _WORD or packet_bytes > max_packet_bytes:
         raise ValueError(
-            f"packet size {packet_bytes} outside [{_WORD}, {san.max_packet_bytes}]"
+            f"packet size {packet_bytes} outside [{_WORD}, {max_packet_bytes}]"
         )
     if packet_bytes % _WORD:
         raise ValueError("packet size must be a multiple of the 4-byte word")
 
     remote = MemoryRegion("pingpong-remote", region_bytes)
-    interface = MemoryChannelInterface("pingpong-sender", san)
+    interface = MemoryChannelInterface("pingpong-sender")
     mapping = interface.map_remote(remote)
 
     payload = bytes(_WORD)
@@ -65,19 +69,15 @@ def measure_effective_bandwidth(
 
     return BandwidthPoint(
         packet_bytes=packet_bytes,
-        effective_mb_per_s=interface.trace.effective_bandwidth_mb_per_s(san),
+        effective_mb_per_s=interface.trace.effective_bandwidth_mb_per_s(
+            MEMORY_CHANNEL_II),
         packets=interface.trace.packets,
     )
 
 
-def run_figure1_sweep(
-    region_bytes: int = 1 << 20,
-    san: SanSpec = MEMORY_CHANNEL_II,
-    sizes: List[int] = None,
-) -> List[BandwidthPoint]:
+def run_figure1_sweep(region_bytes: int = 1 << 20) -> List[BandwidthPoint]:
     """Reproduce Figure 1: effective bandwidth at 4/8/16/32-byte packets."""
-    if sizes is None:
-        sizes = [4, 8, 16, 32]
     return [
-        measure_effective_bandwidth(size, region_bytes, san) for size in sizes
+        measure_effective_bandwidth(size, region_bytes)
+        for size in _PACKET_SIZES
     ]

@@ -6,8 +6,7 @@ partitioned replicated in-memory databases (STAR, Lu et al.;
 fault-tolerant partial replication, Sutra & Shapiro):
 
 * :mod:`repro.shard.partitioner` — contiguous range partitioning of a
-  workload's natural key (Debit-Credit branches, Order-Entry
-  warehouses);
+  workload's natural key (Debit-Credit branches);
 * :mod:`repro.shard.shardmap` — the versioned shard map whose
   per-shard epochs fence requests routed with a stale view;
 * :mod:`repro.shard.workload` — a paper benchmark split across N

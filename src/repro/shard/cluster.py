@@ -34,7 +34,9 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cluster.cluster import ReplicatedCluster, TakeoverReport
 from repro.cluster.membership import Membership
-from repro.errors import ConfigurationError, ShardUnavailableError
+from repro.errors import (
+    ConfigurationError, ShardUnavailableError, SimulationError,
+)
 from repro.obs.observer import resolve_observer
 from repro.shard.shardmap import ShardMap
 from repro.shard.workload import ShardedWorkload
@@ -155,6 +157,13 @@ class RoutedCluster:
         """Crash ``member`` of ``unit`` at simulated ``at_us`` (a pair's
         primary is member 0)."""
         target = self._unit(unit)
+        # The simulator's own time check, made before a pair admits its
+        # one crash so that a refused time (NaN too) does not use it up.
+        if not at_us >= self.sim.now:
+            raise SimulationError(
+                f"cannot crash at {at_us}, not at or after current time "
+                f"{self.sim.now}"
+            )
         target.check_fault("crash", (member,))
         self.sim.schedule_at(
             at_us, functools.partial(target.crash_member, member),

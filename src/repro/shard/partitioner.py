@@ -34,8 +34,8 @@ class KeyRange:
 class Partitioner:
     """Contiguous range partitioning of an integer keyspace.
 
-    Built from the per-shard key counts (how many branches/warehouses
-    each shard's database holds); shard ``i`` owns the global keys
+    Built from the per-shard key counts (how many branches each
+    shard's database holds); shard ``i`` owns the global keys
     ``[sum(counts[:i]), sum(counts[:i+1]))``.
     """
 
@@ -62,11 +62,6 @@ class Partitioner:
         """Partition by branch: shard ``i`` owns the branches of the
         ``i``-th per-shard :class:`DebitCreditWorkload` layout."""
         return cls([w.branches.records for w in shard_workloads])
-
-    @classmethod
-    def for_order_entry(cls, shard_workloads: Sequence) -> "Partitioner":
-        """Partition by warehouse, read off each shard's layout."""
-        return cls([w.warehouse.records for w in shard_workloads])
 
     # -- key mapping --------------------------------------------------------
 

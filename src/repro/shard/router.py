@@ -40,6 +40,12 @@ from repro.obs.spans import COMMIT_SPAN
 from repro.shard.cluster import RoutedCluster
 from repro.shard.workload import ShardedWorkload
 
+#: Retry backoff: the first retry waits BACKOFF_US, each later one
+#: BACKOFF_FACTOR times longer, none longer than MAX_BACKOFF_US.
+BACKOFF_US = 250.0
+BACKOFF_FACTOR = 2.0
+MAX_BACKOFF_US = 4_000.0
+
 
 @dataclass
 class RoutedTransaction:
@@ -62,9 +68,6 @@ class Router:
         cluster: RoutedCluster,
         workload: ShardedWorkload,
         max_attempts: int = 10,
-        backoff_us: float = 250.0,
-        backoff_factor: float = 2.0,
-        max_backoff_us: float = 4_000.0,
         observer=None,
     ):
         if workload.num_shards != cluster.num_shards:
@@ -77,9 +80,6 @@ class Router:
         self.cluster = cluster
         self.workload = workload
         self.max_attempts = max_attempts
-        self.backoff_us = backoff_us
-        self.backoff_factor = backoff_factor
-        self.max_backoff_us = max_backoff_us
 
         self.observer = resolve_observer(observer)
         self.map = cluster.shard_map.snapshot()
@@ -164,9 +164,8 @@ class Router:
                 return
             self.retries += 1
             delay = min(
-                self.backoff_us
-                * self.backoff_factor ** (record.attempts - 1),
-                self.max_backoff_us,
+                BACKOFF_US * BACKOFF_FACTOR ** (record.attempts - 1),
+                MAX_BACKOFF_US,
             )
             if self.observer.enabled:
                 self.observer.count("router.retries")

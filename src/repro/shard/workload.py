@@ -3,13 +3,13 @@
 Each shard runs an ordinary :class:`~repro.workloads.base.Workload`
 instance over its own (smaller) database — the layouts, shadow models
 and verification all come along for free. What this module adds is the
-mapping from a routed global partition key (a branch for Debit-Credit,
-a warehouse for Order-Entry) to one transaction on the owning shard's
-workload; the client picks the keys.
+mapping from a routed global partition key (a Debit-Credit branch) to
+one transaction on the owning shard's workload; the client picks the
+keys.
 
-Transactions never span shards: the paper's benchmarks pin each
-transaction to one branch/warehouse, which is exactly why they
-partition cleanly (the STAR observation).
+Transactions never span shards: Debit-Credit pins each transaction to
+one branch, which is exactly why it partitions cleanly (the STAR
+observation).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.errors import ConfigurationError
 from repro.shard.partitioner import Partitioner
 from repro.workloads.base import TransactionTarget, Workload
 from repro.workloads.debit_credit import DebitCreditWorkload
-from repro.workloads.order_entry import OrderEntryWorkload
 
 #: Seeds of per-shard workload streams are spread apart so shard i and
 #: shard j never replay each other's transaction sequences.
@@ -31,7 +30,7 @@ class ShardedWorkload:
     """N per-shard workload instances behind one partitioner.
 
     Args:
-        name: ``"debit-credit"`` or ``"order-entry"``.
+        name: ``"debit-credit"``, the one workload a run shards.
         num_shards: how many primary-backup pairs the database spans.
         db_bytes_per_shard: each shard's database size.
         seed: seeds (offset per shard) every shard-local transaction
@@ -41,7 +40,6 @@ class ShardedWorkload:
 
     WORKLOADS = {
         "debit-credit": DebitCreditWorkload,
-        "order-entry": OrderEntryWorkload,
     }
 
     def __init__(
@@ -66,10 +64,7 @@ class ShardedWorkload:
             cls(db_bytes_per_shard, seed=seed + 1 + _SHARD_SEED_STRIDE * i)
             for i in range(num_shards)
         ]
-        if name == "debit-credit":
-            self.partitioner = Partitioner.for_debit_credit(self.shards)
-        else:
-            self.partitioner = Partitioner.for_order_entry(self.shards)
+        self.partitioner = Partitioner.for_debit_credit(self.shards)
 
     # -- client side --------------------------------------------------------
 

@@ -12,16 +12,14 @@ from repro.errors import ClockError
 class VirtualClock:
     """A monotonically non-decreasing simulated clock.
 
-    The clock starts at zero (or ``start``). All simulation components
-    share one clock instance owned by the :class:`~repro.sim.Simulator`.
+    The clock starts at zero. All simulation components share one clock
+    instance owned by the :class:`~repro.sim.Simulator`.
     """
 
     __slots__ = ("_now",)
 
-    def __init__(self, start: float = 0.0):
-        if start < 0:
-            raise ClockError(f"clock cannot start at negative time {start}")
-        self._now = float(start)
+    def __init__(self):
+        self._now = 0.0
 
     @property
     def now(self) -> float:

@@ -38,8 +38,8 @@ class Simulator:
         [5.0]
     """
 
-    def __init__(self, start_time: float = 0.0, observer=None, queue=None):
-        self.clock = VirtualClock(start_time)
+    def __init__(self, observer=None, queue=None):
+        self.clock = VirtualClock()
         self.queue = default_event_queue() if queue is None else queue
         self.observer = resolve_observer(observer)
         self.observer.bind_clock(lambda: self.clock.now)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Type
 
 from repro.errors import ConfigurationError
-from repro.memory.mapping import AddressSpace
 from repro.memory.rio import RioMemory
 from repro.vista.api import EngineConfig, TransactionEngine
 from repro.vista.v0_vista import VistaEngine
@@ -37,8 +36,9 @@ def create_engine(
     version: str,
     rio: RioMemory,
     config: Optional[EngineConfig] = None,
-    space: Optional[AddressSpace] = None,
     fresh: bool = True,
 ) -> TransactionEngine:
-    """Create an engine of the given version over regions in ``rio``."""
-    return engine_class(version).create(rio, config, space, fresh)
+    """Create an engine of the given version over regions in ``rio``
+    (placed in no address space: a replicated system places its own
+    through ``engine_class(version).create``)."""
+    return engine_class(version).create(rio, config, fresh=fresh)

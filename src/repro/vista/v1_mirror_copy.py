@@ -102,14 +102,14 @@ class MirrorCopyEngine(TransactionEngine):
         for offset, length in self._declared_ranges():
             self._update_mirror(offset, length)
         self.control.write_u64(_COMMIT_SEQ, self.commit_sequence + 1)
-        self.range_array.truncate(0)
+        self.range_array.truncate()
 
     def _restore_ranges(self) -> None:
         for offset, length in reversed(self._declared_ranges()):
             self.db.copy_from(self.mirror, offset, offset, length,
                               WriteCategory.MODIFIED)
             self.counters.rollback_bytes += length
-        self.range_array.truncate(0)
+        self.range_array.truncate()
 
     def _on_abort(self) -> None:
         self._restore_ranges()
@@ -127,6 +127,6 @@ class MirrorCopyEngine(TransactionEngine):
             # chunk-sized intermediate copy per iteration.
             self.db.poke(offset, self.mirror.view(offset, chunk))
         self.counters.rollback_bytes += self.db.size
-        self.range_array.truncate(0)
+        self.range_array.truncate()
         self._active = False
         self.counters.recoveries += 1

@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.hardware.specs import MEMORY_CHANNEL_II
-from repro.obs.observer import resolve_observer
+from repro.obs.observer import get_default_observer
 from repro.obs.spans import (
     PHASE_ENGINE,
     CommitSpanRecorder,
@@ -90,7 +89,6 @@ def run_workload(
     transactions: int,
     warmup: int = 0,
     verify: bool = False,
-    observer=None,
 ) -> RunResult:
     """Drive ``transactions`` through ``workload`` against ``target``.
 
@@ -98,22 +96,23 @@ def run_workload(
     statistic (counters, traffic, packets). To crash at commit ``k``,
     drive ``k`` transactions and fail the target afterwards.
 
-    With an observer attached the driver emits ``run.start``/``run.end``
-    markers and — for standalone engines, which have no replication
-    pipeline of their own — an engine-only commit span per measured
-    transaction, so phase attribution covers every target kind.
+    With the process default observer live (``REPRO_OBS``) the driver
+    emits ``run.start``/``run.end`` markers and — for standalone
+    engines, which have no replication pipeline of their own — an
+    engine-only commit span per measured transaction, so phase
+    attribution covers every target kind.
     """
     engine = _engine_of(target)
     interface = getattr(target, "interface", None) or getattr(
         target, "primary_interface", None
     )
-    observer = resolve_observer(observer)
+    observer = get_default_observer()
     # Replicated systems record their own commit spans; the driver only
     # fills the gap for bare engines.
     spans = None
     if observer.enabled and isinstance(target, TransactionEngine):
         spans = CommitSpanRecorder(observer, f"engine.{target.VERSION}")
-        phase_model = PhaseCostModel(MEMORY_CHANNEL_II, workload=workload.name)
+        phase_model = PhaseCostModel(workload.name)
 
     for _ in range(warmup):
         workload.run_transaction(target)

@@ -48,7 +48,7 @@ MEASUREMENTS = {
         lambda ctx: ctx.read(passive_cell("v1", "order-entry", ship_undo_log=True)),
     "active": lambda ctx: ctx.read(active_cell("debit-credit")),
     "standalone-v0": lambda ctx: ctx.read(standalone_cell("v0", "debit-credit")),
-    "recovery": lambda ctx: extension_recovery.run(db_bytes=4 * MB),
+    "recovery": lambda ctx: extension_recovery.run(),
 }
 
 

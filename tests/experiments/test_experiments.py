@@ -38,7 +38,7 @@ def ctx():
 
 
 def test_figure1_checks_and_renders():
-    result = figure1.run(region_bytes=1 << 16)
+    result = figure1.run()
     result.check()
     assert "Figure 1" in result.table().render()
 

@@ -27,8 +27,7 @@ def test_runs_checks_and_renders():
     assert "<- quorum restored" in figure
 
 
-@pytest.mark.parametrize("args", [{"slots": 40}, {"num_groups": 4}],
-                         ids=["slots=40", "num_groups=4"])
+@pytest.mark.parametrize("args", [{"slots": 40}], ids=["slots=40"])
 def test_timeline_check_follows_the_run(args):
     timeline = extension_quorum.quorum_timeline(**args)
     extension_quorum.check_quorum_timeline(timeline)

@@ -9,9 +9,7 @@ MB = 1024 * 1024
 
 
 def _run(ctx):
-    return extension_smp_sim.run(
-        ctx, configs=("active", "passive-v3"), duration_us=6_000.0
-    )
+    return extension_smp_sim.run(ctx)
 
 
 @pytest.fixture(scope="module")
@@ -48,11 +46,16 @@ def test_renders(result):
     assert "passive-v3" in text
 
 
-def test_matches_the_polling_original(ctx, result, monkeypatch):
+def test_matches_the_polling_original(ctx, monkeypatch):
     """The experiment's curves are exactly what the polling oracle
-    produces from the same settings."""
+    produces from the same settings (over a shorter horizon: the
+    oracle polls every 0.05 us)."""
     from tests.oracles import smp_sim_reference
 
+    event_driven = extension_smp_sim.run(
+        ExperimentContext(ctx.settings), duration_us=4_000.0)
     monkeypatch.setattr(extension_smp_sim, "simulate_from_run",
                         smp_sim_reference.simulate_from_run)
-    assert _run(ExperimentContext(ctx.settings)).curves == result.curves
+    polled = extension_smp_sim.run(
+        ExperimentContext(ctx.settings), duration_us=4_000.0)
+    assert polled.curves == event_driven.curves

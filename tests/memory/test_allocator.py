@@ -125,14 +125,8 @@ class TestArrayAllocator:
         array = ArrayAllocator(region, record_bytes=16)
         array.push()
         array.push()
-        array.truncate(0)
+        array.truncate()
         assert array.count == 0
-
-    def test_truncate_invalid(self):
-        region = MemoryRegion("arr", 1024)
-        array = ArrayAllocator(region, record_bytes=16)
-        with pytest.raises(AllocationError):
-            array.truncate(5)
 
     def test_capacity_limit(self):
         region = MemoryRegion("arr", 8 + 32)

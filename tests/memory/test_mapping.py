@@ -8,7 +8,7 @@ from repro.memory.region import MemoryRegion
 
 
 def test_place_assigns_aligned_bases():
-    space = AddressSpace(start=0x1000, alignment=4096)
+    space = AddressSpace()
     a = space.place(MemoryRegion("a", 100))
     b = space.place(MemoryRegion("b", 100))
     assert a.base % 4096 == 0
@@ -29,8 +29,3 @@ def test_duplicate_name_rejected():
     space.place(MemoryRegion("r", 16))
     with pytest.raises(ConfigurationError):
         space.place(MemoryRegion("r", 16))
-
-
-def test_bad_alignment_rejected():
-    with pytest.raises(ConfigurationError):
-        AddressSpace(alignment=100)

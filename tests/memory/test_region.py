@@ -54,7 +54,8 @@ def test_observers_see_every_write_with_category():
 
 
 def test_observer_address_includes_base():
-    region = MemoryRegion("r", 64, base=0x1000)
+    region = MemoryRegion("r", 64)
+    region.base = 0x1000  # as an AddressSpace places it
     events = []
     region.add_observer(recorder(events))
     region.write(4, b"x")
@@ -103,8 +104,8 @@ def test_copy_within_notifies_observers_like_a_write():
     events = []
     region.add_observer(recorder(events))
     region.poke(0, b"data")
-    region.copy_within(0, 32, 4, WriteCategory.META)
-    assert events == [(32, 4, WriteCategory.META)]
+    region.copy_within(0, 32, 4)
+    assert events == [(32, 4, WriteCategory.UNDO)]
     assert region.writes_observed == 1
     assert region.bytes_written == 4
 
@@ -191,6 +192,6 @@ def test_write_statistics():
 
 
 def test_len_and_repr():
-    region = MemoryRegion("r", 64, base=0x10)
+    region = MemoryRegion("r", 64)
     assert len(region) == 64
     assert "r" in repr(region)

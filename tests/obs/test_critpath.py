@@ -35,7 +35,7 @@ def test_collect_span_forest_resolves_parents_and_filters():
 
 
 def _record_failover(observer, scope, crash, detect, restore, resume=None):
-    recorder = RecoverySpanRecorder(observer, f"{scope}.cluster")
+    recorder = RecoverySpanRecorder(observer.scoped(scope))
     detected = crash + detect
     recorder.phase(PHASE_DETECT, crash, detected)
     recorder.phase(PHASE_CATCHUP, detected, detected + restore)

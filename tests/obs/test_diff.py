@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs import TraceEvent, write_jsonl
 from repro.obs.diff import (
+    MAX_DIVERGENCES,
     canonicalize_events,
     diff_events,
     diff_files,
@@ -77,11 +78,11 @@ def test_added_and_removed_events_reported_as_presence():
 
 
 def test_divergence_truncation():
-    base = [_event(float(i), x=0) for i in range(50)]
-    current = [_event(float(i), x=1) for i in range(50)]
-    diff = diff_events(base, current, max_divergences=5)
+    base = [_event(float(i), x=0) for i in range(2 * MAX_DIVERGENCES)]
+    current = [_event(float(i), x=1) for i in range(2 * MAX_DIVERGENCES)]
+    diff = diff_events(base, current)
     assert diff.truncated
-    assert len(diff.divergences) == 5
+    assert len(diff.divergences) == MAX_DIVERGENCES
 
 
 def test_phase_deltas_cover_commit_and_recovery_vocabularies():

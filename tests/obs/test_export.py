@@ -25,7 +25,8 @@ EVENTS = [
 
 
 def test_jsonl_round_trip(tmp_path):
-    observer = Observer(clock=lambda: 1.0)
+    observer = Observer()
+    observer.bind_clock(lambda: 1.0)
     observer.count("router.routed", 3)
     observer.observe("router.latency_us", 42.0)
     path = write_jsonl(tmp_path / "t.jsonl", EVENTS, metrics=observer.registry)
@@ -90,7 +91,6 @@ def test_failover_trace_round_trips_through_disk(tmp_path, seed):
         num_shards=2,
         slots=12,
         crashes=((1, 5_250.0),),
-        db_bytes_per_shard=4 * 1024 * 1024,
         seed=seed,
         trace_path=tmp_path / "failover.jsonl",
     )
@@ -119,8 +119,7 @@ def recorded_trace(tmp_path_factory):
 
     path = tmp_path_factory.mktemp("recorded") / "failover.jsonl"
     failover_timeline(
-        num_shards=2, slots=12, crashes=((1, 5_250.0),),
-        db_bytes_per_shard=4 * 1024 * 1024, trace_path=path,
+        num_shards=2, slots=12, crashes=((1, 5_250.0),), trace_path=path,
     )
     return path.read_bytes()
 

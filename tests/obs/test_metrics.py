@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs.metrics import (
-    DEFAULT_BOUNDS,
+    HISTOGRAM_BOUNDS,
     Counter,
     Gauge,
     Histogram,
@@ -35,39 +35,38 @@ def test_gauge_is_last_write_wins():
 
 
 def test_histogram_buckets_and_summary():
-    hist = Histogram("h", bounds=(1.0, 10.0, 100.0))
-    for value in (0.5, 1.0, 5.0, 50.0, 500.0):
+    hist = Histogram("h")
+    assert hist.bounds == HISTOGRAM_BOUNDS
+    for value in (0.5, 1.0, 5.0, 50.0, 500_000.0):
         hist.observe(value)
     # bisect_left: 0.5 and 1.0 land in bucket 0 (<= 1.0 edge), 5.0 in
-    # bucket 1, 50.0 in bucket 2, 500.0 overflows.
-    assert hist.bucket_counts == [2, 1, 1, 1]
+    # the 5.0 edge's bucket 2, 50.0 in bucket 5, 500,000 overflows.
+    assert hist.bucket_counts == [2, 0, 1, 0, 0, 1] + [0] * 10 + [1]
     summary = hist.summary()
     assert summary["count"] == 5
     assert summary["min"] == 0.5
-    assert summary["max"] == 500.0
-    assert summary["mean"] == pytest.approx(111.3)
+    assert summary["max"] == 500_000.0
+    assert summary["mean"] == pytest.approx(100_011.3)
     # p99 of 5 observations is the last one — the overflow bucket
     # reports the exact max, not a bucket edge.
-    assert summary["p99"] == 500.0
+    assert summary["p99"] == 500_000.0
 
 
 def test_histogram_quantile_reports_bucket_edges():
-    hist = Histogram("h", bounds=(1.0, 10.0, 100.0))
-    for value in (0.5, 5.0, 5.0, 50.0):
+    hist = Histogram("h")
+    for value in (0.5, 7.0, 7.0, 70.0):
         hist.observe(value)
     assert hist.quantile(0.0) == 1.0  # first observation's bucket edge
     assert hist.quantile(0.5) == 10.0
     assert hist.quantile(1.0) == 100.0
     # Overflow bucket reports the true max, not an edge.
-    hist.observe(9_999.0)
-    assert hist.quantile(1.0) == 9_999.0
+    hist.observe(999_999.0)
+    assert hist.quantile(1.0) == 999_999.0
 
 
 def test_histogram_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        Histogram("h", bounds=(10.0, 1.0))
-    with pytest.raises(ValueError):
-        Histogram("h", bounds=(1.0, 1.0))
+    # Its bucket bounds are fixed; what is left to reject is a quantile
+    # outside [0, 1].
     with pytest.raises(ValueError):
         Histogram("h").quantile(1.5)
 
@@ -87,7 +86,7 @@ def test_registry_creates_on_first_use():
     registry.gauge("a.g").set(7)
     assert registry.value("a.b") == 1
     assert registry.value("a.g") == 7
-    assert registry.value("missing", default=-1.0) == -1.0
+    assert registry.value("missing") == 0.0
     assert len(registry) == 2
 
 
@@ -107,7 +106,7 @@ def test_snapshot_is_json_safe_and_stable():
     registry.counter("b").inc(2)
     registry.counter("a").inc(1)
     registry.gauge("g").set(3)
-    registry.histogram("h", bounds=DEFAULT_BOUNDS).observe(12.0)
+    registry.histogram("h").observe(12.0)
     snap = registry.snapshot()
     assert list(snap["counters"]) == ["a", "b"]
     assert snap["histograms"]["h"]["count"] == 1

@@ -76,7 +76,8 @@ def test_null_observer_is_inert_and_shared():
 
 
 def test_observer_records_metrics_and_events():
-    observer = Observer(clock=lambda: 42.0)
+    observer = Observer()
+    observer.bind_clock(lambda: 42.0)
     observer.count("hits", 2)
     observer.gauge("depth", 7)
     observer.observe("lat", 12.0)
@@ -91,7 +92,8 @@ def test_observer_records_metrics_and_events():
 
 
 def test_scoped_observer_prefixes_and_shares_state():
-    root = Observer(clock=lambda: 1.0)
+    root = Observer()
+    root.bind_clock(lambda: 1.0)
     shard = root.scoped("shard.3")
     shard.count("router.retries")
     event = shard.event("cluster", "fault.crash", node="p")
@@ -111,12 +113,9 @@ def test_clock_binding_is_first_wins_through_scopes():
     assert shard.now == 0.0
     shard.bind_clock(lambda: 10.0)
     assert root.now == 10.0
-    # Second binding loses...
+    # A second binding loses.
     root.bind_clock(lambda: 99.0)
     assert shard.now == 10.0
-    # ...unless forced.
-    root.bind_clock(lambda: 99.0, force=True)
-    assert shard.now == 99.0
 
 
 # -- process default ----------------------------------------------------------

@@ -25,7 +25,7 @@ def _events_named(observer, name):
 
 def test_recorder_emits_root_and_tiling_children():
     observer = Observer()
-    recorder = RecoverySpanRecorder(observer, "shard.2.cluster")
+    recorder = RecoverySpanRecorder(observer.scoped("shard.2"))
     recorder.phase(PHASE_DETECT, 1_000.0, 1_550.0, timeout_us=500.0)
     recorder.phase(PHASE_VIEW, 1_550.0, 1_550.0)
     recorder.phase(PHASE_PROMOTE, 1_550.0, 1_550.0)
@@ -53,7 +53,7 @@ def test_recorder_emits_root_and_tiling_children():
 
 
 def test_recorder_rejects_bad_phases():
-    recorder = RecoverySpanRecorder(Observer(), "cluster")
+    recorder = RecoverySpanRecorder(Observer())
     with pytest.raises(ValueError, match="unknown recovery phase"):
         recorder.phase("restart", 0.0, 1.0)
     with pytest.raises(ValueError, match="ends before it starts"):
@@ -62,7 +62,7 @@ def test_recorder_rejects_bad_phases():
     with pytest.raises(ValueError, match="must tile"):
         recorder.phase(PHASE_CATCHUP, 12.0, 20.0)
     with pytest.raises(ValueError, match="no recorded phases"):
-        RecoverySpanRecorder(Observer(), "cluster").finish()
+        RecoverySpanRecorder(Observer()).finish()
 
 
 def test_phase_order_is_the_vocabulary_order():
@@ -79,7 +79,7 @@ def test_scope_of_component():
 
 def test_collect_recoveries_joins_phases_and_resume():
     observer = Observer()
-    recorder = RecoverySpanRecorder(observer, "shard.0.cluster")
+    recorder = RecoverySpanRecorder(observer.scoped("shard.0"))
     recorder.phase(PHASE_DETECT, 100.0, 150.0)
     recorder.phase(PHASE_CATCHUP, 150.0, 400.0, bytes_restored=64)
     link = recorder.finish(node="n0")
@@ -105,7 +105,7 @@ def test_collect_recoveries_joins_phases_and_resume():
 def test_collect_recoveries_scope_filter():
     observer = Observer()
     for shard in (0, 1):
-        recorder = RecoverySpanRecorder(observer, f"shard.{shard}.cluster")
+        recorder = RecoverySpanRecorder(observer.scoped(f"shard.{shard}"))
         recorder.phase(PHASE_DETECT, 10.0, 20.0)
         recorder.finish()
     all_trees = collect_recoveries(observer.recorder.events)
@@ -118,7 +118,7 @@ def test_collect_recoveries_survives_jsonl_roundtrip(tmp_path):
     from repro.obs import read_jsonl, write_jsonl
 
     observer = Observer()
-    recorder = RecoverySpanRecorder(observer, "shard.3.cluster")
+    recorder = RecoverySpanRecorder(observer.scoped("shard.3"))
     recorder.phase(PHASE_DETECT, 5.0, 9.0)
     recorder.phase(PHASE_CATCHUP, 9.0, 21.0)
     recorder.finish(node="n3")
@@ -132,7 +132,7 @@ def test_collect_recoveries_survives_jsonl_roundtrip(tmp_path):
 
 def test_resume_without_commit_link_is_gap_only():
     observer = Observer()
-    recorder = RecoverySpanRecorder(observer, "shard.1.cluster")
+    recorder = RecoverySpanRecorder(observer.scoped("shard.1"))
     recorder.phase(PHASE_DETECT, 0.0, 10.0)
     link = recorder.finish()
     observer.event_at(

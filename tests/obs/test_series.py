@@ -224,7 +224,7 @@ def test_scope_probes_equal_the_brute_force_scan(seed):
 
     rng = random.Random(seed)
     cluster, workload, router = _routed_cluster(
-        seed, max_attempts=3, backoff_us=250.0
+        seed, max_attempts=3
     )
     sampler = TimeSeriesSampler()
     sampler.add_probes(router_probes(router))
@@ -301,14 +301,11 @@ def test_sampling_interval_does_not_change_the_experiment(monkeypatch):
 
 
 def test_frame_from_trace_events_is_byte_identical(tmp_path):
-    from repro.obs import Observer, write_jsonl
     from repro.obs.export import read_jsonl
     from repro.experiments.extension_sharding import failover_timeline
 
-    observer = Observer()
-    timeline = failover_timeline(seed=42, observer=observer)
     path = str(tmp_path / "trace.jsonl")
-    write_jsonl(path, timeline.trace_events, metrics=observer.registry)
+    timeline = failover_timeline(seed=42, trace_path=path)
     events, _ = read_jsonl(path)
     rebuilt = SeriesFrame.from_events(events)
     assert rebuilt.to_jsonl() == timeline.series.to_jsonl()

@@ -68,18 +68,9 @@ def test_compute_slo_charges_downtime_to_the_crashed_shard():
     assert report.total_downtime_us == pytest.approx(2_000.0)
 
 
-def test_explicit_horizon_clamps_downtime():
-    events = [_crash(8_000.0), _takeover(8_500.0, 12_000.0)]
-    report = compute_slo(events, horizon_us=10_000.0)
-    scope = report.scopes[0]
-    # Only the in-horizon part of the outage is charged.
-    assert scope.downtime_us == pytest.approx(2_000.0)
-    assert scope.availability == pytest.approx(0.8)
-
-
 def test_unsharded_pair_uses_cluster_scope():
     events = [_crash(100.0, scope=""), _takeover(150.0, 300.0, scope="")]
-    report = compute_slo(events, horizon_us=1_000.0)
+    report = compute_slo(events)
     assert len(report.scopes) == 1
     assert report.scopes[0].label == "cluster"
     assert report.scopes[0].downtime_us == pytest.approx(200.0)
@@ -145,7 +136,7 @@ def _quorum_outage_run(faults, until_us):
         1, replicas_per_group=3, read_quorum=2, write_quorum=2,
         keys_per_group=16, observer=observer,
     )
-    workload = QuorumWorkload(1, 16, value_bytes=32, seed=42)
+    workload = QuorumWorkload(1, 16, seed=42)
     cluster.setup(workload)
     router = Router(cluster, workload, max_attempts=12, observer=observer)
     for tick in range(20):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.hardware.specs import MEMORY_CHANNEL_II
 from repro.obs import NULL_OBSERVER, Observer, read_jsonl, write_jsonl
 from repro.obs.spans import (
     COMMIT_PHASE,
@@ -34,7 +35,8 @@ def _run(system, seed=7, transactions=15):
 
 
 def test_recorder_emits_parent_and_tiled_children():
-    observer = Observer(clock=lambda: 100.0)
+    observer = Observer()
+    observer.bind_clock(lambda: 100.0)
     recorder = CommitSpanRecorder(observer, "replication.test")
     recorder.phase(PHASE_ENGINE, 3.0)
     recorder.phase(PHASE_SHIP, 1.5)
@@ -139,10 +141,10 @@ def test_two_safe_commits_carry_a_barrier_phase():
     observer = Observer()
     _run(ActiveReplicatedSystem(safety=CommitSafety.TWO_SAFE, observer=observer))
     trees = collect_commit_spans(observer.recorder.events)
-    san = ActiveReplicatedSystem().san
     for tree in trees:
         assert tree.attrs["safety"] == "2-safe"
-        assert tree.phases[PHASE_BARRIER] == pytest.approx(2.0 * san.latency_us)
+        assert tree.phases[PHASE_BARRIER] == pytest.approx(
+            2.0 * MEMORY_CHANNEL_II.latency_us)
 
 
 def test_detached_system_records_nothing():
@@ -208,14 +210,18 @@ def test_spans_survive_jsonl_round_trip(tmp_path):
     assert round_tripped == original
 
 
-def test_standalone_engine_spans_via_driver():
+def test_standalone_engine_spans_via_driver(monkeypatch):
     from repro.memory.rio import RioMemory
+    from repro.obs import observer as observer_module
     from repro.vista.factory import create_engine
 
+    # The driver records through the process default observer.
     observer = Observer()
+    monkeypatch.setenv(observer_module.OBS_ENV_VAR, "1")
+    monkeypatch.setattr(observer_module, "_default_observer", observer)
     engine = create_engine("v3", RioMemory("node"))
     workload = DebitCreditWorkload(engine.config.db_bytes, seed=3)
-    run_workload(engine, workload, 6, observer=observer)
+    run_workload(engine, workload, 6)
     trees = collect_commit_spans(observer.recorder.events)
     assert len(trees) == 6
     for tree in trees:

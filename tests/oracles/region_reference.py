@@ -25,8 +25,8 @@ class ReferenceMemoryRegion(MemoryRegion):
 
     __slots__ = ()
 
-    def __init__(self, name: str, size: int, base: int = 0):
-        super().__init__(name, size, base)
+    def __init__(self, name: str, size: int):
+        super().__init__(name, size)
         self.data = bytearray(size)
 
     def copy_from(

@@ -45,12 +45,13 @@ _durations = st.floats(0.0, 500.0, allow_nan=False)
 )
 @settings(max_examples=100, deadline=None)
 def test_collectors_report_the_forest_roots_child_durations(commit, recovery):
-    observer = Observer(clock=lambda: 10_000.0)
+    observer = Observer()
+    observer.bind_clock(lambda: 10_000.0)
     commits = CommitSpanRecorder(observer, "shard.0.replication")
     for phase, dur in commit:
         commits.phase(phase, dur)
     commits.finish(txn=1)
-    recoveries = RecoverySpanRecorder(observer, "shard.0.cluster")
+    recoveries = RecoverySpanRecorder(observer.scoped("shard.0"))
     cursor = 100.0
     for phase, dur in recovery:
         recoveries.phase(phase, cursor, cursor + dur)

@@ -161,15 +161,14 @@ def _fill(contents):
     return store
 
 
-@given(left=store_contents(), right=store_contents(),
-       leaf_span=st.sampled_from([1, 4, 8]))
+@given(left=store_contents(), right=store_contents())
 @settings(max_examples=60, deadline=None)
-def test_anti_entropy_converges_in_one_pass(left, right, leaf_span):
+def test_anti_entropy_converges_in_one_pass(left, right):
     a, b = _fill(left), _fill(right)
-    anti_entropy_sync(a, b, leaf_span)
+    anti_entropy_sync(a, b)
     assert a.canonical_bytes() == b.canonical_bytes()
     # And it is a fixpoint: the next pass moves nothing.
-    again = anti_entropy_sync(a, b, leaf_span)
+    again = anti_entropy_sync(a, b)
     assert again.keys_synced == 0
     assert again.bytes_transferred == 0
 
@@ -180,7 +179,7 @@ def test_anti_entropy_direction_does_not_matter(contents):
     # Syncing (a, b) or (b, a) lands both on the same joined state.
     a1, b1 = _fill(contents), ReplicaStore(NUM_KEYS)
     a2, b2 = _fill(contents), ReplicaStore(NUM_KEYS)
-    anti_entropy_sync(a1, b1, 8)
-    anti_entropy_sync(b2, a2, 8)
+    anti_entropy_sync(a1, b1)
+    anti_entropy_sync(b2, a2)
     assert a1.canonical_bytes() == a2.canonical_bytes()
     assert b1.canonical_bytes() == b2.canonical_bytes()

@@ -65,7 +65,6 @@ _ops = st.lists(
             st.integers(0, SIZE + 8),   # src (overlap with dst common)
             st.integers(0, SIZE + 8),   # dst
             st.integers(0, 48),
-            _categories,
         ),
         st.tuples(
             st.just("xcopy"),           # from the paired source region
@@ -106,7 +105,7 @@ def _drive(region, source, ops):
             elif op[0] == "fill":
                 region.fill(op[1])
             elif op[0] == "copy":
-                region.copy_within(op[1], op[2], op[3], op[4])
+                region.copy_within(op[1], op[2], op[3])
             elif op[0] == "xcopy":
                 region.copy_from(source, op[1], op[2], op[3], op[4])
             outcomes.append(None)
@@ -190,7 +189,6 @@ _word_ops = st.lists(
         st.tuples(
             st.just("write_u64"), _offsets,
             st.one_of(st.integers(0, 2**64 - 1), st.sampled_from((-1, 2**64))),
-            _categories,
         ),
         st.tuples(st.just("read_u64"), _offsets),
         st.tuples(
@@ -218,9 +216,9 @@ def _run_words(region_cls, ops, accessors: bool):
         try:
             result = None
             if op[0] == "write_u64" and accessors:
-                region.write_u64(op[1], op[2], op[3])
+                region.write_u64(op[1], op[2])
             elif op[0] == "write_u64":
-                region.write(op[1], _U64.pack(op[2]), op[3])
+                region.write(op[1], _U64.pack(op[2]), WriteCategory.META)
             elif op[0] == "read_u64" and accessors:
                 result = region.read_u64(op[1])
             elif op[0] == "read_u64":

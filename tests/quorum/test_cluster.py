@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.obs import Observer
 from repro.quorum.cluster import QuorumCluster
-from repro.quorum.workload import KeyPartitioner, QuorumWorkload
+from repro.quorum.workload import VALUE_BYTES, KeyPartitioner, QuorumWorkload
 from repro.shard.router import Router
 
 
@@ -26,9 +26,9 @@ def test_partitioner_shapes_are_validated():
 
 
 def test_workload_round_trips_its_counter_encoding():
-    workload = QuorumWorkload(2, 8, value_bytes=32, seed=7)
+    workload = QuorumWorkload(2, 8, seed=7)
     value = workload.encode_value(1, 3, 42)
-    assert len(value) == 32
+    assert len(value) == VALUE_BYTES
     assert workload.decode_counter(value) == 42
     assert workload.decode_counter(b"garbage") == 0
 

@@ -4,7 +4,9 @@ import pytest
 
 from repro.errors import ConfigurationError, ShardUnavailableError
 from repro.obs import Observer
-from repro.quorum.group import MODE_SLOPPY, MODE_STRICT, QuorumGroup
+from repro.quorum.group import (
+    BYTE_US, LINK_RTT_US, MODE_SLOPPY, MODE_STRICT, RTT_SPREAD, QuorumGroup,
+)
 from repro.sim.engine import Simulator
 from tests.obs.select import select_events
 
@@ -205,12 +207,16 @@ def test_quorum_loss_emits_the_shared_availability_vocabulary():
 
 
 def test_write_latency_is_the_wth_smallest_ack():
-    group = make_group(n=3, r=2, w=2, link_rtt_us=100.0, rtt_spread=0.0,
-                       byte_us=0.0)
-    group.write(0, b"x")
-    # Coordinator acks locally at 0, remotes at the flat RTT; the 2nd
-    # smallest ack time is one remote round trip.
-    assert group.write_latencies == [100.0]
+    group = make_group(n=3, r=2, w=2)
+    record = group.write(0, b"x")
+    # Every ack carries the payload's wire cost; the coordinator's is
+    # local, the remotes' add their round trips, so the 2nd smallest
+    # ack time is the nearer remote's.
+    wire = record.payload_bytes * BYTE_US
+    remotes = [member for member in range(3) if member != record.writer]
+    nearer = min(group._rtt_us(record.writer, member) for member in remotes)
+    assert LINK_RTT_US <= nearer <= LINK_RTT_US * (1.0 + RTT_SPREAD)
+    assert group.write_latencies == [nearer + wire]
 
 
 def test_simulated_read_latency_percentiles_are_pinned():

@@ -95,7 +95,7 @@ def test_identical_stores_have_identical_roots():
         rec = record(b"same", [(0, 1)], ts=float(key))
         a.apply(key, rec)
         b.apply(key, rec)
-    ta, tb = MerkleTree(a, 8), MerkleTree(b, 8)
+    ta, tb = MerkleTree(a), MerkleTree(b)
     assert ta.root == tb.root
     leaves, compared = diff_leaves(ta, tb)
     assert leaves == []
@@ -105,16 +105,16 @@ def test_identical_stores_have_identical_roots():
 def test_diff_leaves_localizes_the_divergent_leaf():
     a, b = ReplicaStore(32), ReplicaStore(32)
     a.apply(17, record(b"only-a", [(0, 1)]))
-    leaves, compared = diff_leaves(MerkleTree(a, 8), MerkleTree(b, 8))
+    leaves, compared = diff_leaves(MerkleTree(a), MerkleTree(b))
     assert leaves == [17 // 8]
     # Pruning means far fewer compares than leaves.
-    assert compared < sum(map(len, MerkleTree(a, 8).levels))
+    assert compared < sum(map(len, MerkleTree(a).levels))
 
 
 def test_trees_of_different_geometry_refuse_to_diff():
     a, b = ReplicaStore(32), ReplicaStore(16)
     with pytest.raises(ConfigurationError):
-        diff_leaves(MerkleTree(a, 8), MerkleTree(b, 8))
+        diff_leaves(MerkleTree(a), MerkleTree(b))
 
 
 def test_differing_keys_is_exact():
@@ -126,7 +126,7 @@ def test_differing_keys_is_exact():
     a.apply(5, record(b"a-only", [(0, 1)]))
     b.apply(41, record(b"b-only", [(1, 1)]))
     b.apply(42, record(b"b-only-2", [(1, 1)]))
-    keys, _compared = differing_keys(a, b, leaf_span=8)
+    keys, _compared = differing_keys(a, b)
     assert keys == [5, 41, 42]
 
 
@@ -139,7 +139,7 @@ def test_differing_keys_identical_across_fastpath(fast, monkeypatch):
     a, b = ReplicaStore(40), ReplicaStore(40)
     for key in (2, 13, 27, 39):
         a.apply(key, record(b"diverged", [(0, 1)], ts=float(key)))
-    assert differing_keys(a, b, 8)[0] == [2, 13, 27, 39]
+    assert differing_keys(a, b)[0] == [2, 13, 27, 39]
 
 
 # -- anti-entropy -------------------------------------------------------------
@@ -150,7 +150,7 @@ def test_one_sync_pass_converges_two_replicas():
     a.apply(1, record(b"from-a", [(0, 1)], ts=1.0))
     b.apply(1, record(b"from-b", [(1, 1)], ts=2.0, writer=1))
     b.apply(20, record(b"b-only", [(1, 2)], ts=3.0, writer=1))
-    stats = anti_entropy_sync(a, b, 8)
+    stats = anti_entropy_sync(a, b)
     assert stats.keys_synced == 2
     assert stats.changed_a > 0 and stats.changed_b > 0
     assert stats.bytes_transferred > 0
@@ -158,7 +158,7 @@ def test_one_sync_pass_converges_two_replicas():
     # Key 1 kept both concurrent writes as siblings on both sides.
     assert len(a.get(1).siblings) == 2
     # A second pass has nothing to move.
-    again = anti_entropy_sync(a, b, 8)
+    again = anti_entropy_sync(a, b)
     assert again.keys_synced == 0
     assert again.digests_compared == 1
 
@@ -199,8 +199,8 @@ def test_repair_hot_path_makes_no_intermediate_bytes(monkeypatch):
         )
 
     monkeypatch.setattr(type(a._digests), "read", boom)
-    keys, compared = differing_keys(a, b, leaf_span=4)
+    keys, compared = differing_keys(a, b)
     assert keys and compared
-    stats = anti_entropy_sync(a, b, leaf_span=4)
+    stats = anti_entropy_sync(a, b)
     assert stats.keys_synced == len(keys)
     assert a.canonical_bytes() == b.canonical_bytes()

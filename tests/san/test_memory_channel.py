@@ -81,6 +81,15 @@ def test_uncoalesced_write_emits_word_packets():
     assert interface.trace.histogram == {4: 5}
 
 
+def _sender(buffers, block_bytes, model=WriteBufferModel):
+    """A sender whose CPU has ``buffers`` write buffers of
+    ``block_bytes`` each, in place of the 21164A's six 32-byte ones."""
+    interface = MemoryChannelInterface("sender")
+    interface.write_buffer = model(
+        buffers, block_bytes, on_packet=interface._trace.record)
+    return interface
+
+
 def _spy_on_write(mapping):
     """The data of every store that goes through ``mapping.write``: a
     fragmented run's per-word loop or a run's per-part loop, not the
@@ -111,25 +120,14 @@ def test_uncoalesced_word_covering_a_block_overtakes_the_open_one():
     before it only at the drain. Not address order, so this geometry
     stays on the per-word loop."""
     remote = MemoryRegion("remote", 64)
-    interface = MemoryChannelInterface(
-        "sender", write_buffers=2, write_buffer_bytes=4)
+    interface = _sender(2, 2)  # 2-byte blocks under a 4-byte word
     mapping = interface.map_remote(remote)
     sizes = []
     interface.write_buffer.on_packet = sizes.append
     words = _spy_on_write(mapping)
-    mapping.write_uncoalesced(2, b"\x01" * 8, word_bytes=8)
-    assert sizes == [4, 2, 2]
+    mapping.write_uncoalesced(1, b"\x01" * 4)
+    assert sizes == [2, 1, 1]
     assert len(words) == 1
-
-
-@pytest.mark.parametrize("word_bytes", [0, -4])
-def test_uncoalesced_rejects_a_non_positive_word_size(word_bytes):
-    # -4 used to return silently having stored nothing.
-    interface, mapping, remote = make_pair()
-    with pytest.raises(ValueError, match="word_bytes"):
-        mapping.write_uncoalesced(0, b"\x07" * 10, word_bytes=word_bytes)
-    assert remote.read(0, 10) == bytes(10)
-    assert interface.io_stores == 0 and interface.bytes_sent == 0
 
 
 def test_uncoalesced_run_takes_the_loop_when_the_remote_is_observed():
@@ -320,10 +318,9 @@ def _run_lanes(ops, lane, observed, geometry, region_cls,
     per part in order, stopping where one raises."""
     remote = region_cls("remote", WINDOW)
     buffers, block_bytes = geometry
-    interface = MemoryChannelInterface(
-        "sender", write_buffers=buffers, write_buffer_bytes=block_bytes)
-    if reference_buffers:
-        interface.write_buffer = ReferenceWriteBufferModel(buffers, block_bytes)
+    interface = _sender(
+        buffers, block_bytes,
+        ReferenceWriteBufferModel if reference_buffers else WriteBufferModel)
     mapping = interface.map_remote(remote)
     foreign = MemoryChannelInterface("other").map_remote(remote)
     foreign.interface = interface  # a window this interface never installed
@@ -493,8 +490,7 @@ def test_an_all_empty_run_issues_nothing_anywhere():
 def test_run_keeps_one_store_per_part_where_parts_meet_mid_block():
     """The counter-example below, through the run lane: the run's two
     parts stay two stores."""
-    interface = MemoryChannelInterface(
-        "sender", write_buffers=2, write_buffer_bytes=4)
+    interface = _sender(2, 4)
     mapping = interface.map_remote(MemoryRegion("remote", 16))
     sizes = []
     interface.write_buffer.on_packet = sizes.append

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.shard.partitioner import KeyRange, Partitioner
-from repro.workloads import DebitCreditWorkload, OrderEntryWorkload
+from repro.workloads import DebitCreditWorkload
 
 MB = 1024 * 1024
 
@@ -42,8 +42,3 @@ def test_for_debit_credit_reads_branches_off_the_layouts():
     assert part.total_keys == sum(w.branches.records for w in shards)
 
 
-def test_for_order_entry_reads_warehouses_off_the_layouts():
-    shards = [OrderEntryWorkload(16 * MB, seed=i) for i in range(2)]
-    part = Partitioner.for_order_entry(shards)
-    assert part.total_keys == sum(w.warehouse.records for w in shards)
-    assert part.total_keys >= 2

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import RoutingError
 from repro.shard import Router, ShardedCluster, ShardedWorkload
+from repro.shard.router import MAX_BACKOFF_US
 from repro.vista import EngineConfig
 
 MB = 1024 * 1024
@@ -101,9 +102,7 @@ def test_attempt_budget_exhaustion_drops_the_transaction():
 
 def test_backoff_is_exponential_and_capped():
     cluster, workload, router = make(
-        num_shards=2, mode="passive", version="v1",
-        backoff_us=100.0, backoff_factor=2.0, max_backoff_us=400.0,
-        max_attempts=60,
+        num_shards=2, mode="passive", version="v1", max_attempts=60,
     )
     cluster.crash(0, 0, at_us=1_000.0)
     record = router.submit(
@@ -111,10 +110,12 @@ def test_backoff_is_exponential_and_capped():
     )
     cluster.run_until(60_000.0)
     assert record.completed_at_us is not None
-    # Attempts at 2000, +100, +200, +400, +400... — the cap keeps the
-    # worst-case completion delay after restore below max_backoff_us.
+    # Attempts at 2000, +250, +500, +1000, +2000, +4000, +4000... — the
+    # cap keeps the worst-case completion delay after restore below
+    # MAX_BACKOFF_US.
     report = cluster.takeovers[0]
-    assert record.completed_at_us - report.service_restored_at_us <= 400.0
+    assert (record.completed_at_us - report.service_restored_at_us
+            <= MAX_BACKOFF_US)
 
 
 def test_router_validates_its_inputs():

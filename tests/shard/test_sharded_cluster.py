@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.errors import ConfigurationError, StaleShardMapError
+from repro.errors import (
+    ConfigurationError, SimulationError, StaleShardMapError,
+)
 from repro.obs import Observer
 from repro.obs.audit import audit_events
 from repro.obs.slo import compute_slo
@@ -100,20 +102,9 @@ def test_execute_fences_stale_epochs_then_serves_fresh_ones():
                     lambda serving: workload.run_on_shard(0, serving))
 
 
-def test_order_entry_shards_by_warehouse():
-    cluster = ShardedCluster(
-        2, config=CONFIG,
-        heartbeat_interval_us=100.0, heartbeat_timeout_us=500.0,
-    )
-    workload = ShardedWorkload("order-entry", 2, CONFIG.db_bytes, seed=5)
-    cluster.setup(workload)
-    assert workload.partitioner.total_keys == sum(
-        w.warehouse.records for w in workload.shards
-    )
-    for shard_id in range(2):
-        for _ in range(5):
-            workload.run_on_shard(shard_id, cluster.serving(shard_id))
-        workload.verify_shard(shard_id, cluster.serving(shard_id))
+def test_only_debit_credit_shards():
+    with pytest.raises(ConfigurationError, match="unknown sharded workload"):
+        ShardedWorkload("order-entry", 2, CONFIG.db_bytes)
 
 
 def test_a_second_crash_of_one_pair_is_refused_when_scheduled():
@@ -136,6 +127,16 @@ def test_a_second_crash_of_one_pair_is_refused_when_scheduled():
     (scope,) = compute_slo(events).scopes
     assert scope.downtime_us == report.downtime_us
     assert audit_events(events).ok
+
+
+@pytest.mark.parametrize("at_us", [float("nan"), -1.0])
+def test_a_refused_crash_time_does_not_use_up_the_pairs_crash(at_us):
+    cluster, _ = make(2)
+    with pytest.raises(SimulationError):
+        cluster.crash(0, 0, at_us)
+    cluster.crash(0, 0, 1_000.0)
+    cluster.run_until(10_000.0)
+    assert cluster.takeovers[0].crash_at_us == 1_000.0
 
 
 @pytest.mark.parametrize("fault", [

@@ -17,7 +17,8 @@ def test_runs_events_in_order_and_advances_clock():
 
 
 def test_schedule_after_is_relative():
-    sim = Simulator(10.0)
+    sim = Simulator()
+    sim.run(until=10.0)
     seen = []
     sim.schedule_after(5.0, lambda: seen.append(sim.now))
     sim.run()
@@ -25,7 +26,8 @@ def test_schedule_after_is_relative():
 
 
 def test_schedule_in_past_rejected():
-    sim = Simulator(10.0)
+    sim = Simulator()
+    sim.run(until=10.0)
     with pytest.raises(SimulationError):
         sim.schedule_at(9.0, lambda: None)
     with pytest.raises(SimulationError):

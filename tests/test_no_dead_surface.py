@@ -10,6 +10,9 @@ A name is *used* by an ``ast.Name`` load, an ``ast.Attribute``, an
 not a docstring. Matching is by bare name, so a collision keeps a def
 alive here; ``tests/census.py`` closes that gap by running the
 production entry points and failing on any def whose code never ran.
+This walk sees defs, not their parameters: a defaulted parameter that
+no production call sets to anything but its default is the census's
+parameter check (its ``ALLOWED_PARAMETERS``).
 A use does not count when it sits
 
 * in ``tests/``: tests are not production callers;

@@ -38,7 +38,7 @@ def test_create_with_address_space_places_regions():
     rio = RioMemory("factory-space")
     space = AddressSpace()
     config = EngineConfig(db_bytes=32 * 1024, log_bytes=16 * 1024)
-    engine = create_engine("v1", rio, config, space=space)
+    engine = engine_class("v1").create(rio, config, space)
     bases = {region.base for region in engine.regions.values()}
     assert 0 not in bases
     assert len(bases) == len(engine.regions)
