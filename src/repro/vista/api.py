@@ -46,7 +46,7 @@ HINT_SEQUENTIAL = "sequential"
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Sizing and modelling parameters shared by all engine versions.
+    """Sizing parameters shared by all engine versions.
 
     Attributes:
         db_bytes: bytes actually allocated for the database region.
@@ -57,22 +57,11 @@ class EngineConfig:
             allocated size, only offsets do.
         log_bytes: size of the undo-log/heap region (V0's heap, V3's
             inline log).
-        range_records: capacity of V1/V2's set_range coordinate array.
-        log_hot_bytes: the recycled hot prefix of V3's log, used as its
-            cache working-set size (the log empties at every commit, so
-            only this much is ever live).
-        enforce_ranges: raise if a write is not covered by a declared
-            set_range (RVM leaves this undefined; we default to strict).
-        line_size: cache-line size for footprint accounting.
     """
 
     db_bytes: int = 8 * MB
     nominal_db_bytes: Optional[int] = None
     log_bytes: int = 2 * MB
-    range_records: int = 4096
-    log_hot_bytes: int = 64 * 1024
-    enforce_ranges: bool = True
-    line_size: int = 64
 
     @property
     def nominal(self) -> int:
@@ -108,7 +97,7 @@ class TransactionEngine(abc.ABC):
         self.db = regions["db"]
         self.control = regions["control"]
         self.counters = EngineCounters()
-        self.profile = AccessProfile(line_size=config.line_size)
+        self.profile = AccessProfile()
         for name, size in self.working_sets(config):
             self.profile.declare(name, size)
         self._active = False
@@ -219,10 +208,11 @@ class TransactionEngine(abc.ABC):
         self._on_set_range(offset, length)
 
     def write(self, offset: int, data: bytes) -> None:
-        """In-place database write (must be covered by a set_range)."""
+        """In-place database write (must be covered by a set_range: RVM
+        leaves an uncovered write undefined, the engines refuse it)."""
         self._require_active("write")
         length = len(data)
-        if self.config.enforce_ranges and not self._covered(offset, length):
+        if not self._covered(offset, length):
             raise RangeNotDeclaredError(offset, length)
         self.db.write(offset, data, WriteCategory.MODIFIED)
         self.counters.db_writes += 1
@@ -241,16 +231,22 @@ class TransactionEngine(abc.ABC):
         self.counters.commits += 1
 
     def abort_transaction(self) -> None:
-        """Undo the transaction's effects."""
+        """Undo the transaction's effects: run :meth:`recover`'s undo,
+        the one path that rolls back what was not committed."""
         self._require_active("abort_transaction")
-        self._on_abort()
+        self._on_recover()
         self._active = False
         self._ranges = []
         self.counters.aborts += 1
 
     def recover(self) -> None:
         """Crash recovery: restore the database to the last committed
-        state using only the persistent structures in the regions."""
+        state using only the persistent structures in the regions.
+
+        Restartable: a crash at any store of a recovery leaves state
+        that another recovery takes to the same committed image. An
+        abort runs this same undo on a live engine.
+        """
         self._on_recover()
         self._active = False
         self._ranges = []
@@ -267,10 +263,6 @@ class TransactionEngine(abc.ABC):
 
     @abc.abstractmethod
     def _on_commit(self) -> None:
-        ...
-
-    @abc.abstractmethod
-    def _on_abort(self) -> None:
         ...
 
     @abc.abstractmethod

@@ -4,8 +4,9 @@ A ``set_range`` allocates an undo record from the heap and links it
 into the undo log, which is a linked list. A second heap allocation
 holds the pre-image, filled by a bcopy from the database. Database
 writes are in-place. On commit, a commit flag is set and the records
-and pre-image buffers are freed; on abort (or crash recovery) the
-pre-images are re-installed from the undo log.
+and pre-image buffers are freed. Abort and crash recovery share one
+undo path: the pre-images are re-installed from the undo log and the
+heap is reformatted.
 
 Every allocator and list manipulation is a real write into the heap
 region, so in a write-through replica all of this bookkeeping crosses
@@ -103,7 +104,7 @@ class VistaEngine(TransactionEngine):
         self.counters.walk_steps += self.heap.walk_steps
         self.heap.walk_steps = 0
 
-    def _rollback(self, reformat_heap: bool) -> None:
+    def _on_recover(self) -> None:
         entries = self._collect()
         # Head-first order re-installs the most recent pre-image first;
         # the oldest pre-image of an overlapping range lands last, which
@@ -113,19 +114,7 @@ class VistaEngine(TransactionEngine):
             self.db.write(offset, pre_image, WriteCategory.MODIFIED)
             self.counters.rollback_bytes += length
         self.control.write_u64(_HEAD, NULL)
-        if reformat_heap:
-            # After a crash the heap may hold a half-linked allocation;
-            # since it only ever holds undo structures — all dead once
-            # the rollback is applied — recovery reformats it.
-            self.heap = HeapAllocator(self.heap_region, fresh=True)
-        else:
-            for _record, _offset, _length, buffer in reversed(entries):
-                self.heap.free(buffer)
-                self.heap.free(_record)
-                self.counters.frees += 2
-
-    def _on_abort(self) -> None:
-        self._rollback(reformat_heap=False)
-
-    def _on_recover(self) -> None:
-        self._rollback(reformat_heap=True)
+        # The heap only ever holds undo structures, all dead once the
+        # rollback is applied, so reformat it rather than free record by
+        # record: after a crash it may hold a half-linked allocation.
+        self.heap = HeapAllocator(self.heap_region, fresh=True)

@@ -4,8 +4,11 @@ The linked-list undo log is replaced by an array of set_range
 coordinates allocated by incrementing an index, and a mirror copy of
 the database is maintained. Writes go to the database in-place; at
 commit each declared range is copied from the database into the
-mirror, so the mirror always holds the last committed state. Undo
-(abort or recovery) copies the declared ranges back from the mirror.
+mirror, so the mirror holds the last committed state. Undo (abort and
+recovery share it) copies the declared ranges back from the mirror.
+Nothing marks a commit before its copy loop ends, so a crash part-way
+through a multi-range commit leaves the mirror torn: one range new,
+another old (a known defect; fixing it needs a commit-intent store).
 
 In the primary-backup configuration the coordinate array stays
 primary-local (Section 5.1): the backup restores by copying the whole
@@ -22,6 +25,7 @@ from repro.memory.region import MemoryRegion, WriteCategory
 from repro.vista.api import EngineConfig, TransactionEngine
 
 _RANGE_RECORD_BYTES = 16  # offset (8) | length (8)
+_RANGE_RECORDS = 4096  # capacity of the set_range coordinate array
 _COMMIT_SEQ = 8
 _RESTORE_CHUNK = 1 << 20
 
@@ -38,7 +42,7 @@ class MirrorCopyEngine(TransactionEngine):
     def _extra_region_specs(cls, config: EngineConfig) -> Dict[str, int]:
         return {
             "mirror": config.db_bytes,
-            "ranges": 8 + config.range_records * _RANGE_RECORD_BYTES,
+            "ranges": 8 + _RANGE_RECORDS * _RANGE_RECORD_BYTES,
         }
 
     @classmethod
@@ -104,18 +108,12 @@ class MirrorCopyEngine(TransactionEngine):
         self.control.write_u64(_COMMIT_SEQ, self.commit_sequence + 1)
         self.range_array.truncate()
 
-    def _restore_ranges(self) -> None:
+    def _on_recover(self) -> None:
         for offset, length in reversed(self._declared_ranges()):
             self.db.copy_from(self.mirror, offset, offset, length,
                               WriteCategory.MODIFIED)
             self.counters.rollback_bytes += length
         self.range_array.truncate()
-
-    def _on_abort(self) -> None:
-        self._restore_ranges()
-
-    def _on_recover(self) -> None:
-        self._restore_ranges()
 
     def restore_from_mirror(self) -> None:
         """Whole-database restore used by a backup that does not have

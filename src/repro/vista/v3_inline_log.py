@@ -14,34 +14,47 @@ the Memory Channel it means one unbroken store stream that coalesces
 into full 32-byte packets and therefore rides at the full 80 MB/s
 (Tables 4-5, Figures 2-3).
 
-Log format. Each record carries an **epoch-validated header** —
-``(db_offset: u32, length: u32, epoch: u32)`` — where the epoch is the
-commit sequence number of the transaction that wrote it. Committing
-increments the commit sequence, which invalidates every live record in
-one 8-byte control write; the allocation pointer itself never needs to
-be written through, because recovery re-derives the log's extent by
-scanning from the base and stopping at the first record whose epoch is
-not current (or whose header is out of bounds). Stale records beyond
-the live region always carry older epochs, so the scan terminates
-correctly; FIFO delivery on the Memory Channel guarantees the backup
-has every record (header before data before the in-place database
-writes it covers).
+Log format. Each record is a 12-byte header ``(db_offset: u32,
+length: u32, check: u32)`` followed by the pre-image. The check word
+is a CRC32 of ``(db_offset, length, epoch)`` — the epoch is the commit
+sequence number — continued over the pre-image. Committing increments
+the commit sequence, which invalidates every live record in one 8-byte
+control write; the allocation pointer itself never needs to be written
+through, because recovery (which abort also runs) re-derives the log's
+extent by scanning from the base and stopping at the first record
+whose check word does not match. The check refuses a record of an
+older epoch, a stale header read at a misaligned offset past the live
+records, and a header whose pre-image never landed — so writing the
+header first is safe, as the database writes it covers come later. A
+stale read passes only by a 2^-32 coincidence. FIFO delivery on the
+Memory Channel guarantees the backup has every record (header before
+data before the in-place database writes it covers).
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from typing import Dict, List, Tuple
 
 from repro.errors import AllocationError
 from repro.memory.region import WriteCategory
 from repro.vista.api import EngineConfig, TransactionEngine
 
-_HEADER = struct.Struct("<III")  # db offset, length, epoch
+_HEADER = struct.Struct("<III")  # db offset, length, check word
 
 HEADER_BYTES = _HEADER.size
 _COMMIT_SEQ = 8
 _EPOCH_MASK = 0xFFFFFFFF
+#: The recycled hot prefix of the log, its cache working-set size (the
+#: log empties at every commit, so only this much is ever live).
+_LOG_HOT_BYTES = 64 * 1024
+
+
+def _check_word(offset: int, length: int, epoch: int, pre_image) -> int:
+    """CRC32 binding a record's header, its epoch and its pre-image."""
+    header = _HEADER.pack(offset, length, epoch)
+    return zlib.crc32(pre_image, zlib.crc32(header))
 
 
 class InlineLogEngine(TransactionEngine):
@@ -61,7 +74,7 @@ class InlineLogEngine(TransactionEngine):
         yield from super().working_sets(config)
         # The log empties at every commit, so only a small hot prefix
         # is ever live — that is the locality advantage.
-        yield "ulog", config.log_hot_bytes
+        yield "ulog", _LOG_HOT_BYTES
 
     def _setup(self, fresh: bool) -> None:
         self.log_region = self.regions["ulog"]
@@ -90,10 +103,12 @@ class InlineLogEngine(TransactionEngine):
                 f"{record} of {self.log_region.size}"
             )
         self.counters.bump_allocs += 1
+        pre_image = self.db.read(offset, length)
+        check = _check_word(offset, length, self._epoch(), pre_image)
         # Header then pre-image, adjacent: two stores, one run.
         self.log_region.write_run(record, (
-            (_HEADER.pack(offset, length, self._epoch()), WriteCategory.META),
-            (self.db.read(offset, length), WriteCategory.UNDO),
+            (_HEADER.pack(offset, length, check), WriteCategory.META),
+            (pre_image, WriteCategory.UNDO),
         ))
         self._log_pointer = record + HEADER_BYTES + length
         self.counters.undo_bytes_copied += length
@@ -107,27 +122,29 @@ class InlineLogEngine(TransactionEngine):
 
     def _parse_log(self) -> List[Tuple[int, int, int]]:
         """Scan live records from the base: (db offset, length, payload
-        offset) in append order. A record is live while its epoch
-        matches the current commit sequence and its header is sane."""
+        offset) in append order. A record is live while its header is
+        in bounds and its check word matches the current epoch."""
         entries = []
         epoch = self._epoch()
         cursor = 0
         limit = self.log_region.size
         while cursor + HEADER_BYTES <= limit:
-            offset, length, record_epoch = _HEADER.unpack(
+            offset, length, check = _HEADER.unpack(
                 self.log_region.read(cursor, HEADER_BYTES)
             )
-            if record_epoch != epoch:
-                break
             if length == 0 or cursor + HEADER_BYTES + length > limit:
                 break
             if offset + length > self.db.size:
                 break
-            entries.append((offset, length, cursor + HEADER_BYTES))
-            cursor += HEADER_BYTES + length
+            payload = cursor + HEADER_BYTES
+            pre_image = self.log_region.read(payload, length)
+            if _check_word(offset, length, epoch, pre_image) != check:
+                break
+            entries.append((offset, length, payload))
+            cursor = payload + length
         return entries
 
-    def _rollback(self) -> None:
+    def _on_recover(self) -> None:
         entries = self._parse_log()
         # Reverse order: the oldest pre-image of an overlapping range
         # must be re-installed last.
@@ -138,9 +155,3 @@ class InlineLogEngine(TransactionEngine):
         # Invalidate the rolled-back records and reset the pointer.
         self.control.write_u64(_COMMIT_SEQ, self.commit_sequence + 1)
         self._log_pointer = 0
-
-    def _on_abort(self) -> None:
-        self._rollback()
-
-    def _on_recover(self) -> None:
-        self._rollback()

@@ -73,10 +73,7 @@ ALLOWED = {
     "(safety code)": (
         "repro.replication.active:ActiveReplicatedSystem.abort_transaction",
         "repro.replication.passive:PassiveReplicatedSystem.abort_transaction",
-        "repro.vista.v0_vista:VistaEngine._on_abort",
-        "repro.vista.v1_mirror_copy:MirrorCopyEngine._on_abort",
         "repro.vista.v1_mirror_copy:MirrorCopyEngine._on_recover",
-        "repro.vista.v1_mirror_copy:MirrorCopyEngine._restore_ranges",
     ),
     "redo-ring wrap: runs only past 1 MB of redo (the full-size "
     "txn-active ledger run reaches it, the self-test size does not)": (
@@ -135,7 +132,8 @@ ALLOWED_PARAMETERS = {
             "failover-timeline passes the run's seed (42 or 7)",
         "repro.memory.region:MemoryRegion.copy_from(category=)":
             "the memory_region probe calls copy_from(source, 0, 0, "
-            "length); the abort path (ALLOWED) passes MODIFIED",
+            "length); V1's recovery, which abort runs (ALLOWED), passes "
+            "MODIFIED",
     },
     "a documented CLI flag reaches it": {
         "repro.obs.report:analyze_timeline(window_us=)":

@@ -13,7 +13,6 @@ MB = 1024 * 1024
 SMALL_CONFIG = EngineConfig(
     db_bytes=256 * 1024,
     log_bytes=128 * 1024,
-    range_records=256,
 )
 
 

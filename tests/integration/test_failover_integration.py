@@ -12,7 +12,7 @@ from repro.vista import ENGINE_VERSIONS, EngineConfig
 from repro.workloads import DebitCreditWorkload, OrderEntryWorkload, run_workload
 
 MB = 1024 * 1024
-CONFIG = EngineConfig(db_bytes=4 * MB, log_bytes=512 * 1024, range_records=256)
+CONFIG = EngineConfig(db_bytes=4 * MB, log_bytes=512 * 1024)
 
 
 @pytest.mark.parametrize("version", list(ENGINE_VERSIONS))

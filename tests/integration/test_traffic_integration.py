@@ -12,7 +12,6 @@ from repro.workloads import DebitCreditWorkload, OrderEntryWorkload, run_workloa
 MB = 1024 * 1024
 CONFIG = EngineConfig(
     db_bytes=4 * MB, nominal_db_bytes=50 * MB, log_bytes=512 * 1024,
-    range_records=256,
 )
 TXNS = 300
 

@@ -8,13 +8,13 @@ oracle that applies only the committed transactions.
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.memory.rio import RioMemory
 from repro.vista import ENGINE_VERSIONS, EngineConfig, create_engine
 
 DB_BYTES = 4096
-CONFIG = EngineConfig(db_bytes=DB_BYTES, log_bytes=64 * 1024, range_records=128)
+CONFIG = EngineConfig(db_bytes=DB_BYTES, log_bytes=64 * 1024)
 
 versions = st.sampled_from(list(ENGINE_VERSIONS))
 
@@ -51,7 +51,24 @@ def apply_to_oracle(oracle: bytearray, operations) -> None:
             oracle[offset : offset + len(value)] = value
 
 
+def stale_header_history(fate):
+    """Two one-byte commits, then a commit that leaves a stale header
+    reading ``(0, 51, epoch)`` at a misaligned offset of V3's log, then
+    a transaction that ends in ``fate`` (see tests/vista's
+    stale-header regression tests)."""
+    one_byte = ([((0, 1), [])], "commit")
+    return [
+        one_byte,
+        one_byte,
+        ([((0, 1), []), ((0, 44), []),
+          ((0, 64), [(39, bytes(11) + b"\x01")]), ((51, 3), [])], "commit"),
+        ([((0, 5), []), ((0, 50), []), ((0, 50), [])], fate),
+    ]
+
+
 @given(version=versions, txns=schedule())
+@example(version="v3", txns=stale_header_history("abort"))
+@example(version="v3", txns=stale_header_history("crash"))
 @settings(max_examples=60, deadline=None)
 def test_database_always_equals_committed_oracle(version, txns):
     rio = RioMemory("prop")

@@ -10,7 +10,7 @@ from repro.replication.passive import PassiveReplicatedSystem
 from repro.vista import ENGINE_VERSIONS, EngineConfig
 
 DB_BYTES = 4096
-CONFIG = EngineConfig(db_bytes=DB_BYTES, log_bytes=64 * 1024, range_records=128)
+CONFIG = EngineConfig(db_bytes=DB_BYTES, log_bytes=64 * 1024)
 
 versions = st.sampled_from(list(ENGINE_VERSIONS))
 

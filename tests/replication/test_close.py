@@ -15,7 +15,7 @@ from repro.vista import ENGINE_VERSIONS, EngineConfig
 from repro.workloads import DebitCreditWorkload, run_workload
 
 DB_BYTES = 4 << 20  # Debit-Credit needs more than 2 MB
-CONFIG = EngineConfig(db_bytes=DB_BYTES, log_bytes=64 * 1024, range_records=64)
+CONFIG = EngineConfig(db_bytes=DB_BYTES, log_bytes=64 * 1024)
 
 SYSTEMS = {f"passive-{version}": version for version in ENGINE_VERSIONS}
 SYSTEMS["active"] = None

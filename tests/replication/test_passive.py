@@ -7,7 +7,7 @@ from repro.errors import FailoverError
 from repro.replication.passive import PassiveReplicatedSystem
 from repro.vista import ENGINE_VERSIONS, EngineConfig
 
-CONFIG = EngineConfig(db_bytes=64 * 1024, log_bytes=32 * 1024, range_records=64)
+CONFIG = EngineConfig(db_bytes=64 * 1024, log_bytes=32 * 1024)
 ALL_VERSIONS = list(ENGINE_VERSIONS)
 
 

@@ -11,7 +11,7 @@ from repro.errors import (
 from repro.memory.rio import RioMemory
 from repro.vista import ENGINE_VERSIONS, EngineConfig, create_engine
 
-CONFIG = EngineConfig(db_bytes=64 * 1024, log_bytes=32 * 1024, range_records=64)
+CONFIG = EngineConfig(db_bytes=64 * 1024, log_bytes=32 * 1024)
 
 ALL_VERSIONS = list(ENGINE_VERSIONS)
 
@@ -65,16 +65,6 @@ def test_write_requires_covering_range(engine):
     with pytest.raises(RangeNotDeclaredError):
         engine.write(104, b"12345678")  # straddles the range end
     engine.abort_transaction()
-
-
-def test_unenforced_ranges_option():
-    config = EngineConfig(
-        db_bytes=64 * 1024, log_bytes=32 * 1024, enforce_ranges=False
-    )
-    engine = create_engine("v3", RioMemory("loose"), config)
-    engine.begin_transaction()
-    engine.write(500, b"no range declared")  # RVM leaves this undefined
-    engine.commit_transaction()
 
 
 def test_in_transaction_flag(engine):

@@ -7,8 +7,7 @@ from repro.errors import AllocationError
 from repro.memory.rio import RioMemory
 from repro.vista import ENGINE_VERSIONS, EngineConfig, create_engine
 
-CONFIG = EngineConfig(db_bytes=32 * 1024, log_bytes=512 * 1024,
-                      range_records=2048)
+CONFIG = EngineConfig(db_bytes=32 * 1024, log_bytes=512 * 1024)
 ALL_VERSIONS = list(ENGINE_VERSIONS)
 
 
@@ -43,8 +42,7 @@ def test_single_byte_range(version):
 
 
 def test_whole_database_range(version):
-    config = EngineConfig(db_bytes=8 * 1024, log_bytes=64 * 1024,
-                          range_records=16)
+    config = EngineConfig(db_bytes=8 * 1024, log_bytes=64 * 1024)
     engine = make(version, config)
     engine.initialize_data(0, b"\x11" * config.db_bytes)
     engine.begin_transaction()
@@ -99,12 +97,13 @@ def test_write_smaller_than_range(version):
 
 
 def test_undo_space_exhaustion_is_an_error_not_corruption(version):
-    config = EngineConfig(db_bytes=32 * 1024, log_bytes=2048,
-                          range_records=8)
+    config = EngineConfig(db_bytes=32 * 1024, log_bytes=2048)
     engine = make(version, config)
     engine.begin_transaction()
+    # Past V1/V2's 4,096-record coordinate array; V0/V3 fill the log
+    # long before.
     with pytest.raises(AllocationError):
-        for index in range(1000):
+        for index in range(5000):
             engine.set_range((index * 64) % (config.db_bytes - 64), 64)
     # The transaction can still be aborted cleanly.
     engine.abort_transaction()

@@ -6,7 +6,7 @@ import pytest
 from repro.memory.rio import RioMemory
 from repro.vista import ENGINE_VERSIONS, EngineConfig, create_engine
 
-CONFIG = EngineConfig(db_bytes=64 * 1024, log_bytes=32 * 1024, range_records=64)
+CONFIG = EngineConfig(db_bytes=64 * 1024, log_bytes=32 * 1024)
 ALL_VERSIONS = list(ENGINE_VERSIONS)
 
 
@@ -169,3 +169,48 @@ def test_alternating_commit_abort(version):
         else:
             engine.abort_transaction()
     assert engine.read(0, 64) == bytes(expected)
+
+
+STALE_HEADER_CONFIG = EngineConfig(db_bytes=4096, log_bytes=64 * 1024)
+
+
+def _stale_header_history(engine):
+    """A history after which V3's log holds, past its live records, a
+    stale header at a misaligned offset that reads ``(0, 51, epoch)``
+    with the current epoch: the scan must not roll committed byte 50
+    back through it. Leaves the last transaction in flight."""
+    for _ in range(2):
+        engine.begin_transaction()
+        engine.set_range(0, 1)
+        engine.commit_transaction()
+    engine.begin_transaction()
+    for offset, length in ((0, 1), (0, 44), (0, 64)):
+        engine.set_range(offset, length)
+    engine.write(39, bytes(11) + b"\x01")
+    engine.set_range(51, 3)
+    engine.commit_transaction()
+    engine.begin_transaction()
+    for offset, length in ((0, 5), (0, 50), (0, 50)):
+        engine.set_range(offset, length)
+
+
+def test_abort_ignores_a_stale_misaligned_header(version):
+    rio = RioMemory(f"stale-header-{version}")
+    engine = create_engine(version, rio, STALE_HEADER_CONFIG)
+    _stale_header_history(engine)
+    committed = engine.read(0, 4096)
+    assert committed[50] == 1
+    engine.abort_transaction()
+    assert engine.read(0, 4096) == committed
+
+
+def test_recovery_ignores_a_stale_misaligned_header(version):
+    rio = RioMemory(f"stale-header-crash-{version}")
+    engine = create_engine(version, rio, STALE_HEADER_CONFIG)
+    _stale_header_history(engine)
+    committed = engine.read(0, 4096)
+    rio.crash()
+    rio.reboot()
+    recovered = create_engine(version, rio, STALE_HEADER_CONFIG, fresh=False)
+    recovered.recover()
+    assert recovered.read(0, 4096) == committed

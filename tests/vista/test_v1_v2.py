@@ -8,7 +8,7 @@ from repro.vista import EngineConfig
 from repro.vista.v1_mirror_copy import MirrorCopyEngine
 from repro.vista.v2_mirror_diff import MirrorDiffEngine
 
-CONFIG = EngineConfig(db_bytes=64 * 1024, log_bytes=32 * 1024, range_records=64)
+CONFIG = EngineConfig(db_bytes=64 * 1024, log_bytes=32 * 1024)
 
 
 def make(cls, name):

@@ -1,4 +1,4 @@
-"""Version 3 specifics: the epoch-validated inline log."""
+"""Version 3 specifics: the inline log and its check-word scan."""
 
 import pytest
 
