@@ -11,8 +11,11 @@ the pair equal (DESIGN section 10 has the table).
   it at issue, but defers the write-buffer simulation to the next
   ordering point (commit barrier, statistics read, crash), where the
   batch drains in original order through
-  :meth:`~repro.hardware.writebuffer.WriteBufferModel.write_batch`,
-  so packet formation is unchanged.
+  :meth:`~repro.hardware.writebuffer.WriteBufferModel.write_batch`.
+  A run of stores (a redo frame) is queued as one entry carrying its
+  part lengths, and adjacent stores merge wherever the exact junction
+  rule allows, so a clean frame is one contiguous store there and
+  packet formation is unchanged.
 * **Replay cache** (:mod:`repro.fastpath.replay`) — the deterministic
   workloads repeat a small set of transaction shapes; a
   barrier-terminated store schedule is canonicalized modulo the write

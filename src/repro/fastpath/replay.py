@@ -26,7 +26,7 @@ suite (``tests/properties/test_fastpath_properties.py``).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 from repro.hardware.writebuffer import WriteBufferModel
 
@@ -53,17 +53,30 @@ class PacketReplayCache:
 
     @staticmethod
     def canonical_key(
-        ops: Iterable[Tuple[int, int]], num_buffers: int, block_bytes: int
+        ops: List[Tuple[int, object]], num_buffers: int, block_bytes: int
     ) -> tuple:
         """The schedule's shape: per-block stores with blocks renamed
-        to first-appearance order (addresses mod block geometry)."""
+        to first-appearance order (addresses mod block geometry). A
+        run entry (``write_batch``'s ``(address, part_lengths)``) is
+        keyed as its stores, so its key is the per-store schedule's."""
         seen: dict = {}
         parts: List[int] = [num_buffers, block_bytes]
         append = parts.append
         for address, length in ops:
-            if length <= 0:
-                continue
-            end = address + length
+            if length.__class__ is not int:
+                # Start over on the schedule with every run entry
+                # split into its stores.
+                stores = []
+                for address, length in ops:
+                    if length.__class__ is int:
+                        stores.append((address, length))
+                        continue
+                    for part in length:
+                        stores.append((address, part))
+                        address += part
+                return PacketReplayCache.canonical_key(
+                    stores, num_buffers, block_bytes)
+            end = address + length  # an empty store adds no span
             while address < end:
                 block = address // block_bytes
                 base = block * block_bytes

@@ -68,10 +68,14 @@ class WriteBufferModel:
       buffer (for the first interior block, if at capacity) and emit
       one full packet per block — pure arithmetic here. Any overlap
       takes the per-block path.
-    * :meth:`write_batch` coalesces adjacent stores only when they
-      meet on a block boundary, so the per-block sub-span sequence —
-      and therefore every displacement and drain — is preserved
-      exactly.
+    * :meth:`write_batch` coalesces adjacent stores by the *junction
+      rule*: two stores meeting at ``j`` merge when ``j`` is
+      block-aligned, or when the block holding ``j`` had no buffered
+      byte at or past ``j`` when the run began. Only such a byte lets
+      the earlier store complete the block and the later one reopen
+      it; without one the block stays open across ``j`` and the two
+      sub-spans OR into it exactly as the merged one does. So every
+      displacement and drain is preserved exactly.
     """
 
     def __init__(
@@ -94,22 +98,47 @@ class WriteBufferModel:
 
     # -- store stream ---------------------------------------------------
 
-    def write_batch(self, stores: Iterable[Tuple[int, int]]) -> None:
-        """Record a whole batch of (address, length) stores.
+    def write_batch(self, stores: Iterable[Tuple[int, object]]) -> None:
+        """Record a whole batch of stores, in order.
 
-        Adjacent stores that meet exactly on a block boundary are
-        coalesced into one run before draining — the junction being
-        block-aligned means the merged run splits into the very same
-        per-block sub-spans the stores would produce individually, so
-        the packet stream is untouched.
+        An entry is one store, ``(address, length)``, or a *run entry*,
+        ``(address, part_lengths)``: the lengths of stores issued end
+        to end from ``address``. Adjacent stores merge into one run
+        wherever the junction rule (class docstring) allows, so the
+        packet stream is the one they make one at a time. A run entry
+        none of whose junctions an open buffer can close early is one
+        contiguous store; any other is fed part by part through the
+        same rule.
         """
-        block_mask = self.block_bytes - 1
+        block_bytes = self.block_bytes
+        block_mask = block_bytes - 1
+        open_ = self._open
         run_start = 0
         run_end = -1  # sentinel: no open run
         for address, length in stores:
+            if length.__class__ is tuple:
+                # Checked against the buffers as they stand when the
+                # entry's own run begins: after the one before it.
+                if run_end >= 0:
+                    self._write_run(run_start, run_end)
+                    run_end = -1
+                end = address + sum(length)
+                if self._may_close_early(address, end):
+                    split = []
+                    for part in length:
+                        split.append((address, part))
+                        address += part
+                    self.write_batch(split)
+                elif end > address:
+                    run_start = address
+                    run_end = end
+                continue
             if length <= 0:
                 continue
-            if address == run_end and address & block_mask == 0:
+            if address == run_end and (
+                not address & block_mask
+                or not open_.get(address // block_bytes, 0) >> (address & block_mask)
+            ):
                 run_end = address + length
                 continue
             if run_end >= 0:
@@ -118,6 +147,19 @@ class WriteBufferModel:
             run_end = address + length
         if run_end >= 0:
             self._write_run(run_start, run_end)
+
+    def _may_close_early(self, start: int, end: int) -> bool:
+        """Whether a junction strictly inside ``(start, end)`` might
+        have a buffered byte at or past it in its block — checked
+        against the open buffers alone, so a run's cost does not grow
+        with its parts. Conservative: a false alarm only costs the
+        part-by-part path, which is exact."""
+        block_bytes = self.block_bytes
+        for block, mask in self._open.items():
+            base = block * block_bytes
+            if base < end and base + mask.bit_length() > start + 1:
+                return True
+        return False
 
     def _write_run(self, start: int, end: int) -> None:
         """Drain the contiguous byte run [start, end), start < end."""

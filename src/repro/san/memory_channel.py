@@ -29,8 +29,9 @@ from repro.memory.region import MemoryRegion, WriteCategory
 from repro.obs.observer import resolve_observer
 from repro.san.packets import PacketTrace
 
-#: Cap on deferred stores held per interface before a partial drain;
-#: bounds memory for barrier-free streams (the redo ring's).
+#: Cap on deferred stores held per interface before a partial drain
+#: (a run entry counts each of its parts); bounds memory for
+#: barrier-free streams (the redo ring's).
 _PENDING_LIMIT = 8192
 
 #: Size of each isolated store :meth:`TransmitMapping.write_uncoalesced`
@@ -90,9 +91,10 @@ class TransmitMapping:
         if length == 0:
             return
         interface.io_stores += 1
-        pending = interface._pending
-        pending.append((self.io_base + offset, length))
-        if len(pending) >= _PENDING_LIMIT:
+        interface._pending.append((self.io_base + offset, length))
+        held = interface._pending_stores + 1
+        interface._pending_stores = held
+        if held >= _PENDING_LIMIT:
             interface._flush_pending()
         remote = self.remote
         if remote._observers or remote._crashed:
@@ -110,10 +112,11 @@ class TransmitMapping:
 
         A healthy interface, an installed window, a run inside it and a
         plain remote are established once; the bytes land as one slice
-        assignment, and every non-empty part still issues its own store
-        — stores that meet mid-block cannot be merged without changing
-        the packets. Anything else is the per-part loop, which raises at
-        the store that earns it."""
+        assignment, every non-empty part still counts as its own store,
+        and the parts queue as one pending entry that carries their
+        lengths — the write buffers merge them wherever that leaves the
+        packets unchanged. Anything else is the per-part loop, which
+        raises at the store that earns it."""
         parts = tuple(parts)  # read twice below; may be a one-shot iterator
         run = b"".join([data for data, _ in parts])
         total = len(run)
@@ -131,21 +134,21 @@ class TransmitMapping:
                 self.write(offset, data, category)
                 offset += len(data)
             return
-        pending = interface._pending
-        address = self.io_base + offset
-        stores = 0
+        lengths = []
         sent: Dict[WriteCategory, int] = {}
         for data, category in parts:
             length = len(data)
-            if length == 0:
-                continue
-            stores += 1
-            sent[category] = sent.get(category, 0) + length
-            pending.append((address, length))
-            if len(pending) >= _PENDING_LIMIT:
-                interface._flush_pending()
-                pending = interface._pending
-            address += length
+            if length:
+                lengths.append(length)
+                sent[category] = sent.get(category, 0) + length
+        stores = len(lengths)
+        if not stores:
+            return
+        interface._pending.append((self.io_base + offset, tuple(lengths)))
+        held = interface._pending_stores + stores
+        interface._pending_stores = held
+        if held >= _PENDING_LIMIT:
+            interface._flush_pending()
         remote.data[offset : offset + total] = run
         remote.writes_observed += stores
         remote.bytes_written += total
@@ -253,12 +256,15 @@ class MemoryChannelInterface:
         # Stores whose write-buffer simulation is deferred to the next
         # ordering point — barrier, statistics read, crash — or the
         # pending limit (same order, same packets; data movement and
-        # byte accounting are never deferred). _pending_start_empty
+        # byte accounting are never deferred): write_batch entries,
+        # a run's parts in one. _pending_stores counts the stores
+        # held, which is what the limit bounds. _pending_start_empty
         # says whether the buffers were drained when the batch began,
         # which is what makes the batch replay-cacheable as a pure
         # function. The buffers' open set changes only where _pending
         # is emptied, so it is set there and nowhere else.
-        self._pending: List[Tuple[int, int]] = []
+        self._pending: List[Tuple[int, object]] = []
+        self._pending_stores = 0
         self._pending_start_empty = True
         # The observer's four counters and the totals they last saw
         # (see _fold_metrics).
@@ -342,6 +348,7 @@ class MemoryChannelInterface:
         buffer fills and FIFO displacement would have emitted them."""
         if self._pending:
             pending, self._pending = self._pending, []
+            self._pending_stores = 0
             buffer = self.write_buffer
             buffer.write_batch(pending)
             self._pending_start_empty = not buffer.open_buffers
@@ -369,6 +376,7 @@ class MemoryChannelInterface:
             # store schedule. Replay its packet sequence from the
             # cache (simulating it once on a miss).
             self._pending = []
+            self._pending_stores = 0
             buffer = self.write_buffer
             sizes, total_bytes = GLOBAL_REPLAY_CACHE.drain_sizes(
                 pending, buffer.num_buffers, buffer.block_bytes
@@ -408,6 +416,7 @@ class MemoryChannelInterface:
         # had not formed are counted nowhere. Fold before zeroing and
         # rebase after — an observer's counters cannot decrease.
         self._pending.clear()
+        self._pending_stores = 0
         self._fold_metrics()
         self._trace.clear()
         self.write_buffer.reset()

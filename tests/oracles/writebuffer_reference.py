@@ -90,11 +90,17 @@ class ReferenceWriteBufferModel:
             del self._open[block]
             self._emit(buffer)
 
-    def write_batch(self, stores: Iterable[Tuple[int, int]]) -> None:
+    def write_batch(self, stores: Iterable[Tuple[int, object]]) -> None:
         """A batch is its stores: :meth:`write` once per store, in
-        order."""
+        order — a run entry's ``(address, part_lengths)`` once per
+        part, end to end."""
         for address, length in stores:
-            self.write(address, length)
+            if isinstance(length, tuple):
+                for part in length:
+                    self.write(address, part)
+                    address += part
+            else:
+                self.write(address, length)
 
     def barrier(self) -> None:
         """Flush all open buffers (a memory barrier / commit point)."""

@@ -103,6 +103,39 @@ def test_replay_cache_matches_simulation(ops, geometry):
 
 
 @given(
+    entries=st.lists(
+        st.tuples(st.integers(0, 200), st.lists(st.integers(0, 12), max_size=6),
+                  st.booleans()),
+        max_size=12),
+    geometry=geometries,
+)
+@settings(max_examples=150, deadline=None)
+def test_a_run_entry_keys_and_drains_as_its_stores(entries, geometry):
+    """A run entry ``(address, part_lengths)`` is keyed as its stores
+    one by one: the schedule with its runs split hits the entry's cache
+    line, and both drain as the per-store simulation does."""
+    num_buffers, block_bytes = geometry
+    batch, split = [], []
+    for address, parts, as_run in entries:
+        if as_run:
+            batch.append((address, tuple(parts)))
+        for length in parts:
+            if not as_run:
+                batch.append((address, length))
+            split.append((address, length))
+            address += length
+    key = PacketReplayCache.canonical_key
+    assert key(batch, num_buffers, block_bytes) == key(split, num_buffers, block_bytes)
+    slow_sizes, slow = _run_per_store(split, num_buffers, block_bytes)
+    cache = PacketReplayCache()
+    for expected_hits, ops in ((0, batch), (1, split)):
+        sizes, total_bytes = cache.drain_sizes(ops, num_buffers, block_bytes)
+        assert list(sizes) == slow_sizes
+        assert total_bytes == slow.bytes_emitted
+        assert cache.hits == expected_hits
+
+
+@given(
     ops=stores,
     geometry=geometries,
     shift_blocks=st.integers(0, 1 << 20),

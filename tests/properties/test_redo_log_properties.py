@@ -185,7 +185,7 @@ def test_a_long_stream_crosses_the_real_pending_limit():
     flush = MemoryChannelInterface._flush_pending
 
     def spy(self):
-        at_limit.append(len(self._pending) >= memory_channel._PENDING_LIMIT)
+        at_limit.append(self._pending_stores >= memory_channel._PENDING_LIMIT)
         flush(self)
 
     MemoryChannelInterface._flush_pending = spy

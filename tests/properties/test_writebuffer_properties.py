@@ -158,3 +158,117 @@ def test_batch_matches_reference_per_store(ops, geometry):
     _drive(model, ops, batched=True)
     assert sizes == ref_sizes
     assert model.open_buffers == ref.open_buffers
+
+
+# -- run entries against the reference fed store by store ------------------
+
+#: A stream of store-pipeline entries. ``frame`` is a redo-ring-shaped
+#: run entry at the ring cursor (parts may be empty) followed by the
+#: 8-byte producer-pointer word at address 0; ``run`` and ``store``
+#: land anywhere in a small window, overlapping buffered blocks;
+#: ``rewind`` moves the ring cursor back (never below the pointer
+#: word); ``trap`` buffers all of a block but a gap of ``k`` bytes,
+#: then issues the gap and further parts end to end from it — as one
+#: run entry or as single stores — so the gap's store completes the
+#: block at a junction (the merge trap, at any offset); ``flush`` hands
+#: the batch so far to ``write_batch`` without draining, ``barrier``
+#: drains.
+#: Short parts and a narrow window dominate: a junction the rule must
+#: refuse needs a nearly full block that an early part completes.
+_parts = st.lists(st.one_of(st.integers(0, 3), st.integers(0, 12)), max_size=8)
+_window = st.one_of(st.integers(0, 16), st.integers(0, 64))
+_entry_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("frame"), _parts),
+        st.tuples(st.just("run"), _window, _parts),
+        st.tuples(st.just("store"), _window, st.integers(0, 12)),
+        st.tuples(st.just("rewind"), st.integers(0, 40)),
+        st.tuples(st.just("trap"), _window, st.integers(1, 4), _parts,
+                  st.booleans()),
+        st.just(("flush",)),
+        st.just(("barrier",)),
+    ),
+    max_size=40,
+)
+
+
+def _open_masks(model):
+    """The open buffers as ``(block, written mask)`` in FIFO order."""
+    if isinstance(model, ReferenceWriteBufferModel):
+        return [(block, buffer.written) for block, buffer in model._open.items()]
+    return list(model._open.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ops=_entry_ops,
+    geometry=st.tuples(st.sampled_from((1, 2, 6)), st.sampled_from((4, 8, 32))),
+)
+# The merge trap, as single stores and with the adjacent pair issued
+# as one run entry: both must drain as the reference does, 4, 1, 1, 3.
+@example(ops=[("store", 5, 3), ("store", 3, 4), ("store", 7, 4)], geometry=(2, 4))
+@example(ops=[("store", 5, 3), ("run", 3, [4, 4])], geometry=(2, 4))
+# The rule's edge: the highest buffered byte is the entry's first
+# junction, one byte in and one byte before its end.
+@example(ops=[("store", 0, 2), ("store", 3, 1), ("run", 2, [1, 1])],
+         geometry=(2, 4))
+def test_run_entries_match_the_reference_store_by_store(ops, geometry):
+    """``write_batch`` over single stores mixed with run entries emits
+    the packets, in order, and leaves the open buffers (block and mask,
+    FIFO order) that the reference shows fed one store at a time —
+    after every non-draining flush as well as at the end."""
+    num_buffers, block_bytes = geometry
+    ref_sizes, sizes = [], []
+    ref = ReferenceWriteBufferModel(
+        num_buffers, block_bytes, on_packet=ref_sizes.append)
+    model = WriteBufferModel(num_buffers, block_bytes, on_packet=sizes.append)
+    batch = []
+    cursor = 8
+
+    def issue(address, lengths):
+        batch.append((address, tuple(lengths)))
+        for length in lengths:
+            ref.write(address, length)
+            address += length
+
+    for op in ops:
+        if op[0] == "frame":
+            issue(cursor, op[1])
+            cursor += sum(op[1])
+            batch.append((0, 8))
+            ref.write(0, 8)
+        elif op[0] == "run":
+            issue(op[1], op[2])
+        elif op[0] == "store":
+            batch.append((op[1], op[2]))
+            ref.write(op[1], op[2])
+        elif op[0] == "rewind":
+            cursor = max(8, cursor - op[1])
+        elif op[0] == "trap":
+            _, address, gap, parts, as_run = op
+            base = address - address % block_bytes
+            gap = min(gap, base + block_bytes - address)
+            for start, end in ((base, address), (address + gap, base + block_bytes)):
+                batch.append((start, end - start))
+                ref.write(start, end - start)
+            if as_run:
+                issue(address, [gap] + parts)
+            else:
+                for length in [gap] + parts:
+                    batch.append((address, length))
+                    ref.write(address, length)
+                    address += length
+        else:
+            model.write_batch(batch)
+            batch.clear()
+            if op[0] == "barrier":
+                model.barrier()
+                ref.barrier()
+            assert sizes == ref_sizes
+            assert _open_masks(model) == _open_masks(ref)
+    model.write_batch(batch)
+    assert sizes == ref_sizes
+    assert _open_masks(model) == _open_masks(ref)
+    model.barrier()
+    ref.barrier()
+    assert sizes == ref_sizes

@@ -89,6 +89,34 @@ def test_redo_stream_coalesces_into_large_packets():
     assert mean > 16.0, f"redo stream should ride large packets, got {mean}"
 
 
+def test_each_frame_reaches_the_write_buffers_as_one_run():
+    """The ring's closed form is taken: no frame falls back to the
+    part-by-part path, and a frame of many fields costs the primary's
+    write-buffer model one ``_write_run`` step, and its
+    producer-pointer store one more — not one step per field."""
+    system = make(ring_bytes=1 << 20)  # no frame crosses the ring end
+    system.sync_initial()
+    buffer = system.primary_interface.write_buffer
+    steps, fallbacks = [], []
+    write_run = buffer._write_run
+    buffer._write_run = lambda start, end: (steps.append(1), write_run(start, end))
+    may_close_early = buffer._may_close_early
+    buffer._may_close_early = lambda start, end: fallbacks.append(
+        may_close_early(start, end)) or fallbacks[-1]
+    frames = 1000
+    for index in range(frames):
+        system.begin_transaction()
+        for field in range(4):  # four records: nine stores a frame
+            offset = (index * 4 + field) * 40 % (CONFIG.db_bytes - 64)
+            system.set_range(offset, 5 + field)
+            system.write(offset, bytes([index % 251 + 1]) * (5 + field))
+        system.commit_transaction()
+    system.primary_interface.trace  # settle the deferred stores
+    assert system.producer.transactions_published == frames
+    assert len(fallbacks) == frames and not any(fallbacks)
+    assert frames <= len(steps) <= 2 * frames + 2
+
+
 def test_undo_data_never_shipped():
     system = make()
     system.sync_initial()

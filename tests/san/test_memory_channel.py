@@ -488,8 +488,10 @@ def test_an_all_empty_run_issues_nothing_anywhere():
 
 
 def test_run_keeps_one_store_per_part_where_parts_meet_mid_block():
-    """The counter-example below, through the run lane: the run's two
-    parts stay two stores."""
+    """The counter-example below, through the run lane: the run is one
+    pending entry carrying both part lengths, its parts stay two
+    stores, and the junction the earlier store closes early is not
+    merged."""
     interface = _sender(2, 4)
     mapping = interface.map_remote(MemoryRegion("remote", 16))
     sizes = []
@@ -498,8 +500,8 @@ def test_run_keeps_one_store_per_part_where_parts_meet_mid_block():
     mapping.write_run(3, ((b"defg", WriteCategory.META),
                           (b"hijk", WriteCategory.META)))
     assert interface._pending == [
-        (mapping.io_base + 5, 3), (mapping.io_base + 3, 4),
-        (mapping.io_base + 7, 4)]
+        (mapping.io_base + 5, 3), (mapping.io_base + 3, (4, 4))]
+    assert interface._pending_stores == interface.io_stores == 3
     interface.barrier()
     assert sizes == [4, 1, 1, 3]
 
@@ -525,13 +527,13 @@ def test_adjacent_stores_meeting_mid_block_are_not_one_store(model):
 
 def test_run_from_a_one_shot_iterator_is_issued_and_accounted():
     """A generator of parts is stored, counted and queued for packet
-    formation exactly as the same parts from a tuple."""
+    formation exactly as the same parts from a tuple: one pending
+    entry carrying the non-empty parts' lengths."""
     interface, mapping, remote = make_pair(64)
     mapping.write_run(20, (part for part in _RUN))
     assert remote.read(20, 11) == b"headpayload"
-    assert interface.io_stores == 2
-    assert interface._pending == [
-        (mapping.io_base + 20, 4), (mapping.io_base + 24, 7)]
+    assert interface.io_stores == interface._pending_stores == 2
+    assert interface._pending == [(mapping.io_base + 20, (4, 7))]
     assert interface.bytes_by_category == mapping.bytes_by_category == {
         WriteCategory.META: 4, WriteCategory.MODIFIED: 7}
 
