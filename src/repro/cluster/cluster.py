@@ -266,7 +266,7 @@ class ReplicatedCluster:
                 root_attrs.update(
                     drain_records=drain_records,
                     drain_bytes=drain_bytes,
-                    drain_cost_us=PhaseCostModel(None).apply_us(
+                    drain_cost_us=PhaseCostModel().apply_us(
                         drain_records, drain_bytes
                     ),
                 )

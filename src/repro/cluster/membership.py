@@ -119,8 +119,6 @@ class HeartbeatMonitor:
         self.sim.schedule_after(self.interval_us, self._check, name="hb-check")
 
     def _check(self) -> None:
-        if self.detected_at_us is not None:
-            return
         last = self.watched.last_heartbeat_us or 0.0
         if self.sim.now - last > self.timeout_us:
             self.detected_at_us = self.sim.now

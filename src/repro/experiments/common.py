@@ -71,7 +71,6 @@ class ExperimentSettings:
     warmup: int = 100
     seed: int = 42
     allocated_db_bytes: int = 8 * MB
-    log_bytes: int = 2 * MB
     nominal_db_bytes: int = PAPER_DB_BYTES
 
     def __post_init__(self):
@@ -84,7 +83,6 @@ class ExperimentSettings:
         return EngineConfig(
             db_bytes=self.allocated_db_bytes,
             nominal_db_bytes=nominal or self.nominal_db_bytes,
-            log_bytes=self.log_bytes,
         )
 
 

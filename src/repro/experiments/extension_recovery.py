@@ -15,6 +15,7 @@ from typing import Dict
 from repro.experiments.common import MB
 from repro.hardware.specs import MEMORY_CHANNEL_II
 from repro.obs import MetricsRegistry, Observer
+from repro.obs.slo import nines
 from repro.perf.report import ReportTable
 from repro.replication.active import ActiveReplicatedSystem
 from repro.replication.passive import PassiveReplicatedSystem
@@ -22,7 +23,6 @@ from repro.replication.recovery_time import (
     MEMCPY_BYTES_PER_US,
     RecoveryProfile,
     availability,
-    nines,
     one_safe_window_us,
     profiles_for,
 )

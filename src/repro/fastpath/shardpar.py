@@ -16,7 +16,7 @@ and is gone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from repro.obs.observer import Observer
 from repro.obs.series import (
@@ -127,9 +127,7 @@ class Outcome:
     takeover_downtime_us: Dict[int, float]
 
 
-def execute(
-    plan: TimelinePlan, jobs: int = 1, observer: Optional[Observer] = None
-) -> Outcome:
+def execute(plan: TimelinePlan, jobs: int = 1, *, observer: Observer) -> Outcome:
     """Run the plan on one simulator, recording into ``observer``.
 
     ``jobs`` exists for one caller: the performance ledger's frozen
@@ -141,8 +139,6 @@ def execute(
             f"jobs={jobs}: the plan runs on one simulator (the per-shard "
             f"parallel executor was removed)"
         )
-    if observer is None:
-        observer = Observer()
     cluster = ShardedCluster(
         plan.num_shards,
         mode=plan.mode,

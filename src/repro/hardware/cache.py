@@ -21,20 +21,17 @@ from dataclasses import dataclass
 
 from repro.hardware.specs import CacheSpec
 
+#: Residual miss rate when the working set fits: direct-mapped
+#: conflict misses plus cold misses amortized over a long run.
+CONFLICT_FLOOR = 0.02
+
 
 @dataclass(frozen=True)
 class AnalyticCacheModel:
-    """Closed-form miss-rate model for uniform random line accesses.
-
-    Attributes:
-        spec: the cache being modelled.
-        conflict_floor: residual miss rate when the working set fits —
-            direct-mapped conflict misses plus cold misses amortized
-            over a long run. Calibrated in repro.perf.calibration.
-    """
+    """Closed-form miss-rate model for uniform random line accesses
+    to the cache ``spec``."""
 
     spec: CacheSpec
-    conflict_floor: float = 0.02
 
     def miss_rate(self, working_set_bytes: int) -> float:
         """Steady-state miss probability for one random line access."""
@@ -42,7 +39,7 @@ class AnalyticCacheModel:
             return 0.0
         resident = min(1.0, self.spec.size_bytes / working_set_bytes)
         miss = 1.0 - resident
-        return min(1.0, max(miss, 0.0) + self.conflict_floor * resident)
+        return min(1.0, max(miss, 0.0) + CONFLICT_FLOOR * resident)
 
     def miss_time_us(self, working_set_bytes: int, lines_touched: float) -> float:
         """Expected stall time for ``lines_touched`` random line accesses."""

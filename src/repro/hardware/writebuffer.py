@@ -240,8 +240,6 @@ class WriteBufferModel:
         open_.clear()
 
     def _emit_size(self, size: int) -> None:
-        if size == 0:
-            return
         self.packets_emitted += 1
         self.bytes_emitted += size
         if self.on_packet is not None:

@@ -119,9 +119,8 @@ class Histogram:
 
 
 def _percentile(ordered: Sequence[float], q: float) -> float:
-    """Exact nearest-rank percentile of an already-sorted sequence."""
-    if not ordered:
-        return 0.0
+    """Exact nearest-rank percentile of an already-sorted, non-empty
+    sequence."""
     rank = max(1, int(q * len(ordered) + 0.5))
     return ordered[min(rank, len(ordered)) - 1]
 

@@ -86,21 +86,15 @@ class PhaseCostModel:
     Uses the same calibration constants as :class:`~repro.perf.
     costmodel.CostModel`, applied per commit instead of per run, so a
     run's phase attribution and its table-level cost breakdown tell
-    one story.
+    one story. A replicated system does not know its workload, so a
+    commit's benchmark logic is priced at the fallback base.
     """
 
-    def __init__(self, workload: Optional[str]):
-        """``workload`` names the calibrated base cost; a replicated
-        system, which does not know its workload, passes None and is
-        priced at a 2 us base."""
-        # Imported late: repro.perf pulls in the cost model, which
-        # pulls in the workload driver, which imports this module.
-        from repro.perf.calibration import DEFAULT_CALIBRATION
-        self.calibration = DEFAULT_CALIBRATION
-        self.workload = workload
-
-    def base_us(self) -> float:
-        return self.calibration.txn_base_us.get(self.workload, 2.0)
+    def __init__(self) -> None:
+        # Imported late: importing repro.perf loads the whole
+        # performance model, which only an observed run needs here.
+        from repro.perf import calibration
+        self.calibration = calibration
 
     def engine_us(self, before: Tuple[int, ...], after: Tuple[int, ...]) -> float:
         """Engine CPU time of one commit from its counter deltas."""
@@ -108,24 +102,24 @@ class PhaseCostModel:
         delta = dict(zip(_ENGINE_DELTA_FIELDS,
                          (b - a for b, a in zip(after, before))))
         return (
-            self.base_us()
-            + delta["set_ranges"] * c.set_range_us
-            + delta["db_writes"] * c.db_write_us
-            + delta["db_bytes_written"] * c.write_byte_us
-            + delta["undo_bytes_copied"] * c.copy_byte_us
-            + delta["bytes_compared"] * c.compare_byte_us
-            + delta["mallocs"] * c.malloc_us
-            + delta["frees"] * c.free_us
-            + delta["list_ops"] * c.list_op_us
-            + delta["walk_steps"] * c.walk_step_us
-            + delta["bump_allocs"] * c.bump_alloc_us
-            + delta["array_pushes"] * c.array_push_us
+            c.FALLBACK_BASE_US
+            + delta["set_ranges"] * c.SET_RANGE_US
+            + delta["db_writes"] * c.DB_WRITE_US
+            + delta["db_bytes_written"] * c.WRITE_BYTE_US
+            + delta["undo_bytes_copied"] * c.COPY_BYTE_US
+            + delta["bytes_compared"] * c.COMPARE_BYTE_US
+            + delta["mallocs"] * c.MALLOC_US
+            + delta["frees"] * c.FREE_US
+            + delta["list_ops"] * c.LIST_OP_US
+            + delta["walk_steps"] * c.WALK_STEP_US
+            + delta["bump_allocs"] * c.BUMP_ALLOC_US
+            + delta["array_pushes"] * c.ARRAY_PUSH_US
         )
 
     def apply_us(self, records: int, payload_bytes: int) -> float:
         """Backup CPU to apply one commit's redo records."""
         c = self.calibration
-        return records * c.apply_record_us + payload_bytes * c.apply_byte_us
+        return records * c.APPLY_RECORD_US + payload_bytes * c.APPLY_BYTE_US
 
 
 class CommitSpanRecorder:

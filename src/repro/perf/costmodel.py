@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 from repro.hardware.cache import AnalyticCacheModel
 from repro.hardware.cpu import CostAccumulator
-from repro.perf.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.perf.calibration import (
+    APPLY_BYTE_US, APPLY_RECORD_US, ARRAY_PUSH_US, BUMP_ALLOC_US,
+    COMPARE_BYTE_US, COPY_BYTE_US, DB_WRITE_US, DEFAULT_CALIBRATION,
+    FALLBACK_BASE_US, FREE_US, IO_BYTE_US, IO_STORE_US, LIST_OP_US, MALLOC_US,
+    PUBLISH_US, REDO_BYTE_US, REDO_RECORD_US, SET_RANGE_US, WALK_STEP_US,
+    WRITE_BYTE_US, Calibration,
+)
 from repro.workloads.driver import RunResult
 
 
@@ -38,40 +44,37 @@ class CostModel:
 
     def __init__(self, calibration: Calibration = DEFAULT_CALIBRATION):
         self.calibration = calibration
-        self.cache = AnalyticCacheModel(
-            calibration.machine.board_cache,
-            conflict_floor=calibration.conflict_floor,
-        )
+        self.cache = AnalyticCacheModel(calibration.machine.board_cache)
 
     # -- pieces ---------------------------------------------------------------
 
     def engine_cpu_us(self, result: RunResult) -> CostAccumulator:
         """Per-transaction CPU compute time of the engine + benchmark."""
-        c = self.calibration
         per_txn = result.counters.per_transaction()
         acc = CostAccumulator()
-        acc.charge("base", c.txn_base_us.get(result.workload, 2.0))
-        acc.charge("set_range", per_txn["set_ranges"] * c.set_range_us)
+        acc.charge("base", self.calibration.txn_base_us.get(
+            result.workload, FALLBACK_BASE_US))
+        acc.charge("set_range", per_txn["set_ranges"] * SET_RANGE_US)
         acc.charge(
             "db_write",
-            per_txn["db_writes"] * c.db_write_us
-            + per_txn["db_bytes_written"] * c.write_byte_us,
+            per_txn["db_writes"] * DB_WRITE_US
+            + per_txn["db_bytes_written"] * WRITE_BYTE_US,
         )
-        acc.charge("undo_copy", per_txn["undo_bytes_copied"] * c.copy_byte_us)
-        acc.charge("compare", per_txn["bytes_compared"] * c.compare_byte_us)
+        acc.charge("undo_copy", per_txn["undo_bytes_copied"] * COPY_BYTE_US)
+        acc.charge("compare", per_txn["bytes_compared"] * COMPARE_BYTE_US)
         acc.charge(
             "heap",
-            per_txn["mallocs"] * c.malloc_us + per_txn["frees"] * c.free_us,
+            per_txn["mallocs"] * MALLOC_US + per_txn["frees"] * FREE_US,
         )
         acc.charge(
             "list",
-            per_txn["list_ops"] * c.list_op_us
-            + per_txn["walk_steps"] * c.walk_step_us,
+            per_txn["list_ops"] * LIST_OP_US
+            + per_txn["walk_steps"] * WALK_STEP_US,
         )
         acc.charge(
             "alloc_fast",
-            per_txn["bump_allocs"] * c.bump_alloc_us
-            + per_txn["array_pushes"] * c.array_push_us,
+            per_txn["bump_allocs"] * BUMP_ALLOC_US
+            + per_txn["array_pushes"] * ARRAY_PUSH_US,
         )
         return acc
 
@@ -89,11 +92,10 @@ class CostModel:
     def io_issue_us(self, result: RunResult) -> float:
         """Per-transaction CPU cost of issuing I/O-space stores (the
         second half of every doubled write, or the redo-ring stores)."""
-        c = self.calibration
         txns = max(1, result.transactions)
         return (
-            result.io_stores / txns * c.io_store_us
-            + result.total_traffic_bytes / txns * c.io_byte_us
+            result.io_stores / txns * IO_STORE_US
+            + result.total_traffic_bytes / txns * IO_BYTE_US
         )
 
     def link_time_us(self, result: RunResult) -> float:
@@ -106,20 +108,18 @@ class CostModel:
     def redo_cpu_us(self, result: RunResult, records_per_txn: float,
                     payload_bytes_per_txn: float) -> float:
         """Extra primary CPU for building and publishing redo records."""
-        c = self.calibration
         return (
-            records_per_txn * c.redo_record_us
-            + payload_bytes_per_txn * c.redo_byte_us
-            + c.publish_us
+            records_per_txn * REDO_RECORD_US
+            + payload_bytes_per_txn * REDO_BYTE_US
+            + PUBLISH_US
         )
 
     def backup_apply_us(self, records_per_txn: float,
                         payload_bytes_per_txn: float) -> float:
         """Backup CPU per transaction in the active scheme."""
-        c = self.calibration
         return (
-            records_per_txn * c.apply_record_us
-            + payload_bytes_per_txn * c.apply_byte_us
+            records_per_txn * APPLY_RECORD_US
+            + payload_bytes_per_txn * APPLY_BYTE_US
         )
 
     # -- composition --------------------------------------------------------------

@@ -44,10 +44,6 @@ def binomial_availability(
         raise ConfigurationError(
             f"replica availability {replica_availability} outside [0, 1]"
         )
-    if needed <= 0:
-        return 1.0
-    if needed > replicas:
-        return 0.0
     a = replica_availability
     return sum(
         math.comb(replicas, k) * a**k * (1.0 - a) ** (replicas - k)

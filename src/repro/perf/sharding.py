@@ -20,7 +20,6 @@ experiments already produce.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.hardware.specs import MEMORY_CHANNEL_II
@@ -50,7 +49,7 @@ class ShardedThroughputReport:
 def sharded_aggregate(
     single: ThroughputReport,
     shards: int,
-    per_txn_trace: Optional[PacketTrace] = None,
+    per_txn_trace: PacketTrace,
 ) -> ShardedThroughputReport:
     """Compose one pair's report into an N-pair aggregate.
 
@@ -58,35 +57,18 @@ def sharded_aggregate(
         single: the calibrated single-pair throughput report.
         shards: number of identical pairs.
         per_txn_trace: the pair's measured per-transaction packet
-            trace; when given, the shared-SAN cap is computed from the
-            actual packet-size mix on a Memory Channel II
-            :class:`SharedLink` (4-byte
-            packets cost far more than their bytes suggest). Without
-            it, the report's scalar ``link_us`` is used.
+            trace; the shared-SAN cap is computed from its actual
+            packet-size mix on a Memory Channel II :class:`SharedLink`
+            (4-byte packets cost far more than their bytes suggest).
     """
     if shards < 1:
         raise ConfigurationError("need at least one shard")
     dedicated = shards * single.tps
-
-    if per_txn_trace is not None and per_txn_trace.packets:
-        link = SharedLink(MEMORY_CHANNEL_II)
-        for _ in range(shards):
-            link.attach(per_txn_trace)
-        # One transaction from each pair must drain through the link.
-        round_us = link.total_link_time_us()
-        link_us = round_us / shards
-    else:
-        link_us = single.link_us
-
-    if link_us <= 0:
-        return ShardedThroughputReport(
-            shards=shards,
-            per_pair_tps=single.tps,
-            link_us_per_txn=0.0,
-            dedicated_tps=dedicated,
-            shared_san_tps=dedicated,
-            shared_san_utilization=0.0,
-        )
+    link = SharedLink(MEMORY_CHANNEL_II)
+    for _ in range(shards):
+        link.attach(per_txn_trace)
+    # One transaction from each pair must drain through the link.
+    link_us = link.total_link_time_us() / shards
 
     capacity_tps = US_PER_SECOND / link_us
     shared = min(dedicated, capacity_tps)

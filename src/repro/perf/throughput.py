@@ -24,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.perf.calibration import Calibration, DEFAULT_CALIBRATION, PAPER
+from repro.perf.calibration import (
+    DEFAULT_CALIBRATION, PAPER, TWO_SAFE_ACK_US, Calibration,
+)
 from repro.perf.costmodel import CostBreakdown, CostModel
 from repro.workloads.driver import RunResult
 
@@ -99,10 +101,7 @@ class ThroughputEstimator:
             + redo_cpu
         )
         if two_safe:
-            cpu += (
-                self.calibration.two_safe_ack_us
-                + 2.0 * self.calibration.san.latency_us
-            )
+            cpu += TWO_SAFE_ACK_US + 2.0 * self.calibration.san.latency_us
         # Consumer-pointer acks ride the link's reverse path (the
         # Memory Channel is full duplex), so only the redo stream
         # occupies the forward direction.

@@ -38,13 +38,11 @@ class MerkleTree:
     one below (an odd tail node is re-hashed alone) up to the root.
     """
 
-    def __init__(self, store: ReplicaStore, digests: memoryview = None):
+    def __init__(self, store: ReplicaStore, digests: memoryview):
         self.num_leaves = (store.num_keys + LEAF_SPAN - 1) // LEAF_SPAN
-        # One zero-copy view of the store's digest cells for the whole
-        # build (callers running a sync pass hand in theirs), sliced
+        # ``digests`` is one zero-copy view of the store's digest cells
+        # for the whole build (the caller's sync pass holds it), sliced
         # per leaf — no per-leaf ``bytes`` is ever materialized.
-        if digests is None:
-            digests = store.digest_view()
         cell_span = LEAF_SPAN * DIGEST_BYTES
         total = store.num_keys * DIGEST_BYTES
         leaves = [

@@ -127,7 +127,7 @@ class ActiveReplicatedSystem:
             self._spans = CommitSpanRecorder(
                 self.observer, "replication.active"
             )
-            self._phase_model = PhaseCostModel(None)
+            self._phase_model = PhaseCostModel()
         else:
             self._spans = None
         self._txn_counters_base = ()

@@ -99,7 +99,7 @@ class PassiveReplicatedSystem:
             self._spans = CommitSpanRecorder(
                 self.observer, "replication.passive"
             )
-            self._phase_model = PhaseCostModel(None)
+            self._phase_model = PhaseCostModel()
         else:
             self._spans = None
         self._txn_counters_base = ()

@@ -46,11 +46,10 @@ class RecoveryProfile:
     name: str
     detection_us: float
     bytes_to_restore: float
-    fixed_work_us: float = 0.0
     needs_reboot: bool = False
 
     def takeover_us(self) -> float:
-        work = self.bytes_to_restore / MEMCPY_BYTES_PER_US + self.fixed_work_us
+        work = self.bytes_to_restore / MEMCPY_BYTES_PER_US
         if self.needs_reboot:
             work += REBOOT_US
         return self.detection_us + work
@@ -121,11 +120,3 @@ def availability(downtime_us_per_failure: float) -> float:
     downtime_s = downtime_us_per_failure / US_PER_SECOND
     return MTBF_SECONDS / (MTBF_SECONDS + downtime_s)
 
-
-def nines(value: float) -> float:
-    """Availability expressed as a count of nines (e.g. 0.999 -> 3.0)."""
-    import math
-
-    if value >= 1.0:
-        return float("inf")
-    return -math.log10(1.0 - value)

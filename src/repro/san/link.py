@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.hardware.specs import SanSpec
-from repro.obs.observer import NULL_OBSERVER
 from repro.san.packets import PacketTrace
 
 
@@ -25,19 +24,11 @@ class SharedLink:
 
     san: SanSpec
     traces: List[PacketTrace] = field(default_factory=list)
-    observer: object = field(default=NULL_OBSERVER, repr=False, compare=False)
 
     def attach(self, trace: PacketTrace) -> None:
         """Add one sender's packet trace to the link."""
         self.traces.append(trace)
-        if self.observer.enabled:
-            self.observer.count("san.shared.senders")
-            self.observer.count("san.shared.packets", trace.packets)
-            self.observer.count("san.shared.bytes", trace.bytes)
 
     def total_link_time_us(self) -> float:
         """Serial time to drain every attached trace."""
-        total = sum(trace.link_time_us(self.san) for trace in self.traces)
-        if self.observer.enabled:
-            self.observer.gauge("san.shared.link_time_us", total)
-        return total
+        return sum(trace.link_time_us(self.san) for trace in self.traces)

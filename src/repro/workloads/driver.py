@@ -14,13 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.obs.observer import get_default_observer
-from repro.obs.spans import (
-    PHASE_ENGINE,
-    CommitSpanRecorder,
-    PhaseCostModel,
-    counters_snapshot,
-)
 from repro.san.packets import PacketTrace
 from repro.vista.api import TransactionEngine
 from repro.vista.stats import AccessProfile, EngineCounters
@@ -61,9 +54,7 @@ class RunResult:
     def profile_per_txn(self) -> AccessProfile:
         return self.profile.scaled(1.0 / max(1, self.transactions))
 
-    def packets_per_txn(self) -> Optional[PacketTrace]:
-        if self.packet_trace is None:
-            return None
+    def packets_per_txn(self) -> PacketTrace:
         return self.packet_trace.scaled(1.0 / max(1, self.transactions))
 
 
@@ -95,24 +86,11 @@ def run_workload(
     ``warmup`` transactions run first and are excluded from every
     statistic (counters, traffic, packets). To crash at commit ``k``,
     drive ``k`` transactions and fail the target afterwards.
-
-    With the process default observer live (``REPRO_OBS``) the driver
-    emits ``run.start``/``run.end`` markers and — for standalone
-    engines, which have no replication pipeline of their own — an
-    engine-only commit span per measured transaction, so phase
-    attribution covers every target kind.
     """
     engine = _engine_of(target)
     interface = getattr(target, "interface", None) or getattr(
         target, "primary_interface", None
     )
-    observer = get_default_observer()
-    # Replicated systems record their own commit spans; the driver only
-    # fills the gap for bare engines.
-    spans = None
-    if observer.enabled and isinstance(target, TransactionEngine):
-        spans = CommitSpanRecorder(observer, f"engine.{target.VERSION}")
-        phase_model = PhaseCostModel(workload.name)
 
     for _ in range(warmup):
         workload.run_transaction(target)
@@ -129,36 +107,11 @@ def run_workload(
         interface.reset_stats()
     redo_baseline = getattr(target, "redo_records_shipped", 0)
 
-    if observer.enabled:
-        observer.event(
-            "workload.driver", "run.start",
-            workload=workload.name, target=_target_kind(target),
-            transactions=transactions,
-        )
-
     for _ in range(transactions):
-        if spans is not None:
-            before = counters_snapshot(engine.counters)
         workload.run_transaction(target)
-        if spans is not None:
-            spans.phase(
-                PHASE_ENGINE,
-                phase_model.engine_us(
-                    before, counters_snapshot(engine.counters)
-                ),
-            )
-            spans.finish(workload=workload.name, safety="local")
 
     if verify:
         workload.verify(target)
-
-    if observer.enabled:
-        observer.count("workload.driver.transactions", transactions)
-        observer.event(
-            "workload.driver", "run.end",
-            workload=workload.name, target=_target_kind(target),
-            transactions=transactions,
-        )
 
     result = RunResult(
         workload=workload.name,

@@ -5,6 +5,7 @@ import pytest
 from repro.experiments import extension_sharding
 from repro.experiments.common import ExperimentContext, ExperimentSettings
 from repro.fastpath import shardpar
+from repro.obs import Observer
 from repro.obs.audit import audit_events
 from repro.obs.critpath import decompose_recoveries
 
@@ -91,7 +92,7 @@ def test_multi_crash_plan_audits_clean():
     set holds on the trace."""
     plan = extension_sharding.failover_plan(
         num_shards=8, crashes=((2, 5_250.0), (5, 13_250.0)))
-    outcome = shardpar.execute(plan)
+    outcome = shardpar.execute(plan, observer=Observer())
     report = audit_events(outcome.events)
     assert report.ok, report.render()
     assert sorted(outcome.takeover_downtime_us) == [2, 5]
@@ -104,7 +105,8 @@ def test_multi_crash_plan_audits_clean():
 def test_driving_the_same_plan_twice_is_byte_identical():
     plan = extension_sharding.failover_plan(
         num_shards=3, slots=12, crashes=((1, 3_250.0),))
-    first, second = shardpar.execute(plan), shardpar.execute(plan)
+    first, second = (shardpar.execute(plan, observer=Observer())
+                     for _ in range(2))
     assert first.events == second.events
     assert first.frame.to_jsonl() == second.frame.to_jsonl()
     assert len(first.frame) > 0 and first.takeover_downtime_us
@@ -113,4 +115,4 @@ def test_driving_the_same_plan_twice_is_byte_identical():
 def test_execute_runs_on_one_simulator_only():
     plan = extension_sharding.failover_plan()
     with pytest.raises(ValueError, match="jobs=2"):
-        shardpar.execute(plan, jobs=2)
+        shardpar.execute(plan, jobs=2, observer=Observer())

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.hardware.cache import AnalyticCacheModel
+from repro.hardware.cache import CONFLICT_FLOOR, AnalyticCacheModel
 from repro.hardware.specs import CacheSpec
 from tests.oracles.cache_reference import DirectMappedCache
 
@@ -57,14 +57,15 @@ def test_bad_geometry_rejected():
 
 
 def test_analytic_fitting_working_set_hits_floor():
-    model = AnalyticCacheModel(SMALL, conflict_floor=0.02)
-    assert model.miss_rate(512) == pytest.approx(0.02)
+    model = AnalyticCacheModel(SMALL)
+    assert model.miss_rate(512) == pytest.approx(CONFLICT_FLOOR)
 
 
 def test_analytic_large_working_set():
-    model = AnalyticCacheModel(SMALL, conflict_floor=0.0)
-    # Working set 4x the cache: 3/4 of accesses miss.
-    assert model.miss_rate(4096) == pytest.approx(0.75)
+    model = AnalyticCacheModel(SMALL)
+    # Working set 4x the cache: 3/4 of accesses miss, and the resident
+    # quarter misses at the conflict floor.
+    assert model.miss_rate(4096) == pytest.approx(0.75 + CONFLICT_FLOOR / 4)
 
 
 def test_analytic_monotonic_in_working_set():
@@ -79,9 +80,10 @@ def test_analytic_zero_working_set():
 
 
 def test_analytic_miss_time():
-    model = AnalyticCacheModel(SMALL, conflict_floor=0.0)
+    model = AnalyticCacheModel(SMALL)
     # 10 random lines over a 4x working set at 0.1 us per miss.
-    assert model.miss_time_us(4096, 10) == pytest.approx(0.75 * 10 * 0.1)
+    assert model.miss_time_us(4096, 10) == pytest.approx(
+        (0.75 + CONFLICT_FLOOR / 4) * 10 * 0.1)
 
 
 def test_sequential_miss_time_is_once_per_line():
@@ -94,7 +96,7 @@ def test_analytic_validated_against_exact_simulation():
     uniform random accesses to within a few percent."""
     spec = CacheSpec(size_bytes=4096, line_size=64, miss_penalty_us=0.1)
     cache = DirectMappedCache(spec)
-    model = AnalyticCacheModel(spec, conflict_floor=0.0)
+    model = AnalyticCacheModel(spec)
     working_set = 16384  # 4x cache
     rng = random.Random(1)
     for _ in range(2000):  # warm up

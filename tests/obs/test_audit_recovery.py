@@ -150,6 +150,14 @@ def test_downtime_window_without_recovery_span_is_flagged():
     assert violation.attrs["window_end_us"] > violation.attrs["window_start_us"]
 
 
+def test_a_window_still_open_at_the_trace_end_needs_no_span():
+    # A second crash whose takeover the trace never reaches: nothing
+    # has recovered yet, so no recovery span can be owed for it.
+    late_crash = TraceEvent(5_000.0, "shard.2.cluster", "fault.crash",
+                            attrs={"node": "p"})
+    assert audit_events(_failover() + [late_crash]).ok
+
+
 def test_recovery_span_without_downtime_window_is_flagged():
     events = _failover() + [
         event for event in _failover(scope="shard.3", base_id=950)

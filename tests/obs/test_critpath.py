@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs import Observer, TraceEvent
-from repro.obs.critpath import decompose_recoveries
+from repro.obs.critpath import ScopeDecomposition, decompose_recoveries
 from repro.obs.recovery import (
     PHASE_CATCHUP,
     PHASE_DETECT,
@@ -84,3 +84,12 @@ def test_decompose_recoveries_scope_filter():
     assert [s.label for s in only_groups.scopes] == ["group.1"]
     with pytest.raises(KeyError):
         only_groups.scope("shard.2")
+
+
+def test_no_downtime_gives_every_phase_a_zero_share():
+    scope = ScopeDecomposition(
+        "shard.0", recoveries=0, total_downtime_us=0.0,
+        phase_totals={"detect": 0.0}, latency={}, dominant_phase=None,
+        resume_gaps=0,
+    )
+    assert scope.share("detect") == 0.0

@@ -76,6 +76,16 @@ def test_render_handles_empty_and_flat_series():
     assert "flat" in text and "min 4" in text and "max 4" in text
 
 
+def test_render_buckets_a_long_series_to_the_spark_width():
+    from repro.obs import series
+
+    frame = SeriesFrame()
+    for i in range(3 * series._SPARK_WIDTH):
+        frame.append(float(i), {"ramp": float(i)})
+    spark = frame.render().splitlines()[1].split("|")[1]
+    assert len(spark) == series._SPARK_WIDTH
+
+
 # -- tick snapping and the env knob ---------------------------------
 
 
@@ -116,6 +126,13 @@ def test_windowed_goodput_attributes_deltas_to_trailing_window():
                       (2000.0, 10.0)]:
         frame.append(ts, {"done": total})
     assert windowed_goodput(frame, "done", 1000.0) == [8.0, 2.0]
+
+
+def test_windowed_goodput_opens_a_window_for_a_repeated_last_tick():
+    frame = SeriesFrame()
+    for ts, total in [(0.0, 0.0), (1000.0, 4.0), (1000.0, 6.0)]:
+        frame.append(ts, {"done": total})
+    assert windowed_goodput(frame, "done", 1000.0) == [4.0, 2.0]
 
 
 def test_derive_dip_finds_floor_and_recovery():

@@ -47,6 +47,11 @@ def test_scope_availability_derivations():
     assert payload["windows_us"] == [[500.0, 600.0]]
 
 
+def test_an_empty_horizon_is_fully_available():
+    assert ScopeAvailability("", horizon_us=0.0, downtime_us=0.0,
+                             failovers=0).availability == 1.0
+
+
 def test_compute_slo_charges_downtime_to_the_crashed_shard():
     events = [
         _complete(100.0, 0), _complete(100.0, 1),

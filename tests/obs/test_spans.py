@@ -199,6 +199,10 @@ def test_empty_attribution_renders():
     assert "no commit spans" in attribution.render()
 
 
+def test_no_commit_time_gives_every_phase_a_zero_share():
+    assert attribute_commits([]).share(PHASE_ENGINE) == 0.0
+
+
 def test_spans_survive_jsonl_round_trip(tmp_path):
     observer = Observer()
     _run(PassiveReplicatedSystem("v1", observer=observer), transactions=8)
@@ -208,23 +212,3 @@ def test_spans_survive_jsonl_round_trip(tmp_path):
     original = collect_commit_spans(observer.recorder.events)
     round_tripped = collect_commit_spans(reloaded)
     assert round_tripped == original
-
-
-def test_standalone_engine_spans_via_driver(monkeypatch):
-    from repro.memory.rio import RioMemory
-    from repro.obs import observer as observer_module
-    from repro.vista.factory import create_engine
-
-    # The driver records through the process default observer.
-    observer = Observer()
-    monkeypatch.setenv(observer_module.OBS_ENV_VAR, "1")
-    monkeypatch.setattr(observer_module, "_default_observer", observer)
-    engine = create_engine("v3", RioMemory("node"))
-    workload = DebitCreditWorkload(engine.config.db_bytes, seed=3)
-    run_workload(engine, workload, 6)
-    trees = collect_commit_spans(observer.recorder.events)
-    assert len(trees) == 6
-    for tree in trees:
-        assert set(tree.phases) == {PHASE_ENGINE}
-        assert tree.component == "engine.v3"
-        assert tree.attrs["safety"] == "local"

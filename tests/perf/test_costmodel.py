@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.perf import calibration
 from repro.perf.calibration import DEFAULT_CALIBRATION
 from repro.perf.costmodel import CostModel
 from repro.san.packets import PacketTrace
@@ -45,7 +46,7 @@ def test_heap_operations_cost_time():
         model.engine_cpu_us(with_allocs)["heap"]
     )
     assert delta == pytest.approx(
-        8 * (DEFAULT_CALIBRATION.malloc_us + DEFAULT_CALIBRATION.free_us)
+        8 * (calibration.MALLOC_US + calibration.FREE_US)
     )
 
 
@@ -53,7 +54,7 @@ def test_comparison_cost_for_diffing():
     model = CostModel()
     result = make_result(bytes_compared=620)
     assert model.engine_cpu_us(result)["compare"] == pytest.approx(
-        62 * DEFAULT_CALIBRATION.compare_byte_us
+        62 * calibration.COMPARE_BYTE_US
     )
 
 
@@ -102,8 +103,8 @@ def test_io_issue_cost():
     result.traffic_bytes = {"modified": 1000}
     per_txn = model.io_issue_us(result)
     assert per_txn == pytest.approx(
-        10 * DEFAULT_CALIBRATION.io_store_us
-        + 100 * DEFAULT_CALIBRATION.io_byte_us
+        10 * calibration.IO_STORE_US
+        + 100 * calibration.IO_BYTE_US
     )
 
 

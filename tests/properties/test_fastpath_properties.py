@@ -262,3 +262,17 @@ def test_fragmented_lane_matches_per_word_loop(
     num_buffers, block_bytes = geometry
     arithmetic = block_bytes >= word_bytes or num_buffers == 1
     assert lane_words == (0 if arithmetic else len(words))
+
+
+def test_replay_cache_evicts_its_oldest_schedule_past_its_bound(monkeypatch):
+    from repro.fastpath import replay
+
+    monkeypatch.setattr(replay, "_MAX_ENTRIES", 2)
+    cache = PacketReplayCache()
+    schedules = [[(0, length)] for length in (4, 8, 12)]
+    for ops in schedules:
+        cache.drain_sizes(ops, 6, 32)
+    cache.drain_sizes(schedules[2], 6, 32)  # the newest stays cached
+    assert (cache.hits, cache.misses) == (1, 3)
+    cache.drain_sizes(schedules[0], 6, 32)  # the oldest was evicted
+    assert (cache.hits, cache.misses) == (1, 4)

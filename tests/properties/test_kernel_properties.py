@@ -176,3 +176,21 @@ def test_pop_until_never_returns_later_events(ops, until):
         remaining_time = queue.peek_time()
         if remaining_time is not None:
             assert remaining_time > until
+
+
+def test_kernel_closes_a_run_left_open_at_a_chunk_edge(monkeypatch):
+    """A run reaching a chunk's last word stays open into the next
+    chunk, which closes it whether it is all equal or opens with equal
+    words."""
+    from repro.fastpath import kernels
+
+    monkeypatch.setattr(kernels, "_CHUNK_WORDS", 4)  # 16-byte chunks
+    old = bytes(48)
+    equal_next = bytearray(old)
+    equal_next[12] = 1  # chunk 0's last word; chunk 1 is equal
+    gap_next = bytearray(equal_next)
+    gap_next[24] = 1  # chunk 1's third word
+    for new, runs in ((equal_next, [(12, 4)]),
+                      (gap_next, [(12, 4), (24, 4)])):
+        assert diff_runs_fast(old, bytes(new)) == runs
+        assert list(diff_runs(old, bytes(new))) == runs

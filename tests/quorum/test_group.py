@@ -160,6 +160,24 @@ def test_concurrent_writes_surface_as_siblings_after_heal():
     assert group.stats.sibling_reads == before  # no sibling reads yet
 
 
+def test_hints_wait_out_a_partition_and_meet_as_siblings():
+    group = make_group(n=2, r=1, w=1, sloppy=True)
+    group.apply_partition((0,), (1,))
+    group.write(0, b"side-a")  # coordinator 0; member 1's copy is a hint
+    group.crash_member(0)
+    group.write(0, b"side-b")  # coordinator 1, concurrent with side-a
+    group.recover_member(0)  # still partitioned: no hint can cross
+    assert group.hints_pending == 2
+    group.heal_partition()
+    assert group.hints_pending == 0
+    assert len(group.read(0).siblings) == 2
+    assert group.stats.sibling_reads == 1
+
+
+def test_a_single_replica_group_has_nothing_to_repair():
+    assert make_group(n=1, r=1, w=1).repair_pass() == 0
+
+
 def test_repair_pass_converges_diverged_replicas():
     group = make_group()
     group.crash_member(2)

@@ -21,6 +21,10 @@ from repro.quorum.versions import VersionVector
 from tests.oracles.diff_reference import diff_runs
 
 
+def _tree(store):
+    return MerkleTree(store, store.digest_view())
+
+
 def record(value, vv_pairs, ts=1.0, writer=0):
     return Record(
         value=value, vv=VersionVector(vv_pairs), ts_us=ts, writer=writer
@@ -95,7 +99,7 @@ def test_identical_stores_have_identical_roots():
         rec = record(b"same", [(0, 1)], ts=float(key))
         a.apply(key, rec)
         b.apply(key, rec)
-    ta, tb = MerkleTree(a), MerkleTree(b)
+    ta, tb = _tree(a), _tree(b)
     assert ta.root == tb.root
     leaves, compared = diff_leaves(ta, tb)
     assert leaves == []
@@ -105,16 +109,16 @@ def test_identical_stores_have_identical_roots():
 def test_diff_leaves_localizes_the_divergent_leaf():
     a, b = ReplicaStore(32), ReplicaStore(32)
     a.apply(17, record(b"only-a", [(0, 1)]))
-    leaves, compared = diff_leaves(MerkleTree(a), MerkleTree(b))
+    leaves, compared = diff_leaves(_tree(a), _tree(b))
     assert leaves == [17 // 8]
     # Pruning means far fewer compares than leaves.
-    assert compared < sum(map(len, MerkleTree(a).levels))
+    assert compared < sum(map(len, _tree(a).levels))
 
 
 def test_trees_of_different_geometry_refuse_to_diff():
     a, b = ReplicaStore(32), ReplicaStore(16)
     with pytest.raises(ConfigurationError):
-        diff_leaves(MerkleTree(a), MerkleTree(b))
+        diff_leaves(_tree(a), _tree(b))
 
 
 def test_differing_keys_is_exact():

@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.obs.slo import MAX_NINES, nines
 from repro.replication.recovery_time import (
     MEMCPY_BYTES_PER_US,
     REBOOT_US,
     RecoveryProfile,
     availability,
-    nines,
     profiles_for,
 )
 
@@ -66,7 +66,7 @@ def test_availability_basics():
 def test_nines():
     assert nines(0.999) == pytest.approx(3.0)
     assert nines(0.99999) == pytest.approx(5.0)
-    assert nines(1.0) == float("inf")
+    assert nines(1.0) == MAX_NINES
 
 
 def test_replication_buys_many_nines():

@@ -510,10 +510,11 @@ def test_run_keeps_one_store_per_part_where_parts_meet_mid_block():
     "model", [WriteBufferModel, ReferenceWriteBufferModel],
     ids=["WriteBufferModel", "oracle"])
 def test_adjacent_stores_meeting_mid_block_are_not_one_store(model):
-    """Why a run keeps one pending entry per store, and ``write_batch``
-    coalesces only at block boundaries: (3,4) and (7,4) are adjacent,
-    but the earlier (5,3) lets (3,4) complete block 1 in the middle of
-    the pair, so (7,4) reopens it — merged, it would not."""
+    """The trap the junction rule avoids (DESIGN §10): (3,4) and (7,4)
+    are adjacent, but the earlier (5,3) lets (3,4) complete block 1 in
+    the middle of the pair, so (7,4) reopens it — merged, it would
+    not. The junction at 7 is mid-block and block 1 already held bytes
+    past it, so ``write_batch`` must keep the two stores apart."""
     def drained(stores):
         sizes = []
         buffer = model(num_buffers=2, block_bytes=4, on_packet=sizes.append)

@@ -1,17 +1,36 @@
-"""The call census's parameter rule, on toy defs.
+"""The census's rules, on toy modules compiled through its instrument.
 
-``tests/census.py`` fails on a defaulted parameter that no production
-call binds to anything but its default. What counts as varied is
-pinned here: an explicit default or a ``None`` passed to a ``None``
-default does not count; a non-default value does, positional or
+``tests/census.py`` compiles ``repro.*`` with a probe in every def and
+branch body and fails on what no production run executes or varies.
+What counts is pinned here.
+
+Parameters: an explicit default or a ``None`` passed to a ``None``
+default does not vary one; a non-default value does, positional or
 keyword-only, and so does an equal value of another type. A
-generator's resume is a ``call`` event too, with the body's rebinding
-in its locals; it does not count either.
+generator's resume is not a call. Blocks: one that never runs inside a
+def that ran is found by its def and first statement, unless it is a
+``raise`` (a check). Fields: a defaulted field of a frozen dataclass
+that no construction varies is found; a field assigned after
+construction is state, not a knob. An allow-list entry that is no
+longer found is stale.
 """
 
-import os
+import ast
+import types
+from pathlib import Path
 
-from tests.census import Census
+from tests.census import (
+    ALLOWED_BLOCKS,
+    ALLOWED_FIELDS,
+    REASONS,
+    Census,
+    _TEST,
+    attribute_stores,
+    judge,
+)
+
+TOYS = '''
+from dataclasses import dataclass
 
 
 def _recorder(observer, component="cluster"):
@@ -40,59 +59,148 @@ def _never_called(knob=0):
     return knob
 
 
-TOYS = (_recorder, _optional, _positional, _keyword_only, _rebinding,
-        _never_called)
+def _sign(x):
+    if x < 0:
+        raise ValueError("negative")
+    if x == 0:
+        return "zero"
+    return "positive"
 
 
-def _census():
-    tracked = {
-        (os.path.realpath(toy.__code__.co_filename),
-         toy.__code__.co_firstlineno): toy.__name__
-        for toy in TOYS
-    }
-    return Census(tracked)
+@dataclass(frozen=True)
+class Knobs:
+    size: int
+    speed: float = 1.0
 
 
-def _varied(calls):
-    census = _census()
-    with census.recording():
-        calls()
+@dataclass
+class Counter:
+    hits: int = 0
+
+
+def _bump(counter):
+    counter.hits += 1
+'''
+
+
+def _run(calls) -> Census:
+    """Compile :data:`TOYS` through a fresh census and run ``calls``
+    on the module."""
+    census = Census(attribute_stores([ast.parse(TOYS)]))
+    toys = types.ModuleType("toys")
+    census.execute(toys, TOYS, "<toys>")
+    calls(toys)
     return census
 
 
+def _varied(calls) -> dict:
+    return {name: varied for (_, name), varied in _run(calls).varied.items()}
+
+
+# -- parameters --------------------------------------------------------------
+
+
 def test_an_explicit_default_does_not_count():
-    census = _varied(lambda: (_recorder(object(), "cluster"),
-                              _recorder(object())))
-    assert census.varied == {("_recorder", "component"): False}
+    varied = _varied(lambda toys: (toys._recorder(object(), "cluster"),
+                                   toys._recorder(object())))
+    assert varied == {"component": False}
 
 
 def test_none_passed_to_a_none_default_does_not_count():
-    census = _varied(lambda: _optional(None))
-    assert census.varied == {("_optional", "value"): False}
+    assert _varied(lambda toys: toys._optional(None)) == {"value": False}
 
 
 def test_a_positional_non_default_counts():
-    census = _varied(lambda: (_positional(0), _positional(0, 2)))
-    assert census.varied == {("_positional", "second"): True}
+    varied = _varied(lambda toys: (toys._positional(0),
+                                   toys._positional(0, 2)))
+    assert varied == {"second": True}
 
 
 def test_an_equal_value_of_another_type_counts():
     # True == 1, but a bool where the default is an int is a new value.
-    census = _varied(lambda: _positional(0, True))
-    assert census.varied == {("_positional", "second"): True}
+    assert _varied(lambda toys: toys._positional(0, True)) == {
+        "second": True}
 
 
 def test_a_keyword_only_non_default_counts():
-    census = _varied(lambda: _keyword_only(flag=True))
-    assert census.varied == {("_keyword_only", "flag"): True}
+    assert _varied(lambda toys: toys._keyword_only(flag=True)) == {
+        "flag": True}
 
 
 def test_a_generator_resume_does_not_count():
-    census = _varied(lambda: list(_rebinding()))
-    assert census.varied == {("_rebinding", "limit"): False}
+    assert _varied(lambda toys: list(toys._rebinding())) == {
+        "limit": False}
 
 
 def test_a_def_that_never_runs_has_no_parameters_watched():
-    census = _varied(lambda: _optional(1))
-    assert census.ran == {"_optional"}
-    assert ("_never_called", "knob") not in census.varied
+    census = _run(lambda toys: toys._optional(1))
+    assert "toys:_optional" not in census.never_ran()
+    assert "toys:_never_called" in census.never_ran()
+    assert ("toys:_never_called", "knob") not in census.varied
+
+
+# -- blocks ------------------------------------------------------------------
+
+
+def test_a_never_run_block_fails_by_def_and_first_statement():
+    census = _run(lambda toys: toys._sign(5))
+    unexplained, stale, _ = judge(census.dead_blocks(), {})
+    assert unexplained == ['toys:_sign: return "zero"']
+    assert not stale
+
+
+def test_a_block_that_starts_with_raise_is_a_check():
+    census = _run(lambda toys: (toys._sign(0), toys._sign(5)))
+    assert census.dead_blocks() == set()
+    assert census.dead_blocks(exempt=True) == {
+        'toys:_sign: raise ValueError("negative")'}
+
+
+def test_an_entry_for_a_block_that_runs_is_stale():
+    census = _run(lambda toys: (toys._sign(0), toys._sign(5)))
+    table = {REASONS[0]: ('toys:_sign: return "zero"',)}
+    assert judge(census.dead_blocks(), table) == (
+        [], ['toys:_sign: return "zero"'], [])
+
+
+def test_an_entry_under_a_new_reason_fails():
+    table = {"it seemed harmless": ('toys:_sign: return "zero"',)}
+    assert judge({'toys:_sign: return "zero"'}, table)[2] == [
+        "it seemed harmless"]
+
+
+# -- fields ------------------------------------------------------------------
+
+
+def test_a_never_varied_frozen_field_fails_by_name():
+    census = _run(lambda toys: (toys.Knobs(1), toys.Knobs(2, speed=1.0)))
+    unexplained, _, _ = judge(census.fixed_fields(), {})
+    assert unexplained == ["toys:Knobs.speed"]
+
+
+def test_a_field_varied_by_one_construction_passes():
+    census = _run(lambda toys: (toys.Knobs(1), toys.Knobs(2, 0.5)))
+    assert census.fixed_fields() == set()
+    assert census.fields == {"toys:Knobs.speed": True}
+
+
+def test_a_counter_assigned_after_construction_passes():
+    def calls(toys):
+        counter = toys.Counter()
+        toys._bump(counter)
+
+    census = _run(calls)
+    assert census.fixed_fields() == set()
+    assert "toys:Counter.hits" not in census.fields
+
+
+# -- the allow-lists ---------------------------------------------------------
+
+
+def test_every_test_an_entry_names_exists():
+    root = Path(__file__).resolve().parents[1]
+    for table in (ALLOWED_BLOCKS, ALLOWED_FIELDS):
+        for test in table[_TEST].values():
+            path, _, name = test.partition("::")
+            name = name.rpartition("::")[2].partition("[")[0]
+            assert f"def {name}(" in (root / path).read_text(), test
