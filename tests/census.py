@@ -378,8 +378,8 @@ ALLOWED_BLOCKS = {
             "tests/fastpath/test_parallel_runner.py::"
             "test_run_tasks_preserves_task_order",
         "repro.fastpath.replay:PacketReplayCache.canonical_key: stores = []":
-            "tests/properties/test_fastpath_properties.py::"
-            "test_a_run_entry_keys_and_drains_as_its_stores",
+            "tests/san/test_memory_channel.py::"
+            "test_run_keeps_one_store_per_part_where_parts_meet_mid_block",
         "repro.fastpath.replay:PacketReplayCache.drain_sizes: "
         "self._entries.popitem(last=False)":
             "tests/properties/test_fastpath_properties.py::"
@@ -388,14 +388,14 @@ ALLOWED_BLOCKS = {
             "tests/hardware/test_cache.py::test_analytic_zero_working_set",
         "repro.hardware.writebuffer:WriteBufferModel._may_close_early: "
         "return True":
-            "tests/properties/test_fastpath_properties.py::"
-            "test_a_run_entry_keys_and_drains_as_its_stores",
+            "tests/san/test_memory_channel.py::"
+            "test_run_keeps_one_store_per_part_where_parts_meet_mid_block",
         "repro.hardware.writebuffer:WriteBufferModel.write_batch: continue":
             "tests/hardware/test_writebuffer.py::"
             "test_zero_length_write_is_noop",
         "repro.hardware.writebuffer:WriteBufferModel.write_batch: split = []":
-            "tests/properties/test_fastpath_properties.py::"
-            "test_a_run_entry_keys_and_drains_as_its_stores",
+            "tests/san/test_memory_channel.py::"
+            "test_run_keeps_one_store_per_part_where_parts_meet_mid_block",
         "repro.memory.allocator:HeapAllocator._list_insert: write(head + "
         "_PREV, block)":
             "tests/memory/test_allocator.py::"
@@ -414,8 +414,8 @@ ALLOWED_BLOCKS = {
             "TestHeapAllocator::test_free_everything_restores_capacity",
         "repro.memory.allocator:HeapAllocator.malloc: self._set_tags(block, "
         "size, _USED)":
-            "tests/properties/test_allocator_properties.py::"
-            "test_no_overlap_and_contents_preserved",
+            "tests/vista/test_edge_cases.py::"
+            "test_undo_space_exhaustion_is_an_error_not_corruption[v0]",
         "repro.memory.region:MemoryRegion.copy_from: return":
             "tests/memory/test_region.py::"
             "test_copy_within_zero_length_checks_source_bounds",
@@ -467,14 +467,14 @@ ALLOWED_BLOCKS = {
             "tests/quorum/test_group.py::"
             "test_hints_wait_out_a_partition_and_meet_as_siblings",
         "repro.quorum.group:QuorumGroup.crash_member: return":
-            "tests/properties/test_quorum_properties.py::"
-            "test_strict_quorum_reads_are_never_stale",
+            "tests/quorum/test_group.py::"
+            "test_a_fault_a_member_is_already_in_changes_nothing",
         "repro.quorum.group:QuorumGroup.read: self.stats.sibling_reads += 1":
             "tests/quorum/test_group.py::"
             "test_hints_wait_out_a_partition_and_meet_as_siblings",
         "repro.quorum.group:QuorumGroup.recover_member: return":
-            "tests/properties/test_quorum_properties.py::"
-            "test_strict_quorum_reads_are_never_stale",
+            "tests/quorum/test_group.py::"
+            "test_a_fault_a_member_is_already_in_changes_nothing",
         "repro.quorum.group:QuorumGroup.repair_pass: break":
             "tests/quorum/test_group.py::"
             "test_a_single_replica_group_has_nothing_to_repair",
@@ -482,8 +482,8 @@ ALLOWED_BLOCKS = {
             "tests/quorum/test_group.py::"
             "test_sloppy_group_serves_through_crashes_with_hints",
         "repro.quorum.merkle:diff_leaves: continue":
-            "tests/properties/test_quorum_properties.py::"
-            "test_anti_entropy_converges_in_one_pass",
+            "tests/quorum/test_store_merkle.py::"
+            "test_differing_keys_identical_across_fastpath",
         "repro.replication.active:coalesce_writes: continue":
             "tests/replication/test_active.py::"
             "TestCoalesceWrites::test_zero_length_extents_dropped",
@@ -492,12 +492,12 @@ ALLOWED_BLOCKS = {
             "tests/replication/test_writethrough.py::"
             "test_twin_region_reuses_existing",
         "repro.san.memory_channel:TransmitMapping.write: return":
-            "tests/properties/test_redo_log_properties.py::"
-            "test_framed_stream_equals_the_per_store_original[fastpath]",
+            "tests/san/test_memory_channel.py::"
+            "test_an_all_empty_run_issues_nothing_anywhere",
         "repro.san.memory_channel:TransmitMapping.write_run: for data, "
         "category in parts":
-            "tests/properties/test_redo_log_properties.py::"
-            "test_framed_stream_equals_the_per_store_original[fastpath]",
+            "tests/san/test_memory_channel.py::"
+            "test_an_all_empty_run_issues_nothing_anywhere",
         "repro.san.memory_channel:TransmitMapping.write_run: return":
             "tests/san/test_memory_channel.py::"
             "test_write_run_through_a_mapping_matches_the_per_part_loop",

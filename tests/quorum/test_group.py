@@ -174,6 +174,14 @@ def test_hints_wait_out_a_partition_and_meet_as_siblings():
     assert group.stats.sibling_reads == 1
 
 
+def test_a_fault_a_member_is_already_in_changes_nothing():
+    group = make_group()
+    group.recover_member(0)  # already up
+    group.crash_member(1)
+    group.crash_member(1)  # already down
+    assert group._alive == [True, False, True]
+
+
 def test_a_single_replica_group_has_nothing_to_repair():
     assert make_group(n=1, r=1, w=1).repair_pass() == 0
 
