@@ -58,10 +58,18 @@ class PacketReplayCache:
         """The schedule's shape: per-block stores with blocks renamed
         to first-appearance order (addresses mod block geometry). A
         run entry (``write_batch``'s ``(address, part_lengths)``) is
-        keyed as its stores, so its key is the per-store schedule's."""
+        keyed as its stores, so its key is the per-store schedule's.
+
+        ``block_bytes`` is a power of two (the write buffers refuse any
+        other), so a store inside one block — nearly every doubled
+        store — is keyed by a shift and a mask; one that crosses a
+        block edge walks its blocks. The per-block loop this replaced
+        is ``tests/oracles/replay_key_reference.py``."""
         seen: dict = {}
         parts: List[int] = [num_buffers, block_bytes]
         append = parts.append
+        shift = block_bytes.bit_length() - 1
+        mask = block_bytes - 1
         for address, length in ops:
             if length.__class__ is not int:
                 # Start over on the schedule with every run entry
@@ -76,18 +84,28 @@ class PacketReplayCache:
                         address += part
                 return PacketReplayCache.canonical_key(
                     stores, num_buffers, block_bytes)
+            lo = address & mask
+            hi = lo + length
+            if 0 < length and hi <= block_bytes:
+                block = address >> shift
+                canonical = seen.get(block)
+                if canonical is None:
+                    canonical = seen[block] = len(seen)
+                append(canonical)
+                append(lo)
+                append(hi)
+                continue
             end = address + length  # an empty store adds no span
             while address < end:
-                block = address // block_bytes
-                base = block * block_bytes
+                block = address >> shift
+                base = block << shift
                 lo = address - base
                 hi = end - base
                 if hi > block_bytes:
                     hi = block_bytes
                 canonical = seen.get(block)
                 if canonical is None:
-                    canonical = len(seen)
-                    seen[block] = canonical
+                    canonical = seen[block] = len(seen)
                 append(canonical)
                 append(lo)
                 append(hi)

@@ -15,11 +15,13 @@ Two allocators reflect the structural regimes the paper compares
   set_range coordinate arrays.
 
 Integers are stored little-endian in 8-byte fields so the structures
-are real bytes a recovery procedure can walk. Every field access is one
-region word operation (:meth:`MemoryRegion.read_u64` /
-:meth:`MemoryRegion.write_u64`, META category): a field store is still
-one instrumented 8-byte region write — observers, hence write doubling,
-see each of them — it just never becomes a ``bytes`` object on the way.
+are real bytes a recovery procedure can walk. A field read is one
+:meth:`MemoryRegion.read_u64`; a heap operation (:meth:`HeapAllocator.malloc`,
+:meth:`~HeapAllocator.free`, formatting) computes its field stores and
+issues them as one :meth:`MemoryRegion.write_words` batch, META
+category. Each is still one instrumented 8-byte region write, in the
+order the per-field stores made them — observers, hence write
+doubling, see every one — the batch only saves the calls.
 """
 
 from __future__ import annotations
@@ -74,57 +76,46 @@ class HeapAllocator:
         if fresh:
             self._format()
 
-    # -- low-level field access -------------------------------------------
-
-    def _block_size(self, block: int) -> int:
-        return self.region.read_u64(block)
-
-    def _block_flags(self, block: int) -> int:
-        return self.region.read_u64(block + 8)
-
-    def _set_tags(self, block: int, size: int, flags: int) -> None:
-        """Write the header, then its footer copy."""
-        write = self.region.write_u64
-        write(block, size)
-        write(block + 8, flags)
-        write(block + size - 16, size)
-        write(block + size - 8, flags)
-
-    def _next_free(self, block: int) -> int:
-        return self.region.read_u64(block + _NEXT)
-
-    def _head(self) -> int:
-        return self.region.read_u64(self._HEAD_OFFSET)
-
     # -- free-list manipulation -------------------------------------------
+    #
+    # An operation queues its word stores, in the order the fields
+    # change, and issues them as one region batch. ``links`` maps each
+    # list word (a link or the head) queued so far to its new value:
+    # where a later step of the same operation reads a link an earlier
+    # step moved, it reads it there, not in the region. Sizes and flags
+    # are read only where no queued store of the operation lands.
 
-    def _list_insert(self, block: int) -> None:
-        write = self.region.write_u64
-        head = self._head()
-        write(block + _NEXT, head)
-        write(block + _PREV, NULL)
-        if head != NULL:
-            write(head + _PREV, block)
-        write(self._HEAD_OFFSET, block)
-
-    def _list_remove(self, block: int) -> None:
-        write = self.region.write_u64
-        prev = self.region.read_u64(block + _PREV)
-        nxt = self._next_free(block)
-        if prev != NULL:
-            write(prev + _NEXT, nxt)
-        else:
-            write(self._HEAD_OFFSET, nxt)
+    def _unlink(self, block: int, stores: list, links: dict) -> None:
+        """Queue the stores that take free ``block`` out of the list."""
+        read = self.region.read_u64
+        at = block + _PREV
+        prev = links[at] if at in links else read(at)
+        at = block + _NEXT
+        nxt = links[at] if at in links else read(at)
+        at = prev + _NEXT if prev != NULL else self._HEAD_OFFSET
+        stores.append((at, nxt))
+        links[at] = nxt
         if nxt != NULL:
-            write(nxt + _PREV, prev)
+            stores.append((nxt + _PREV, prev))
+            links[nxt + _PREV] = prev
+
+    def _push(self, block: int, stores: list, links: dict) -> None:
+        """Queue the stores that put ``block`` at the head of the list."""
+        at = self._HEAD_OFFSET
+        head = links[at] if at in links else self.region.read_u64(at)
+        stores += ((block + _NEXT, head), (block + _PREV, NULL))
+        if head != NULL:
+            stores.append((head + _PREV, block))
+        stores.append((at, block))
+        links[at] = block
 
     def _format(self) -> None:
         """Initialize the heap as one big free block."""
         first = self._BLOCKS_START
-        block_size = self.size - self._BLOCKS_START
-        self.region.write_u64(self._HEAD_OFFSET, NULL)
-        self._set_tags(first, block_size, _FREE)
-        self._list_insert(first)
+        stores = [(self._HEAD_OFFSET, NULL)]
+        stores += _tags(first, self.size - self._BLOCKS_START, _FREE)
+        self._push(first, stores, {self._HEAD_OFFSET: NULL})
+        self.region.write_words(stores)
 
     # -- public API ---------------------------------------------------------
 
@@ -134,28 +125,32 @@ class HeapAllocator:
         if nbytes <= 0:
             raise AllocationError(f"cannot allocate {nbytes} bytes")
         need = max(MIN_BLOCK, _align16(nbytes + HEADER_BYTES + FOOTER_BYTES))
-        block = self._head()
+        read = self.region.read_u64
+        block = read(self._HEAD_OFFSET)
         while block != NULL:
             self.walk_steps += 1
-            size = self._block_size(block)
+            size = read(block)
             if size >= need:
                 break
-            block = self._next_free(block)
+            block = read(block + _NEXT)
         if block == NULL:
             raise AllocationError(
                 f"heap exhausted allocating {nbytes} bytes "
                 f"(heap size {self.size})"
             )
-        self._list_remove(block)
+        stores: list = []
+        links: dict = {}
+        self._unlink(block, stores, links)
         remainder = size - need
         if remainder >= MIN_BLOCK:
             self.splits += 1
-            self._set_tags(block, need, _USED)
             rest = block + need
-            self._set_tags(rest, remainder, _FREE)
-            self._list_insert(rest)
+            stores += _tags(block, need, _USED)
+            stores += _tags(rest, remainder, _FREE)
+            self._push(rest, stores, links)
         else:
-            self._set_tags(block, size, _USED)
+            stores += _tags(block, size, _USED)
+        self.region.write_words(stores)
         self.allocs += 1
         return block + HEADER_BYTES
 
@@ -164,33 +159,44 @@ class HeapAllocator:
         block = payload_offset - HEADER_BYTES
         if block < self._BLOCKS_START or block >= self.size:
             raise AllocationError(f"free of invalid offset {payload_offset}")
-        if self._block_flags(block) != _USED:
+        read = self.region.read_u64
+        if read(block + 8) != _USED:
             raise AllocationError(f"double free at offset {payload_offset}")
-        size = self._block_size(block)
+        size = read(block)
+        stores: list = []
+        links: dict = {}
 
         # Coalesce with the following block if it is free.
         nxt = block + size
-        if self._fits_block(nxt) and self._block_flags(nxt) == _FREE:
+        if nxt + MIN_BLOCK <= self.size and read(nxt + 8) == _FREE:
             self.coalesces += 1
-            self._list_remove(nxt)
-            size += self._block_size(nxt)
+            self._unlink(nxt, stores, links)
+            size += read(nxt)
 
         # Coalesce with the preceding block if it is free.
         if block > self._BLOCKS_START:
-            if self.region.read_u64(block - 8) == _FREE:
-                prev_size = self.region.read_u64(block - 16)
+            if read(block - 8) == _FREE:
+                prev_size = read(block - 16)
                 prev = block - prev_size
                 self.coalesces += 1
-                self._list_remove(prev)
+                self._unlink(prev, stores, links)
                 block = prev
                 size += prev_size
 
-        self._set_tags(block, size, _FREE)
-        self._list_insert(block)
+        stores += _tags(block, size, _FREE)
+        self._push(block, stores, links)
+        self.region.write_words(stores)
         self.frees += 1
 
-    def _fits_block(self, block: int) -> bool:
-        return block + MIN_BLOCK <= self.size
+
+def _tags(block: int, size: int, flags: int) -> tuple:
+    """The stores of a block's header, then its footer copy."""
+    return (
+        (block, size),
+        (block + 8, flags),
+        (block + size - 16, size),
+        (block + size - 8, flags),
+    )
 
 
 def _align16(n: int) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from typing import Callable, List
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
@@ -61,6 +61,13 @@ _META = WriteCategory.META
 #: per experiment run).
 Observer = Callable[[int, int, WriteCategory], None]
 
+#: An observer's batch counterpart: offered a whole ``write_words``
+#: batch, ``(offset, value)`` pairs, before the words land (so it
+#: never reads them back from the region). It takes the batch — doing
+#: exactly what its observer's per-store calls would — and returns
+#: True, or returns False having done nothing.
+WordsObserver = Callable[[Sequence[Tuple[int, int]]], bool]
+
 
 #: The machine word of every in-region structure (allocator fields,
 #: list links, control words, ring pointers): little-endian, 8 bytes.
@@ -78,6 +85,7 @@ class MemoryRegion:
         "base",
         "data",
         "_observers",
+        "_takers",
         "_crashed",
         "writes_observed",
         "bytes_written",
@@ -91,19 +99,27 @@ class MemoryRegion:
         self.base = 0  # until an AddressSpace places the region
         self.data = memoryview(_np.zeros(size, dtype=_np.uint8))
         self._observers: List[Observer] = []
+        # Per observer, its batch counterpart (see write_words) or None.
+        self._takers: List[Optional[WordsObserver]] = []
         self._crashed = False
         self.writes_observed = 0
         self.bytes_written = 0
 
     # -- observation ----------------------------------------------------
 
-    def add_observer(self, observer: Observer) -> None:
+    def add_observer(
+        self, observer: Observer, words: Optional[WordsObserver] = None
+    ) -> None:
         """Register a callable invoked as ``fn(offset, length,
-        category)`` after every write."""
+        category)`` after every write, and optionally its batch
+        counterpart ``words`` for :meth:`write_words`."""
         self._observers.append(observer)
+        self._takers.append(words)
 
     def remove_observer(self, observer: Observer) -> None:
-        self._observers.remove(observer)
+        index = self._observers.index(observer)
+        del self._observers[index]
+        del self._takers[index]
 
     # -- access ----------------------------------------------------------
 
@@ -169,6 +185,38 @@ class MemoryRegion:
         if self._observers:
             for observer in self._observers:
                 observer(offset, 8, _META)
+
+    def write_words(self, pairs: Sequence[Tuple[int, int]]) -> None:
+        """Store each ``(offset, value)`` pair as a word, in order.
+
+        Exactly :meth:`write_u64` per pair. A live region whose every
+        pair is in bounds and in range takes a non-empty batch whole
+        when it has no observer, or one observer with a batch
+        counterpart that takes it: the counterpart is offered the
+        batch in one call *before* the words land, so one that declines
+        has nothing to undo; then the words land and count together.
+        Anything else *is* the per-store loop, so every observer sees
+        store *k* after exactly the stores before it and every error
+        surfaces at its own store. (With two observers, one could
+        decline after the other took the batch, which no per-store
+        order would show.)"""
+        size = self.size
+        takers = self._takers
+        if pairs and not self._crashed and len(takers) <= 1 and None not in takers:
+            for offset, value in pairs:
+                if value >> 64 or offset < 0 or offset + 8 > size:
+                    break
+            else:
+                if not takers or takers[0](pairs):
+                    data = self.data
+                    for offset, value in pairs:
+                        _pack_u64(data, offset, value)
+                    stores = len(pairs)
+                    self.writes_observed += stores
+                    self.bytes_written += 8 * stores
+                    return
+        for offset, value in pairs:
+            self.write_u64(offset, value)
 
     def write_run(self, offset: int, parts) -> None:
         """Store ``parts`` — ``(data, category)`` pairs — end to end

@@ -82,6 +82,7 @@ class RioMemory:
         self.crash_count += 1
         for region in self._regions.values():
             region._observers.clear()
+            region._takers.clear()
             region._crashed = True
 
     def reboot(self) -> None:

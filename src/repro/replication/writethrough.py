@@ -42,23 +42,25 @@ class ReplicaBinding:
         self.local = local
         self.mapping = mapping
         self.fragmented = fragmented
-        # This callback runs once per write of every replicated
-        # region, the hottest call site in the repo.
-        local.add_observer(self._forward)
+        if fragmented:
+            local.add_observer(self._forward)
+        else:
+            # The window's own observer pair: the hottest call site in
+            # the repo reaches the SAN lane with no frame in between.
+            self._doubled = mapping.double(local)
 
     def _forward(self, offset: int, length: int, category) -> None:
-        if not self.fragmented:
-            self.mapping.write(
-                offset, self.local.data[offset : offset + length], category
-            )
-        else:
-            self.mapping.write_uncoalesced(
-                offset, self.local.read(offset, length), category
-            )
+        self.mapping.write_uncoalesced(
+            offset, self.local.read(offset, length), category
+        )
 
     def detach(self) -> None:
         try:
-            self.local.remove_observer(self._forward)
+            # (A bound method of the binding kept on it would be a
+            # reference cycle, keeping both nodes' regions alive.)
+            self.local.remove_observer(
+                self._forward if self.fragmented else self._doubled
+            )
         except ValueError:
             pass  # a node crash already cleared the region's observers
 

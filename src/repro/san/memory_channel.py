@@ -19,13 +19,19 @@ paper's systems use it: they all double-write.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import CrashedError, NotMappedError
 from repro.fastpath.replay import GLOBAL_REPLAY_CACHE
 from repro.hardware.specs import ALPHASERVER_4100, MEMORY_CHANNEL_II
 from repro.hardware.writebuffer import WriteBufferModel
-from repro.memory.region import MemoryRegion, WriteCategory
+from repro.memory.region import (
+    _META,
+    MemoryRegion,
+    Observer,
+    WriteCategory,
+    _pack_u64,
+)
 from repro.obs.observer import resolve_observer
 from repro.san.packets import PacketTrace
 
@@ -44,11 +50,13 @@ class TransmitMapping:
 
     The window occupies ``[io_base, io_base + size)`` in the sender's
     I/O space and is backed by ``remote`` (same size) on the receiver.
-    Its three store methods are the SAN store path: the bytes reach
-    the remote region at once (DMA, remote CPU uninvolved) and are
-    counted there; packet formation waits for the interface's next
-    ordering point (disjoint ``io_base`` values keep windows from
-    sharing a 32-byte block).
+    Its store methods are the SAN store path — three a caller issues
+    (:meth:`write`, :meth:`write_run`, :meth:`write_uncoalesced`) and
+    the observer pair :meth:`double` installs on a doubled region, one
+    store or one word batch a call: the bytes reach the remote region
+    at once (DMA, remote CPU uninvolved) and are counted there; packet
+    formation waits for the interface's next ordering point (disjoint
+    ``io_base`` values keep windows from sharing a 32-byte block).
     """
 
     def __init__(
@@ -63,6 +71,8 @@ class TransmitMapping:
         self.remote = remote
         self.size = remote.size
         self.name = name or remote.name
+        #: The doubled region's bytes, once :meth:`double` installed it.
+        self._source = None
         #: The one byte count a store updates; every other traffic
         #: total (this window's, the interface's) is derived on read.
         self.bytes_by_category: Dict[WriteCategory, int] = {}
@@ -105,6 +115,87 @@ class TransmitMapping:
             remote.bytes_written += length
         by_category = self.bytes_by_category
         by_category[category] = by_category.get(category, 0) + length
+
+    def double(self, local: MemoryRegion) -> Observer:
+        """Write doubling: install this window's observer pair on
+        ``local`` so every store to it is also a store to the window,
+        and return the per-store observer (what ``remove_observer``
+        takes). The batch counterpart is installed only when the window
+        covers ``local``, so a word in bounds there is in the window."""
+        self._source = local.data
+        local.add_observer(
+            self._doubled_store,
+            self._doubled_words if local.size <= self.size else None,
+        )
+        return self._doubled_store
+
+    def _doubled_store(
+        self, offset: int, length: int, category: WriteCategory
+    ) -> None:
+        """The per-store observer :meth:`double` installs: exactly
+        :meth:`write` of the ``length`` bytes just stored at ``offset``
+        in the doubled region (``length >= 1``, ``offset >= 0``: the
+        region checked both). A store :meth:`write` would refuse, an
+        observed or crashed remote and the store that reaches the
+        pending limit go through :meth:`write` itself."""
+        interface = self.interface
+        remote = self.remote
+        held = interface._pending_stores + 1
+        if (
+            interface._crashed
+            or self not in interface._mappings
+            or offset + length > self.size
+            or remote._observers
+            or remote._crashed
+            or held >= _PENDING_LIMIT
+        ):
+            self.write(offset, self._source[offset : offset + length], category)
+            return
+        interface.io_stores += 1
+        interface._pending.append((self.io_base + offset, length))
+        interface._pending_stores = held
+        remote.data[offset : offset + length] = self._source[
+            offset : offset + length
+        ]
+        remote.writes_observed += 1
+        remote.bytes_written += length
+        by_category = self.bytes_by_category
+        by_category[category] = by_category.get(category, 0) + length
+
+    def _doubled_words(self, pairs: Sequence[Tuple[int, int]]) -> bool:
+        """The batch counterpart :meth:`double` installs: exactly
+        :meth:`_doubled_store` per word of a
+        :meth:`~repro.memory.region.MemoryRegion.write_words` batch —
+        the same ``(io_address, 8)`` pending entries, the values packed
+        into the remote region — checked and counted once. Declines
+        (False, nothing done) where a store would be refused, the
+        remote is observed or crashed, or the pending limit would fall
+        inside the batch: there the per-store calls are exact."""
+        interface = self.interface
+        remote = self.remote
+        stores = len(pairs)
+        held = interface._pending_stores + stores
+        if (
+            interface._crashed
+            or self not in interface._mappings
+            or remote._observers
+            or remote._crashed
+            or held >= _PENDING_LIMIT
+        ):
+            return False
+        append = interface._pending.append
+        data = remote.data
+        io_base = self.io_base
+        for offset, value in pairs:
+            append((io_base + offset, 8))
+            _pack_u64(data, offset, value)
+        interface._pending_stores = held
+        interface.io_stores += stores
+        remote.writes_observed += stores
+        remote.bytes_written += 8 * stores
+        by_category = self.bytes_by_category
+        by_category[_META] = by_category.get(_META, 0) + 8 * stores
+        return True
 
     def write_run(self, offset: int, parts) -> None:
         """Store ``parts`` — ``(data, category)`` pairs — end to end

@@ -61,18 +61,17 @@ class VistaEngine(TransactionEngine):
         buffer = self.heap.malloc(length)
         self.counters.mallocs += 2
 
-        write_field = self.heap_region.write_u64
-        write_field(record, self.control.read_u64(_HEAD))  # next
-        write_field(record + 8, offset)
-        write_field(record + 16, length)
-        write_field(record + 24, buffer)
+        self.heap_region.write_words((
+            (record, self.control.read_u64(_HEAD)),  # next
+            (record + 8, offset),
+            (record + 16, length),
+            (record + 24, buffer),
+        ))
         self.counters.list_ops += 1
 
         # bcopy the current contents of the range into the pre-image
         # buffer (this is "undo data" in the traffic tables).
-        self.heap_region.write(
-            buffer, self.db.read(offset, length), WriteCategory.UNDO
-        )
+        self.heap_region.copy_from(self.db, offset, buffer, length)
         self.counters.undo_bytes_copied += length
         self.profile.touch_random("heap", buffer, length)
 

@@ -396,26 +396,29 @@ ALLOWED_BLOCKS = {
         "repro.hardware.writebuffer:WriteBufferModel.write_batch: split = []":
             "tests/san/test_memory_channel.py::"
             "test_run_keeps_one_store_per_part_where_parts_meet_mid_block",
-        "repro.memory.allocator:HeapAllocator._list_insert: write(head + "
-        "_PREV, block)":
+        "repro.memory.allocator:HeapAllocator._push: "
+        "stores.append((head + _PREV, block))":
             "tests/memory/test_allocator.py::"
             "TestHeapAllocator::test_free_everything_restores_capacity",
-        "repro.memory.allocator:HeapAllocator._list_remove: write(nxt + "
-        "_PREV, prev)":
-            "tests/memory/test_allocator.py::"
-            "TestHeapAllocator::test_free_everything_restores_capacity",
-        "repro.memory.allocator:HeapAllocator._list_remove: write(prev + "
-        "_NEXT, nxt)":
+        "repro.memory.allocator:HeapAllocator._unlink: "
+        "stores.append((nxt + _PREV, prev))":
             "tests/memory/test_allocator.py::"
             "TestHeapAllocator::test_free_everything_restores_capacity",
         "repro.memory.allocator:HeapAllocator.free: prev_size = "
-        "self.region.read_u64(block - 16)":
+        "read(block - 16)":
             "tests/memory/test_allocator.py::"
             "TestHeapAllocator::test_free_everything_restores_capacity",
-        "repro.memory.allocator:HeapAllocator.malloc: self._set_tags(block, "
-        "size, _USED)":
+        "repro.memory.allocator:HeapAllocator.malloc: stores += "
+        "_tags(block, size, _USED)":
             "tests/vista/test_edge_cases.py::"
             "test_undo_space_exhaustion_is_an_error_not_corruption[v0]",
+        "repro.memory.region:MemoryRegion.write_words: break":
+            "tests/properties/test_word_lane_properties.py::"
+            "test_a_refused_pair_sends_the_whole_batch_per_store",
+        "repro.memory.region:MemoryRegion.write_words: "
+        "self.write_u64(offset, value)":
+            "tests/properties/test_word_lane_properties.py::"
+            "test_each_case_takes_the_lane_it_names[per-store-observer-after]",
         "repro.memory.region:MemoryRegion.copy_from: return":
             "tests/memory/test_region.py::"
             "test_copy_within_zero_length_checks_source_bounds",
@@ -491,6 +494,14 @@ ALLOWED_BLOCKS = {
         "region = self.backup_rio.get_region(name)":
             "tests/replication/test_writethrough.py::"
             "test_twin_region_reuses_existing",
+        "repro.san.memory_channel:TransmitMapping._doubled_store: "
+        "self.write(offset, self._source[offset : offset + length],":
+            "tests/properties/test_word_lane_properties.py::"
+            "test_each_case_takes_the_lane_it_names[observed-remote]",
+        "repro.san.memory_channel:TransmitMapping._doubled_words: "
+        "return False":
+            "tests/properties/test_word_lane_properties.py::"
+            "test_each_case_takes_the_lane_it_names[observed-remote]",
         "repro.san.memory_channel:TransmitMapping.write: return":
             "tests/san/test_memory_channel.py::"
             "test_an_all_empty_run_issues_nothing_anywhere",

@@ -22,6 +22,9 @@ from repro.fastpath.replay import PacketReplayCache
 from repro.hardware.writebuffer import WriteBufferModel
 from repro.memory.region import MemoryRegion, WriteCategory
 from repro.san.memory_channel import MemoryChannelInterface
+from tests.oracles.replay_key_reference import (
+    canonical_key as reference_canonical_key,
+)
 from tests.oracles.writebuffer_reference import ReferenceWriteBufferModel
 
 geometries = st.tuples(
@@ -153,6 +156,29 @@ def test_canonical_key_is_translation_invariant(ops, geometry, shift_blocks):
     base_sizes, _model = _run_per_store(ops, num_buffers, block_bytes)
     shifted_sizes, _model = _run_per_store(shifted, num_buffers, block_bytes)
     assert shifted_sizes == base_sizes
+
+
+#: Pending entries as the interface queues them: a store (zero-length
+#: included) or a run entry of parts (zero-length parts included),
+#: inside a block or across block edges.
+pending_entries = st.lists(
+    st.one_of(
+        st.tuples(st.integers(0, 4096), st.integers(0, 100)),
+        st.tuples(st.integers(0, 4096),
+                  st.lists(st.integers(0, 40), max_size=5).map(tuple)),
+    ),
+    max_size=40,
+)
+
+
+@given(ops=pending_entries, geometry=geometries)
+@settings(max_examples=200, deadline=None)
+def test_canonical_key_equals_the_per_block_oracle(ops, geometry):
+    """The shift-and-mask key is the per-block loop's key, byte for
+    byte, so no cache entry and no hit count can move."""
+    num_buffers, block_bytes = geometry
+    assert PacketReplayCache.canonical_key(ops, num_buffers, block_bytes) == (
+        reference_canonical_key(ops, num_buffers, block_bytes))
 
 
 @given(ops=stores, geometry=geometries)

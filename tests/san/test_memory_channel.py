@@ -582,12 +582,30 @@ def test_each_store_lane_is_one_frame_of_the_channel_module():
 
 
 def test_a_doubled_store_reaches_the_wire_through_the_binding_alone():
+    """The binding installs the window's own observer: a doubled store
+    is the region's frame, then the SAN lane's, and nothing between."""
     local = MemoryRegion("local", 64)
     interface = MemoryChannelInterface("sender")
     ReplicaBinding(local, interface.map_remote(MemoryRegion("twin", 64)))
     assert _repro_frames(lambda: local.write_u64(8, 7)) == [
         ("memory/region.py", "write_u64"),
-        ("replication/writethrough.py", "_forward"),
-        ("san/memory_channel.py", "write"),
+        ("san/memory_channel.py", "_doubled_store"),
     ]
     assert interface.io_stores == 1
+
+
+def test_a_doubled_word_batch_is_one_lane_frame():
+    """N words through write_words: one region frame, one lane frame,
+    N I/O-space stores."""
+    local = MemoryRegion("local", 128)
+    interface = MemoryChannelInterface("sender")
+    remote = MemoryRegion("twin", 128)
+    ReplicaBinding(local, interface.map_remote(remote))
+    pairs = [(8 * index, index + 1) for index in range(12)]
+    assert _repro_frames(lambda: local.write_words(pairs)) == [
+        ("memory/region.py", "write_words"),
+        ("san/memory_channel.py", "_doubled_words"),
+    ]
+    assert interface.io_stores == len(pairs)
+    assert remote.writes_observed == local.writes_observed == len(pairs)
+    assert remote.snapshot() == local.snapshot()
