@@ -25,13 +25,14 @@ suite (``tests/properties/test_fastpath_properties.py``).
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from typing import List, Tuple
 
 from repro.hardware.writebuffer import WriteBufferModel
 
-#: One cached drain: (packet sizes in emission order, total bytes).
-CacheEntry = Tuple[Tuple[int, ...], int]
+#: One cached drain: (packet sizes in emission order, total bytes, the
+#: sizes counted as ``(size, packets)`` pairs in first-appearance order).
+CacheEntry = Tuple[Tuple[int, ...], int, Tuple[Tuple[int, int], ...]]
 
 #: Bound on distinct canonical schedules kept; the least-recently-
 #: inserted entry is evicted beyond it. The paper's workloads need a
@@ -118,8 +119,9 @@ class PacketReplayCache:
         num_buffers: int,
         block_bytes: int,
     ) -> CacheEntry:
-        """Packet sizes (and their byte total) that ``ops`` followed by
-        a barrier drain into, starting from empty write buffers."""
+        """Packet sizes (with their byte total and their counts) that
+        ``ops`` followed by a barrier drain into, starting from empty
+        write buffers."""
         key = self.canonical_key(ops, num_buffers, block_bytes)
         entry = self._entries.get(key)
         if entry is not None:
@@ -130,7 +132,7 @@ class PacketReplayCache:
         model = WriteBufferModel(num_buffers, block_bytes, on_packet=sizes.append)
         model.write_batch(ops)
         model.barrier()
-        entry = (tuple(sizes), model.bytes_emitted)
+        entry = (tuple(sizes), model.bytes_emitted, tuple(Counter(sizes).items()))
         self._entries[key] = entry
         if len(self._entries) > _MAX_ENTRIES:
             self._entries.popitem(last=False)

@@ -23,7 +23,7 @@ scattered 4-byte database writes expensive (~14 MB/s).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 BLOCK_BYTES_DEFAULT = 32
 
@@ -245,18 +245,33 @@ class WriteBufferModel:
         if self.on_packet is not None:
             self.on_packet(size)
 
-    def account_replayed(self, sizes: Iterable[int], total_bytes: int) -> None:
+    def account_replayed(
+        self,
+        sizes: Sequence[int],
+        total_bytes: int,
+        counts: Sequence[Tuple[int, int]],
+    ) -> None:
         """Credit packets computed (or looked up) without running the
         store loop — a replay-cache hit, the arithmetic fragmented
         lane — to the model's own statistics. The caller is responsible
         for the schedule having started *and* ended with no open
-        buffers (a barrier-terminated batch)."""
-        sizes = tuple(sizes)
+        buffers (a barrier-terminated batch).
+
+        ``counts`` is ``sizes`` counted: ``(size, packets)`` pairs in
+        order of first appearance. A sink bound to an object that
+        takes such pairs (``record_counts``: the interface's
+        :class:`~repro.san.packets.PacketTrace`) gets them in one call;
+        any other sink sees every packet, in order."""
         self.packets_emitted += len(sizes)
         self.bytes_emitted += total_bytes
-        if self.on_packet is not None:
+        on_packet = self.on_packet
+        sink = getattr(on_packet, "__self__", None)
+        record_counts = getattr(sink, "record_counts", None)
+        if record_counts is not None:
+            record_counts(counts)
+        elif on_packet is not None:
             for size in sizes:
-                self.on_packet(size)
+                on_packet(size)
 
     # -- inspection -----------------------------------------------------
 

@@ -10,22 +10,25 @@ observer that forwards each write into Memory Channel I/O space.
 Every write carries a :class:`WriteCategory` so the traffic tables
 (Tables 2, 5 and 7) can be measured rather than estimated.
 
-The backing store is a ``memoryview`` over a numpy-allocated buffer:
-numpy is the allocator (``calloc`` leaves untouched pages unmapped,
-where a ``bytearray``'s memset touches every one) and ``fill``'s
-memset, nothing more; every bulk move is a memoryview slice
-assignment — a C ``memmove``. The read-then-write ``copy_from``,
-page-loop ``fill`` and ``bytearray`` backing this replaced live on as
-``tests/oracles/region_reference.py``.
+The backing store is a ``memoryview`` over a private anonymous
+``mmap`` of the region's size: zero-filled and mapped lazily by the
+kernel, so a region holds host memory only for the pages a run writes,
+and unmapped when the region is freed (a freed ``malloc`` buffer would
+go back to the C heap and come back to the next region already
+resident). A region of at least 4 MiB is advised onto huge pages, as
+numpy advises its own buffers. Every bulk move is a memoryview slice
+assignment — a C ``memmove`` — and :meth:`MemoryRegion.load_snapshot`
+writes only the pages that differ. The read-then-write ``copy_from``,
+page-loop ``fill``, full-copy ``load_snapshot`` and ``bytearray``
+backing this replaced live on as ``tests/oracles/region_reference.py``.
 """
 
 from __future__ import annotations
 
 import enum
+import mmap
 import struct
 from typing import Callable, List, Optional, Sequence, Tuple
-
-import numpy as _np
 
 from repro.errors import CrashedError, OutOfBoundsError
 
@@ -75,6 +78,12 @@ _U64 = struct.Struct("<Q")
 _unpack_u64 = _U64.unpack_from
 _pack_u64 = _U64.pack_into
 
+#: numpy advises a buffer of at least this many bytes onto transparent
+#: huge pages; a region of that size gets the same advice, so the page
+#: size and fault pattern of every region stay what numpy gave them.
+_HUGEPAGE_BYTES = 4 << 20
+_MADV_HUGEPAGE = getattr(mmap, "MADV_HUGEPAGE", None)
+
 
 class MemoryRegion:
     """A contiguous, bounds-checked byte array with write observers."""
@@ -97,7 +106,13 @@ class MemoryRegion:
         self.name = name
         self.size = size
         self.base = 0  # until an AddressSpace places the region
-        self.data = memoryview(_np.zeros(size, dtype=_np.uint8))
+        buffer = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+        if size >= _HUGEPAGE_BYTES and _MADV_HUGEPAGE is not None:
+            try:
+                buffer.madvise(_MADV_HUGEPAGE)
+            except OSError:  # advice the kernel refuses changes nothing
+                pass
+        self.data = memoryview(buffer)
         self._observers: List[Observer] = []
         # Per observer, its batch counterpart (see write_words) or None.
         self._takers: List[Optional[WordsObserver]] = []
@@ -314,20 +329,40 @@ class MemoryRegion:
         """
         if not 0 <= value <= 255:
             raise ValueError(f"fill value {value} is not a byte")
-        _np.frombuffer(self.data, dtype=_np.uint8).fill(value)
+        data = self.data
+        data[0] = value
+        filled = 1
+        while filled < self.size:  # each copy doubles the filled prefix
+            step = min(filled, self.size - filled)
+            data[filled : filled + step] = data[:step]
+            filled += step
 
     def snapshot(self) -> bytes:
         """An immutable copy of the entire region's contents."""
         return bytes(self.data)
 
-    def load_snapshot(self, snapshot: bytes) -> None:
-        """Restore contents captured by :meth:`snapshot` (no observers)."""
-        if len(snapshot) != self.size:
+    def load_snapshot(self, image) -> None:
+        """Make the region's contents ``image`` — a bytes-like object
+        of the region's size: a :meth:`snapshot`, or another region's
+        :meth:`view` — without observers or statistics.
+
+        Only the pages (``mmap.PAGESIZE``) that differ are written, so
+        an image equal to what the region holds costs no host memory.
+        A crashed region refuses the load, as :meth:`poke` does."""
+        if self._crashed:
+            self._check_bounds(0, 0)
+        image = memoryview(image).cast("B")
+        if len(image) != self.size:
             raise ValueError(
-                f"snapshot of {len(snapshot)} bytes does not match region "
+                f"image of {len(image)} bytes does not match region "
                 f"{self.name!r} of size {self.size}"
             )
-        self.data[:] = snapshot
+        data = self.data
+        page = mmap.PAGESIZE
+        for start in range(0, self.size, page):
+            chunk = image[start : start + page].tobytes()
+            if data[start : start + page].tobytes() != chunk:
+                data[start : start + page] = chunk
 
     def __len__(self) -> int:
         return self.size

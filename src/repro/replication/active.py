@@ -145,7 +145,8 @@ class ActiveReplicatedSystem:
     def sync_initial(self) -> None:
         """Ship the initial image to the backup (one-time bulk copy,
         not part of the measured transaction traffic)."""
-        self.backup_db.load_snapshot(self.engine.db.snapshot())
+        db = self.engine.db
+        self.backup_db.load_snapshot(db.view(0, db.size))
 
     # -- the transaction API ----------------------------------------------------
 

@@ -118,7 +118,7 @@ class WriteThroughReplica:
         for name, region in self.backup_regions.items():
             local = locals_by_name.get(name)
             if local is not None:
-                region.load_snapshot(local.snapshot())
+                region.load_snapshot(local.view(0, local.size))
 
     def detach_all(self) -> None:
         for binding in self.bindings:

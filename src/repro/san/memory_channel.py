@@ -19,6 +19,7 @@ paper's systems use it: they all double-write.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import CrashedError, NotMappedError
@@ -296,7 +297,7 @@ class TransmitMapping:
                     word = edge
                     edge += block_bytes
                 sizes.append(stop - word)
-            buffer.account_replayed(sizes, length)
+            buffer.account_replayed(sizes, length, tuple(Counter(sizes).items()))
             words = -(-length // word_bytes)
             interface.io_stores += words
             remote.data[offset : offset + length] = data
@@ -469,10 +470,9 @@ class MemoryChannelInterface:
             self._pending = []
             self._pending_stores = 0
             buffer = self.write_buffer
-            sizes, total_bytes = GLOBAL_REPLAY_CACHE.drain_sizes(
+            buffer.account_replayed(*GLOBAL_REPLAY_CACHE.drain_sizes(
                 pending, buffer.num_buffers, buffer.block_bytes
-            )
-            buffer.account_replayed(sizes, total_bytes)
+            ))
         else:
             self._flush_pending()
             self.write_buffer.barrier()

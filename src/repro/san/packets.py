@@ -11,7 +11,7 @@ while 32-byte packets see 80 MB/s (Figure 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Iterable, Tuple
 
 from repro.hardware.specs import SanSpec
 
@@ -27,6 +27,15 @@ class PacketTrace:
         if size_bytes <= 0:
             raise ValueError("packet size must be positive")
         self.histogram[size_bytes] = self.histogram.get(size_bytes, 0) + 1
+
+    def record_counts(self, counts: Iterable[Tuple[int, int]]) -> None:
+        """Account ``count`` packets of ``size_bytes`` payload for each
+        ``(size_bytes, count)`` pair: :meth:`record` ``count`` times."""
+        histogram = self.histogram
+        for size_bytes, count in counts:
+            if size_bytes <= 0:
+                raise ValueError("packet size must be positive")
+            histogram[size_bytes] = histogram.get(size_bytes, 0) + count
 
     @property
     def packets(self) -> int:

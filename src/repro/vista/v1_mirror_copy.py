@@ -27,7 +27,6 @@ from repro.vista.api import EngineConfig, TransactionEngine
 _RANGE_RECORD_BYTES = 16  # offset (8) | length (8)
 _RANGE_RECORDS = 4096  # capacity of the set_range coordinate array
 _COMMIT_SEQ = 8
-_RESTORE_CHUNK = 1 << 20
 
 
 class MirrorCopyEngine(TransactionEngine):
@@ -119,11 +118,7 @@ class MirrorCopyEngine(TransactionEngine):
         """Whole-database restore used by a backup that does not have
         the coordinate array (the Section 5.1 optimization): copy the
         entire mirror over the database."""
-        for offset in range(0, self.db.size, _RESTORE_CHUNK):
-            chunk = min(_RESTORE_CHUNK, self.db.size - offset)
-            # poke accepts any bytes-like; the view avoids one
-            # chunk-sized intermediate copy per iteration.
-            self.db.poke(offset, self.mirror.view(offset, chunk))
+        self.db.load_snapshot(self.mirror.view(0, self.db.size))
         self.counters.rollback_bytes += self.db.size
         self.range_array.truncate()
         self._active = False

@@ -235,6 +235,8 @@ ALLOWED_BLOCKS = {
         "self._check_bounds(dst_offset, length)",
         "repro.memory.region:MemoryRegion.copy_from: "
         "src._check_bounds(src_offset, length)",
+        "repro.memory.region:MemoryRegion.load_snapshot: "
+        "self._check_bounds(0, 0)",
         "repro.memory.region:MemoryRegion.read_u64: "
         "self._check_bounds(offset, 8)",
         "repro.memory.region:MemoryRegion.write_u64: "
@@ -386,6 +388,10 @@ ALLOWED_BLOCKS = {
             "test_replay_cache_evicts_its_oldest_schedule_past_its_bound",
         "repro.hardware.cache:AnalyticCacheModel.miss_rate: return 0.0":
             "tests/hardware/test_cache.py::test_analytic_zero_working_set",
+        "repro.hardware.writebuffer:WriteBufferModel.account_replayed: "
+        "for size in sizes":
+            "tests/properties/test_fastpath_properties.py::"
+            "test_account_replayed_matches_write_batch_statistics",
         "repro.hardware.writebuffer:WriteBufferModel._may_close_early: "
         "return True":
             "tests/san/test_memory_channel.py::"

@@ -1,13 +1,14 @@
 """The memory region's bulk operations as first written: the oracle
 for :class:`repro.memory.region.MemoryRegion`.
 
-Production moves bytes with memoryview slice assignments over a
-numpy-allocated buffer. This subclass keeps what that replaced — a
-plain ``bytearray`` backing, ``copy_from`` (and so ``copy_within``,
-which is ``copy_from(self, …)``) as the semantics-defining
-read-then-write pair (one intermediate ``bytes``), and ``fill`` as a
-loop over a fixed-size page — and inherits everything else, so the two
-differ in exactly the code under test.
+Production moves bytes with memoryview slice assignments over an
+anonymous ``mmap``. This subclass keeps what that replaced — a plain
+``bytearray`` backing, ``copy_from`` (and so ``copy_within``, which is
+``copy_from(self, …)``) as the semantics-defining read-then-write pair
+(one intermediate ``bytes``), ``fill`` as a loop over a fixed-size
+page, and ``load_snapshot`` as one copy of the whole image — and
+inherits everything else, so the two differ in exactly the code under
+test.
 ``tests/properties/test_region_properties.py`` drives both with random
 operation sequences and requires identical bytes, observer streams,
 statistics and errors.
@@ -50,3 +51,14 @@ class ReferenceMemoryRegion(MemoryRegion):
             self.data[start : start + step] = page
         if whole < size:
             self.data[whole:size] = page[: size - whole]
+
+    def load_snapshot(self, image) -> None:
+        if self._crashed:
+            self._check_bounds(0, 0)
+        image = memoryview(image).cast("B")
+        if len(image) != self.size:
+            raise ValueError(
+                f"image of {len(image)} bytes does not match region "
+                f"{self.name!r} of size {self.size}"
+            )
+        self.data[:] = image

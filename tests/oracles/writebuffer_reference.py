@@ -119,10 +119,13 @@ class ReferenceWriteBufferModel:
         if self.on_packet is not None:
             self.on_packet(size)
 
-    def account_replayed(self, sizes: Iterable[int], total_bytes: int) -> None:
+    def account_replayed(
+        self, sizes: Iterable[int], total_bytes: int, counts
+    ) -> None:
         """Credit packets computed without running :meth:`write` (see
         :meth:`repro.hardware.writebuffer.WriteBufferModel.
-        account_replayed`)."""
+        account_replayed`), one sink call per packet: ``counts`` is
+        only the sizes counted, so the oracle does not read it."""
         sizes = tuple(sizes)
         self.packets_emitted += len(sizes)
         self.bytes_emitted += total_bytes

@@ -16,12 +16,15 @@ arithmetic fragmented transmit equal to its per-word loop.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from hypothesis import given, settings, strategies as st
 
 from repro.fastpath.replay import PacketReplayCache
 from repro.hardware.writebuffer import WriteBufferModel
 from repro.memory.region import MemoryRegion, WriteCategory
 from repro.san.memory_channel import MemoryChannelInterface
+from repro.san.packets import PacketTrace
 from tests.oracles.replay_key_reference import (
     canonical_key as reference_canonical_key,
 )
@@ -98,9 +101,11 @@ def test_replay_cache_matches_simulation(ops, geometry):
     slow_sizes, slow = _run_per_store(ops, num_buffers, block_bytes)
     cache = PacketReplayCache()
     for expected_hits in (0, 1):
-        sizes, total_bytes = cache.drain_sizes(ops, num_buffers, block_bytes)
+        sizes, total_bytes, counts = cache.drain_sizes(
+            ops, num_buffers, block_bytes)
         assert list(sizes) == slow_sizes
         assert total_bytes == slow.bytes_emitted
+        assert counts == tuple(Counter(slow_sizes).items())
         assert cache.hits == expected_hits
     assert cache.misses == 1
 
@@ -132,7 +137,8 @@ def test_a_run_entry_keys_and_drains_as_its_stores(entries, geometry):
     slow_sizes, slow = _run_per_store(split, num_buffers, block_bytes)
     cache = PacketReplayCache()
     for expected_hits, ops in ((0, batch), (1, split)):
-        sizes, total_bytes = cache.drain_sizes(ops, num_buffers, block_bytes)
+        sizes, total_bytes, _counts = cache.drain_sizes(
+            ops, num_buffers, block_bytes)
         assert list(sizes) == slow_sizes
         assert total_bytes == slow.bytes_emitted
         assert cache.hits == expected_hits
@@ -190,10 +196,35 @@ def test_account_replayed_matches_write_batch_statistics(ops, geometry):
     model = WriteBufferModel(
         num_buffers, block_bytes, on_packet=replayed_sizes.append
     )
-    model.account_replayed(sizes, reference.bytes_emitted)
+    model.account_replayed(
+        sizes, reference.bytes_emitted, tuple(Counter(sizes).items()))
     assert replayed_sizes == sizes
     assert model.packets_emitted == reference.packets_emitted
     assert model.bytes_emitted == reference.bytes_emitted
+
+
+@given(ops=stores, geometry=geometries)
+@settings(max_examples=100, deadline=None)
+def test_a_trace_sink_takes_a_replay_as_its_counts(ops, geometry):
+    """A replay credited to a packet trace leaves the histogram — its
+    key order included — that recording every packet leaves, in one
+    ``record_counts`` call."""
+    num_buffers, block_bytes = geometry
+    sizes, reference = _run_batched(ops, num_buffers, block_bytes)
+    per_packet = PacketTrace()
+    for size in sizes:
+        per_packet.record(size)
+    trace = PacketTrace()
+    calls = []
+    record_counts = trace.record_counts
+    trace.record_counts = lambda counts: (calls.append(counts),
+                                          record_counts(counts))
+    model = WriteBufferModel(num_buffers, block_bytes, on_packet=trace.record)
+    model.account_replayed(
+        sizes, reference.bytes_emitted, tuple(Counter(sizes).items()))
+    assert list(trace.histogram.items()) == list(per_packet.histogram.items())
+    assert len(calls) == 1
+    assert model.packets_emitted == reference.packets_emitted
 
 
 # -- the arithmetic fragmented lane vs the per-word loop ----------------

@@ -1,10 +1,11 @@
 """Property-based equivalence of the memory region and its oracle.
 
 :class:`~repro.memory.region.MemoryRegion` moves bytes by memoryview
-slice assignment over a numpy-allocated buffer;
-``tests/oracles/region_reference.py`` keeps the ``bytearray`` backing
-and read-then-write copies it replaced, and the difference must be
-invisible everywhere the reproduction can look. Random operation
+slice assignment over an anonymous ``mmap``;
+``tests/oracles/region_reference.py`` keeps the ``bytearray`` backing,
+read-then-write copies and whole-image snapshot loads it replaced, and
+the difference must be invisible everywhere the reproduction can
+look. Random operation
 sequences — writes, pokes, fills, overlapping in-region copies,
 cross-region copies (mixed backings included), out-of-bounds
 attempts — must leave the region and
@@ -13,7 +14,8 @@ observer event streams, identical statistics, and identical error
 behaviour, at every offset alignment (the region size is prime, so
 partial words and boundary tails occur constantly). The word
 accessors and ``write_run`` are held to the byte path the same way:
-each is exactly the ``write`` calls it stands for. On top of the
+each is exactly the ``write`` calls it stands for, and the page-sparse
+``load_snapshot`` is exactly a full copy. On top of the
 region-level properties, a full Vista engine must produce identical
 :class:`~repro.vista.stats.AccessProfile` snapshots and counters with
 either underneath it.
@@ -21,6 +23,7 @@ either underneath it.
 
 from __future__ import annotations
 
+import mmap
 import struct
 
 import pytest
@@ -131,9 +134,9 @@ def _run_backend(region_cls, source_cls, ops):
 
 @settings(max_examples=200, deadline=None)
 @given(ops=_ops)
-def test_numpy_region_matches_reference(ops):
+def test_region_matches_reference(ops):
     """Op for op: same bytes, same observer streams, same statistics,
-    same exception types — numpy-allocated region vs bytearray
+    same exception types — mmap-backed region vs bytearray
     reference."""
     reference = _run_backend(ReferenceMemoryRegion, ReferenceMemoryRegion, ops)
     shipped = _run_backend(MemoryRegion, MemoryRegion, ops)
@@ -143,7 +146,7 @@ def test_numpy_region_matches_reference(ops):
 @settings(max_examples=100, deadline=None)
 @given(ops=_ops)
 def test_mixed_backings_match_reference(ops):
-    """``copy_from`` across backings (numpy-allocated target,
+    """``copy_from`` across backings (mmap-backed target,
     bytearray source) is the same slice assignment; it must be just as
     invisible."""
     reference = _run_backend(ReferenceMemoryRegion, ReferenceMemoryRegion, ops)
@@ -373,6 +376,66 @@ def test_write_run_reads_a_one_shot_iterator_once():
     assert (region.writes_observed, region.bytes_written) == (1, 10)
 
 
+# -- load_snapshot vs a full copy ------------------------------------
+
+_PAGE = mmap.PAGESIZE
+
+
+@st.composite
+def _snapshot_cases(draw):
+    """A region size (rarely a page multiple), its prior contents and
+    an image: each the one before with bytes changed in a random set
+    of pages. The image comes as ``bytes`` or as a region's view."""
+    size = max(1, draw(st.integers(0, 3)) * _PAGE + draw(st.integers(0, _PAGE - 1)))
+    pages = -(-size // _PAGE)
+
+    def repaint(base):
+        image = bytearray(base)
+        for page in draw(st.sets(st.integers(0, pages - 1))):
+            offset = draw(st.integers(page * _PAGE, min(size, (page + 1) * _PAGE) - 1))
+            data = draw(st.binary(min_size=1, max_size=16))[: size - offset]
+            image[offset : offset + len(data)] = data
+        return bytes(image)
+
+    prior = repaint(bytes(size))
+    return size, prior, repaint(prior), draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_snapshot_cases())
+def test_load_snapshot_is_a_full_copy(case):
+    """Writing only the pages that differ leaves what copying the whole
+    image leaves: the image's bytes, no observer call, no statistic."""
+    size, prior, image, as_view = case
+    seen = []
+    for region_cls in (ReferenceMemoryRegion, MemoryRegion):
+        region = region_cls("target", size)
+        region.poke(0, prior)
+        events = _instrumented(region)
+        loaded = image
+        if as_view:
+            source = MemoryRegion("image", size)
+            source.poke(0, image)
+            loaded = source.view(0, size)
+        region.load_snapshot(loaded)
+        seen.append((region.snapshot(), events,
+                     region.writes_observed, region.bytes_written))
+    assert seen[0] == seen[1] == (image, [], 0, 0)
+
+
+@both_regions
+def test_load_snapshot_refuses_a_crashed_region_or_a_wrong_size(region_cls):
+    region = region_cls("target", SIZE)
+    region.poke(0, _SOURCE_IMAGE)
+    with pytest.raises(ValueError):
+        region.load_snapshot(bytes(SIZE - 1))
+    region._crashed = True  # what RioMemory.crash() does to a region
+    with pytest.raises(CrashedError):
+        region.load_snapshot(bytes(SIZE))
+    region._crashed = False
+    assert region.snapshot() == _SOURCE_IMAGE
+
+
 # -- engine-level: AccessProfile snapshots ----------------------------
 
 MB = 1024 * 1024
@@ -406,6 +469,3 @@ def test_engine_access_profile_identical_across_backings(seed):
         reference = _measure_engine(seed)
     assert shipped == reference
 
-
-def test_numpy_backend_requires_numpy():
-    pytest.importorskip("numpy")
