@@ -79,14 +79,16 @@ class HeapAllocator:
     # -- free-list manipulation -------------------------------------------
     #
     # An operation queues its word stores, in the order the fields
-    # change, and issues them as one region batch. ``links`` maps each
-    # list word (a link or the head) queued so far to its new value:
-    # where a later step of the same operation reads a link an earlier
-    # step moved, it reads it there, not in the region. Sizes and flags
-    # are read only where no queued store of the operation lands.
+    # change, and issues them as one region batch: the unlink of the
+    # block it takes or merges, then the block's header and footer,
+    # then its push onto the list head. Nothing lands before the batch,
+    # so where a step reads a list word an earlier step of the same
+    # operation moved, it reads the queued value, not the region.
 
     def _unlink(self, block: int, stores: list, links: dict) -> None:
-        """Queue the stores that take free ``block`` out of the list."""
+        """Queue the stores that take free ``block`` out of the list;
+        ``links`` maps each list word queued so far to its new value.
+        (Only ``free`` unlinks twice, when it merges both neighbours.)"""
         read = self.region.read_u64
         at = block + _PREV
         prev = links[at] if at in links else read(at)
@@ -99,23 +101,18 @@ class HeapAllocator:
             stores.append((nxt + _PREV, prev))
             links[nxt + _PREV] = prev
 
-    def _push(self, block: int, stores: list, links: dict) -> None:
-        """Queue the stores that put ``block`` at the head of the list."""
-        at = self._HEAD_OFFSET
-        head = links[at] if at in links else self.region.read_u64(at)
-        stores += ((block + _NEXT, head), (block + _PREV, NULL))
-        if head != NULL:
-            stores.append((head + _PREV, block))
-        stores.append((at, block))
-        links[at] = block
-
     def _format(self) -> None:
         """Initialize the heap as one big free block."""
-        first = self._BLOCKS_START
-        stores = [(self._HEAD_OFFSET, NULL)]
-        stores += _tags(first, self.size - self._BLOCKS_START, _FREE)
-        self._push(first, stores, {self._HEAD_OFFSET: NULL})
-        self.region.write_words(stores)
+        head, first = self._HEAD_OFFSET, self._BLOCKS_START
+        end = self.size
+        size = end - first
+        self.region.write_words((
+            (head, NULL),
+            (first, size), (first + 8, _FREE),
+            (end - 16, size), (end - 8, _FREE),
+            (first + _NEXT, NULL), (first + _PREV, NULL),
+            (head, first),
+        ))
 
     # -- public API ---------------------------------------------------------
 
@@ -124,9 +121,11 @@ class HeapAllocator:
         offset."""
         if nbytes <= 0:
             raise AllocationError(f"cannot allocate {nbytes} bytes")
-        need = max(MIN_BLOCK, _align16(nbytes + HEADER_BYTES + FOOTER_BYTES))
+        # The block, header and footer included, rounded up to 16 bytes.
+        need = max(MIN_BLOCK, (nbytes + HEADER_BYTES + FOOTER_BYTES + 15) & ~15)
         read = self.region.read_u64
-        block = read(self._HEAD_OFFSET)
+        head = self._HEAD_OFFSET
+        block = first = read(head)
         while block != NULL:
             self.walk_steps += 1
             size = read(block)
@@ -138,18 +137,37 @@ class HeapAllocator:
                 f"heap exhausted allocating {nbytes} bytes "
                 f"(heap size {self.size})"
             )
-        stores: list = []
-        links: dict = {}
-        self._unlink(block, stores, links)
+        # Unlink the block; ``first`` becomes the list's head after it.
+        prev = read(block + _PREV)
+        nxt = read(block + _NEXT)
+        if prev != NULL:
+            stores = [(prev + _NEXT, nxt)]
+        else:
+            stores = [(head, nxt)]
+            first = nxt
+        if nxt != NULL:
+            stores.append((nxt + _PREV, prev))
         remainder = size - need
+        end = block + size
         if remainder >= MIN_BLOCK:
+            # Split: the block's tags, the rest's tags, push the rest.
             self.splits += 1
             rest = block + need
-            stores += _tags(block, need, _USED)
-            stores += _tags(rest, remainder, _FREE)
-            self._push(rest, stores, links)
+            stores += (
+                (block, need), (block + 8, _USED),
+                (rest - 16, need), (rest - 8, _USED),
+                (rest, remainder), (rest + 8, _FREE),
+                (end - 16, remainder), (end - 8, _FREE),
+                (rest + _NEXT, first), (rest + _PREV, NULL),
+            )
+            if first != NULL:
+                stores.append((first + _PREV, rest))
+            stores.append((head, rest))
         else:
-            stores += _tags(block, size, _USED)
+            stores += (
+                (block, size), (block + 8, _USED),
+                (end - 16, size), (end - 8, _USED),
+            )
         self.region.write_words(stores)
         self.allocs += 1
         return block + HEADER_BYTES
@@ -183,24 +201,20 @@ class HeapAllocator:
                 block = prev
                 size += prev_size
 
-        stores += _tags(block, size, _FREE)
-        self._push(block, stores, links)
+        # The merged block's tags, then push it.
+        head = self._HEAD_OFFSET
+        first = links[head] if head in links else read(head)
+        end = block + size
+        stores += (
+            (block, size), (block + 8, _FREE),
+            (end - 16, size), (end - 8, _FREE),
+            (block + _NEXT, first), (block + _PREV, NULL),
+        )
+        if first != NULL:
+            stores.append((first + _PREV, block))
+        stores.append((head, block))
         self.region.write_words(stores)
         self.frees += 1
-
-
-def _tags(block: int, size: int, flags: int) -> tuple:
-    """The stores of a block's header, then its footer copy."""
-    return (
-        (block, size),
-        (block + 8, flags),
-        (block + size - 16, size),
-        (block + size - 8, flags),
-    )
-
-
-def _align16(n: int) -> int:
-    return (n + 15) & ~15
 
 
 class ArrayAllocator:

@@ -172,7 +172,9 @@ class MemoryRegion:
 
     def read(self, offset: int, length: int) -> bytes:
         """Return ``length`` bytes starting at ``offset``."""
-        self._check_bounds(offset, length)
+        # Fused precondition, as in write.
+        if self._crashed or offset < 0 or length < 0 or offset + length > self.size:
+            self._check_bounds(offset, length)
         return bytes(self.data[offset : offset + length])
 
     def read_u64(self, offset: int) -> int:
@@ -204,25 +206,42 @@ class MemoryRegion:
     def write_words(self, pairs: Sequence[Tuple[int, int]]) -> None:
         """Store each ``(offset, value)`` pair as a word, in order.
 
-        Exactly :meth:`write_u64` per pair. A live region whose every
-        pair is in bounds and in range takes a non-empty batch whole
-        when it has no observer, or one observer with a batch
-        counterpart that takes it: the counterpart is offered the
-        batch in one call *before* the words land, so one that declines
-        has nothing to undo; then the words land and count together.
-        Anything else *is* the per-store loop, so every observer sees
-        store *k* after exactly the stores before it and every error
-        surfaces at its own store. (With two observers, one could
-        decline after the other took the batch, which no per-store
-        order would show.)"""
+        Exactly :meth:`write_u64` per pair. A live region with no
+        observer packs each word as it passes the checks, and counts
+        the words that landed together; at a word that fails one, the
+        rest of the batch is the per-store loop, so that word raises in
+        :meth:`write_u64` with every word before it landed and counted.
+        A live region with one observer that has a batch counterpart
+        offers it a non-empty batch whose every pair is in bounds and
+        in range, in one call *before* the words land, so one that
+        declines has nothing to undo; if it takes the batch, the words
+        land and count together. Anything else *is* the per-store loop,
+        so every observer sees store *k* after exactly the stores
+        before it and every error surfaces at its own store. (With two
+        observers, one could decline after the other took the batch,
+        which no per-store order would show.)"""
         size = self.size
         takers = self._takers
-        if pairs and not self._crashed and len(takers) <= 1 and None not in takers:
+        if not takers and not self._crashed:
+            data = self.data
+            stores = 0
+            for offset, value in pairs:
+                if value >> 64 or offset < 0 or offset + 8 > size:
+                    pairs = pairs[stores:]
+                    break
+                _pack_u64(data, offset, value)
+                stores += 1
+            else:
+                pairs = ()
+            self.writes_observed += stores
+            self.bytes_written += 8 * stores
+        elif (pairs and not self._crashed and len(takers) == 1
+              and takers[0] is not None):
             for offset, value in pairs:
                 if value >> 64 or offset < 0 or offset + 8 > size:
                     break
             else:
-                if not takers or takers[0](pairs):
+                if takers[0](pairs):
                     data = self.data
                     for offset, value in pairs:
                         _pack_u64(data, offset, value)
@@ -265,7 +284,8 @@ class MemoryRegion:
 
         Same bounds and crash checks as :meth:`read`; callers that only
         scan the bytes (the diff kernels) avoid the copy."""
-        self._check_bounds(offset, length)
+        if self._crashed or offset < 0 or length < 0 or offset + length > self.size:
+            self._check_bounds(offset, length)
         return memoryview(self.data).toreadonly()[offset : offset + length]
 
     def copy_within(self, src_offset: int, dst_offset: int, length: int) -> None:

@@ -44,7 +44,7 @@ from repro.replication.redo_log import (
     RedoRecord,
     RedoTransaction,
 )
-from repro.vista.api import EngineConfig, HINT_RANDOM
+from repro.vista.api import EngineConfig
 from repro.vista.v3_inline_log import InlineLogEngine
 
 _DEFAULT_RING_BYTES = 1 << 20
@@ -97,6 +97,10 @@ class ActiveReplicatedSystem:
         self.engine = InlineLogEngine.create(
             self.primary_rio, self.config, self.space
         )
+        # set_range and read are the engine's own; write also records
+        # the extent the redo log ships.
+        self.set_range = self.engine.set_range
+        self.read = self.engine.read
 
         # Backup: its own database copy and the redo ring.
         self.backup_rio = RioMemory(backup_name)
@@ -135,7 +139,6 @@ class ActiveReplicatedSystem:
         self._failed_over = False
         self.redo_records_shipped = 0
         self.redo_bytes_shipped = 0
-        self.lost_window_transactions = 0
 
     # -- data loading ------------------------------------------------------
 
@@ -156,15 +159,9 @@ class ActiveReplicatedSystem:
         if self._spans is not None:
             self._txn_counters_base = counters_snapshot(self.engine.counters)
 
-    def set_range(self, offset: int, length: int, hint: str = HINT_RANDOM) -> None:
-        self.engine.set_range(offset, length, hint)
-
     def write(self, offset: int, data: bytes) -> None:
         self.engine.write(offset, data)
         self._txn_writes.append((offset, len(data)))
-
-    def read(self, offset: int, length: int) -> bytes:
-        return self.engine.read(offset, length)
 
     def _build_redo(self) -> RedoTransaction:
         records = tuple(
@@ -233,14 +230,6 @@ class ActiveReplicatedSystem:
                 records=len(redo.records), wire_bytes=redo.wire_bytes(),
                 ring_lag_bytes=lag, safety=self.safety.value,
             )
-
-    def commit_transaction_losing_publish(self) -> None:
-        """Commit locally but crash before the redo publish — the
-        1-safe vulnerability window made injectable for tests."""
-        self.engine.commit_transaction()
-        self.lost_window_transactions += 1
-        self._txn_writes = []
-        self.fail_primary()
 
     def abort_transaction(self) -> None:
         self.engine.abort_transaction()

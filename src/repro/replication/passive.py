@@ -41,7 +41,7 @@ from repro.obs.spans import (
 from repro.san.memory_channel import MemoryChannelInterface
 from repro.replication.commit_safety import CommitSafety
 from repro.replication.writethrough import WriteThroughReplica
-from repro.vista.api import EngineConfig, TransactionEngine, HINT_RANDOM
+from repro.vista.api import EngineConfig, TransactionEngine
 from repro.vista.factory import engine_class
 
 
@@ -49,7 +49,8 @@ class PassiveReplicatedSystem:
     """A primary engine whose replicated regions are write-doubled to a
     passive backup node.
 
-    The transaction API is forwarded to the primary engine; the write
+    The transaction API is the primary engine's: ``set_range``,
+    ``write`` and ``read`` are its bound methods, and the write
     observers installed on the replicated regions do the doubling.
     """
 
@@ -90,6 +91,9 @@ class PassiveReplicatedSystem:
             self.replicated_names,
             fragmented_names=("mirror",),
         )
+        self.set_range = self.engine.set_range
+        self.write = self.engine.write
+        self.read = self.engine.read
         self._failed_over = False
         self._txn_wire_start = 0
         # Causal commit spans: phase durations are modeled from this
@@ -123,15 +127,6 @@ class PassiveReplicatedSystem:
         if self._spans is not None:
             self._txn_counters_base = counters_snapshot(self.engine.counters)
             self._txn_link_start = self.interface.link_time_us()
-
-    def set_range(self, offset: int, length: int, hint: str = HINT_RANDOM) -> None:
-        self.engine.set_range(offset, length, hint)
-
-    def write(self, offset: int, data: bytes) -> None:
-        self.engine.write(offset, data)
-
-    def read(self, offset: int, length: int) -> bytes:
-        return self.engine.read(offset, length)
 
     def commit_transaction(self) -> None:
         """1-safe commit: complete locally, put the commit record on

@@ -43,6 +43,9 @@ MB = 1024 * 1024
 HINT_RANDOM = "random"
 HINT_SEQUENTIAL = "sequential"
 
+#: Bound once: an enum member lookup costs about a call on every write.
+_MODIFIED = WriteCategory.MODIFIED
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -95,6 +98,9 @@ class TransactionEngine(abc.ABC):
         self.config = config
         self.regions = regions
         self.db = regions["db"]
+        # Reading database bytes (allowed outside transactions too) is
+        # the region's own read.
+        self.read = self.db.read
         self.control = regions["control"]
         self.counters = EngineCounters()
         self.profile = AccessProfile()
@@ -195,7 +201,10 @@ class TransactionEngine(abc.ABC):
     ) -> None:
         """Declare that the transaction may modify
         ``[offset, offset + length)`` of the database."""
-        self._require_active("set_range")
+        if not self._active:
+            raise NoTransactionError(
+                f"{self.VERSION}: set_range outside a transaction"
+            )
         if offset < 0 or length <= 0 or offset + length > self.db.size:
             raise OutOfBoundsError(self.db.name, offset, length, self.db.size)
         self._ranges.append((offset, offset + length))
@@ -210,17 +219,19 @@ class TransactionEngine(abc.ABC):
     def write(self, offset: int, data: bytes) -> None:
         """In-place database write (must be covered by a set_range: RVM
         leaves an uncovered write undefined, the engines refuse it)."""
-        self._require_active("write")
+        if not self._active:
+            raise NoTransactionError(f"{self.VERSION}: write outside a transaction")
         length = len(data)
-        if not self._covered(offset, length):
+        end = offset + length
+        # Newest first: a write almost always hits the last declared range.
+        for lo, hi in reversed(self._ranges):
+            if lo <= offset and end <= hi:
+                break
+        else:
             raise RangeNotDeclaredError(offset, length)
-        self.db.write(offset, data, WriteCategory.MODIFIED)
+        self.db.write(offset, data, _MODIFIED)
         self.counters.db_writes += 1
         self.counters.db_bytes_written += length
-
-    def read(self, offset: int, length: int) -> bytes:
-        """Read database bytes (allowed outside transactions too)."""
-        return self.db.read(offset, length)
 
     def commit_transaction(self) -> None:
         """Make the transaction's effects durable."""
@@ -276,14 +287,6 @@ class TransactionEngine(abc.ABC):
             raise NoTransactionError(
                 f"{self.VERSION}: {operation} outside a transaction"
             )
-
-    def _covered(self, offset: int, length: int) -> bool:
-        # Newest first: a write almost always hits the last declared range.
-        end = offset + length
-        for lo, hi in reversed(self._ranges):
-            if lo <= offset and end <= hi:
-                return True
-        return False
 
     def __repr__(self) -> str:
         return (

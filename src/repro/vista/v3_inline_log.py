@@ -49,6 +49,8 @@ _EPOCH_MASK = 0xFFFFFFFF
 #: The recycled hot prefix of the log, its cache working-set size (the
 #: log empties at every commit, so only this much is ever live).
 _LOG_HOT_BYTES = 64 * 1024
+#: Bound once: an enum member lookup costs about a call per set_range.
+_META, _UNDO = WriteCategory.META, WriteCategory.UNDO
 
 
 def _check_word(offset: int, length: int, epoch: int, pre_image) -> int:
@@ -104,11 +106,12 @@ class InlineLogEngine(TransactionEngine):
             )
         self.counters.bump_allocs += 1
         pre_image = self.db.read(offset, length)
-        check = _check_word(offset, length, self._epoch(), pre_image)
+        epoch = self.control.read_u64(_COMMIT_SEQ) & _EPOCH_MASK
+        check = _check_word(offset, length, epoch, pre_image)
         # Header then pre-image, adjacent: two stores, one run.
         self.log_region.write_run(record, (
-            (_HEADER.pack(offset, length, check), WriteCategory.META),
-            (pre_image, WriteCategory.UNDO),
+            (_HEADER.pack(offset, length, check), _META),
+            (pre_image, _UNDO),
         ))
         self._log_pointer = record + HEADER_BYTES + length
         self.counters.undo_bytes_copied += length

@@ -6,32 +6,25 @@ into named :class:`Table` areas; a table knows its record size, its
 field offsets, and how to read/update integer fields through a
 transaction target (so every access goes through the engine API and is
 instrumented like any other transaction work).
+
+A field access is one frame on the way to the target: the table keeps
+each field's offset and its ``struct`` codec, and
+:meth:`Table.read_field`, :meth:`~Table.write_field` and
+:meth:`~Table.add_to_field` check the record index and compute the
+field's offset in their own body (``add_to_field`` once, for its read
+and its write). An index out of range is a ``ConfigurationError``
+before the target is called.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.errors import ConfigurationError
 
 _I64 = struct.Struct("<q")
 _I32 = struct.Struct("<i")
-
-
-@dataclass(frozen=True)
-class Field:
-    """One integer field inside a record."""
-
-    offset: int
-    size: int  # 4 or 8 bytes, signed little-endian
-
-    def pack(self, value: int) -> bytes:
-        return (_I32 if self.size == 4 else _I64).pack(value)
-
-    def unpack(self, data: bytes) -> int:
-        return (_I32 if self.size == 4 else _I64).unpack(data)[0]
 
 
 class Table:
@@ -51,15 +44,15 @@ class Table:
         self.base = base
         self.record_bytes = record_bytes
         self.records = records
-        self.fields = {
-            field_name: Field(offset, size)
-            for field_name, (offset, size) in fields.items()
-        }
-        for field_name, field in self.fields.items():
-            if field.offset + field.size > record_bytes:
+        # Per field, its offset in the record and its codec: 4 or 8
+        # bytes, signed little-endian.
+        self.fields: Dict[str, Tuple[int, struct.Struct]] = {}
+        for field_name, (offset, size) in fields.items():
+            if offset + size > record_bytes:
                 raise ConfigurationError(
                     f"field {field_name!r} overflows record of table {name!r}"
                 )
+            self.fields[field_name] = (offset, _I32 if size == 4 else _I64)
 
     @property
     def size_bytes(self) -> int:
@@ -71,30 +64,42 @@ class Table:
 
     def record_offset(self, index: int) -> int:
         if index < 0 or index >= self.records:
-            raise ConfigurationError(
-                f"record {index} out of range for table {self.name!r} "
-                f"({self.records} records)"
-            )
+            raise self._no_record(index)
         return self.base + index * self.record_bytes
 
     def field_offset(self, index: int, field_name: str) -> int:
-        return self.record_offset(index) + self.fields[field_name].offset
+        return self.record_offset(index) + self.fields[field_name][0]
+
+    def _no_record(self, index: int) -> ConfigurationError:
+        return ConfigurationError(
+            f"record {index} out of range for table {self.name!r} "
+            f"({self.records} records)"
+        )
 
     # -- instrumented access through a transaction target ---------------
 
     def read_field(self, target, index: int, field_name: str) -> int:
-        field = self.fields[field_name]
-        data = target.read(self.field_offset(index, field_name), field.size)
-        return field.unpack(data)
+        offset, codec = self.fields[field_name]
+        if index < 0 or index >= self.records:
+            raise self._no_record(index)
+        offset += self.base + index * self.record_bytes
+        return codec.unpack(target.read(offset, codec.size))[0]
 
     def write_field(self, target, index: int, field_name: str, value: int) -> None:
-        field = self.fields[field_name]
-        target.write(self.field_offset(index, field_name), field.pack(value))
+        offset, codec = self.fields[field_name]
+        if index < 0 or index >= self.records:
+            raise self._no_record(index)
+        offset += self.base + index * self.record_bytes
+        target.write(offset, codec.pack(value))
 
     def add_to_field(self, target, index: int, field_name: str, delta: int) -> int:
         """Read-modify-write of one field; returns the new value."""
-        value = self.read_field(target, index, field_name) + delta
-        self.write_field(target, index, field_name, value)
+        offset, codec = self.fields[field_name]
+        if index < 0 or index >= self.records:
+            raise self._no_record(index)
+        offset += self.base + index * self.record_bytes
+        value = codec.unpack(target.read(offset, codec.size))[0] + delta
+        target.write(offset, codec.pack(value))
         return value
 
 

@@ -104,14 +104,13 @@ _QUEUE = "the queue protocol both event queues share"
 _POOL = "runs only in the --jobs pool's worker processes"
 _TIE = ("the SMP link's equal-instant tie-break, exact to the polling "
         "oracle; the grid's packet mixes never tie")
-_WINDOW = "stands in for the 1-safe window until ROADMAP 1(a)"
 _BENCHMARK = ("a frozen benchmark passes it (benchmarks/ledger/ may not "
               "change, nor the committed benchmarks/results/ renderings)")
 _CLI = "a documented CLI flag reaches it"
 _CHECK = "it switches a check on"
 _TEST = ("a named tier-1 test needs a value the production default makes "
          "infeasible")
-REASONS = (_SAFETY, _WRAP, _ERRORS, _NULL, _QUEUE, _POOL, _TIE, _WINDOW,
+REASONS = (_SAFETY, _WRAP, _ERRORS, _NULL, _QUEUE, _POOL, _TIE,
            _BENCHMARK, _CLI, _CHECK, _TEST)
 
 #: Why a def never runs in the census -> the defs it covers.
@@ -130,6 +129,7 @@ ALLOWED = {
         "repro.obs.audit:TraceAuditor._flag",
         "repro.obs.audit:Violation.to_dict",
         "repro.obs.diff:Divergence.to_dict",
+        "repro.workloads.layout:Table._no_record",
     ),
     _NULL: (
         "repro.obs.observer:NullObserver.linked_span",
@@ -146,10 +146,6 @@ ALLOWED = {
     ),
     _TIE: (
         "repro.perf.smp_sim:_grid",
-    ),
-    _WINDOW: (
-        "repro.replication.active:ActiveReplicatedSystem."
-        "commit_transaction_losing_publish",
     ),
 }
 
@@ -237,6 +233,10 @@ ALLOWED_BLOCKS = {
         "src._check_bounds(src_offset, length)",
         "repro.memory.region:MemoryRegion.load_snapshot: "
         "self._check_bounds(0, 0)",
+        "repro.memory.region:MemoryRegion.read: "
+        "self._check_bounds(offset, length)",
+        "repro.memory.region:MemoryRegion.view: "
+        "self._check_bounds(offset, length)",
         "repro.memory.region:MemoryRegion.read_u64: "
         "self._check_bounds(offset, 8)",
         "repro.memory.region:MemoryRegion.write_u64: "
@@ -402,8 +402,8 @@ ALLOWED_BLOCKS = {
         "repro.hardware.writebuffer:WriteBufferModel.write_batch: split = []":
             "tests/san/test_memory_channel.py::"
             "test_run_keeps_one_store_per_part_where_parts_meet_mid_block",
-        "repro.memory.allocator:HeapAllocator._push: "
-        "stores.append((head + _PREV, block))":
+        "repro.memory.allocator:HeapAllocator.free: "
+        "stores.append((first + _PREV, block))":
             "tests/memory/test_allocator.py::"
             "TestHeapAllocator::test_free_everything_restores_capacity",
         "repro.memory.allocator:HeapAllocator._unlink: "
@@ -414,10 +414,26 @@ ALLOWED_BLOCKS = {
         "read(block - 16)":
             "tests/memory/test_allocator.py::"
             "TestHeapAllocator::test_free_everything_restores_capacity",
-        "repro.memory.allocator:HeapAllocator.malloc: stores += "
-        "_tags(block, size, _USED)":
-            "tests/vista/test_edge_cases.py::"
-            "test_undo_space_exhaustion_is_an_error_not_corruption[v0]",
+        "repro.memory.allocator:HeapAllocator.malloc: stores += ((block, "
+        "size), (block + 8, _USED), (end - 16, size),":
+            "tests/memory/test_allocator.py::"
+            "TestHeapAllocator::test_first_fit_past_the_head_of_the_free_list",
+        "repro.memory.allocator:HeapAllocator.malloc: "
+        "stores = [(prev + _NEXT, nxt)]":
+            "tests/memory/test_allocator.py::"
+            "TestHeapAllocator::test_first_fit_past_the_head_of_the_free_list",
+        "repro.memory.allocator:HeapAllocator.malloc: "
+        "stores.append((first + _PREV, rest))":
+            "tests/memory/test_allocator.py::"
+            "TestHeapAllocator::test_first_fit_past_the_head_of_the_free_list",
+        "repro.memory.allocator:HeapAllocator.malloc: "
+        "stores.append((nxt + _PREV, prev))":
+            "tests/memory/test_allocator.py::"
+            "TestHeapAllocator::test_first_fit_past_the_head_of_the_free_list",
+        "repro.memory.region:MemoryRegion.write_words: "
+        "pairs = pairs[stores:]":
+            "tests/properties/test_word_lane_properties.py::"
+            "test_an_unobserved_batch_stops_at_a_refused_word",
         "repro.memory.region:MemoryRegion.write_words: break":
             "tests/properties/test_word_lane_properties.py::"
             "test_a_refused_pair_sends_the_whole_batch_per_store",

@@ -56,6 +56,24 @@ class TestHeapAllocator:
         # After coalescing we can allocate one big block again.
         heap.malloc(1500)
 
+    def test_first_fit_past_the_head_of_the_free_list(self):
+        """A block taken from the middle of the list is unlinked
+        between two neighbours (an exact fit: no split); one taken from
+        its tail splits, and the rest goes in front of a non-empty
+        list. Freeing everything still leaves one block."""
+        _region, heap = make_heap(2048)
+        a = heap.malloc(100)  # a 144-byte block
+        b, c, d = (heap.malloc(40) for _ in range(3))  # 80-byte blocks
+        heap.free(a)
+        heap.free(c)  # the list: c, a, then the tail block
+        assert heap.malloc(100) == a  # past c, and c stays linked
+        big = heap.malloc(300)  # past c, from the tail
+        assert big > d
+        assert heap.splits == 5
+        for offset in (a, b, d, big):
+            heap.free(offset)
+        heap.malloc(1500)
+
     def test_coalescing_merges_neighbours(self):
         _region, heap = make_heap(2048)
         a = heap.malloc(100)

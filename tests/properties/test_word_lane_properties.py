@@ -36,6 +36,7 @@ CASES = (
     "per-store-observer-before",
     "second-window",
     "near-pending-limit",
+    "unobserved",
 )
 
 words = st.tuples(st.integers(0, SIZE - 8), st.integers(0, (1 << 64) - 1))
@@ -68,7 +69,8 @@ def build(case, prefix):
     recorders = [Recorder()]
     if case == "per-store-observer-before":
         local.add_observer(recorders[0])
-    ReplicaBinding(local, interface.map_remote(remote))
+    if case != "unobserved":  # no binding: the region's own lane
+        ReplicaBinding(local, interface.map_remote(remote))
     if case == "per-store-observer-after":
         local.add_observer(recorders[0])
     if case == "observed-remote":
@@ -145,9 +147,9 @@ def test_a_word_batch_is_the_per_store_loop(prefix, pairs, bad, case):
 
 #: Per case, the windows' batch calls and per-store calls that four
 #: in-bounds words make: taken whole, declined into the per-store
-#: lane (refused at its first store where the window is gone), or
-#: never offered, because some observer takes no batch or there are
-#: two.
+#: lane (refused at its first store where the window is gone), never
+#: offered, because some observer takes no batch or there are two, or
+#: none at all, with no window bound.
 LANE_CALLS = {
     "plain": (1, 0),
     "crashed-interface": (1, 1),
@@ -157,6 +159,7 @@ LANE_CALLS = {
     "per-store-observer-before": (0, 4),
     "second-window": (0, 2),
     "near-pending-limit": (1, 4),
+    "unobserved": (0, 0),
 }
 
 
@@ -202,3 +205,18 @@ def test_a_refused_pair_sends_the_whole_batch_per_store():
     assert (calls.count("_doubled_words"), calls.count("_doubled_store")) == (0, 2)
     assert remote.snapshot() == local.snapshot()
     assert local.read_u64(8) == 2 and local.read_u64(16) == 0
+
+
+def test_an_unobserved_batch_stops_at_a_refused_word():
+    """With no observer, the words before a refused pair land and are
+    counted, the pair raises as its own store would, and nothing after
+    it lands."""
+    local = MemoryRegion("local", SIZE)
+    with pytest.raises(OutOfBoundsError):
+        local.write_words([(0, 1), (8, 2), (SIZE - 4, 3), (16, 4)])
+    assert (local.read_u64(0), local.read_u64(8), local.read_u64(16)) == (1, 2, 0)
+    assert (local.writes_observed, local.bytes_written) == (2, 16)
+    with pytest.raises(struct.error, match="argument out of range"):
+        local.write_words([(24, 5), (32, 1 << 64), (40, 6)])
+    assert (local.read_u64(24), local.read_u64(40)) == (5, 0)
+    assert (local.writes_observed, local.bytes_written) == (3, 24)

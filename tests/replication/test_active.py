@@ -3,7 +3,7 @@ window, write coalescing of the redo stream."""
 
 import pytest
 
-from repro.errors import FailoverError
+from repro.errors import FailoverError, ReproError
 from repro.replication.active import ActiveReplicatedSystem, coalesce_writes
 from repro.replication.commit_safety import CommitSafety
 from repro.vista import EngineConfig
@@ -55,7 +55,14 @@ def test_uncommitted_writes_never_reach_backup():
     assert system.backup_db.read(0, 8) == b"\x00" * 8
 
 
+class CrashPoint(Exception):
+    """The primary crashes here."""
+
+
 def test_one_safe_window_loses_unpublished_commit():
+    """A primary crash after the local commit's last store and before
+    the first ring deposit: committed on the primary, lost on the
+    backup."""
     system = make()
     system.sync_initial()
     system.begin_transaction()
@@ -65,11 +72,20 @@ def test_one_safe_window_loses_unpublished_commit():
     system.begin_transaction()
     system.set_range(8, 4)
     system.write(8, b"LOST")
-    system.commit_transaction_losing_publish()
+
+    def crash(offset, length, category):  # V3's one commit store
+        raise CrashPoint
+
+    system.engine.control.add_observer(crash)
+    deposits = system.ring.writes_observed
+    with pytest.raises(CrashPoint):
+        system.commit_transaction()
+    assert system.engine.commit_sequence == 2  # committed locally
+    assert system.ring.writes_observed == deposits  # nothing published
+    system.fail_primary()
     backup = system.failover()
     assert backup.read(0, 4) == b"SAFE"
     assert backup.read(8, 4) == b"\x00" * 4  # the 1-safe window
-    assert system.lost_window_transactions == 1
 
 
 def test_ring_exercises_wraparound_and_blocking():
@@ -227,3 +243,30 @@ def test_an_empty_write_ships_no_redo_record():
     # count + one header + the producer pointer at construction and now
     assert system.traffic_bytes_by_category == {"meta": 4 + 8 + 8 + 8, "modified": 8}
     assert system.applier.records_applied == 1
+
+
+def test_set_range_and_read_are_the_engines():
+    """The pair's ``set_range`` and ``read`` are the primary
+    engine's own bound methods: the same results and counters before a
+    takeover, the same errors after it."""
+    system = make()
+    system.sync_initial()
+    engine = system.engine
+    assert system.set_range == engine.set_range
+    assert system.read == engine.read
+    system.begin_transaction()
+    system.set_range(64, 8)
+    system.write(64, b"ABCDEFGH")
+    assert (engine.counters.set_ranges, engine.counters.db_writes) == (1, 1)
+    assert system.read(64, 8) == engine.read(64, 8) == b"ABCDEFGH"
+    system.commit_transaction()
+    system.fail_primary()
+    system.failover()
+    for call in (lambda target: target.read(64, 8),
+                 lambda target: target.set_range(64, 8)):
+        errors = []
+        for target in (system, engine):
+            with pytest.raises(ReproError) as caught:
+                call(target)
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0] == errors[1]

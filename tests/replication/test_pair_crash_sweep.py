@@ -1,16 +1,22 @@
-"""Crash a passive pair's primary at every store: the backup takes over
-with exactly the committed prefix.
+"""Crash a replicated pair's primary at every store: the backup takes
+over with exactly the committed prefix.
 
 The fixed history of the engines' own crash sweep
-(``tests/vista/test_crash_sweep.py``) runs on a
-``PassiveReplicatedSystem``. A store counter registered on every
-primary region *after* the replica's bindings sees store *k* after its
-doubled copy has gone to the backup, and raises there: the primary
-crashes after store *k* (``fail_primary``), the backup takes over
-(``failover``), and its database must equal the committed-prefix
-oracle; a crash inside ``commit_transaction`` may land on either side
-of that commit. Both backup modes run: the regions V1 and V2 keep
-primary-local travel too under ``ship_undo_log``.
+(``tests/vista/test_crash_sweep.py``) runs on a pair. A store counter
+registered on every primary region *after* the replica's bindings
+sees store *k* after its doubled copy has gone to the backup, and
+raises there: the primary crashes after store *k* (``fail_primary``),
+the backup takes over (``failover``), and its database must equal the
+committed-prefix oracle; a crash inside ``commit_transaction`` may land
+on either side of that commit.
+
+* **Passive** pairs run both backup modes: the regions V1 and V2 keep
+  primary-local travel too under ``ship_undo_log``.
+* **Active** pairs run 1-safe and 2-safe. The counter also sees every
+  deposit into the backup's redo ring, so the primary crashes between
+  any two stores of a publish as well as between the local commit's
+  last store and the first ring deposit. The backup may hold any
+  committed prefix at least as long as the commits that returned.
 
 The counter is a second, per-store observer, so every word batch of
 the doubled regions takes the per-store loop here and the sweep
@@ -23,6 +29,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.replication.active import ActiveReplicatedSystem
+from repro.replication.commit_safety import CommitSafety
 from repro.replication.passive import PassiveReplicatedSystem
 from repro.vista import ENGINE_VERSIONS
 from tests.vista.test_crash_sweep import (
@@ -44,16 +52,18 @@ TORN_COMMIT = pytest.mark.xfail(
 )
 
 
-def drive(version, ship_undo_log, crash_at=0):
-    """Run :data:`HISTORY` on a fresh pair and crash its primary with
-    the last transaction in flight — or after primary store
-    ``crash_at``. Returns the database the backup took over with, and
-    the counter, whose ``phases`` hold ``(phase, transaction index)``
-    per store."""
-    system = PassiveReplicatedSystem(version, CONFIG, ship_undo_log=ship_undo_log)
+def drive(make, crash_at=0):
+    """Run :data:`HISTORY` on a fresh pair ``make()`` and crash its
+    primary with the last transaction in flight — or after store
+    ``crash_at`` of the primary (or of an active pair's ring). Returns
+    the database the backup took over with, and the counter, whose
+    ``phases`` hold ``(phase, transaction index)`` per store."""
+    system = make()
     system.initialize_data(0, INITIAL)
     system.sync_initial()
     counter = StoreCounter(system.primary_rio, crash_at)
+    if isinstance(system, ActiveReplicatedSystem):
+        system.ring.add_observer(counter)
     try:
         for index, (ranges, fate) in enumerate(HISTORY):
             counter.phase = ("txn", index)
@@ -73,6 +83,24 @@ def drive(version, ship_undo_log, crash_at=0):
     return image, counter
 
 
+def sweep(make, label):
+    """Crash after every store of the history; each takeover must hold
+    a committed prefix (either side of a commit in progress)."""
+    images = committed_images(HISTORY)
+    image, plan = drive(make)
+    assert image == images[-1]
+    assert plan.phases
+    for k, (kind, index) in enumerate(plan.phases, start=1):
+        image, _counter = drive(make, crash_at=k)
+        allowed = images[index : index + (2 if kind == "commit" else 1)]
+        assert image in allowed, (
+            f"{label}: a primary crash after store {k} ({kind} of "
+            f"transaction {index}) failed over to a database that is not "
+            f"committed state"
+        )
+    return len(plan.phases)
+
+
 @pytest.mark.parametrize("ship_undo_log", [False, True],
                          ids=["local-undo", "undo-shipped"])
 @pytest.mark.parametrize("version", [
@@ -82,15 +110,14 @@ def drive(version, ship_undo_log, crash_at=0):
 ])
 def test_a_primary_crash_at_every_store_fails_over_to_the_committed_prefix(
         version, ship_undo_log):
-    images = committed_images(HISTORY)
-    image, plan = drive(version, ship_undo_log)
-    assert image == images[-1]
-    assert plan.phases
-    for k, (kind, index) in enumerate(plan.phases, start=1):
-        image, _counter = drive(version, ship_undo_log, crash_at=k)
-        allowed = images[index : index + (2 if kind == "commit" else 1)]
-        assert image in allowed, (
-            f"{version}: a primary crash after store {k} ({kind} of "
-            f"transaction {index}) failed over to a database that is not "
-            f"committed state"
-        )
+    sweep(lambda: PassiveReplicatedSystem(
+        version, CONFIG, ship_undo_log=ship_undo_log), version)
+
+
+@pytest.mark.parametrize("safety", list(CommitSafety),
+                         ids=[safety.value for safety in CommitSafety])
+def test_an_active_primary_crash_at_every_store_keeps_a_committed_prefix(
+        safety):
+    points = sweep(lambda: ActiveReplicatedSystem(CONFIG, safety=safety),
+                   safety.value)
+    assert points == 66  # primary stores and ring deposits of HISTORY

@@ -3,7 +3,7 @@ recovery to the last committed state, traffic characteristics."""
 
 import pytest
 
-from repro.errors import FailoverError
+from repro.errors import FailoverError, ReproError
 from repro.replication.passive import PassiveReplicatedSystem
 from repro.vista import ENGINE_VERSIONS, EngineConfig
 
@@ -152,3 +152,31 @@ def test_operations_after_crash_raise():
     system.fail_primary()
     with pytest.raises(CrashedError):
         run_txns(system, 1)
+
+
+def test_set_range_write_and_read_are_the_engines(version):
+    """The pair's ``set_range``, ``write`` and ``read`` are the primary
+    engine's own bound methods: the same results and counters before a
+    takeover, the same errors after it."""
+    system = PassiveReplicatedSystem(version, CONFIG)
+    system.sync_initial()
+    engine = system.engine
+    assert system.set_range == engine.set_range
+    assert system.write == engine.write
+    assert system.read == engine.read
+    system.begin_transaction()
+    system.set_range(64, 8)
+    system.write(64, b"ABCDEFGH")
+    assert (engine.counters.set_ranges, engine.counters.db_writes) == (1, 1)
+    assert system.read(64, 8) == engine.read(64, 8) == b"ABCDEFGH"
+    system.commit_transaction()
+    system.fail_primary()
+    system.failover()
+    for call in (lambda target: target.read(64, 8),
+                 lambda target: target.set_range(64, 8)):
+        errors = []
+        for target in (system, engine):
+            with pytest.raises(ReproError) as caught:
+                call(target)
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0] == errors[1]

@@ -38,11 +38,7 @@ CALLER_DIRS = (SRC, ROOT / "examples", ROOT / "benchmarks")
 
 #: Qualified name -> why it stays without a production caller. The
 #: test fails if an entry is gone or has gained a caller.
-ALLOWED = {
-    "repro.replication.active:ActiveReplicatedSystem."
-    "commit_transaction_losing_publish":
-        "stands in for the 1-safe window until ROADMAP 1(a)",
-}
+ALLOWED: dict = {}
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -1,5 +1,7 @@
 """The RVM API state machine, shared by all four engine versions."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import (
@@ -32,13 +34,17 @@ def test_begin_twice_rejected(engine):
 
 
 def test_operations_outside_transaction_rejected(engine):
-    with pytest.raises(NoTransactionError):
+    def refused(operation):
+        message = f"{engine.VERSION}: {operation} outside a transaction"
+        return pytest.raises(NoTransactionError, match=f"^{message}$")
+
+    with refused("set_range"):
         engine.set_range(0, 8)
-    with pytest.raises(NoTransactionError):
+    with refused("write"):
         engine.write(0, b"x")
-    with pytest.raises(NoTransactionError):
+    with refused("commit_transaction"):
         engine.commit_transaction()
-    with pytest.raises(NoTransactionError):
+    with refused("abort_transaction"):
         engine.abort_transaction()
 
 
@@ -60,10 +66,17 @@ def test_write_requires_covering_range(engine):
     engine.begin_transaction()
     engine.set_range(100, 8)
     engine.write(100, b"12345678")
+    image = engine.db.snapshot()
+    counters = dataclasses.asdict(engine.counters)
+    stores = (engine.db.writes_observed, engine.db.bytes_written)
     with pytest.raises(RangeNotDeclaredError):
         engine.write(200, b"x")
     with pytest.raises(RangeNotDeclaredError):
         engine.write(104, b"12345678")  # straddles the range end
+    # A refused write stores nothing and moves no counter.
+    assert engine.db.snapshot() == image
+    assert dataclasses.asdict(engine.counters) == counters
+    assert (engine.db.writes_observed, engine.db.bytes_written) == stores
     engine.abort_transaction()
 
 

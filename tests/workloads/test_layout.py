@@ -79,3 +79,28 @@ def test_add_to_field():
     assert table.add_to_field(engine, 0, "n", -2) == 3
     engine.commit_transaction()
     assert table.read_field(engine, 0, "n") == 3
+
+
+class RefusingTarget:
+    """A transaction target that fails the test if it is called."""
+
+    def read(self, offset, length):
+        raise AssertionError("the target was read")
+
+    def write(self, offset, data):
+        raise AssertionError("the target was written")
+
+
+@pytest.mark.parametrize("index", [-1, 4])
+@pytest.mark.parametrize("access", [
+    lambda table, target, index: table.read_field(target, index, "n"),
+    lambda table, target, index: table.write_field(target, index, "n", 1),
+    lambda table, target, index: table.add_to_field(target, index, "n", 1),
+], ids=["read_field", "write_field", "add_to_field"])
+def test_field_access_out_of_range_refused_before_the_target(access, index):
+    table = Table("t", base=0, record_bytes=8, records=4,
+                  fields={"n": (0, 4)})
+    with pytest.raises(ConfigurationError,
+                       match=rf"^record {index} out of range for table 't' "
+                             r"\(4 records\)$"):
+        access(table, RefusingTarget(), index)
