@@ -4,7 +4,8 @@
 failover experiments. :class:`TimelinePlan` is the sharded experiment's
 recorded schedule — a frozen description of the cluster geometry, the
 load shape and the crash plan — and :func:`execute` builds its
-cluster and drives it, so the trace, the sampled series and every
+cluster and drives it, so the trace, the sampled series (one sample
+per slot, recorded in the trace as ``series.sample`` events) and every
 causal-trace id are a pure function of the plan.
 
 The module keeps its name, and :func:`execute` its ``jobs`` parameter,
@@ -23,7 +24,6 @@ from repro.obs.series import (
     SeriesFrame,
     TimeSeriesSampler,
     router_probes,
-    series_interval_us,
     sim_probes,
 )
 from repro.obs.trace import TraceEvent
@@ -69,9 +69,8 @@ def drive(
     id streams. The sampler's ticks are pre-scheduled *before* the
     load, so at any shared timestamp they fire first and each sample
     sees exactly the ``[0, t)`` prefix — the property that makes the
-    series windows match the trace windows bit for bit. The tick
-    divides the slot width (``REPRO_SERIES`` can select a finer divisor
-    without changing any measured number).
+    series windows match the trace windows bit for bit. The tick is
+    the slot width.
     """
     cluster.setup(workload)
     observer = cluster.observer
@@ -80,9 +79,7 @@ def drive(
     )
     sampler = TimeSeriesSampler(observer=observer)
     sampler.add_probes(probes(router))
-    sampler.attach(
-        cluster.sim, series_interval_us(slot_us, slot_us), horizon_us
-    )
+    sampler.attach(cluster.sim, slot_us, horizon_us)
     for at_us, key in submissions:
         router.submit(key=key, at_us=at_us)
     schedule_faults(cluster)

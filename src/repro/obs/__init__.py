@@ -68,12 +68,9 @@ _LAZY_EXPORTS = {
     "attribute_commits": "repro.obs.spans",
     "collect_commit_spans": "repro.obs.spans",
     "DipSummary": "repro.obs.series",
-    "SERIES_ENV_VAR": "repro.obs.series",
     "SeriesFrame": "repro.obs.series",
     "TimeSeriesSampler": "repro.obs.series",
     "derive_dip": "repro.obs.series",
-    "series_interval_us": "repro.obs.series",
-    "snap_tick": "repro.obs.series",
     "windowed_goodput": "repro.obs.series",
     "RECOVERY_PHASES": "repro.obs.recovery",
     "RecoveryLink": "repro.obs.recovery",
@@ -89,7 +86,6 @@ _LAZY_EXPORTS = {
     "canonicalize_events": "repro.obs.diff",
     "diff_events": "repro.obs.diff",
     "diff_files": "repro.obs.diff",
-    "diff_series": "repro.obs.diff",
     "AlertVerification": "repro.obs.alerts",
     "BurnRateRule": "repro.obs.alerts",
     "DEFAULT_RULES": "repro.obs.alerts",

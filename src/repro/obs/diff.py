@@ -1,4 +1,4 @@
-"""Structural cross-run diffing of recorded traces and series.
+"""Structural cross-run diffing of recorded traces.
 
 Byte-diffing two runs' JSONL answers *whether* they diverged;
 this module answers *where* and *by how much*. Two runs of the same
@@ -13,9 +13,11 @@ first appearance, making the comparison purely structural. Then:
 * **per-phase cost deltas** — commit-pipeline and recovery-phase
   totals side by side, the numbers a CI regression gate actually
   wants (a refactor that moved 200us from ``ship`` to ``apply`` shows
-  up here even when every event still matches structurally);
-* **series support** — ``repro-series-v1`` files diff row by row,
-  column by column.
+  up here even when every event still matches structurally).
+
+The sampled time series needs no differ of its own: its rows are the
+trace's ``series.sample`` events, so a changed sample is a localized
+``attrs`` divergence like any other.
 
 A run diffed against itself reports zero divergences — the property
 suite holds that across seeds and job counts, which is what makes a
@@ -33,7 +35,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.critpath import decompose_recoveries
 from repro.obs.export import read_jsonl
-from repro.obs.series import SeriesFrame, is_series_file
 from repro.obs.spans import attribute_commits
 from repro.obs.trace import TraceEvent
 
@@ -102,7 +103,6 @@ class Divergence:
 class TraceDiff:
     """The structural diff of two runs."""
 
-    kind: str  # "trace" or "series"
     baseline_count: int
     current_count: int
     divergences: List[Divergence] = field(default_factory=list)
@@ -126,16 +126,15 @@ class TraceDiff:
         return None
 
     def render(self) -> str:
-        unit = "events" if self.kind == "trace" else "samples"
         if self.identical:
             title = (
-                f"Trace diff: IDENTICAL — {self.baseline_count} {unit}, "
+                f"Trace diff: IDENTICAL — {self.baseline_count} events, "
                 f"zero divergences"
             )
             return "\n".join([title, "=" * len(title)])
         title = (
             f"Trace diff: DIVERGED — baseline {self.baseline_count} "
-            f"{unit}, current {self.current_count} {unit}, first "
+            f"events, current {self.current_count} events, first "
             f"divergence at #{self.first_divergence}"
         )
         lines = [title, "=" * len(title)]
@@ -160,7 +159,6 @@ class TraceDiff:
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "kind": self.kind,
             "identical": self.identical,
             "baseline_count": self.baseline_count,
             "current_count": self.current_count,
@@ -195,9 +193,7 @@ def diff_events(
     """Structurally diff two event lists (canonical id alignment)."""
     a = canonicalize_events(baseline)
     b = canonicalize_events(current)
-    diff = TraceDiff(
-        kind="trace", baseline_count=len(a), current_count=len(b)
-    )
+    diff = TraceDiff(baseline_count=len(a), current_count=len(b))
     for index in range(min(len(a), len(b))):
         if a[index] == b[index]:
             continue
@@ -231,61 +227,8 @@ def diff_events(
     return diff
 
 
-def diff_series(baseline, current) -> TraceDiff:
-    """Diff two :class:`~repro.obs.series.SeriesFrame`s row by row."""
-    diff = TraceDiff(
-        kind="series", baseline_count=len(baseline),
-        current_count=len(current),
-    )
-    names_a, names_b = sorted(baseline.names), sorted(current.names)
-    if names_a != names_b:
-        diff.divergences.append(Divergence(
-            index=0, field="columns", baseline=names_a, current=names_b,
-        ))
-        return diff
-    times_a, times_b = baseline.times_us, current.times_us
-    columns = {name: (baseline.values(name), current.values(name))
-               for name in names_a}
-    for index in range(min(len(times_a), len(times_b))):
-        if times_a[index] != times_b[index]:
-            diff.divergences.append(Divergence(
-                index=index, field="ts_us",
-                baseline=times_a[index], current=times_b[index],
-            ))
-        for name in names_a:
-            col_a, col_b = columns[name]
-            if col_a[index] != col_b[index]:
-                diff.divergences.append(Divergence(
-                    index=index, field=name,
-                    baseline=col_a[index], current=col_b[index],
-                ))
-        if len(diff.divergences) >= MAX_DIVERGENCES:
-            diff.truncated = True
-            break
-    if not diff.truncated and len(times_a) != len(times_b):
-        diff.divergences.append(Divergence(
-            index=min(len(times_a), len(times_b)), field="presence",
-            baseline=f"{len(times_a)} samples",
-            current=f"{len(times_b)} samples",
-        ))
-    return diff
-
-
 def diff_files(baseline_path: str, current_path: str) -> TraceDiff:
-    """Diff two recorded files, sniffing ``repro-trace-v1`` vs
-    ``repro-series-v1`` from the meta line (both must agree)."""
-    series_a = is_series_file(baseline_path)
-    series_b = is_series_file(current_path)
-    if series_a != series_b:
-        raise ValueError(
-            f"cannot diff a series file against a trace file "
-            f"({baseline_path} vs {current_path})"
-        )
-    if series_a:
-        return diff_series(
-            SeriesFrame.read_jsonl(baseline_path),
-            SeriesFrame.read_jsonl(current_path),
-        )
+    """Diff two recorded trace files."""
     events_a, _ = read_jsonl(baseline_path)
     events_b, _ = read_jsonl(current_path)
     return diff_events(events_a, events_b)

@@ -39,7 +39,7 @@ from repro.obs.critpath import decompose_recoveries
 from repro.obs.diff import diff_files
 from repro.obs.export import read_jsonl, write_chrome_trace
 from repro.obs.metrics import LatencySummary
-from repro.obs.series import SeriesFrame, is_series_file
+from repro.obs.series import SeriesFrame
 from repro.obs.slo import compute_slo
 from repro.obs.spans import attribute_commits
 from repro.obs.trace import TraceEvent, completion_scope, pair_outages
@@ -300,11 +300,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "to pipeline phases."
         ),
     )
-    parser.add_argument(
-        "trace",
-        help="path to a JSONL trace file (or, with --series, a "
-             "repro-series-v1 series file)",
-    )
+    parser.add_argument("trace", help="path to a JSONL trace file")
     parser.add_argument(
         "--window-us", type=float, default=1_000.0,
         help="throughput window width in simulated us (default 1000)",
@@ -354,21 +350,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--diff", metavar="BASELINE", default=None,
-        help="structurally diff the trace (or series) against BASELINE "
+        help="structurally diff the trace against BASELINE "
              "after canonical id renumbering; any divergence makes the "
              "exit status 1",
     )
     parser.add_argument(
         "--series", action="store_true",
-        help="render the sampled time series (sparkline per probe): "
-             "rebuilt from the trace's series.sample events, or read "
-             "directly when the input file is itself repro-series-v1 "
-             "JSONL",
-    )
-    parser.add_argument(
-        "--series-out", metavar="PATH", default=None,
-        help="with --series, additionally write the series as "
-             "canonical repro-series-v1 JSONL to PATH",
+        help="render the sampled time series (sparkline per probe), "
+             "rebuilt from the trace's series.sample events",
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -381,23 +370,14 @@ def main(argv: Optional[List[str]] = None) -> int:
              "directories are created; exit status is unchanged)",
     )
     args = parser.parse_args(argv)
-    if args.series_out and not args.series:
-        parser.error("--series-out requires --series")
     if args.scope and not (args.slo or args.spans or args.recovery):
         parser.error("--scope requires --slo, --spans or --recovery")
 
-    frame = None
-    events: List[TraceEvent] = []
     try:
-        series_only = args.series and is_series_file(args.trace)
-        if series_only:
-            frame = SeriesFrame.read_jsonl(args.trace)
-        else:
-            events, _metrics = read_jsonl(args.trace)
-            if args.series:
-                frame = SeriesFrame.from_events(events)
+        events, _metrics = read_jsonl(args.trace)
     except (OSError, ValueError) as error:
-        # Missing, or cut / corrupted mid-line (that names path:line).
+        # Missing, not a trace, cut short or corrupted (path:line where
+        # a line is to blame).
         parser.error(f"cannot read trace file: {error}")
 
     done: Dict[str, object] = {}
@@ -419,9 +399,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     # the result attribute that must hold for exit status 0). Every
     # result renders as text and as a JSON object under its name.
     sections = (
-        ("timeline", not series_only,
+        ("timeline", True,
          lambda: analyze_timeline(events, window_us=args.window_us), None),
-        ("series", frame is not None, lambda: frame, None),
+        ("series", args.series, lambda: SeriesFrame.from_events(events), None),
         ("audit", args.audit,
          lambda: audit_events(events, max_lag_bytes=args.max_lag_bytes), "ok"),
         ("slo", args.slo, _slo, None),
@@ -447,10 +427,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         write_chrome_trace(args.chrome_trace, events)
         if args.format != "json":
             emitted.append(f"\n  chrome trace written to {args.chrome_trace}")
-    if frame is not None and args.series_out:
-        frame.write_jsonl(args.series_out)
-        if args.format != "json":
-            emitted.append(f"\n  series written to {args.series_out}")
 
     text = "\n".join(emitted)
     if args.output:

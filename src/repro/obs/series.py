@@ -15,8 +15,9 @@ instrument that draws the curves:
   half-open ``[0, t)`` prefix — which is what makes the windowed
   derivations below agree *exactly* with trace-derived window counts.
 * :class:`SeriesFrame` holds the columnar result (one time axis, one
-  float column per probe) with JSONL export, reconstruction from
-  ``series.sample`` trace events, and an ASCII sparkline renderer.
+  float column per probe), rebuilt from a recorded trace's
+  ``series.sample`` events (the trace is the series' only file
+  format), with an ASCII sparkline renderer.
 * :func:`windowed_goodput` / :func:`derive_dip` turn a cumulative
   counter column into per-window rates and a dip-and-recovery summary
   (depth, duration, time to recover).
@@ -24,28 +25,19 @@ instrument that draws the curves:
 The zero-cost discipline holds: the sampler only *reads* model state,
 never mutates it, and its tick events advance the clock to instants the
 run would reach anyway (multiples of the tick inside the horizon), so
-measured outputs are byte-identical with the sampler attached at any
-tick — a property CI checks by re-running tier 1 under
-``REPRO_SERIES``.
+measured outputs are the same with the sampler attached at any tick
+that divides the window — a property tier 1 checks by quartering the
+tick of both timelines (``tests/obs/test_series.py``). The timelines
+sample on one tick, the slot width.
 """
 
 from __future__ import annotations
 
-import io
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
-from repro.obs.export import jsonl_records, stable_json
 from repro.obs.observer import resolve_observer
 from repro.obs.trace import TraceEvent
-
-SERIES_FORMAT = "repro-series-v1"
-
-#: Environment override for the experiment sampling tick (microseconds).
-#: Setting it proves sampling-frequency invariance: measured outputs
-#: must stay byte-identical at any tick that divides the slot width.
-SERIES_ENV_VAR = "REPRO_SERIES"
 
 #: Trace vocabulary: one instant event per tick, all probe values in attrs.
 SAMPLE_EVENT = "series.sample"
@@ -55,13 +47,6 @@ _SPARK_RAMP = " .:-=+*#%@"
 _SPARK_WIDTH = 64
 
 
-def is_series_file(path: str) -> bool:
-    """Whether ``path``'s meta line declares :data:`SERIES_FORMAT` (as
-    opposed to a ``repro-trace-v1`` trace)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return f'"{SERIES_FORMAT}"' in fh.readline()
-
-
 class SeriesFrame:
     """Columnar time series: one shared time axis, one column per probe.
 
@@ -69,22 +54,15 @@ class SeriesFrame:
     column set, later appends must supply exactly the same names.
     """
 
-    def __init__(self, columns: Optional[Sequence[str]] = None) -> None:
+    def __init__(self) -> None:
         self._times: List[float] = []
-        self._columns: Dict[str, List[float]] = (
-            {name: [] for name in columns} if columns else {}
-        )
+        self._columns: Dict[str, List[float]] = {}
 
     def __len__(self) -> int:
         return len(self._times)
 
     def __bool__(self) -> bool:
         return bool(self._times)
-
-    @property
-    def names(self) -> List[str]:
-        """Column names in registration order."""
-        return list(self._columns)
 
     @property
     def times_us(self) -> List[float]:
@@ -110,66 +88,17 @@ class SeriesFrame:
         for name, column in self._columns.items():
             column.append(float(sample[name]))
 
-    # -- export ------------------------------------------------------
-
     def to_dict(self) -> Dict[str, object]:
         # Columns are serialized in sorted order so the encoding is
         # canonical: a frame rebuilt from trace events (whose attrs are
-        # sort_keys-serialized) produces the same bytes as the sampler's
+        # sort_keys-serialized) produces the same dict as the sampler's
         # own frame.
         return {
-            "format": SERIES_FORMAT,
             "columns": sorted(self._columns),
             "times_us": self.times_us,
             "values": {name: list(self._columns[name])
                        for name in sorted(self._columns)},
         }
-
-    def to_jsonl(self) -> str:
-        """Serialize as ``repro-series-v1`` JSONL (meta line + one line
-        per sample, values in column order)."""
-        out = io.StringIO()
-        names = sorted(self._columns)
-        out.write(stable_json({
-            "type": "meta",
-            "format": SERIES_FORMAT,
-            "columns": names,
-            "samples": len(self),
-        }) + "\n")
-        columns = [self._columns[name] for name in names]
-        for i, ts in enumerate(self._times):
-            out.write(stable_json({
-                "type": "sample",
-                "ts_us": ts,
-                "values": [col[i] for col in columns],
-            }) + "\n")
-        return out.getvalue()
-
-    def write_jsonl(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_jsonl())
-
-    @classmethod
-    def read_jsonl(cls, path: str) -> "SeriesFrame":
-        records = jsonl_records(path)
-        _, meta = next(records, (0, {}))
-        if meta.get("type") != "meta":
-            raise ValueError(f"{path}: missing {SERIES_FORMAT} meta line")
-        if meta.get("format") != SERIES_FORMAT:
-            raise ValueError(f"{path}: not a {SERIES_FORMAT} file")
-        columns = list(meta["columns"])
-        frame = cls(columns)
-        for line_number, line in records:
-            if line.get("type") != "sample":
-                continue
-            try:
-                frame.append(line["ts_us"],
-                             dict(zip(columns, line["values"])))
-            except (KeyError, TypeError, ValueError) as error:
-                raise ValueError(
-                    f"{path}:{line_number}: malformed sample record: {error!r}"
-                ) from None
-        return frame
 
     @classmethod
     def from_events(cls, events: Iterable[TraceEvent]) -> "SeriesFrame":
@@ -306,57 +235,6 @@ def derive_dip(
                 time_to_recover_us=(i - dip_start) * window_us,
             )
     return None
-
-
-# -- tick selection -------------------------------------------------
-
-
-def snap_tick(requested_us: float, window_us: float) -> float:
-    """Largest tick <= ``requested_us`` that divides ``window_us`` into
-    an integer number of *exactly representable* steps.
-
-    Exactness matters: tick multiples must land on window boundaries in
-    float arithmetic or the half-open attribution in
-    :func:`windowed_goodput` stops matching the trace. A step is
-    accepted when ``step * 8`` is an integer (multiples of 1/8 are
-    exact binary floats, and so are all their small-integer multiples).
-    """
-    if requested_us <= 0:
-        raise ValueError(f"tick must be positive, got {requested_us}")
-    if requested_us >= window_us:
-        return window_us
-    parts = int(window_us // requested_us)
-    limit = max(int(window_us * 8), parts + 1)
-    while parts <= limit:
-        step = window_us / parts
-        if step <= requested_us and step * parts == window_us \
-                and float(step * 8).is_integer():
-            return step
-        parts += 1
-    raise ValueError(
-        f"no exact tick <= {requested_us} dividing window {window_us}"
-    )
-
-
-def series_interval_us(default_us: float, window_us: float) -> float:
-    """The sampling tick an experiment should use.
-
-    ``REPRO_SERIES=<microseconds>`` overrides the default (snapped to
-    an exact divisor of the window); measured outputs must not change
-    — that invariance is what the CI leg running tier 1 under
-    ``REPRO_SERIES`` proves. ``REPRO_SERIES=1`` (or any value that is
-    not a number) selects a 5x finer tick than the default.
-    """
-    raw = os.environ.get(SERIES_ENV_VAR)
-    if raw is None or raw == "" or raw == "0":
-        return snap_tick(default_us, window_us)
-    try:
-        requested = float(raw)
-    except ValueError:
-        requested = default_us / 5.0
-    if requested <= 1.0:  # "1" is the boolean spelling of "on, finer"
-        requested = default_us / 5.0
-    return snap_tick(requested, window_us)
 
 
 # -- the sampler ----------------------------------------------------

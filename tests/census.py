@@ -16,9 +16,8 @@ it the script runs the production entry points below:
 * every ``examples/*.py`` as ``__main__``, plus ``sharded_bank.py``
   with every output flag and ``quorum_kv.py --trace``;
 * ``failover_timeline(trace_path=)`` and ``quorum_timeline(trace_path=)``;
-* ``python -m repro.obs.report`` over those four traces and over their
-  series files, with every flag, and ``--diff`` against itself and
-  against another trace;
+* ``python -m repro.obs.report`` over those four traces with every
+  flag, and ``--diff`` against itself and against another trace;
 * one traced pass of each of the six ledger workloads at its self-test
   size, with its kernel probes.
 
@@ -297,27 +296,14 @@ ALLOWED_BLOCKS = {
         'parent, f"commit span duration',
         "repro.obs.diff:TraceDiff.first_divergence: return "
         "min(self.baseline_count, self.current_count)",
-        "repro.obs.diff:diff_series: "
-        'diff.divergences.append(Divergence(index=0, field="columns",',
-        "repro.obs.diff:diff_series: "
-        'diff.divergences.append(Divergence(index=index, field="ts_us",',
-        "repro.obs.diff:diff_series: "
-        "diff.divergences.append(Divergence(index=index, field=name,",
-        "repro.obs.diff:diff_series: "
-        "diff.divergences.append(Divergence(index=min(len(times_a),",
-        "repro.obs.diff:diff_series: diff.truncated = True",
-        "repro.obs.export:jsonl_records: continue",
-        "repro.obs.export:jsonl_records: record = error",
+        "repro.obs.export:read_jsonl: record = error",
         "repro.obs.recovery:collect_recoveries: continue",
         'repro.obs.report:main.<locals>._diff: parser.error(f"cannot read '
         'baseline file: {error}")',
         'repro.obs.report:main: parser.error("--scope requires --slo, '
         '--spans or --recovery")',
-        'repro.obs.report:main: parser.error("--series-out requires '
-        '--series")',
         'repro.obs.report:main: parser.error(f"cannot read trace file: '
         '{error}")',
-        "repro.obs.series:SeriesFrame.read_jsonl: continue",
         'repro.obs.slo:SloReport.render: lines.append(" trace audit: FAIL — '
         "availability figures are NOT",
         "repro.obs.spans:collect_span_forest: continue",
@@ -349,12 +335,6 @@ ALLOWED_BLOCKS = {
         "repro.obs.observer:get_default_observer: _default_observer = "
         "Observer()":
             "REPRO_OBS",
-        "repro.obs.series:series_interval_us: requested = default_us / 5.0":
-            "REPRO_SERIES",
-        "repro.obs.series:series_interval_us: requested = float(raw)":
-            "REPRO_SERIES",
-        "repro.obs.series:snap_tick: step = window_us / parts":
-            "REPRO_SERIES",
     },
     _TEST: {
         "repro.cluster.membership:Membership.fail: return":
@@ -1041,18 +1021,16 @@ def _reports(traces: list, out: Path) -> None:
 
     for index, trace in enumerate(traces):
         other = traces[(index + 1) % len(traces)]
-        series = out / f"{trace.stem}.series.jsonl"
         runs = (
-            [trace, "--series", "--series-out", series,
+            [trace, "--series",
              "--chrome-trace", out / f"{trace.stem}.chrome.json",
              "--audit", "--slo", "--spans", "--recovery", "--alerts"],
-            [trace, "--audit", "--slo", "--scope", "shard", "--scope",
-             "group", "--spans", "--recovery", "--alerts", "--format",
-             "json", "--output", out / f"{trace.stem}.report.json"],
+            [trace, "--series", "--audit", "--slo", "--scope", "shard",
+             "--scope", "group", "--spans", "--recovery", "--alerts",
+             "--format", "json", "--output", out / f"{trace.stem}.report.json"],
             [trace, "--diff", trace],
+            [trace, "--diff", trace, "--format", "json"],
             [trace, "--diff", other],  # exits 1: the traces differ
-            [series, "--series"],
-            [series, "--series", "--format", "json", "--diff", series],
         )
         for argv in runs:
             with _quiet(["report"]):

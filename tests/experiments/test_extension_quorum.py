@@ -53,7 +53,7 @@ def test_timeline_is_deterministic_under_the_seed():
     assert first.outage == second.outage
     # The driver's determinism, event for event and sample for sample.
     assert first.trace_events == second.trace_events
-    assert first.series.to_jsonl() == second.series.to_jsonl()
+    assert first.series.to_dict() == second.series.to_dict()
 
 
 def test_trace_audits_clean_including_quorum_rules():

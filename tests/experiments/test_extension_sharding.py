@@ -108,7 +108,7 @@ def test_driving_the_same_plan_twice_is_byte_identical():
     first, second = (shardpar.execute(plan, observer=Observer())
                      for _ in range(2))
     assert first.events == second.events
-    assert first.frame.to_jsonl() == second.frame.to_jsonl()
+    assert first.frame.to_dict() == second.frame.to_dict()
     assert len(first.frame) > 0 and first.takeover_downtime_us
 
 

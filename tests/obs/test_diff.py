@@ -10,10 +10,8 @@ from repro.obs.diff import (
     canonicalize_events,
     diff_events,
     diff_files,
-    diff_series,
 )
 from repro.obs.report import main
-from repro.obs.series import SeriesFrame
 
 
 def _event(ts, name="e", component="c", dur=0.0, **attrs):
@@ -107,46 +105,37 @@ def test_phase_deltas_cover_commit_and_recovery_vocabularies():
     assert diff.to_dict()["phase_deltas_us"]["commit.ship"]["delta"] == 2.0
 
 
-# -- series diffs ------------------------------------------------------------
+# -- series rows -----------------------------------------------------------
 
 
-def _frame(values):
-    frame = SeriesFrame()
-    for ts, value in values:
-        frame.append(ts, {"goodput": value})
-    return frame
+def _samples(values):
+    return [_event(ts, name="series.sample", component="series",
+                   goodput=value) for ts, value in values]
 
 
 def test_series_self_diff_and_divergence():
-    frame = _frame([(0.0, 1.0), (100.0, 2.0)])
-    assert diff_series(frame, frame).identical
-    other = _frame([(0.0, 1.0), (100.0, 3.0)])
-    diff = diff_series(frame, other)
+    """Series rows are ``series.sample`` events: a changed sample is a
+    localized ``attrs`` divergence of the trace diff."""
+    frame = _samples([(0.0, 1.0), (100.0, 2.0)])
+    assert diff_events(frame, frame).identical
+    other = _samples([(0.0, 1.0), (100.0, 3.0)])
+    diff = diff_events(frame, other)
     assert not diff.identical
-    assert diff.divergences[0].field == "goodput"
+    assert diff.divergences[0].field == "attrs"
     assert diff.divergences[0].index == 1
-
-
-def test_series_column_mismatch_short_circuits():
-    frame = _frame([(0.0, 1.0)])
-    other = SeriesFrame()
-    other.append(0.0, {"latency": 5.0})
-    diff = diff_series(frame, other)
-    assert diff.divergences[0].field == "columns"
 
 
 # -- files and CLI -----------------------------------------------------------
 
 
-def test_diff_files_sniffs_and_refuses_mixed_kinds(tmp_path):
+def test_diff_files_refuses_a_trace_cut_short(tmp_path):
     trace = tmp_path / "trace.jsonl"
-    write_jsonl(trace, [_event(1.0, x=1)])
-    series = tmp_path / "series.jsonl"
-    _frame([(0.0, 1.0)]).write_jsonl(series)
+    write_jsonl(trace, [_event(1.0, x=1), _event(2.0, x=2)])
     assert diff_files(str(trace), str(trace)).identical
-    assert diff_files(str(series), str(series)).identical
-    with pytest.raises(ValueError, match="cannot diff"):
-        diff_files(str(series), str(trace))
+    cut = tmp_path / "cut.jsonl"
+    cut.write_bytes(trace.read_bytes().rsplit(b"\n", 2)[0] + b"\n")
+    with pytest.raises(ValueError, match="no end record"):
+        diff_files(str(trace), str(cut))
 
 
 def test_cli_exit_codes_and_json(tmp_path, capsys):

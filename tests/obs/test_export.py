@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.obs import (
     Observer,
@@ -142,8 +143,7 @@ def _report_exit(path, capsys, *flags):
 def test_a_trace_cut_mid_line_is_a_one_line_error(recorded_trace, tmp_path, capsys):
     """Cut anywhere inside a line, the reader names ``path:line`` and
     the CLI exits 2 as it does for a missing file — never a traceback,
-    never a PASS. (A cut *on* a line boundary still reads as a whole,
-    shorter run: the trailer half of ROADMAP 5(a).)"""
+    never a PASS. Every other cut exits 2 as well."""
     path = tmp_path / "cut.jsonl"
     size = len(recorded_trace)
     offsets = [size * k // 23 for k in range(1, 23)] + [size // 2, size - 2]
@@ -152,15 +152,73 @@ def test_a_trace_cut_mid_line_is_a_one_line_error(recorded_trace, tmp_path, caps
         kept = recorded_trace[:offset]
         path.write_bytes(kept)
         status, err = _report_exit(path, capsys, "--audit")
+        assert status == 2, offset
         last = kept.rsplit(b"\n", 1)[-1]
         if last and not last.endswith(b"}"):
             mid_line += 1
             where = f":{kept.count(NEWLINE) + 1}: "
-            assert status == 2, offset
             assert f"{path}{where}" in err, err
             with pytest.raises(ValueError, match=where):
                 read_jsonl(path)
     assert mid_line >= 20
+
+
+def test_a_trace_cut_on_a_line_boundary_cannot_audit_pass(
+        recorded_trace, tmp_path, capsys):
+    """Cut after a whole line, what is left is valid JSONL that would
+    read as a shorter run. The missing ``end`` record refuses it."""
+    lines = recorded_trace.split(NEWLINE)
+    path = tmp_path / "cut.jsonl"
+    for keep in (1, 2, len(lines) // 2, len(lines) - 2):
+        path.write_bytes(NEWLINE.join(lines[:keep]) + NEWLINE)
+        status, err = _report_exit(path, capsys, "--audit", "--slo")
+        assert status == 2, keep
+        assert f"cannot read trace file: {path}: no end record after " \
+            f"line {keep} (truncated file?)" in err, err
+
+
+def test_the_end_record_counts_and_digests_what_precedes_it(
+        recorded_trace, tmp_path):
+    *body, end, tail = recorded_trace.split(NEWLINE)
+    assert tail == b""
+    record = json.loads(end)
+    assert record["type"] == "end"
+    assert record["events"] == sum(b'"type":"event"' in line for line in body)
+    path = tmp_path / "bad-end.jsonl"
+    for field, value in (("events", record["events"] + 1),
+                         ("sha256", "0" * 64)):
+        forged = json.dumps({**record, field: value}, sort_keys=True,
+                            separators=(",", ":")).encode()
+        path.write_bytes(NEWLINE.join(body + [forged, b""]))
+        with pytest.raises(ValueError, match="end record .* does not match"):
+            read_jsonl(path)
+    path.write_bytes(recorded_trace + recorded_trace.split(NEWLINE, 1)[0] + NEWLINE)
+    with pytest.raises(ValueError, match="data after the end record"):
+        read_jsonl(path)
+
+
+# One file and one capture serve every example: each overwrites the
+# file and reads the capture out.
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_cut_or_flipped_byte_never_audits_pass(
+        recorded_trace, tmp_path, capsys, data):
+    """Cut the trace at any byte, or change any one byte: the report
+    exits 2 with its one-line error, never a traceback and never 0."""
+    size = len(recorded_trace)
+    offset = data.draw(st.integers(0, size - 1), label="offset")
+    if data.draw(st.booleans(), label="cut"):
+        damaged = recorded_trace[:offset]
+    else:
+        flipped = bytearray(recorded_trace)
+        flipped[offset] ^= data.draw(st.integers(1, 255), label="mask")
+        damaged = bytes(flipped)
+    path = tmp_path / "damaged.jsonl"
+    path.write_bytes(damaged)
+    status, err = _report_exit(path, capsys, "--audit", "--slo")
+    assert status == 2, err
+    assert "error: cannot read trace file: " in err.splitlines()[-1], err
 
 
 @pytest.mark.parametrize("damage", [
@@ -184,27 +242,9 @@ def test_a_corrupted_middle_line_is_a_one_line_error(
         read_jsonl(path)
 
 
-def test_a_series_file_cut_mid_line_is_a_one_line_error(tmp_path, capsys):
-    from repro.obs.series import SeriesFrame
-
-    frame = SeriesFrame(["queue"])
-    for tick in range(8):
-        frame.append(tick * 250.0, {"queue": float(tick)})
-    whole = frame.to_jsonl().encode()
-    path = tmp_path / "series.jsonl"
-    path.write_bytes(whole[: len(whole) - 9])
-    status, err = _report_exit(path, capsys, "--series")
-    assert status == 2 and f"{path}:9: " in err
-    with pytest.raises(ValueError, match=":9: "):
-        SeriesFrame.read_jsonl(str(path))
-
-
 def _series_bytes(_trace):
-    from repro.obs.series import SeriesFrame
-
-    frame = SeriesFrame(["queue"])
-    frame.append(0.0, {"queue": 1.0})
-    return frame.to_jsonl().encode()
+    """The meta line of the retired series file format."""
+    return b'{"columns":["queue"],"format":"repro-series-v1","type":"meta"}\n'
 
 
 @pytest.mark.parametrize("content, reason", [

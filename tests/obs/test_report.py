@@ -251,28 +251,11 @@ def test_cli_series_from_trace(tmp_path, capsys):
     assert "series: 3 samples" in out
     assert "router.completed" in out
 
-
-def test_cli_series_out_and_series_file_input(tmp_path, capsys):
-    from repro.obs.series import SeriesFrame
-
-    trace = tmp_path / "trace.jsonl"
-    series_path = tmp_path / "series.jsonl"
-    write_jsonl(str(trace), _events_with_series())
-    assert main([str(trace), "--series",
-                 "--series-out", str(series_path)]) == 0
-    capsys.readouterr()
-    frame = SeriesFrame.read_jsonl(str(series_path))
-    assert len(frame) == 3
-
-    # The written series file is itself a valid CLI input, rendered
-    # standalone in both formats.
-    assert main([str(series_path), "--series"]) == 0
-    assert "series: 3 samples" in capsys.readouterr().out
     import json
 
-    assert main([str(series_path), "--series", "--format", "json"]) == 0
+    assert main([str(trace), "--series", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert list(payload) == ["series"]
+    assert set(payload) == {"timeline", "series"}
     assert payload["series"]["columns"] == ["queue", "router.completed"]
 
 
@@ -293,13 +276,3 @@ def test_cli_output_writes_file_and_keeps_exit_code(tmp_path, capsys):
     bad_target = tmp_path / "bad.txt"
     assert main([str(bad), "--audit", "--output", str(bad_target)]) == 1
     assert "downtime-completion" in bad_target.read_text()
-
-
-def test_cli_series_out_requires_series(tmp_path, capsys):
-    import pytest
-
-    trace = tmp_path / "trace.jsonl"
-    write_jsonl(str(trace), _failover_events())
-    with pytest.raises(SystemExit):
-        main([str(trace), "--series-out", "x.jsonl"])
-    capsys.readouterr()

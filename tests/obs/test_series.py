@@ -7,10 +7,12 @@ The load-bearing properties:
   processes and any sampling interval;
 * windowed goodput derived from the cumulative completion column
   equals the trace's own per-window completion counts exactly;
-* the canonical JSONL encoding round-trips losslessly and is identical
-  whether the frame came from the live sampler or was rebuilt from the
-  trace's ``series.sample`` events.
+* the frame round-trips losslessly through a JSONL trace and is
+  identical whether it came from the live sampler or was rebuilt from
+  the trace's ``series.sample`` events.
 """
+
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,8 +23,6 @@ from repro.obs.series import (
     TimeSeriesSampler,
     derive_dip,
     router_probes,
-    series_interval_us,
-    snap_tick,
     windowed_goodput,
 )
 
@@ -32,7 +32,8 @@ def _sharding_series_bytes(seed):
     must be picklable for the spawn pool)."""
     from repro.experiments.extension_sharding import failover_timeline
 
-    return failover_timeline(seed=seed).series.to_jsonl()
+    frame = failover_timeline(seed=seed).series
+    return json.dumps(frame.to_dict(), sort_keys=True)
 
 
 # -- frame basics ---------------------------------------------------
@@ -57,14 +58,21 @@ def test_frame_rejects_column_drift():
 
 
 def test_jsonl_and_dict_round_trips(tmp_path):
+    """A frame's file format is the trace: its rows written as
+    ``series.sample`` events and read back rebuild the same frame."""
+    from repro.obs import TraceEvent, read_jsonl, write_jsonl
+
+    rows = [(i * 250.0, {"z.col": float(i), "a.col": i * 0.5})
+            for i in range(7)]
     frame = SeriesFrame()
-    for i in range(7):
-        frame.append(i * 250.0, {"z.col": float(i), "a.col": i * 0.5})
+    for ts, sample in rows:
+        frame.append(ts, sample)
     path = str(tmp_path / "frame.jsonl")
-    frame.write_jsonl(path)
-    again = SeriesFrame.read_jsonl(path)
-    assert again.to_jsonl() == frame.to_jsonl()
+    write_jsonl(path, [TraceEvent(ts, "series", "series.sample", attrs=sample)
+                       for ts, sample in rows])
+    again = SeriesFrame.from_events(read_jsonl(path)[0])
     assert again.to_dict() == frame.to_dict()
+    assert again.render() == frame.render()
 
 
 def test_render_handles_empty_and_flat_series():
@@ -84,35 +92,6 @@ def test_render_buckets_a_long_series_to_the_spark_width():
         frame.append(float(i), {"ramp": float(i)})
     spark = frame.render().splitlines()[1].split("|")[1]
     assert len(spark) == series._SPARK_WIDTH
-
-
-# -- tick snapping and the env knob ---------------------------------
-
-
-def test_snap_tick_divides_the_window_exactly():
-    for requested, window, expected in [
-        (333.0, 1000.0, 250.0),
-        (1000.0, 1000.0, 1000.0),
-        (499.0, 1000.0, 250.0),
-        (500.0, 1000.0, 500.0),
-    ]:
-        snapped = snap_tick(requested, window)
-        assert snapped == expected
-        parts = window / snapped
-        assert parts == int(parts)
-
-
-def test_series_interval_env(monkeypatch):
-    monkeypatch.delenv("REPRO_SERIES", raising=False)
-    assert series_interval_us(1000.0, 1000.0) == 1000.0
-    monkeypatch.setenv("REPRO_SERIES", "0")
-    assert series_interval_us(1000.0, 1000.0) == 1000.0
-    monkeypatch.setenv("REPRO_SERIES", "250")
-    assert series_interval_us(1000.0, 1000.0) == 250.0
-    monkeypatch.setenv("REPRO_SERIES", "1")
-    # "1" means "on, pick a finer default", snapped to divide windows.
-    fine = series_interval_us(1000.0, 1000.0)
-    assert fine < 1000.0 and (1000.0 / fine) == int(1000.0 / fine)
 
 
 # -- windowed derivations -------------------------------------------
@@ -281,7 +260,7 @@ def test_sharding_series_matches_trace_and_is_deterministic():
 
     a = failover_timeline(seed=42)
     b = failover_timeline(seed=42)
-    assert a.series.to_jsonl() == b.series.to_jsonl()
+    assert a.series.to_dict() == b.series.to_dict()
     # Exactness: the series' windowed deltas equal the trace's counts.
     deltas = a.goodput_windows()
     counts = a.trace_report.window_counts(len(deltas))
@@ -289,7 +268,7 @@ def test_sharding_series_matches_trace_and_is_deterministic():
     # A different workload seed samples the same columns on the same
     # ticks (the seed varies keys and payloads, not the offered slots).
     c = failover_timeline(seed=7)
-    assert c.series.names == a.series.names
+    assert c.series.to_dict()["columns"] == a.series.to_dict()["columns"]
     assert len(c.series) == len(a.series)
 
 
@@ -301,20 +280,53 @@ def test_sharding_series_bytes_identical_across_processes():
     assert run_tasks(_sharding_series_bytes, seeds, 2) == sequential
 
 
-def test_sampling_interval_does_not_change_the_experiment(monkeypatch):
-    """A 4x finer tick changes how often we *look*, never what the
-    system *does*: same goodput windows, same dip, more samples."""
+def _failover_timeline(seed):
     from repro.experiments.extension_sharding import failover_timeline
 
-    monkeypatch.delenv("REPRO_SERIES", raising=False)
-    coarse = failover_timeline(seed=42)
-    monkeypatch.setenv("REPRO_SERIES", "250")
-    fine = failover_timeline(seed=42)
+    return failover_timeline(seed=seed)
+
+
+def _quorum_timeline(seed):
+    from repro.experiments.extension_quorum import quorum_timeline
+
+    return quorum_timeline(seed=seed)
+
+
+def _watched(events):
+    """The trace less what watching adds: the samples themselves, and
+    the alert instants evaluated on the sample timestamps."""
+    return [
+        event for event in events
+        if event.name != "series.sample" and not event.name.startswith("alert.")
+    ]
+
+
+@pytest.mark.parametrize("run, seed", [
+    (_failover_timeline, 42), (_failover_timeline, 7), (_quorum_timeline, 42),
+], ids=["failover-42", "failover-7", "quorum-42"])
+def test_sampling_interval_does_not_change_the_experiment(monkeypatch, run, seed):
+    """A 4x finer tick changes how often we *look*, never what the
+    system *does*: same goodput windows, dip, SLO and recovery
+    decomposition, an audit that passes, and the same trace once the
+    samples and the alerts graded on them are set aside."""
+    from repro.obs.critpath import decompose_recoveries
+
+    coarse = run(seed)
+    attach = TimeSeriesSampler.attach
+    monkeypatch.setattr(
+        TimeSeriesSampler, "attach",
+        lambda self, sim, interval_us, until_us:
+            attach(self, sim, interval_us / 4, until_us),
+    )
+    fine = run(seed)
     assert len(fine.series) > len(coarse.series)
     assert fine.goodput_windows() == coarse.goodput_windows()
     assert fine.series_dip() == coarse.series_dip()
-    assert fine.series.last("router.completed") == \
-        coarse.series.last("router.completed")
+    assert fine.slo.to_dict() == coarse.slo.to_dict()
+    assert decompose_recoveries(fine.trace_events).to_dict() == \
+        decompose_recoveries(coarse.trace_events).to_dict()
+    assert coarse.audit.ok and fine.audit.ok
+    assert _watched(fine.trace_events) == _watched(coarse.trace_events)
 
 
 def test_frame_from_trace_events_is_byte_identical(tmp_path):
@@ -325,4 +337,4 @@ def test_frame_from_trace_events_is_byte_identical(tmp_path):
     timeline = failover_timeline(seed=42, trace_path=path)
     events, _ = read_jsonl(path)
     rebuilt = SeriesFrame.from_events(events)
-    assert rebuilt.to_jsonl() == timeline.series.to_jsonl()
+    assert rebuilt.to_dict() == timeline.series.to_dict()

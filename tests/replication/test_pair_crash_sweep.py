@@ -18,6 +18,11 @@ on either side of that commit.
   last store and the first ring deposit. The backup may hold any
   committed prefix at least as long as the commits that returned.
 
+Both legs also run over the engines' random Hypothesis histories, with
+their per-version :data:`COMMIT_SHAPE` limits (the active pair's engine
+is V3): a few a pair in tier-1, many more under the ``sweep`` marker
+(``pytest -m sweep``).
+
 The counter is a second, per-store observer, so every word batch of
 the doubled regions takes the per-store loop here and the sweep
 crashes between any two of its stores;
@@ -27,7 +32,10 @@ that loop.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.replication.active import ActiveReplicatedSystem
 from repro.replication.commit_safety import CommitSafety
@@ -41,6 +49,7 @@ from tests.vista.test_crash_sweep import (
     CrashPoint,
     StoreCounter,
     committed_images,
+    histories,
 )
 
 TORN_COMMIT = pytest.mark.xfail(
@@ -52,8 +61,8 @@ TORN_COMMIT = pytest.mark.xfail(
 )
 
 
-def drive(make, crash_at=0):
-    """Run :data:`HISTORY` on a fresh pair ``make()`` and crash its
+def drive(make, history, crash_at=0):
+    """Run ``history`` on a fresh pair ``make()`` and crash its
     primary with the last transaction in flight — or after store
     ``crash_at`` of the primary (or of an active pair's ring). Returns
     the database the backup took over with, and the counter, whose
@@ -65,7 +74,7 @@ def drive(make, crash_at=0):
     if isinstance(system, ActiveReplicatedSystem):
         system.ring.add_observer(counter)
     try:
-        for index, (ranges, fate) in enumerate(HISTORY):
+        for index, (ranges, fate) in enumerate(history):
             counter.phase = ("txn", index)
             system.begin_transaction()
             for (offset, length), writes in ranges:
@@ -83,15 +92,15 @@ def drive(make, crash_at=0):
     return image, counter
 
 
-def sweep(make, label):
-    """Crash after every store of the history; each takeover must hold
+def sweep(make, label, history=HISTORY):
+    """Crash after every store of ``history``; each takeover must hold
     a committed prefix (either side of a commit in progress)."""
-    images = committed_images(HISTORY)
-    image, plan = drive(make)
+    images = committed_images(history)
+    image, plan = drive(make, history)
     assert image == images[-1]
     assert plan.phases
     for k, (kind, index) in enumerate(plan.phases, start=1):
-        image, _counter = drive(make, crash_at=k)
+        image, _counter = drive(make, history, crash_at=k)
         allowed = images[index : index + (2 if kind == "commit" else 1)]
         assert image in allowed, (
             f"{label}: a primary crash after store {k} ({kind} of "
@@ -121,3 +130,38 @@ def test_an_active_primary_crash_at_every_store_keeps_a_committed_prefix(
     points = sweep(lambda: ActiveReplicatedSystem(CONFIG, safety=safety),
                    safety.value)
     assert points == 66  # primary stores and ring deposits of HISTORY
+
+
+SAFETIES = [safety.value for safety in CommitSafety]
+#: Every pair the random histories run on: each engine in both backup
+#: modes, then the active pair at both safety levels.
+PAIRS = [f"{version}-{mode}" for version in ENGINE_VERSIONS
+         for mode in ("local-undo", "undo-shipped")] + SAFETIES
+
+
+def _random_sweep(pair, data):
+    if pair in SAFETIES:
+        version = "v3"
+        make = partial(ActiveReplicatedSystem, CONFIG,
+                       safety=CommitSafety(pair))
+    else:
+        version, mode = pair.split("-", 1)
+        make = partial(PassiveReplicatedSystem, version, CONFIG,
+                       ship_undo_log=mode == "undo-shipped")
+    sweep(make, pair, data.draw(histories(version)))
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_random_histories_fail_over_to_the_committed_prefix(pair, data):
+    _random_sweep(pair, data)
+
+
+@pytest.mark.sweep
+@pytest.mark.parametrize("pair", PAIRS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_random_histories_fail_over_to_the_committed_prefix_exhaustively(
+        pair, data):
+    _random_sweep(pair, data)
