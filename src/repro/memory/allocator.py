@@ -226,7 +226,8 @@ class ArrayAllocator:
     The array spans its whole region. Layout: [0:8] count, [8:] records.
     """
 
-    _DATA_START = 8
+    #: Where record 0 starts; record ``i`` is at ``DATA_START + i * record_bytes``.
+    DATA_START = 8
 
     def __init__(
         self,
@@ -238,7 +239,7 @@ class ArrayAllocator:
             raise AllocationError("record size must be positive")
         self.region = region
         self.record_bytes = record_bytes
-        self.capacity = (region.size - self._DATA_START) // record_bytes
+        self.capacity = (region.size - self.DATA_START) // record_bytes
         if self.capacity < 1:
             raise AllocationError("array area too small for one record")
         self.allocs = 0
@@ -252,22 +253,17 @@ class ArrayAllocator:
     def count(self) -> int:
         return self.region.read_u64(0)
 
-    def record_offset(self, index: int) -> int:
-        """Region-relative offset of record ``index``."""
-        if index < 0 or index >= self.capacity:
-            raise AllocationError(f"record index {index} out of range")
-        return self._DATA_START + index * self.record_bytes
-
     def push(self) -> int:
         """Allocate the next record; returns its region-relative offset."""
-        count = self.count
+        region = self.region
+        count = region.read_u64(0)
         if count >= self.capacity:
             raise AllocationError(
                 f"array allocator full ({self.capacity} records)"
             )
-        self._set_count(count + 1)
+        region.write_u64(0, count + 1)
         self.allocs += 1
-        return self.record_offset(count)
+        return self.DATA_START + count * self.record_bytes
 
     def truncate(self) -> None:
         """Move the index back to 0, de-allocating every record."""

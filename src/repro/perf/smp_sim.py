@@ -26,8 +26,17 @@ event wins on time, an equal one on sequence (it was pushed first), and
 nothing new can be pushed in between, since only firing events push.
 So ``complete`` finishes *k+1* in place — same ``busy_us`` order, same
 service span, same wake tick; it reads ``done_at``, never the clock —
-while the queue's next event is strictly later and the horizon is not
-passed, and goes back on the heap only where the chain is interrupted.
+while it is before both the earliest queued event and the horizon, and
+goes back on the heap only where the chain is interrupted. The queue's
+earliest time is read once per ``complete``; within the loop only the
+wakes it pushes itself can bring it forward.
+
+The link FIFO holds one entry per posted transaction, not per packet:
+its packet sizes and their service times, built once per distinct
+packet list, plus the stream. The packet on the wire is a place in the
+head entry, saved only where the chain is interrupted; a stream's
+outstanding bytes are held in a local while its entry drains and
+written back when the entry is done or the chain stops.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from math import inf
+from math import inf, nextafter
 from typing import List
 
 from repro.hardware.specs import SanSpec, MEMORY_CHANNEL_II
@@ -111,6 +120,14 @@ def simulate_smp(
                       for size in set(itertools.chain.from_iterable(txn_packets))}
     except ValueError as error:
         raise ValueError(f"txn_packets: {error}") from None
+    # One burst per distinct packet list: (sizes, service times, bytes).
+    bursts = {
+        packets: (packets, tuple(map(service_us.__getitem__, packets)), sum(packets))
+        for packets in set(map(tuple, txn_packets))
+    }
+    schedule = [bursts[packets] for packets in map(tuple, txn_packets)] or [((), (), 0)]
+    period = len(schedule)
+    horizon = nextafter(duration_us, inf)  # the first instant past the run
     sim = Simulator()
     clock, schedule_at, schedule_after = sim.clock, sim.schedule_at, sim.schedule_after
     peek_time = sim.queue.peek_time
@@ -120,45 +137,62 @@ def simulate_smp(
     resumed = [(0.0, index) for index in range(processors)]  # last (instant, order)
     resume_order = itertools.count(processors)
     rearms = []  # per stream: count the transaction, then compute and post again
-    fifo = deque()  # (size, stream) posted, undelivered; the head is on the wire
+    fifo = deque()  # (sizes, service times, stream) posted; the head is on the wire
     due = {}  # grid instant -> [(stream, its stall instant)] resuming then
-    busy_us = started_at = done_at = 0.0  # link total; the head's service span
-
-    def start(now: float) -> None:
-        """Put the head packet on the wire at ``now``."""
-        nonlocal busy_us, started_at, done_at
-        service = service_us[fifo[0][0]]
-        busy_us += service
-        started_at, done_at = now, now + service
+    busy_us = started_at = done_at = 0.0  # link total; the wire packet's service span
+    head = 0  # the wire packet's place in the head burst
 
     def complete() -> None:
         """Finish the packet on the wire, and every one behind it whose
         completion would be the very next event to fire."""
+        nonlocal busy_us, started_at, done_at, head
+        busy, start, done, place = busy_us, started_at, done_at, head
+        sizes, services, index = fifo[0]
+        end, left, stalled = len(sizes), outstanding[index], stalled_at[index]
+        # The chain goes on while the next completion is before both the
+        # earliest queued event and the horizon. Only a wake pushed below
+        # can change the queue in between.
+        stop = peek_time()
+        if stop is None or stop > horizon:
+            stop = horizon
         while True:
-            size, index = fifo.popleft()
-            outstanding[index] -= size
-            stalled = stalled_at[index]
-            if stalled is not None and outstanding[index] <= buffer_bytes:
+            left -= sizes[place]
+            if stalled is not None and left <= buffer_bytes:
                 stalled_at[index] = None
                 tick = stalled + POLL_US
-                while tick < done_at:
+                while tick < done:
                     tick += POLL_US
                 # A tick at this very instant still saw full buffers if it
                 # was scheduled (one tick earlier) before this completion was
                 # (at service start): it fired first, so the next tick resumes.
-                if tick == done_at and _grid(stalled, POLL_US, tick)[-2] < started_at:
+                if tick == done and _grid(stalled, POLL_US, tick)[-2] < start:
                     tick += POLL_US
                 if tick in due:
                     due[tick].append((index, stalled))
                 else:
                     due[tick] = [(index, stalled)]
                     schedule_at(tick, wake, "wake")
-            if not fifo:
-                return
-            start(done_at)
-            pending = peek_time()
-            if done_at > duration_us or (pending is not None and pending <= done_at):
-                schedule_at(done_at, complete, "link")
+                    if tick < stop:
+                        stop = tick
+                stalled = None
+            place += 1
+            if place == end:
+                outstanding[index] = left
+                fifo.popleft()
+                if not fifo:
+                    busy_us, started_at, done_at = busy, start, done
+                    return
+                sizes, services, index = fifo[0]
+                end, left, stalled = len(sizes), outstanding[index], stalled_at[index]
+                place = 0
+            service = services[place]
+            busy += service
+            start = done
+            done = start + service
+            if done >= stop:
+                outstanding[index] = left
+                busy_us, started_at, done_at, head = busy, start, done, place
+                schedule_at(done, complete, "link")
                 return
 
     def poll_history(entry) -> list:
@@ -190,20 +224,23 @@ def simulate_smp(
         cursor = index  # desynchronize the streams slightly
 
         def post() -> None:
-            nonlocal cursor
-            packets = txn_packets[cursor % len(txn_packets)] if txn_packets else ()
+            nonlocal cursor, busy_us, started_at, done_at, head
+            sizes, services, total = schedule[cursor % period]
             cursor += 1
-            if packets:
-                idle = not fifo
-                fifo.extend([(size, index) for size in packets])
-                outstanding[index] += sum(packets)
-                if idle:
-                    start(clock.now)
+            if sizes:
+                if not fifo:
+                    service = services[0]
+                    busy_us += service
+                    started_at = clock.now
+                    done_at, head = started_at + service, 0
                     schedule_at(done_at, complete, "link")
+                fifo.append((sizes, services, index))
+                outstanding[index] += total
             if outstanding[index] > buffer_bytes:
                 stalled_at[index] = clock.now
-            else:
-                rearm()
+            else:  # rearm(), in place
+                completed[index] += 1
+                schedule_after(txn_cpu_us, post, "stream")
 
         def rearm() -> None:
             completed[index] += 1

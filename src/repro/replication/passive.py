@@ -123,8 +123,8 @@ class PassiveReplicatedSystem:
 
     def begin_transaction(self) -> None:
         self.engine.begin_transaction()
-        self._txn_wire_start = self.interface.bytes_sent
         if self._spans is not None:
+            self._txn_wire_start = self.interface.bytes_sent
             self._txn_counters_base = counters_snapshot(self.engine.counters)
             self._txn_link_start = self.interface.link_time_us()
 

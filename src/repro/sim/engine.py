@@ -60,10 +60,11 @@ class Simulator:
         self, when: float, action: Callable[[], Any], name: str = ""
     ) -> Event:
         """Schedule ``action`` at absolute simulated time ``when``."""
-        if not when >= self.now:  # "not >=": NaN compares false and is refused too
+        now = self.clock._now
+        if not when >= now:  # "not >=": NaN compares false and is refused too
             raise SimulationError(
                 f"cannot schedule event at {when}, not at or after "
-                f"current time {self.now}"
+                f"current time {now}"
             )
         return self.queue.push(when, action, name)
 
@@ -73,7 +74,7 @@ class Simulator:
         """Schedule ``action`` ``delay`` microseconds from now."""
         if not delay >= 0:  # NaN too
             raise SimulationError(f"cannot schedule with negative or NaN delay {delay}")
-        return self.queue.push(self.now + delay, action, name)
+        return self.queue.push(self.clock._now + delay, action, name)
 
     def run(self, until: Optional[float] = None) -> float:
         """Run events until the queue drains or ``until`` is reached.
@@ -90,19 +91,24 @@ class Simulator:
         executed = 0
         queue = self.queue
         pop_until = queue.pop_until
-        advance_to = self.clock.advance_to
+        clock = self.clock
+        advance_to = clock.advance_to
         try:
             # Hot loop: one heap traversal per event (pop_until peeks
-            # and pops at once) and no per-event bookkeeping beyond
-            # the counter.
+            # and pops at once), the clock advanced in place, and no
+            # per-event bookkeeping beyond the counter. ``advance_to``
+            # is called only to raise: an event queued behind the clock.
             while True:
                 event = pop_until(until)
                 if event is None:
                     break
-                advance_to(event.time)
+                when = event.time
+                if when < clock._now:
+                    advance_to(when)
+                clock._now = when
                 executed += 1
                 event.action()
-            if until is not None and self.now < until:
+            if until is not None and clock._now < until:
                 advance_to(until)
         finally:
             self._running = False

@@ -74,14 +74,11 @@ class MirrorCopyEngine(TransactionEngine):
         self.ranges_region.write_u64(record + 8, length)
 
     def _declared_ranges(self) -> List[Tuple[int, int]]:
-        entries = []
-        for index in range(self.range_array.count):
-            record = self.range_array.record_offset(index)
-            entries.append((
-                self.ranges_region.read_u64(record),
-                self.ranges_region.read_u64(record + 8),
-            ))
-        return entries
+        read_u64 = self.ranges_region.read_u64
+        first = ArrayAllocator.DATA_START
+        end = first + self.range_array.count * _RANGE_RECORD_BYTES
+        return [(read_u64(record), read_u64(record + 8))
+                for record in range(first, end, _RANGE_RECORD_BYTES)]
 
     # -- hooks ---------------------------------------------------------------
 

@@ -309,6 +309,7 @@ ALLOWED_BLOCKS = {
         "repro.obs.spans:collect_span_forest: continue",
         "repro.san.memory_channel:TransmitMapping.write: "
         "interface._refuse(self, offset, length)",
+        "repro.sim.engine:Simulator.run: advance_to(when)",
     ),
     _WRAP: (
         "repro.replication.redo_log:RedoLogApplier.apply_one: available = "

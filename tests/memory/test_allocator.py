@@ -154,14 +154,6 @@ class TestArrayAllocator:
         with pytest.raises(AllocationError):
             array.push()
 
-    def test_record_offset_bounds(self):
-        region = MemoryRegion("arr", 1024)
-        array = ArrayAllocator(region, record_bytes=16)
-        with pytest.raises(AllocationError):
-            array.record_offset(-1)
-        with pytest.raises(AllocationError):
-            array.record_offset(10_000)
-
     def test_count_is_persistent_state(self):
         region = MemoryRegion("arr", 1024)
         array = ArrayAllocator(region, record_bytes=16)

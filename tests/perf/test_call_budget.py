@@ -1,13 +1,19 @@
-"""A deterministic cost guard on the transaction path.
+"""A deterministic cost guard on the transaction path and the SMP link.
 
 Host time on a shared machine swings by tens of percent between runs;
-the number of Python frames a transaction enters does not. For each
-engine, V0–V3, under each paper workload, this counts the calls into
-``repro`` functions per transaction (``sys.setprofile`` ``call``
-events) and holds every cell to its budget: the count measured when
-field access, the engine API, the pair wrappers and V0's heap stopped
-passing through helper frames, plus 2 %. A change that puts a frame
-back on the store path fails here before it shows in a timing.
+the number of Python frames a run enters does not. For each engine,
+V0–V3, under each paper workload, this counts the calls into ``repro``
+functions per transaction (``sys.setprofile`` ``call`` events) and
+holds every cell to its budget: the count measured when field access,
+the engine API, the pair wrappers and V0's heap stopped passing through
+helper frames (V1 and V2: when the range array's push and V1's range
+read stopped calling the allocator's helpers), plus 2 %. A change that
+puts a frame back on the store path fails here before it shows in a
+timing.
+
+One SMP validation point is held the same way, with the events it
+fires pinned exactly: fewer calls for the same events is the link
+draining one posted burst at a time, not a different simulation.
 
 Frames whose name starts with ``<`` (comprehensions, lambdas, genexprs)
 are not counted: Python 3.12 inlines comprehensions, and the counts
@@ -23,6 +29,9 @@ import pytest
 
 import repro
 from repro.memory.rio import RioMemory
+from repro.perf.smp_sim import packet_sequence, simulate_smp
+from repro.san.packets import PacketTrace
+from repro.sim.engine import Simulator
 from repro.vista import EngineConfig, create_engine
 from repro.workloads import DebitCreditWorkload, OrderEntryWorkload
 
@@ -36,13 +45,29 @@ SLACK = 1.02
 BUDGET = {
     ("v0", "debit-credit"): 208.0,
     ("v0", "order-entry"): 569.91,
-    ("v1", "debit-credit"): 108.0,
-    ("v1", "order-entry"): 293.63,
-    ("v2", "debit-credit"): 130.0,
-    ("v2", "order-entry"): 349.47,
+    ("v1", "debit-credit"): 92.0,
+    ("v1", "order-entry"): 250.51,
+    ("v2", "debit-credit"): 114.0,
+    ("v2", "order-entry"): 306.35,
     ("v3", "debit-credit"): 62.0,
     ("v3", "order-entry"): 179.83,
 }
+
+#: One point of the SMP validation as the grid records it at seed 42
+#: and 1,000 transactions: Debit-Credit on passive V3, four processors
+#: sharing the link. Its bursts are several packets long and its
+#: streams stall, so it drives the link's drain loop, the wakes and
+#: the posts.
+SMP_POINT = {
+    "cpu_us": 2.909572749788029,
+    "histogram": {2: 126, 4: 3124, 6: 126, 8: 1124, 10: 126, 12: 124,
+                  14: 1126, 16: 562, 32: 3000},
+    "transactions": 1000,
+    "processors": 4,
+}
+#: Calls into ``repro`` for the whole point, and the events it fires.
+SMP_CALL_BUDGET = 183_688
+SMP_EVENTS = 31_665
 
 WORKLOADS = {
     workload.name: workload
@@ -62,6 +87,16 @@ def calls_per_transaction(version: str, workload_name: str) -> float:
     workload.setup(engine)
     for _ in range(WARMUP):
         workload.run_transaction(engine)
+
+    def run() -> None:
+        for _ in range(TRANSACTIONS):
+            workload.run_transaction(engine)
+
+    return calls_into_repro(run) / TRANSACTIONS
+
+
+def calls_into_repro(run) -> int:
+    """Calls into ``repro`` functions while ``run()`` runs."""
     calls = 0
 
     def profile(frame, event, _arg):
@@ -75,11 +110,10 @@ def calls_per_transaction(version: str, workload_name: str) -> float:
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        for _ in range(TRANSACTIONS):
-            workload.run_transaction(engine)
+        run()
     finally:
         sys.setprofile(previous)
-    return calls / TRANSACTIONS
+    return calls
 
 
 @pytest.mark.parametrize("version, workload_name", sorted(BUDGET))
@@ -89,4 +123,28 @@ def test_a_transaction_stays_within_its_call_budget(version, workload_name):
     assert measured <= budget * SLACK, (
         f"{version} {workload_name}: {measured:.2f} calls into repro per "
         f"transaction, over the budget of {budget:.2f} + 2 %"
+    )
+
+
+def test_an_smp_point_stays_within_its_call_budget(monkeypatch):
+    txn_packets = packet_sequence(
+        PacketTrace(dict(SMP_POINT["histogram"])), SMP_POINT["transactions"])
+    events = 0
+    run = Simulator.run
+
+    def counted(self, until=None):
+        # Events are read around the run, as the ledger's simulator timer does.
+        nonlocal events
+        try:
+            return run(self, until)
+        finally:
+            events += self.events_processed
+
+    monkeypatch.setattr(Simulator, "run", counted)
+    calls = calls_into_repro(lambda: simulate_smp(
+        SMP_POINT["cpu_us"], txn_packets, SMP_POINT["processors"]))
+    assert events == SMP_EVENTS
+    assert calls <= SMP_CALL_BUDGET * SLACK, (
+        f"{calls} calls into repro for the SMP point, over the budget of "
+        f"{SMP_CALL_BUDGET} + 2 %"
     )

@@ -22,12 +22,19 @@ first and must still fire first. Real packet times are not exact binary
 fractions, so a completion never ties with a post on the inputs above:
 the dyadic SAN below (0.5 and 0.75 us packets against CPU times and
 durations on the same quarter-microsecond grid) is what pins that rule.
+
+The link FIFO holds one entry per posted transaction and a place in
+the head entry; the explicit examples pin the edges of that layout,
+each one failing against a broken variant of it. The ``sweep`` marker
+(``pytest -m sweep``) runs both equivalence properties at 3,000
+examples each.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.hardware.specs import MEMORY_CHANNEL_II
@@ -58,9 +65,8 @@ _packets = st.lists(
 )
 _transactions = st.lists(_packets, min_size=0, max_size=5)
 
-
-@settings(max_examples=300, deadline=None)
-@given(
+#: Any input: real and sub-poll packet times.
+ANY_INPUT = dict(
     txn_cpu_us=_cpu_us,
     txn_packets=_transactions,
     processors=st.integers(1, 6),
@@ -68,7 +74,21 @@ _transactions = st.lists(_packets, min_size=0, max_size=5)
     san=st.sampled_from([MEMORY_CHANNEL_II, SUB_POLL_SAN]),
     buffer_bytes=st.sampled_from([0, 32, 192, 1000]),
 )
-def test_event_driven_equals_polling_original(
+
+#: Completions, posts and the horizon on one quarter-microsecond grid.
+TIED_INPUT = dict(
+    txn_cpu_us=st.sampled_from([0.5, 0.75, 1.0, 2.0]),
+    txn_packets=st.lists(
+        st.lists(st.sampled_from([16, 32]), min_size=0, max_size=8),
+        min_size=1, max_size=3),
+    processors=st.integers(2, 4),
+    duration_us=st.sampled_from([3.0, 20.0, 40.0, 61.75]),
+    san=st.just(DYADIC_SAN),
+    buffer_bytes=st.sampled_from([0, 32, 64, 192]),
+)
+
+
+def assert_equals_polling_original(
     txn_cpu_us, txn_packets, processors, duration_us, san, buffer_bytes
 ):
     new = simulate_smp(
@@ -78,29 +98,68 @@ def test_event_driven_equals_polling_original(
     assert dataclasses.asdict(new) == dataclasses.asdict(reference)
 
 
+@settings(max_examples=300, deadline=None)
+@given(**ANY_INPUT)
+# A ten-packet burst cut off mid-way by the other stream's next post,
+# then resumed by its scheduled completion: fails if the place on the
+# wire is not saved where the chain stops.
+@example(txn_cpu_us=1.0, txn_packets=[[32] * 10], processors=2,
+         duration_us=20.0, san=MEMORY_CHANNEL_II, buffer_bytes=1000)
+# One stream posts its next burst while the last is still on the wire:
+# fails if a post onto a busy link resets the place on the wire.
+@example(txn_cpu_us=1.0, txn_packets=[[32, 4, 4, 4]], processors=1,
+         duration_us=20.0, san=MEMORY_CHANNEL_II, buffer_bytes=1000)
+# An empty transaction between non-empty ones still takes its turn:
+# fails if empty packet lists are left out of the cycle.
+@example(txn_cpu_us=0.5, txn_packets=[[32, 32], [], [16]], processors=2,
+         duration_us=20.0, san=MEMORY_CHANNEL_II, buffer_bytes=32)
+# Every post stalls until its whole burst has drained: fails if a
+# burst's last packet is never subtracted from the stream's bytes.
+@example(txn_cpu_us=0.3, txn_packets=[[4, 8, 16, 32]], processors=1,
+         duration_us=20.0, san=MEMORY_CHANNEL_II, buffer_bytes=0)
+# The horizon falls inside a twenty-packet burst: fails if the chain
+# drains past it.
+@example(txn_cpu_us=1.0, txn_packets=[[32] * 20], processors=1,
+         duration_us=3.0, san=MEMORY_CHANNEL_II, buffer_bytes=1000)
+def test_event_driven_equals_polling_original(
+    txn_cpu_us, txn_packets, processors, duration_us, san, buffer_bytes
+):
+    assert_equals_polling_original(
+        txn_cpu_us, txn_packets, processors, duration_us, san, buffer_bytes)
+
+
 @settings(max_examples=150, deadline=None)
-@given(
-    txn_cpu_us=st.sampled_from([0.5, 0.75, 1.0, 2.0]),
-    txn_packets=st.lists(
-        st.lists(st.sampled_from([16, 32]), min_size=0, max_size=8),
-        min_size=1, max_size=3),
-    processors=st.integers(2, 4),
-    duration_us=st.sampled_from([3.0, 20.0, 40.0, 61.75]),
-    buffer_bytes=st.sampled_from([0, 32, 64, 192]),
-)
+@given(**TIED_INPUT)
 # per_stream_completed is [20, 19] here; the chain taking the tie (``<``
 # for ``<=`` against ``peek_time()``) makes it [20, 20], and passes every
 # other test in the suite and both golden seeds.
 @example(txn_cpu_us=2.0, txn_packets=[[16, 16]], processors=2,
-         duration_us=40.0, buffer_bytes=32)
+         duration_us=40.0, san=DYADIC_SAN, buffer_bytes=32)
 def test_equal_timestamp_ties_go_to_the_event_queued_first(
-    txn_cpu_us, txn_packets, processors, duration_us, buffer_bytes
+    txn_cpu_us, txn_packets, processors, duration_us, san, buffer_bytes
 ):
-    new = simulate_smp(
-        txn_cpu_us, txn_packets, processors, duration_us, DYADIC_SAN, buffer_bytes)
-    reference = smp_sim_reference.simulate_smp(
-        txn_cpu_us, txn_packets, processors, duration_us, DYADIC_SAN, buffer_bytes)
-    assert dataclasses.asdict(new) == dataclasses.asdict(reference)
+    assert_equals_polling_original(
+        txn_cpu_us, txn_packets, processors, duration_us, san, buffer_bytes)
+
+
+@pytest.mark.sweep
+@settings(max_examples=3000, deadline=None)
+@given(**ANY_INPUT)
+def test_event_driven_equals_polling_original_exhaustively(
+    txn_cpu_us, txn_packets, processors, duration_us, san, buffer_bytes
+):
+    assert_equals_polling_original(
+        txn_cpu_us, txn_packets, processors, duration_us, san, buffer_bytes)
+
+
+@pytest.mark.sweep
+@settings(max_examples=3000, deadline=None)
+@given(**TIED_INPUT)
+def test_equal_timestamp_ties_go_to_the_event_queued_first_exhaustively(
+    txn_cpu_us, txn_packets, processors, duration_us, san, buffer_bytes
+):
+    assert_equals_polling_original(
+        txn_cpu_us, txn_packets, processors, duration_us, san, buffer_bytes)
 
 
 def test_dyadic_san_packet_times_are_exact_binary_fractions():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ClockError, SimulationError
 from repro.sim.engine import Simulator
 
 
@@ -67,6 +67,19 @@ def test_run_until_nan_rejected_before_any_event():
     assert fired == []
     sim.run(until=2.0)  # the refusal left the simulator usable
     assert fired == [0.0, 1.0, 2.0]
+
+
+def test_an_event_queued_behind_the_clock_is_refused_when_it_fires():
+    # schedule_at refuses the past; the queue's own push does not, so the
+    # run loop's clock check is what stops time going backwards.
+    sim = Simulator()
+    sim.run(until=10.0)
+    fired = []
+    sim.queue.push(5.0, lambda: fired.append(sim.now))
+    with pytest.raises(ClockError, match="backwards from 10.0 to 5.0"):
+        sim.run()
+    assert fired == []
+    assert sim.now == 10.0
 
 
 def test_events_can_schedule_events():
