@@ -18,7 +18,6 @@ from typing import Callable, Optional, Sequence, Union
 from repro.cluster.membership import HeartbeatMonitor, Membership
 from repro.cluster.node import Node
 from repro.errors import ConfigurationError, FailoverError
-from repro.obs.observer import resolve_observer
 from repro.obs.recovery import (
     PHASE_CATCHUP,
     PHASE_DETECT,
@@ -90,7 +89,7 @@ class ReplicatedCluster:
         self.version = version
         self.config = config if config is not None else EngineConfig()
         self.on_failover = on_failover
-        self.observer = resolve_observer(observer)
+        self.observer = observer
         self.sim = sim
         self.observer.bind_clock(lambda: self.sim.now)
         self.primary_node = Node(primary_name)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.cluster.node import Node
-from repro.obs.observer import NULL_OBSERVER, resolve_observer
+from repro.obs.observer import NULL_OBSERVER
 from repro.sim.engine import Simulator
 
 
@@ -86,7 +86,7 @@ class HeartbeatMonitor:
         on_failure: Callable[[], None],
         interval_us: float = 1000.0,
         timeout_us: float = 5000.0,
-        observer=None,
+        observer=NULL_OBSERVER,
     ):
         if timeout_us <= interval_us:
             raise ValueError("timeout must exceed the heartbeat interval")
@@ -95,7 +95,7 @@ class HeartbeatMonitor:
         self.on_failure = on_failure
         self.interval_us = interval_us
         self.timeout_us = timeout_us
-        self.observer = resolve_observer(observer)
+        self.observer = observer
         self.detected_at_us: Optional[float] = None
 
     def start(self) -> None:

@@ -10,9 +10,10 @@ Chrome ``trace_event`` format (:mod:`repro.obs.export`), and
 ``python -m repro.obs.report`` reconstructs a failover timeline from a
 trace file (:mod:`repro.obs.report`).
 
-Default-off: components fall back to :data:`NULL_OBSERVER`, which
-records nothing, so the perf-model calibration and seed determinism
-are untouched unless an observer is attached (or ``REPRO_OBS=1``).
+Default-off: an observer is only ever a constructor argument, and its
+default, :data:`NULL_OBSERVER`, records nothing. Every number is
+byte-identical attached and detached, which the tier-1
+``test_observed_measurements_equal_detached`` holds.
 """
 
 import inspect
@@ -34,10 +35,7 @@ from repro.obs.metrics import (
 from repro.obs.observer import (
     NULL_OBSERVER,
     NullObserver,
-    OBS_ENV_VAR,
     Observer,
-    get_default_observer,
-    resolve_observer,
 )
 from repro.obs.trace import (
     KIND_INSTANT,

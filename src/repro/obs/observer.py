@@ -1,7 +1,7 @@
 """The single instrumentation handle threaded through the stack.
 
-Every instrumentable component takes an optional ``observer``; the
-default resolves to :data:`NULL_OBSERVER`, whose every method is a
+Every instrumentable component takes an ``observer`` constructor
+argument; it defaults to :data:`NULL_OBSERVER`, whose every method is a
 no-op and whose ``enabled`` flag is False so hot paths can skip even
 building attribute dicts. A real :class:`Observer` bundles one shared
 :class:`~repro.obs.metrics.MetricsRegistry` and one shared
@@ -20,7 +20,6 @@ Components used outside any simulator stamp events at time 0.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Optional
 
 from repro.obs.metrics import Histogram, MetricsRegistry
@@ -211,32 +210,3 @@ class Observer:
             f"Observer({len(self.recorder)} events, "
             f"{len(self.registry)} metrics{scope})"
         )
-
-
-#: Environment variable that flips the process default from the
-#: NullObserver to a real in-memory Observer. CI runs the tier-1 suite
-#: once with it set and once without, guarding the default-off contract.
-OBS_ENV_VAR = "REPRO_OBS"
-
-_default_observer: Optional[Observer] = None
-
-
-def get_default_observer():
-    """The observer components fall back to when given none.
-
-    Returns :data:`NULL_OBSERVER` unless :data:`OBS_ENV_VAR` is set to
-    a non-empty, non-"0" value, in which case one shared in-memory
-    :class:`Observer` is created lazily for the whole process.
-    """
-    global _default_observer
-    flag = os.environ.get(OBS_ENV_VAR, "")
-    if not flag or flag == "0":
-        return NULL_OBSERVER
-    if _default_observer is None:
-        _default_observer = Observer()
-    return _default_observer
-
-
-def resolve_observer(observer):
-    """``observer`` itself, or the process default when None."""
-    return observer if observer is not None else get_default_observer()

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
-from repro.obs.observer import resolve_observer
+from repro.obs.observer import NULL_OBSERVER
 from repro.obs.trace import TraceEvent
 
 #: Trace vocabulary: one instant event per tick, all probe values in attrs.
@@ -252,8 +252,8 @@ class TimeSeriesSampler:
     prefix.
     """
 
-    def __init__(self, observer=None) -> None:
-        self.observer = resolve_observer(observer)
+    def __init__(self, observer=NULL_OBSERVER) -> None:
+        self.observer = observer
         self.frame = SeriesFrame()
         self._probes: Dict[str, Callable[[], float]] = {}
         self._attached = False

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.obs.observer import NULL_OBSERVER
 from repro.quorum.group import QuorumGroup
 from repro.shard.cluster import RoutedCluster
 
@@ -52,7 +53,7 @@ class QuorumCluster(RoutedCluster):
         keys_per_group: int = 64,
         sloppy: bool = False,
         repair_interval_us: float = 0.0,
-        observer=None,
+        observer=NULL_OBSERVER,
     ):
         super().__init__(num_groups, observer)
         self.groups: List[QuorumGroup] = self.units

@@ -43,7 +43,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError, ShardUnavailableError
-from repro.obs.observer import resolve_observer
+from repro.obs.observer import NULL_OBSERVER
 from repro.obs.recovery import (
     PHASE_DETECT,
     PHASE_VIEW,
@@ -119,7 +119,7 @@ class QuorumGroup:
         sim: Simulator,
         sloppy: bool = False,
         repair_interval_us: float = 0.0,
-        observer=None,
+        observer=NULL_OBSERVER,
     ):
         if num_replicas < 1:
             raise ConfigurationError("need at least one replica")
@@ -139,7 +139,7 @@ class QuorumGroup:
         self.sim = sim
         self.sloppy = sloppy
         self.repair_interval_us = repair_interval_us
-        self.observer = resolve_observer(observer)
+        self.observer = observer
         self.observer.bind_clock(lambda: self.sim.now)
 
         self.replicas: List[ReplicaStore] = [

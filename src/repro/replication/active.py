@@ -26,7 +26,7 @@ from repro.errors import FailoverError
 from repro.hardware.specs import MEMORY_CHANNEL_II
 from repro.memory.mapping import AddressSpace
 from repro.memory.rio import RioMemory
-from repro.obs.observer import resolve_observer
+from repro.obs.observer import NULL_OBSERVER
 from repro.obs.spans import (
     PHASE_APPLY,
     PHASE_BARRIER,
@@ -84,12 +84,12 @@ class ActiveReplicatedSystem:
         auto_apply: bool = True,
         primary_name: str = "primary",
         backup_name: str = "backup",
-        observer=None,
+        observer=NULL_OBSERVER,
     ):
         self.config = config if config is not None else EngineConfig()
         self.safety = safety
         self.auto_apply = auto_apply
-        self.observer = resolve_observer(observer)
+        self.observer = observer
 
         # Primary: a fully local Version 3 engine.
         self.primary_rio = RioMemory(primary_name)

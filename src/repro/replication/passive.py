@@ -29,7 +29,7 @@ from repro.errors import FailoverError
 from repro.memory.mapping import AddressSpace
 from repro.memory.region import MemoryRegion
 from repro.memory.rio import RioMemory
-from repro.obs.observer import resolve_observer
+from repro.obs.observer import NULL_OBSERVER
 from repro.obs.spans import (
     PHASE_BARRIER,
     PHASE_DOUBLING,
@@ -61,12 +61,12 @@ class PassiveReplicatedSystem:
         ship_undo_log: bool = False,
         primary_name: str = "primary",
         backup_name: str = "backup",
-        observer=None,
+        observer=NULL_OBSERVER,
     ):
         self.version = version
         self.config = config if config is not None else EngineConfig()
         self.ship_undo_log = ship_undo_log
-        self.observer = resolve_observer(observer)
+        self.observer = observer
 
         self.primary_rio = RioMemory(primary_name)
         self.backup_rio = RioMemory(backup_name)

@@ -40,7 +40,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from repro.errors import CrashedError, RedoLogCorruptError, RedoLogFullError
 from repro.memory.region import MemoryRegion, WriteCategory
-from repro.obs.observer import resolve_observer
+from repro.obs.observer import NULL_OBSERVER
 from repro.san.memory_channel import TransmitMapping
 
 _U32 = struct.Struct("<I")
@@ -100,11 +100,11 @@ class RedoLogProducer:
         self,
         ring_mapping: TransmitMapping,
         consumer_region: MemoryRegion,
-        observer=None,
+        observer=NULL_OBSERVER,
     ):
         self.mapping = ring_mapping
         self.consumer_region = consumer_region
-        self.observer = resolve_observer(observer)
+        self.observer = observer
         self.capacity = ring_mapping.size - _DATA_START
         self.produced = 0
         self.transactions_published = 0
@@ -202,12 +202,12 @@ class RedoLogApplier:
         ring_region: MemoryRegion,
         db_region: MemoryRegion,
         consumer_mapping: TransmitMapping,
-        observer=None,
+        observer=NULL_OBSERVER,
     ):
         self.ring = ring_region
         self.db = db_region
         self.consumer_mapping = consumer_mapping
-        self.observer = resolve_observer(observer)
+        self.observer = observer
         self.capacity = ring_region.size - _DATA_START
         self.consumed = 0
         self.transactions_applied = 0

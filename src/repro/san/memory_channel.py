@@ -33,7 +33,7 @@ from repro.memory.region import (
     WriteCategory,
     _pack_u64,
 )
-from repro.obs.observer import resolve_observer
+from repro.obs.observer import NULL_OBSERVER
 from repro.san.packets import PacketTrace
 
 #: Cap on deferred stores held per interface before a partial drain
@@ -330,10 +330,10 @@ class MemoryChannelInterface:
     are the 21164A's (6 x 32 bytes): the paper's one machine.
     """
 
-    def __init__(self, node_name: str = "node", observer=None):
+    def __init__(self, node_name: str = "node", observer=NULL_OBSERVER):
         self.node_name = node_name
         self._trace = PacketTrace()
-        self.observer = resolve_observer(observer)
+        self.observer = observer
         self.write_buffer = WriteBufferModel(
             num_buffers=ALPHASERVER_4100.write_buffers,
             block_bytes=ALPHASERVER_4100.write_buffer_bytes,

@@ -37,7 +37,7 @@ from repro.cluster.membership import Membership
 from repro.errors import (
     ConfigurationError, ShardUnavailableError, SimulationError,
 )
-from repro.obs.observer import resolve_observer
+from repro.obs.observer import NULL_OBSERVER
 from repro.shard.shardmap import ShardMap
 from repro.shard.workload import ShardedWorkload
 from repro.sim.engine import Simulator
@@ -80,11 +80,11 @@ class RoutedCluster:
     #: Dotted prefix of the per-unit observer scopes (``shard.N``).
     scope_prefix = "shard"
 
-    def __init__(self, num_units: int, observer=None):
+    def __init__(self, num_units: int, observer=NULL_OBSERVER):
         if num_units < 1:
             raise ConfigurationError(f"need at least one {self.scope_prefix}")
         self.num_shards = num_units
-        self.observer = resolve_observer(observer)
+        self.observer = observer
         # Heartbeat chains across 2N nodes, quorum acks and repair rounds
         # collide on exact timestamps constantly: the wheel queue.
         self.sim = Simulator(
@@ -270,7 +270,7 @@ class ShardedCluster(RoutedCluster):
         config: Optional[EngineConfig] = None,
         heartbeat_interval_us: float = 1_000.0,
         heartbeat_timeout_us: float = 5_000.0,
-        observer=None,
+        observer=NULL_OBSERVER,
     ):
         super().__init__(num_shards, observer)
         self.pairs: List[ReplicatedCluster] = self.units

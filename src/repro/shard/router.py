@@ -34,7 +34,7 @@ from repro.errors import (
     ShardUnavailableError,
     StaleShardMapError,
 )
-from repro.obs.observer import resolve_observer
+from repro.obs.observer import NULL_OBSERVER
 from repro.obs.recovery import RECOVERY_RESUME
 from repro.obs.spans import COMMIT_SPAN
 from repro.shard.cluster import RoutedCluster
@@ -68,7 +68,7 @@ class Router:
         cluster: RoutedCluster,
         workload: ShardedWorkload,
         max_attempts: int = 10,
-        observer=None,
+        observer=NULL_OBSERVER,
     ):
         if workload.num_shards != cluster.num_shards:
             raise RoutingError(
@@ -81,7 +81,7 @@ class Router:
         self.workload = workload
         self.max_attempts = max_attempts
 
-        self.observer = resolve_observer(observer)
+        self.observer = observer
         self.map = cluster.shard_map.snapshot()
         self.routed = 0
         self.completed = 0

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
-from repro.obs.observer import resolve_observer
+from repro.obs.observer import NULL_OBSERVER
 from repro.sim.clock import VirtualClock
 from repro.sim.events import Event, default_event_queue
 
@@ -38,10 +38,10 @@ class Simulator:
         [5.0]
     """
 
-    def __init__(self, observer=None, queue=None):
+    def __init__(self, observer=NULL_OBSERVER, queue=None):
         self.clock = VirtualClock()
         self.queue = default_event_queue() if queue is None else queue
-        self.observer = resolve_observer(observer)
+        self.observer = observer
         self.observer.bind_clock(lambda: self.clock.now)
         self._running = False
         self._events_processed = 0

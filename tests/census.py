@@ -332,11 +332,6 @@ ALLOWED_BLOCKS = {
         "repro.perf.smp_sim:simulate_smp.<locals>.wake: schedule_at(now, "
         'wake, "wake")',
     ),
-    _CHECK: {
-        "repro.obs.observer:get_default_observer: _default_observer = "
-        "Observer()":
-            "REPRO_OBS",
-    },
     _TEST: {
         "repro.cluster.membership:Membership.fail: return":
             "tests/cluster/test_membership.py::"

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.obs import Observer
+from repro.obs import NULL_OBSERVER, Observer
 from repro.quorum import QuorumCluster
 from repro.shard.cluster import PartitionPlan
 from tests.obs.select import select_events
 
 
-def make(observer=None):
+def make(observer=NULL_OBSERVER):
     return QuorumCluster(
         1, replicas_per_group=3, read_quorum=2, write_quorum=2,
         keys_per_group=8, observer=observer,

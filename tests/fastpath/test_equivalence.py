@@ -9,16 +9,23 @@ categorized traffic, packet histogram, I/O store count, ack bytes,
 redo records).
 """
 
+import functools
+
 import pytest
 
-from repro.fastpath import replay
+from repro.cluster.cluster import ReplicatedCluster
+from repro.fastpath import replay, shardpar
 from repro.memory import rio
 from repro.obs.observer import NULL_OBSERVER, Observer
+from repro.obs.series import quorum_probes, router_probes, sim_probes
+from repro.quorum import QuorumCluster, QuorumWorkload
 from repro.replication.active import ActiveReplicatedSystem
 from repro.replication.commit_safety import CommitSafety
 from repro.replication.passive import PassiveReplicatedSystem
 from repro.vista import EngineConfig
 from repro.san import memory_channel
+from repro.shard import ShardedCluster, ShardedWorkload
+from repro.sim.engine import Simulator
 from repro.vista import v2_mirror_diff
 from repro.workloads import DebitCreditWorkload, OrderEntryWorkload, run_workload
 from tests.oracles.diff_reference import diff_runs
@@ -99,11 +106,14 @@ def test_fastpath_measurements_byte_identical(
 
 # -- observed == detached ------------------------------------------------------
 #
-# An observer is a reader: the interface it watches runs the same store
-# path (batched pipeline, replay cache, the window's store lanes) and
-# measures the same numbers as one nobody watches, and the four
-# ``san.<node>.*`` counters it is handed are the interface's own
-# totals, folded at ordering points.
+# An observer is a reader: everything a system measures is the same
+# whether one is attached or not. It is not invisible to the store
+# path: an observed pair reads the link time at each transaction's
+# begin and commit, and that read flushes the deferred stores, so the
+# flush points move. The numbers do not, and the tests below hold
+# them, on the transaction path and on the clock. The four
+# ``san.<node>.*`` counters an observer is handed are the interface's
+# own totals, folded at ordering points.
 
 OBSERVABLE = [
     ("passive-v0", lambda obs: PassiveReplicatedSystem("v0", CONFIG, observer=obs)),
@@ -150,22 +160,180 @@ def _registry_totals(observer, interface):
     )
 
 
-@observable
-def test_observed_measurements_equal_detached(make):
-    def measure(observer):
-        target = make(observer)
-        measured = _measure_target(target, DebitCreditWorkload)
-        measured["interfaces"] = [
-            {
-                "histogram": dict(interface.trace.histogram),
-                "io_stores": interface.io_stores,
-                "bytes_by_category": dict(interface.bytes_by_category),
-                "link_time_us": interface.link_time_us(),
-            }
-            for interface in _interfaces(target)
-        ]
-        return measured
+def _interface_states(system):
+    return [
+        {
+            "histogram": dict(interface.trace.histogram),
+            "io_stores": interface.io_stores,
+            "bytes_by_category": dict(interface.bytes_by_category),
+            "link_time_us": interface.link_time_us(),
+        }
+        for interface in _interfaces(system)
+    ]
 
+
+def _sim_state(sim):
+    return {"events_processed": sim.events_processed, "now": sim.now}
+
+
+def _measure_system(make, observer):
+    target = make(observer)
+    measured = _measure_target(target, DebitCreditWorkload)
+    measured["interfaces"] = _interface_states(target)
+    return measured
+
+
+def _measure_pair(mode, version, observer):
+    """A bare pair on its own simulator: a transaction every 250 us
+    while it serves, a primary crash at 2.05 ms, the takeover."""
+    sim = Simulator(observer=observer)
+    failed_over = []
+    pair = ReplicatedCluster(
+        sim, "primary", "backup", failed_over.append,
+        mode=mode, version=version, config=CONFIG,
+        heartbeat_interval_us=100.0, heartbeat_timeout_us=500.0,
+        observer=observer,
+    )
+    workload = _loaded(pair.system, DebitCreditWorkload)
+    served = []
+
+    def transact():
+        if pair.is_available:
+            workload.run_transaction(pair.serving)
+            served.append(sim.now)
+
+    for slot in range(120):
+        sim.schedule_at(slot * 250.0, transact)
+    pair.check_fault("crash", (0,))
+    sim.schedule_at(2_050.0, functools.partial(pair.crash_member, 0))
+    sim.run(until=30_000.0)
+    return {
+        "served": served,
+        "failed_over": len(failed_over),
+        "takeover": pair.takeover,
+        "membership": pair.membership.history,
+        "interfaces": _interface_states(pair.system),
+        "engine": vars(pair.serving.counters).copy(),
+        "sim": _sim_state(sim),
+    }
+
+
+def _measure_sharded(observer):
+    """Two passive-V1 shards driven as the failover timeline drives
+    them, shard 1's primary crashing at 3.25 ms."""
+    cluster = ShardedCluster(
+        2, mode="passive", version="v1", config=CONFIG,
+        heartbeat_interval_us=100.0, heartbeat_timeout_us=500.0,
+        observer=observer,
+    )
+    workload = ShardedWorkload("debit-credit", 2, CONFIG.db_bytes, seed=3)
+    router, frame = shardpar.drive(
+        cluster,
+        workload,
+        shardpar.fixed_load(
+            12, 1_000.0,
+            [shard.start for shard in workload.partitioner.ranges], 2,
+        ),
+        lambda cluster: cluster.crash(1, 0, 3_250.0),
+        lambda router: {**sim_probes(cluster.sim), **router_probes(router)},
+        horizon_us=42_000.0,
+        slot_us=1_000.0,
+    )
+    return {
+        "router": (router.routed, router.completed, router.dropped),
+        "downtime_us": {
+            shard_id: report.downtime_us
+            for shard_id, report in cluster.takeovers.items()
+        },
+        "membership": cluster.membership.history,
+        "pairs": [
+            (pair.membership.history, _interface_states(pair.system))
+            for pair in cluster.pairs
+        ],
+        "series": frame.to_dict(),
+        "sim": _sim_state(cluster.sim),
+    }
+
+
+def _measure_quorum(sloppy, observer):
+    """Three (3, 2, 2) groups: group 1 loses quorum and gets it back,
+    group 2 is partitioned and heals, repair rounds run throughout."""
+    cluster = QuorumCluster(
+        3, replicas_per_group=3, read_quorum=2, write_quorum=2,
+        keys_per_group=16, sloppy=sloppy, repair_interval_us=2_500.0,
+        observer=observer,
+    )
+
+    def faults(cluster):
+        cluster.crash(1, 1, 3_600.0)
+        cluster.crash(1, 2, 5_250.0)
+        cluster.recover(1, 1, 9_250.0)
+        cluster.recover(1, 2, 12_000.0)
+        cluster.partition(2, [0], [1, 2], at_us=6_000.0, heal_at_us=8_000.0)
+
+    router, frame = shardpar.drive(
+        cluster,
+        QuorumWorkload(3, 16, seed=3),
+        shardpar.fixed_load(16, 1_000.0, range(3), 2),
+        faults,
+        lambda router: {
+            **sim_probes(cluster.sim),
+            **router_probes(router),
+            **quorum_probes(cluster.groups),
+        },
+        horizon_us=46_000.0,
+        slot_us=1_000.0,
+    )
+    repaired = cluster.repair_pass_all()
+    return {
+        "router": (router.routed, router.completed, router.dropped),
+        "stats": cluster.stats,
+        "repaired": repaired,
+        "converged": [group.replicas_converged() for group in cluster.groups],
+        "series": frame.to_dict(),
+        "sim": _sim_state(cluster.sim),
+    }
+
+
+def _measure_simulator(observer):
+    """Three self-rescheduling chains that collide on timestamps."""
+    sim = Simulator(observer=observer)
+    fired = []
+
+    def tick(chain, k):
+        fired.append((sim.now, chain, k))
+        if k < 40:
+            sim.schedule_after(
+                10.0 * ((chain + k) % 3), functools.partial(tick, chain, k + 1)
+            )
+
+    for chain in range(3):
+        sim.schedule_at(0.0, functools.partial(tick, chain, 0))
+    sim.run(until=150.0)
+    paused = _sim_state(sim)
+    sim.run()
+    return {"fired": fired, "paused": paused, "sim": _sim_state(sim)}
+
+
+OBSERVED_RUNS = [
+    (name, functools.partial(_measure_system, make))
+    for name, make in OBSERVABLE
+] + [
+    ("pair-passive-v1", functools.partial(_measure_pair, "passive", "v1")),
+    ("pair-passive-v3", functools.partial(_measure_pair, "passive", "v3")),
+    ("pair-active", functools.partial(_measure_pair, "active", "v3")),
+    ("sharded-cluster", _measure_sharded),
+    ("quorum-cluster-strict", functools.partial(_measure_quorum, False)),
+    ("quorum-cluster-sloppy", functools.partial(_measure_quorum, True)),
+    ("simulator", _measure_simulator),
+]
+
+
+@pytest.mark.parametrize(
+    "measure", [measure for _name, measure in OBSERVED_RUNS],
+    ids=[name for name, _measure in OBSERVED_RUNS],
+)
+def test_observed_measurements_equal_detached(measure):
     detached = measure(NULL_OBSERVER)
     attached = measure(Observer())
     assert attached == detached

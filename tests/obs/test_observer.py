@@ -6,15 +6,9 @@ from repro.obs import (
     NULL_OBSERVER,
     KIND_INSTANT,
     KIND_SPAN,
-    NullObserver,
     Observer,
     TraceEvent,
     TraceRecorder,
-)
-from repro.obs.observer import (
-    OBS_ENV_VAR,
-    get_default_observer,
-    resolve_observer,
 )
 from tests.obs.select import select_events
 
@@ -116,23 +110,6 @@ def test_clock_binding_is_first_wins_through_scopes():
     # A second binding loses.
     root.bind_clock(lambda: 99.0)
     assert shard.now == 10.0
-
-
-# -- process default ----------------------------------------------------------
-
-def test_default_observer_follows_env(monkeypatch):
-    monkeypatch.delenv(OBS_ENV_VAR, raising=False)
-    assert get_default_observer() is NULL_OBSERVER
-    assert resolve_observer(None) is NULL_OBSERVER
-    monkeypatch.setenv(OBS_ENV_VAR, "0")
-    assert get_default_observer() is NULL_OBSERVER
-    monkeypatch.setenv(OBS_ENV_VAR, "1")
-    live = get_default_observer()
-    assert isinstance(live, Observer)
-    assert get_default_observer() is live  # one shared instance
-    assert resolve_observer(None) is live
-    mine = NullObserver()
-    assert resolve_observer(mine) is mine  # explicit always wins
 
 
 # -- the package's export table ------------------------------------------------

@@ -148,11 +148,9 @@ def test_two_safe_commits_carry_a_barrier_phase():
 
 
 def test_detached_system_records_nothing():
-    # Pin the null observer explicitly so the test holds under
-    # REPRO_OBS=1, where the process default is a live observer.
-    system = _run(PassiveReplicatedSystem("v3", observer=NULL_OBSERVER))
+    system = _run(PassiveReplicatedSystem("v3"))
     assert system._spans is None
-    assert not system.observer.enabled
+    assert system.observer is NULL_OBSERVER
 
 
 # -- attribution -------------------------------------------------------------

@@ -13,7 +13,9 @@ timing.
 
 One SMP validation point is held the same way, with the events it
 fires pinned exactly: fewer calls for the same events is the link
-draining one posted burst at a time, not a different simulation.
+draining one posted burst at a time, not a different simulation. So is
+one observed failover timeline: it holds the work an attached
+observer adds on the clock (heartbeats, router, sampler, takeover).
 
 Frames whose name starts with ``<`` (comprehensions, lambdas, genexprs)
 are not counted: Python 3.12 inlines comprehensions, and the counts
@@ -28,7 +30,10 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.experiments.extension_sharding import failover_plan
+from repro.fastpath import shardpar
 from repro.memory.rio import RioMemory
+from repro.obs import Observer
 from repro.perf.smp_sim import packet_sequence, simulate_smp
 from repro.san.packets import PacketTrace
 from repro.sim.engine import Simulator
@@ -68,6 +73,14 @@ SMP_POINT = {
 #: Calls into ``repro`` for the whole point, and the events it fires.
 SMP_CALL_BUDGET = 183_688
 SMP_EVENTS = 31_665
+
+#: A two-shard passive-V1 timeline, one primary crash, observer
+#: attached: calls into ``repro`` for the whole run (a cold replay
+#: cache; a warm one only lowers it), and the events it fires.
+TIMELINE_PLAN = failover_plan(
+    num_shards=2, slots=40, offered_per_shard=2, crashes=((1, 10250.0),))
+TIMELINE_CALL_BUDGET = 72_490
+TIMELINE_EVENTS = 2_593
 
 WORKLOADS = {
     workload.name: workload
@@ -126,25 +139,42 @@ def test_a_transaction_stays_within_its_call_budget(version, workload_name):
     )
 
 
-def test_an_smp_point_stays_within_its_call_budget(monkeypatch):
-    txn_packets = packet_sequence(
-        PacketTrace(dict(SMP_POINT["histogram"])), SMP_POINT["transactions"])
-    events = 0
+def count_events(monkeypatch) -> list:
+    """A one-item list that sums the events of every simulator run
+    from now on."""
+    events = [0]
     run = Simulator.run
 
     def counted(self, until=None):
         # Events are read around the run, as the ledger's simulator timer does.
-        nonlocal events
         try:
             return run(self, until)
         finally:
-            events += self.events_processed
+            events[0] += self.events_processed
 
     monkeypatch.setattr(Simulator, "run", counted)
+    return events
+
+
+def test_an_smp_point_stays_within_its_call_budget(monkeypatch):
+    txn_packets = packet_sequence(
+        PacketTrace(dict(SMP_POINT["histogram"])), SMP_POINT["transactions"])
+    events = count_events(monkeypatch)
     calls = calls_into_repro(lambda: simulate_smp(
         SMP_POINT["cpu_us"], txn_packets, SMP_POINT["processors"]))
-    assert events == SMP_EVENTS
+    assert events == [SMP_EVENTS]
     assert calls <= SMP_CALL_BUDGET * SLACK, (
         f"{calls} calls into repro for the SMP point, over the budget of "
         f"{SMP_CALL_BUDGET} + 2 %"
+    )
+
+
+def test_an_observed_timeline_stays_within_its_call_budget(monkeypatch):
+    events = count_events(monkeypatch)
+    calls = calls_into_repro(
+        lambda: shardpar.execute(TIMELINE_PLAN, observer=Observer()))
+    assert events == [TIMELINE_EVENTS]
+    assert calls <= TIMELINE_CALL_BUDGET * SLACK, (
+        f"{calls} calls into repro for the observed timeline, over the "
+        f"budget of {TIMELINE_CALL_BUDGET} + 2 %"
     )

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs import Observer
+from repro.obs import NULL_OBSERVER, Observer
 from repro.quorum.cluster import QuorumCluster
 from repro.quorum.workload import VALUE_BYTES, KeyPartitioner, QuorumWorkload
 from repro.shard.router import Router
 
 
-def make_cluster(num_groups=2, observer=None, **kw):
+def make_cluster(num_groups=2, observer=NULL_OBSERVER, **kw):
     kw.setdefault("replicas_per_group", 3)
     kw.setdefault("read_quorum", 2)
     kw.setdefault("write_quorum", 2)

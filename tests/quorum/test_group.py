@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError, ShardUnavailableError
-from repro.obs import Observer
+from repro.obs import NULL_OBSERVER, Observer
 from repro.quorum.group import (
     BYTE_US, LINK_RTT_US, MODE_SLOPPY, MODE_STRICT, RTT_SPREAD, QuorumGroup,
 )
@@ -11,7 +11,7 @@ from repro.sim.engine import Simulator
 from tests.obs.select import select_events
 
 
-def make_group(n=3, r=2, w=2, sloppy=False, observer=None, sim=None, **kw):
+def make_group(n=3, r=2, w=2, sloppy=False, observer=NULL_OBSERVER, sim=None, **kw):
     sim = sim if sim is not None else Simulator()
     return QuorumGroup(
         group_id=0, num_replicas=n, read_quorum=r, write_quorum=w,

@@ -12,7 +12,7 @@ from repro.errors import (
     ShardUnavailableError,
     StaleShardMapError,
 )
-from repro.obs import Observer
+from repro.obs import NULL_OBSERVER, Observer
 from repro.quorum import QuorumCluster, QuorumWorkload
 from repro.shard import Router, ShardedCluster, ShardedWorkload
 from repro.vista import EngineConfig
@@ -29,7 +29,7 @@ DOWN_AT_US = 2_000.0
 UP_AT_US = 60_000.0
 
 
-def build(kind, num_units=2, observer=None):
+def build(kind, num_units=2, observer=NULL_OBSERVER):
     if kind == "shard":
         return ShardedCluster(
             num_units, mode="passive", version="v1", config=CONFIG,
@@ -50,7 +50,7 @@ def workload_for(kind, num_units=2):
     return QuorumWorkload(num_units, 8, seed=11)
 
 
-def make(kind, observer=None):
+def make(kind, observer=NULL_OBSERVER):
     """A two-unit cluster, set up, with unit 0's outage scheduled."""
     cluster, workload = build(kind, observer=observer), workload_for(kind)
     cluster.setup(workload)
